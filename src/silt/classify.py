@@ -23,6 +23,7 @@ from .endo import (
     BoundQuiverAlgebra,
     blocks,
     cartan_data,
+    coxeter_polynomial,
     endomorphism_algebra,
 )
 from .modules import (
@@ -34,13 +35,7 @@ from .modules import (
     simple_rep,
 )
 from .linalg import RatMatrix
-from .quivers import (
-    DynkinType,
-    Quiver,
-    cartan_matrix,
-    parse_quiver,
-    dynkin_type,
-)
+from .quivers import Arrow, DynkinType, Quiver, cartan_matrix
 from .silting import SiltingObject
 
 RESOLUTION_CAP = 10
@@ -89,20 +84,10 @@ class _BoundAlgebraOps:
         return make_rep(self.quiver, dims, mats)
 
 
-_OPS_MEMO: Dict[int, _BoundAlgebraOps] = {}
-
-
-def _ops(b: BoundQuiverAlgebra) -> _BoundAlgebraOps:
-    key = id(b)
-    if key not in _OPS_MEMO:
-        _OPS_MEMO[key] = _BoundAlgebraOps(b)
-    return _OPS_MEMO[key]
-
-
 @cache
 def _simple_resolutions(b: BoundQuiverAlgebra) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     """Per vertex: multiplicity vectors of the minimal resolution terms."""
-    alg = _ops(b)
+    alg = _BoundAlgebraOps(b)
     verts = b.gabriel.vertices
     out = []
     for v in verts:
@@ -151,49 +136,41 @@ def ext_matrix(b: BoundQuiverAlgebra, k: int) -> Tuple[Tuple[int, ...], ...]:
 
 # --- tilted type via Coxeter polynomials ---
 
-def _coxeter_polynomial(c: RatMatrix) -> Tuple[int, ...]:
-    phi = c.inverse().transpose().mul(c).neg()
-    out = []
-    for r in phi.charpoly():
-        if r.denominator != 1:
-            raise RuntimeError("Coxeter polynomial is not integral")
-        out.append(int(r))
-    return tuple(out)
+def _reference_quiver(n: int, branch: int) -> Quiver:
+    """A_n for branch 0; otherwise the chain 1 -> ... -> n-1 with vertex n
+    attached at vertex `branch`, which gives D_n for 2 and E_n for 3."""
+    m = n - 1 if branch else n
+    arrows = [Arrow(f"x{i}", i, i + 1) for i in range(1, m)]
+    if branch:
+        arrows.append(Arrow(f"x{n}", n, branch))
+    return Quiver(tuple(range(1, n + 1)), tuple(arrows))
 
 
 @cache
-def _reference_polynomials() -> Dict[Tuple[int, ...], Tuple[str, int]]:
-    """Coxeter polynomials of the hereditary algebras of rank <= 5."""
+def _reference_polynomials(n: int) -> Dict[Tuple[int, ...], Tuple[str, int]]:
+    """Coxeter polynomials of the Dynkin path algebras of rank n."""
+    branches = {"A": 0}
+    if n >= 4:
+        branches["D"] = 2
+    if 6 <= n <= 8:
+        branches["E"] = 3
     table: Dict[Tuple[int, ...], Tuple[str, int]] = {}
-    specs = {}
-    for r in range(1, 6):
-        verts = " ".join(str(i) for i in range(1, r + 1))
-        arrows = "".join(
-            f"arrow x{i}:{i}->{i + 1}\n" for i in range(1, r)
-        )
-        specs[("A", r)] = f"vertices {verts}\n{arrows}"
-    specs[("D", 4)] = (
-        "vertices 1 2 3 4\narrow a:1->3\narrow b:2->3\narrow c:3->4\n"
-    )
-    specs[("D", 5)] = (
-        "vertices 1 2 3 4 5\n"
-        "arrow a:1->3\narrow b:2->3\narrow c:3->4\narrow d:4->5\n"
-    )
-    for key, text in specs.items():
-        poly = _coxeter_polynomial(cartan_matrix(parse_quiver(text)))
+    for family, branch in branches.items():
+        poly = coxeter_polynomial(cartan_matrix(_reference_quiver(n, branch)))
         if poly in table:
             raise RuntimeError("reference Coxeter polynomials collide")
-        table[poly] = key
+        table[poly] = (family, n)
     return table
 
 
 def tilted_type(block: BoundQuiverAlgebra) -> DynkinType:
     """Dynkin type of a tilted block, from its Coxeter polynomial."""
     poly = cartan_data(block).coxeter_polynomial
-    table = _reference_polynomials()
+    n = len(poly) - 1
+    table = _reference_polynomials(n)
     if poly not in table:
         raise RuntimeError(
-            f"no Dynkin type of rank <= 5 matches Coxeter polynomial {poly}"
+            f"no Dynkin type of rank {n} matches Coxeter polynomial {poly}"
         )
     return DynkinType.of([table[poly]])
 
@@ -313,10 +290,6 @@ def dedupe(
 
 # --- reports ---
 
-def _silting_desc(t: SiltingObject) -> str:
-    return "+".join(s.label() for s in t.summands)
-
-
 def _quiver_sketch(b: BoundQuiverAlgebra) -> str:
     if not b.gabriel.arrows:
         return " ".join(str(v) for v in b.gabriel.vertices)
@@ -357,25 +330,10 @@ def records_to_json(records: Sequence[ClassificationRecord]) -> list:
     return [record_to_json(r) for r in records]
 
 
-def summary_csv(groups: Sequence[Sequence[ClassificationRecord]]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["class", "count", "silting", "quiver", "classification"])
-    for i, g in enumerate(groups, start=1):
-        rep = g[0]
-        w.writerow(
-            [
-                i,
-                len(g),
-                _silting_desc(rep.silting),
-                _quiver_sketch(rep.algebra),
-                rep.label,
-            ]
-        )
-    return buf.getvalue()
-
-
-def summary_text(groups: Sequence[Sequence[ClassificationRecord]]) -> str:
+def _summary_rows(
+    groups: Sequence[Sequence[ClassificationRecord]],
+) -> List[List[str]]:
+    """Header plus one row per isomorphism class, led by its first member."""
     rows = [["class", "count", "silting", "quiver", "classification"]]
     for i, g in enumerate(groups, start=1):
         rep = g[0]
@@ -383,11 +341,26 @@ def summary_text(groups: Sequence[Sequence[ClassificationRecord]]) -> str:
             [
                 str(i),
                 str(len(g)),
-                _silting_desc(rep.silting),
+                rep.silting.label(),
                 _quiver_sketch(rep.algebra),
                 rep.label,
             ]
         )
+    return rows
+
+
+def summary_csv(groups: Sequence[Sequence[ClassificationRecord]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(_summary_rows(groups))
+    return buf.getvalue()
+
+
+def summary_text(groups: Sequence[Sequence[ClassificationRecord]]) -> str:
+    return text_table(_summary_rows(groups))
+
+
+def text_table(rows: Sequence[Sequence[str]]) -> str:
+    """Rows as left-aligned columns two spaces apart, one line each."""
     widths = [
         max(len(r[c]) for r in rows) for c in range(len(rows[0]))
     ]

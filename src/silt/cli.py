@@ -14,8 +14,8 @@ paper-suite  recompute every frozen count and structure over the bundled
 
 Exit codes: 0 success, 1 oracle or suite failure, 2 input error, 3 quiver
 not of Dynkin type.  All output is deterministic: byte-identical across
-runs and across --jobs values.  The environment variable SILT_SEED is
-reserved and unused; nothing here is randomised.
+runs.  The environment variable SILT_SEED is reserved and unused; nothing
+here is randomised.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib.resources import files
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -37,6 +36,7 @@ from .classify import (
     records_to_json,
     summary_csv,
     summary_text,
+    text_table,
 )
 from .complexes import hom_class_dim
 from .endo import endomorphism_algebra, matches_presentation
@@ -64,7 +64,6 @@ from .quivers import (
     quiver_to_json,
 )
 from .silting import (
-    SiltingObject,
     silting_alg2,
     silting_bruteforce,
     summand_complex,
@@ -221,17 +220,11 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the enumeration against brute force",
     )
-    p_cl.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker threads"
-    )
     add_common(p_cl)
 
     p_ps = sub.add_parser(
         "paper-suite",
         help="recompute all frozen counts over the bundled fixtures",
-    )
-    p_ps.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker threads"
     )
     add_common(p_ps)
     return parser
@@ -334,10 +327,6 @@ def cmd_ar(args) -> str:
 
 # --- silting ---
 
-def _silting_label(t: SiltingObject) -> str:
-    return "+".join(s.label() for s in t.summands)
-
-
 def _render_silting(q: Quiver, objs, fmt: str) -> str:
     if fmt == "json":
         return _dump_json(
@@ -360,7 +349,7 @@ def _render_silting(q: Quiver, objs, fmt: str) -> str:
     if fmt == "ascii":
         parts = [f"silting objects: {len(objs)}", ""]
         for i, t in enumerate(objs, start=1):
-            parts.append(f"#{i} {_silting_label(t)}")
+            parts.append(f"#{i} {t.label()}")
             parts.append(t.to_ascii().rstrip("\n"))
             parts.append("")
         return "\n".join(parts).rstrip("\n") + "\n"
@@ -412,13 +401,6 @@ def cmd_silting(args) -> str:
 
 # --- classify ---
 
-def _classify_all(q: Quiver, objs, jobs: int) -> List:
-    if jobs == 1:
-        return [classify(q, t) for t in objs]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(lambda t: classify(q, t), objs))
-
-
 def _family_counts(groups) -> Dict[str, int]:
     counts: Dict[str, int] = {}
     for g in groups:
@@ -455,14 +437,12 @@ def _render_classification(q: Quiver, records, groups, fmt: str) -> str:
 
 
 def cmd_classify(args) -> str:
-    if args.jobs < 1:
-        raise CliFailure(2, "--jobs must be a positive integer")
     q = _load_quiver(args.quiver)
     _require_dynkin(q)
     objs = silting_alg2(q)
     if args.oracle:
         _check_oracle(set(objs), set(silting_bruteforce(q)), "silting")
-    records = _classify_all(q, objs, args.jobs)
+    records = [classify(q, t) for t in objs]
     groups = dedupe(records)
     return _render_classification(q, records, groups, args.format)
 
@@ -472,7 +452,7 @@ def cmd_classify(args) -> str:
 SuiteRow = Tuple[int, str, str, str, bool]
 
 
-def _suite_rows(jobs: int) -> List[SuiteRow]:
+def _suite_rows() -> List[SuiteRow]:
     rows: List[SuiteRow] = []
     quivers = {name: _fixture_quiver(name) for name in FIXTURE_NAMES}
     records_by_name: Dict[str, list] = {}
@@ -501,7 +481,7 @@ def _suite_rows(jobs: int) -> List[SuiteRow]:
 
     # 2: classification class counts
     for name, q in quivers.items():
-        records = _classify_all(q, silting_alg2(q), jobs)
+        records = [classify(q, t) for t in silting_alg2(q)]
         records_by_name[name] = records
         groups = dedupe(records)
         groups_by_name[name] = groups
@@ -600,7 +580,7 @@ def _suite_rows(jobs: int) -> List[SuiteRow]:
             len(silting_alg2(q)),
             len(silting_alg2(qop)),
         )
-        op_records = _classify_all(qop, silting_alg2(qop), jobs)
+        op_records = [classify(qop, t) for t in silting_alg2(qop)]
         add(
             6,
             f"opposite class count {name}",
@@ -625,56 +605,35 @@ def _suite_rows(jobs: int) -> List[SuiteRow]:
     return rows
 
 
+SUITE_COLUMNS = ("criterion", "check", "expected", "computed", "status")
+
+
 def _render_suite(rows: Sequence[SuiteRow], fmt: str) -> str:
     npass = sum(1 for r in rows if r[4])
+    table = [
+        (c, check, exp, got, "pass" if ok else "FAIL")
+        for c, check, exp, got, ok in rows
+    ]
     if fmt == "csv":
-        return _dump_csv(
-            ("criterion", "check", "expected", "computed", "status"),
-            [
-                (c, check, exp, got, "pass" if ok else "FAIL")
-                for c, check, exp, got, ok in rows
-            ],
-        )
+        return _dump_csv(SUITE_COLUMNS, table)
     if fmt == "json":
         return _dump_json(
             {
-                "checks": [
-                    {
-                        "criterion": c,
-                        "check": check,
-                        "expected": exp,
-                        "computed": got,
-                        "status": "pass" if ok else "FAIL",
-                    }
-                    for c, check, exp, got, ok in rows
-                ],
+                "checks": [dict(zip(SUITE_COLUMNS, r)) for r in table],
                 "passed": npass,
                 "total": len(rows),
             }
         )
     if fmt == "ascii":
-        table = [["criterion", "check", "expected", "computed", "status"]]
-        for c, check, exp, got, ok in rows:
-            table.append(
-                [str(c), check, exp, got, "pass" if ok else "FAIL"]
-            )
-        widths = [
-            max(len(r[c]) for r in table) for c in range(len(table[0]))
-        ]
-        lines = [
-            "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
-            for r in table
-        ]
-        lines.append("")
-        lines.append(f"result: {npass}/{len(rows)} checks pass")
-        return "\n".join(lines) + "\n"
+        text = text_table(
+            [SUITE_COLUMNS] + [[str(cell) for cell in r] for r in table]
+        )
+        return text + f"\nresult: {npass}/{len(rows)} checks pass\n"
     raise _unsupported(fmt, "paper-suite")
 
 
 def cmd_paper_suite(args) -> Tuple[str, int]:
-    if args.jobs < 1:
-        raise CliFailure(2, "--jobs must be a positive integer")
-    rows = _suite_rows(args.jobs)
+    rows = _suite_rows()
     text = _render_suite(rows, args.format)
     return text, 0 if all(r[4] for r in rows) else 1
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .linalg import (
     RatMatrix,
@@ -61,9 +61,6 @@ class TwoTermComplex:
                     raise ValueError(
                         "differential entry endpoints do not match summands"
                     )
-
-    def summand_count(self) -> int:
-        return len(self.deg_minus1) + len(self.deg0)
 
 
 def resolve(q: Quiver, m: QuiverRep) -> TwoTermComplex:

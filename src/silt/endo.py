@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .complexes import HomClass, compose, hom_class_basis, identity_class
 from .linalg import RatMatrix, coords_in_rows, kernel_basis, reduce_by_rref, row_space_rref
@@ -40,6 +40,22 @@ class CartanData:
 
     cartan: Tuple[Tuple[int, ...], ...]
     coxeter_polynomial: Tuple[int, ...]
+
+
+def _table_product(
+    mult: Sequence[Sequence[Coords]], u: Coords, v: Coords
+) -> Coords:
+    """Product of coordinate vectors u, v given the basis products mult[x][y]."""
+    out = [Q(0)] * len(mult)
+    for x, cu in enumerate(u):
+        if cu == 0:
+            continue
+        for y, cv in enumerate(v):
+            if cv == 0:
+                continue
+            for z, cw in enumerate(mult[x][y]):
+                out[z] += cu * cv * cw
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -67,16 +83,7 @@ class BoundQuiverAlgebra:
         )
 
     def multiply_coords(self, u: Coords, v: Coords) -> Coords:
-        out = [Q(0)] * self.dimension
-        for x, cu in enumerate(u):
-            if cu == 0:
-                continue
-            for y, cv in enumerate(v):
-                if cv == 0:
-                    continue
-                for z, cw in enumerate(self.mult[x][y]):
-                    out[z] += cu * cv * cw
-        return tuple(out)
+        return _table_product(self.mult, u, v)
 
     def cartan_entry(self, i: int, j: int) -> int:
         return sum(
@@ -181,18 +188,6 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                 )
             hmult[x][y] = embed(i, l, bc)
 
-    def hprod(u: Coords, v: Coords) -> Coords:
-        out = [Q(0)] * dim_b
-        for x, cu in enumerate(u):
-            if cu == 0:
-                continue
-            for y, cv in enumerate(v):
-                if cv == 0:
-                    continue
-                for z, cw in enumerate(hmult[x][y]):
-                    out[z] += cu * cv * cw
-        return tuple(out)
-
     # Gabriel arrows: complements of rad^2 inside each off-diagonal block
     arrow_payload: List[Tuple[int, int, int]] = []  # (i, j, coord in block)
     arrows: List[Arrow] = []
@@ -236,7 +231,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
             i = source - 1
             return embed(i, i, [Q(1)])
         head = path_value(source, arrow_ids[:-1])
-        return hprod(head, arrow_value[arrow_ids[-1]])
+        return _table_product(hmult, head, arrow_value[arrow_ids[-1]])
 
     # relations: per vertex pair, the left kernel of path evaluation
     relations: List[PathVector] = []
@@ -332,7 +327,9 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
     for x, (si, ti, pa) in enumerate(chosen):
         row: List[Coords] = []
         for y, (sj, tj, pa2) in enumerate(chosen):
-            prod = hprod(tuple(chosen_vecs[x]), tuple(chosen_vecs[y]))
+            prod = _table_product(
+                hmult, tuple(chosen_vecs[x]), tuple(chosen_vecs[y])
+            )
             coords = coords_in_rows(list(prod), chosen_vecs)
             if coords is None:
                 raise RuntimeError("product escaped the algebra basis")
@@ -346,10 +343,6 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
         basis_paths=tuple(chosen),
         mult=tuple(tuple(r) for r in mult_rows),
     )
-
-
-def gabriel_quiver(b: BoundQuiverAlgebra) -> Quiver:
-    return b.gabriel
 
 
 def blocks(b: BoundQuiverAlgebra) -> Tuple[BoundQuiverAlgebra, ...]:
@@ -436,18 +429,21 @@ def cartan_data(b: BoundQuiverAlgebra) -> CartanData:
             for j in range(n)
         ),
     )
+    cart = tuple(
+        tuple(int(c.at(i, j)) for j in range(n)) for i in range(n)
+    )
+    return CartanData(cartan=cart, coxeter_polynomial=coxeter_polynomial(c))
+
+
+def coxeter_polynomial(c: RatMatrix) -> Tuple[int, ...]:
+    """Coefficients of det(t - (-C^{-T} C)) for a Cartan matrix C, leading first."""
     try:
         cinv = c.inverse()
     except ValueError as e:
         raise ValueError("Cartan matrix is singular") from e
-    phi = cinv.transpose().mul(c).neg()
-    poly = phi.charpoly()
     coeffs = []
-    for r in poly:
+    for r in cinv.transpose().mul(c).neg().charpoly():
         if r.denominator != 1:
             raise RuntimeError("Coxeter polynomial is not integral")
         coeffs.append(int(r))
-    cart = tuple(
-        tuple(int(c.at(i, j)) for j in range(n)) for i in range(n)
-    )
-    return CartanData(cartan=cart, coxeter_polynomial=tuple(coeffs))
+    return tuple(coeffs)

@@ -152,10 +152,6 @@ def identity(n: int) -> RatMatrix:
     )
 
 
-def zero(rows: int, cols: int) -> RatMatrix:
-    return RatMatrix(rows, cols, tuple(Q(0) for _ in range(rows * cols)))
-
-
 def rref(m: RatMatrix) -> Tuple[RatMatrix, List[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     rows = m.to_rows()

@@ -29,7 +29,6 @@ from .linalg import (
     rank,
     reduce_by_rref,
     row_space_rref,
-    rref,
 )
 from .quivers import (
     NotDynkinError,
@@ -82,12 +81,6 @@ def make_rep(q: Quiver, dims: Sequence[int], mats: Dict[str, RatMatrix]) -> Quiv
 
 def rep_dim_vector(rep: QuiverRep) -> DimVector:
     return rep.dims
-
-
-def zero_rep(q: Quiver) -> QuiverRep:
-    dims = [0] * len(q.vertices)
-    mats = {a.id: RatMatrix(0, 0, ()) for a in q.arrows}
-    return make_rep(q, dims, mats)
 
 
 def simple_rep(q: Quiver, v: int) -> QuiverRep:

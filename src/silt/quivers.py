@@ -75,17 +75,6 @@ class Quiver:
             a for a in sorted(self.arrows, key=lambda a: a.id) if a.source == v
         )
 
-    def arrows_into(self, v: int) -> Tuple[Arrow, ...]:
-        return tuple(
-            a for a in sorted(self.arrows, key=lambda a: a.id) if a.target == v
-        )
-
-    def arrow(self, arrow_id: str) -> Arrow:
-        for a in self.arrows:
-            if a.id == arrow_id:
-                return a
-        raise KeyError(arrow_id)
-
 
 def _check_acyclic(q: Quiver) -> None:
     indeg = {v: 0 for v in q.vertices}
@@ -327,14 +316,6 @@ def dynkin_type(q: Quiver) -> DynkinType:
     )
 
 
-def is_dynkin(q: Quiver) -> bool:
-    try:
-        dynkin_type(q)
-        return True
-    except NotDynkinError:
-        return False
-
-
 @cache
 def path_basis(q: Quiver) -> Tuple[Path, ...]:
     """All paths, ordered by source vertex, then length, then arrow ids."""
@@ -433,10 +414,6 @@ class PathVector:
     @staticmethod
     def from_path(p: Path, coeff=Q(1)) -> "PathVector":
         return PathVector.make(p.source, p.target, {p.arrows: Q(coeff)})
-
-    @staticmethod
-    def lazy(v: int) -> "PathVector":
-        return PathVector.make(v, v, {(): Q(1)})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -77,6 +77,9 @@ class SiltingObject:
     def module_dims(self) -> Tuple[DimVector, ...]:
         return tuple(s.dim for s in self.summands if s.kind == "mod")
 
+    def label(self) -> str:
+        return "+".join(s.label() for s in self.summands)
+
     def to_json_dict(self) -> dict:
         return {
             "I": list(self.shifted_vertices),
@@ -147,27 +150,27 @@ def _ext1_table(q: Quiver) -> Dict[Tuple[DimVector, DimVector], int]:
     }
 
 
-@cache
-def tilting_modules_bruteforce(q: Quiver) -> Tuple[TiltingModule, ...]:
-    """All n-subsets of indecomposables with pairwise vanishing Ext^1."""
-    ind = indecomposables(q)
-    table = _ext1_table(q)
-    n = len(q.vertices)
-    m = len(ind)
+def _rigid_subsets(n: int, items: Sequence, table: Dict) -> List[Tuple[int, ...]]:
+    """Index sets of the n-subsets of items with table[(a, b)] == 0 for
+    every ordered pair of members, a == b included.
+
+    Each index set is increasing, and they come in lexicographic order.
+    """
+    m = len(items)
+    ok_self = [table[(a, a)] == 0 for a in items]
     compat = [
         [
-            table[(ind[i], ind[j])] == 0 and table[(ind[j], ind[i])] == 0
+            table[(items[i], items[j])] == 0 and table[(items[j], items[i])] == 0
             for j in range(m)
         ]
         for i in range(m)
     ]
-    ok_self = [table[(d, d)] == 0 for d in ind]
-    out: List[Tuple[DimVector, ...]] = []
+    out: List[Tuple[int, ...]] = []
     chosen: List[int] = []
 
     def walk(start: int):
         if len(chosen) == n:
-            out.append(tuple(sorted(ind[i] for i in chosen)))
+            out.append(tuple(chosen))
             return
         for i in range(start, m):
             if m - i < n - len(chosen):
@@ -180,6 +183,17 @@ def tilting_modules_bruteforce(q: Quiver) -> Tuple[TiltingModule, ...]:
                 chosen.pop()
 
     walk(0)
+    return out
+
+
+@cache
+def tilting_modules_bruteforce(q: Quiver) -> Tuple[TiltingModule, ...]:
+    """All n-subsets of indecomposables with pairwise vanishing Ext^1."""
+    ind = indecomposables(q)
+    out = [
+        tuple(sorted(ind[i] for i in chosen))
+        for chosen in _rigid_subsets(len(q.vertices), ind, _ext1_table(q))
+    ]
     return tuple(TiltingModule(q, s) for s in sorted(out))
 
 
@@ -251,38 +265,10 @@ def silting_bruteforce(q: Quiver) -> Tuple[SiltingObject, ...]:
     so no separate generation check is needed.
     """
     objs, table = _hom_shift1_table(q)
-    n = len(q.vertices)
-    m = len(objs)
-    ok_self = [table[(o, o)] == 0 for o in objs]
-    compat = [
-        [
-            table[(objs[i], objs[j])] == 0 and table[(objs[j], objs[i])] == 0
-            for j in range(m)
-        ]
-        for i in range(m)
+    out = [
+        tuple(sorted((objs[i] for i in chosen), key=lambda s: s.key()))
+        for chosen in _rigid_subsets(len(q.vertices), objs, table)
     ]
-    out: List[Tuple[IndId, ...]] = []
-    chosen: List[int] = []
-
-    def walk(start: int):
-        if len(chosen) == n:
-            out.append(
-                tuple(
-                    sorted((objs[i] for i in chosen), key=lambda s: s.key())
-                )
-            )
-            return
-        for i in range(start, m):
-            if m - i < n - len(chosen):
-                break
-            if not ok_self[i]:
-                continue
-            if all(compat[i][j] for j in chosen):
-                chosen.append(i)
-                walk(i + 1)
-                chosen.pop()
-
-    walk(0)
     return tuple(
         SiltingObject(q, s)
         for s in sorted(out, key=lambda t: [x.key() for x in t])

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per reproduction criterion, tolerance zero.
 
-Every expected number below is frozen from the source tables for the
-bundled fixture quivers.  ``pytest -v`` reports one pass/fail line per
+Every expected number is frozen from the source tables for the bundled
+fixture quivers.  The tables live in ``silt.cli``, which also checks them
+in ``silt paper-suite``.  ``pytest -v`` reports one pass/fail line per
 criterion through the test names; each test also prints an explicit
 ``CRITERION n: PASS`` line on success (visible with ``pytest -s``).
 """
@@ -33,18 +34,14 @@ from silt.silting import (
 )
 from silt.endo import endomorphism_algebra, matches_presentation
 from silt.classify import classify, dedupe, ext_matrix
-
-FIXTURE_NAMES = (
-    "a1",
-    "a2",
-    "a3_linear",
-    "a3_alt",
-    "a4_linear",
-    "a4_second",
-    "a4_third",
-    "d4",
-    "d4_second",
-    "d5",
+from silt.cli import (
+    EXPECTED_CLASSES,
+    EXPECTED_FAMILY_SPLITS,
+    EXPECTED_SILTING,
+    EXPECTED_STRICTLY_SHOD,
+    EXPECTED_TILTING,
+    FIXTURE_NAMES,
+    STRICTLY_SHOD_PRESENTATIONS,
 )
 
 QUIVERS = {
@@ -52,83 +49,6 @@ QUIVERS = {
         files("silt").joinpath("fixtures", f"{name}.quiver").read_text()
     )
     for name in FIXTURE_NAMES
-}
-
-EXPECTED_SILTING = {
-    "a1": 2,
-    "a2": 5,
-    "a3_linear": 14,
-    "a3_alt": 14,
-    "a4_linear": 42,
-    "a4_second": 42,
-    "a4_third": 42,
-    "d4": 50,
-    "d4_second": 50,
-    "d5": 182,
-}
-
-EXPECTED_TILTING = {
-    "a1": 1,
-    "a2": 2,
-    "a3_linear": 5,
-    "a3_alt": 5,
-    "a4_linear": 14,
-    "a4_second": 14,
-    "a4_third": 14,
-    "d4": 20,
-    "d4_second": 20,
-    "d5": 77,
-}
-
-EXPECTED_CLASSES = {
-    "a3_linear": 5,
-    "a3_alt": 6,
-    "a4_linear": 15,
-    "a4_second": 17,
-    "a4_third": 16,
-    "d4": 13,
-    "d4_second": 11,
-    "d5": 62,
-}
-
-EXPECTED_STRICTLY_SHOD = {
-    "a3_linear": 0,
-    "a3_alt": 0,
-    "a4_linear": 0,
-    "a4_second": 0,
-    "a4_third": 0,
-    "d4": 1,
-    "d4_second": 0,
-    "d5": 4,
-}
-
-EXPECTED_FAMILY_SPLITS = {
-    "a3_linear": {"A3": 4, "A2⊔A1": 1},
-    "a4_linear": {"A4": 10, "A3⊔A1": 4, "A2⊔A2": 1},
-}
-
-STRICTLY_SHOD_PRESENTATIONS = {
-    "s1": ("d4", ((1, 2), (2, 3), (3, 4)), ((1, 3, 2), (2, 4, 2))),
-    "s2": (
-        "d5",
-        ((1, 2), (2, 3), (3, 4), (4, 5)),
-        ((1, 4, 3), (3, 5, 2)),
-    ),
-    "s3": (
-        "d5",
-        ((1, 2), (2, 3), (3, 4), (5, 4)),
-        ((1, 3, 2), (2, 4, 2)),
-    ),
-    "s4": (
-        "d5",
-        ((1, 2), (2, 3), (3, 4), (4, 5)),
-        ((1, 3, 2), (2, 4, 2)),
-    ),
-    "s5": (
-        "d5",
-        ((1, 2), (2, 3), (3, 4), (2, 5)),
-        ((1, 3, 2), (1, 5, 2), (2, 4, 2)),
-    ),
 }
 
 
@@ -170,7 +90,7 @@ def test_criterion_3_strictly_shod_structure():
     assert len(shod_by_fixture["d4"]) == 1
     assert len(shod_by_fixture["d5"]) == 4
     matched = []
-    for label, (name, arrows, rels) in STRICTLY_SHOD_PRESENTATIONS.items():
+    for label, name, arrows, rels in STRICTLY_SHOD_PRESENTATIONS:
         hits = [
             g
             for g in shod_by_fixture[name]

@@ -19,6 +19,7 @@ from silt.classify import (
     summary_csv,
     summary_text,
     tilted_type,
+    _reference_polynomials,
 )
 
 A1 = parse_quiver("vertices 1\n")
@@ -96,6 +97,28 @@ def test_tilted_type_of_hereditary_blocks():
     assert tilted_type(b).label() == "A2"
     bd = endomorphism_algebra(D4, _regular_object(D4))
     assert tilted_type(bd).label() == "D4"
+
+
+RANK_SIX = {
+    "A6": "vertices 1 2 3 4 5 6\narrows a:1->2 b:3->2 c:3->4 d:4->5 e:6->5\n",
+    "D6": "vertices 1 2 3 4 5 6\narrows a:1->3 b:2->3 c:3->4 d:4->5 e:5->6\n",
+    "E6": "vertices 1 2 3 4 5 6\narrows a:1->2 b:2->3 c:4->3 d:5->4 e:6->3\n",
+}
+
+
+@pytest.mark.parametrize("label", sorted(RANK_SIX))
+def test_tilted_type_above_rank_five(label):
+    q = parse_quiver(RANK_SIX[label])
+    b = endomorphism_algebra(q, _regular_object(q))
+    assert tilted_type(b).label() == label
+
+
+def test_reference_polynomials_cover_every_type_up_to_rank_eight():
+    for n in range(1, 9):
+        families = sorted(f for f, r in _reference_polynomials(n).values())
+        expected = ["A"] + ["D"] * (n >= 4) + ["E"] * (6 <= n <= 8)
+        assert families == expected, n
+        assert all(len(poly) == n + 1 for poly in _reference_polynomials(n))
 
 
 # --- classify ---
