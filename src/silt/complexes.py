@@ -24,6 +24,7 @@ from .linalg import (
     RatMatrix,
     coords_in_rows,
     kernel_basis,
+    pivot_columns,
     reduce_by_rref,
     row_space_rref,
 )
@@ -259,10 +260,7 @@ def hom_class_basis(x: TwoTermComplex, y: TwoTermComplex, k: int) -> HomSpace:
             cols.append(defect(unit))
         ent = tuple(cols[t][r] for r in range(nw) for t in range(total))
         constraint = RatMatrix(nw, total, ent)
-        z_rows = [
-            [c.at(i, 0) for i in range(c.rows)]
-            for c in kernel_basis(constraint)
-        ]
+        z_rows = kernel_basis(constraint)
 
         blocks_h, nh = _layout(q, x.deg0, y.deg_minus1)
         h_rows = []
@@ -307,21 +305,14 @@ def hom_class_basis(x: TwoTermComplex, y: TwoTermComplex, k: int) -> HomSpace:
         img = _compose_mats(x.deg_minus1, y.deg_minus1, y.deg0, y.diff, h)
         h_rows.append(_mat_to_vec(q, x.deg_minus1, y.deg0, img))
     b_rref = row_space_rref(h_rows, total)
-    cands = []
-    for t in range(total):
-        unit = [Q(0)] * total
-        unit[t] = Q(1)
-        cands.append(reduce_by_rref(unit, b_rref))
-    class_basis = row_space_rref(cands, total)
-    if len(class_basis) != total - len(b_rref):
-        raise RuntimeError("homotopy reduction lost dimensions")
-    return HomSpace(
-        x,
-        y,
-        1,
-        tuple(tuple(r) for r in class_basis),
-        tuple(tuple(r) for r in b_rref),
+    # the unit vectors at the free columns of b_rref span a complement
+    pivots = set(pivot_columns(b_rref))
+    class_basis = tuple(
+        tuple(Q(1) if t == f else Q(0) for t in range(total))
+        for f in range(total)
+        if f not in pivots
     )
+    return HomSpace(x, y, 1, class_basis, tuple(tuple(r) for r in b_rref))
 
 
 def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:

@@ -20,7 +20,13 @@ from functools import cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .complexes import HomClass, compose, hom_class_basis, identity_class
-from .linalg import RatMatrix, coords_in_rows, kernel_basis, reduce_by_rref, row_space_rref
+from .linalg import (
+    RatMatrix,
+    kernel_basis,
+    pivot_columns,
+    reduce_by_rref,
+    row_space_rref,
+)
 from .quivers import (
     Arrow,
     PathVector,
@@ -206,10 +212,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                     for g in block_elems[(k, j)]:
                         prod = compose(g, f)
                         sq.append(block_coords(i, j, prod))
-            r2 = row_space_rref(sq, bd)
-            pivots = [
-                next(c for c, e in enumerate(row) if e != 0) for row in r2
-            ]
+            pivots = pivot_columns(row_space_rref(sq, bd))
             for c in range(bd):
                 if c not in pivots:
                     arrow_payload.append((i, j, c))
@@ -250,11 +253,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                 for p in paths
             ]
             if bd:
-                mat = RatMatrix.from_rows(rows)
-                ker_cols = kernel_basis(mat.transpose())
-                ker = [
-                    [c.at(r, 0) for r in range(c.rows)] for c in ker_cols
-                ]
+                ker = kernel_basis(RatMatrix.from_rows(rows).transpose())
             else:
                 ker = [
                     [Q(1) if r == s else Q(0) for r in range(len(paths))]
@@ -310,29 +309,29 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
 
     # canonical path-class basis and the multiplication table over it
     chosen: List[Tuple[int, int, Tuple[str, ...]]] = []
-    chosen_vecs: List[List[Q]] = []
+    chosen_vecs: List[Coords] = []
     for i in range(n):
         for j in range(n):
             kept: List[List[Q]] = []
             for p in pb[(i + 1, j + 1)]:
-                vec = list(path_value(i + 1, p.arrows))
-                if len(row_space_rref(kept + [vec], dim_b)) > len(kept):
+                vec = path_value(i + 1, p.arrows)
+                if any(reduce_by_rref(vec, kept)):
                     kept = row_space_rref(kept + [vec], dim_b)
                     chosen.append((i + 1, j + 1, p.arrows))
                     chosen_vecs.append(vec)
     if len(chosen) != dim_b:
         raise RuntimeError("path-class basis has wrong size")
 
+    # coordinates over the chosen basis: the product times its inverse
+    to_chosen = RatMatrix.from_rows(chosen_vecs).inverse().to_rows()
     mult_rows: List[List[Coords]] = []
-    for x, (si, ti, pa) in enumerate(chosen):
+    for u in chosen_vecs:
         row: List[Coords] = []
-        for y, (sj, tj, pa2) in enumerate(chosen):
-            prod = _table_product(
-                hmult, tuple(chosen_vecs[x]), tuple(chosen_vecs[y])
-            )
-            coords = coords_in_rows(list(prod), chosen_vecs)
-            if coords is None:
-                raise RuntimeError("product escaped the algebra basis")
+        for v in chosen_vecs:
+            coords = [Q(0)] * dim_b
+            for c, inv_row in zip(_table_product(hmult, u, v), to_chosen):
+                if c != 0:
+                    coords = [a + c * b for a, b in zip(coords, inv_row)]
             row.append(tuple(coords))
         mult_rows.append(row)
 

@@ -3,8 +3,9 @@
 Every matrix entry is a ``fractions.Fraction``; there is no floating point
 anywhere.  All routines are deterministic: identical inputs give identical
 outputs, bit for bit.  Row-reduction always picks the first usable pivot row,
-so reduced echelon forms (and everything derived from them: kernels,
-particular solutions, canonical subspace bases) are canonical.
+so reduced echelon forms (and everything derived from them: kernels and
+canonical subspace bases) are canonical.  Coordinates over an RREF basis
+are read off its pivot columns.
 """
 
 from __future__ import annotations
@@ -186,50 +187,24 @@ def rank(m: RatMatrix) -> int:
     return len(pivots)
 
 
-def kernel_basis(m: RatMatrix) -> List[RatMatrix]:
-    """Canonical basis of the right null space, as column vectors.
+def kernel_basis(m: RatMatrix) -> List[List[Q]]:
+    """Canonical basis of the right null space, as row lists.
 
     One basis vector per free column of the RREF: entry 1 at the free
     column, minus the pivot-row coefficients elsewhere.
     """
     red, pivots = rref(m)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis: List[RatMatrix] = []
-    for fc in free:
+    basis: List[List[Q]] = []
+    for fc in range(m.cols):
+        if fc in pivot_set:
+            continue
         v = [Q(0)] * m.cols
         v[fc] = Q(1)
         for r, pc in enumerate(pivots):
             v[pc] = -red.at(r, fc)
-        basis.append(RatMatrix(m.cols, 1, tuple(v)))
+        basis.append(v)
     return basis
-
-
-def solve(m: RatMatrix, b: RatMatrix) -> Optional[RatMatrix]:
-    """Particular solution of m x = b with free variables set to zero.
-
-    Supports multiple right-hand-side columns.  Returns None when the
-    system is inconsistent.
-    """
-    if b.rows != m.rows:
-        raise ValueError("right-hand side has wrong number of rows")
-    aug = RatMatrix(
-        m.rows,
-        m.cols + b.cols,
-        tuple(
-            m.at(i, j) if j < m.cols else b.at(i, j - m.cols)
-            for i in range(m.rows)
-            for j in range(m.cols + b.cols)
-        ),
-    )
-    red, pivots = rref(aug)
-    if any(p >= m.cols for p in pivots):
-        return None
-    ent = [Q(0)] * (m.cols * b.cols)
-    for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            ent[pc * b.cols + j] = red.at(r, m.cols + j)
-    return RatMatrix(m.cols, b.cols, tuple(ent))
 
 
 def row_space_rref(rows: Iterable[Sequence[Q]], ncols: int) -> List[List[Q]]:
@@ -241,24 +216,26 @@ def row_space_rref(rows: Iterable[Sequence[Q]], ncols: int) -> List[List[Q]]:
     return [list(red.row(i)) for i in range(len(pivots))]
 
 
+def pivot_columns(rows: Sequence[Sequence[Q]]) -> List[int]:
+    """Column of the leading non-zero entry of each row of an echelon basis."""
+    return [next(i for i, e in enumerate(r) if e != 0) for r in rows]
+
+
 def reduce_by_rref(v: Sequence[Q], basis: List[List[Q]]) -> List[Q]:
     """Reduce v modulo the span of an RREF row basis."""
     v = list(v)
-    for row in basis:
-        pc = next(i for i, e in enumerate(row) if e != 0)
-        if v[pc] != 0:
-            f = v[pc]
+    for row, pc in zip(basis, pivot_columns(basis)):
+        f = v[pc]
+        if f != 0:
             v = [a - f * b for a, b in zip(v, row)]
     return v
 
 
 def coords_in_rows(v: Sequence[Q], rows: List[List[Q]]) -> Optional[List[Q]]:
-    """Coefficients x with sum_i x_i rows[i] = v, or None if v not in span."""
-    if not rows:
-        return [] if all(e == 0 for e in v) else None
-    a = RatMatrix.from_rows(rows).transpose()
-    b = RatMatrix(len(v), 1, tuple(Q(e) for e in v))
-    x = solve(a, b)
-    if x is None:
+    """Coefficients x with sum_i x_i rows[i] = v, or None if v not in span.
+
+    The rows must be an RREF basis, so x_i is v at the pivot of row i.
+    """
+    if any(reduce_by_rref(v, rows)):
         return None
-    return [x.at(i, 0) for i in range(len(rows))]
+    return [v[p] for p in pivot_columns(rows)]

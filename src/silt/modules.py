@@ -26,6 +26,7 @@ from .linalg import (
     coords_in_rows,
     identity,
     kernel_basis,
+    pivot_columns,
     rank,
     reduce_by_rref,
     row_space_rref,
@@ -250,7 +251,7 @@ def _reflect_rep_at_source(rep: QuiverRep, k: int, qtarget: Quiver) -> QuiverRep
     g_rref = row_space_rref(g_rows, total)
     if len(g_rref) != dk:
         raise RuntimeError("reflection map not injective")
-    pivots = [next(i for i, e in enumerate(r) if e != 0) for r in g_rref]
+    pivots = pivot_columns(g_rref)
     free = [c for c in range(total) if c not in pivots]
 
     def quotient(row: List[Q]) -> List[Q]:
@@ -400,40 +401,30 @@ def radical_rows(rep: QuiverRep) -> List[List[List[Q]]]:
 def minimal_cover(alg, rep: QuiverRep):
     """Projective cover of rep over the given algebra.
 
-    Returns (copies, p0rep, pi) where copies is a list of
-    (vertex, lift-row) pairs, p0rep the direct sum of projectives in
-    copy order, and pi the per-vertex matrices of the cover map.
+    Returns (copies, p0rep, pi).  copies holds one (vertex, column) pair
+    per summand P(vertex) of the cover, for each free column of the RREF
+    radical at that vertex; the summand's generator maps to the unit
+    vector at that column of rep's space.  p0rep is the direct sum of
+    projectives in copy order, and pi the per-vertex matrices of the
+    cover map.
     """
     q = alg.quiver
     rad = radical_rows(rep)
-    copies: List[Tuple[int, Tuple[Q, ...]]] = []
+    copies: List[Tuple[int, int]] = []
     for vi, v in enumerate(q.vertices):
-        pivots = [
-            next(i for i, e in enumerate(r) if e != 0) for r in rad[vi]
-        ]
-        free = [c for c in range(rep.dims[vi]) if c not in pivots]
-        for c in free:
-            lift = tuple(
-                Q(1) if i == c else Q(0) for i in range(rep.dims[vi])
-            )
-            copies.append((v, lift))
-    proj_reps = [alg.projective(v) for v, _ in copies]
-    p0 = _direct_sum(q, proj_reps)
+        pivots = pivot_columns(rad[vi])
+        copies.extend(
+            (v, c) for c in range(rep.dims[vi]) if c not in pivots
+        )
+    p0 = _direct_sum(q, [alg.projective(v) for v, _ in copies])
     pi: List[RatMatrix] = []
     for u in q.vertices:
         rows: List[List[Q]] = []
-        for (v, lift), prep in zip(copies, proj_reps):
-            paths = alg.basis_paths(v)[u]
-            for p in paths:
-                vec = RatMatrix(1, len(lift), lift).mul(
-                    act_path(rep, v, p.arrows)
-                )
-                rows.append(list(vec.entries))
+        for v, c in copies:
+            for p in alg.basis_paths(v)[u]:
+                rows.append(list(act_path(rep, v, p.arrows).row(c)))
         du = rep.dim_at(u)
-        if rows:
-            mat = RatMatrix.from_rows([r if r else [] for r in rows]) if du else RatMatrix(len(rows), 0, ())
-        else:
-            mat = RatMatrix(0, du, ())
+        mat = RatMatrix.from_rows(rows) if rows else RatMatrix(0, du, ())
         pi.append(mat)
         if rank(mat) != du:
             raise RuntimeError("cover map not surjective")
@@ -472,12 +463,10 @@ def kernel_subrep(p0: QuiverRep, pi: Sequence[RatMatrix]):
     coordinates and the induced representation on those bases.
     """
     q = p0.quiver
-    rows_per_vertex: List[List[List[Q]]] = []
-    for vi, v in enumerate(q.vertices):
-        mat = pi[vi]
-        cols = kernel_basis(mat.transpose())
-        rows = [[c.at(i, 0) for i in range(c.rows)] for c in cols]
-        rows_per_vertex.append(row_space_rref(rows, p0.dims[vi]))
+    rows_per_vertex = [
+        row_space_rref(kernel_basis(m.transpose()), d)
+        for m, d in zip(pi, p0.dims)
+    ]
     idx = {v: i for i, v in enumerate(q.vertices)}
     dims = [len(rows_per_vertex[i]) for i in range(len(q.vertices))]
     mats: Dict[str, RatMatrix] = {}
@@ -520,15 +509,9 @@ def minimal_presentation(q: Quiver, m: QuiverRep) -> Presentation:
         raise RuntimeError("first syzygy is not projective (not hereditary?)")
     pb = paths_between(q)
     rows: List[List[PathVector]] = [[] for _ in copies0]
-    for a, lift in copies1:
-        ai = q.index(a)
-        if krows[ai]:
-            amb = RatMatrix(1, len(lift), lift).mul(
-                RatMatrix.from_rows(krows[ai])
-            )
-            amb_row = list(amb.entries)
-        else:
-            amb_row = []
+    for a, col in copies1:
+        # the copy's generator, in p0's coordinates at vertex a
+        amb_row = krows[q.index(a)][col]
         off = 0
         for j, (b, _) in enumerate(copies0):
             paths = pb[(b, a)]

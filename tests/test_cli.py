@@ -226,6 +226,7 @@ FROZEN_DIGESTS = {
     ("d4", "classify", "--format", "csv"): "02cb01f9dda1d982a08de86af9dd50c6babb73683e50d1d2383bd51211e43d8e",
     ("d4", "silting", "--format", "json"): "b0f17baf571d7a9c56b8e0630e3e1e34ee80c41649dbdc82fe714c518e99b39b",
     ("d4", "ar", "--two-term", "--format", "json"): "d4472cd85ae187adf781b2ebfc2187102800d3a8c13c9deb0fc6f3445028f8d8",
+    ("d5", "classify", "--format", "json"): "8ce6511d5581729b33249425674f6c543c4d042c8e98f047547ad276e15cb949",
 }
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from silt.linalg import reduce_by_rref, row_space_rref
 from silt.quivers import PathVector, parse_quiver, paths_between
 from silt.modules import build_representation, ext1_dim, hom_dim, indecomposables
 from silt.complexes import (
@@ -106,6 +107,32 @@ def test_hom_dims_match_module_homs_exhaustively():
                 y = resolve(q, n)
                 assert hom_class_dim(x, y, 0) == hom_dim(q, m, n)
                 assert hom_class_dim(x, y, 1) == ext1_dim(q, m, n)
+
+
+def test_shift_one_basis_is_reduced_unit_vectors():
+    # Hom(X, Y[1]) is all of Hom(X^{-1}, Y^0) modulo homotopy, so the
+    # reductions of the unit vectors span a complement of the homotopies
+    # with exactly the right dimension.
+    objs = [resolve_dim(D4, d) for d in indecomposables(D4)]
+    objs += [shifted_projective(D4, v) for v in D4.vertices]
+    both = 0
+    for x in objs:
+        for y in objs:
+            sp = hom_class_basis(x, y, 1)
+            rows = sp.class_basis + sp.homotopy_rref
+            total = len(rows[0]) if rows else 0
+            homotopy = [list(r) for r in sp.homotopy_rref]
+            units = [
+                [Q(1) if t == s else Q(0) for t in range(total)]
+                for s in range(total)
+            ]
+            old = row_space_rref(
+                [reduce_by_rref(u, homotopy) for u in units], total
+            )
+            assert [tuple(r) for r in old] == list(sp.class_basis)
+            assert len(old) == total - len(homotopy)
+            both += bool(sp.class_basis and homotopy)
+    assert both
 
 
 def test_shifted_homs_match_path_spaces():

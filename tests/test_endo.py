@@ -20,6 +20,7 @@ A2 = parse_quiver("vertices 1 2\narrow a:1->2\n")
 A3 = parse_quiver("vertices 1 2 3\narrow a:1->2\narrow b:2->3\n")
 A3_ALT = parse_quiver("vertices 1 2 3\narrow a:1->3\narrow b:2->3\n")
 D4 = parse_quiver("vertices 1 2 3 4\narrow a:1->3\narrow b:2->3\narrow c:3->4\n")
+A4_SECOND = parse_quiver("vertices 1 2 3 4\narrow a:1->2\narrow b:3->2\narrow c:3->4\n")
 
 
 def _regular_object(q):
@@ -89,7 +90,8 @@ def test_dimension_is_sum_of_pairwise_homs():
 
 
 def test_multiplication_associative_on_basis():
-    for q in (A2, A3_ALT):
+    # the table's coordinates come from one inverse of the path-class basis
+    for q in (A2, A3_ALT, D4, A4_SECOND):
         for obj in silting_alg2(q):
             b = endomorphism_algebra(q, obj)
             n = b.dimension
@@ -103,6 +105,28 @@ def test_multiplication_associative_on_basis():
                             b.multiply_coords(b.unit_coords(y), b.unit_coords(z)),
                         )
                         assert lhs == rhs
+
+
+def test_basis_path_products_concatenate():
+    # x.y is the concatenated path: zero unless the paths compose, the
+    # unit vector when the concatenation is itself a basis path, and
+    # otherwise a combination of basis paths with the same endpoints.
+    for q in (A3_ALT, D4, A4_SECOND):
+        for obj in silting_alg2(q):
+            b = endomorphism_algebra(q, obj)
+            index = {p: z for z, p in enumerate(b.basis_paths)}
+            for x, (s, t, px) in enumerate(b.basis_paths):
+                for y, (t2, u, py) in enumerate(b.basis_paths):
+                    got = b.mult[x][y]
+                    if t != t2:
+                        assert not any(got)
+                    elif (s, u, px + py) in index:
+                        assert got == b.unit_coords(index[(s, u, px + py)])
+                    else:
+                        assert all(
+                            c == 0 or b.basis_paths[z][:2] == (s, u)
+                            for z, c in enumerate(got)
+                        )
 
 
 def test_relations_are_admissible_and_reproduce_dimension():

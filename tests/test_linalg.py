@@ -1,4 +1,4 @@
-"""Oracle tests for exact rational matrices: rank, kernel, solve, charpoly."""
+"""Oracle tests for exact rational matrices: rank, kernel, coordinates, charpoly."""
 
 from fractions import Fraction as Q
 
@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from silt.linalg import RatMatrix, identity, kernel_basis, rank, solve
+from silt.linalg import (
+    RatMatrix,
+    coords_in_rows,
+    identity,
+    kernel_basis,
+    pivot_columns,
+    rank,
+    row_space_rref,
+)
 
 
 def M(rows):
@@ -41,10 +49,7 @@ def test_kernel_of_identity_empty():
 
 def test_kernel_one_dim():
     ker = kernel_basis(M([[1, -1]]))
-    assert len(ker) == 1
-    v = ker[0]
-    assert v.rows == 2 and v.cols == 1
-    assert v.entries[0] == v.entries[1] != 0
+    assert ker == [[1, 1]]
 
 
 def test_kernel_of_zero_map():
@@ -52,37 +57,33 @@ def test_kernel_of_zero_map():
     assert len(ker) == 3
 
 
+def _annihilated(m, v):
+    return all(e == 0 for e in m.mul(RatMatrix(m.cols, 1, tuple(v))).entries)
+
+
 def test_kernel_vectors_annihilated():
     m = M([[1, 2, 3], [4, 5, 6]])
-    for v in kernel_basis(m):
-        assert all(e == 0 for e in m.mul(v).entries)
+    ker = kernel_basis(m)
+    assert len(ker) == 1
+    assert all(_annihilated(m, v) for v in ker)
 
 
-# --- solve ---
+# --- coordinates over an RREF basis ---
 
-def test_solve_identity():
-    b = M([[5], [7]])
-    assert solve(identity(2), b) == b
-
-
-def test_solve_underdetermined_deterministic():
-    m = M([[1, -1]])
-    b = M([[0]])
-    x1 = solve(m, b)
-    x2 = solve(m, b)
-    assert x1 == x2
-    assert m.mul(x1) == b
+def test_pivot_columns():
+    assert pivot_columns([[0, 1, 2], [0, 0, 0, 1]]) == [1, 3]
+    assert pivot_columns([]) == []
 
 
-def test_solve_inconsistent_absent():
-    assert solve(M([[1], [0]]), M([[0], [1]])) is None
+def test_coords_read_off_pivots():
+    rows = [[1, 0, 2], [0, 1, 3]]
+    assert coords_in_rows([5, 7, 31], rows) == [5, 7]
 
 
-def test_solve_multi_column():
-    m = M([[2, 0], [0, 4]])
-    b = M([[1, 0], [0, 1]])
-    x = solve(m, b)
-    assert m.mul(x) == b
+def test_coords_off_span_absent():
+    assert coords_in_rows([0, 0, 1], [[1, 0, 2], [0, 1, 3]]) is None
+    assert coords_in_rows([1], []) is None
+    assert coords_in_rows([0, 0], []) == []
 
 
 # --- helpers used downstream ---
@@ -130,18 +131,32 @@ def rat_matrices(draw):
 @given(rat_matrices())
 @settings(max_examples=120, deadline=None)
 def test_rank_nullity(m):
-    assert rank(m) + len(kernel_basis(m)) == m.cols
+    ker = kernel_basis(m)
+    assert rank(m) + len(ker) == m.cols
+    assert all(_annihilated(m, v) for v in ker)
 
 
-@given(rat_matrices())
+@given(rat_matrices(), st.data())
 @settings(max_examples=80, deadline=None)
-def test_solve_self_consistent(m):
-    # b in the column span: take b = m * ones
-    ones = RatMatrix(m.cols, 1, tuple(Q(1) for _ in range(m.cols)))
-    b = m.mul(ones)
-    x = solve(m, b)
-    assert x is not None
-    assert m.mul(x) == b
+def test_coords_recover_combination(m, data):
+    basis = row_space_rref(m.to_rows(), m.cols)
+    coeffs = data.draw(
+        st.lists(
+            st.integers(min_value=-5, max_value=5).map(Q),
+            min_size=len(basis),
+            max_size=len(basis),
+        )
+    )
+    v = [
+        sum((c * r[j] for c, r in zip(coeffs, basis)), Q(0))
+        for j in range(m.cols)
+    ]
+    assert coords_in_rows(v, basis) == coeffs
+    if len(basis) < m.cols:
+        # a unit vector at a free column lies off the span
+        free = min(set(range(m.cols)) - set(pivot_columns(basis)))
+        off = [Q(1) if j == free else Q(0) for j in range(m.cols)]
+        assert coords_in_rows(off, basis) is None
 
 
 def test_entries_length_validated():
