@@ -2,10 +2,10 @@
 
 Each endomorphism algebra is probed through minimal projective
 resolutions of its simple modules, computed by projective-cover /
-kernel iteration over the multiplication-table basis.  Blocks with
-global dimension at most 2 are tilted and get a Dynkin type from a
-Coxeter-polynomial reference table; blocks of global dimension exactly
-3 are strictly shod.  A permutation-invariant fingerprint groups
+kernel iteration over the algebra's indecomposable projectives.
+Blocks with global dimension at most 2 are tilted and get a Dynkin type
+from a Coxeter-polynomial reference table; blocks of global dimension
+exactly 3 are strictly shod.  A permutation-invariant fingerprint groups
 isomorphic algebras so enumerations can be counted up to isomorphism.
 """
 
@@ -15,7 +15,6 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,11 +29,9 @@ from .modules import (
     Path,
     QuiverRep,
     kernel_subrep,
-    make_rep,
     minimal_cover,
     simple_rep,
 )
-from .linalg import RatMatrix
 from .quivers import Arrow, DynkinType, Quiver, cartan_matrix
 from .silting import SiltingObject
 
@@ -45,11 +42,8 @@ class _BoundAlgebraOps:
     """Projectives of a bound quiver algebra over its path-class basis."""
 
     def __init__(self, b: BoundQuiverAlgebra):
-        self.b = b
         self.quiver = b.gabriel
-        self._ix: Dict[Tuple[int, int, Tuple[str, ...]], int] = {
-            key: x for x, key in enumerate(b.basis_paths)
-        }
+        self._projectives = dict(zip(b.gabriel.vertices, b.projectives))
         self._from: Dict[int, Dict[int, List[Tuple[str, ...]]]] = {
             v: {u: [] for u in b.gabriel.vertices} for v in b.gabriel.vertices
         }
@@ -63,25 +57,7 @@ class _BoundAlgebraOps:
         }
 
     def projective(self, v: int) -> QuiverRep:
-        dims = [len(self._from[v][u]) for u in self.quiver.vertices]
-        mats = {}
-        for a in self.quiver.arrows:
-            src_paths = self._from[v][a.source]
-            tgt_paths = self._from[v][a.target]
-            tgt_pos = [
-                self._ix[(v, a.target, arrows)] for arrows in tgt_paths
-            ]
-            arrow_ix = self._ix.get((a.source, a.target, (a.id,)))
-            if arrow_ix is None:
-                raise RuntimeError("arrow path missing from algebra basis")
-            rows: List[List[Q]] = []
-            for arrows in src_paths:
-                x = self._ix[(v, a.source, arrows)]
-                prod = self.b.mult[x][arrow_ix]
-                rows.append([prod[p] for p in tgt_pos])
-            ent = tuple(e for row in rows for e in row)
-            mats[a.id] = RatMatrix(len(src_paths), len(tgt_paths), ent)
-        return make_rep(self.quiver, dims, mats)
+        return self._projectives[v]
 
 
 @cache

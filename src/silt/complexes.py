@@ -178,7 +178,16 @@ class HomSpace:
         )
 
     def vector_of(self, cls: "HomClass") -> List[Q]:
-        total = len(self.class_basis[0]) if self.class_basis else 0
+        q, x, y = self.x.quiver, self.x, self.y
+        if self.shift == 0:
+            total = (
+                _layout(q, x.deg0, y.deg0)[1]
+                + _layout(q, x.deg_minus1, y.deg_minus1)[1]
+            )
+        elif self.shift == 1:
+            total = _layout(q, x.deg_minus1, y.deg0)[1]
+        else:
+            total = 0
         vec = [Q(0)] * total
         for c, row in zip(cls.coords, self.class_basis):
             if c != 0:

@@ -5,10 +5,12 @@ assembled from the homotopy Hom spaces: e_i B e_j = Hom(T_j, T_i), with
 product x.y = x after y, so that End of the regular object recovers the
 path algebra with its original arrow directions.
 
-From the multiplication table we extract the Gabriel quiver (arrows
-i -> j are a basis of the (i,j) part of rad/rad^2), a minimal generating
+From the compositions of Hom classes we extract the Gabriel quiver
+(arrows i -> j are a basis of the (i,j) part of rad/rad^2), the value of
+every Gabriel path (its arrows composed in turn), a minimal generating
 set of relations (kernel of the induced map from the path algebra of the
-Gabriel quiver), a canonical path-class basis, and Cartan data.
+Gabriel quiver), a canonical path-class basis, the indecomposable
+projective modules, and Cartan data.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .complexes import HomClass, compose, hom_class_basis, identity_class
 from .linalg import (
@@ -27,6 +29,7 @@ from .linalg import (
     reduce_by_rref,
     row_space_rref,
 )
+from .modules import QuiverRep, make_rep
 from .quivers import (
     Arrow,
     PathVector,
@@ -37,8 +40,6 @@ from .quivers import (
 )
 from .silting import SiltingObject, is_presilting, summand_complex
 
-Coords = Tuple[Q, ...]
-
 
 @dataclass(frozen=True)
 class CartanData:
@@ -48,48 +49,26 @@ class CartanData:
     coxeter_polynomial: Tuple[int, ...]
 
 
-def _table_product(
-    mult: Sequence[Sequence[Coords]], u: Coords, v: Coords
-) -> Coords:
-    """Product of coordinate vectors u, v given the basis products mult[x][y]."""
-    out = [Q(0)] * len(mult)
-    for x, cu in enumerate(u):
-        if cu == 0:
-            continue
-        for y, cv in enumerate(v):
-            if cv == 0:
-                continue
-            for z, cw in enumerate(mult[x][y]):
-                out[z] += cu * cv * cw
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BoundQuiverAlgebra:
     """Basic algebra given by a Gabriel quiver, relations, and a basis.
 
     basis_paths lists the path-class basis as (source, target, arrow ids)
-    over the Gabriel quiver; mult[x][y] gives the product of basis
-    elements x and y in basis coordinates.
+    over the Gabriel quiver.  projectives[k] is P(v) = e_v B for the k-th
+    Gabriel vertex v, as a representation of the Gabriel quiver: its basis
+    at u is the basis paths from v to u, and an arrow a sends path p to
+    the basis coordinates of the path p followed by a.
     """
 
     gabriel: Quiver
     relations: Tuple[PathVector, ...]
     dimension: int
     basis_paths: Tuple[Tuple[int, int, Tuple[str, ...]], ...]
-    mult: Tuple[Tuple[Coords, ...], ...]
+    projectives: Tuple[QuiverRep, ...]
 
     def __post_init__(self):
         if len(self.basis_paths) != self.dimension:
             raise ValueError("basis size does not match dimension")
-
-    def unit_coords(self, x: int) -> Coords:
-        return tuple(
-            Q(1) if i == x else Q(0) for i in range(self.dimension)
-        )
-
-    def multiply_coords(self, u: Coords, v: Coords) -> Coords:
-        return _table_product(self.mult, u, v)
 
     def cartan_entry(self, i: int, j: int) -> int:
         return sum(
@@ -131,10 +110,13 @@ class BoundQuiverAlgebra:
 @cache
 def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
     """End(T) of a silting object as a bound quiver algebra."""
+    label = t.label()
     if t.quiver != q:
-        raise ValueError("silting object lives over a different quiver")
+        raise ValueError(
+            f"{label}: silting object lives over a different quiver"
+        )
     if not is_presilting(q, t.summands):
-        raise ValueError("the given object is not silting")
+        raise ValueError(f"{label}: the given object is not silting")
     n = len(t.summands)
     cx = [summand_complex(q, s) for s in t.summands]
     spaces = {
@@ -146,11 +128,11 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
     for i in range(n):
         if spaces[(i, i)].dim() != 1:
             raise RuntimeError(
-                f"summand {t.summands[i].label()} has endomorphism ring of "
-                f"dimension {spaces[(i, i)].dim()}, expected 1"
+                f"{label}: summand {t.summands[i].label()} has endomorphism "
+                f"ring of dimension {spaces[(i, i)].dim()}, expected 1"
             )
         if idents[i].is_zero():
-            raise RuntimeError("identity collapsed to zero")
+            raise RuntimeError(f"{label}: identity collapsed to zero")
 
     # homotopy-class basis of B, diagonal blocks holding the identities
     block_elems: Dict[Tuple[int, int], Tuple[HomClass, ...]] = {}
@@ -160,39 +142,12 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                 block_elems[(i, j)] = (idents[i],)
             else:
                 block_elems[(i, j)] = spaces[(i, j)].elements()
-    offsets: Dict[Tuple[int, int], int] = {}
-    basis_ix: List[Tuple[int, int, HomClass]] = []
-    for i in range(n):
-        for j in range(n):
-            offsets[(i, j)] = len(basis_ix)
-            basis_ix.extend((i, j, e) for e in block_elems[(i, j)])
-    dim_b = len(basis_ix)
+    dim_b = sum(len(e) for e in block_elems.values())
 
     def block_coords(i: int, j: int, cls: HomClass) -> List[Q]:
         if i == j:
             return [cls.coords[0] / idents[i].coords[0]]
         return list(cls.coords)
-
-    def embed(i: int, j: int, coords: List[Q]) -> Coords:
-        out = [Q(0)] * dim_b
-        for t_, c in enumerate(coords):
-            out[offsets[(i, j)] + t_] = c
-        return tuple(out)
-
-    hmult: List[List[Coords]] = [
-        [tuple([Q(0)] * dim_b) for _ in range(dim_b)] for _ in range(dim_b)
-    ]
-    for x, (i, j, f) in enumerate(basis_ix):
-        for y, (k, l, g) in enumerate(basis_ix):
-            if j != k:
-                continue
-            prod = compose(g, f)  # g: T_l -> T_j, then f: T_j -> T_i
-            bc = block_coords(i, l, prod)
-            if i == l and i != j and any(c != 0 for c in bc):
-                raise RuntimeError(
-                    "radical square leaked into a diagonal block"
-                )
-            hmult[x][y] = embed(i, l, bc)
 
     # Gabriel arrows: complements of rad^2 inside each off-diagonal block
     arrow_payload: List[Tuple[int, int, int]] = []  # (i, j, coord in block)
@@ -219,22 +174,26 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
     for num, (i, j, _) in enumerate(arrow_payload, start=1):
         arrows.append(Arrow(f"a{num}", i + 1, j + 1))
     gq = Quiver(tuple(range(1, n + 1)), tuple(arrows))
-
-    arrow_value: Dict[str, Coords] = {}
-    for (i, j, c), a in zip(arrow_payload, arrows):
-        coords = [Q(0)] * len(block_elems[(i, j)])
-        coords[c] = Q(1)
-        arrow_value[a.id] = embed(i, j, coords)
+    arrow_class = {
+        a.id: block_elems[(i, j)][c]
+        for (i, j, c), a in zip(arrow_payload, arrows)
+    }
 
     pb = paths_between(gq)
 
     @cache
-    def path_value(source: int, arrow_ids: Tuple[str, ...]) -> Coords:
+    def path_class(source: int, arrow_ids: Tuple[str, ...]) -> HomClass:
+        """The path's value in B: its arrows composed in turn."""
         if not arrow_ids:
-            i = source - 1
-            return embed(i, i, [Q(1)])
-        head = path_value(source, arrow_ids[:-1])
-        return _table_product(hmult, head, arrow_value[arrow_ids[-1]])
+            return idents[source - 1]
+        head = path_class(source, arrow_ids[:-1])
+        return compose(arrow_class[arrow_ids[-1]], head)
+
+    def path_value(
+        source: int, target: int, arrow_ids: Tuple[str, ...]
+    ) -> List[Q]:
+        cls = path_class(source, arrow_ids)
+        return block_coords(source - 1, target - 1, cls)
 
     # relations: per vertex pair, the left kernel of path evaluation
     relations: List[PathVector] = []
@@ -246,13 +205,8 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
             if not paths:
                 kernels[(i, j)] = []
                 continue
-            bd = len(block_elems[(i, j)])
-            off = offsets[(i, j)]
-            rows = [
-                list(path_value(i + 1, p.arrows)[off : off + bd])
-                for p in paths
-            ]
-            if bd:
+            if block_elems[(i, j)]:
+                rows = [path_value(i + 1, j + 1, p.arrows) for p in paths]
                 ker = kernel_basis(RatMatrix.from_rows(rows).transpose())
             else:
                 ker = [
@@ -263,7 +217,8 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
             quotient_dim += len(paths) - len(kernels[(i, j)])
     if quotient_dim != dim_b:
         raise RuntimeError(
-            "path algebra modulo relations does not match End(T) dimension"
+            f"{label}: path algebra modulo relations does not match End(T) "
+            "dimension"
         )
 
     # minimal generators: kernel modulo (arrow ideal . kernel + kernel . arrow ideal)
@@ -296,51 +251,80 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
             reduced = [reduce_by_rref(u, s_rref) for u in ker]
             gens = row_space_rref(reduced, len(paths))
             if len(gens) != len(ker) - len(s_rref):
-                raise RuntimeError("relation generators are not independent")
+                raise RuntimeError(
+                    f"{label}: relation generators are not independent"
+                )
             for g in gens:
                 terms = {
                     paths[t].arrows: c for t, c in enumerate(g) if c != 0
                 }
                 if any(len(arrs) < 2 for arrs in terms):
                     raise RuntimeError(
-                        "relation ideal is not admissible (short paths)"
+                        f"{label}: relation ideal is not admissible "
+                        "(short paths)"
                     )
                 relations.append(PathVector.make(i + 1, j + 1, terms))
 
-    # canonical path-class basis and the multiplication table over it
-    chosen: List[Tuple[int, int, Tuple[str, ...]]] = []
-    chosen_vecs: List[Coords] = []
+    # canonical path-class basis per block, and the inverse of its values
+    chosen: Dict[Tuple[int, int], List[Tuple[str, ...]]] = {}
+    to_chosen: Dict[Tuple[int, int], List[List[Q]]] = {}
     for i in range(n):
         for j in range(n):
+            bd = len(block_elems[(i, j)])
             kept: List[List[Q]] = []
-            for p in pb[(i + 1, j + 1)]:
-                vec = path_value(i + 1, p.arrows)
+            paths_ij: List[Tuple[str, ...]] = []
+            values: List[List[Q]] = []
+            for p in pb[(i + 1, j + 1)] if bd else ():
+                vec = path_value(i + 1, j + 1, p.arrows)
                 if any(reduce_by_rref(vec, kept)):
-                    kept = row_space_rref(kept + [vec], dim_b)
-                    chosen.append((i + 1, j + 1, p.arrows))
-                    chosen_vecs.append(vec)
-    if len(chosen) != dim_b:
-        raise RuntimeError("path-class basis has wrong size")
+                    kept = row_space_rref(kept + [vec], bd)
+                    paths_ij.append(p.arrows)
+                    values.append(vec)
+            if len(values) != bd:
+                raise RuntimeError(f"{label}: path-class basis has wrong size")
+            chosen[(i + 1, j + 1)] = paths_ij
+            if bd:
+                to_chosen[(i + 1, j + 1)] = (
+                    RatMatrix.from_rows(values).inverse().to_rows()
+                )
 
-    # coordinates over the chosen basis: the product times its inverse
-    to_chosen = RatMatrix.from_rows(chosen_vecs).inverse().to_rows()
-    mult_rows: List[List[Coords]] = []
-    for u in chosen_vecs:
-        row: List[Coords] = []
-        for v in chosen_vecs:
-            coords = [Q(0)] * dim_b
-            for c, inv_row in zip(_table_product(hmult, u, v), to_chosen):
-                if c != 0:
-                    coords = [a + c * b for a, b in zip(coords, inv_row)]
-            row.append(tuple(coords))
-        mult_rows.append(row)
+    def basis_coords(
+        source: int, target: int, arrow_ids: Tuple[str, ...]
+    ) -> List[Q]:
+        """Coordinates of a path's value over the chosen basis paths."""
+        vec = path_value(source, target, arrow_ids)
+        coords = [Q(0)] * len(vec)
+        for c, inv_row in zip(vec, to_chosen.get((source, target), ())):
+            if c != 0:
+                coords = [a + c * b for a, b in zip(coords, inv_row)]
+        return coords
+
+    # P(v) = e_v B: an arrow sends each basis path p from v to p followed by it
+    projectives: List[QuiverRep] = []
+    for v in gq.vertices:
+        mats: Dict[str, RatMatrix] = {}
+        for a in gq.arrows:
+            src = chosen[(v, a.source)]
+            ent = tuple(
+                c
+                for p in src
+                for c in basis_coords(v, a.target, p + (a.id,))
+            )
+            mats[a.id] = RatMatrix(len(src), len(chosen[(v, a.target)]), ent)
+        dims = [len(chosen[(v, u)]) for u in gq.vertices]
+        projectives.append(make_rep(gq, dims, mats))
 
     return BoundQuiverAlgebra(
         gabriel=gq,
         relations=tuple(relations),
         dimension=dim_b,
-        basis_paths=tuple(chosen),
-        mult=tuple(tuple(r) for r in mult_rows),
+        basis_paths=tuple(
+            (i + 1, j + 1, arrs)
+            for i in range(n)
+            for j in range(n)
+            for arrs in chosen[(i + 1, j + 1)]
+        ),
+        projectives=tuple(projectives),
     )
 
 
@@ -354,25 +338,25 @@ def blocks(b: BoundQuiverAlgebra) -> Tuple[BoundQuiverAlgebra, ...]:
         rels = tuple(
             r for r in b.relations if r.source in keep and r.target in keep
         )
-        sel = [
-            x
-            for x, (s, t, _) in enumerate(b.basis_paths)
-            if s in keep and t in keep
-        ]
-        basis = tuple(b.basis_paths[x] for x in sel)
-        mult = tuple(
-            tuple(
-                tuple(b.mult[x][y][z] for z in sel) for y in sel
+        basis = tuple(
+            x for x in b.basis_paths if x[0] in keep and x[1] in keep
+        )
+        projectives = tuple(
+            make_rep(
+                sub,
+                [p.dim_at(u) for u in sub.vertices],
+                {a.id: p.mat(a.id) for a in sub.arrows},
             )
-            for x in sel
+            for v, p in zip(b.gabriel.vertices, b.projectives)
+            if v in keep
         )
         out.append(
             BoundQuiverAlgebra(
                 gabriel=sub,
                 relations=rels,
-                dimension=len(sel),
+                dimension=len(basis),
                 basis_paths=basis,
-                mult=mult,
+                projectives=projectives,
             )
         )
     return tuple(out)

@@ -259,6 +259,22 @@ def test_zero_class_composes_to_zero():
     assert compose(zero_xy, g) == hom_class_basis(x, z, 0).zero_class()
 
 
+def test_zero_dimensional_space_keeps_chain_map_length():
+    # Hom(P(2), S(1)) and Hom(S(1), P(1)[1]) vanish in A2, but their zero
+    # classes still have a representative as long as the chain-map layout
+    p2, s1, p1 = (resolve_dim(A2, d) for d in ((0, 1), (1, 0), (1, 1)))
+    zero = hom_class_basis(p2, s1, 0)
+    assert zero.dim() == 0
+    assert zero.vector_of(zero.zero_class()) == [Q(0)]
+    mat0, matm = zero.zero_class().mats()
+    assert mat0 == ((PathVector.zero(1, 2),),) and matm == ((),)
+    assert compose(zero.zero_class(), identity_class(s1)) == zero.zero_class()
+    ext = hom_class_basis(s1, p1, 1)
+    assert ext.dim() == 0
+    assert ext.vector_of(ext.zero_class()) == [Q(0)]
+    assert ext.zero_class().mats() == (((PathVector.zero(1, 2),),), ())
+
+
 def test_class_coords_and_dim_accessors():
     x = resolve_dim(A3, (1, 1, 1))
     sp = hom_class_basis(x, x, 0)

@@ -1,13 +1,20 @@
 """Oracle tests for endomorphism algebras of silting objects."""
 
 import json
+import re
+from fractions import Fraction as Q
 
 import pytest
 
 from silt.quivers import parse_quiver, path_basis, quivers_isomorphic
-from silt.modules import IndId, projective_dim_vectors
+from silt.modules import (
+    IndId,
+    act_path,
+    act_path_vector,
+    projective_dim_vectors,
+)
 from silt.silting import SiltingObject, silting_alg2, summand_complex
-from silt.complexes import hom_class_dim
+from silt.complexes import compose, hom_class_basis, hom_class_dim
 from silt.endo import (
     BoundQuiverAlgebra,
     blocks,
@@ -89,44 +96,79 @@ def test_dimension_is_sum_of_pairwise_homs():
         assert b.dimension == expected
 
 
-def test_multiplication_associative_on_basis():
-    # the table's coordinates come from one inverse of the path-class basis
+def _unit(n, k):
+    return tuple(Q(1) if i == k else Q(0) for i in range(n))
+
+
+def test_relations_act_as_zero_on_projectives():
+    # P(v) = e_v B is a module over B, so every relation of B kills it
+    saw_relations = False
     for q in (A2, A3_ALT, D4, A4_SECOND):
         for obj in silting_alg2(q):
             b = endomorphism_algebra(q, obj)
-            n = b.dimension
-            for x in range(n):
-                for y in range(n):
-                    xy = b.multiply_coords(b.unit_coords(x), b.unit_coords(y))
-                    for z in range(n):
-                        lhs = b.multiply_coords(xy, b.unit_coords(z))
-                        rhs = b.multiply_coords(
-                            b.unit_coords(x),
-                            b.multiply_coords(b.unit_coords(y), b.unit_coords(z)),
-                        )
-                        assert lhs == rhs
+            for p in b.projectives:
+                for rel in b.relations:
+                    saw_relations = True
+                    m = act_path_vector(p, rel)
+                    assert not any(m.entries)
+    assert saw_relations
 
 
-def test_basis_path_products_concatenate():
-    # x.y is the concatenated path: zero unless the paths compose, the
-    # unit vector when the concatenation is itself a basis path, and
-    # otherwise a combination of basis paths with the same endpoints.
+def test_projective_dims_are_cartan_rows():
     for q in (A3_ALT, D4, A4_SECOND):
         for obj in silting_alg2(q):
             b = endomorphism_algebra(q, obj)
-            index = {p: z for z, p in enumerate(b.basis_paths)}
-            for x, (s, t, px) in enumerate(b.basis_paths):
-                for y, (t2, u, py) in enumerate(b.basis_paths):
-                    got = b.mult[x][y]
-                    if t != t2:
-                        assert not any(got)
-                    elif (s, u, px + py) in index:
-                        assert got == b.unit_coords(index[(s, u, px + py)])
-                    else:
-                        assert all(
-                            c == 0 or b.basis_paths[z][:2] == (s, u)
-                            for z, c in enumerate(got)
-                        )
+            cart = cartan_data(b).cartan
+            assert len(b.projectives) == len(cart)
+            for p, row in zip(b.projectives, cart):
+                assert p.quiver == b.gabriel
+                assert p.dims == row
+            assert sum(sum(p.dims) for p in b.projectives) == b.dimension
+
+
+def test_basis_path_products_concatenate():
+    # an arrow sends the basis path p to p followed by the arrow: the unit
+    # vector of the concatenation when that is itself a basis path, and
+    # otherwise a combination of basis paths with the same endpoints; the
+    # path p itself sends the generator e_v to the unit vector at p
+    for q in (A3_ALT, D4, A4_SECOND):
+        for obj in silting_alg2(q):
+            b = endomorphism_algebra(q, obj)
+            for a in b.gabriel.arrows:
+                assert (a.source, a.target, (a.id,)) in b.basis_paths
+            for v, p in zip(b.gabriel.vertices, b.projectives):
+                from_v = {u: [] for u in b.gabriel.vertices}
+                for s, t, arrs in b.basis_paths:
+                    if s == v:
+                        from_v[t].append(arrs)
+                gen = from_v[v].index(())
+                for u, paths in from_v.items():
+                    for x, arrs in enumerate(paths):
+                        row = act_path(p, v, arrs).row(gen)
+                        assert row == _unit(len(paths), x)
+                for a in b.gabriel.arrows:
+                    src, tgt = from_v[a.source], from_v[a.target]
+                    m = p.mat(a.id)
+                    assert (m.rows, m.cols) == (len(src), len(tgt))
+                    for x, arrs in enumerate(src):
+                        if arrs + (a.id,) in tgt:
+                            want = _unit(len(tgt), tgt.index(arrs + (a.id,)))
+                            assert m.row(x) == want
+
+
+def test_no_radical_square_in_diagonal_blocks():
+    # for i != j, every map T_i -> T_j -> T_i is zero: End(T_i) is the
+    # field, so B has no radical element in a diagonal block
+    for q in (A3_ALT, D4, A4_SECOND):
+        for obj in silting_alg2(q):
+            cx = [summand_complex(q, s) for s in obj.summands]
+            for i, ti in enumerate(cx):
+                for j, tj in enumerate(cx):
+                    if i == j:
+                        continue
+                    for g in hom_class_basis(ti, tj, 0).elements():
+                        for f in hom_class_basis(tj, ti, 0).elements():
+                            assert compose(g, f).is_zero()
 
 
 def test_relations_are_admissible_and_reproduce_dimension():
@@ -209,5 +251,5 @@ def test_rejects_non_silting_input():
             )
         ),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(bad.label())):
         endomorphism_algebra(A2, bad)
