@@ -25,6 +25,7 @@ from .linalg import (
     coords_in_rows,
     kernel_basis,
     pivot_columns,
+    rank,
     reduce_by_rref,
     row_space_rref,
 )
@@ -147,6 +148,82 @@ def _compose_mats(
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+# --- null-homotopic maps X^{-1} -> Y^0, one block per vertex ---
+
+@cache
+def _after_diff(x: TwoTermComplex, v: int) -> Tuple[Tuple, ...]:
+    """The map h -> h d_X from Hom(X^0, P(v)) to Hom(X^{-1}, P(v)).
+
+    One sparse row per path of the source basis: (i, t, c) puts c at
+    path t of Hom(P(x.deg_minus1[i]), P(v)).
+    """
+    pb = paths_between(x.quiver)
+    index = [
+        {p.arrows: t for t, p in enumerate(pb[(v, u)])} for u in x.deg_minus1
+    ]
+    return tuple(
+        tuple(
+            (i, index[i][p.arrows + a], c)
+            for i in range(len(x.deg_minus1))
+            for a, c in x.diff[j][i].terms
+        )
+        for j, w in enumerate(x.deg0)
+        for p in pb[(v, w)]
+    )
+
+
+@cache
+def _before_diff(y: TwoTermComplex, u: int) -> Tuple[Tuple, ...]:
+    """The map h -> d_Y h from Hom(P(u), Y^{-1}) to Hom(P(u), Y^0).
+
+    One sparse row per path of the source basis: (k, t, c) puts c at
+    path t of Hom(P(u), P(y.deg0[k])).
+    """
+    pb = paths_between(y.quiver)
+    index = [
+        {p.arrows: t for t, p in enumerate(pb[(w, u)])} for w in y.deg0
+    ]
+    return tuple(
+        tuple(
+            (k, index[k][a + p.arrows], c)
+            for k in range(len(y.deg0))
+            for a, c in y.diff[k][j].terms
+        )
+        for j, w in enumerate(y.deg_minus1)
+        for p in pb[(w, u)]
+    )
+
+
+def _shift1_homotopies(
+    x: TwoTermComplex, y: TwoTermComplex
+) -> Tuple[List[List[Q]], int]:
+    """Rows spanning h d_X + d_Y h' in Hom(X^{-1}, Y^0), and dim Hom(X^{-1}, Y^0).
+
+    h d_X is block-diagonal over the summands P(v) of Y^0 and d_Y h' over
+    the summands P(u) of X^{-1}; each block lands at its _layout offset.
+    """
+    if x.quiver != y.quiver:
+        raise ValueError("complexes live over different quivers")
+    blocks, total = _layout(x.quiver, x.deg_minus1, y.deg0)
+    off = {(k, i): o for k, i, _, o in blocks}
+    rows: List[List[Q]] = []
+    for k, v in enumerate(y.deg0):
+        for sparse in _after_diff(x, v):
+            if sparse:
+                row = [Q(0)] * total
+                for i, t, c in sparse:
+                    row[off[(k, i)] + t] = c
+                rows.append(row)
+    for i, u in enumerate(x.deg_minus1):
+        for sparse in _before_diff(y, u):
+            if sparse:
+                row = [Q(0)] * total
+                for k, t, c in sparse:
+                    row[off[(k, i)] + t] = c
+                rows.append(row)
+    return rows, total
 
 
 # --- homotopy classes ---
@@ -297,23 +374,8 @@ def hom_class_basis(x: TwoTermComplex, y: TwoTermComplex, k: int) -> HomSpace:
         )
 
     # k == 1: all of Hom(X^{-1}, Y^0), modulo h d_X and d_Y h'
-    _, total = _layout(q, x.deg_minus1, y.deg0)
-    h_rows = []
-    _, nh0 = _layout(q, x.deg0, y.deg0)
-    for t in range(nh0):
-        unit = [Q(0)] * nh0
-        unit[t] = Q(1)
-        h = _vec_to_mat(q, x.deg0, y.deg0, unit)
-        img = _compose_mats(x.deg_minus1, x.deg0, y.deg0, h, x.diff)
-        h_rows.append(_mat_to_vec(q, x.deg_minus1, y.deg0, img))
-    _, nhm = _layout(q, x.deg_minus1, y.deg_minus1)
-    for t in range(nhm):
-        unit = [Q(0)] * nhm
-        unit[t] = Q(1)
-        h = _vec_to_mat(q, x.deg_minus1, y.deg_minus1, unit)
-        img = _compose_mats(x.deg_minus1, y.deg_minus1, y.deg0, y.diff, h)
-        h_rows.append(_mat_to_vec(q, x.deg_minus1, y.deg0, img))
-    b_rref = row_space_rref(h_rows, total)
+    rows, total = _shift1_homotopies(x, y)
+    b_rref = row_space_rref(rows, total)
     # the unit vectors at the free columns of b_rref span a complement
     pivots = set(pivot_columns(b_rref))
     class_basis = tuple(
@@ -324,8 +386,13 @@ def hom_class_basis(x: TwoTermComplex, y: TwoTermComplex, k: int) -> HomSpace:
     return HomSpace(x, y, 1, class_basis, tuple(tuple(r) for r in b_rref))
 
 
+@cache
 def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
-    return hom_class_basis(x, y, k).dim()
+    """dim Hom(X, Y[k]); at k = 1 a rank, with no basis built."""
+    if k != 1:
+        return hom_class_basis(x, y, k).dim()
+    rows, total = _shift1_homotopies(x, y)
+    return total - rank(RatMatrix.from_rows(rows))
 
 
 @cache

@@ -418,6 +418,7 @@ def cartan_data(b: BoundQuiverAlgebra) -> CartanData:
     return CartanData(cartan=cart, coxeter_polynomial=coxeter_polynomial(c))
 
 
+@cache
 def coxeter_polynomial(c: RatMatrix) -> Tuple[int, ...]:
     """Coefficients of det(t - (-C^{-T} C)) for a Cartan matrix C, leading first."""
     try:

@@ -5,12 +5,15 @@ anywhere.  All routines are deterministic: identical inputs give identical
 outputs, bit for bit.  Row-reduction always picks the first usable pivot row,
 so reduced echelon forms (and everything derived from them: kernels and
 canonical subspace bases) are canonical.  Coordinates over an RREF basis
-are read off its pivot columns.
+are read off its pivot columns.  ``rank`` alone works on plain ``int``
+rows internally: each row is cleared of denominators and reduced by
+fraction-free (Bareiss) elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
@@ -28,7 +31,11 @@ class RatMatrix:
             )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(Q(e) for e in entries))
+        object.__setattr__(
+            self,
+            "entries",
+            tuple(e if type(e) is Q else Q(e) for e in entries),
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -41,7 +48,7 @@ class RatMatrix:
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            flat.extend(Q(e) for e in row)
+            flat.extend(row)
         return cls(r, c, tuple(flat))
 
     def at(self, i: int, j: int) -> Q:
@@ -183,8 +190,35 @@ def rref(m: RatMatrix) -> Tuple[RatMatrix, List[int]]:
 
 
 def rank(m: RatMatrix) -> int:
-    _, pivots = rref(m)
-    return len(pivots)
+    """Rank by fraction-free (Bareiss) elimination over the integers.
+
+    Each row is scaled by the lcm of its denominators, which keeps the
+    row space.  After k pivots every remaining entry is a (k+1)-minor of
+    that integer matrix, so the division by the previous pivot is exact.
+    """
+    rows: List[List[int]] = []
+    for i in range(m.rows):
+        row = m.row(i)
+        den = lcm(*(e.denominator for e in row))
+        ints = [e.numerator * (den // e.denominator) for e in row]
+        if any(ints):
+            rows.append(ints)
+    r, prev = 0, 1
+    for c in range(m.cols):
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = p
+        r += 1
+    return r
 
 
 def kernel_basis(m: RatMatrix) -> List[List[Q]]:

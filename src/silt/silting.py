@@ -157,32 +157,34 @@ def _rigid_subsets(n: int, items: Sequence, table: Dict) -> List[Tuple[int, ...]
     Each index set is increasing, and they come in lexicographic order.
     """
     m = len(items)
-    ok_self = [table[(a, a)] == 0 for a in items]
+    # compat[i]: bit j set iff the table vanishes on (i, j) and (j, i);
+    # candidates start as the rigid items, so only those are ever chosen
     compat = [
-        [
-            table[(items[i], items[j])] == 0 and table[(items[j], items[i])] == 0
+        sum(
+            1 << j
             for j in range(m)
-        ]
+            if table[(items[i], items[j])] == 0
+            and table[(items[j], items[i])] == 0
+        )
         for i in range(m)
     ]
     out: List[Tuple[int, ...]] = []
     chosen: List[int] = []
 
-    def walk(start: int):
-        if len(chosen) == n:
+    def walk(cand: int):
+        need = n - len(chosen)
+        if need == 0:
             out.append(tuple(chosen))
             return
-        for i in range(start, m):
-            if m - i < n - len(chosen):
-                break
-            if not ok_self[i]:
-                continue
-            if all(compat[i][j] for j in chosen):
-                chosen.append(i)
-                walk(i + 1)
-                chosen.pop()
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            chosen.append(i)
+            walk(cand & compat[i])
+            chosen.pop()
 
-    walk(0)
+    walk(sum(1 << i for i, a in enumerate(items) if table[(a, a)] == 0))
     return out
 
 
@@ -240,8 +242,15 @@ def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
 
 @cache
 def _hom_shift1_table(q: Quiver):
-    """dim Hom(X, Y[1]) for all ordered pairs of two-term AR vertices."""
-    objs = ar_quiver_two_term(q).vertices
+    """dim Hom(X, Y[1]) for all ordered pairs of two-term objects.
+
+    The objects are the indecomposable modules and the shifted
+    projectives, listed without the AR quiver.
+    """
+    projs = projective_dim_vectors(q)
+    objs = tuple(IndId.module(d) for d in indecomposables(q)) + tuple(
+        IndId.shifted(v, projs[q.index(v)]) for v in q.vertices
+    )
     cx = {o: summand_complex(q, o) for o in objs}
     table = {
         (a, b): hom_class_dim(cx[a], cx[b], 1) for a in objs for b in objs

@@ -9,6 +9,10 @@ from silt.quivers import PathVector, parse_quiver, paths_between
 from silt.modules import build_representation, ext1_dim, hom_dim, indecomposables
 from silt.complexes import (
     TwoTermComplex,
+    _compose_mats,
+    _layout,
+    _mat_to_vec,
+    _vec_to_mat,
     compose,
     hom_class_basis,
     hom_class_dim,
@@ -21,6 +25,12 @@ from silt.complexes import (
 A2 = parse_quiver("vertices 1 2\narrow a:1->2\n")
 A3 = parse_quiver("vertices 1 2 3\narrow a:1->2\narrow b:2->3\n")
 D4 = parse_quiver("vertices 1 2 3 4\narrow a:1->3\narrow b:2->3\narrow c:3->4\n")
+A4_SECOND = parse_quiver("vertices 1 2 3 4\narrow a:1->2\narrow b:3->2\narrow c:3->4\n")
+
+
+def two_term_objects(q):
+    objs = [resolve_dim(q, d) for d in indecomposables(q)]
+    return objs + [shifted_projective(q, v) for v in q.vertices]
 
 
 # --- resolve ---
@@ -113,8 +123,7 @@ def test_shift_one_basis_is_reduced_unit_vectors():
     # Hom(X, Y[1]) is all of Hom(X^{-1}, Y^0) modulo homotopy, so the
     # reductions of the unit vectors span a complement of the homotopies
     # with exactly the right dimension.
-    objs = [resolve_dim(D4, d) for d in indecomposables(D4)]
-    objs += [shifted_projective(D4, v) for v in D4.vertices]
+    objs = two_term_objects(D4)
     both = 0
     for x in objs:
         for y in objs:
@@ -133,6 +142,45 @@ def test_shift_one_basis_is_reduced_unit_vectors():
             assert len(old) == total - len(homotopy)
             both += bool(sp.class_basis and homotopy)
     assert both
+
+
+@pytest.mark.parametrize("q", [D4, A4_SECOND], ids=["d4", "a4_second"])
+def test_shift_one_dim_is_basis_size(q):
+    objs = two_term_objects(q)
+    for x in objs:
+        for y in objs:
+            assert hom_class_dim(x, y, 1) == hom_class_basis(x, y, 1).dim()
+
+
+def _homotopy_rref_by_unit_vectors(x, y):
+    """Shift-1 homotopy RREF built one unit vector at a time: the image of
+    h -> h d_X on Hom(X^0, Y^0), then of h -> d_Y h on Hom(X^{-1}, Y^{-1})."""
+    q = x.quiver
+    _, total = _layout(q, x.deg_minus1, y.deg0)
+    rows = []
+    for srcs, tgts, image in (
+        (x.deg0, y.deg0, lambda h: _compose_mats(
+            x.deg_minus1, x.deg0, y.deg0, h, x.diff)),
+        (x.deg_minus1, y.deg_minus1, lambda h: _compose_mats(
+            x.deg_minus1, y.deg_minus1, y.deg0, y.diff, h)),
+    ):
+        _, n = _layout(q, srcs, tgts)
+        for t in range(n):
+            unit = [Q(1) if s == t else Q(0) for s in range(n)]
+            h = _vec_to_mat(q, srcs, tgts, unit)
+            rows.append(_mat_to_vec(q, x.deg_minus1, y.deg0, image(h)))
+    return row_space_rref(rows, total)
+
+
+def test_shift_one_homotopies_match_unit_vector_route():
+    objs = two_term_objects(D4)
+    nonzero = 0
+    for x in objs:
+        for y in objs:
+            old = [tuple(r) for r in _homotopy_rref_by_unit_vectors(x, y)]
+            assert hom_class_basis(x, y, 1).homotopy_rref == tuple(old)
+            nonzero += bool(old)
+    assert nonzero
 
 
 def test_shifted_homs_match_path_spaces():

@@ -13,6 +13,7 @@ from silt.linalg import (
     kernel_basis,
     pivot_columns,
     rank,
+    rref,
     row_space_rref,
 )
 
@@ -157,6 +158,62 @@ def test_coords_recover_combination(m, data):
         free = min(set(range(m.cols)) - set(pivot_columns(basis)))
         off = [Q(1) if j == free else Q(0) for j in range(m.cols)]
         assert coords_in_rows(off, basis) is None
+
+
+@st.composite
+def rat_matrices_with_dependent_rows(draw):
+    """Rational matrices of any shape, empty ones included, with some rows
+    made rational combinations of earlier ones."""
+    cols = draw(st.integers(min_value=0, max_value=6))
+    fracs = st.builds(
+        Q,
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=1, max_value=7),
+    )
+    rows = draw(
+        st.lists(
+            st.lists(fracs, min_size=cols, max_size=cols), max_size=5
+        )
+    )
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if not rows:
+            break
+        coeffs = draw(st.lists(fracs, min_size=len(rows), max_size=len(rows)))
+        combo = [
+            sum((c * r[j] for c, r in zip(coeffs, rows)), Q(0))
+            for j in range(cols)
+        ]
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    return RatMatrix(len(rows), cols, tuple(e for r in rows for e in r))
+
+
+@given(rat_matrices_with_dependent_rows())
+@settings(max_examples=300, deadline=None)
+def test_rank_equals_rref_pivot_count(m):
+    assert rank(m) == len(rref(m)[1])
+
+
+def test_rank_of_empty_shapes():
+    assert rank(RatMatrix(0, 0, ())) == 0
+    assert rank(RatMatrix(0, 3, ())) == 0
+    assert rank(RatMatrix(3, 0, ())) == 0
+
+
+def test_rank_exact_on_growing_minors():
+    # Hilbert matrices are non-singular, with denominators in every row.
+    n = 6
+    h = M([[Q(1, i + j + 1) for j in range(n)] for i in range(n)])
+    assert rank(h) == n
+    # the last row replaced by the sum of the others: rank drops by one
+    rows = h.to_rows()
+    rows[-1] = [sum(c) for c in zip(*rows[:-1])]
+    assert rank(M(rows)) == n - 1
+
+
+def test_entries_are_fractions_whatever_the_input():
+    for m in (RatMatrix(1, 3, (1, Q(1, 2), 0)), M([[1, Q(1, 2), 0]])):
+        assert all(type(e) is Q for e in m.entries)
+        assert m.entries == (Q(1), Q(1, 2), Q(0))
 
 
 def test_entries_length_validated():

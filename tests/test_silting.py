@@ -1,13 +1,17 @@
 """Oracle tests for tilting-module and two-term-silting enumeration."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from silt.quivers import parse_quiver
 from silt.modules import IndId, ext1_dim, build_representation
 from silt.silting import (
     SiltingObject,
+    _rigid_subsets,
     TiltingModule,
     is_presilting,
     restrict,
@@ -118,6 +122,56 @@ def test_silting_oracle_equivalence():
 
 def test_a4_bruteforce_count():
     assert len(silting_bruteforce(A4)) == 42
+
+
+# AR knitting fails on these orientations ("mesh additivity failed"), so
+# the brute force must not take its objects from the AR quiver.
+A4_SOURCE_INSIDE = parse_quiver(
+    "vertices 1 2 3 4\narrow a:2->1\narrow b:2->3\narrow c:3->4\n"
+)
+D5_BRANCH_OUT = parse_quiver(
+    "vertices 1 2 3 4 5\narrow a:1->2\narrow b:2->3\narrow c:2->4\n"
+    "arrow d:4->5\n"
+)
+
+
+@pytest.mark.parametrize(
+    "q, count", [(A4_SOURCE_INSIDE, 42), (D5_BRANCH_OUT, 182)]
+)
+def test_bruteforce_needs_no_ar_quiver(q, count):
+    brute = [o.summands for o in silting_bruteforce(q)]
+    assert brute == [o.summands for o in silting_alg2(q)]
+    assert len(brute) == count
+
+
+@st.composite
+def rigidity_tables(draw):
+    m = draw(st.integers(min_value=0, max_value=9))
+    n = draw(st.integers(min_value=0, max_value=4))
+    vals = draw(
+        st.lists(
+            st.sampled_from((0, 0, 0, 1, 2)), min_size=m * m, max_size=m * m
+        )
+    )
+    items = [f"x{i}" for i in range(m)]
+    table = {
+        (items[i], items[j]): vals[i * m + j]
+        for i in range(m)
+        for j in range(m)
+    }
+    return n, items, table
+
+
+@given(rigidity_tables())
+@settings(max_examples=300, deadline=None)
+def test_rigid_subsets_match_combinations_filter(case):
+    n, items, table = case
+    want = [
+        c
+        for c in itertools.combinations(range(len(items)), n)
+        if all(table[(items[i], items[j])] == 0 for i in c for j in c)
+    ]
+    assert _rigid_subsets(n, items, table) == want
 
 
 def test_opposite_duality_of_counts():
