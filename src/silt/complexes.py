@@ -2,8 +2,13 @@
 
 Every object of interest — a module via its minimal projective
 resolution, or a shifted projective P(i)[1] — is stored uniformly as a
-complex P^{-1} -> P^0 of projectives, so a single exact-linear-algebra
-engine computes Hom spaces modulo homotopy, shifts, and composition.
+complex P^{-1} -> P^0 of projectives.  Both shifts of Hom come from one
+Hom complex, built from blocks cached per (complex, vertex):
+
+  Hom(X^0, Y^{-1}) -> Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}) -> Hom(X^{-1}, Y^0)
+
+with d^{-1}(h) = (d_Y h, h d_X) and d^0(f_0, f) = f_0 d_X - d_Y f, so that
+Hom(X, Y) = ker d^0 / im d^{-1} and Hom(X, Y[1]) = coker d^0.
 
 A map between direct sums of projectives is a matrix of path vectors:
 the (j, i) entry lives in Hom(P(u_i), P(v_j)), spanned by the paths
@@ -150,7 +155,7 @@ def _compose_mats(
     return tuple(out)
 
 
-# --- null-homotopic maps X^{-1} -> Y^0, one block per vertex ---
+# --- the Hom complex, from blocks cached per (complex, vertex) ---
 
 @cache
 def _after_diff(x: TwoTermComplex, v: int) -> Tuple[Tuple, ...]:
@@ -175,11 +180,12 @@ def _after_diff(x: TwoTermComplex, v: int) -> Tuple[Tuple, ...]:
 
 
 @cache
-def _before_diff(y: TwoTermComplex, u: int) -> Tuple[Tuple, ...]:
+def _before_diff(y: TwoTermComplex, u: int) -> Tuple[Tuple[Tuple, ...], ...]:
     """The map h -> d_Y h from Hom(P(u), Y^{-1}) to Hom(P(u), Y^0).
 
-    One sparse row per path of the source basis: (k, t, c) puts c at
-    path t of Hom(P(u), P(y.deg0[k])).
+    Rows grouped by the summand j of Y^{-1}, one sparse row per path of
+    Hom(P(u), P(y.deg_minus1[j])): (k, t, c) puts c at path t of
+    Hom(P(u), P(y.deg0[k])).
     """
     pb = paths_between(y.quiver)
     index = [
@@ -187,43 +193,69 @@ def _before_diff(y: TwoTermComplex, u: int) -> Tuple[Tuple, ...]:
     ]
     return tuple(
         tuple(
-            (k, index[k][a + p.arrows], c)
-            for k in range(len(y.deg0))
-            for a, c in y.diff[k][j].terms
+            tuple(
+                (k, index[k][a + p.arrows], c)
+                for k in range(len(y.deg0))
+                for a, c in y.diff[k][j].terms
+            )
+            for p in pb[(w, u)]
         )
         for j, w in enumerate(y.deg_minus1)
-        for p in pb[(w, u)]
     )
 
 
-def _shift1_homotopies(
-    x: TwoTermComplex, y: TwoTermComplex
+def _after_rows(
+    x: TwoTermComplex, tgts: Tuple[int, ...]
 ) -> Tuple[List[List[Q]], int]:
-    """Rows spanning h d_X + d_Y h' in Hom(X^{-1}, Y^0), and dim Hom(X^{-1}, Y^0).
-
-    h d_X is block-diagonal over the summands P(v) of Y^0 and d_Y h' over
-    the summands P(u) of X^{-1}; each block lands at its _layout offset.
-    """
-    if x.quiver != y.quiver:
-        raise ValueError("complexes live over different quivers")
-    blocks, total = _layout(x.quiver, x.deg_minus1, y.deg0)
+    """h -> h d_X from Hom(X^0, +P(tgts)) to Hom(X^{-1}, +P(tgts)): the
+    image of each source coordinate, both sides in _layout order, and the
+    target dimension.  The map is block-diagonal over the summands tgts."""
+    blocks, n = _layout(x.quiver, x.deg_minus1, tgts)
     off = {(k, i): o for k, i, _, o in blocks}
     rows: List[List[Q]] = []
-    for k, v in enumerate(y.deg0):
+    for k, v in enumerate(tgts):
         for sparse in _after_diff(x, v):
-            if sparse:
-                row = [Q(0)] * total
-                for i, t, c in sparse:
-                    row[off[(k, i)] + t] = c
-                rows.append(row)
-    for i, u in enumerate(x.deg_minus1):
-        for sparse in _before_diff(y, u):
-            if sparse:
-                row = [Q(0)] * total
+            row = [Q(0)] * n
+            for i, t, c in sparse:
+                row[off[(k, i)] + t] = c
+            rows.append(row)
+    return rows, n
+
+
+def _before_rows(
+    y: TwoTermComplex, srcs: Tuple[int, ...], neg: bool = False
+) -> List[List[Q]]:
+    """h -> d_Y h (or -d_Y h) from Hom(+P(srcs), Y^{-1}) to
+    Hom(+P(srcs), Y^0): the image of each source coordinate, both sides
+    in _layout order.  The map is block-diagonal over the summands srcs."""
+    blocks, n = _layout(y.quiver, srcs, y.deg0)
+    off = {(k, i): o for k, i, _, o in blocks}
+    before = [_before_diff(y, u) for u in srcs]
+    rows: List[List[Q]] = []
+    for j in range(len(y.deg_minus1)):
+        for i, b in enumerate(before):
+            for sparse in b[j]:
+                row = [Q(0)] * n
                 for k, t, c in sparse:
-                    row[off[(k, i)] + t] = c
+                    row[off[(k, i)] + t] = -c if neg else c
                 rows.append(row)
-    return rows, total
+    return rows
+
+
+def _d0(x: TwoTermComplex, y: TwoTermComplex) -> Tuple[List[List[Q]], int]:
+    """d^0(f_0, f) = f_0 d_X - d_Y f, one row per coordinate of
+    Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}), and dim Hom(X^{-1}, Y^0)."""
+    if x.quiver != y.quiver:
+        raise ValueError("complexes live over different quivers")
+    rows, nw = _after_rows(x, y.deg0)
+    return rows + _before_rows(y, x.deg_minus1, neg=True), nw
+
+
+def _d_minus1(x: TwoTermComplex, y: TwoTermComplex) -> List[List[Q]]:
+    """d^{-1}(h) = (d_Y h, h d_X), one row per coordinate of
+    Hom(X^0, Y^{-1})."""
+    after, _ = _after_rows(x, y.deg_minus1)
+    return [f0 + f for f0, f in zip(_before_rows(y, x.deg0), after)]
 
 
 # --- homotopy classes ---
@@ -321,78 +353,49 @@ def hom_class_basis(x: TwoTermComplex, y: TwoTermComplex, k: int) -> HomSpace:
         raise ValueError("shift -1 is not supported")
     if k not in (0, 1):
         return HomSpace(x, y, k, (), ())
-    q = x.quiver
+    d0, nw = _d0(x, y)
+    total = len(d0)
     if k == 0:
-        _, n0 = _layout(q, x.deg0, y.deg0)
-        _, nm = _layout(q, x.deg_minus1, y.deg_minus1)
-        total = n0 + nm
-        _, nw = _layout(q, x.deg_minus1, y.deg0)
-
-        def defect(vec: Sequence[Q]) -> List[Q]:
-            f0 = _vec_to_mat(q, x.deg0, y.deg0, vec[:n0])
-            fm = _vec_to_mat(q, x.deg_minus1, y.deg_minus1, vec[n0:])
-            lhs = _compose_mats(x.deg_minus1, x.deg0, y.deg0, f0, x.diff)
-            rhs = _compose_mats(x.deg_minus1, y.deg_minus1, y.deg0, y.diff, fm)
-            diff = tuple(
-                tuple(a.add(b.scale(Q(-1))) for a, b in zip(ra, rb))
-                for ra, rb in zip(lhs, rhs)
-            )
-            return _mat_to_vec(q, x.deg_minus1, y.deg0, diff)
-
-        cols = []
-        for t in range(total):
-            unit = [Q(0)] * total
-            unit[t] = Q(1)
-            cols.append(defect(unit))
-        ent = tuple(cols[t][r] for r in range(nw) for t in range(total))
-        constraint = RatMatrix(nw, total, ent)
+        # ker d^0 is the chain maps; d0 holds the images of unit vectors
+        constraint = RatMatrix(
+            nw, total, tuple(d0[t][r] for r in range(nw) for t in range(total))
+        )
         z_rows = kernel_basis(constraint)
-
-        blocks_h, nh = _layout(q, x.deg0, y.deg_minus1)
-        h_rows = []
-        for t in range(nh):
-            unit = [Q(0)] * nh
-            unit[t] = Q(1)
-            h = _vec_to_mat(q, x.deg0, y.deg_minus1, unit)
-            f0 = _compose_mats(x.deg0, y.deg_minus1, y.deg0, y.diff, h)
-            fm = _compose_mats(x.deg_minus1, x.deg0, y.deg_minus1, h, x.diff)
-            h_rows.append(
-                _mat_to_vec(q, x.deg0, y.deg0, f0)
-                + _mat_to_vec(q, x.deg_minus1, y.deg_minus1, fm)
-            )
-        b_rref = row_space_rref(h_rows, total)
+        b_rref = row_space_rref(_d_minus1(x, y), total)
         cands = [reduce_by_rref(z, b_rref) for z in z_rows]
         class_basis = row_space_rref(cands, total)
         if len(class_basis) != len(z_rows) - len(b_rref):
             raise RuntimeError("null-homotopic maps escaped the chain space")
-        return HomSpace(
-            x,
-            y,
-            0,
-            tuple(tuple(r) for r in class_basis),
-            tuple(tuple(r) for r in b_rref),
-        )
-
-    # k == 1: all of Hom(X^{-1}, Y^0), modulo h d_X and d_Y h'
-    rows, total = _shift1_homotopies(x, y)
-    b_rref = row_space_rref(rows, total)
-    # the unit vectors at the free columns of b_rref span a complement
-    pivots = set(pivot_columns(b_rref))
-    class_basis = tuple(
-        tuple(Q(1) if t == f else Q(0) for t in range(total))
-        for f in range(total)
-        if f not in pivots
+    else:
+        # k == 1: all of Hom(X^{-1}, Y^0), modulo the image of d^0
+        b_rref = row_space_rref(d0, nw)
+        # the unit vectors at the free columns of b_rref span a complement
+        pivots = set(pivot_columns(b_rref))
+        class_basis = [
+            [Q(1) if t == f else Q(0) for t in range(nw)]
+            for f in range(nw)
+            if f not in pivots
+        ]
+    return HomSpace(
+        x, y, k, tuple(map(tuple, class_basis)), tuple(map(tuple, b_rref))
     )
-    return HomSpace(x, y, 1, class_basis, tuple(tuple(r) for r in b_rref))
 
 
 @cache
 def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
-    """dim Hom(X, Y[k]); at k = 1 a rank, with no basis built."""
-    if k != 1:
+    """dim Hom(X, Y[k]) by ranks in the Hom complex, with no basis built.
+
+    dim Hom(X, Y[1]) = dim Hom(X^{-1}, Y^0) - rank d^0, and
+    dim Hom(X, Y) = dim (Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}))
+    - rank d^0 - rank d^{-1}.
+    """
+    if k not in (0, 1):
         return hom_class_basis(x, y, k).dim()
-    rows, total = _shift1_homotopies(x, y)
-    return total - rank(RatMatrix.from_rows(rows))
+    d0, nw = _d0(x, y)
+    r0 = rank(RatMatrix.from_rows(d0))
+    if k == 1:
+        return nw - r0
+    return len(d0) - r0 - rank(RatMatrix.from_rows(_d_minus1(x, y)))
 
 
 @cache
@@ -400,23 +403,18 @@ def identity_class(x: TwoTermComplex) -> HomClass:
     """The identity chain map of X, reduced to the stored basis."""
     q = x.quiver
     space = hom_class_basis(x, x, 0)
-    mat0 = tuple(
-        tuple(
-            PathVector.make(v, u, {(): 1}) if j == i else PathVector.zero(v, u)
-            for i, u in enumerate(x.deg0)
+    vec: List[Q] = []
+    for vs in (x.deg0, x.deg_minus1):
+        ident = tuple(
+            tuple(
+                PathVector.make(v, u, {(): 1})
+                if j == i
+                else PathVector.zero(v, u)
+                for i, u in enumerate(vs)
+            )
+            for j, v in enumerate(vs)
         )
-        for j, v in enumerate(x.deg0)
-    )
-    matm = tuple(
-        tuple(
-            PathVector.make(v, u, {(): 1}) if j == i else PathVector.zero(v, u)
-            for i, u in enumerate(x.deg_minus1)
-        )
-        for j, v in enumerate(x.deg_minus1)
-    )
-    vec = _mat_to_vec(q, x.deg0, x.deg0, mat0) + _mat_to_vec(
-        q, x.deg_minus1, x.deg_minus1, matm
-    )
+        vec += _mat_to_vec(q, vs, vs, ident)
     return space.class_from_vector(vec)
 
 

@@ -5,9 +5,10 @@ anywhere.  All routines are deterministic: identical inputs give identical
 outputs, bit for bit.  Row-reduction always picks the first usable pivot row,
 so reduced echelon forms (and everything derived from them: kernels and
 canonical subspace bases) are canonical.  Coordinates over an RREF basis
-are read off its pivot columns.  ``rank`` alone works on plain ``int``
-rows internally: each row is cleared of denominators and reduced by
-fraction-free (Bareiss) elimination.
+are read off its pivot columns.  One elimination serves ``rank`` and
+``rref``: each row is cleared of denominators and reduced by fraction-free
+(Bareiss) elimination on plain ``int`` rows, and no pivot falls back to
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -160,41 +161,14 @@ def identity(n: int) -> RatMatrix:
     )
 
 
-def rref(m: RatMatrix) -> Tuple[RatMatrix, List[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    rows = m.to_rows()
-    nrows, ncols = m.rows, m.cols
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Q(1) / rows[r][c]
-        rows[r] = [e * inv for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    ent = tuple(e for row in rows for e in row)
-    return RatMatrix(nrows, ncols, ent), pivots
-
-
-def rank(m: RatMatrix) -> int:
-    """Rank by fraction-free (Bareiss) elimination over the integers.
+def _echelon(m: RatMatrix) -> Tuple[List[List[int]], List[int]]:
+    """Integer row echelon form of m and its pivot columns.
 
     Each row is scaled by the lcm of its denominators, which keeps the
-    row space.  After k pivots every remaining entry is a (k+1)-minor of
-    that integer matrix, so the division by the previous pivot is exact.
+    row space, and reduced by fraction-free (Bareiss) elimination.  After
+    k pivots every remaining entry is a (k+1)-minor of that integer
+    matrix, so the division by the previous pivot is exact.  Only the
+    non-zero rows are returned, one per pivot.
     """
     rows: List[List[int]] = []
     for i in range(m.rows):
@@ -203,6 +177,7 @@ def rank(m: RatMatrix) -> int:
         ints = [e.numerator * (den // e.denominator) for e in row]
         if any(ints):
             rows.append(ints)
+    pivots: List[int] = []
     r, prev = 0, 1
     for c in range(m.cols):
         if r == len(rows):
@@ -217,8 +192,34 @@ def rank(m: RatMatrix) -> int:
             f = rows[i][c]
             rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
         prev = p
+        pivots.append(c)
         r += 1
-    return r
+    return rows[:r], pivots
+
+
+def rref(m: RatMatrix) -> Tuple[RatMatrix, List[int]]:
+    """Reduced row echelon form and the list of pivot columns.
+
+    The entries above each pivot of the integer echelon form are cleared
+    bottom up, still in integers; each row is divided by its pivot once,
+    at the end.
+    """
+    rows, pivots = _echelon(m)
+    for k in range(len(rows) - 1, 0, -1):
+        c, low = pivots[k], rows[k]
+        p = low[c]
+        for i in range(k):
+            f = rows[i][c]
+            if f:
+                rows[i] = [p * a - f * b for a, b in zip(rows[i], low)]
+    ent = [Q(a, row[c]) for row, c in zip(rows, pivots) for a in row]
+    ent.extend([Q(0)] * ((m.rows - len(rows)) * m.cols))
+    return RatMatrix(m.rows, m.cols, tuple(ent)), pivots
+
+
+def rank(m: RatMatrix) -> int:
+    """Rank: the number of pivots of the integer echelon form."""
+    return len(_echelon(m)[1])
 
 
 def kernel_basis(m: RatMatrix) -> List[List[Q]]:

@@ -80,10 +80,6 @@ def make_rep(q: Quiver, dims: Sequence[int], mats: Dict[str, RatMatrix]) -> Quiv
     return QuiverRep(q, tuple(int(d) for d in dims), ordered)
 
 
-def rep_dim_vector(rep: QuiverRep) -> DimVector:
-    return rep.dims
-
-
 def simple_rep(q: Quiver, v: int) -> QuiverRep:
     dims = [1 if u == v else 0 for u in q.vertices]
     idx = {u: i for i, u in enumerate(q.vertices)}
@@ -720,19 +716,27 @@ class ArQuiver:
         return "\n".join(lines) + "\n"
 
 
-def _longest_path_from(q: Quiver) -> Dict[int, int]:
-    memo: Dict[int, int] = {}
-
-    def go(v: int) -> int:
-        if v in memo:
-            return memo[v]
-        outs = [a.target for a in q.arrows if a.source == v]
-        memo[v] = 1 + max((go(t) for t in outs), default=-1)
-        return memo[v]
-
-    for v in q.vertices:
-        go(v)
-    return memo
+def _potential(q: Quiver) -> Dict[int, int]:
+    """p(s) = p(t) + 1 for every arrow s -> t, with minimum 0 on each
+    component; it exists and is unique because a Dynkin quiver is a tree."""
+    pot: Dict[int, int] = {}
+    for root in q.vertices:
+        if root in pot:
+            continue
+        pot[root] = 0
+        comp = [root]
+        for v in comp:
+            for a in q.arrows:
+                if a.source == v and a.target not in pot:
+                    pot[a.target] = pot[v] - 1
+                    comp.append(a.target)
+                elif a.target == v and a.source not in pot:
+                    pot[a.source] = pot[v] + 1
+                    comp.append(a.source)
+        low = min(pot[v] for v in comp)
+        for v in comp:
+            pot[v] -= low
+    return pot
 
 
 def _knit(q: Quiver, two_term: bool) -> ArQuiver:
@@ -752,19 +756,14 @@ def _knit(q: Quiver, two_term: bool) -> ArQuiver:
             objs.append(s)
             tau_of[s] = IndId.module(idim)
 
+    pot = _potential(q)
     level: Dict[IndId, int] = {}
 
     def level_of(o: IndId) -> int:
         if o in level:
             return level[o]
         if o.kind == "mod" and o.dim in proj_vertex:
-            v = proj_vertex[o.dim]
-            preds = [
-                IndId.module(projs[q.index(a.target)])
-                for a in q.arrows
-                if a.source == v
-            ]
-            level[o] = 1 + max((level_of(p) for p in preds), default=-1)
+            level[o] = pot[proj_vertex[o.dim]]
         else:
             level[o] = level_of(tau_of[o]) + 2
         return level[o]
@@ -806,9 +805,8 @@ def _knit(q: Quiver, two_term: bool) -> ArQuiver:
                     f"mesh additivity failed at {o.label()}"
                 )
 
-    lpf = _longest_path_from(q)
     proj_order = sorted(
-        q.vertices, key=lambda v: (-lpf[v], q.index(v))
+        q.vertices, key=lambda v: (-pot[v], q.index(v))
     )
     row_of_proj = {v: i for i, v in enumerate(proj_order)}
 

@@ -227,6 +227,11 @@ FROZEN_DIGESTS = {
     ("d4", "silting", "--format", "json"): "b0f17baf571d7a9c56b8e0630e3e1e34ee80c41649dbdc82fe714c518e99b39b",
     ("d4", "ar", "--two-term", "--format", "json"): "d4472cd85ae187adf781b2ebfc2187102800d3a8c13c9deb0fc6f3445028f8d8",
     ("d5", "classify", "--format", "json"): "8ce6511d5581729b33249425674f6c543c4d042c8e98f047547ad276e15cb949",
+    ("d5", "ar", "--two-term", "--format", "json"): "c8eb33b4b13fcdd79860c0f3d46fdc5158c877a6c18f2fb30cfef44c3d46f8e1",
+    ("d5", "silting", "--format", "ascii"): "e8a0c7ea0d4c8864b1d12c30ef8c829d0b7350042786dc46f5b4578b48613929",
+    ("d4_second", "ar", "--two-term", "--format", "json"): "9eb378781bcea20d3d407fe5c0294624d307647b7e12dd3fe6d8e1b4a79aee70",
+    ("d4_second", "silting", "--format", "ascii"): "a0826aab813df28128710d655106a438391e2b0324cd360ac2b8dda3581a43b3",
+    ("a4_third", "classify", "--format", "json"): "81ffe93a243779395854d82dc57783cfcee2fa2342bb63772aa34e6342af5d2f",
 }
 
 
@@ -236,6 +241,16 @@ def test_output_matches_frozen_digest(key, capsys):
     rc, out, _ = run_cli(capsys, command, name, *flags)
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_DIGESTS[key]
+
+
+def test_silting_ascii_on_a4_with_inner_source(tmp_path, capsys):
+    # the ASCII report draws the AR quiver, so it needs the knit to hold
+    # on an orientation whose longest paths disagree with the arrows
+    path = tmp_path / "a4.quiver"
+    path.write_text("vertices 1 2 3 4\narrow a:2->1\narrow b:2->3\narrow c:3->4\n")
+    rc, out, err = run_cli(capsys, "silting", str(path))
+    assert rc == 0, err
+    assert out.count("•") == 42 * 4
 
 
 def test_repeat_runs_byte_identical(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from silt.linalg import reduce_by_rref, row_space_rref
+from silt.linalg import RatMatrix, kernel_basis, reduce_by_rref, row_space_rref
 from silt.quivers import PathVector, parse_quiver, paths_between
 from silt.modules import build_representation, ext1_dim, hom_dim, indecomposables
 from silt.complexes import (
@@ -144,12 +144,23 @@ def test_shift_one_basis_is_reduced_unit_vectors():
     assert both
 
 
-@pytest.mark.parametrize("q", [D4, A4_SECOND], ids=["d4", "a4_second"])
-def test_shift_one_dim_is_basis_size(q):
+# the ids of shift 1 predate the parameter k
+@pytest.mark.parametrize(
+    "q, k",
+    [
+        pytest.param(D4, 1, id="d4"),
+        pytest.param(A4_SECOND, 1, id="a4_second"),
+        pytest.param(D4, 0, id="d4-k0"),
+        pytest.param(A4_SECOND, 0, id="a4_second-k0"),
+    ],
+)
+def test_shift_one_dim_is_basis_size(q, k):
+    # hom_class_dim takes ranks in the Hom complex, hom_class_basis
+    # builds the basis
     objs = two_term_objects(q)
     for x in objs:
         for y in objs:
-            assert hom_class_dim(x, y, 1) == hom_class_basis(x, y, 1).dim()
+            assert hom_class_dim(x, y, k) == hom_class_basis(x, y, k).dim()
 
 
 def _homotopy_rref_by_unit_vectors(x, y):
@@ -170,6 +181,63 @@ def _homotopy_rref_by_unit_vectors(x, y):
             h = _vec_to_mat(q, srcs, tgts, unit)
             rows.append(_mat_to_vec(q, x.deg_minus1, y.deg0, image(h)))
     return row_space_rref(rows, total)
+
+
+def _hom0_by_unit_vectors(x, y):
+    """Hom(X, Y) built one unit vector at a time: the chain maps are the
+    kernel of (f_0, f) -> f_0 d_X - d_Y f, the null-homotopic maps the
+    span of (d_Y h, h d_X), all through path-vector matrices."""
+    q = x.quiver
+    _, n0 = _layout(q, x.deg0, y.deg0)
+    _, nm = _layout(q, x.deg_minus1, y.deg_minus1)
+    _, nw = _layout(q, x.deg_minus1, y.deg0)
+    _, nh = _layout(q, x.deg0, y.deg_minus1)
+
+    def units(n):
+        return [[Q(1) if s == t else Q(0) for s in range(n)] for t in range(n)]
+
+    cols = []
+    for vec in units(n0 + nm):
+        f0 = _vec_to_mat(q, x.deg0, y.deg0, vec[:n0])
+        fm = _vec_to_mat(q, x.deg_minus1, y.deg_minus1, vec[n0:])
+        lhs = _compose_mats(x.deg_minus1, x.deg0, y.deg0, f0, x.diff)
+        rhs = _compose_mats(x.deg_minus1, y.deg_minus1, y.deg0, y.diff, fm)
+        defect = tuple(
+            tuple(a.add(b.scale(Q(-1))) for a, b in zip(ra, rb))
+            for ra, rb in zip(lhs, rhs)
+        )
+        cols.append(_mat_to_vec(q, x.deg_minus1, y.deg0, defect))
+    constraint = RatMatrix(
+        nw, n0 + nm, tuple(c[r] for r in range(nw) for c in cols)
+    )
+    z_rows = kernel_basis(constraint)
+    h_rows = []
+    for unit in units(nh):
+        h = _vec_to_mat(q, x.deg0, y.deg_minus1, unit)
+        f0 = _compose_mats(x.deg0, y.deg_minus1, y.deg0, y.diff, h)
+        fm = _compose_mats(x.deg_minus1, x.deg0, y.deg_minus1, h, x.diff)
+        h_rows.append(
+            _mat_to_vec(q, x.deg0, y.deg0, f0)
+            + _mat_to_vec(q, x.deg_minus1, y.deg_minus1, fm)
+        )
+    b_rref = row_space_rref(h_rows, n0 + nm)
+    cands = [reduce_by_rref(z, b_rref) for z in z_rows]
+    return row_space_rref(cands, n0 + nm), b_rref
+
+
+def test_hom_complex_matches_unit_vector_route():
+    # kernel_basis depends on column signs, so this also pins the minus
+    # sign on d_Y f in d^0
+    objs = two_term_objects(D4)
+    mixed = 0
+    for x in objs:
+        for y in objs:
+            basis, homotopy = _hom0_by_unit_vectors(x, y)
+            sp = hom_class_basis(x, y, 0)
+            assert sp.class_basis == tuple(tuple(r) for r in basis)
+            assert sp.homotopy_rref == tuple(tuple(r) for r in homotopy)
+            mixed += bool(basis and homotopy)
+    assert mixed
 
 
 def test_shift_one_homotopies_match_unit_vector_route():

@@ -3,7 +3,7 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from silt.linalg import (
@@ -187,10 +187,78 @@ def rat_matrices_with_dependent_rows(draw):
     return RatMatrix(len(rows), cols, tuple(e for r in rows for e in r))
 
 
+def _gauss_jordan_rref(m):
+    """Reference RREF: Gauss-Jordan elimination in Fractions, first usable
+    pivot row, each pivot row divided through before it clears its column."""
+    rows = m.to_rows()
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Q(1) / rows[r][c]
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
 @given(rat_matrices_with_dependent_rows())
+@example(RatMatrix(0, 3, ()))
+@example(RatMatrix(3, 0, ()))
 @settings(max_examples=300, deadline=None)
-def test_rank_equals_rref_pivot_count(m):
-    assert rank(m) == len(rref(m)[1])
+def test_elimination_matches_gauss_jordan_reference(m):
+    ref_rows, ref_pivots = _gauss_jordan_rref(m)
+    red, pivots = rref(m)
+    assert (red.to_rows(), pivots) == (ref_rows, ref_pivots)
+    assert all(type(e) is Q for e in red.entries)
+    assert rank(m) == len(ref_pivots)
+    # one kernel vector per free column of the reference RREF
+    kernel = []
+    for fc in range(m.cols):
+        if fc not in ref_pivots:
+            v = [Q(0)] * m.cols
+            v[fc] = Q(1)
+            for r, pc in enumerate(ref_pivots):
+                v[pc] = -ref_rows[r][fc]
+            kernel.append(v)
+    assert kernel_basis(m) == kernel
+
+
+@st.composite
+def square_rat_matrices(draw):
+    """Top-left square blocks of rat_matrices_with_dependent_rows(): a
+    combination of rows stays one when columns are dropped, so both
+    singular and invertible matrices come up."""
+    m = draw(rat_matrices_with_dependent_rows())
+    n = min(m.rows, m.cols)
+    return RatMatrix(n, n, tuple(m.at(i, j) for i in range(n) for j in range(n)))
+
+
+@given(square_rat_matrices())
+@settings(max_examples=200, deadline=None)
+def test_inverse_matches_gauss_jordan_reference(m):
+    # the inverse is the right half of the reference RREF of [m | I]
+    n = m.rows
+    aug = RatMatrix(n, 2 * n, tuple(
+        m.at(i, j) if j < n else Q(int(j - n == i))
+        for i in range(n)
+        for j in range(2 * n)
+    ))
+    rows, pivots = _gauss_jordan_rref(aug)
+    if pivots[:n] == list(range(n)):
+        assert m.inverse().to_rows() == [r[n:] for r in rows]
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
 
 
 def test_rank_of_empty_shapes():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from silt.quivers import NotDynkinError, euler_form, parse_quiver
+from dynkin_orientations import TYPES_WITH_E6, orientations
+from silt.quivers import NotDynkinError, dynkin_type, euler_form, parse_quiver
 from silt.modules import (
     ArQuiver,
     IndId,
@@ -15,7 +16,6 @@ from silt.modules import (
     injective_dim_vectors,
     minimal_presentation,
     projective_dim_vectors,
-    rep_dim_vector,
     tau,
     tau_inverse,
     tau_nakayama,
@@ -72,13 +72,13 @@ def test_injective_dim_vectors_a2():
 
 def test_build_a2_big_module():
     rep = build_representation(A2, (1, 1))
-    assert rep_dim_vector(rep) == (1, 1)
+    assert rep.dims == (1, 1)
     assert rep.mat("a").to_rows() == [[1]]
 
 
 def test_build_simple():
     rep = build_representation(D4, (0, 0, 1, 0))
-    assert rep_dim_vector(rep) == (0, 0, 1, 0)
+    assert rep.dims == (0, 0, 1, 0)
     for a in D4.arrows:
         m = rep.mat(a.id)
         assert m.rows * m.cols == 0
@@ -92,7 +92,7 @@ def test_build_deterministic():
 
 def test_build_d4_exceptional_root():
     rep = build_representation(D4, (1, 1, 2, 1))
-    assert rep_dim_vector(rep) == (1, 1, 2, 1)
+    assert rep.dims == (1, 1, 2, 1)
     # the two arm maps land in distinct lines of the 2-dim space at vertex 3
     from silt.linalg import RatMatrix
 
@@ -108,7 +108,7 @@ def test_every_indecomposable_has_trivial_endos():
     for q in (A3, D4):
         for d in indecomposables(q):
             rep = build_representation(q, d)
-            assert rep_dim_vector(rep) == d
+            assert rep.dims == d
             assert hom_dim(q, rep, rep) == 1
 
 
@@ -240,19 +240,51 @@ def test_ar_layout_columns_step_one():
         assert len(set(ar.layout)) == len(ar.vertices)
 
 
+def _assert_mesh_additive(q, ar):
+    incoming = {}
+    for s, t in ar.arrows:
+        incoming.setdefault(t, []).append(s)
+    for m, tm in ar.tau_pairs:
+        mids = incoming.get(m, [])
+        total = tuple(
+            sum(x.dim[i] for x in mids) for i in range(len(q.vertices))
+        )
+        expected = tuple(a + b for a, b in zip(m.dim, tm.dim))
+        assert total == expected
+
+
 def test_ar_mesh_additivity():
     for q in (A3, D4, D5):
+        _assert_mesh_additive(q, ar_quiver_mod(q))
+
+
+def positive_roots(kind, n):
+    return {"A": n * (n + 1) // 2, "D": n * (n - 1), "E": 36}[kind]
+
+
+@pytest.mark.parametrize(
+    "kind, n", TYPES_WITH_E6, ids=[f"{k}{n}" for k, n in TYPES_WITH_E6]
+)
+def test_ar_knits_on_every_orientation(kind, n):
+    # the knit holds only if the levels of the projectives agree with
+    # the arrows, which the fixtures alone do not exercise
+    roots = positive_roots(kind, n)
+    for text, q in orientations(kind, n):
+        assert dynkin_type(q).components == ((kind, n),), text
         ar = ar_quiver_mod(q)
-        incoming = {}
-        for s, t in ar.arrows:
-            incoming.setdefault(t, []).append(s)
-        for m, tm in ar.tau_pairs:
-            mids = incoming.get(m, [])
-            total = tuple(
-                sum(x.dim[i] for x in mids) for i in range(len(q.vertices))
-            )
-            expected = tuple(a + b for a, b in zip(m.dim, tm.dim))
-            assert total == expected
+        assert len(ar.vertices) == roots, text
+        _assert_mesh_additive(q, ar)
+        pos = dict(ar.layout)
+        assert all(pos[t][0] == pos[s][0] + 1 for s, t in ar.arrows), text
+        assert len(set(pos.values())) == roots, text
+        two = ar_quiver_two_term(q)
+        assert len(two.vertices) == roots + n, text
+        shifted = {
+            (s.vertex, t.vertex)
+            for s, t in two.arrows
+            if s.kind == "shift" and t.kind == "shift"
+        }
+        assert shifted == {(a.target, a.source) for a in q.arrows}, text
 
 
 def test_ar_two_term_a2_chain():
