@@ -187,10 +187,7 @@ def fingerprint(b: BoundQuiverAlgebra) -> Tuple:
         ]
         for i in range(n)
     ]
-    cart = [
-        [b.cartan_entry(verts[i], verts[j]) for j in range(n)]
-        for i in range(n)
-    ]
+    cart = [p.dims for p in b.projectives]
     e1 = ext_matrix(b, 1)
     e2 = ext_matrix(b, 2)
     pds = [pd for _, pd in projective_dimension_of_simples(b)]

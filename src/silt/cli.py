@@ -663,7 +663,10 @@ def main(argv=None) -> int:
         print(f"silt: error: {f.message}", file=sys.stderr)
         return f.code
     except (AssertionError, RuntimeError) as e:
-        print(f"silt: error: internal check failed: {e}", file=sys.stderr)
+        where = args.command
+        if getattr(args, "quiver", None):
+            where += f" {args.quiver}"
+        print(f"silt: error: {where}: internal check failed: {e}", file=sys.stderr)
         return 1
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

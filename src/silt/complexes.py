@@ -8,7 +8,9 @@ Hom complex, built from blocks cached per (complex, vertex):
   Hom(X^0, Y^{-1}) -> Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}) -> Hom(X^{-1}, Y^0)
 
 with d^{-1}(h) = (d_Y h, h d_X) and d^0(f_0, f) = f_0 d_X - d_Y f, so that
-Hom(X, Y) = ker d^0 / im d^{-1} and Hom(X, Y[1]) = coker d^0.
+Hom(X, Y) = ker d^0 / im d^{-1} and Hom(X, Y[1]) = coker d^0.  Hom(X, Y)
+gets a basis, because End(T) composes its classes; Hom(X, Y[1]) only
+decides rigidity, so it is only ever a dimension, taken by ranks.
 
 A map between direct sums of projectives is a matrix of path vectors:
 the (j, i) entry lives in Hom(P(u_i), P(v_j)), spanned by the paths
@@ -29,7 +31,6 @@ from .linalg import (
     RatMatrix,
     coords_in_rows,
     kernel_basis,
-    pivot_columns,
     rank,
     reduce_by_rref,
     row_space_rref,
@@ -245,8 +246,6 @@ def _before_rows(
 def _d0(x: TwoTermComplex, y: TwoTermComplex) -> Tuple[List[List[Q]], int]:
     """d^0(f_0, f) = f_0 d_X - d_Y f, one row per coordinate of
     Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}), and dim Hom(X^{-1}, Y^0)."""
-    if x.quiver != y.quiver:
-        raise ValueError("complexes live over different quivers")
     rows, nw = _after_rows(x, y.deg0)
     return rows + _before_rows(y, x.deg_minus1, neg=True), nw
 
@@ -262,11 +261,10 @@ def _d_minus1(x: TwoTermComplex, y: TwoTermComplex) -> List[List[Q]]:
 
 @dataclass(frozen=True)
 class HomSpace:
-    """Basis of Hom(X, Y[shift]) modulo homotopy, in fixed coordinates."""
+    """Basis of Hom(X, Y) modulo homotopy, in fixed coordinates."""
 
     x: TwoTermComplex
     y: TwoTermComplex
-    shift: int
     class_basis: Tuple[Tuple[Q, ...], ...]
     homotopy_rref: Tuple[Tuple[Q, ...], ...]
 
@@ -288,15 +286,10 @@ class HomSpace:
 
     def vector_of(self, cls: "HomClass") -> List[Q]:
         q, x, y = self.x.quiver, self.x, self.y
-        if self.shift == 0:
-            total = (
-                _layout(q, x.deg0, y.deg0)[1]
-                + _layout(q, x.deg_minus1, y.deg_minus1)[1]
-            )
-        elif self.shift == 1:
-            total = _layout(q, x.deg_minus1, y.deg0)[1]
-        else:
-            total = 0
+        total = (
+            _layout(q, x.deg0, y.deg0)[1]
+            + _layout(q, x.deg_minus1, y.deg_minus1)[1]
+        )
         vec = [Q(0)] * total
         for c, row in zip(cls.coords, self.class_basis):
             if c != 0:
@@ -322,62 +315,42 @@ class HomClass:
         return all(c == 0 for c in self.coords)
 
     def mats(self) -> Tuple[PVMatrix, PVMatrix]:
-        """Representative chain map as path-vector matrices.
-
-        Shift 0: (degree-0 component, degree:-1 component).
-        Shift 1: (the X^{-1} -> Y^0 component, empty).
-        """
+        """Representative chain map as path-vector matrices: (degree-0
+        component, degree-(-1) component)."""
         x, y, q = self.space.x, self.space.y, self.space.x.quiver
         vec = self.space.vector_of(self)
-        if self.space.shift == 0:
-            _, n0 = _layout(q, x.deg0, y.deg0)
-            mat0 = _vec_to_mat(q, x.deg0, y.deg0, vec[:n0])
-            matm = _vec_to_mat(q, x.deg_minus1, y.deg_minus1, vec[n0:])
-            return mat0, matm
-        if self.space.shift == 1:
-            return _vec_to_mat(q, x.deg_minus1, y.deg0, vec), ()
-        return (), ()
+        _, n0 = _layout(q, x.deg0, y.deg0)
+        mat0 = _vec_to_mat(q, x.deg0, y.deg0, vec[:n0])
+        matm = _vec_to_mat(q, x.deg_minus1, y.deg_minus1, vec[n0:])
+        return mat0, matm
 
 
 @cache
 def hom_class_basis(x: TwoTermComplex, y: TwoTermComplex, k: int) -> HomSpace:
-    """Canonical basis of Hom(X, Y[k]) in the homotopy category.
+    """Canonical basis of Hom(X, Y) in the homotopy category.
 
-    Supported shifts are 0 and 1; shifts with |k| >= 2 vanish for
-    two-term complexes and return the empty basis.  k = -1 is rejected:
-    those spaces need not vanish and are outside this engine's scope.
+    Only k = 0 is accepted; every other shift raises ValueError, and
+    hom_class_dim gives dim Hom(X, Y[1]).  The shift is still an argument
+    because perfbench/trace_child.py names its spans by it.
     """
     if x.quiver != y.quiver:
         raise ValueError("complexes live over different quivers")
-    if k == -1:
-        raise ValueError("shift -1 is not supported")
-    if k not in (0, 1):
-        return HomSpace(x, y, k, (), ())
+    if k != 0:
+        raise ValueError(f"no basis of Hom(X, Y[{k}]); only k = 0 has one")
     d0, nw = _d0(x, y)
     total = len(d0)
-    if k == 0:
-        # ker d^0 is the chain maps; d0 holds the images of unit vectors
-        constraint = RatMatrix(
-            nw, total, tuple(d0[t][r] for r in range(nw) for t in range(total))
-        )
-        z_rows = kernel_basis(constraint)
-        b_rref = row_space_rref(_d_minus1(x, y), total)
-        cands = [reduce_by_rref(z, b_rref) for z in z_rows]
-        class_basis = row_space_rref(cands, total)
-        if len(class_basis) != len(z_rows) - len(b_rref):
-            raise RuntimeError("null-homotopic maps escaped the chain space")
-    else:
-        # k == 1: all of Hom(X^{-1}, Y^0), modulo the image of d^0
-        b_rref = row_space_rref(d0, nw)
-        # the unit vectors at the free columns of b_rref span a complement
-        pivots = set(pivot_columns(b_rref))
-        class_basis = [
-            [Q(1) if t == f else Q(0) for t in range(nw)]
-            for f in range(nw)
-            if f not in pivots
-        ]
+    # ker d^0 is the chain maps; d0 holds the images of unit vectors
+    constraint = RatMatrix(
+        nw, total, tuple(d0[t][r] for r in range(nw) for t in range(total))
+    )
+    z_rows = kernel_basis(constraint)
+    b_rref = row_space_rref(_d_minus1(x, y), total)
+    cands = [reduce_by_rref(z, b_rref) for z in z_rows]
+    class_basis = row_space_rref(cands, total)
+    if len(class_basis) != len(z_rows) - len(b_rref):
+        raise RuntimeError("null-homotopic maps escaped the chain space")
     return HomSpace(
-        x, y, k, tuple(map(tuple, class_basis)), tuple(map(tuple, b_rref))
+        x, y, tuple(map(tuple, class_basis)), tuple(map(tuple, b_rref))
     )
 
 
@@ -387,10 +360,16 @@ def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
 
     dim Hom(X, Y[1]) = dim Hom(X^{-1}, Y^0) - rank d^0, and
     dim Hom(X, Y) = dim (Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}))
-    - rank d^0 - rank d^{-1}.
+    - rank d^0 - rank d^{-1}.  Shifts with |k| >= 2 vanish for two-term
+    complexes.  k = -1 is rejected: those spaces need not vanish and are
+    outside this engine's scope.
     """
+    if x.quiver != y.quiver:
+        raise ValueError("complexes live over different quivers")
+    if k == -1:
+        raise ValueError("shift -1 is not supported")
     if k not in (0, 1):
-        return hom_class_basis(x, y, k).dim()
+        return 0
     d0, nw = _d0(x, y)
     r0 = rank(RatMatrix.from_rows(d0))
     if k == 1:
@@ -419,9 +398,7 @@ def identity_class(x: TwoTermComplex) -> HomClass:
 
 
 def compose(f: HomClass, g: HomClass) -> HomClass:
-    """Class of g after f, for f: X -> Y and g: Y -> Z in degree 0."""
-    if f.space.shift != 0 or g.space.shift != 0:
-        raise ValueError("only degree-0 classes compose")
+    """Class of g after f, for f: X -> Y and g: Y -> Z."""
     if f.space.y != g.space.x:
         raise ValueError("codomain of f is not the domain of g")
     x, y, z = f.space.x, f.space.y, g.space.y

@@ -70,11 +70,6 @@ class BoundQuiverAlgebra:
         if len(self.basis_paths) != self.dimension:
             raise ValueError("basis size does not match dimension")
 
-    def cartan_entry(self, i: int, j: int) -> int:
-        return sum(
-            1 for s, t, _ in self.basis_paths if s == i and t == j
-        )
-
     def to_json_dict(self) -> dict:
         def coeff_json(c: Q):
             return int(c) if c.denominator == 1 else str(c)
@@ -91,20 +86,6 @@ class BoundQuiverAlgebra:
             ],
             "dimension": self.dimension,
         }
-
-    def to_dot(self) -> str:
-        lines = ["digraph endo {", "  rankdir=LR;"]
-        for v in self.gabriel.vertices:
-            lines.append(f'  "{v}" [shape=circle];')
-        for a in self.gabriel.arrows:
-            lines.append(f'  "{a.source}" -> "{a.target}" [label="{a.id}"];')
-        for rel in self.relations:
-            lines.append(
-                f'  "{rel.source}" -> "{rel.target}" '
-                "[style=dotted, arrowhead=none, constraint=false];"
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 @cache
@@ -401,20 +382,13 @@ def matches_presentation(
 
 
 def cartan_data(b: BoundQuiverAlgebra) -> CartanData:
-    """Cartan matrix and the Coxeter polynomial det(t - (-C^{-T} C))."""
+    """Cartan matrix and the Coxeter polynomial det(t - (-C^{-T} C)).
+
+    Row v of the Cartan matrix is dim P(v), read off the projectives.
+    """
     n = len(b.gabriel.vertices)
-    c = RatMatrix(
-        n,
-        n,
-        tuple(
-            Q(b.cartan_entry(b.gabriel.vertices[i], b.gabriel.vertices[j]))
-            for i in range(n)
-            for j in range(n)
-        ),
-    )
-    cart = tuple(
-        tuple(int(c.at(i, j)) for j in range(n)) for i in range(n)
-    )
+    cart = tuple(p.dims for p in b.projectives)
+    c = RatMatrix(n, n, tuple(d for row in cart for d in row))
     return CartanData(cartan=cart, coxeter_polynomial=coxeter_polynomial(c))
 
 

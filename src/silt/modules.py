@@ -692,7 +692,7 @@ class ArQuiver:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_ascii(self, selected=None, labels: bool = True) -> str:
+    def to_ascii(self, selected=None) -> str:
         """Grid rendering; selected summands are bullets, the rest circles."""
         selected = selected or set()
         pos = dict(self.layout)
@@ -702,9 +702,7 @@ class ArQuiver:
         for v in self.vertices:
             col, row = pos[v]
             marker = "•" if v in selected else "∘"
-            cells[(row, col)] = (
-                f"{marker}{v.label()}" if labels else marker
-            )
+            cells[(row, col)] = f"{marker}{v.label()}"
         width = max(len(t) for t in cells.values()) + 2
         lines = []
         for r in range(maxrow + 1):

@@ -3,8 +3,12 @@
 Two independent routes are provided for each enumeration.  The fast
 route recurses over vertex subsets: restrict the quiver, lift tilting
 modules of the smaller algebra, and (for tilting modules) sweep with
-the inverse AR translate; the brute-force route checks the defining
-rigidity condition over all summand subsets and serves as an oracle.
+the inverse AR translate.  The brute-force route checks the defining
+rigidity condition, Hom(X, Y[1]) = 0, over all summand subsets and
+serves as an oracle.  Both brute forces read one table of
+dim Hom(X, Y[1]): over a hereditary algebra Ext^1(M, N) = Hom(P_M, P_N[1])
+for the minimal projective resolutions P_M, P_N, so the tilting modules
+are the silting objects with no shifted summand.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from .complexes import (
 from .modules import (
     IndId,
     ar_quiver_two_term,
-    build_representation,
-    ext1_dim,
     indecomposables,
     injective_dim_vectors,
     projective_dim_vectors,
@@ -86,9 +88,9 @@ class SiltingObject:
             "modules": [list(d) for d in self.module_dims],
         }
 
-    def to_ascii(self, labels: bool = True) -> str:
+    def to_ascii(self) -> str:
         ar = ar_quiver_two_term(self.quiver)
-        return ar.to_ascii(selected=set(self.summands), labels=labels)
+        return ar.to_ascii(selected=set(self.summands))
 
 
 def restrict(q: Quiver, drop: Iterable[int]) -> Quiver:
@@ -141,15 +143,6 @@ def tilting_modules_alg1(q: Quiver) -> Tuple[TiltingModule, ...]:
     return tuple(TiltingModule(q, s) for s in sorted(found))
 
 
-@cache
-def _ext1_table(q: Quiver) -> Dict[Tuple[DimVector, DimVector], int]:
-    ind = indecomposables(q)
-    reps = {d: build_representation(q, d) for d in ind}
-    return {
-        (a, b): ext1_dim(q, reps[a], reps[b]) for a in ind for b in ind
-    }
-
-
 def _rigid_subsets(n: int, items: Sequence, table: Dict) -> List[Tuple[int, ...]]:
     """Index sets of the n-subsets of items with table[(a, b)] == 0 for
     every ordered pair of members, a == b included.
@@ -186,17 +179,6 @@ def _rigid_subsets(n: int, items: Sequence, table: Dict) -> List[Tuple[int, ...]
 
     walk(sum(1 << i for i, a in enumerate(items) if table[(a, a)] == 0))
     return out
-
-
-@cache
-def tilting_modules_bruteforce(q: Quiver) -> Tuple[TiltingModule, ...]:
-    """All n-subsets of indecomposables with pairwise vanishing Ext^1."""
-    ind = indecomposables(q)
-    out = [
-        tuple(sorted(ind[i] for i in chosen))
-        for chosen in _rigid_subsets(len(q.vertices), ind, _ext1_table(q))
-    ]
-    return tuple(TiltingModule(q, s) for s in sorted(out))
 
 
 def summand_complex(q: Quiver, s: IndId) -> TwoTermComplex:
@@ -282,3 +264,15 @@ def silting_bruteforce(q: Quiver) -> Tuple[SiltingObject, ...]:
         SiltingObject(q, s)
         for s in sorted(out, key=lambda t: [x.key() for x in t])
     )
+
+
+@cache
+def tilting_modules_bruteforce(q: Quiver) -> Tuple[TiltingModule, ...]:
+    """All n-subsets of indecomposables with pairwise vanishing Ext^1:
+    the brute-force silting objects with no shifted summand."""
+    out = [
+        tuple(sorted(t.module_dims))
+        for t in silting_bruteforce(q)
+        if not t.shifted_vertices
+    ]
+    return tuple(TiltingModule(q, s) for s in sorted(out))

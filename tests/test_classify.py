@@ -1,13 +1,17 @@
 """Oracle tests for homological classification of silted algebras."""
 
 import json
+from collections import Counter
+from importlib.resources import files
 
 import pytest
 
-from silt.quivers import dynkin_type, parse_quiver, quivers_isomorphic
+from quiver_isomorphism import quivers_isomorphic
+from silt.quivers import dynkin_type, opposite, parse_quiver
 from silt.modules import IndId, projective_dim_vectors
 from silt.silting import SiltingObject, silting_alg2
 from silt.endo import blocks, endomorphism_algebra
+from silt.cli import FIXTURE_NAMES
 from silt.classify import (
     ClassificationRecord,
     classify,
@@ -216,14 +220,25 @@ def test_arrows_match_ext1_and_relations_match_ext2():
                 assert e2[i][j] == rels
 
 
-def test_opposite_class_counts_agree():
-    from silt.quivers import opposite
+def _class_summary(q):
+    groups = dedupe([classify(q, t) for t in silting_alg2(q)])
+    return {
+        "objects": len(silting_alg2(q)),
+        "classes": len(groups),
+        "strictly_shod": sum(1 for g in groups if not g[0].is_tilted),
+        "families": Counter(g[0].label for g in groups),
+        "class_sizes": sorted(len(g) for g in groups),
+    }
 
-    for q in (A3, D4):
-        a = len(dedupe([classify(q, t) for t in silting_alg2(q)]))
-        qo = opposite(q)
-        b = len(dedupe([classify(qo, t) for t in silting_alg2(qo)]))
-        assert a == b
+
+def test_opposite_class_counts_agree():
+    # Hom_A(-, A) maps 2-term silting over A to 2-term silting over A^op
+    # with End(T*) = End(T)^op, and tilted type and shod are self-dual
+    for name in FIXTURE_NAMES:
+        q = parse_quiver(
+            files("silt").joinpath("fixtures", f"{name}.quiver").read_text()
+        )
+        assert _class_summary(q) == _class_summary(opposite(q)), name
 
 
 # --- reports ---

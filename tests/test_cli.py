@@ -120,6 +120,17 @@ def test_help_exits_0(capsys):
     assert "paper-suite" in out
 
 
+def test_internal_check_failure_names_command_and_quiver(monkeypatch, capsys):
+    def boom(q):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "silting_alg2", boom)
+    rc, out, err = run_cli(capsys, "classify", fx("a2"))
+    assert rc == 1
+    assert out == ""
+    assert "classify" in err and fx("a2") in err and "boom" in err
+
+
 # --- silting command ---
 
 def test_silting_ascii_a3(capsys):
@@ -232,6 +243,13 @@ FROZEN_DIGESTS = {
     ("d4_second", "ar", "--two-term", "--format", "json"): "9eb378781bcea20d3d407fe5c0294624d307647b7e12dd3fe6d8e1b4a79aee70",
     ("d4_second", "silting", "--format", "ascii"): "a0826aab813df28128710d655106a438391e2b0324cd360ac2b8dda3581a43b3",
     ("a4_third", "classify", "--format", "json"): "81ffe93a243779395854d82dc57783cfcee2fa2342bb63772aa34e6342af5d2f",
+    ("a4_third", "silting", "--tilting-only", "--format", "json"): "8d01ca8dca0af7c0ddbefeeffc4ca6c81fca9ef89cae74489681060d2d3f35e5",
+    ("d4_second", "silting", "--tilting-only", "--format", "json"): "60f70f1e859a67c85d66fcd85f49a36a6205cf927038798d2a69d90ca9c936e8",
+    ("d5", "silting", "--tilting-only", "--format", "json"): "dd6159ff12b1392692d8b2582c5cf8fb34b98a3327be7e457cfe2f0f1ef34b14",
+    ("a4_third", "silting", "--tilting-only", "--oracle", "--format", "json"): "8d01ca8dca0af7c0ddbefeeffc4ca6c81fca9ef89cae74489681060d2d3f35e5",
+    ("d4_second", "silting", "--tilting-only", "--oracle", "--format", "json"): "60f70f1e859a67c85d66fcd85f49a36a6205cf927038798d2a69d90ca9c936e8",
+    ("d5", "silting", "--tilting-only", "--oracle", "--format", "json"): "dd6159ff12b1392692d8b2582c5cf8fb34b98a3327be7e457cfe2f0f1ef34b14",
+    ("d5", "silting", "--oracle", "--format", "json"): "c438482d1b0e39724875df1ca721558a75215afb4d47a24ca37df7f90b30fa85",
 }
 
 
