@@ -30,9 +30,10 @@ from .modules import (
     QuiverRep,
     kernel_subrep,
     minimal_cover,
+    projective_dim_vectors,
     simple_rep,
 )
-from .quivers import Arrow, DynkinType, Quiver, cartan_matrix
+from .quivers import Arrow, DynkinType, Quiver
 from .silting import SiltingObject
 
 RESOLUTION_CAP = 10
@@ -132,7 +133,9 @@ def _reference_polynomials(n: int) -> Dict[Tuple[int, ...], Tuple[str, int]]:
         branches["E"] = 3
     table: Dict[Tuple[int, ...], Tuple[str, int]] = {}
     for family, branch in branches.items():
-        poly = coxeter_polynomial(cartan_matrix(_reference_quiver(n, branch)))
+        poly = coxeter_polynomial(
+            projective_dim_vectors(_reference_quiver(n, branch))
+        )
         if poly in table:
             raise RuntimeError("reference Coxeter polynomials collide")
         table[poly] = (family, n)

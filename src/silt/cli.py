@@ -305,8 +305,6 @@ def cmd_ar(args) -> str:
     _require_dynkin(q)
     ar = ar_quiver_two_term(q) if args.two_term else ar_quiver_mod(q)
     if args.format == "ascii":
-        if not ar.vertices:
-            return "(empty quiver)\n"
         return ar.to_ascii()
     if args.format == "dot":
         return ar.to_dot()
@@ -669,7 +667,11 @@ def main(argv=None) -> int:
         print(f"silt: error: {where}: internal check failed: {e}", file=sys.stderr)
         return 1
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as e:
+            print(f"silt: error: cannot write {args.out}: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Tuple
 from .complexes import HomClass, compose, hom_class_basis, identity_class
 from .linalg import (
     RatMatrix,
+    charpoly,
     kernel_basis,
     pivot_columns,
     reduce_by_rref,
@@ -35,6 +36,7 @@ from .quivers import (
     PathVector,
     Quiver,
     _components,
+    coxeter_matrix,
     full_subquiver,
     paths_between,
 )
@@ -382,26 +384,16 @@ def matches_presentation(
 
 
 def cartan_data(b: BoundQuiverAlgebra) -> CartanData:
-    """Cartan matrix and the Coxeter polynomial det(t - (-C^{-T} C)).
+    """Cartan matrix and the Coxeter polynomial of the algebra.
 
     Row v of the Cartan matrix is dim P(v), read off the projectives.
     """
-    n = len(b.gabriel.vertices)
     cart = tuple(p.dims for p in b.projectives)
-    c = RatMatrix(n, n, tuple(d for row in cart for d in row))
-    return CartanData(cartan=cart, coxeter_polynomial=coxeter_polynomial(c))
+    return CartanData(cartan=cart, coxeter_polynomial=coxeter_polynomial(cart))
 
 
 @cache
-def coxeter_polynomial(c: RatMatrix) -> Tuple[int, ...]:
-    """Coefficients of det(t - (-C^{-T} C)) for a Cartan matrix C, leading first."""
-    try:
-        cinv = c.inverse()
-    except ValueError as e:
-        raise ValueError("Cartan matrix is singular") from e
-    coeffs = []
-    for r in cinv.transpose().mul(c).neg().charpoly():
-        if r.denominator != 1:
-            raise RuntimeError("Coxeter polynomial is not integral")
-        coeffs.append(int(r))
-    return tuple(coeffs)
+def coxeter_polynomial(cartan: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
+    """Coefficients of det(t - Phi), leading first, for integer Cartan rows
+    C and Phi = -C^{-1} C^T."""
+    return charpoly(coxeter_matrix(cartan))

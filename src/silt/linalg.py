@@ -107,14 +107,6 @@ class RatMatrix:
             self.rows, self.cols, tuple(c * e for e in self.entries)
         )
 
-    def neg(self) -> "RatMatrix":
-        return self.scale(-1)
-
-    def trace(self) -> Q:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        return sum((self.at(i, i) for i in range(self.rows)), Q(0))
-
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
@@ -136,29 +128,39 @@ class RatMatrix:
         )
         return RatMatrix(n, n, ent)
 
-    def charpoly(self) -> List[Q]:
-        """Characteristic polynomial det(tI - m), leading coefficient first.
-
-        Faddeev-LeVerrier recursion; exact in Fractions.
-        """
-        if self.rows != self.cols:
-            raise ValueError("charpoly of non-square matrix")
-        n = self.rows
-        coeffs: List[Q] = [Q(1)]
-        m_k = identity(n)
-        for k in range(1, n + 1):
-            m_k = self.mul(m_k)
-            c = -m_k.trace() / k
-            coeffs.append(c)
-            if k < n:
-                m_k = m_k.add(identity(n).scale(c))
-        return coeffs
-
 
 def identity(n: int) -> RatMatrix:
     return RatMatrix(
         n, n, tuple(Q(1 if i == j else 0) for i in range(n) for j in range(n))
     )
+
+
+def charpoly(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """det(tI - M) of an integer matrix M, leading coefficient first.
+
+    Faddeev-LeVerrier: M_1 = M, c_k = -tr(M_k) / k, M_{k+1} = M (M_k + c_k I).
+    Each c_k is a coefficient of an integer polynomial, so the division is
+    exact; a remainder raises RuntimeError.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("charpoly of non-square matrix")
+    coeffs = [1]
+    m_k = [list(r) for r in rows]
+    for k in range(1, n + 1):
+        c, rem = divmod(-sum(m_k[i][i] for i in range(n)), k)
+        if rem:
+            raise RuntimeError(f"Faddeev-LeVerrier division by {k} is inexact")
+        coeffs.append(c)
+        if k < n:
+            for i in range(n):
+                m_k[i][i] += c
+            cols = list(zip(*m_k))
+            m_k = [
+                [sum(a * b for a, b in zip(r, col)) for col in cols]
+                for r in rows
+            ]
+    return tuple(coeffs)
 
 
 def _echelon(m: RatMatrix) -> Tuple[List[List[int]], List[int]]:

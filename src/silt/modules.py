@@ -8,10 +8,12 @@ explicit representations are built deterministically with reflection
 functors, normalizing every kernel and cokernel with reduced row
 echelon bases.
 
-Also here: Hom and Ext^1 by exact linear algebra, the AR translate
-(Coxeter matrix with a projectivity guard, cross-checked against the
-Nakayama construction), minimal projective presentations, and the AR
-quivers of mod A and of the two-term homotopy category.
+Also here: Hom and Ext^1 by exact linear algebra; tau and tau^{-1}, read
+off one table per quiver built from the integer Coxeter matrix, with no
+per-call cross-check (the Nakayama construction `tau_nakayama` is the
+reference the tests and paper-suite compare them with); minimal
+projective presentations; and the AR quivers of mod A and of the
+two-term homotopy category.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -105,30 +108,6 @@ def projective_rep(q: Quiver, v: int) -> QuiverRep:
         ent = [[Q(0)] * len(tgt_paths) for _ in src_paths]
         for i, p in enumerate(src_paths):
             ent[i][tgt_index[p.arrows + (a.id,)]] = Q(1)
-        mats[a.id] = RatMatrix(
-            len(src_paths),
-            len(tgt_paths),
-            tuple(e for row in ent for e in row),
-        )
-    return make_rep(q, dims, mats)
-
-
-@cache
-def injective_rep(q: Quiver, v: int) -> QuiverRep:
-    """I(v) = D(A e_v); basis at u is dual to the canonical paths u to v."""
-    pb = paths_between(q)
-    dims = [len(pb[(u, v)]) for u in q.vertices]
-    mats: Dict[str, RatMatrix] = {}
-    for a in q.arrows:
-        src_paths = pb[(a.source, v)]  # basis of I(v) at a.source
-        tgt_paths = pb[(a.target, v)]
-        src_index = {p.arrows: i for i, p in enumerate(src_paths)}
-        # delta_p . alpha = sum over x with alpha x = p of delta_x
-        ent = [[Q(0)] * len(tgt_paths) for _ in src_paths]
-        for jx, x in enumerate(tgt_paths):
-            key = (a.id,) + x.arrows
-            if key in src_index:
-                ent[src_index[key]][jx] = Q(1)
         mats[a.id] = RatMatrix(
             len(src_paths),
             len(tgt_paths),
@@ -551,42 +530,28 @@ def ext1_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
 
 # --- AR translate ---
 
-def _apply_row(phi: RatMatrix, d: DimVector) -> Tuple[Q, ...]:
-    n = len(d)
-    return tuple(
-        sum((Q(d[i]) * phi.at(i, j) for i in range(n)), Q(0))
-        for j in range(n)
-    )
-
-
 @cache
 def tau_nakayama(q: Quiver, d: DimVector) -> DimVector:
-    """tau M as the kernel of nu(P1) -> nu(P0); dimension vector only."""
+    """tau M as the kernel of nu(P1) -> nu(P0); dimension vector only.
+
+    The independent reference for `tau`: at vertex u, nu(P(a)) = I(a) has
+    the basis dual to the canonical paths u to a.
+    """
     pres = minimal_presentation(q, build_representation(q, d))
+    pb = paths_between(q)
     dims = []
     for u in q.vertices:
-        nrows = sum(injective_rep(q, a).dim_at(u) for a in pres.deg_minus1)
-        ncols = sum(injective_rep(q, b).dim_at(u) for b in pres.deg0)
+        roffs = [0, *accumulate(len(pb[(u, a)]) for a in pres.deg_minus1)]
+        coffs = [0, *accumulate(len(pb[(u, b)]) for b in pres.deg0)]
+        nrows, ncols = roffs[-1], coffs[-1]
         mat_rows = [[Q(0)] * ncols for _ in range(nrows)]
-        roffs = []
-        acc = 0
-        for a in pres.deg_minus1:
-            roffs.append(acc)
-            acc += len(paths_between(q)[(u, a)])
-        coffs = []
-        acc = 0
-        for b in pres.deg0:
-            coffs.append(acc)
-            acc += len(paths_between(q)[(u, b)])
         for i, a in enumerate(pres.deg_minus1):
-            pa = paths_between(q)[(u, a)]
+            pa = pb[(u, a)]
             for j, b in enumerate(pres.deg0):
-                pbv = paths_between(q)[(u, b)]
                 v = pres.diff[j][i]  # in e_b A e_a
                 # right multiplication by v: paths u~>b -> paths u~>a
-                for rj, x in enumerate(pbv):
-                    xv = PathVector.from_path(x).mul(v)
-                    coords = xv.coords(pa)
+                for rj, x in enumerate(pb[(u, b)]):
+                    coords = PathVector.from_path(x).mul(v).coords(pa)
                     # dual map I(a)_u -> I(b)_u is the transpose
                     for ci, cval in enumerate(coords):
                         mat_rows[roffs[i] + ci][coffs[j] + rj] += cval
@@ -599,41 +564,45 @@ def tau_nakayama(q: Quiver, d: DimVector) -> DimVector:
 
 
 @cache
-def tau(q: Quiver, d: DimVector) -> Optional[DimVector]:
-    """Dimension vector of tau M, or None when M is projective.
+def _translates(q: Quiver) -> Tuple[Dict[DimVector, DimVector], ...]:
+    """tau and tau^{-1} on dimension vectors, as two lookup tables.
 
-    Computed with the Coxeter matrix and cross-checked against the
-    Nakayama-functor construction.
+    tau sends each non-projective indecomposable d to d * Phi.  Checked
+    once per quiver: the images are distinct and are exactly the
+    non-injective indecomposables (so each is an indecomposable), which is
+    Ringel's bijection over a Dynkin quiver.
     """
+    projs = projective_dim_vectors(q)
+    cols = tuple(zip(*coxeter_matrix(projs)))
+    forward = {
+        d: tuple(sum(a * b for a, b in zip(d, col)) for col in cols)
+        for d in indecomposables(q)
+        if d not in projs
+    }
+    backward = {t: d for d, t in forward.items()}
+    non_injective = set(indecomposables(q)) - set(injective_dim_vectors(q))
+    if len(backward) != len(forward) or set(backward) != non_injective:
+        raise RuntimeError(
+            "Coxeter translate is not a bijection onto the non-injective "
+            "indecomposables"
+        )
+    return forward, backward
+
+
+@cache
+def tau(q: Quiver, d: DimVector) -> Optional[DimVector]:
+    """Dimension vector of tau M, or None when M is projective."""
     if d not in set(indecomposables(q)):
         raise ValueError(f"{d} is not an indecomposable dimension vector")
-    if d in set(projective_dim_vectors(q)):
-        return None
-    out = _apply_row(coxeter_matrix(q), d)
-    res = tuple(int(c) for c in out)
-    if any(Q(r) != c for r, c in zip(res, out)) or any(c < 0 for c in res):
-        raise RuntimeError("Coxeter translate left the root lattice")
-    nak = tau_nakayama(q, d)
-    if nak != res:
-        raise RuntimeError(
-            f"tau cross-check failed: Coxeter {res} != Nakayama {nak}"
-        )
-    return res
+    return _translates(q)[0].get(d)
 
 
 @cache
 def tau_inverse(q: Quiver, d: DimVector) -> Optional[DimVector]:
+    """Dimension vector of tau^{-1} M, or None when M is injective."""
     if d not in set(indecomposables(q)):
         raise ValueError(f"{d} is not an indecomposable dimension vector")
-    if d in set(injective_dim_vectors(q)):
-        return None
-    out = _apply_row(coxeter_matrix(q).inverse(), d)
-    res = tuple(int(c) for c in out)
-    if any(Q(r) != c for r, c in zip(res, out)) or any(c < 0 for c in res):
-        raise RuntimeError("inverse Coxeter translate left the root lattice")
-    if tau(q, res) != d:
-        raise RuntimeError("tau_inverse is not a section of tau")
-    return res
+    return _translates(q)[1].get(d)
 
 
 # --- AR quivers ---
@@ -675,10 +644,8 @@ class ArQuiver:
     layout: Tuple[Tuple[IndId, Tuple[int, int]], ...]  # id -> (col, row)
 
     def to_dot(self) -> str:
-        pos = dict(self.layout)
         lines = ["digraph ar {", "  rankdir=LR;"]
         for v in self.vertices:
-            col, row = pos[v]
             lines.append(
                 f'  "{v.label()}" [shape=plaintext, label="{v.label()}"];'
             )
@@ -694,6 +661,8 @@ class ArQuiver:
 
     def to_ascii(self, selected=None) -> str:
         """Grid rendering; selected summands are bullets, the rest circles."""
+        if not self.vertices:
+            return "(empty quiver)\n"
         selected = selected or set()
         pos = dict(self.layout)
         maxcol = max(c for c, _ in pos.values())

@@ -8,8 +8,9 @@ Conventions fixed here and used everywhere else:
   p = e(i) * p * e(j), and longer paths are built by appending arrows.
 - The Cartan matrix C has C[i][j] = number of paths i to j, so row i is
   the dimension vector of the projective at i (right modules).
-- The Coxeter matrix is Phi = -C^{-1} C^T and acts on the right of row
-  dimension vectors: dim(tau M) = dim(M) * Phi for non-projective M.
+- The Coxeter matrix Phi = -C^{-1} C^T is a function of the integer
+  Cartan rows and acts on the right of row dimension vectors:
+  dim(tau M) = dim(M) * Phi for non-projective M.
 """
 
 from __future__ import annotations
@@ -335,10 +336,19 @@ def cartan_matrix(q: Quiver) -> RatMatrix:
 
 
 @cache
-def coxeter_matrix(q: Quiver) -> RatMatrix:
-    """Phi = -C^{-1} C^T; acts on the right of row dimension vectors."""
-    c = cartan_matrix(q)
-    return c.inverse().mul(c.transpose()).neg()
+def coxeter_matrix(cartan: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Phi = -C^{-1} C^T as integer rows, for integer Cartan rows C.
+
+    Raises ValueError when C is singular and RuntimeError when C^{-1} C^T
+    is not integral (finite global dimension gives det C = +-1, Eilenberg).
+    """
+    c = RatMatrix.from_rows(cartan)
+    phi = c.inverse().mul(c.transpose())
+    if any(e.denominator != 1 for e in phi.entries):
+        raise RuntimeError("Coxeter matrix is not integral")
+    return tuple(
+        tuple(-int(e) for e in phi.row(i)) for i in range(phi.rows)
+    )
 
 
 def euler_form(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:

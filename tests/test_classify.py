@@ -117,12 +117,32 @@ def test_tilted_type_above_rank_five(label):
     assert tilted_type(b).label() == label
 
 
+def _poly(*terms):
+    """Coefficients, leading first, of the sum of c t^k over (k, c)."""
+    deg = max(k for k, _ in terms)
+    coeffs = [0] * (deg + 1)
+    for k, c in terms:
+        coeffs[deg - k] += c
+    return tuple(coeffs)
+
+
 def test_reference_polynomials_cover_every_type_up_to_rank_eight():
+    # Coxeter polynomials of the Dynkin diagrams (Ringel, LNM 1099, 1984)
+    closed = {
+        ("E", 6): _poly((6, 1), (5, 1), (3, -1), (1, 1), (0, 1)),
+        ("E", 7): _poly((7, 1), (6, 1), (4, -1), (3, -1), (1, 1), (0, 1)),
+        ("E", 8): _poly(
+            (8, 1), (7, 1), (5, -1), (4, -1), (3, -1), (1, 1), (0, 1)
+        ),
+    }
     for n in range(1, 9):
-        families = sorted(f for f, r in _reference_polynomials(n).values())
-        expected = ["A"] + ["D"] * (n >= 4) + ["E"] * (6 <= n <= 8)
-        assert families == expected, n
-        assert all(len(poly) == n + 1 for poly in _reference_polynomials(n))
+        closed[("A", n)] = _poly(*((k, 1) for k in range(n + 1)))
+        if n >= 4:
+            # (t^(n-1) + 1)(t + 1)
+            closed[("D", n)] = _poly((n, 1), (n - 1, 1), (1, 1), (0, 1))
+    for n in range(1, 9):
+        want = {poly: t for t, poly in closed.items() if t[1] == n}
+        assert _reference_polynomials(n) == want, n
 
 
 # --- classify ---

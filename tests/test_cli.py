@@ -250,13 +250,22 @@ FROZEN_DIGESTS = {
     ("d4_second", "silting", "--tilting-only", "--oracle", "--format", "json"): "60f70f1e859a67c85d66fcd85f49a36a6205cf927038798d2a69d90ca9c936e8",
     ("d5", "silting", "--tilting-only", "--oracle", "--format", "json"): "dd6159ff12b1392692d8b2582c5cf8fb34b98a3327be7e457cfe2f0f1ef34b14",
     ("d5", "silting", "--oracle", "--format", "json"): "c438482d1b0e39724875df1ca721558a75215afb4d47a24ca37df7f90b30fa85",
+    ("d5", "ar", "--format", "json"): "c5e34b72ea6d774976453afce47b011b5c8f9f63cc7aab5e7d52f73cf4fe42be",
+    ("d5", "ar", "--format", "dot"): "13dcb87765dee90bfa5c7f1b304deaaae1253464c6e7d8e7a7bbeed0d6420f52",
+    ("d4_second", "ar", "--format", "json"): "6dd276ac8f6ead6d4e50d861ed08d41df8a4fe1aa72e54a794a030b0cc49a624",
+    ("d4_second", "ar", "--format", "dot"): "a315c7905e00ab9d42cda2fc5138436a6b2746af8eecddaa091e740e1c489e6c",
+    # an empty quiver name: the command takes no quiver argument
+    ("", "paper-suite", "--format", "csv"): "d53ff6630d6fdcb595705756bd40004780143d806e17fd851e85c39a1aca5129",
 }
 
 
-@pytest.mark.parametrize("key", sorted(FROZEN_DIGESTS), ids=" ".join)
+@pytest.mark.parametrize(
+    "key", sorted(FROZEN_DIGESTS), ids=lambda k: " ".join(filter(None, k))
+)
 def test_output_matches_frozen_digest(key, capsys):
     name, command, *flags = key
-    rc, out, _ = run_cli(capsys, command, name, *flags)
+    argv = [command, name, *flags] if name else [command, *flags]
+    rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_DIGESTS[key]
 
@@ -287,6 +296,26 @@ def test_out_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     assert rc1 == rc2 == 0
     assert out2 == ""
     assert target.read_text(encoding="utf-8") == out1
+
+
+def test_out_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    rc, out, err = run_cli(capsys, "ar", fx("a2"), "--out", str(target))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"silt: error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+def test_ascii_on_empty_quiver_exits_0(tmp_path, capsys):
+    path = tmp_path / "empty.quiver"
+    path.write_text("vertices\n")
+    rc, out, err = run_cli(capsys, "ar", str(path))
+    assert (rc, out) == (0, "(empty quiver)\n"), err
+    for flags in ((), ("--tilting-only",)):
+        rc, out, err = run_cli(capsys, "silting", str(path), *flags)
+        assert rc == 0, err
+        assert out.endswith("\n(empty quiver)\n")
 
 
 # --- paper-suite command ---

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from quiver_isomorphism import quivers_isomorphic
+from silt.linalg import RatMatrix, charpoly
 from silt.quivers import parse_quiver, path_basis
 from silt.modules import (
     IndId,
@@ -223,6 +224,18 @@ def test_coxeter_polynomial_orientation_invariant():
     pa = cartan_data(endomorphism_algebra(A3, _regular_object(A3)))
     pb = cartan_data(endomorphism_algebra(A3_ALT, _regular_object(A3_ALT)))
     assert pa.coxeter_polynomial == pb.coxeter_polynomial == (1, 1, 1, 1)
+
+
+def test_coxeter_polynomial_equals_the_transposed_form_on_every_block():
+    # Phi = -C^{-1} C^T is conjugate to the transpose of -C^{-T} C, so both
+    # give the same polynomial on every block of every End(T) of D4
+    for t in silting_alg2(D4):
+        for blk in blocks(endomorphism_algebra(D4, t)):
+            cd = cartan_data(blk)
+            c = RatMatrix.from_rows(cd.cartan)
+            other = c.inverse().transpose().mul(c).scale(-1)
+            rows = [[int(e) for e in r] for r in other.to_rows()]
+            assert cd.coxeter_polynomial == charpoly(rows)
 
 
 # --- serialization ---

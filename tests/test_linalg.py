@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from silt.linalg import (
     RatMatrix,
+    charpoly,
     coords_in_rows,
     identity,
     kernel_basis,
@@ -94,15 +95,61 @@ def test_inverse_roundtrip():
     assert m.mul(m.inverse()) == identity(2)
 
 
+def _charpoly_reference(m):
+    """Reference characteristic polynomial: Faddeev-LeVerrier in Fractions,
+    M_k = m (M_{k-1} + c_{k-1} I), c_k = -tr(M_k) / k."""
+    n = m.rows
+    coeffs = [Q(1)]
+    m_k = identity(n)
+    for k in range(1, n + 1):
+        m_k = m.mul(m_k)
+        c = -sum((m_k.at(i, i) for i in range(n)), Q(0)) / k
+        coeffs.append(c)
+        if k < n:
+            m_k = m_k.add(identity(n).scale(c))
+    return coeffs
+
+
 def test_charpoly_of_companion():
     # charpoly(-C^{-T} C) for the rank-2 linear-quiver Cartan is t^2 + t + 1
     c = M([[1, 1], [0, 1]])
-    phi = c.inverse().transpose().mul(c).neg()
-    assert phi.charpoly() == [1, 1, 1]
+    phi = c.inverse().transpose().mul(c).scale(-1)
+    rows = [[int(e) for e in r] for r in phi.to_rows()]
+    assert charpoly(rows) == (1, 1, 1)
+    assert _charpoly_reference(phi) == [1, 1, 1]
 
 
 def test_charpoly_identity():
-    assert identity(3).charpoly() == [1, -3, 3, -1]
+    assert charpoly([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (1, -3, 3, -1)
+    assert _charpoly_reference(identity(3)) == [1, -3, 3, -1]
+
+
+def test_charpoly_rejects_inexact_division_and_non_square():
+    # a Fraction entry makes -tr(M_1) / 1 leave a remainder
+    with pytest.raises(RuntimeError, match="inexact"):
+        charpoly([[Q(1, 2)]])
+    with pytest.raises(ValueError, match="non-square"):
+        charpoly([[1, 2]])
+
+
+@st.composite
+def int_square_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    return [
+        draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        for _ in range(n)
+    ]
+
+
+@given(int_square_matrices())
+@example([])
+@settings(max_examples=150, deadline=None)
+def test_charpoly_matches_fraction_reference(rows):
+    got = charpoly(rows)
+    assert all(type(c) is int for c in got)
+    assert list(got) == _charpoly_reference(RatMatrix(
+        len(rows), len(rows), tuple(e for r in rows for e in r)
+    ))
 
 
 # --- properties ---

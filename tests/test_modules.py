@@ -3,6 +3,7 @@
 import pytest
 
 from dynkin_orientations import TYPES_WITH_E6, orientations
+from silt import modules
 from silt.quivers import NotDynkinError, dynkin_type, euler_form, parse_quiver
 from silt.modules import (
     ArQuiver,
@@ -178,12 +179,43 @@ def test_tau_roundtrip():
             assert tau_inverse(q, t) == d
 
 
+# perfbench/e7.quiver: every arrow points into the branch vertex 3
+E7_TEXT = """vertices 1 2 3 4 5 6 7
+arrow a:1->2
+arrow b:2->3
+arrow c:4->3
+arrow d:5->4
+arrow e:6->5
+arrow f:7->3
+"""
+
+
 def test_tau_matches_nakayama_construction():
-    for q in (A3, D4, D5):
+    # tau reads the Coxeter table alone, so the independent Nakayama
+    # construction has to agree on every non-projective indecomposable of
+    # every orientation up to E6, and of E7
+    quivers = [q for kind, n in TYPES_WITH_E6 for _, q in orientations(kind, n)]
+    for q in quivers + [parse_quiver(E7_TEXT)]:
         projs = set(projective_dim_vectors(q))
+        for d in injective_dim_vectors(q):
+            assert tau_inverse(q, d) is None
         for d in indecomposables(q):
-            if d not in projs:
-                assert tau_nakayama(q, d) == tau(q, d)
+            if d in projs:
+                assert tau(q, d) is None
+                continue
+            t = tau(q, d)
+            assert t == tau_nakayama(q, d), (q, d)
+            assert tau_inverse(q, t) == d, (q, d)
+
+
+def test_coxeter_table_rejects_a_wrong_coxeter_matrix(monkeypatch):
+    # the transposed Coxeter matrix does not map the non-projectives of A3
+    # onto the non-injectives; a raising call leaves no cache entry behind
+    q = parse_quiver("vertices 1 2 3\narrow tq1:1->2\narrow tq2:2->3\n")
+    phi = modules.coxeter_matrix(projective_dim_vectors(q))
+    monkeypatch.setattr(modules, "coxeter_matrix", lambda c: tuple(zip(*phi)))
+    with pytest.raises(RuntimeError, match="not a bijection"):
+        tau(q, (0, 1, 0))
 
 
 def test_ar_formula_d4():

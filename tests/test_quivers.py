@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from silt.linalg import RatMatrix
 from silt.quivers import (
     DynkinType,
     NotDynkinError,
@@ -203,11 +204,15 @@ def test_cartan_a3():
     assert cartan_matrix(A3_LIN).to_rows() == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
 
 
+def cartan_rows(q):
+    return tuple(tuple(int(e) for e in r) for r in cartan_matrix(q).to_rows())
+
+
 def apply_phi(q, d):
-    phi = coxeter_matrix(q)
+    phi = coxeter_matrix(cartan_rows(q))
     n = len(d)
     return tuple(
-        sum(d[i] * phi.at(i, j) for i in range(n)) for j in range(n)
+        sum(d[i] * phi[i][j] for i in range(n)) for j in range(n)
     )
 
 
@@ -221,7 +226,18 @@ def test_coxeter_a3_translate():
 
 def test_coxeter_invertible():
     for q in (A2, A3_LIN, D4, D5):
-        coxeter_matrix(q).inverse()  # raises if singular
+        phi = coxeter_matrix(cartan_rows(q))
+        assert all(type(e) is int for row in phi for e in row)
+        RatMatrix.from_rows(phi).inverse()  # raises if singular
+
+
+def test_coxeter_matrix_rejects_singular_and_non_integral_cartan():
+    with pytest.raises(ValueError, match="singular"):
+        coxeter_matrix(((1, 1), (1, 1)))
+    # det 2: C^{-1} C^T has entries 1/2
+    with pytest.raises(RuntimeError, match="not integral"):
+        coxeter_matrix(((2, 1), (0, 1)))
+    assert coxeter_matrix(()) == ()
 
 
 # --- properties over random acyclic quivers ---
