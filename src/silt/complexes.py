@@ -12,10 +12,12 @@ Hom(X, Y) = ker d^0 / im d^{-1} and Hom(X, Y[1]) = coker d^0.  Hom(X, Y)
 gets a basis, because End(T) composes its classes; Hom(X, Y[1]) only
 decides rigidity, so it is only ever a dimension, taken by ranks.
 
-A map between direct sums of projectives is a matrix of path vectors:
-the (j, i) entry lives in Hom(P(u_i), P(v_j)), spanned by the paths
-from v_j to u_i, and acts by left multiplication.  Hom classes are kept
-in a fixed reduced coordinate form (chain-map space intersected with a
+A map between direct sums of projectives is a coordinate vector in
+_layout order: block (j, i) is Hom(P(u_i), P(v_j)), with one coordinate
+per path from v_j to u_i.  Maps compose block by block, a path p of the
+outer map times a path r of the inner one giving the concatenation p r,
+found through quivers.path_index.  Hom classes are kept in a fixed
+reduced coordinate form (chain-map space intersected with a
 reduced-row-echelon complement of the null-homotopic subspace), which
 makes bases, coordinates, and composition tables reproducible.
 """
@@ -36,7 +38,7 @@ from .linalg import (
     row_space_rref,
 )
 from .modules import QuiverRep, build_representation, minimal_presentation
-from .quivers import PathVector, Quiver, paths_between
+from .quivers import PathVector, Quiver, path_index, paths_between
 
 PVMatrix = Tuple[Tuple[PathVector, ...], ...]
 
@@ -69,6 +71,18 @@ class TwoTermComplex:
                     raise ValueError(
                         "differential entry endpoints do not match summands"
                     )
+
+    def __hash__(self) -> int:
+        # the generated hash, stored on first use: complexes key many caches
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.quiver, self.deg_minus1, self.deg0, self.diff))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so a pickle leaves it out
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 def resolve(q: Quiver, m: QuiverRep) -> TwoTermComplex:
@@ -108,52 +122,40 @@ def _layout(q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...]):
     return tuple(blocks), off
 
 
-def _vec_to_mat(
-    q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...], vec: Sequence[Q]
-) -> PVMatrix:
-    blocks, total = _layout(q, srcs, tgts)
-    mat = [
-        [PathVector.zero(v, u) for u in srcs] for v in tgts
-    ]
-    for j, i, paths, off in blocks:
-        terms = {
-            p.arrows: vec[off + t]
-            for t, p in enumerate(paths)
-            if vec[off + t] != 0
-        }
-        mat[j][i] = PathVector.make(tgts[j], srcs[i], terms)
-    return tuple(tuple(r) for r in mat)
-
-
-def _mat_to_vec(
-    q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...], mat: PVMatrix
-) -> List[Q]:
-    blocks, total = _layout(q, srcs, tgts)
-    vec = [Q(0)] * total
-    for j, i, paths, off in blocks:
-        for t, c in enumerate(mat[j][i].coords(paths)):
-            vec[off + t] = c
-    return vec
-
-
-def _compose_mats(
+def _mul(
+    q: Quiver,
     srcs: Tuple[int, ...],
     mids: Tuple[int, ...],
     tgts: Tuple[int, ...],
-    g: PVMatrix,
-    f: PVMatrix,
-) -> PVMatrix:
-    """Matrix of g after f, for f: +P(srcs) -> +P(mids), g: -> +P(tgts)."""
-    out = []
-    for k, w in enumerate(tgts):
-        row = []
-        for i, u in enumerate(srcs):
-            acc = PathVector.zero(w, u)
-            for j, _ in enumerate(mids):
-                acc = acc.add(g[k][j].mul(f[j][i]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    g: Sequence[Q],
+    f: Sequence[Q],
+) -> List[Q]:
+    """Coordinates of g after f, for f: +P(srcs) -> +P(mids) and
+    g: +P(mids) -> +P(tgts): block (k, i) sums block (k, j) of g times
+    block (j, i) of f over j, skipping zero coordinates."""
+    index = path_index(q)
+    n = len(srcs)
+    f_blocks, _ = _layout(q, srcs, mids)
+    h_blocks, total = _layout(q, srcs, tgts)
+    out = [Q(0)] * total
+    for k, j, g_paths, g_off in _layout(q, mids, tgts)[0]:
+        g_terms = [
+            (p.arrows, c)
+            for p, c in zip(g_paths, g[g_off : g_off + len(g_paths)])
+            if c
+        ]
+        if not g_terms:
+            continue
+        w = tgts[k]
+        for i in range(n):
+            _, _, f_paths, f_off = f_blocks[j * n + i]
+            h_off = h_blocks[k * n + i][3]
+            for t, r in enumerate(f_paths):
+                c = f[f_off + t]
+                if c:
+                    for p, d in g_terms:
+                        out[h_off + index[(w, p + r.arrows)]] += d * c
+    return out
 
 
 # --- the Hom complex, from blocks cached per (complex, vertex) ---
@@ -166,12 +168,10 @@ def _after_diff(x: TwoTermComplex, v: int) -> Tuple[Tuple, ...]:
     path t of Hom(P(x.deg_minus1[i]), P(v)).
     """
     pb = paths_between(x.quiver)
-    index = [
-        {p.arrows: t for t, p in enumerate(pb[(v, u)])} for u in x.deg_minus1
-    ]
+    index = path_index(x.quiver)
     return tuple(
         tuple(
-            (i, index[i][p.arrows + a], c)
+            (i, index[(v, p.arrows + a)], c)
             for i in range(len(x.deg_minus1))
             for a, c in x.diff[j][i].terms
         )
@@ -189,13 +189,11 @@ def _before_diff(y: TwoTermComplex, u: int) -> Tuple[Tuple[Tuple, ...], ...]:
     Hom(P(u), P(y.deg0[k])).
     """
     pb = paths_between(y.quiver)
-    index = [
-        {p.arrows: t for t, p in enumerate(pb[(w, u)])} for w in y.deg0
-    ]
+    index = path_index(y.quiver)
     return tuple(
         tuple(
             tuple(
-                (k, index[k][a + p.arrows], c)
+                (k, index[(y.deg0[k], a + p.arrows)], c)
                 for k in range(len(y.deg0))
                 for a, c in y.diff[k][j].terms
             )
@@ -297,8 +295,8 @@ class HomSpace:
         return vec
 
     def class_from_vector(self, vec: Sequence[Q]) -> "HomClass":
-        red = reduce_by_rref(list(vec), [list(r) for r in self.homotopy_rref])
-        coords = coords_in_rows(red, [list(r) for r in self.class_basis])
+        red = reduce_by_rref(vec, self.homotopy_rref)
+        coords = coords_in_rows(red, self.class_basis)
         if coords is None:
             raise ValueError("vector is not a chain map modulo homotopy")
         return HomClass(self, tuple(coords))
@@ -313,16 +311,6 @@ class HomClass:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def mats(self) -> Tuple[PVMatrix, PVMatrix]:
-        """Representative chain map as path-vector matrices: (degree-0
-        component, degree-(-1) component)."""
-        x, y, q = self.space.x, self.space.y, self.space.x.quiver
-        vec = self.space.vector_of(self)
-        _, n0 = _layout(q, x.deg0, y.deg0)
-        mat0 = _vec_to_mat(q, x.deg0, y.deg0, vec[:n0])
-        matm = _vec_to_mat(q, x.deg_minus1, y.deg_minus1, vec[n0:])
-        return mat0, matm
 
 
 @cache
@@ -344,9 +332,9 @@ def hom_class_basis(x: TwoTermComplex, y: TwoTermComplex, k: int) -> HomSpace:
         nw, total, tuple(d0[t][r] for r in range(nw) for t in range(total))
     )
     z_rows = kernel_basis(constraint)
-    b_rref = row_space_rref(_d_minus1(x, y), total)
+    b_rref = row_space_rref(_d_minus1(x, y))
     cands = [reduce_by_rref(z, b_rref) for z in z_rows]
-    class_basis = row_space_rref(cands, total)
+    class_basis = row_space_rref(cands)
     if len(class_basis) != len(z_rows) - len(b_rref):
         raise RuntimeError("null-homotopic maps escaped the chain space")
     return HomSpace(
@@ -379,22 +367,19 @@ def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
 
 @cache
 def identity_class(x: TwoTermComplex) -> HomClass:
-    """The identity chain map of X, reduced to the stored basis."""
+    """The identity chain map of X, reduced to the stored basis: a 1 at
+    the lazy path of each diagonal block."""
     q = x.quiver
-    space = hom_class_basis(x, x, 0)
+    index = path_index(q)
     vec: List[Q] = []
     for vs in (x.deg0, x.deg_minus1):
-        ident = tuple(
-            tuple(
-                PathVector.make(v, u, {(): 1})
-                if j == i
-                else PathVector.zero(v, u)
-                for i, u in enumerate(vs)
-            )
-            for j, v in enumerate(vs)
-        )
-        vec += _mat_to_vec(q, vs, vs, ident)
-    return space.class_from_vector(vec)
+        blocks, n = _layout(q, vs, vs)
+        part = [Q(0)] * n
+        for j, i, _, off in blocks:
+            if j == i:
+                part[off + index[(vs[j], ())]] = Q(1)
+        vec += part
+    return hom_class_basis(x, x, 0).class_from_vector(vec)
 
 
 def compose(f: HomClass, g: HomClass) -> HomClass:
@@ -403,11 +388,10 @@ def compose(f: HomClass, g: HomClass) -> HomClass:
         raise ValueError("codomain of f is not the domain of g")
     x, y, z = f.space.x, f.space.y, g.space.y
     q = x.quiver
-    f0, fm = f.mats()
-    g0, gm = g.mats()
-    c0 = _compose_mats(x.deg0, y.deg0, z.deg0, g0, f0)
-    cm = _compose_mats(x.deg_minus1, y.deg_minus1, z.deg_minus1, gm, fm)
-    vec = _mat_to_vec(q, x.deg0, z.deg0, c0) + _mat_to_vec(
-        q, x.deg_minus1, z.deg_minus1, cm
+    fv, gv = f.space.vector_of(f), g.space.vector_of(g)
+    nf = _layout(q, x.deg0, y.deg0)[1]
+    ng = _layout(q, y.deg0, z.deg0)[1]
+    vec = _mul(q, x.deg0, y.deg0, z.deg0, gv[:ng], fv[:nf]) + _mul(
+        q, x.deg_minus1, y.deg_minus1, z.deg_minus1, gv[ng:], fv[nf:]
     )
     return hom_class_basis(x, z, 0).class_from_vector(vec)

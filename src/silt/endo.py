@@ -38,6 +38,7 @@ from .quivers import (
     _components,
     coxeter_matrix,
     full_subquiver,
+    path_index,
     paths_between,
 )
 from .silting import SiltingObject, is_presilting, summand_complex
@@ -150,7 +151,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                     for g in block_elems[(k, j)]:
                         prod = compose(g, f)
                         sq.append(block_coords(i, j, prod))
-            pivots = pivot_columns(row_space_rref(sq, bd))
+            pivots = pivot_columns(row_space_rref(sq))
             for c in range(bd):
                 if c not in pivots:
                     arrow_payload.append((i, j, c))
@@ -163,6 +164,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
     }
 
     pb = paths_between(gq)
+    index = path_index(gq)
 
     @cache
     def path_class(source: int, arrow_ids: Tuple[str, ...]) -> HomClass:
@@ -196,7 +198,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                     [Q(1) if r == s else Q(0) for r in range(len(paths))]
                     for s in range(len(paths))
                 ]
-            kernels[(i, j)] = row_space_rref(ker, len(paths))
+            kernels[(i, j)] = row_space_rref(ker)
             quotient_dim += len(paths) - len(kernels[(i, j)])
     if quotient_dim != dim_b:
         raise RuntimeError(
@@ -211,7 +213,6 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
             if not ker:
                 continue
             paths = pb[(i + 1, j + 1)]
-            index_of = {p.arrows: t for t, p in enumerate(paths)}
             span: List[List[Q]] = []
             for a in gq.arrows:
                 if a.source == i + 1:
@@ -220,7 +221,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                     for u in inner:
                         vec = [Q(0)] * len(paths)
                         for t, p in enumerate(inner_paths):
-                            vec[index_of[(a.id,) + p.arrows]] = u[t]
+                            vec[index[(i + 1, (a.id,) + p.arrows)]] = u[t]
                         span.append(vec)
                 if a.target == j + 1:
                     inner = kernels[(i, a.source - 1)]
@@ -228,11 +229,11 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                     for u in inner:
                         vec = [Q(0)] * len(paths)
                         for t, p in enumerate(inner_paths):
-                            vec[index_of[p.arrows + (a.id,)]] = u[t]
+                            vec[index[(i + 1, p.arrows + (a.id,))]] = u[t]
                         span.append(vec)
-            s_rref = row_space_rref(span, len(paths))
+            s_rref = row_space_rref(span)
             reduced = [reduce_by_rref(u, s_rref) for u in ker]
-            gens = row_space_rref(reduced, len(paths))
+            gens = row_space_rref(reduced)
             if len(gens) != len(ker) - len(s_rref):
                 raise RuntimeError(
                     f"{label}: relation generators are not independent"
@@ -260,7 +261,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
             for p in pb[(i + 1, j + 1)] if bd else ():
                 vec = path_value(i + 1, j + 1, p.arrows)
                 if any(reduce_by_rref(vec, kept)):
-                    kept = row_space_rref(kept + [vec], bd)
+                    kept = row_space_rref(kept + [vec])
                     paths_ij.append(p.arrows)
                     values.append(vec)
             if len(values) != bd:

@@ -244,7 +244,7 @@ def kernel_basis(m: RatMatrix) -> List[List[Q]]:
     return basis
 
 
-def row_space_rref(rows: Iterable[Sequence[Q]], ncols: int) -> List[List[Q]]:
+def row_space_rref(rows: Iterable[Sequence[Q]]) -> List[List[Q]]:
     """Canonical (RREF) basis of the span of the given row vectors."""
     rows = [list(r) for r in rows]
     if not rows:
@@ -258,7 +258,7 @@ def pivot_columns(rows: Sequence[Sequence[Q]]) -> List[int]:
     return [next(i for i, e in enumerate(r) if e != 0) for r in rows]
 
 
-def reduce_by_rref(v: Sequence[Q], basis: List[List[Q]]) -> List[Q]:
+def reduce_by_rref(v: Sequence[Q], basis: Sequence[Sequence[Q]]) -> List[Q]:
     """Reduce v modulo the span of an RREF row basis."""
     v = list(v)
     for row, pc in zip(basis, pivot_columns(basis)):
@@ -268,7 +268,9 @@ def reduce_by_rref(v: Sequence[Q], basis: List[List[Q]]) -> List[Q]:
     return v
 
 
-def coords_in_rows(v: Sequence[Q], rows: List[List[Q]]) -> Optional[List[Q]]:
+def coords_in_rows(
+    v: Sequence[Q], rows: Sequence[Sequence[Q]]
+) -> Optional[List[Q]]:
     """Coefficients x with sum_i x_i rows[i] = v, or None if v not in span.
 
     The rows must be an RREF basis, so x_i is v at the pivot of row i.

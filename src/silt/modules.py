@@ -42,6 +42,7 @@ from .quivers import (
     cartan_matrix,
     coxeter_matrix,
     dynkin_type,
+    path_index,
     paths_between,
     tits_form,
 )
@@ -99,15 +100,15 @@ def simple_rep(q: Quiver, v: int) -> QuiverRep:
 def projective_rep(q: Quiver, v: int) -> QuiverRep:
     """P(v) = e_v A; basis at vertex u is the canonical list of paths v to u."""
     pb = paths_between(q)
+    index = path_index(q)
     dims = [len(pb[(v, u)]) for u in q.vertices]
     mats: Dict[str, RatMatrix] = {}
     for a in q.arrows:
         src_paths = pb[(v, a.source)]
         tgt_paths = pb[(v, a.target)]
-        tgt_index = {p.arrows: i for i, p in enumerate(tgt_paths)}
         ent = [[Q(0)] * len(tgt_paths) for _ in src_paths]
         for i, p in enumerate(src_paths):
-            ent[i][tgt_index[p.arrows + (a.id,)]] = Q(1)
+            ent[i][index[(v, p.arrows + (a.id,))]] = Q(1)
         mats[a.id] = RatMatrix(
             len(src_paths),
             len(tgt_paths),
@@ -223,7 +224,7 @@ def _reflect_rep_at_source(rep: QuiverRep, k: int, qtarget: Quiver) -> QuiverRep
     g_rows = [
         [e for b in blocks for e in b.row(r)] for r in range(dk)
     ]
-    g_rref = row_space_rref(g_rows, total)
+    g_rref = row_space_rref(g_rows)
     if len(g_rref) != dk:
         raise RuntimeError("reflection map not injective")
     pivots = pivot_columns(g_rref)
@@ -369,7 +370,7 @@ def radical_rows(rep: QuiverRep) -> List[List[List[Q]]]:
         for a in q.arrows:
             if a.target == v:
                 rows.extend(rep.mat(a.id).to_rows())
-        out.append(row_space_rref(rows, rep.dim_at(v)))
+        out.append(row_space_rref(rows))
     return out
 
 
@@ -438,10 +439,7 @@ def kernel_subrep(p0: QuiverRep, pi: Sequence[RatMatrix]):
     coordinates and the induced representation on those bases.
     """
     q = p0.quiver
-    rows_per_vertex = [
-        row_space_rref(kernel_basis(m.transpose()), d)
-        for m, d in zip(pi, p0.dims)
-    ]
+    rows_per_vertex = [row_space_rref(kernel_basis(m.transpose())) for m in pi]
     idx = {v: i for i, v in enumerate(q.vertices)}
     dims = [len(rows_per_vertex[i]) for i in range(len(q.vertices))]
     mats: Dict[str, RatMatrix] = {}

@@ -67,6 +67,18 @@ class Quiver:
                 )
         _check_acyclic(self)
 
+    def __hash__(self) -> int:
+        # the generated hash, stored on first use: quivers key many caches
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.vertices, self.arrows))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so a pickle leaves it out
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def index(self, v: int) -> int:
         return self.vertices.index(v)
 
@@ -325,6 +337,17 @@ def paths_between(q: Quiver) -> Dict[Tuple[int, int], Tuple[Path, ...]]:
 
 
 @cache
+def path_index(q: Quiver) -> Dict[Tuple[int, Tuple[str, ...]], int]:
+    """(source, arrow ids) -> the path's position in its paths_between
+    list; the one lookup through which paths are concatenated."""
+    return {
+        (p.source, p.arrows): t
+        for ps in paths_between(q).values()
+        for t, p in enumerate(ps)
+    }
+
+
+@cache
 def cartan_matrix(q: Quiver) -> RatMatrix:
     """C[i][j] = number of paths i to j; row i = dim vector of P(i)."""
     pb = paths_between(q)
@@ -395,29 +418,8 @@ class PathVector:
         return PathVector(source, target, cleaned)
 
     @staticmethod
-    def zero(source: int, target: int) -> "PathVector":
-        return PathVector(source, target, ())
-
-    @staticmethod
     def from_path(p: Path, coeff=Q(1)) -> "PathVector":
         return PathVector.make(p.source, p.target, {p.arrows: Q(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def add(self, other: "PathVector") -> "PathVector":
-        if (self.source, self.target) != (other.source, other.target):
-            raise ValueError("path vector endpoint mismatch")
-        acc = dict(self.terms)
-        for arrows, c in other.terms:
-            acc[arrows] = acc.get(arrows, Q(0)) + c
-        return PathVector.make(self.source, self.target, acc)
-
-    def scale(self, c) -> "PathVector":
-        c = Q(c)
-        return PathVector.make(
-            self.source, self.target, {a: co * c for a, co in self.terms}
-        )
 
     def mul(self, other: "PathVector") -> "PathVector":
         """Concatenation product; requires self.target == other.source."""

@@ -1,0 +1,123 @@
+"""Maps between sums of projectives as matrices of path vectors: the
+reference route that silt.complexes' coordinate product is tested against.
+
+A map +P(srcs) -> +P(tgts) is a matrix whose (j, i) entry is a
+PathVector in Hom(P(srcs[i]), P(tgts[j])), spanned by the paths from
+tgts[j] to srcs[i]; maps compose entrywise by PathVector.mul.  Vectors
+convert to matrices and back through silt.complexes._layout.
+"""
+
+from fractions import Fraction as Q
+from typing import List, Sequence, Tuple
+
+from silt.complexes import HomClass, TwoTermComplex, _layout, hom_class_basis
+from silt.quivers import PathVector, Quiver
+
+PVMatrix = Tuple[Tuple[PathVector, ...], ...]
+
+
+def pv_zero(source: int, target: int) -> PathVector:
+    return PathVector(source, target, ())
+
+
+def pv_add(a: PathVector, b: PathVector) -> PathVector:
+    if (a.source, a.target) != (b.source, b.target):
+        raise ValueError("path vector endpoint mismatch")
+    acc = dict(a.terms)
+    for arrows, c in b.terms:
+        acc[arrows] = acc.get(arrows, Q(0)) + c
+    return PathVector.make(a.source, a.target, acc)
+
+
+def pv_scale(a: PathVector, c) -> PathVector:
+    return PathVector.make(
+        a.source, a.target, {arrows: co * Q(c) for arrows, co in a.terms}
+    )
+
+
+def vec_to_mat(
+    q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...], vec: Sequence[Q]
+) -> PVMatrix:
+    blocks, _ = _layout(q, srcs, tgts)
+    mat = [[pv_zero(v, u) for u in srcs] for v in tgts]
+    for j, i, paths, off in blocks:
+        terms = {
+            p.arrows: vec[off + t]
+            for t, p in enumerate(paths)
+            if vec[off + t] != 0
+        }
+        mat[j][i] = PathVector.make(tgts[j], srcs[i], terms)
+    return tuple(tuple(r) for r in mat)
+
+
+def mat_to_vec(
+    q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...], mat: PVMatrix
+) -> List[Q]:
+    blocks, total = _layout(q, srcs, tgts)
+    vec = [Q(0)] * total
+    for j, i, paths, off in blocks:
+        for t, c in enumerate(mat[j][i].coords(paths)):
+            vec[off + t] = c
+    return vec
+
+
+def compose_mats(
+    srcs: Tuple[int, ...],
+    mids: Tuple[int, ...],
+    tgts: Tuple[int, ...],
+    g: PVMatrix,
+    f: PVMatrix,
+) -> PVMatrix:
+    """Matrix of g after f, for f: +P(srcs) -> +P(mids), g: -> +P(tgts)."""
+    out = []
+    for k, w in enumerate(tgts):
+        row = []
+        for i, u in enumerate(srcs):
+            acc = pv_zero(w, u)
+            for j in range(len(mids)):
+                acc = pv_add(acc, g[k][j].mul(f[j][i]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def mats(cls: HomClass) -> Tuple[PVMatrix, PVMatrix]:
+    """Representative chain map as path-vector matrices: (degree-0
+    component, degree-(-1) component)."""
+    x, y, q = cls.space.x, cls.space.y, cls.space.x.quiver
+    vec = cls.space.vector_of(cls)
+    _, n0 = _layout(q, x.deg0, y.deg0)
+    mat0 = vec_to_mat(q, x.deg0, y.deg0, vec[:n0])
+    matm = vec_to_mat(q, x.deg_minus1, y.deg_minus1, vec[n0:])
+    return mat0, matm
+
+
+def compose_reference(f: HomClass, g: HomClass) -> HomClass:
+    """Class of g after f, through path-vector matrices."""
+    x, y, z = f.space.x, f.space.y, g.space.y
+    q = x.quiver
+    f0, fm = mats(f)
+    g0, gm = mats(g)
+    c0 = compose_mats(x.deg0, y.deg0, z.deg0, g0, f0)
+    cm = compose_mats(x.deg_minus1, y.deg_minus1, z.deg_minus1, gm, fm)
+    vec = mat_to_vec(q, x.deg0, z.deg0, c0) + mat_to_vec(
+        q, x.deg_minus1, z.deg_minus1, cm
+    )
+    return hom_class_basis(x, z, 0).class_from_vector(vec)
+
+
+def identity_reference(x: TwoTermComplex) -> HomClass:
+    """The identity chain map of X as a matrix of lazy paths, reduced to
+    the stored basis."""
+    q = x.quiver
+    vec: List[Q] = []
+    for vs in (x.deg0, x.deg_minus1):
+        ident = tuple(
+            tuple(
+                PathVector.make(v, u, {(): 1}) if j == i else pv_zero(v, u)
+                for i, u in enumerate(vs)
+            )
+            for j, v in enumerate(vs)
+        )
+        vec += mat_to_vec(q, vs, vs, ident)
+    return hom_class_basis(x, x, 0).class_from_vector(vec)

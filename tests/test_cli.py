@@ -7,9 +7,11 @@ subprocess smoke tests check the installed entry point end to end.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -344,11 +346,22 @@ def test_paper_suite_detects_mismatch(monkeypatch, capsys):
 
 # --- subprocess smoke tests ---
 
+def _child_env() -> dict:
+    # the child imports the silt this process imported, installed or not
+    home = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (home, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "silt.cli", "silting", fx("a2"), "--format", "json"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 5
@@ -359,5 +372,6 @@ def test_subprocess_missing_file_exits_2():
         [sys.executable, "-m", "silt.cli", "ar", "/no/such/file.quiver"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 2

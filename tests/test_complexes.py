@@ -1,5 +1,6 @@
 """Oracle tests for two-term complexes of projectives and homotopy Hom spaces."""
 
+import pickle
 from fractions import Fraction as Q
 
 from importlib.resources import files
@@ -12,10 +13,7 @@ from silt.quivers import PathVector, parse_quiver, paths_between
 from silt.modules import build_representation, ext1_dim, hom_dim, indecomposables
 from silt.complexes import (
     TwoTermComplex,
-    _compose_mats,
     _layout,
-    _mat_to_vec,
-    _vec_to_mat,
     compose,
     hom_class_basis,
     hom_class_dim,
@@ -23,6 +21,18 @@ from silt.complexes import (
     resolve,
     resolve_dim,
     shifted_projective,
+)
+
+from path_vector_maps import (
+    compose_mats,
+    compose_reference,
+    identity_reference,
+    mat_to_vec,
+    mats,
+    pv_add,
+    pv_scale,
+    pv_zero,
+    vec_to_mat,
 )
 
 A2 = parse_quiver("vertices 1 2\narrow a:1->2\n")
@@ -155,17 +165,17 @@ def _homotopy_rref_by_unit_vectors(x, y):
     _, total = _layout(q, x.deg_minus1, y.deg0)
     rows = []
     for srcs, tgts, image in (
-        (x.deg0, y.deg0, lambda h: _compose_mats(
+        (x.deg0, y.deg0, lambda h: compose_mats(
             x.deg_minus1, x.deg0, y.deg0, h, x.diff)),
-        (x.deg_minus1, y.deg_minus1, lambda h: _compose_mats(
+        (x.deg_minus1, y.deg_minus1, lambda h: compose_mats(
             x.deg_minus1, y.deg_minus1, y.deg0, y.diff, h)),
     ):
         _, n = _layout(q, srcs, tgts)
         for t in range(n):
             unit = [Q(1) if s == t else Q(0) for s in range(n)]
-            h = _vec_to_mat(q, srcs, tgts, unit)
-            rows.append(_mat_to_vec(q, x.deg_minus1, y.deg0, image(h)))
-    return row_space_rref(rows, total)
+            h = vec_to_mat(q, srcs, tgts, unit)
+            rows.append(mat_to_vec(q, x.deg_minus1, y.deg0, image(h)))
+    return row_space_rref(rows)
 
 
 def _hom0_by_unit_vectors(x, y):
@@ -183,31 +193,31 @@ def _hom0_by_unit_vectors(x, y):
 
     cols = []
     for vec in units(n0 + nm):
-        f0 = _vec_to_mat(q, x.deg0, y.deg0, vec[:n0])
-        fm = _vec_to_mat(q, x.deg_minus1, y.deg_minus1, vec[n0:])
-        lhs = _compose_mats(x.deg_minus1, x.deg0, y.deg0, f0, x.diff)
-        rhs = _compose_mats(x.deg_minus1, y.deg_minus1, y.deg0, y.diff, fm)
+        f0 = vec_to_mat(q, x.deg0, y.deg0, vec[:n0])
+        fm = vec_to_mat(q, x.deg_minus1, y.deg_minus1, vec[n0:])
+        lhs = compose_mats(x.deg_minus1, x.deg0, y.deg0, f0, x.diff)
+        rhs = compose_mats(x.deg_minus1, y.deg_minus1, y.deg0, y.diff, fm)
         defect = tuple(
-            tuple(a.add(b.scale(Q(-1))) for a, b in zip(ra, rb))
+            tuple(pv_add(a, pv_scale(b, Q(-1))) for a, b in zip(ra, rb))
             for ra, rb in zip(lhs, rhs)
         )
-        cols.append(_mat_to_vec(q, x.deg_minus1, y.deg0, defect))
+        cols.append(mat_to_vec(q, x.deg_minus1, y.deg0, defect))
     constraint = RatMatrix(
         nw, n0 + nm, tuple(c[r] for r in range(nw) for c in cols)
     )
     z_rows = kernel_basis(constraint)
     h_rows = []
     for unit in units(nh):
-        h = _vec_to_mat(q, x.deg0, y.deg_minus1, unit)
-        f0 = _compose_mats(x.deg0, y.deg_minus1, y.deg0, y.diff, h)
-        fm = _compose_mats(x.deg_minus1, x.deg0, y.deg_minus1, h, x.diff)
+        h = vec_to_mat(q, x.deg0, y.deg_minus1, unit)
+        f0 = compose_mats(x.deg0, y.deg_minus1, y.deg0, y.diff, h)
+        fm = compose_mats(x.deg_minus1, x.deg0, y.deg_minus1, h, x.diff)
         h_rows.append(
-            _mat_to_vec(q, x.deg0, y.deg0, f0)
-            + _mat_to_vec(q, x.deg_minus1, y.deg_minus1, fm)
+            mat_to_vec(q, x.deg0, y.deg0, f0)
+            + mat_to_vec(q, x.deg_minus1, y.deg_minus1, fm)
         )
-    b_rref = row_space_rref(h_rows, n0 + nm)
+    b_rref = row_space_rref(h_rows)
     cands = [reduce_by_rref(z, b_rref) for z in z_rows]
-    return row_space_rref(cands, n0 + nm), b_rref
+    return row_space_rref(cands), b_rref
 
 
 def test_hom_complex_matches_unit_vector_route():
@@ -275,16 +285,16 @@ def test_shifted_to_module_shift_one_is_fiber_dimension():
 # --- chain-map identity of basis elements ---
 
 def _check_square(x, y, cls):
-    f0, fm1 = cls.mats()
+    f0, fm1 = mats(cls)
     # f0 after d_X equals d_Y after fm1, entrywise as path vectors
     for j in range(len(y.deg0)):
         for i in range(len(x.deg_minus1)):
-            lhs = PathVector.zero(y.deg0[j], x.deg_minus1[i])
+            lhs = pv_zero(y.deg0[j], x.deg_minus1[i])
             for t in range(len(x.deg0)):
-                lhs = lhs.add(f0[j][t].mul(x.diff[t][i]))
-            rhs = PathVector.zero(y.deg0[j], x.deg_minus1[i])
+                lhs = pv_add(lhs, f0[j][t].mul(x.diff[t][i]))
+            rhs = pv_zero(y.deg0[j], x.deg_minus1[i])
             for t in range(len(y.deg_minus1)):
-                rhs = rhs.add(y.diff[j][t].mul(fm1[t][i]))
+                rhs = pv_add(rhs, y.diff[j][t].mul(fm1[t][i]))
             assert lhs == rhs
 
 
@@ -324,7 +334,7 @@ def test_composition_recovers_arrow_path():
     x = resolve_dim(A2, (0, 1))
     y = resolve_dim(A2, (1, 1))
     (f,) = hom_class_basis(x, y, 0).elements()
-    f0, _ = f.mats()
+    f0, _ = mats(f)
     assert f0[0][0] == PathVector.make(1, 2, {("a",): 1})
     assert compose(f, identity_class(y)) == f
     assert compose(identity_class(x), f) == f
@@ -367,9 +377,55 @@ def test_zero_dimensional_space_keeps_chain_map_length():
     zero = hom_class_basis(p2, s1, 0)
     assert zero.dim() == 0
     assert zero.vector_of(zero.zero_class()) == [Q(0)]
-    mat0, matm = zero.zero_class().mats()
-    assert mat0 == ((PathVector.zero(1, 2),),) and matm == ((),)
+    mat0, matm = mats(zero.zero_class())
+    assert mat0 == ((pv_zero(1, 2),),) and matm == ((),)
     assert compose(zero.zero_class(), identity_class(s1)) == zero.zero_class()
+
+
+# --- the coordinate product against the path-vector route ---
+
+@pytest.mark.parametrize(
+    "q, composable, nonzero",
+    [
+        pytest.param(D4, 416, 271, id="d4"),
+        pytest.param(A4_SECOND, 208, 140, id="a4_second"),
+    ],
+)
+def test_compose_matches_path_vector_route(q, composable, nonzero):
+    # every composable pair of basis classes, X -> Y -> Z over all objects
+    objs = two_term_objects(q)
+    elems = {
+        (x, y): hom_class_basis(x, y, 0).elements() for x in objs for y in objs
+    }
+    pairs = products = 0
+    for x in objs:
+        for y in objs:
+            for z in objs:
+                for f in elems[(x, y)]:
+                    for g in elems[(y, z)]:
+                        got = compose(f, g)
+                        assert got == compose_reference(f, g)
+                        pairs += 1
+                        products += not got.is_zero()
+    assert (pairs, products) == (composable, nonzero)
+
+
+@pytest.mark.parametrize("q", [D4, A4_SECOND], ids=["d4", "a4_second"])
+def test_identity_matches_path_vector_route(q):
+    for x in two_term_objects(q):
+        assert identity_class(x) == identity_reference(x)
+
+
+def test_complex_hash_is_stored_field_hash():
+    # resolve builds a new complex on every call
+    x = resolve(D4, build_representation(D4, (1, 1, 2, 1)))
+    y = resolve(D4, build_representation(D4, (1, 1, 2, 1)))
+    assert x == y and x is not y
+    assert hash(x) == hash(y)
+    assert hash(x) == hash((x.quiver, x.deg_minus1, x.deg0, x.diff))
+    # the stored value stays out of pickles: str hashes are per process
+    assert "_hash" not in vars(pickle.loads(pickle.dumps(x)))
+    assert pickle.loads(pickle.dumps(x)) == x
 
 
 def test_class_coords_and_dim_accessors():

@@ -187,7 +187,7 @@ def test_rank_nullity(m):
 @given(rat_matrices(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_coords_recover_combination(m, data):
-    basis = row_space_rref(m.to_rows(), m.cols)
+    basis = row_space_rref(m.to_rows())
     coeffs = data.draw(
         st.lists(
             st.integers(min_value=-5, max_value=5).map(Q),

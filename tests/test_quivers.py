@@ -1,6 +1,7 @@
 """Oracle tests for quivers: parsing, Dynkin recognition, paths, forms."""
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,8 @@ from silt.quivers import (
     opposite,
     parse_quiver,
     path_basis,
+    path_index,
+    paths_between,
 )
 
 A2 = parse_quiver("vertices 1 2\narrow a:1->2\n")
@@ -177,6 +180,25 @@ def test_path_basis_linear_count():
         "vertices 1 2 3 4 5; arrows a:1->2 b:2->3 c:3->4 d:4->5"
     )
     assert len(path_basis(q)) == 15
+
+
+def test_path_index_points_into_paths_between():
+    for q in (A2, A3_LIN, D4, D5):
+        pb, index = paths_between(q), path_index(q)
+        assert len(index) == len(path_basis(q))
+        for p in path_basis(q):
+            assert pb[(p.source, p.target)][index[(p.source, p.arrows)]] == p
+
+
+def test_quiver_hash_is_stored_field_hash():
+    text = "vertices 1 2 3 4\narrow a:1->3\narrow b:2->3\narrow c:3->4\n"
+    q, r = parse_quiver(text), parse_quiver(text)
+    assert q == r and q is not r
+    assert hash(q) == hash(r)
+    assert hash(q) == hash((q.vertices, q.arrows))
+    # the stored value stays out of pickles: str hashes are per process
+    assert "_hash" not in vars(pickle.loads(pickle.dumps(q)))
+    assert pickle.loads(pickle.dumps(q)) == q
 
 
 # --- euler_form ---
