@@ -1,8 +1,10 @@
 """Homological classification of silted algebras.
 
 Each endomorphism algebra is probed through minimal projective
-resolutions of its simple modules, computed by projective-cover /
-kernel iteration over the algebra's indecomposable projectives.
+resolutions of its simple modules, computed by modules.minimal_resolution
+(projective cover, then kernel, repeated), the same loop that gives the
+minimal presentations over KQ.  Every stage takes a BoundQuiverAlgebra,
+so it runs unchanged on KQ itself (modules.path_algebra).
 Blocks with global dimension at most 2 are tilted and get a Dynkin type
 from a Coxeter-polynomial reference table; blocks of global dimension
 exactly 3 are strictly shod.  A permutation-invariant fingerprint groups
@@ -18,18 +20,10 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .endo import (
-    BoundQuiverAlgebra,
-    blocks,
-    cartan_data,
-    coxeter_polynomial,
-    endomorphism_algebra,
-)
+from .endo import blocks, cartan_data, coxeter_polynomial, endomorphism_algebra
 from .modules import (
-    Path,
-    QuiverRep,
-    kernel_subrep,
-    minimal_cover,
+    BoundQuiverAlgebra,
+    minimal_resolution,
     projective_dim_vectors,
     simple_rep,
 )
@@ -39,49 +33,23 @@ from .silting import SiltingObject
 RESOLUTION_CAP = 10
 
 
-class _BoundAlgebraOps:
-    """Projectives of a bound quiver algebra over its path-class basis."""
-
-    def __init__(self, b: BoundQuiverAlgebra):
-        self.quiver = b.gabriel
-        self._projectives = dict(zip(b.gabriel.vertices, b.projectives))
-        self._from: Dict[int, Dict[int, List[Tuple[str, ...]]]] = {
-            v: {u: [] for u in b.gabriel.vertices} for v in b.gabriel.vertices
-        }
-        for s, t, arrows in b.basis_paths:
-            self._from[s][t].append(arrows)
-
-    def basis_paths(self, v: int) -> Dict[int, Tuple[Path, ...]]:
-        return {
-            u: tuple(Path(v, u, arrows) for arrows in self._from[v][u])
-            for u in self.quiver.vertices
-        }
-
-    def projective(self, v: int) -> QuiverRep:
-        return self._projectives[v]
-
-
 @cache
 def _simple_resolutions(b: BoundQuiverAlgebra) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     """Per vertex: multiplicity vectors of the minimal resolution terms."""
-    alg = _BoundAlgebraOps(b)
     verts = b.gabriel.vertices
     out = []
     for v in verts:
-        m = simple_rep(b.gabriel, v)
         terms: List[Tuple[int, ...]] = []
-        while any(d != 0 for d in m.dims):
+        for copies, _ in minimal_resolution(b, simple_rep(b.gabriel, v)):
             if len(terms) > RESOLUTION_CAP:
                 raise RuntimeError(
                     f"resolution of the simple at {v} exceeded "
                     f"{RESOLUTION_CAP} steps"
                 )
-            copies, p0, pi = minimal_cover(alg, m)
             mult = [0] * len(verts)
             for u, _ in copies:
                 mult[verts.index(u)] += 1
             terms.append(tuple(mult))
-            _, m = kernel_subrep(p0, pi)
         out.append(tuple(terms))
     return tuple(out)
 

@@ -2,7 +2,8 @@
 
 Every object of interest — a module via its minimal projective
 resolution, or a shifted projective P(i)[1] — is stored uniformly as a
-complex P^{-1} -> P^0 of projectives.  Both shifts of Hom come from one
+complex P^{-1} -> P^0 of projectives: modules.TwoTermComplex, the type
+modules.minimal_presentation returns.  Both shifts of Hom come from one
 Hom complex, built from blocks cached per (complex, vertex):
 
   Hom(X^0, Y^{-1}) -> Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}) -> Hom(X^{-1}, Y^0)
@@ -37,60 +38,20 @@ from .linalg import (
     reduce_by_rref,
     row_space_rref,
 )
-from .modules import QuiverRep, build_representation, minimal_presentation
-from .quivers import PathVector, Quiver, path_index, paths_between
-
-PVMatrix = Tuple[Tuple[PathVector, ...], ...]
-
-
-@dataclass(frozen=True)
-class TwoTermComplex:
-    """Complex of projectives concentrated in degrees -1 and 0.
-
-    diff[j][i] is the component P(deg_minus1[i]) -> P(deg0[j]), a path
-    vector with source deg0[j] and target deg_minus1[i].
-    """
-
-    quiver: Quiver
-    deg_minus1: Tuple[int, ...]
-    deg0: Tuple[int, ...]
-    diff: PVMatrix
-
-    def __post_init__(self):
-        known = set(self.quiver.vertices)
-        for v in self.deg_minus1 + self.deg0:
-            if v not in known:
-                raise ValueError(f"unknown projective vertex {v}")
-        if len(self.diff) != len(self.deg0):
-            raise ValueError("differential has wrong number of rows")
-        for j, row in enumerate(self.diff):
-            if len(row) != len(self.deg_minus1):
-                raise ValueError("differential has wrong number of columns")
-            for i, pv in enumerate(row):
-                if pv.source != self.deg0[j] or pv.target != self.deg_minus1[i]:
-                    raise ValueError(
-                        "differential entry endpoints do not match summands"
-                    )
-
-    def __hash__(self) -> int:
-        # the generated hash, stored on first use: complexes key many caches
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.quiver, self.deg_minus1, self.deg0, self.diff))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        # str hashes differ between processes, so a pickle leaves it out
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+from .modules import (
+    QuiverRep,
+    TwoTermComplex,
+    build_representation,
+    minimal_presentation,
+)
+from .quivers import Quiver, path_index, paths_between
 
 
 def resolve(q: Quiver, m: QuiverRep) -> TwoTermComplex:
     """Minimal projective resolution of a module, as a two-term complex."""
     if m.quiver != q:
         raise ValueError("module is over a different quiver")
-    pres = minimal_presentation(q, m)
-    return TwoTermComplex(q, pres.deg_minus1, pres.deg0, pres.diff)
+    return minimal_presentation(q, m)
 
 
 @cache
@@ -290,8 +251,10 @@ class HomSpace:
         )
         vec = [Q(0)] * total
         for c, row in zip(cls.coords, self.class_basis):
-            if c != 0:
-                vec = [a + c * b for a, b in zip(vec, row)]
+            if c:
+                for t, b in enumerate(row):
+                    if b:
+                        vec[t] += c * b
         return vec
 
     def class_from_vector(self, vec: Sequence[Q]) -> "HomClass":

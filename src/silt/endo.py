@@ -9,8 +9,10 @@ From the compositions of Hom classes we extract the Gabriel quiver
 (arrows i -> j are a basis of the (i,j) part of rad/rad^2), the value of
 every Gabriel path (its arrows composed in turn), a minimal generating
 set of relations (kernel of the induced map from the path algebra of the
-Gabriel quiver), a canonical path-class basis, the indecomposable
-projective modules, and Cartan data.
+Gabriel quiver), and a canonical path-class basis with the coordinates
+of every path over it.  modules.bound_quiver_algebra, the builder that
+also gives the path algebra KQ, turns these into the algebra and its
+indecomposable projectives.  Also here: blocks and Cartan data.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .linalg import (
     reduce_by_rref,
     row_space_rref,
 )
-from .modules import QuiverRep, make_rep
+from .modules import BoundQuiverAlgebra, bound_quiver_algebra, make_rep
 from .quivers import (
     Arrow,
     PathVector,
@@ -50,45 +52,6 @@ class CartanData:
 
     cartan: Tuple[Tuple[int, ...], ...]
     coxeter_polynomial: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BoundQuiverAlgebra:
-    """Basic algebra given by a Gabriel quiver, relations, and a basis.
-
-    basis_paths lists the path-class basis as (source, target, arrow ids)
-    over the Gabriel quiver.  projectives[k] is P(v) = e_v B for the k-th
-    Gabriel vertex v, as a representation of the Gabriel quiver: its basis
-    at u is the basis paths from v to u, and an arrow a sends path p to
-    the basis coordinates of the path p followed by a.
-    """
-
-    gabriel: Quiver
-    relations: Tuple[PathVector, ...]
-    dimension: int
-    basis_paths: Tuple[Tuple[int, int, Tuple[str, ...]], ...]
-    projectives: Tuple[QuiverRep, ...]
-
-    def __post_init__(self):
-        if len(self.basis_paths) != self.dimension:
-            raise ValueError("basis size does not match dimension")
-
-    def to_json_dict(self) -> dict:
-        def coeff_json(c: Q):
-            return int(c) if c.denominator == 1 else str(c)
-
-        return {
-            "vertices": list(self.gabriel.vertices),
-            "arrows": [
-                {"id": a.id, "source": a.source, "target": a.target}
-                for a in self.gabriel.arrows
-            ],
-            "relations": [
-                [[coeff_json(c), list(arrows)] for arrows, c in rel.terms]
-                for rel in self.relations
-            ],
-            "dimension": self.dimension,
-        }
 
 
 @cache
@@ -283,33 +246,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                 coords = [a + c * b for a, b in zip(coords, inv_row)]
         return coords
 
-    # P(v) = e_v B: an arrow sends each basis path p from v to p followed by it
-    projectives: List[QuiverRep] = []
-    for v in gq.vertices:
-        mats: Dict[str, RatMatrix] = {}
-        for a in gq.arrows:
-            src = chosen[(v, a.source)]
-            ent = tuple(
-                c
-                for p in src
-                for c in basis_coords(v, a.target, p + (a.id,))
-            )
-            mats[a.id] = RatMatrix(len(src), len(chosen[(v, a.target)]), ent)
-        dims = [len(chosen[(v, u)]) for u in gq.vertices]
-        projectives.append(make_rep(gq, dims, mats))
-
-    return BoundQuiverAlgebra(
-        gabriel=gq,
-        relations=tuple(relations),
-        dimension=dim_b,
-        basis_paths=tuple(
-            (i + 1, j + 1, arrs)
-            for i in range(n)
-            for j in range(n)
-            for arrs in chosen[(i + 1, j + 1)]
-        ),
-        projectives=tuple(projectives),
-    )
+    return bound_quiver_algebra(gq, relations, chosen, basis_coords)
 
 
 def blocks(b: BoundQuiverAlgebra) -> Tuple[BoundQuiverAlgebra, ...]:

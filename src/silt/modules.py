@@ -1,4 +1,4 @@
-"""Indecomposable modules over a Dynkin path algebra.
+"""Indecomposable modules over a Dynkin path algebra, and bound quiver algebras.
 
 Modules are right modules, presented as quiver representations: one
 space per vertex and one matrix per arrow of shape (dim at source) x
@@ -11,9 +11,18 @@ echelon bases.
 Also here: Hom and Ext^1 by exact linear algebra; tau and tau^{-1}, read
 off one table per quiver built from the integer Coxeter matrix, with no
 per-call cross-check (the Nakayama construction `tau_nakayama` is the
-reference the tests and paper-suite compare them with); minimal
-projective presentations; and the AR quivers of mod A and of the
-two-term homotopy category.
+reference the tests and paper-suite compare them with); and the AR
+quivers of mod A and of the two-term homotopy category.
+
+One algebra type serves every module computation over an algebra:
+`BoundQuiverAlgebra`, a quiver with relations, a path-class basis and
+the projectives P(v), all built by `bound_quiver_algebra`.  The path
+algebra KQ is the case with no relations and every path in the basis
+(`path_algebra`); End(T) comes from `endo.endomorphism_algebra`.  One
+loop, `minimal_resolution`, alternates `minimal_cover` and
+`kernel_subrep` over such an algebra.  It gives the minimal projective
+presentations over KQ, as `TwoTermComplex`es, and classify's
+resolutions of simples over End(T).
 """
 
 from __future__ import annotations
@@ -21,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
-from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate, islice
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
     RatMatrix,
@@ -36,10 +45,8 @@ from .linalg import (
 )
 from .quivers import (
     NotDynkinError,
-    Path,
     PathVector,
     Quiver,
-    cartan_matrix,
     coxeter_matrix,
     dynkin_type,
     path_index,
@@ -97,42 +104,18 @@ def simple_rep(q: Quiver, v: int) -> QuiverRep:
 
 
 @cache
-def projective_rep(q: Quiver, v: int) -> QuiverRep:
-    """P(v) = e_v A; basis at vertex u is the canonical list of paths v to u."""
-    pb = paths_between(q)
-    index = path_index(q)
-    dims = [len(pb[(v, u)]) for u in q.vertices]
-    mats: Dict[str, RatMatrix] = {}
-    for a in q.arrows:
-        src_paths = pb[(v, a.source)]
-        tgt_paths = pb[(v, a.target)]
-        ent = [[Q(0)] * len(tgt_paths) for _ in src_paths]
-        for i, p in enumerate(src_paths):
-            ent[i][index[(v, p.arrows + (a.id,))]] = Q(1)
-        mats[a.id] = RatMatrix(
-            len(src_paths),
-            len(tgt_paths),
-            tuple(e for row in ent for e in row),
-        )
-    return make_rep(q, dims, mats)
-
-
-@cache
 def projective_dim_vectors(q: Quiver) -> Tuple[DimVector, ...]:
-    c = cartan_matrix(q)
-    n = len(q.vertices)
+    """Row v is dim P(v): the number of paths from v to each vertex."""
+    pb = paths_between(q)
     return tuple(
-        tuple(int(c.at(i, j)) for j in range(n)) for i in range(n)
+        tuple(len(pb[(v, u)]) for u in q.vertices) for v in q.vertices
     )
 
 
 @cache
 def injective_dim_vectors(q: Quiver) -> Tuple[DimVector, ...]:
-    c = cartan_matrix(q)
-    n = len(q.vertices)
-    return tuple(
-        tuple(int(c.at(j, i)) for j in range(n)) for i in range(n)
-    )
+    """Row v is dim I(v): the number of paths from each vertex to v."""
+    return tuple(zip(*projective_dim_vectors(q)))
 
 
 # --- positive roots ---
@@ -340,25 +323,90 @@ def hom_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
     return total - rank(RatMatrix.from_rows(rows))
 
 
-# --- projective covers, kernels, minimal presentations ---
+# --- bound quiver algebras, projective covers, minimal resolutions ---
 
-class PathAlgebraOps:
-    """Projectives of the hereditary path algebra KQ."""
+@dataclass(frozen=True)
+class BoundQuiverAlgebra:
+    """Basic algebra KQ/I given by a quiver, relations, and a basis.
 
-    def __init__(self, q: Quiver):
-        self.quiver = q
+    basis_paths lists the path-class basis as (source, target, arrow ids)
+    over the quiver (the Gabriel quiver of the algebra).  projectives[k]
+    is P(v) = e_v B for the k-th vertex v, as a representation of the
+    quiver: its basis at u is the basis paths from v to u, and an arrow a
+    sends path p to the basis coordinates of the path p followed by a.
+    The path algebra KQ is the case I = 0 (`path_algebra`).
+    """
 
-    def projective(self, v: int) -> QuiverRep:
-        return projective_rep(self.quiver, v)
+    gabriel: Quiver
+    relations: Tuple[PathVector, ...]
+    dimension: int
+    basis_paths: Tuple[Tuple[int, int, Tuple[str, ...]], ...]
+    projectives: Tuple[QuiverRep, ...]
 
-    def basis_paths(self, v: int) -> Dict[int, Tuple[Path, ...]]:
-        pb = paths_between(self.quiver)
-        return {u: pb[(v, u)] for u in self.quiver.vertices}
+    def __post_init__(self):
+        if len(self.basis_paths) != self.dimension:
+            raise ValueError("basis size does not match dimension")
+
+    def to_json_dict(self) -> dict:
+        def coeff_json(c: Q):
+            return int(c) if c.denominator == 1 else str(c)
+
+        return {
+            "vertices": list(self.gabriel.vertices),
+            "arrows": [
+                {"id": a.id, "source": a.source, "target": a.target}
+                for a in self.gabriel.arrows
+            ],
+            "relations": [
+                [[coeff_json(c), list(arrows)] for arrows, c in rel.terms]
+                for rel in self.relations
+            ],
+            "dimension": self.dimension,
+        }
+
+
+def bound_quiver_algebra(
+    q: Quiver,
+    relations: Sequence[PathVector],
+    basis: Dict[Tuple[int, int], Sequence[Tuple[str, ...]]],
+    coords: Callable[[int, int, Tuple[str, ...]], Sequence[Q]],
+) -> BoundQuiverAlgebra:
+    """The algebra with basis paths basis[(v, u)] from v to u, and its
+    projectives.  coords(v, u, arrows) gives the coordinates of a path
+    from v to u over basis[(v, u)]; in P(v) = e_v B an arrow a sends each
+    basis path p from v to the coordinates of p followed by a."""
+    projectives: List[QuiverRep] = []
+    for v in q.vertices:
+        mats: Dict[str, RatMatrix] = {}
+        for a in q.arrows:
+            src = basis[(v, a.source)]
+            ent = tuple(
+                c for p in src for c in coords(v, a.target, p + (a.id,))
+            )
+            mats[a.id] = RatMatrix(len(src), len(basis[(v, a.target)]), ent)
+        dims = [len(basis[(v, u)]) for u in q.vertices]
+        projectives.append(make_rep(q, dims, mats))
+    paths = tuple(
+        (v, u, p) for v in q.vertices for u in q.vertices for p in basis[(v, u)]
+    )
+    return BoundQuiverAlgebra(
+        q, tuple(relations), len(paths), paths, tuple(projectives)
+    )
 
 
 @cache
-def _path_algebra_ops(q: Quiver) -> PathAlgebraOps:
-    return PathAlgebraOps(q)
+def path_algebra(q: Quiver) -> BoundQuiverAlgebra:
+    """KQ: every path is a basis path, and there are no relations."""
+    pb = paths_between(q)
+    index = path_index(q)
+
+    def coords(v: int, u: int, arrows: Tuple[str, ...]) -> List[Q]:
+        unit = [Q(0)] * len(pb[(v, u)])
+        unit[index[(v, arrows)]] = Q(1)
+        return unit
+
+    basis = {k: tuple(p.arrows for p in ps) for k, ps in pb.items()}
+    return bound_quiver_algebra(q, (), basis, coords)
 
 
 def radical_rows(rep: QuiverRep) -> List[List[List[Q]]]:
@@ -374,8 +422,8 @@ def radical_rows(rep: QuiverRep) -> List[List[List[Q]]]:
     return out
 
 
-def minimal_cover(alg, rep: QuiverRep):
-    """Projective cover of rep over the given algebra.
+def minimal_cover(b: BoundQuiverAlgebra, rep: QuiverRep):
+    """Projective cover of rep over the algebra b.
 
     Returns (copies, p0rep, pi).  copies holds one (vertex, column) pair
     per summand P(vertex) of the cover, for each free column of the RREF
@@ -384,7 +432,7 @@ def minimal_cover(alg, rep: QuiverRep):
     projectives in copy order, and pi the per-vertex matrices of the
     cover map.
     """
-    q = alg.quiver
+    q = b.gabriel
     rad = radical_rows(rep)
     copies: List[Tuple[int, int]] = []
     for vi, v in enumerate(q.vertices):
@@ -392,13 +440,16 @@ def minimal_cover(alg, rep: QuiverRep):
         copies.extend(
             (v, c) for c in range(rep.dims[vi]) if c not in pivots
         )
-    p0 = _direct_sum(q, [alg.projective(v) for v, _ in copies])
+    p0 = _direct_sum(q, [b.projectives[q.index(v)] for v, _ in copies])
+    basis: Dict[Tuple[int, int], List[Tuple[str, ...]]] = {}
+    for s, t, arrows in b.basis_paths:
+        basis.setdefault((s, t), []).append(arrows)
     pi: List[RatMatrix] = []
     for u in q.vertices:
         rows: List[List[Q]] = []
         for v, c in copies:
-            for p in alg.basis_paths(v)[u]:
-                rows.append(list(act_path(rep, v, p.arrows).row(c)))
+            for arrows in basis.get((v, u), ()):
+                rows.append(list(act_path(rep, v, arrows).row(c)))
         du = rep.dim_at(u)
         mat = RatMatrix.from_rows(rows) if rows else RatMatrix(0, du, ())
         pi.append(mat)
@@ -458,28 +509,72 @@ def kernel_subrep(p0: QuiverRep, pi: Sequence[RatMatrix]):
     return rows_per_vertex, make_rep(q, dims, mats)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Minimal projective presentation P1 -> P0 -> M -> 0 over KQ."""
+def minimal_resolution(b: BoundQuiverAlgebra, m: QuiverRep):
+    """Minimal projective resolution of m over b, one term at a time.
 
+    Covers m, then the kernel of that cover, and so on until the kernel
+    is zero.  Yields, per term P_k, minimal_cover's (vertex, column)
+    pairs and kernel_subrep's per-vertex row bases of the kernel in P_k's
+    coordinates; the columns of term k + 1 index those rows.
+    """
+    while any(m.dims):
+        copies, p0, pi = minimal_cover(b, m)
+        rows, m = kernel_subrep(p0, pi)
+        yield copies, rows
+
+
+@dataclass(frozen=True)
+class TwoTermComplex:
+    """Complex of projectives over KQ concentrated in degrees -1 and 0.
+
+    diff[j][i] is the component P(deg_minus1[i]) -> P(deg0[j]), a path
+    vector with source deg0[j] and target deg_minus1[i].
+    """
+
+    quiver: Quiver
     deg_minus1: Tuple[int, ...]
     deg0: Tuple[int, ...]
-    diff: Tuple[Tuple[PathVector, ...], ...]  # (row j over deg0, col i over deg_minus1)
+    diff: Tuple[Tuple[PathVector, ...], ...]
+
+    def __post_init__(self):
+        known = set(self.quiver.vertices)
+        for v in self.deg_minus1 + self.deg0:
+            if v not in known:
+                raise ValueError(f"unknown projective vertex {v}")
+        if len(self.diff) != len(self.deg0):
+            raise ValueError("differential has wrong number of rows")
+        for j, row in enumerate(self.diff):
+            if len(row) != len(self.deg_minus1):
+                raise ValueError("differential has wrong number of columns")
+            for i, pv in enumerate(row):
+                if pv.source != self.deg0[j] or pv.target != self.deg_minus1[i]:
+                    raise ValueError(
+                        "differential entry endpoints do not match summands"
+                    )
+
+    def __hash__(self) -> int:
+        # the generated hash, stored on first use: complexes key many caches
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.quiver, self.deg_minus1, self.deg0, self.diff))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so a pickle leaves it out
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 @cache
-def minimal_presentation(q: Quiver, m: QuiverRep) -> Presentation:
-    alg = _path_algebra_ops(q)
-    copies0, p0, pi = minimal_cover(alg, m)
-    krows, krep = kernel_subrep(p0, pi)
-    copies1, _, _ = minimal_cover(alg, krep)
-    # hereditary: the kernel itself must be projective, so its cover is exact
-    cover_dims = [0] * len(q.vertices)
-    for v, _ in copies1:
-        for i, c in enumerate(projective_rep(q, v).dims):
-            cover_dims[i] += c
-    if tuple(cover_dims) != krep.dims:
+def minimal_presentation(q: Quiver, m: QuiverRep) -> TwoTermComplex:
+    """Minimal projective presentation P1 -> P0 -> M -> 0 over KQ, as the
+    complex P1 -> P0: the resolution of M over path_algebra(q), which has
+    at most two terms because KQ is hereditary."""
+    steps = list(islice(minimal_resolution(path_algebra(q), m), 3))
+    if len(steps) == 3:
         raise RuntimeError("first syzygy is not projective (not hereditary?)")
+    # a projective M has a one-term resolution: P1 is then empty
+    (copies0, krows), (copies1, _) = (steps + [((), ())] * 2)[:2]
     pb = paths_between(q)
     rows: List[List[PathVector]] = [[] for _ in copies0]
     for a, col in copies1:
@@ -497,7 +592,8 @@ def minimal_presentation(q: Quiver, m: QuiverRep) -> Presentation:
             if b == a and any(len(t) == 0 for t, _ in pv.terms):
                 raise RuntimeError("presentation not minimal")
             rows[j].append(pv)
-    return Presentation(
+    return TwoTermComplex(
+        q,
         deg_minus1=tuple(v for v, _ in copies1),
         deg0=tuple(v for v, _ in copies0),
         diff=tuple(tuple(r) for r in rows),

@@ -7,7 +7,8 @@ Conventions fixed here and used everywhere else:
 - Paths compose left to right: a path p from i to j satisfies
   p = e(i) * p * e(j), and longer paths are built by appending arrows.
 - The Cartan matrix C has C[i][j] = number of paths i to j, so row i is
-  the dimension vector of the projective at i (right modules).
+  the dimension vector of the projective at i (right modules); its
+  integer rows are modules.projective_dim_vectors.
 - The Coxeter matrix Phi = -C^{-1} C^T is a function of the integer
   Cartan rows and acts on the right of row dimension vectors:
   dim(tau M) = dim(M) * Phi for non-projective M.
@@ -345,17 +346,6 @@ def path_index(q: Quiver) -> Dict[Tuple[int, Tuple[str, ...]], int]:
         for ps in paths_between(q).values()
         for t, p in enumerate(ps)
     }
-
-
-@cache
-def cartan_matrix(q: Quiver) -> RatMatrix:
-    """C[i][j] = number of paths i to j; row i = dim vector of P(i)."""
-    pb = paths_between(q)
-    n = len(q.vertices)
-    ent = tuple(
-        Q(len(pb[(u, v)])) for u in q.vertices for v in q.vertices
-    )
-    return RatMatrix(n, n, ent)
 
 
 @cache

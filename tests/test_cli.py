@@ -256,6 +256,9 @@ FROZEN_DIGESTS = {
     ("d5", "ar", "--format", "dot"): "13dcb87765dee90bfa5c7f1b304deaaae1253464c6e7d8e7a7bbeed0d6420f52",
     ("d4_second", "ar", "--format", "json"): "6dd276ac8f6ead6d4e50d861ed08d41df8a4fe1aa72e54a794a030b0cc49a624",
     ("d4_second", "ar", "--format", "dot"): "a315c7905e00ab9d42cda2fc5138436a6b2746af8eecddaa091e740e1c489e6c",
+    ("a3_linear", "classify", "--format", "json"): "691ff053257ce3cb777096ba1b45a073c0f23a980361892d060f668d8b93832c",
+    ("a4_linear", "classify", "--format", "json"): "54d12be8a6249d9264b6daad5ff5a94e4965f8fb52b560e8a6c05df70c132cad",
+    ("d4_second", "classify", "--format", "json"): "23626d88b911195d355d4f99375a125dea87402316d0ec2c8522c1a64534a136",
     # an empty quiver name: the command takes no quiver argument
     ("", "paper-suite", "--format", "csv"): "d53ff6630d6fdcb595705756bd40004780143d806e17fd851e85c39a1aca5129",
 }

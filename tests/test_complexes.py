@@ -12,6 +12,7 @@ from silt.linalg import RatMatrix, kernel_basis, reduce_by_rref, row_space_rref
 from silt.quivers import PathVector, parse_quiver, paths_between
 from silt.modules import build_representation, ext1_dim, hom_dim, indecomposables
 from silt.complexes import (
+    HomClass,
     TwoTermComplex,
     _layout,
     compose,
@@ -416,10 +417,30 @@ def test_identity_matches_path_vector_route(q):
         assert identity_class(x) == identity_reference(x)
 
 
+def test_vector_of_sums_the_basis_rows():
+    # classes with several non-zero coordinates, so rows must accumulate
+    objs = two_term_objects(D4)
+    wide = [
+        sp
+        for sp in (hom_class_basis(x, y, 0) for x in objs for y in objs)
+        if sp.dim() >= 2
+    ]
+    assert len(wide) == 3
+    for sp in wide:
+        coords = tuple(Q(k + 1, 2) for k in range(sp.dim()))
+        cls = HomClass(sp, coords)
+        expected = [
+            sum(c * row[t] for c, row in zip(coords, sp.class_basis))
+            for t in range(len(sp.class_basis[0]))
+        ]
+        assert sp.vector_of(cls) == expected
+        assert sp.class_from_vector(expected) == cls
+
+
 def test_complex_hash_is_stored_field_hash():
-    # resolve builds a new complex on every call
+    # resolve returns the cached presentation, so build an equal copy
     x = resolve(D4, build_representation(D4, (1, 1, 2, 1)))
-    y = resolve(D4, build_representation(D4, (1, 1, 2, 1)))
+    y = TwoTermComplex(x.quiver, x.deg_minus1, x.deg0, x.diff)
     assert x == y and x is not y
     assert hash(x) == hash(y)
     assert hash(x) == hash((x.quiver, x.deg_minus1, x.deg0, x.diff))
