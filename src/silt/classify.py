@@ -8,14 +8,19 @@ so it runs unchanged on KQ itself (modules.path_algebra).
 Blocks with global dimension at most 2 are tilted and get a Dynkin type
 from a Coxeter-polynomial reference table; blocks of global dimension
 exactly 3 are strictly shod.  A permutation-invariant fingerprint groups
-isomorphic algebras so enumerations can be counted up to isomorphism.
+isomorphic algebras so enumerations can be counted up to isomorphism: the
+lexicographically least (arrow counts, Cartan, Ext^1, Ext^2, pds) over all
+simultaneous vertex permutations.  A refinement search finds it by
+visiting only the permutations that minimise the arrow counts, one per
+automorphism of the Gabriel quiver; a quiver with no arrows is the worst
+case, with all n! of them.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -142,44 +147,92 @@ class ClassificationRecord:
     fingerprint: Tuple
 
 
+def least_relabelling(
+    adj: Sequence[Sequence[int]],
+    mats: Sequence[Sequence[Sequence[int]]],
+    vec: Sequence[int],
+) -> Tuple[Tuple, Tuple[Tuple[int, ...], ...]]:
+    """The least (adj, *mats, vec) under one simultaneous relabelling.
+
+    A permutation p sends each n x n matrix M to (M[p[i]][p[j]]) and vec
+    to (vec[p[i]]); tuples compare row-major, adj first.  Returns the
+    least such tuple and, sorted, every p that reaches it.
+
+    Only the permutations that minimise adj can win, and they are found
+    by individualisation-refinement (McKay & Piperno, Practical graph
+    isomorphism II, 2014) restricted to this order.  Position i takes p_i
+    from the first cell of an ordered partition of the unplaced
+    vertices.  Row i of the permuted adj is then fixed as the placed
+    columns, the diagonal, and each later cell sorted ascending by
+    adj[p_i][.]; that sort splits the cells.  Level by level only the
+    choices giving the least row survive, so the leaves are exactly the
+    adj-minimal permutations, a coset of the automorphisms of adj, and
+    the full tuple is compared on those alone.  The worst case, adj = 0,
+    keeps all n! of them.
+    """
+    n = len(adj)
+    level = [((), (tuple(range(n)),))]
+    for _ in range(n):
+        best_row, survivors = None, []
+        for placed, (first, *rest) in level:
+            for v in first:
+                r = adj[v]
+                row = [r[u] for u in placed]
+                row.append(r[v])
+                refined = []
+                for cell in [tuple(u for u in first if u != v), *rest]:
+                    for val in sorted({r[u] for u in cell}):
+                        part = tuple(u for u in cell if r[u] == val)
+                        row += [val] * len(part)
+                        refined.append(part)
+                if best_row is None or row < best_row:
+                    best_row, survivors = row, []
+                if row == best_row:
+                    survivors.append((placed + (v,), tuple(refined)))
+        level = survivors
+
+    def key(p):
+        return tuple(
+            tuple(tuple(m[i][j] for j in p) for i in p) for m in (adj, *mats)
+        ) + (tuple(vec[i] for i in p),)
+
+    keyed = sorted((key(p), p) for p, _ in level)
+    least = keyed[0][0]
+    return least, tuple(p for k, p in keyed if k == least)
+
+
 def fingerprint(b: BoundQuiverAlgebra) -> Tuple:
     """Isomorphism invariant: quiver, Cartan, Ext data, pds — up to one
-    simultaneous vertex permutation, minimized lexicographically."""
+    simultaneous vertex permutation, minimized lexicographically.
+
+    The tuple is (n, dim B) followed by the least_relabelling of the
+    arrow counts, the Cartan rows, Ext^1 and Ext^2 between simples and
+    the projective dimensions of the simples.  Its search visits only
+    the permutations that minimise the arrow counts, at most n! when the
+    Gabriel quiver has no arrows.
+    """
     verts = b.gabriel.vertices
     n = len(verts)
-    adj = [
-        [
-            sum(
-                1
-                for a in b.gabriel.arrows
-                if a.source == verts[i] and a.target == verts[j]
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    cart = [p.dims for p in b.projectives]
-    e1 = ext_matrix(b, 1)
-    e2 = ext_matrix(b, 2)
-    pds = [pd for _, pd in projective_dimension_of_simples(b)]
+    ix = {v: i for i, v in enumerate(verts)}
+    adj = [[0] * n for _ in range(n)]
+    for a in b.gabriel.arrows:
+        adj[ix[a.source]][ix[a.target]] += 1
+    least, _ = least_relabelling(
+        adj,
+        ([p.dims for p in b.projectives], ext_matrix(b, 1), ext_matrix(b, 2)),
+        [pd for _, pd in projective_dimension_of_simples(b)],
+    )
+    return (n, b.dimension) + least
 
-    def permuted(mat, perm):
-        return tuple(
-            tuple(mat[perm[i]][perm[j]] for j in range(n)) for i in range(n)
-        )
 
-    best = None
-    for perm in itertools.permutations(range(n)):
-        cand = (
-            permuted(adj, perm),
-            permuted(cart, perm),
-            permuted(e1, perm),
-            permuted(e2, perm),
-            tuple(pds[perm[i]] for i in range(n)),
-        )
-        if best is None or cand < best:
-            best = cand
-    return (n, b.dimension) + best
+@contextmanager
+def _stage(t: SiltingObject, stage: str):
+    """Prefix an internal-check error raised inside with the silting
+    object and the stage, as endo.endomorphism_algebra does."""
+    try:
+        yield
+    except RuntimeError as e:
+        raise RuntimeError(f"{t.label()}: {stage}: {e}") from e
 
 
 @cache
@@ -190,9 +243,11 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
     comps: List[Tuple[str, int]] = []
     all_tilted = True
     for blk in blocks(b):
-        g = global_dimension(blk)
+        with _stage(t, "resolutions"):
+            g = global_dimension(blk)
         if g <= 2:
-            dt = tilted_type(blk)
+            with _stage(t, "tilted type"):
+                dt = tilted_type(blk)
             verdicts.append(BlockVerdict(blk, g, "tilted", dt))
             comps.extend(dt.components)
         elif g == 3:
@@ -200,18 +255,21 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
             verdicts.append(BlockVerdict(blk, g, "strictly_shod", None))
         else:
             raise RuntimeError(
-                f"global dimension {g} is outside the silted range 0..3"
+                f"{t.label()}: global dimension: {g} is outside the "
+                "silted range 0..3"
             )
     label = (
         DynkinType.of(comps).label() if all_tilted else "strictly shod"
     )
+    with _stage(t, "fingerprint"):
+        fp = fingerprint(b)
     return ClassificationRecord(
         silting=t,
         algebra=b,
         block_verdicts=tuple(verdicts),
         is_tilted=all_tilted,
         label=label,
-        fingerprint=fingerprint(b),
+        fingerprint=fp,
     )
 
 

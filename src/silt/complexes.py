@@ -321,11 +321,13 @@ def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
         raise ValueError("shift -1 is not supported")
     if k not in (0, 1):
         return 0
-    d0, nw = _d0(x, y)
-    r0 = rank(RatMatrix.from_rows(d0))
+    # rank does not see row signs, so d^0 is stacked unsigned here
+    rows, nw = _after_rows(x, y.deg0)
+    rows += _before_rows(y, x.deg_minus1)
+    r0 = rank(RatMatrix.from_rows(rows))
     if k == 1:
         return nw - r0
-    return len(d0) - r0 - rank(RatMatrix.from_rows(_d_minus1(x, y)))
+    return len(rows) - r0 - rank(RatMatrix.from_rows(_d_minus1(x, y)))
 
 
 @cache

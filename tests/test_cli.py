@@ -20,7 +20,15 @@ from silt.cli import main
 from silt.quivers import parse_quiver
 from silt.modules import ar_quiver_mod
 from silt.silting import silting_alg2
-from silt.classify import classify, dedupe, summary_csv
+import silt.classify as classify_mod
+from silt.classify import (
+    _simple_resolutions,
+    classify,
+    dedupe,
+    global_dimension,
+    summary_csv,
+)
+from silt.endo import endomorphism_algebra
 
 FIXDIR = files("silt").joinpath("fixtures")
 
@@ -131,6 +139,26 @@ def test_internal_check_failure_names_command_and_quiver(monkeypatch, capsys):
     assert rc == 1
     assert out == ""
     assert "classify" in err and fx("a2") in err and "boom" in err
+
+
+def test_resolution_cap_error_names_the_silting_object(
+    monkeypatch, capsys, tmp_path
+):
+    # a relabelled A2, so that no classify result is cached for it
+    path = tmp_path / "a2_relabelled.quiver"
+    path.write_text("vertices 7 8\narrow z:8->7\n")
+    q = parse_quiver(path.read_text())
+    first = next(
+        t
+        for t in silting_alg2(q)
+        if global_dimension(endomorphism_algebra(q, t)) > 0
+    )
+    _simple_resolutions.cache_clear()
+    monkeypatch.setattr(classify_mod, "RESOLUTION_CAP", 0)
+    rc, out, err = run_cli(capsys, "classify", str(path))
+    assert rc == 1
+    assert out == ""
+    assert f": {first.label()}: resolutions: resolution of the simple" in err
 
 
 # --- silting command ---

@@ -1,0 +1,119 @@
+"""The fingerprint's refinement search against the n! reference loop."""
+
+import itertools
+from importlib.resources import files
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fingerprint_reference import fingerprint_reference, least_key_reference
+from silt.classify import classify, fingerprint, least_relabelling
+from silt.cli import FIXTURE_NAMES
+from silt.endo import endomorphism_algebra
+from silt.quivers import parse_quiver
+from silt.silting import silting_alg2
+
+E6 = parse_quiver(
+    "vertices 1 2 3 4 5 6\narrows a:1->2 b:2->3 c:3->4 d:4->5 e:6->3\n"
+)
+
+
+def test_fingerprint_matches_reference_on_every_fixture_algebra():
+    for name in FIXTURE_NAMES:
+        q = parse_quiver(
+            files("silt").joinpath("fixtures", f"{name}.quiver").read_text()
+        )
+        for t in silting_alg2(q):
+            rec = classify(q, t)
+            assert rec.fingerprint == fingerprint_reference(rec.algebra), (
+                name,
+                t.label(),
+            )
+
+
+def test_fingerprint_matches_reference_on_every_twentieth_e6_object():
+    objs = silting_alg2(E6)
+    assert len(objs) == 833
+    for t in objs[::20]:
+        b = endomorphism_algebra(E6, t)
+        assert fingerprint(b) == fingerprint_reference(b), t.label()
+
+
+def _key(adj, mats, vec, p):
+    return tuple(
+        tuple(tuple(m[i][j] for j in p) for i in p) for m in (adj, *mats)
+    ) + (tuple(vec[i] for i in p),)
+
+
+def _relabel(m, sigma):
+    n = len(m)
+    return [[m[sigma[i]][sigma[j]] for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def labelled_data(draw):
+    """adj, Cartan, Ext^1, Ext^2 and pds with small entries, so that ties
+    and symmetric vertices are common."""
+    n = draw(st.integers(0, 6))
+    mat = st.lists(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+    sparse = st.lists(
+        st.lists(st.sampled_from((0, 0, 0, 1)), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+    return (
+        draw(sparse),
+        draw(mat),
+        draw(sparse),
+        draw(sparse),
+        draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+    )
+
+
+NO_ARROWS_6 = [[0] * 6 for _ in range(6)]
+# A2 ⊔ A2 ⊔ A1 as KQ: arrows 0->1 and 2->3, vertex 4 alone
+A2A2A1 = [
+    [1 if (i, j) in {(0, 1), (2, 3)} else 0 for j in range(5)]
+    for i in range(5)
+]
+A2A2A1_CARTAN = [
+    [A2A2A1[i][j] + (i == j) for j in range(5)] for i in range(5)
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(labelled_data(), st.randoms(use_true_random=False))
+@example(([], [], [], [], []), None)
+@example(
+    (NO_ARROWS_6, NO_ARROWS_6, NO_ARROWS_6, NO_ARROWS_6, [0] * 6), None
+)
+@example(
+    (A2A2A1, A2A2A1_CARTAN, A2A2A1, [[0] * 5] * 5, [1, 0, 1, 0, 0]), None
+)
+def test_least_relabelling_matches_reference(data, rnd):
+    adj, cart, e1, e2, pds = data
+    n = len(adj)
+    least, perms = least_relabelling(adj, (cart, e1, e2), pds)
+    assert least == least_key_reference(adj, cart, e1, e2, pds)
+    # the minimisers are exactly the permutations reaching the least tuple
+    assert perms == tuple(
+        p
+        for p in itertools.permutations(range(n))
+        if _key(adj, (cart, e1, e2), pds, p) == least
+    )
+    # one simultaneous relabelling of the input leaves the tuple unchanged
+    sigma = list(range(n))
+    if rnd is not None:
+        rnd.shuffle(sigma)
+    moved, moved_perms = least_relabelling(
+        _relabel(adj, sigma),
+        (_relabel(cart, sigma), _relabel(e1, sigma), _relabel(e2, sigma)),
+        [pds[sigma[i]] for i in range(n)],
+    )
+    assert moved == least
+    assert len(moved_perms) == len(perms)
+
