@@ -3,8 +3,13 @@
 Each endomorphism algebra is probed through minimal projective
 resolutions of its simple modules, computed by modules.minimal_resolution
 (projective cover, then kernel, repeated), the same loop that gives the
-minimal presentations over KQ.  Every stage takes a BoundQuiverAlgebra,
-so it runs unchanged on KQ itself (modules.path_algebra).
+minimal presentations over KQ.  The resolution stages take a
+BoundQuiverAlgebra, so they run unchanged on KQ itself
+(modules.path_algebra).
+classify resolves the simples of End(T) once and reads every block off
+that one pass: the blocks are vertex sets (endo.blocks), a block's
+global dimension is the largest projective dimension of its simples,
+and its Cartan rows are those of End(T) restricted to its vertices.
 Blocks with global dimension at most 2 are tilted and get a Dynkin type
 from a Coxeter-polynomial reference table; blocks of global dimension
 exactly 3 are strictly shod.  A permutation-invariant fingerprint groups
@@ -115,9 +120,10 @@ def _reference_polynomials(n: int) -> Dict[Tuple[int, ...], Tuple[str, int]]:
     return table
 
 
-def tilted_type(block: BoundQuiverAlgebra) -> DynkinType:
-    """Dynkin type of a tilted block, from its Coxeter polynomial."""
-    poly = cartan_data(block).coxeter_polynomial
+def tilted_type(cartan: Tuple[Tuple[int, ...], ...]) -> DynkinType:
+    """Dynkin type of a tilted block, from the Coxeter polynomial of its
+    integer Cartan rows."""
+    poly = coxeter_polynomial(cartan)
     n = len(poly) - 1
     table = _reference_polynomials(n)
     if poly not in table:
@@ -131,7 +137,7 @@ def tilted_type(block: BoundQuiverAlgebra) -> DynkinType:
 
 @dataclass(frozen=True)
 class BlockVerdict:
-    algebra: BoundQuiverAlgebra
+    vertices: Tuple[int, ...]
     gl_dim: int
     verdict: str  # "tilted" | "strictly_shod"
     dynkin: Optional[DynkinType]
@@ -226,33 +232,44 @@ def fingerprint(b: BoundQuiverAlgebra) -> Tuple:
 
 
 @contextmanager
-def _stage(t: SiltingObject, stage: str):
-    """Prefix an internal-check error raised inside with the silting
-    object and the stage, as endo.endomorphism_algebra does."""
+def _stage(prefix: str):
+    """Prefix a RuntimeError raised inside with `prefix`: the silting
+    object and the stage in classify, the stage alone in the commands."""
     try:
         yield
     except RuntimeError as e:
-        raise RuntimeError(f"{t.label()}: {stage}: {e}") from e
+        raise RuntimeError(f"{prefix}: {e}") from e
 
 
 @cache
 def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
-    """Tilted-or-strictly-shod verdict for End(T), block by block."""
+    """Tilted-or-strictly-shod verdict for End(T), block by block.
+
+    The simples are resolved once over the whole algebra: a block's
+    global dimension is the largest pd of its simples, and its Cartan
+    rows are those of End(T) restricted to its vertices.
+    """
     b = endomorphism_algebra(q, t)
+    with _stage(f"{t.label()}: resolutions"):
+        pds = dict(projective_dimension_of_simples(b))
+    cart = cartan_data(b)
+    ix = {v: i for i, v in enumerate(b.gabriel.vertices)}
     verdicts: List[BlockVerdict] = []
     comps: List[Tuple[str, int]] = []
     all_tilted = True
-    for blk in blocks(b):
-        with _stage(t, "resolutions"):
-            g = global_dimension(blk)
+    for verts in blocks(b):
+        g = max(pds[v] for v in verts)
         if g <= 2:
-            with _stage(t, "tilted type"):
-                dt = tilted_type(blk)
-            verdicts.append(BlockVerdict(blk, g, "tilted", dt))
+            rows = tuple(
+                tuple(cart[ix[v]][ix[u]] for u in verts) for v in verts
+            )
+            with _stage(f"{t.label()}: tilted type"):
+                dt = tilted_type(rows)
+            verdicts.append(BlockVerdict(verts, g, "tilted", dt))
             comps.extend(dt.components)
         elif g == 3:
             all_tilted = False
-            verdicts.append(BlockVerdict(blk, g, "strictly_shod", None))
+            verdicts.append(BlockVerdict(verts, g, "strictly_shod", None))
         else:
             raise RuntimeError(
                 f"{t.label()}: global dimension: {g} is outside the "
@@ -261,7 +278,7 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
     label = (
         DynkinType.of(comps).label() if all_tilted else "strictly shod"
     )
-    with _stage(t, "fingerprint"):
+    with _stage(f"{t.label()}: fingerprint"):
         fp = fingerprint(b)
     return ClassificationRecord(
         silting=t,
@@ -310,7 +327,7 @@ def record_to_json(r: ClassificationRecord) -> dict:
         "algebra": r.algebra.to_json_dict(),
         "blocks": [
             {
-                "vertices": list(bv.algebra.gabriel.vertices),
+                "vertices": list(bv.vertices),
                 "gl_dim": bv.gl_dim,
                 "verdict": bv.verdict,
                 "type": bv.dynkin.label() if bv.dynkin else None,

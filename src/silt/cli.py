@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 from .classify import (
+    _stage,
     classify,
     dedupe,
     ext_matrix,
@@ -287,15 +288,23 @@ def _dump_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _check_oracle(algorithmic: set, brute: set, what: str) -> None:
-    if algorithmic != brute:
-        missing = len(brute - algorithmic)
-        extra = len(algorithmic - brute)
-        raise CliFailure(
-            1,
-            f"{what} oracle mismatch: {extra} objects only in the "
-            f"algorithmic list, {missing} only in the brute-force list",
-        )
+def _enumerate(q: Quiver, algorithmic, brute_force, what: str, oracle: bool):
+    """algorithmic(q), checked against brute_force(q) if asked.  An
+    internal-check error names the stage it came from."""
+    with _stage("enumeration"):
+        objs = algorithmic(q)
+    if oracle:
+        with _stage("oracle"):
+            brute = set(brute_force(q))
+        found = set(objs)
+        if found != brute:
+            raise CliFailure(
+                1,
+                f"{what} oracle mismatch: {len(found - brute)} objects only "
+                f"in the algorithmic list, {len(brute - found)} only in the "
+                "brute-force list",
+            )
+    return objs
 
 
 # --- ar ---
@@ -385,15 +394,17 @@ def cmd_silting(args) -> str:
     q = _load_quiver(args.quiver)
     _require_dynkin(q)
     if args.tilting_only:
-        mods = tilting_modules_alg1(q)
-        if args.oracle:
-            _check_oracle(
-                set(mods), set(tilting_modules_bruteforce(q)), "tilting"
-            )
+        mods = _enumerate(
+            q,
+            tilting_modules_alg1,
+            tilting_modules_bruteforce,
+            "tilting",
+            args.oracle,
+        )
         return _render_tilting(q, mods, args.format)
-    objs = silting_alg2(q)
-    if args.oracle:
-        _check_oracle(set(objs), set(silting_bruteforce(q)), "silting")
+    objs = _enumerate(
+        q, silting_alg2, silting_bruteforce, "silting", args.oracle
+    )
     return _render_silting(q, objs, args.format)
 
 
@@ -437,9 +448,9 @@ def _render_classification(q: Quiver, records, groups, fmt: str) -> str:
 def cmd_classify(args) -> str:
     q = _load_quiver(args.quiver)
     _require_dynkin(q)
-    objs = silting_alg2(q)
-    if args.oracle:
-        _check_oracle(set(objs), set(silting_bruteforce(q)), "silting")
+    objs = _enumerate(
+        q, silting_alg2, silting_bruteforce, "silting", args.oracle
+    )
     records = [classify(q, t) for t in objs]
     groups = dedupe(records)
     return _render_classification(q, records, groups, args.format)

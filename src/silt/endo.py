@@ -12,13 +12,13 @@ set of relations (kernel of the induced map from the path algebra of the
 Gabriel quiver), and a canonical path-class basis with the coordinates
 of every path over it.  modules.bound_quiver_algebra, the builder that
 also gives the path algebra KQ, turns these into the algebra and its
-indecomposable projectives.  Also here: blocks and Cartan data.
+indecomposable projectives.  Also here: the blocks, as the vertex sets
+of the Gabriel quiver's components, and the integer Cartan rows.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
 from typing import Dict, Iterable, List, Tuple
@@ -32,26 +32,17 @@ from .linalg import (
     reduce_by_rref,
     row_space_rref,
 )
-from .modules import BoundQuiverAlgebra, bound_quiver_algebra, make_rep
+from .modules import BoundQuiverAlgebra, bound_quiver_algebra
 from .quivers import (
     Arrow,
     PathVector,
     Quiver,
     _components,
     coxeter_matrix,
-    full_subquiver,
     path_index,
     paths_between,
 )
 from .silting import SiltingObject, is_presilting, summand_complex
-
-
-@dataclass(frozen=True)
-class CartanData:
-    """Cartan matrix of a basic algebra and its Coxeter polynomial."""
-
-    cartan: Tuple[Tuple[int, ...], ...]
-    coxeter_polynomial: Tuple[int, ...]
 
 
 @cache
@@ -249,38 +240,15 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
     return bound_quiver_algebra(gq, relations, chosen, basis_coords)
 
 
-def blocks(b: BoundQuiverAlgebra) -> Tuple[BoundQuiverAlgebra, ...]:
-    """Connected components of the Gabriel quiver, as standalone algebras."""
-    comps = _components(b.gabriel)
-    out = []
-    for comp in comps:
-        keep = set(comp)
-        sub = full_subquiver(b.gabriel, tuple(v for v in b.gabriel.vertices if v in keep))
-        rels = tuple(
-            r for r in b.relations if r.source in keep and r.target in keep
-        )
-        basis = tuple(
-            x for x in b.basis_paths if x[0] in keep and x[1] in keep
-        )
-        projectives = tuple(
-            make_rep(
-                sub,
-                [p.dim_at(u) for u in sub.vertices],
-                {a.id: p.mat(a.id) for a in sub.arrows},
-            )
-            for v, p in zip(b.gabriel.vertices, b.projectives)
-            if v in keep
-        )
-        out.append(
-            BoundQuiverAlgebra(
-                gabriel=sub,
-                relations=rels,
-                dimension=len(basis),
-                basis_paths=basis,
-                projectives=projectives,
-            )
-        )
-    return tuple(out)
+def blocks(b: BoundQuiverAlgebra) -> Tuple[Tuple[int, ...], ...]:
+    """Vertex sets of the connected components of the Gabriel quiver.
+
+    No arrow, relation or path joins two blocks, so e_v B e_u = 0 across
+    them: a block's Cartan rows are the rows of cartan_data(b) restricted
+    to its vertices, and a simple's minimal resolution stays inside its
+    block.
+    """
+    return tuple(tuple(comp) for comp in _components(b.gabriel))
 
 
 def matches_presentation(
@@ -321,13 +289,9 @@ def matches_presentation(
     return False
 
 
-def cartan_data(b: BoundQuiverAlgebra) -> CartanData:
-    """Cartan matrix and the Coxeter polynomial of the algebra.
-
-    Row v of the Cartan matrix is dim P(v), read off the projectives.
-    """
-    cart = tuple(p.dims for p in b.projectives)
-    return CartanData(cartan=cart, coxeter_polynomial=coxeter_polynomial(cart))
+def cartan_data(b: BoundQuiverAlgebra) -> Tuple[Tuple[int, ...], ...]:
+    """Integer Cartan rows of the algebra: row v is dim P(v)."""
+    return tuple(p.dims for p in b.projectives)
 
 
 @cache

@@ -10,7 +10,7 @@ from quiver_isomorphism import quivers_isomorphic
 from silt.quivers import dynkin_type, opposite, parse_quiver
 from silt.modules import IndId, projective_dim_vectors
 from silt.silting import SiltingObject, silting_alg2
-from silt.endo import blocks, endomorphism_algebra
+from silt.endo import cartan_data, endomorphism_algebra
 from silt.cli import FIXTURE_NAMES
 from silt.classify import (
     ClassificationRecord,
@@ -98,9 +98,9 @@ def test_global_dimension_three_occurs_over_d4():
 
 def test_tilted_type_of_hereditary_blocks():
     b = endomorphism_algebra(A2, _regular_object(A2))
-    assert tilted_type(b).label() == "A2"
+    assert tilted_type(cartan_data(b)).label() == "A2"
     bd = endomorphism_algebra(D4, _regular_object(D4))
-    assert tilted_type(bd).label() == "D4"
+    assert tilted_type(cartan_data(bd)).label() == "D4"
 
 
 RANK_SIX = {
@@ -114,7 +114,7 @@ RANK_SIX = {
 def test_tilted_type_above_rank_five(label):
     q = parse_quiver(RANK_SIX[label])
     b = endomorphism_algebra(q, _regular_object(q))
-    assert tilted_type(b).label() == label
+    assert tilted_type(cartan_data(b)).label() == label
 
 
 def _poly(*terms):
@@ -193,11 +193,13 @@ def test_d4_has_exactly_one_strictly_shod_class():
     assert len(rep.block_verdicts) == 1
     blk = rep.block_verdicts[0]
     assert blk.gl_dim == 3
+    # the single block is the whole algebra
+    assert blk.vertices == rep.algebra.gabriel.vertices
     a4_line = parse_quiver(
         "vertices 1 2 3 4\narrow x:1->2\narrow y:2->3\narrow z:3->4\n"
     )
-    assert quivers_isomorphic(blk.algebra.gabriel, a4_line)
-    rels = blk.algebra.relations
+    assert quivers_isomorphic(rep.algebra.gabriel, a4_line)
+    rels = rep.algebra.relations
     assert len(rels) == 2
     for r in rels:
         assert len(r.terms) == 1

@@ -141,6 +141,36 @@ def test_internal_check_failure_names_command_and_quiver(monkeypatch, capsys):
     assert "classify" in err and fx("a2") in err and "boom" in err
 
 
+@pytest.mark.parametrize(
+    "argv, attr, stage",
+    [
+        (("silting",), "silting_alg2", "enumeration"),
+        (("silting", "--oracle"), "silting_bruteforce", "oracle"),
+        (("silting", "--tilting-only"), "tilting_modules_alg1", "enumeration"),
+        (
+            ("silting", "--tilting-only", "--oracle"),
+            "tilting_modules_bruteforce",
+            "oracle",
+        ),
+        (("classify",), "silting_alg2", "enumeration"),
+        (("classify", "--oracle"), "silting_bruteforce", "oracle"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else x,
+)
+def test_enumeration_and_oracle_errors_name_the_stage(
+    argv, attr, stage, monkeypatch, capsys
+):
+    def boom(q):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, attr, boom)
+    command, *flags = argv
+    rc, out, err = run_cli(capsys, command, fx("a2"), *flags)
+    assert rc == 1
+    assert out == ""
+    assert f"{command} {fx('a2')}: internal check failed: {stage}: boom" in err
+
+
 def test_resolution_cap_error_names_the_silting_object(
     monkeypatch, capsys, tmp_path
 ):
@@ -301,6 +331,25 @@ def test_output_matches_frozen_digest(key, capsys):
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FROZEN_DIGESTS[key]
+
+
+# A2 + A1: every End(T) has two or more blocks, which no fixture has.
+DISCONNECTED_DIGESTS = {
+    "json": "350094b190be8ca364bc1877817cf0a9ffb1b27e1dedd4f55b0b7d9a09614202",
+    "csv": "50fdbb81e034d76796f19f17d85a7d6567c478292d7c1e75e9bfcbb62a2909bf",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(DISCONNECTED_DIGESTS))
+def test_classify_on_a_disconnected_quiver_matches_frozen_digest(
+    fmt, tmp_path, capsys
+):
+    path = tmp_path / "a2_a1.quiver"
+    path.write_text("vertices 1 2 3\narrow a:1->2\n")
+    rc, out, _ = run_cli(capsys, "classify", str(path), "--format", fmt)
+    assert rc == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == DISCONNECTED_DIGESTS[fmt]
 
 
 def test_silting_ascii_on_a4_with_inner_source(tmp_path, capsys):

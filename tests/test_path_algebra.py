@@ -14,7 +14,7 @@ import pytest
 from dynkin_orientations import TYPES_UP_TO_D5, TYPES_WITH_E6, orientations
 from silt import complexes, endo, modules
 from silt.classify import ext_matrix, fingerprint, global_dimension, tilted_type
-from silt.endo import endomorphism_algebra
+from silt.endo import cartan_data, endomorphism_algebra
 from silt.modules import (
     IndId,
     build_representation,
@@ -93,7 +93,7 @@ def test_classify_stages_on_the_path_algebra(quivers):
         assert ext_matrix(b, 1) == _arrow_counts(q)
         assert ext_matrix(b, 2) == ((0,) * n,) * n
         assert tuple(p.dims for p in b.projectives) == projective_dim_vectors(q)
-        assert tilted_type(b) == dynkin_type(q)
+        assert tilted_type(cartan_data(b)) == dynkin_type(q)
 
 
 @pytest.mark.parametrize(
