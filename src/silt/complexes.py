@@ -10,8 +10,10 @@ Hom complex, built from blocks cached per (complex, vertex):
 
 with d^{-1}(h) = (d_Y h, h d_X) and d^0(f_0, f) = f_0 d_X - d_Y f, so that
 Hom(X, Y) = ker d^0 / im d^{-1} and Hom(X, Y[1]) = coker d^0.  Hom(X, Y)
-gets a basis, because End(T) composes its classes; Hom(X, Y[1]) only
-decides rigidity, so it is only ever a dimension, taken by ranks.
+gets a canonical basis, because End(T) assembly composes two basis
+classes and reads the composite as one scalar per triple of summands;
+Hom(X, Y[1]) only decides rigidity, so it is only ever a dimension,
+taken by ranks.
 
 A map between direct sums of projectives is a coordinate vector in
 _layout order: block (j, i) is Hom(P(u_i), P(v_j)), with one coordinate
@@ -230,9 +232,6 @@ class HomSpace:
     def dim(self) -> int:
         return len(self.class_basis)
 
-    def zero_class(self) -> "HomClass":
-        return HomClass(self, (Q(0),) * self.dim())
-
     def elements(self) -> Tuple["HomClass", ...]:
         n = self.dim()
         return tuple(
@@ -271,9 +270,6 @@ class HomClass:
 
     space: HomSpace
     coords: Tuple[Q, ...]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
 
 @cache
@@ -328,23 +324,6 @@ def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
     if k == 1:
         return nw - r0
     return len(rows) - r0 - rank(RatMatrix.from_rows(_d_minus1(x, y)))
-
-
-@cache
-def identity_class(x: TwoTermComplex) -> HomClass:
-    """The identity chain map of X, reduced to the stored basis: a 1 at
-    the lazy path of each diagonal block."""
-    q = x.quiver
-    index = path_index(q)
-    vec: List[Q] = []
-    for vs in (x.deg0, x.deg_minus1):
-        blocks, n = _layout(q, vs, vs)
-        part = [Q(0)] * n
-        for j, i, _, off in blocks:
-            if j == i:
-                part[off + index[(vs[j], ())]] = Q(1)
-        vec += part
-    return hom_class_basis(x, x, 0).class_from_vector(vec)
 
 
 def compose(f: HomClass, g: HomClass) -> HomClass:

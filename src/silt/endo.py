@@ -5,15 +5,22 @@ assembled from the homotopy Hom spaces: e_i B e_j = Hom(T_j, T_i), with
 product x.y = x after y, so that End of the regular object recovers the
 path algebra with its original arrow directions.
 
-From the compositions of Hom classes we extract the Gabriel quiver
-(arrows i -> j are a basis of the (i,j) part of rad/rad^2), the value of
-every Gabriel path (its arrows composed in turn), a minimal generating
-set of relations (kernel of the induced map from the path algebra of the
-Gabriel quiver), and a canonical path-class basis with the coordinates
-of every path over it.  modules.bound_quiver_algebra, the builder that
-also gives the path algebra KQ, turns these into the algebra and its
-indecomposable projectives.  Also here: the blocks, as the vertex sets
-of the Gabriel quiver's components, and the integer Cartan rows.
+Every block e_i B e_j of a silted algebra of Dynkin type is at most
+one-dimensional, and e_i B e_i is the field; endomorphism_algebra checks
+this premise and raises otherwise.  hom_class_basis gives each Hom space
+a canonical basis class, so composing two of them gives one scalar
+(_product) per triple of summand complexes, cached across every T that
+contains them.  From these scalars alone we read off the Gabriel quiver
+(arrows i -> j are the non-zero blocks no product through a third
+summand reaches), the value of every Gabriel path (the product of the
+scalars along it), a minimal generating set of relations (kernel of the
+induced map from the path algebra of the Gabriel quiver), and per block
+the first path with a non-zero value as basis path, every other path's
+coordinate being its value over that one.  modules.bound_quiver_algebra,
+the builder that also gives the path algebra KQ, turns these into the
+algebra and its indecomposable projectives.  Also here: the blocks, as
+the vertex sets of the Gabriel quiver's components, and the integer
+Cartan rows.
 """
 
 from __future__ import annotations
@@ -23,16 +30,15 @@ from fractions import Fraction as Q
 from functools import cache
 from typing import Dict, Iterable, List, Tuple
 
-from .complexes import HomClass, compose, hom_class_basis, identity_class
+from .complexes import compose, hom_class_basis
 from .linalg import (
     RatMatrix,
     charpoly,
     kernel_basis,
-    pivot_columns,
     reduce_by_rref,
     row_space_rref,
 )
-from .modules import BoundQuiverAlgebra, bound_quiver_algebra
+from .modules import BoundQuiverAlgebra, TwoTermComplex, bound_quiver_algebra
 from .quivers import (
     Arrow,
     PathVector,
@@ -46,6 +52,18 @@ from .silting import SiltingObject, is_presilting, summand_complex
 
 
 @cache
+def _product(x: TwoTermComplex, y: TwoTermComplex, z: TwoTermComplex) -> Q:
+    """The scalar c with (basis class of Hom(Y, Z)) after (basis class of
+    Hom(X, Y)) = c * (basis class of Hom(X, Z)), for three one-dimensional
+    Hom spaces.  The bases are canonical, so c depends on the triple alone
+    and serves every End(T) that has X, Y and Z among its summands."""
+    (f,) = hom_class_basis(x, y, 0).elements()
+    (g,) = hom_class_basis(y, z, 0).elements()
+    (c,) = compose(f, g).coords
+    return c
+
+
+@cache
 def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
     """End(T) of a silting object as a bound quiver algebra."""
     label = t.label()
@@ -55,86 +73,69 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
         )
     if not is_presilting(q, t.summands):
         raise ValueError(f"{label}: the given object is not silting")
+
+    def failed(check: str) -> RuntimeError:
+        return RuntimeError(f"{label}: assembly: {check}")
+
     n = len(t.summands)
     cx = [summand_complex(q, s) for s in t.summands]
-    spaces = {
-        (i, j): hom_class_basis(cx[j], cx[i], 0)
+    # dims[i][j] = dim e_i B e_j = dim Hom(T_j, T_i), checked to be 0 or 1
+    dims = [
+        [hom_class_basis(cx[j], cx[i], 0).dim() for j in range(n)]
+        for i in range(n)
+    ]
+    for i in range(n):
+        for j in range(n):
+            expected = (1,) if i == j else (0, 1)
+            if dims[i][j] not in expected:
+                raise failed(
+                    f"Hom({t.summands[j].label()}, {t.summands[i].label()}) "
+                    f"has dimension {dims[i][j]}, expected "
+                    + " or ".join(map(str, expected))
+                )
+    dim_b = sum(map(sum, dims))
+
+    def scalar(i: int, k: int, j: int) -> Q:
+        """e_ik . e_kj over e_ij, the composite T_j -> T_k -> T_i."""
+        return _product(cx[j], cx[k], cx[i])
+
+    # Gabriel arrows: the non-zero blocks no product through a third
+    # summand reaches
+    pairs = [
+        (i, j)
         for i in range(n)
         for j in range(n)
-    }
-    idents = [identity_class(c) for c in cx]
-    for i in range(n):
-        if spaces[(i, i)].dim() != 1:
-            raise RuntimeError(
-                f"{label}: summand {t.summands[i].label()} has endomorphism "
-                f"ring of dimension {spaces[(i, i)].dim()}, expected 1"
-            )
-        if idents[i].is_zero():
-            raise RuntimeError(f"{label}: identity collapsed to zero")
-
-    # homotopy-class basis of B, diagonal blocks holding the identities
-    block_elems: Dict[Tuple[int, int], Tuple[HomClass, ...]] = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                block_elems[(i, j)] = (idents[i],)
-            else:
-                block_elems[(i, j)] = spaces[(i, j)].elements()
-    dim_b = sum(len(e) for e in block_elems.values())
-
-    def block_coords(i: int, j: int, cls: HomClass) -> List[Q]:
-        if i == j:
-            return [cls.coords[0] / idents[i].coords[0]]
-        return list(cls.coords)
-
-    # Gabriel arrows: complements of rad^2 inside each off-diagonal block
-    arrow_payload: List[Tuple[int, int, int]] = []  # (i, j, coord in block)
-    arrows: List[Arrow] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            bd = len(block_elems[(i, j)])
-            if bd == 0:
-                continue
-            sq: List[List[Q]] = []
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                for f in block_elems[(i, k)]:
-                    for g in block_elems[(k, j)]:
-                        prod = compose(g, f)
-                        sq.append(block_coords(i, j, prod))
-            pivots = pivot_columns(row_space_rref(sq))
-            for c in range(bd):
-                if c not in pivots:
-                    arrow_payload.append((i, j, c))
-    for num, (i, j, _) in enumerate(arrow_payload, start=1):
-        arrows.append(Arrow(f"a{num}", i + 1, j + 1))
+        if i != j
+        and dims[i][j]
+        and not any(
+            dims[i][k] and dims[k][j] and scalar(i, k, j)
+            for k in range(n)
+            if k not in (i, j)
+        )
+    ]
+    arrows = [
+        Arrow(f"a{num}", i + 1, j + 1) for num, (i, j) in enumerate(pairs, 1)
+    ]
+    ends = {a.id: (a.source - 1, a.target - 1) for a in arrows}
     gq = Quiver(tuple(range(1, n + 1)), tuple(arrows))
-    arrow_class = {
-        a.id: block_elems[(i, j)][c]
-        for (i, j, c), a in zip(arrow_payload, arrows)
-    }
-
     pb = paths_between(gq)
     index = path_index(gq)
 
     @cache
-    def path_class(source: int, arrow_ids: Tuple[str, ...]) -> HomClass:
-        """The path's value in B: its arrows composed in turn."""
-        if not arrow_ids:
-            return idents[source - 1]
-        head = path_class(source, arrow_ids[:-1])
-        return compose(arrow_class[arrow_ids[-1]], head)
+    def value(source: int, arrow_ids: Tuple[str, ...]) -> Q:
+        """The path's value over its block's basis class: an arrow is the
+        basis class, and each further arrow multiplies by a scalar.  The
+        Gabriel quiver is acyclic, so only the lazy path ends at its
+        source, with the identity as value."""
+        if len(arrow_ids) < 2:
+            return Q(1)
+        head = value(source, arrow_ids[:-1])
+        i, (k, j) = source - 1, ends[arrow_ids[-1]]
+        if head == 0 or not dims[i][j]:
+            return Q(0)
+        return head * scalar(i, k, j)
 
-    def path_value(
-        source: int, target: int, arrow_ids: Tuple[str, ...]
-    ) -> List[Q]:
-        cls = path_class(source, arrow_ids)
-        return block_coords(source - 1, target - 1, cls)
-
-    # relations: per vertex pair, the left kernel of path evaluation
+    # relations: per vertex pair, the kernel of path evaluation
     relations: List[PathVector] = []
     kernels: Dict[Tuple[int, int], List[List[Q]]] = {}
     quotient_dim = 0
@@ -144,9 +145,9 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
             if not paths:
                 kernels[(i, j)] = []
                 continue
-            if block_elems[(i, j)]:
-                rows = [path_value(i + 1, j + 1, p.arrows) for p in paths]
-                ker = kernel_basis(RatMatrix.from_rows(rows).transpose())
+            if dims[i][j]:
+                row = [value(i + 1, p.arrows) for p in paths]
+                ker = kernel_basis(RatMatrix.from_rows([row]))
             else:
                 ker = [
                     [Q(1) if r == s else Q(0) for r in range(len(paths))]
@@ -155,9 +156,8 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
             kernels[(i, j)] = row_space_rref(ker)
             quotient_dim += len(paths) - len(kernels[(i, j)])
     if quotient_dim != dim_b:
-        raise RuntimeError(
-            f"{label}: path algebra modulo relations does not match End(T) "
-            "dimension"
+        raise failed(
+            "path algebra modulo relations does not match End(T) dimension"
         )
 
     # minimal generators: kernel modulo (arrow ideal . kernel + kernel . arrow ideal)
@@ -189,53 +189,32 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
             reduced = [reduce_by_rref(u, s_rref) for u in ker]
             gens = row_space_rref(reduced)
             if len(gens) != len(ker) - len(s_rref):
-                raise RuntimeError(
-                    f"{label}: relation generators are not independent"
-                )
+                raise failed("relation generators are not independent")
             for g in gens:
                 terms = {
                     paths[t].arrows: c for t, c in enumerate(g) if c != 0
                 }
                 if any(len(arrs) < 2 for arrs in terms):
-                    raise RuntimeError(
-                        f"{label}: relation ideal is not admissible "
-                        "(short paths)"
+                    raise failed(
+                        "relation ideal is not admissible (short paths)"
                     )
                 relations.append(PathVector.make(i + 1, j + 1, terms))
 
-    # canonical path-class basis per block, and the inverse of its values
-    chosen: Dict[Tuple[int, int], List[Tuple[str, ...]]] = {}
-    to_chosen: Dict[Tuple[int, int], List[List[Q]]] = {}
-    for i in range(n):
-        for j in range(n):
-            bd = len(block_elems[(i, j)])
-            kept: List[List[Q]] = []
-            paths_ij: List[Tuple[str, ...]] = []
-            values: List[List[Q]] = []
-            for p in pb[(i + 1, j + 1)] if bd else ():
-                vec = path_value(i + 1, j + 1, p.arrows)
-                if any(reduce_by_rref(vec, kept)):
-                    kept = row_space_rref(kept + [vec])
-                    paths_ij.append(p.arrows)
-                    values.append(vec)
-            if len(values) != bd:
-                raise RuntimeError(f"{label}: path-class basis has wrong size")
-            chosen[(i + 1, j + 1)] = paths_ij
-            if bd:
-                to_chosen[(i + 1, j + 1)] = (
-                    RatMatrix.from_rows(values).inverse().to_rows()
-                )
+    # basis path of a block: its first path with a non-zero value, which
+    # exists exactly when the block is non-zero, by the dimension check
+    chosen = {
+        (v, u): [p.arrows for p in paths if value(v, p.arrows)][:1]
+        for (v, u), paths in pb.items()
+    }
 
     def basis_coords(
         source: int, target: int, arrow_ids: Tuple[str, ...]
     ) -> List[Q]:
-        """Coordinates of a path's value over the chosen basis paths."""
-        vec = path_value(source, target, arrow_ids)
-        coords = [Q(0)] * len(vec)
-        for c, inv_row in zip(vec, to_chosen.get((source, target), ())):
-            if c != 0:
-                coords = [a + c * b for a, b in zip(coords, inv_row)]
-        return coords
+        """Coordinates of a path's value over the chosen basis path."""
+        return [
+            value(source, arrow_ids) / value(source, p)
+            for p in chosen[(source, target)]
+        ]
 
     return bound_quiver_algebra(gq, relations, chosen, basis_coords)
 

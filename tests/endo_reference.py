@@ -1,0 +1,223 @@
+"""End(T) assembled with every block e_i B e_j as a vector space: the
+reference that silt.endo's one-scalar-per-triple assembly is tested
+against.
+
+Each block keeps its Hom-class basis.  The Gabriel arrows are the
+complement of the span of products through a third summand, found by
+row reduction; every Gabriel path is evaluated by composing its arrows'
+classes in turn; the basis paths of a block are chosen by row reduction
+and their values inverted once per block to give path coordinates.
+"""
+
+from fractions import Fraction as Q
+from functools import cache
+from typing import Dict, List, Tuple
+
+from path_vector_maps import identity_reference
+from silt.complexes import HomClass, compose, hom_class_basis
+from silt.linalg import (
+    RatMatrix,
+    kernel_basis,
+    pivot_columns,
+    reduce_by_rref,
+    row_space_rref,
+)
+from silt.modules import BoundQuiverAlgebra, bound_quiver_algebra
+from silt.quivers import Arrow, PathVector, Quiver, path_index, paths_between
+from silt.silting import SiltingObject, is_presilting, summand_complex
+
+
+def endomorphism_algebra_reference(
+    q: Quiver, t: SiltingObject
+) -> BoundQuiverAlgebra:
+    """End(T) of a silting object, every block a vector space."""
+    label = t.label()
+    if t.quiver != q:
+        raise ValueError(
+            f"{label}: silting object lives over a different quiver"
+        )
+    if not is_presilting(q, t.summands):
+        raise ValueError(f"{label}: the given object is not silting")
+    n = len(t.summands)
+    cx = [summand_complex(q, s) for s in t.summands]
+    spaces = {
+        (i, j): hom_class_basis(cx[j], cx[i], 0)
+        for i in range(n)
+        for j in range(n)
+    }
+    idents = [identity_reference(c) for c in cx]
+    for i in range(n):
+        if spaces[(i, i)].dim() != 1:
+            raise RuntimeError(
+                f"{label}: summand {t.summands[i].label()} has endomorphism "
+                f"ring of dimension {spaces[(i, i)].dim()}, expected 1"
+            )
+        if not any(idents[i].coords):
+            raise RuntimeError(f"{label}: identity collapsed to zero")
+
+    # homotopy-class basis of B, diagonal blocks holding the identities
+    block_elems: Dict[Tuple[int, int], Tuple[HomClass, ...]] = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                block_elems[(i, j)] = (idents[i],)
+            else:
+                block_elems[(i, j)] = spaces[(i, j)].elements()
+    dim_b = sum(len(e) for e in block_elems.values())
+
+    def block_coords(i: int, j: int, cls: HomClass) -> List[Q]:
+        if i == j:
+            return [cls.coords[0] / idents[i].coords[0]]
+        return list(cls.coords)
+
+    # Gabriel arrows: complements of rad^2 inside each off-diagonal block
+    arrow_payload: List[Tuple[int, int, int]] = []  # (i, j, coord in block)
+    arrows: List[Arrow] = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            bd = len(block_elems[(i, j)])
+            if bd == 0:
+                continue
+            sq: List[List[Q]] = []
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                for f in block_elems[(i, k)]:
+                    for g in block_elems[(k, j)]:
+                        prod = compose(g, f)
+                        sq.append(block_coords(i, j, prod))
+            pivots = pivot_columns(row_space_rref(sq))
+            for c in range(bd):
+                if c not in pivots:
+                    arrow_payload.append((i, j, c))
+    for num, (i, j, _) in enumerate(arrow_payload, start=1):
+        arrows.append(Arrow(f"a{num}", i + 1, j + 1))
+    gq = Quiver(tuple(range(1, n + 1)), tuple(arrows))
+    arrow_class = {
+        a.id: block_elems[(i, j)][c]
+        for (i, j, c), a in zip(arrow_payload, arrows)
+    }
+
+    pb = paths_between(gq)
+    index = path_index(gq)
+
+    @cache
+    def path_class(source: int, arrow_ids: Tuple[str, ...]) -> HomClass:
+        """The path's value in B: its arrows composed in turn."""
+        if not arrow_ids:
+            return idents[source - 1]
+        head = path_class(source, arrow_ids[:-1])
+        return compose(arrow_class[arrow_ids[-1]], head)
+
+    def path_value(
+        source: int, target: int, arrow_ids: Tuple[str, ...]
+    ) -> List[Q]:
+        cls = path_class(source, arrow_ids)
+        return block_coords(source - 1, target - 1, cls)
+
+    # relations: per vertex pair, the left kernel of path evaluation
+    relations: List[PathVector] = []
+    kernels: Dict[Tuple[int, int], List[List[Q]]] = {}
+    quotient_dim = 0
+    for i in range(n):
+        for j in range(n):
+            paths = pb[(i + 1, j + 1)]
+            if not paths:
+                kernels[(i, j)] = []
+                continue
+            if block_elems[(i, j)]:
+                rows = [path_value(i + 1, j + 1, p.arrows) for p in paths]
+                ker = kernel_basis(RatMatrix.from_rows(rows).transpose())
+            else:
+                ker = [
+                    [Q(1) if r == s else Q(0) for r in range(len(paths))]
+                    for s in range(len(paths))
+                ]
+            kernels[(i, j)] = row_space_rref(ker)
+            quotient_dim += len(paths) - len(kernels[(i, j)])
+    if quotient_dim != dim_b:
+        raise RuntimeError(
+            f"{label}: path algebra modulo relations does not match End(T) "
+            "dimension"
+        )
+
+    # minimal generators: kernel modulo (arrow ideal . kernel + kernel . arrow ideal)
+    for i in range(n):
+        for j in range(n):
+            ker = kernels[(i, j)]
+            if not ker:
+                continue
+            paths = pb[(i + 1, j + 1)]
+            span: List[List[Q]] = []
+            for a in gq.arrows:
+                if a.source == i + 1:
+                    inner = kernels[(a.target - 1, j)]
+                    inner_paths = pb[(a.target, j + 1)]
+                    for u in inner:
+                        vec = [Q(0)] * len(paths)
+                        for t, p in enumerate(inner_paths):
+                            vec[index[(i + 1, (a.id,) + p.arrows)]] = u[t]
+                        span.append(vec)
+                if a.target == j + 1:
+                    inner = kernels[(i, a.source - 1)]
+                    inner_paths = pb[(i + 1, a.source)]
+                    for u in inner:
+                        vec = [Q(0)] * len(paths)
+                        for t, p in enumerate(inner_paths):
+                            vec[index[(i + 1, p.arrows + (a.id,))]] = u[t]
+                        span.append(vec)
+            s_rref = row_space_rref(span)
+            reduced = [reduce_by_rref(u, s_rref) for u in ker]
+            gens = row_space_rref(reduced)
+            if len(gens) != len(ker) - len(s_rref):
+                raise RuntimeError(
+                    f"{label}: relation generators are not independent"
+                )
+            for g in gens:
+                terms = {
+                    paths[t].arrows: c for t, c in enumerate(g) if c != 0
+                }
+                if any(len(arrs) < 2 for arrs in terms):
+                    raise RuntimeError(
+                        f"{label}: relation ideal is not admissible "
+                        "(short paths)"
+                    )
+                relations.append(PathVector.make(i + 1, j + 1, terms))
+
+    # canonical path-class basis per block, and the inverse of its values
+    chosen: Dict[Tuple[int, int], List[Tuple[str, ...]]] = {}
+    to_chosen: Dict[Tuple[int, int], List[List[Q]]] = {}
+    for i in range(n):
+        for j in range(n):
+            bd = len(block_elems[(i, j)])
+            kept: List[List[Q]] = []
+            paths_ij: List[Tuple[str, ...]] = []
+            values: List[List[Q]] = []
+            for p in pb[(i + 1, j + 1)] if bd else ():
+                vec = path_value(i + 1, j + 1, p.arrows)
+                if any(reduce_by_rref(vec, kept)):
+                    kept = row_space_rref(kept + [vec])
+                    paths_ij.append(p.arrows)
+                    values.append(vec)
+            if len(values) != bd:
+                raise RuntimeError(f"{label}: path-class basis has wrong size")
+            chosen[(i + 1, j + 1)] = paths_ij
+            if bd:
+                to_chosen[(i + 1, j + 1)] = (
+                    RatMatrix.from_rows(values).inverse().to_rows()
+                )
+
+    def basis_coords(
+        source: int, target: int, arrow_ids: Tuple[str, ...]
+    ) -> List[Q]:
+        """Coordinates of a path's value over the chosen basis paths."""
+        vec = path_value(source, target, arrow_ids)
+        coords = [Q(0)] * len(vec)
+        for c, inv_row in zip(vec, to_chosen.get((source, target), ())):
+            if c != 0:
+                coords = [a + c * b for a, b in zip(coords, inv_row)]
+        return coords
+
+    return bound_quiver_algebra(gq, relations, chosen, basis_coords)

@@ -21,6 +21,7 @@ from silt.quivers import parse_quiver
 from silt.modules import ar_quiver_mod
 from silt.silting import silting_alg2
 import silt.classify as classify_mod
+import silt.endo as endo_mod
 from silt.classify import (
     _simple_resolutions,
     classify,
@@ -189,6 +190,30 @@ def test_resolution_cap_error_names_the_silting_object(
     assert rc == 1
     assert out == ""
     assert f": {first.label()}: resolutions: resolution of the simple" in err
+
+
+def test_assembly_error_names_the_silting_object_and_stage(
+    monkeypatch, capsys, tmp_path
+):
+    # another relabelled A2, so that no End(T) is cached for it
+    path = tmp_path / "a2_relabelled.quiver"
+    path.write_text("vertices 31 32\narrow w:31->32\n")
+    first = silting_alg2(parse_quiver(path.read_text()))[0]
+
+    class TwoDimensional:
+        def dim(self):
+            return 2
+
+    monkeypatch.setattr(
+        endo_mod, "hom_class_basis", lambda x, y, k: TwoDimensional()
+    )
+    rc, out, err = run_cli(capsys, "classify", str(path))
+    assert rc == 1
+    assert out == ""
+    assert (
+        f"classify {path}: internal check failed: {first.label()}: "
+        "assembly: Hom(" in err
+    )
 
 
 # --- silting command ---
