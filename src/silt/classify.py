@@ -1,15 +1,23 @@
 """Homological classification of silted algebras.
 
-Each endomorphism algebra is probed through minimal projective
-resolutions of its simple modules, computed by modules.minimal_resolution
-(projective cover, then kernel, repeated), the same loop that gives the
-minimal presentations over KQ.  The resolution stages take a
-BoundQuiverAlgebra, so they run unchanged on KQ itself
-(modules.path_algebra).
-classify resolves the simples of End(T) once and reads every block off
-that one pass: the blocks are vertex sets (endo.blocks), a block's
-global dimension is the largest projective dimension of its simples,
-and its Cartan rows are those of End(T) restricted to its vertices.
+A silted algebra B = End(T) has global dimension at most 3 (Buan-Zhou,
+Silted algebras, 2016), and classify reads its homology off integer data
+that End(T) assembly already holds (`homology`): dim Ext^1(S_i, S_j) is
+the number of Gabriel arrows i -> j, dim Ext^2(S_i, S_j) the number of
+minimal relations i -> j (Bongartz, Algebras and quadratic forms, 1983),
+and sum_k (-1)^k dim Ext^k(S_i, S_j) is the entry (i, j) of the inverse
+Cartan matrix, which leaves Ext^3.  A simple's projective dimension is
+the largest k with Ext^k(S_i, -) non-zero.
+Minimal projective resolutions of the simples, computed by
+modules.minimal_resolution (projective cover, then kernel, repeated),
+the same loop that gives the minimal presentations over KQ, are the
+oracle for this: `check_homology` compares the two and checks the
+premise gl.dim <= 3 (classify --oracle).  Both take a BoundQuiverAlgebra,
+so they run unchanged on KQ itself (modules.path_algebra).
+classify reads every block off End(T) in one pass: the blocks are vertex
+sets (endo.blocks), a block's global dimension is the largest projective
+dimension of its simples, and its Cartan rows are those of End(T)
+restricted to its vertices.
 Blocks with global dimension at most 2 are tilted and get a Dynkin type
 from a Coxeter-polynomial reference table; blocks of global dimension
 exactly 3 are strictly shod.  A permutation-invariant fingerprint groups
@@ -20,7 +28,6 @@ visiting only the permutations that minimise the arrow counts, one per
 automorphism of the Gabriel quiver; a quiver with no arrows is the worst
 case, with all n! of them.
 """
-
 from __future__ import annotations
 
 import csv
@@ -31,6 +38,7 @@ from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .endo import blocks, cartan_data, coxeter_polynomial, endomorphism_algebra
+from .linalg import integer_solve
 from .modules import (
     BoundQuiverAlgebra,
     minimal_resolution,
@@ -87,6 +95,79 @@ def ext_matrix(b: BoundQuiverAlgebra, k: int) -> Tuple[Tuple[int, ...], ...]:
         )
         for i in range(n)
     )
+
+
+# --- Ext and projective dimensions off the presentation ---
+
+Matrix = Tuple[Tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
+class Homology:
+    """dim Ext^k(S_i, S_j) for k = 1, 2, 3 and (v, pd S_v), in the order
+    of the Gabriel quiver's vertices."""
+
+    ext1: Matrix
+    ext2: Matrix
+    ext3: Matrix
+    pds: Tuple[Tuple[int, int], ...]
+
+
+def homology(b: BoundQuiverAlgebra) -> Homology:
+    """Ext between the simples of a silted algebra and their pds, read off
+    its arrows, its minimal relations and its integer inverse Cartan
+    matrix C^-1, with Ext^3 = delta - Ext^1 + Ext^2 - C^-1.
+
+    This needs gl.dim <= 3, which check_homology verifies.  A negative
+    Ext^3 entry or a C^-1 that is not integral raises RuntimeError.
+    """
+    verts = b.gabriel.vertices
+    n = len(verts)
+    ix = {v: i for i, v in enumerate(verts)}
+    ext1 = [[0] * n for _ in range(n)]
+    for a in b.gabriel.arrows:
+        ext1[ix[a.source]][ix[a.target]] += 1
+    ext2 = [[0] * n for _ in range(n)]
+    for r in b.relations:
+        ext2[ix[r.source]][ix[r.target]] += 1
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = integer_solve(cartan_data(b), unit, "inverse Cartan matrix")
+    ext3 = [
+        [unit[i][j] - ext1[i][j] + ext2[i][j] - inv[i][j] for j in range(n)]
+        for i in range(n)
+    ]
+    for u, row in zip(verts, ext3):
+        for v, e in zip(verts, row):
+            if e < 0:
+                raise RuntimeError(f"Ext^3(S_{u}, S_{v}) = {e} is negative")
+    mats = (ext1, ext2, ext3)
+    pds = tuple(
+        (v, max([k for k, m in enumerate(mats, 1) if any(m[i])], default=0))
+        for i, v in enumerate(verts)
+    )
+    return Homology(*(tuple(map(tuple, m)) for m in mats), pds)
+
+
+def check_homology(b: BoundQuiverAlgebra) -> None:
+    """The oracle for `homology`: the minimal resolutions of the simples
+    must give gl.dim <= 3, the same Ext^1, Ext^2, Ext^3 and the same pds."""
+    g = global_dimension(b)
+    if g > 3:
+        raise RuntimeError(
+            f"global dimension {g} is outside the silted range 0..3"
+        )
+    h = homology(b)
+    for k, m in enumerate((h.ext1, h.ext2, h.ext3), 1):
+        if m != ext_matrix(b, k):
+            raise RuntimeError(
+                f"Ext^{k} from the presentation {m} differs from the "
+                f"resolutions {ext_matrix(b, k)}"
+            )
+    if h.pds != projective_dimension_of_simples(b):
+        raise RuntimeError(
+            f"pds from the presentation {h.pds} differ from the resolutions "
+            f"{projective_dimension_of_simples(b)}"
+        )
 
 
 # --- tilted type via Coxeter polynomials ---
@@ -217,18 +298,13 @@ def fingerprint(b: BoundQuiverAlgebra) -> Tuple:
     the permutations that minimise the arrow counts, at most n! when the
     Gabriel quiver has no arrows.
     """
-    verts = b.gabriel.vertices
-    n = len(verts)
-    ix = {v: i for i, v in enumerate(verts)}
-    adj = [[0] * n for _ in range(n)]
-    for a in b.gabriel.arrows:
-        adj[ix[a.source]][ix[a.target]] += 1
+    h = homology(b)
     least, _ = least_relabelling(
-        adj,
-        ([p.dims for p in b.projectives], ext_matrix(b, 1), ext_matrix(b, 2)),
-        [pd for _, pd in projective_dimension_of_simples(b)],
+        h.ext1,
+        (cartan_data(b), h.ext1, h.ext2),
+        [pd for _, pd in h.pds],
     )
-    return (n, b.dimension) + least
+    return (len(b.gabriel.vertices), b.dimension) + least
 
 
 @contextmanager
@@ -245,13 +321,14 @@ def _stage(prefix: str):
 def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
     """Tilted-or-strictly-shod verdict for End(T), block by block.
 
-    The simples are resolved once over the whole algebra: a block's
+    The pds of the simples are read once off End(T)'s presentation and
+    its Cartan matrix (`homology`); no simple is resolved.  A block's
     global dimension is the largest pd of its simples, and its Cartan
     rows are those of End(T) restricted to its vertices.
     """
     b = endomorphism_algebra(q, t)
-    with _stage(f"{t.label()}: resolutions"):
-        pds = dict(projective_dimension_of_simples(b))
+    with _stage(f"{t.label()}: ext"):
+        pds = dict(homology(b).pds)
     cart = cartan_data(b)
     ix = {v: i for i, v in enumerate(b.gabriel.vertices)}
     verdicts: List[BlockVerdict] = []
@@ -267,14 +344,9 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
                 dt = tilted_type(rows)
             verdicts.append(BlockVerdict(verts, g, "tilted", dt))
             comps.extend(dt.components)
-        elif g == 3:
+        else:  # homology gives no pd above 3
             all_tilted = False
             verdicts.append(BlockVerdict(verts, g, "strictly_shod", None))
-        else:
-            raise RuntimeError(
-                f"{t.label()}: global dimension: {g} is outside the "
-                "silted range 0..3"
-            )
     label = (
         DynkinType.of(comps).label() if all_tilted else "strictly shod"
     )

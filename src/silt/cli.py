@@ -31,6 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .classify import (
     _stage,
+    check_homology,
     classify,
     dedupe,
     ext_matrix,
@@ -219,7 +220,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check the enumeration against brute force",
+        help=(
+            "cross-check the enumeration against brute force, and each "
+            "End(T)'s Ext and projective dimensions against minimal "
+            "resolutions of its simples (gl.dim <= 3)"
+        ),
     )
     add_common(p_cl)
 
@@ -452,6 +457,10 @@ def cmd_classify(args) -> str:
         q, silting_alg2, silting_bruteforce, "silting", args.oracle
     )
     records = [classify(q, t) for t in objs]
+    if args.oracle:
+        for r in records:
+            with _stage(f"{r.silting.label()}: oracle"):
+                check_homology(r.algebra)
     groups = dedupe(records)
     return _render_classification(q, records, groups, args.format)
 
@@ -479,137 +488,169 @@ def _suite_rows() -> List[SuiteRow]:
         )
 
     # 1: enumeration counts
-    for name, q in quivers.items():
-        add(1, f"silting count {name}", EXPECTED_SILTING[name], len(silting_alg2(q)))
-        add(
-            1,
-            f"tilting count {name}",
-            EXPECTED_TILTING[name],
-            len(tilting_modules_alg1(q)),
-        )
+    with _stage("criterion 1"):
+        for name, q in quivers.items():
+            add(
+                1,
+                f"silting count {name}",
+                EXPECTED_SILTING[name],
+                len(silting_alg2(q)),
+            )
+            add(
+                1,
+                f"tilting count {name}",
+                EXPECTED_TILTING[name],
+                len(tilting_modules_alg1(q)),
+            )
 
     # 2: classification class counts
-    for name, q in quivers.items():
-        records = [classify(q, t) for t in silting_alg2(q)]
-        records_by_name[name] = records
-        groups = dedupe(records)
-        groups_by_name[name] = groups
-        if name in EXPECTED_CLASSES:
-            add(2, f"class count {name}", EXPECTED_CLASSES[name], len(groups))
-        fams = _family_counts(groups)
-        for lbl, cnt in EXPECTED_FAMILY_SPLITS.get(name, {}).items():
-            add(2, f"classes {name} {lbl}", cnt, fams.get(lbl, 0))
-        if name in EXPECTED_STRICTLY_SHOD:
-            shod = sum(1 for g in groups if not g[0].is_tilted)
-            add(
-                2,
-                f"strictly shod count {name}",
-                EXPECTED_STRICTLY_SHOD[name],
-                shod,
-            )
+    with _stage("criterion 2"):
+        for name, q in quivers.items():
+            records = [classify(q, t) for t in silting_alg2(q)]
+            records_by_name[name] = records
+            groups = dedupe(records)
+            groups_by_name[name] = groups
+            if name in EXPECTED_CLASSES:
+                add(
+                    2,
+                    f"class count {name}",
+                    EXPECTED_CLASSES[name],
+                    len(groups),
+                )
+            fams = _family_counts(groups)
+            for lbl, cnt in EXPECTED_FAMILY_SPLITS.get(name, {}).items():
+                add(2, f"classes {name} {lbl}", cnt, fams.get(lbl, 0))
+            if name in EXPECTED_STRICTLY_SHOD:
+                shod = sum(1 for g in groups if not g[0].is_tilted)
+                add(
+                    2,
+                    f"strictly shod count {name}",
+                    EXPECTED_STRICTLY_SHOD[name],
+                    shod,
+                )
 
     # 3: strictly shod algebra structure
-    for label, name, arrows, rels in STRICTLY_SHOD_PRESENTATIONS:
-        shod_groups = [g for g in groups_by_name[name] if not g[0].is_tilted]
-        matching = [
-            g
-            for g in shod_groups
-            if matches_presentation(g[0].algebra, arrows, rels)
-            and all(bv.gl_dim == 3 for bv in g[0].block_verdicts)
-        ]
-        add(3, f"{label} structure in {name}", 1, len(matching))
+    with _stage("criterion 3"):
+        for label, name, arrows, rels in STRICTLY_SHOD_PRESENTATIONS:
+            shod_groups = [
+                g for g in groups_by_name[name] if not g[0].is_tilted
+            ]
+            matching = [
+                g
+                for g in shod_groups
+                if matches_presentation(g[0].algebra, arrows, rels)
+                and all(bv.gl_dim == 3 for bv in g[0].block_verdicts)
+            ]
+            add(3, f"{label} structure in {name}", 1, len(matching))
 
     # 4: oracle equivalence
-    for name, q in quivers.items():
-        t_ok = set(tilting_modules_alg1(q)) == set(tilting_modules_bruteforce(q))
-        s_ok = set(silting_alg2(q)) == set(silting_bruteforce(q))
-        add(4, f"tilting oracle {name}", "equal", "equal" if t_ok else "differs")
-        add(4, f"silting oracle {name}", "equal", "equal" if s_ok else "differs")
+    with _stage("criterion 4"):
+        for name, q in quivers.items():
+            t_ok = set(tilting_modules_alg1(q)) == set(
+                tilting_modules_bruteforce(q)
+            )
+            s_ok = set(silting_alg2(q)) == set(silting_bruteforce(q))
+            add(
+                4,
+                f"tilting oracle {name}",
+                "equal",
+                "equal" if t_ok else "differs",
+            )
+            add(
+                4,
+                f"silting oracle {name}",
+                "equal",
+                "equal" if s_ok else "differs",
+            )
 
     # 5: homological invariants
-    for name, q in quivers.items():
-        inds = indecomposables(q)
-        reps = {d: build_representation(q, d) for d in inds}
-        projs = set(projective_dim_vectors(q))
-        bad_euler = sum(
-            1
-            for d in inds
-            for e in inds
-            if hom_dim(q, reps[d], reps[e]) - ext1_dim(q, reps[d], reps[e])
-            != euler_form(q, d, e)
-        )
-        add(5, f"euler identity {name}", 0, bad_euler)
-        bad_ar = 0
-        bad_tau = 0
-        for d in inds:
-            if d in projs:
-                continue
-            td = tau(q, d)
-            if td != tau_nakayama(q, d):
-                bad_tau += 1
-            for e in inds:
-                if ext1_dim(q, reps[d], reps[e]) != hom_dim(
-                    q, reps[e], reps[td]
-                ):
-                    bad_ar += 1
-        add(5, f"ar formula {name}", 0, bad_ar)
-        add(5, f"tau agreement {name}", 0, bad_tau)
-        bad_dim = 0
-        bad_ext = 0
-        for t in silting_alg2(q):
-            b = endomorphism_algebra(q, t)
-            cx = [summand_complex(q, s) for s in t.summands]
-            total = sum(
-                hom_class_dim(x, y, 0) for x in cx for y in cx
+    with _stage("criterion 5"):
+        for name, q in quivers.items():
+            inds = indecomposables(q)
+            reps = {d: build_representation(q, d) for d in inds}
+            projs = set(projective_dim_vectors(q))
+            bad_euler = sum(
+                1
+                for d in inds
+                for e in inds
+                if hom_dim(q, reps[d], reps[e]) - ext1_dim(q, reps[d], reps[e])
+                != euler_form(q, d, e)
             )
-            if b.dimension != total:
-                bad_dim += 1
-            verts = b.gabriel.vertices
-            n = len(verts)
-            ix = {v: i for i, v in enumerate(verts)}
-            a_count = [[0] * n for _ in range(n)]
-            for a in b.gabriel.arrows:
-                a_count[ix[a.source]][ix[a.target]] += 1
-            r_count = [[0] * n for _ in range(n)]
-            for r in b.relations:
-                r_count[ix[r.source]][ix[r.target]] += 1
-            if tuple(tuple(r) for r in a_count) != ext_matrix(b, 1) or tuple(
-                tuple(r) for r in r_count
-            ) != ext_matrix(b, 2):
-                bad_ext += 1
-        add(5, f"endo dimension {name}", 0, bad_dim)
-        add(5, f"ext matrices {name}", 0, bad_ext)
+            add(5, f"euler identity {name}", 0, bad_euler)
+            bad_ar = 0
+            bad_tau = 0
+            for d in inds:
+                if d in projs:
+                    continue
+                td = tau(q, d)
+                if td != tau_nakayama(q, d):
+                    bad_tau += 1
+                for e in inds:
+                    if ext1_dim(q, reps[d], reps[e]) != hom_dim(
+                        q, reps[e], reps[td]
+                    ):
+                        bad_ar += 1
+            add(5, f"ar formula {name}", 0, bad_ar)
+            add(5, f"tau agreement {name}", 0, bad_tau)
+            bad_dim = 0
+            bad_ext = 0
+            for t in silting_alg2(q):
+                b = endomorphism_algebra(q, t)
+                cx = [summand_complex(q, s) for s in t.summands]
+                total = sum(
+                    hom_class_dim(x, y, 0) for x in cx for y in cx
+                )
+                if b.dimension != total:
+                    bad_dim += 1
+                verts = b.gabriel.vertices
+                n = len(verts)
+                ix = {v: i for i, v in enumerate(verts)}
+                a_count = [[0] * n for _ in range(n)]
+                for a in b.gabriel.arrows:
+                    a_count[ix[a.source]][ix[a.target]] += 1
+                r_count = [[0] * n for _ in range(n)]
+                for r in b.relations:
+                    r_count[ix[r.source]][ix[r.target]] += 1
+                if (
+                    tuple(tuple(r) for r in a_count) != ext_matrix(b, 1)
+                    or tuple(tuple(r) for r in r_count) != ext_matrix(b, 2)
+                ):
+                    bad_ext += 1
+            add(5, f"endo dimension {name}", 0, bad_dim)
+            add(5, f"ext matrices {name}", 0, bad_ext)
 
     # 6: duality under quiver opposition
-    for name, q in quivers.items():
-        qop = opposite(q)
-        add(
-            6,
-            f"opposite silting count {name}",
-            len(silting_alg2(q)),
-            len(silting_alg2(qop)),
-        )
-        op_records = [classify(qop, t) for t in silting_alg2(qop)]
-        add(
-            6,
-            f"opposite class count {name}",
-            len(groups_by_name[name]),
-            len(dedupe(op_records)),
-        )
+    with _stage("criterion 6"):
+        for name, q in quivers.items():
+            qop = opposite(q)
+            add(
+                6,
+                f"opposite silting count {name}",
+                len(silting_alg2(q)),
+                len(silting_alg2(qop)),
+            )
+            op_records = [classify(qop, t) for t in silting_alg2(qop)]
+            add(
+                6,
+                f"opposite class count {name}",
+                len(groups_by_name[name]),
+                len(dedupe(op_records)),
+            )
 
     # 7: silting objects without shifts or without projective module
     # summands are tilted of the full quiver type
-    for name, q in quivers.items():
-        label_q = dynkin_type(q).label()
-        projs = set(projective_dim_vectors(q))
-        bad = 0
-        for t, rec in zip(silting_alg2(q), records_by_name[name]):
-            applies = not t.shifted_vertices or all(
-                d not in projs for d in t.module_dims
-            )
-            if applies and not (rec.is_tilted and rec.label == label_q):
-                bad += 1
-        add(7, f"unshifted or projective-free {name}", 0, bad)
+    with _stage("criterion 7"):
+        for name, q in quivers.items():
+            label_q = dynkin_type(q).label()
+            projs = set(projective_dim_vectors(q))
+            bad = 0
+            for t, rec in zip(silting_alg2(q), records_by_name[name]):
+                applies = not t.shifted_vertices or all(
+                    d not in projs for d in t.module_dims
+                )
+                if applies and not (rec.is_tilted and rec.label == label_q):
+                    bad += 1
+            add(7, f"unshifted or projective-free {name}", 0, bad)
 
     return rows
 

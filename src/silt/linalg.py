@@ -5,10 +5,11 @@ anywhere.  All routines are deterministic: identical inputs give identical
 outputs, bit for bit.  Row-reduction always picks the first usable pivot row,
 so reduced echelon forms (and everything derived from them: kernels and
 canonical subspace bases) are canonical.  Coordinates over an RREF basis
-are read off its pivot columns.  One elimination serves ``rank`` and
-``rref``: each row is cleared of denominators and reduced by fraction-free
-(Bareiss) elimination on plain ``int`` rows, and no pivot falls back to
-``Fraction``.
+are read off its pivot columns.  One elimination serves ``rank``, ``rref``
+and ``integer_solve``: each row is cleared of denominators and reduced by
+fraction-free (Bareiss) elimination on plain ``int`` rows, and no pivot
+falls back to ``Fraction``.  ``integer_solve`` takes integer rows and
+returns integer rows, so it makes no ``Fraction`` at all.
 """
 
 from __future__ import annotations
@@ -163,15 +164,9 @@ def charpoly(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _echelon(m: RatMatrix) -> Tuple[List[List[int]], List[int]]:
-    """Integer row echelon form of m and its pivot columns.
-
-    Each row is scaled by the lcm of its denominators, which keeps the
-    row space, and reduced by fraction-free (Bareiss) elimination.  After
-    k pivots every remaining entry is a (k+1)-minor of that integer
-    matrix, so the division by the previous pivot is exact.  Only the
-    non-zero rows are returned, one per pivot.
-    """
+def _integer_rows(m: RatMatrix) -> List[List[int]]:
+    """The non-zero rows of m, each scaled by the lcm of its denominators,
+    which keeps the row space."""
     rows: List[List[int]] = []
     for i in range(m.rows):
         row = m.row(i)
@@ -179,9 +174,23 @@ def _echelon(m: RatMatrix) -> Tuple[List[List[int]], List[int]]:
         ints = [e.numerator * (den // e.denominator) for e in row]
         if any(ints):
             rows.append(ints)
+    return rows
+
+
+def _echelon(
+    rows: List[List[int]], cols: int
+) -> Tuple[List[List[int]], List[int]]:
+    """Integer row echelon form of integer rows and its pivot columns.
+
+    Fraction-free (Bareiss) elimination: after k pivots every remaining
+    entry is a (k+1)-minor of the input, so the division by the previous
+    pivot is exact.  Zero rows never pivot and sink below the pivot rows.
+    Only the non-zero rows are returned, one per pivot.  The list `rows`
+    is reduced in place.
+    """
     pivots: List[int] = []
     r, prev = 0, 1
-    for c in range(m.cols):
+    for c in range(cols):
         if r == len(rows):
             break
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -199,14 +208,15 @@ def _echelon(m: RatMatrix) -> Tuple[List[List[int]], List[int]]:
     return rows[:r], pivots
 
 
-def rref(m: RatMatrix) -> Tuple[RatMatrix, List[int]]:
-    """Reduced row echelon form and the list of pivot columns.
+def _reduced(
+    rows: List[List[int]], cols: int
+) -> Tuple[List[List[int]], List[int]]:
+    """The rref of integer rows, each row still scaled by its pivot entry.
 
     The entries above each pivot of the integer echelon form are cleared
-    bottom up, still in integers; each row is divided by its pivot once,
-    at the end.
+    bottom up, still in integers.
     """
-    rows, pivots = _echelon(m)
+    rows, pivots = _echelon(rows, cols)
     for k in range(len(rows) - 1, 0, -1):
         c, low = pivots[k], rows[k]
         p = low[c]
@@ -214,14 +224,49 @@ def rref(m: RatMatrix) -> Tuple[RatMatrix, List[int]]:
             f = rows[i][c]
             if f:
                 rows[i] = [p * a - f * b for a, b in zip(rows[i], low)]
+    return rows, pivots
+
+
+def rref(m: RatMatrix) -> Tuple[RatMatrix, List[int]]:
+    """Reduced row echelon form and the list of pivot columns.
+
+    Integer elimination throughout; each row is divided by its pivot once,
+    at the end.
+    """
+    rows, pivots = _reduced(_integer_rows(m), m.cols)
     ent = [Q(a, row[c]) for row, c in zip(rows, pivots) for a in row]
     ent.extend([Q(0)] * ((m.rows - len(rows)) * m.cols))
     return RatMatrix(m.rows, m.cols, tuple(ent)), pivots
 
 
+def integer_solve(
+    a: Sequence[Sequence[int]],
+    b: Sequence[Sequence[int]],
+    what: str = "solution",
+) -> Tuple[Tuple[int, ...], ...]:
+    """The integer rows of X with A X = B, for a square integer A.
+
+    X is the right block of the rref of [A | B], which rref's integer
+    elimination gives with no Fraction.  Raises ValueError when A is
+    singular and RuntimeError, naming X as `what`, when X is not integral.
+    """
+    n = len(a)
+    width = len(b[0]) if n else 0
+    rows, pivots = _reduced([[*ra, *rb] for ra, rb in zip(a, b)], n + width)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    x = []
+    for i, row in enumerate(rows):
+        p = row[i]
+        if any(e % p for e in row[n:]):
+            raise RuntimeError(f"{what} is not integral")
+        x.append(tuple(e // p for e in row[n:]))
+    return tuple(x)
+
+
 def rank(m: RatMatrix) -> int:
     """Rank: the number of pivots of the integer echelon form."""
-    return len(_echelon(m)[1])
+    return len(_echelon(_integer_rows(m), m.cols)[1])
 
 
 def kernel_basis(m: RatMatrix) -> List[List[Q]]:

@@ -23,7 +23,7 @@ from fractions import Fraction as Q
 from functools import cache
 from typing import Dict, List, Sequence, Tuple
 
-from .linalg import RatMatrix
+from .linalg import integer_solve
 
 
 class QuiverError(ValueError):
@@ -355,13 +355,8 @@ def coxeter_matrix(cartan: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...]
     Raises ValueError when C is singular and RuntimeError when C^{-1} C^T
     is not integral (finite global dimension gives det C = +-1, Eilenberg).
     """
-    c = RatMatrix.from_rows(cartan)
-    phi = c.inverse().mul(c.transpose())
-    if any(e.denominator != 1 for e in phi.entries):
-        raise RuntimeError("Coxeter matrix is not integral")
-    return tuple(
-        tuple(-int(e) for e in phi.row(i)) for i in range(phi.rows)
-    )
+    phi = integer_solve(cartan, tuple(zip(*cartan)), "Coxeter matrix")
+    return tuple(tuple(-e for e in row) for row in phi)
 
 
 def euler_form(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:

@@ -1,7 +1,7 @@
 """classify's one-pass block verdicts against the rebuilt block algebras.
 
-classify resolves the simples of End(T) once and reads each block off
-that pass and off End(T)'s Cartan rows.  The reference rebuilds every
+classify reads the pds of End(T)'s simples once off its presentation
+and reads each block off them and off End(T)'s Cartan rows.  The reference rebuilds every
 block as a standalone algebra (tests/block_reference.py) and takes its
 global dimension and tilted type from the block alone.
 """

@@ -186,10 +186,32 @@ def test_resolution_cap_error_names_the_silting_object(
     )
     _simple_resolutions.cache_clear()
     monkeypatch.setattr(classify_mod, "RESOLUTION_CAP", 0)
+    # classify itself resolves no simple; the oracle does
+    assert run_cli(capsys, "classify", str(path))[0] == 0
+    rc, out, err = run_cli(capsys, "classify", str(path), "--oracle")
+    assert rc == 1
+    assert out == ""
+    assert f": {first.label()}: oracle: resolution of the simple" in err
+
+
+def test_negative_ext3_error_names_the_silting_object_and_stage(
+    monkeypatch, capsys, tmp_path
+):
+    # a third relabelled A2, so that no classify result is cached for it
+    path = tmp_path / "a2_relabelled.quiver"
+    path.write_text("vertices 41 42\narrow v:41->42\n")
+    first = silting_alg2(parse_quiver(path.read_text()))[0]
+    # C^-1 = ((2, -1), (-1, 1)) leaves Ext^3(S_1, S_1) = 1 - 2 = -1
+    monkeypatch.setattr(
+        classify_mod, "cartan_data", lambda b: ((1, 1), (1, 2))
+    )
     rc, out, err = run_cli(capsys, "classify", str(path))
     assert rc == 1
     assert out == ""
-    assert f": {first.label()}: resolutions: resolution of the simple" in err
+    assert (
+        f"classify {path}: internal check failed: {first.label()}: ext: "
+        "Ext^3(S_1, S_1) = -1 is negative" in err
+    )
 
 
 def test_assembly_error_names_the_silting_object_and_stage(
@@ -426,6 +448,34 @@ def test_ascii_on_empty_quiver_exits_0(tmp_path, capsys):
 
 
 # --- paper-suite command ---
+
+@pytest.mark.parametrize(
+    "attr, criterion",
+    [
+        ("silting_alg2", 1),
+        ("dedupe", 2),
+        ("matches_presentation", 3),
+        ("silting_bruteforce", 4),
+        ("ext_matrix", 5),
+        ("opposite", 6),
+        ("dynkin_type", 7),
+    ],
+)
+def test_paper_suite_errors_name_the_criterion(
+    attr, criterion, monkeypatch, capsys
+):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, attr, boom)
+    rc, out, err = run_cli(capsys, "paper-suite")
+    assert rc == 1
+    assert out == ""
+    assert (
+        f"silt: error: paper-suite: internal check failed: "
+        f"criterion {criterion}: boom" in err
+    )
+
 
 def test_paper_suite_all_rows_pass(capsys):
     rc, out, _ = run_cli(capsys, "paper-suite")

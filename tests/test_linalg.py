@@ -11,6 +11,7 @@ from silt.linalg import (
     charpoly,
     coords_in_rows,
     identity,
+    integer_solve,
     kernel_basis,
     pivot_columns,
     rank,
@@ -306,6 +307,49 @@ def test_inverse_matches_gauss_jordan_reference(m):
     else:
         with pytest.raises(ValueError, match="singular"):
             m.inverse()
+
+
+@st.composite
+def integer_systems(draw):
+    """A square integer A (often unimodular: unitriangular times a
+    permutation, as Cartan matrices are) and an integer B."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 4))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        a = [
+            [int(i == j) if i <= j else draw(entry) for j in range(n)]
+            for i in range(n)
+        ]
+        a = [a[i] for i in draw(st.permutations(range(n)))]
+    else:
+        a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    b = [[draw(entry) for _ in range(m)] for _ in range(n)]
+    return a, b
+
+
+@given(integer_systems())
+@settings(max_examples=300, deadline=None)
+@example(([[1, 1], [1, 1]], [[1], [0]]))
+@example(([[2, 1], [0, 1]], [[1], [0]]))
+@example(([], []))
+def test_integer_solve_matches_gauss_jordan_reference(system):
+    # X is the right block of the reference RREF of [A | B]
+    a, b = system
+    n = len(a)
+    rows, pivots = _gauss_jordan_rref(
+        M([[*ra, *rb] for ra, rb in zip(a, b)])
+    )
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ValueError, match="singular"):
+            integer_solve(a, b)
+        return
+    x = [r[n:] for r in rows[:n]]
+    if any(e.denominator != 1 for r in x for e in r):
+        with pytest.raises(RuntimeError, match="X is not integral"):
+            integer_solve(a, b, "X")
+        return
+    assert integer_solve(a, b) == tuple(tuple(int(e) for e in r) for r in x)
 
 
 def test_rank_of_empty_shapes():

@@ -13,7 +13,14 @@ import pytest
 
 from dynkin_orientations import TYPES_UP_TO_D5, TYPES_WITH_E6, orientations
 from silt import complexes, endo, modules
-from silt.classify import ext_matrix, fingerprint, global_dimension, tilted_type
+from silt.classify import (
+    ext_matrix,
+    fingerprint,
+    global_dimension,
+    homology,
+    projective_dimension_of_simples,
+    tilted_type,
+)
 from silt.endo import cartan_data, endomorphism_algebra
 from silt.modules import (
     IndId,
@@ -64,6 +71,14 @@ def _arrow_counts(q):
     )
 
 
+def _assert_homology_matches_resolutions(b):
+    h = homology(b)
+    assert h.ext1 == ext_matrix(b, 1)
+    assert h.ext2 == ext_matrix(b, 2)
+    assert h.ext3 == ext_matrix(b, 3)
+    assert h.pds == projective_dimension_of_simples(b)
+
+
 def _regular_object(q):
     summands = tuple(
         sorted(
@@ -94,6 +109,7 @@ def test_classify_stages_on_the_path_algebra(quivers):
         assert ext_matrix(b, 2) == ((0,) * n,) * n
         assert tuple(p.dims for p in b.projectives) == projective_dim_vectors(q)
         assert tilted_type(cartan_data(b)) == dynkin_type(q)
+        _assert_homology_matches_resolutions(b)
 
 
 @pytest.mark.parametrize(
@@ -115,6 +131,7 @@ def test_resolutions_over_a_path_algebra_beyond_dynkin(q):
     assert ext_matrix(b, 1) == _arrow_counts(q)
     assert ext_matrix(b, 2) == ((0,) * n,) * n
     assert tuple(p.dims for p in b.projectives) == projective_dim_vectors(q)
+    _assert_homology_matches_resolutions(b)
     # each projective is its own minimal resolution
     for v, p in zip(q.vertices, b.projectives):
         steps = [copies for copies, _ in minimal_resolution(b, p)]
