@@ -26,7 +26,9 @@ lexicographically least (arrow counts, Cartan, Ext^1, Ext^2, pds) over all
 simultaneous vertex permutations.  A refinement search finds it by
 visiting only the permutations that minimise the arrow counts, one per
 automorphism of the Gabriel quiver; a quiver with no arrows is the worst
-case, with all n! of them.
+case, with all n! of them.  The same canonical form matches an algebra
+against a presentation given up to vertex relabelling
+(`matches_presentation`).
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ import io
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .endo import blocks, cartan_data, coxeter_polynomial, endomorphism_algebra
 from .linalg import integer_solve
@@ -288,23 +290,63 @@ def least_relabelling(
     return least, tuple(p for k, p in keyed if k == least)
 
 
-def fingerprint(b: BoundQuiverAlgebra) -> Tuple:
+def fingerprint(b: BoundQuiverAlgebra, h: Homology) -> Tuple:
     """Isomorphism invariant: quiver, Cartan, Ext data, pds — up to one
     simultaneous vertex permutation, minimized lexicographically.
 
     The tuple is (n, dim B) followed by the least_relabelling of the
     arrow counts, the Cartan rows, Ext^1 and Ext^2 between simples and
-    the projective dimensions of the simples.  Its search visits only
-    the permutations that minimise the arrow counts, at most n! when the
-    Gabriel quiver has no arrows.
+    the projective dimensions of the simples, with h = homology(b).  Its
+    search visits only the permutations that minimise the arrow counts,
+    at most n! when the Gabriel quiver has no arrows.
     """
-    h = homology(b)
     least, _ = least_relabelling(
         h.ext1,
         (cartan_data(b), h.ext1, h.ext2),
         [pd for _, pd in h.pds],
     )
     return (len(b.gabriel.vertices), b.dimension) + least
+
+
+def matches_presentation(
+    b: BoundQuiverAlgebra,
+    arrows: Iterable[Tuple[int, int]],
+    relations: Iterable[Tuple[int, int, int]],
+) -> bool:
+    """True iff some vertex relabelling matches the given presentation.
+
+    ``arrows`` is a multiset of (source, target) pairs on vertices 1..n
+    and ``relations`` a multiset of (source, target, path length)
+    triples for monomial zero-relations.  A relation generator of B that
+    mixes several paths never matches, nor does a vertex outside 1..n.
+    Both sides are compared by one canonical form: the least_relabelling
+    of the arrow counts, with the sorted relation lengths per (source,
+    target).
+    """
+    n = len(b.gabriel.vertices)
+    arrows, relations = list(arrows), list(relations)
+    ends = [v for a in arrows for v in a] + [v for r in relations for v in r[:2]]
+    if any(len(r.terms) != 1 for r in b.relations) or not all(
+        1 <= v <= n for v in ends
+    ):
+        return False
+
+    def form(arrows, relations):
+        adj = [[0] * n for _ in range(n)]
+        for s, t in arrows:
+            adj[s - 1][t - 1] += 1
+        lengths = [[[] for _ in range(n)] for _ in range(n)]
+        for s, t, l in relations:
+            lengths[s - 1][t - 1].append(l)
+        rels = [[tuple(sorted(ls)) for ls in row] for row in lengths]
+        return least_relabelling(adj, (rels,), [0] * n)[0]
+
+    ix = {v: i for i, v in enumerate(b.gabriel.vertices, 1)}
+    own = form(
+        [(ix[a.source], ix[a.target]) for a in b.gabriel.arrows],
+        [(ix[r.source], ix[r.target], len(r.terms[0][0])) for r in b.relations],
+    )
+    return own == form(arrows, relations)
 
 
 @contextmanager
@@ -328,7 +370,8 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
     """
     b = endomorphism_algebra(q, t)
     with _stage(f"{t.label()}: ext"):
-        pds = dict(homology(b).pds)
+        h = homology(b)
+    pds = dict(h.pds)
     cart = cartan_data(b)
     ix = {v: i for i, v in enumerate(b.gabriel.vertices)}
     verdicts: List[BlockVerdict] = []
@@ -351,7 +394,7 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
         DynkinType.of(comps).label() if all_tilted else "strictly shod"
     )
     with _stage(f"{t.label()}: fingerprint"):
-        fp = fingerprint(b)
+        fp = fingerprint(b, h)
     return ClassificationRecord(
         silting=t,
         algebra=b,

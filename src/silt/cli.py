@@ -35,13 +35,15 @@ from .classify import (
     classify,
     dedupe,
     ext_matrix,
+    homology,
+    matches_presentation,
     records_to_json,
     summary_csv,
     summary_text,
     text_table,
 )
 from .complexes import hom_class_dim
-from .endo import endomorphism_algebra, matches_presentation
+from .endo import endomorphism_algebra
 from .modules import (
     IndId,
     ar_quiver_mod,
@@ -602,19 +604,8 @@ def _suite_rows() -> List[SuiteRow]:
                 )
                 if b.dimension != total:
                     bad_dim += 1
-                verts = b.gabriel.vertices
-                n = len(verts)
-                ix = {v: i for i, v in enumerate(verts)}
-                a_count = [[0] * n for _ in range(n)]
-                for a in b.gabriel.arrows:
-                    a_count[ix[a.source]][ix[a.target]] += 1
-                r_count = [[0] * n for _ in range(n)]
-                for r in b.relations:
-                    r_count[ix[r.source]][ix[r.target]] += 1
-                if (
-                    tuple(tuple(r) for r in a_count) != ext_matrix(b, 1)
-                    or tuple(tuple(r) for r in r_count) != ext_matrix(b, 2)
-                ):
+                h = homology(b)
+                if h.ext1 != ext_matrix(b, 1) or h.ext2 != ext_matrix(b, 2):
                     bad_ext += 1
             add(5, f"endo dimension {name}", 0, bad_dim)
             add(5, f"ext matrices {name}", 0, bad_ext)

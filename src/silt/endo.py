@@ -14,21 +14,19 @@ contains them.  From these scalars alone we read off the Gabriel quiver
 (arrows i -> j are the non-zero blocks no product through a third
 summand reaches), the value of every Gabriel path (the product of the
 scalars along it), a minimal generating set of relations (kernel of the
-induced map from the path algebra of the Gabriel quiver), and per block
-the first path with a non-zero value as basis path, every other path's
-coordinate being its value over that one.  modules.bound_quiver_algebra,
-the builder that also gives the path algebra KQ, turns these into the
-algebra and its indecomposable projectives.  Also here: the blocks, as
-the vertex sets of the Gabriel quiver's components, and the integer
-Cartan rows.
+induced map from the path algebra of the Gabriel quiver).  The algebra
+is these arrows and relations with the block dimensions as its integer
+Cartan rows; its projectives, which only the resolutions of simples
+read, are derived from the relations by modules.projectives.  Also here:
+the blocks, as the vertex sets of the Gabriel quiver's components, and
+the integer Cartan rows.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction as Q
 from functools import cache
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .complexes import compose, hom_class_basis
 from .linalg import (
@@ -38,7 +36,7 @@ from .linalg import (
     reduce_by_rref,
     row_space_rref,
 )
-from .modules import BoundQuiverAlgebra, TwoTermComplex, bound_quiver_algebra
+from .modules import BoundQuiverAlgebra, TwoTermComplex
 from .quivers import (
     Arrow,
     PathVector,
@@ -145,15 +143,10 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
             if not paths:
                 kernels[(i, j)] = []
                 continue
-            if dims[i][j]:
-                row = [value(i + 1, p.arrows) for p in paths]
-                ker = kernel_basis(RatMatrix.from_rows([row]))
-            else:
-                ker = [
-                    [Q(1) if r == s else Q(0) for r in range(len(paths))]
-                    for s in range(len(paths))
-                ]
-            kernels[(i, j)] = row_space_rref(ker)
+            row = [value(i + 1, p.arrows) for p in paths]
+            kernels[(i, j)] = row_space_rref(
+                kernel_basis(RatMatrix.from_rows([row]))
+            )
             quotient_dim += len(paths) - len(kernels[(i, j)])
     if quotient_dim != dim_b:
         raise failed(
@@ -200,23 +193,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                     )
                 relations.append(PathVector.make(i + 1, j + 1, terms))
 
-    # basis path of a block: its first path with a non-zero value, which
-    # exists exactly when the block is non-zero, by the dimension check
-    chosen = {
-        (v, u): [p.arrows for p in paths if value(v, p.arrows)][:1]
-        for (v, u), paths in pb.items()
-    }
-
-    def basis_coords(
-        source: int, target: int, arrow_ids: Tuple[str, ...]
-    ) -> List[Q]:
-        """Coordinates of a path's value over the chosen basis path."""
-        return [
-            value(source, arrow_ids) / value(source, p)
-            for p in chosen[(source, target)]
-        ]
-
-    return bound_quiver_algebra(gq, relations, chosen, basis_coords)
+    return BoundQuiverAlgebra(gq, tuple(relations), tuple(map(tuple, dims)))
 
 
 def blocks(b: BoundQuiverAlgebra) -> Tuple[Tuple[int, ...], ...]:
@@ -230,47 +207,9 @@ def blocks(b: BoundQuiverAlgebra) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(comp) for comp in _components(b.gabriel))
 
 
-def matches_presentation(
-    b: BoundQuiverAlgebra,
-    arrows: Iterable[Tuple[int, int]],
-    relations: Iterable[Tuple[int, int, int]],
-) -> bool:
-    """True iff some vertex relabelling matches the given presentation.
-
-    ``arrows`` is a multiset of (source, target) pairs on vertices 1..n
-    and ``relations`` a multiset of (source, target, path length)
-    triples for monomial zero-relations.  A relation generator of B that
-    mixes several paths never matches.
-    """
-    verts = b.gabriel.vertices
-    want_arrows = sorted(arrows)
-    want_rels = sorted(relations)
-    if len(b.gabriel.arrows) != len(want_arrows):
-        return False
-    if len(b.relations) != len(want_rels):
-        return False
-    shapes = []
-    for r in b.relations:
-        if len(r.terms) != 1:
-            return False
-        arrow_ids, _ = r.terms[0]
-        shapes.append((r.source, r.target, len(arrow_ids)))
-    for perm in itertools.permutations(range(1, len(verts) + 1)):
-        sigma = dict(zip(verts, perm))
-        got_arrows = sorted(
-            (sigma[a.source], sigma[a.target]) for a in b.gabriel.arrows
-        )
-        if got_arrows != want_arrows:
-            continue
-        got_rels = sorted((sigma[s], sigma[t], l) for s, t, l in shapes)
-        if got_rels == want_rels:
-            return True
-    return False
-
-
 def cartan_data(b: BoundQuiverAlgebra) -> Tuple[Tuple[int, ...], ...]:
     """Integer Cartan rows of the algebra: row v is dim P(v)."""
-    return tuple(p.dims for p in b.projectives)
+    return b.cartan
 
 
 @cache

@@ -15,14 +15,15 @@ reference the tests and paper-suite compare them with); and the AR
 quivers of mod A and of the two-term homotopy category.
 
 One algebra type serves every module computation over an algebra:
-`BoundQuiverAlgebra`, a quiver with relations, a path-class basis and
-the projectives P(v), all built by `bound_quiver_algebra`.  The path
-algebra KQ is the case with no relations and every path in the basis
-(`path_algebra`); End(T) comes from `endo.endomorphism_algebra`.  One
-loop, `minimal_resolution`, alternates `minimal_cover` and
-`kernel_subrep` over such an algebra.  It gives the minimal projective
-presentations over KQ, as `TwoTermComplex`es, and classify's
-resolutions of simples over End(T).
+`BoundQuiverAlgebra`, a quiver with relations and its integer Cartan
+rows.  The path algebra KQ is the case with no relations
+(`path_algebra`); End(T) comes from `endo.endomorphism_algebra`.  The
+projectives P(v) = e_v KQ/I are derived from the relations alone, by
+`projectives`, and only where a resolution runs.  One loop,
+`minimal_resolution`, alternates `minimal_cover` and `kernel_subrep`
+over such an algebra.  It gives the minimal projective presentations
+over KQ, as `TwoTermComplex`es, and the resolutions of simples over
+End(T) that check classify's homology.
 """
 
 from __future__ import annotations
@@ -188,6 +189,21 @@ def _reflect_dim(qq: Quiver, k: int, d: DimVector) -> DimVector:
     )
 
 
+def _quotient(
+    rref: Sequence[Sequence[Q]], width: int
+) -> Tuple[List[int], Callable[[Sequence[Q]], List[Q]]]:
+    """Canonical coordinates modulo the span of an RREF row basis: the
+    free columns, and the map reading a row's reduction at them."""
+    pivots = pivot_columns(rref)
+    free = [c for c in range(width) if c not in pivots]
+
+    def quotient(row: Sequence[Q]) -> List[Q]:
+        red = reduce_by_rref(row, rref)
+        return [red[c] for c in free]
+
+    return free, quotient
+
+
 def _reflect_rep_at_source(rep: QuiverRep, k: int, qtarget: Quiver) -> QuiverRep:
     """Inverse reflection functor at a source k; returns a rep of qtarget.
 
@@ -210,13 +226,7 @@ def _reflect_rep_at_source(rep: QuiverRep, k: int, qtarget: Quiver) -> QuiverRep
     g_rref = row_space_rref(g_rows)
     if len(g_rref) != dk:
         raise RuntimeError("reflection map not injective")
-    pivots = pivot_columns(g_rref)
-    free = [c for c in range(total) if c not in pivots]
-
-    def quotient(row: List[Q]) -> List[Q]:
-        red = reduce_by_rref(row, g_rref)
-        return [red[c] for c in free]
-
+    free, quotient = _quotient(g_rref, total)
     new_dims = list(rep.dims)
     new_dims[idx[k]] = len(free)
     offsets = {}
@@ -327,25 +337,20 @@ def hom_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
 
 @dataclass(frozen=True)
 class BoundQuiverAlgebra:
-    """Basic algebra KQ/I given by a quiver, relations, and a basis.
-
-    basis_paths lists the path-class basis as (source, target, arrow ids)
-    over the quiver (the Gabriel quiver of the algebra).  projectives[k]
-    is P(v) = e_v B for the k-th vertex v, as a representation of the
-    quiver: its basis at u is the basis paths from v to u, and an arrow a
-    sends path p to the basis coordinates of the path p followed by a.
-    The path algebra KQ is the case I = 0 (`path_algebra`).
+    """Basic algebra KQ/I given by its quiver (the Gabriel quiver of the
+    algebra), the relations generating I, and its integer Cartan rows:
+    cartan[k] is dim P(v) = dim e_v B for the k-th vertex v.  The path
+    algebra KQ is the case I = 0 (`path_algebra`); the projectives
+    themselves come from `projectives`.
     """
 
     gabriel: Quiver
     relations: Tuple[PathVector, ...]
-    dimension: int
-    basis_paths: Tuple[Tuple[int, int, Tuple[str, ...]], ...]
-    projectives: Tuple[QuiverRep, ...]
+    cartan: Tuple[DimVector, ...]
 
-    def __post_init__(self):
-        if len(self.basis_paths) != self.dimension:
-            raise ValueError("basis size does not match dimension")
+    @property
+    def dimension(self) -> int:
+        return sum(map(sum, self.cartan))
 
     def to_json_dict(self) -> dict:
         def coeff_json(c: Q):
@@ -365,48 +370,70 @@ class BoundQuiverAlgebra:
         }
 
 
-def bound_quiver_algebra(
-    q: Quiver,
-    relations: Sequence[PathVector],
-    basis: Dict[Tuple[int, int], Sequence[Tuple[str, ...]]],
-    coords: Callable[[int, int, Tuple[str, ...]], Sequence[Q]],
-) -> BoundQuiverAlgebra:
-    """The algebra with basis paths basis[(v, u)] from v to u, and its
-    projectives.  coords(v, u, arrows) gives the coordinates of a path
-    from v to u over basis[(v, u)]; in P(v) = e_v B an arrow a sends each
-    basis path p from v to the coordinates of p followed by a."""
-    projectives: List[QuiverRep] = []
-    for v in q.vertices:
-        mats: Dict[str, RatMatrix] = {}
-        for a in q.arrows:
-            src = basis[(v, a.source)]
-            ent = tuple(
-                c for p in src for c in coords(v, a.target, p + (a.id,))
-            )
-            mats[a.id] = RatMatrix(len(src), len(basis[(v, a.target)]), ent)
-        dims = [len(basis[(v, u)]) for u in q.vertices]
-        projectives.append(make_rep(q, dims, mats))
-    paths = tuple(
-        (v, u, p) for v in q.vertices for u in q.vertices for p in basis[(v, u)]
-    )
-    return BoundQuiverAlgebra(
-        q, tuple(relations), len(paths), paths, tuple(projectives)
-    )
+@cache
+def path_algebra(q: Quiver) -> BoundQuiverAlgebra:
+    """KQ: no relations, and P(v) has a basis of all paths from v."""
+    return BoundQuiverAlgebra(q, (), projective_dim_vectors(q))
+
+
+Paths = Tuple[Tuple[str, ...], ...]  # paths as arrow-id tuples
 
 
 @cache
-def path_algebra(q: Quiver) -> BoundQuiverAlgebra:
-    """KQ: every path is a basis path, and there are no relations."""
-    pb = paths_between(q)
-    index = path_index(q)
+def projectives(
+    b: BoundQuiverAlgebra,
+) -> Tuple[Tuple[Tuple[Paths, ...], ...], Tuple[QuiverRep, ...]]:
+    """The basis paths of b and its projectives P(v) = e_v B, derived
+    from the quiver and the relations alone.
 
-    def coords(v: int, u: int, arrows: Tuple[str, ...]) -> List[Q]:
-        unit = [Q(0)] * len(pb[(v, u)])
-        unit[index[(v, arrows)]] = Q(1)
-        return unit
+    e_v I e_u is the row space of the products p r p' over the relations
+    r: s -> t and the paths p from v to s and p' from t to u, in the
+    coordinates of the paths from v to u (`path_index`).  The basis paths
+    from v to u are the free columns of its RREF, and a path's
+    coordinates are its reduction modulo e_v I e_u at those columns.  In
+    P(v) an arrow a sends the basis path p to the coordinates of p a.
 
-    basis = {k: tuple(p.arrows for p in ps) for k, ps in pb.items()}
-    return bound_quiver_algebra(q, (), basis, coords)
+    Returns (basis, reps), indexed like b.cartan: basis[k][l] lists the
+    basis paths from the k-th vertex v to the l-th as arrow-id tuples,
+    and reps[k] is P(v).  Raises RuntimeError when dim P(v) is not b's
+    Cartan row k.
+    """
+    q = b.gabriel
+    pb, index = paths_between(q), path_index(q)
+    basis, reps = [], []
+    for v, cartan_row in zip(q.vertices, b.cartan):
+        paths_from_v, coords = [], []
+        for u in q.vertices:
+            paths = pb[(v, u)]
+            ideal = []
+            for r in b.relations:
+                for p in pb[(v, r.source)]:
+                    for p2 in pb[(r.target, u)]:
+                        row = [Q(0)] * len(paths)
+                        for arrows, c in r.terms:
+                            row[index[(v, p.arrows + arrows + p2.arrows)]] = c
+                        ideal.append(row)
+            free, quotient = _quotient(row_space_rref(ideal), len(paths))
+            paths_from_v.append(tuple(paths[c].arrows for c in free))
+            coords.append(quotient)
+        dims = tuple(map(len, paths_from_v))
+        if dims != cartan_row:
+            raise RuntimeError(
+                f"P({v}) has dimension vector {dims} modulo the relations, "
+                f"but the Cartan row is {cartan_row}"
+            )
+        mats: Dict[str, RatMatrix] = {}
+        for a in q.arrows:
+            s, t = q.index(a.source), q.index(a.target)
+            ent: List[Q] = []
+            for p in paths_from_v[s]:
+                unit = [Q(0)] * len(pb[(v, a.target)])
+                unit[index[(v, p + (a.id,))]] = Q(1)
+                ent.extend(coords[t](unit))
+            mats[a.id] = RatMatrix(dims[s], dims[t], tuple(ent))
+        basis.append(tuple(paths_from_v))
+        reps.append(make_rep(q, dims, mats))
+    return tuple(basis), tuple(reps)
 
 
 def radical_rows(rep: QuiverRep) -> List[List[List[Q]]]:
@@ -440,15 +467,13 @@ def minimal_cover(b: BoundQuiverAlgebra, rep: QuiverRep):
         copies.extend(
             (v, c) for c in range(rep.dims[vi]) if c not in pivots
         )
-    p0 = _direct_sum(q, [b.projectives[q.index(v)] for v, _ in copies])
-    basis: Dict[Tuple[int, int], List[Tuple[str, ...]]] = {}
-    for s, t, arrows in b.basis_paths:
-        basis.setdefault((s, t), []).append(arrows)
+    basis, reps = projectives(b)
+    p0 = _direct_sum(q, [reps[q.index(v)] for v, _ in copies])
     pi: List[RatMatrix] = []
-    for u in q.vertices:
+    for l, u in enumerate(q.vertices):
         rows: List[List[Q]] = []
         for v, c in copies:
-            for arrows in basis.get((v, u), ()):
+            for arrows in basis[q.index(v)][l]:
                 rows.append(list(act_path(rep, v, arrows).row(c)))
         du = rep.dim_at(u)
         mat = RatMatrix.from_rows(rows) if rows else RatMatrix(0, du, ())

@@ -1,12 +1,12 @@
 """Each block of an algebra rebuilt as a standalone bound quiver algebra:
-the full sub-quiver on the block's vertices, its relations, basis paths
-and restricted projectives.  It is the reference that classify's
-one-pass block verdicts are tested against.
+the full sub-quiver on the block's vertices, its relations and its
+Cartan rows restricted to those vertices.  It is the reference that
+classify's one-pass block verdicts are tested against.
 """
 
 from typing import Tuple
 
-from silt.modules import BoundQuiverAlgebra, make_rep
+from silt.modules import BoundQuiverAlgebra
 from silt.quivers import _components, full_subquiver
 
 
@@ -14,31 +14,16 @@ def block_algebras(b: BoundQuiverAlgebra) -> Tuple[BoundQuiverAlgebra, ...]:
     """Connected components of the Gabriel quiver, as standalone algebras."""
     comps = _components(b.gabriel)
     out = []
+    ix = {v: i for i, v in enumerate(b.gabriel.vertices)}
     for comp in comps:
         keep = set(comp)
-        sub = full_subquiver(b.gabriel, tuple(v for v in b.gabriel.vertices if v in keep))
+        verts = tuple(v for v in b.gabriel.vertices if v in keep)
+        sub = full_subquiver(b.gabriel, verts)
         rels = tuple(
             r for r in b.relations if r.source in keep and r.target in keep
         )
-        basis = tuple(
-            x for x in b.basis_paths if x[0] in keep and x[1] in keep
+        cartan = tuple(
+            tuple(b.cartan[ix[v]][ix[u]] for u in verts) for v in verts
         )
-        projectives = tuple(
-            make_rep(
-                sub,
-                [p.dim_at(u) for u in sub.vertices],
-                {a.id: p.mat(a.id) for a in sub.arrows},
-            )
-            for v, p in zip(b.gabriel.vertices, b.projectives)
-            if v in keep
-        )
-        out.append(
-            BoundQuiverAlgebra(
-                gabriel=sub,
-                relations=rels,
-                dimension=len(basis),
-                basis_paths=basis,
-                projectives=projectives,
-            )
-        )
+        out.append(BoundQuiverAlgebra(gabriel=sub, relations=rels, cartan=cartan))
     return tuple(out)

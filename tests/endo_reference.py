@@ -5,13 +5,13 @@ against.
 Each block keeps its Hom-class basis.  The Gabriel arrows are the
 complement of the span of products through a third summand, found by
 row reduction; every Gabriel path is evaluated by composing its arrows'
-classes in turn; the basis paths of a block are chosen by row reduction
-and their values inverted once per block to give path coordinates.
+classes in turn (`reference_path_values`), and the relations are the
+kernels of that evaluation.
 """
 
 from fractions import Fraction as Q
 from functools import cache
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from path_vector_maps import identity_reference
 from silt.complexes import HomClass, compose, hom_class_basis
@@ -22,15 +22,20 @@ from silt.linalg import (
     reduce_by_rref,
     row_space_rref,
 )
-from silt.modules import BoundQuiverAlgebra, bound_quiver_algebra
+from silt.modules import BoundQuiverAlgebra
 from silt.quivers import Arrow, PathVector, Quiver, path_index, paths_between
 from silt.silting import SiltingObject, is_presilting, summand_complex
 
 
-def endomorphism_algebra_reference(
+PathValue = Callable[[int, int, Tuple[str, ...]], List[Q]]
+
+
+def reference_path_values(
     q: Quiver, t: SiltingObject
-) -> BoundQuiverAlgebra:
-    """End(T) of a silting object, every block a vector space."""
+) -> Tuple[Quiver, Tuple[Tuple[int, ...], ...], PathValue]:
+    """The Gabriel quiver of End(T), its block dimensions dim e_i B e_j,
+    and the value of each Gabriel path from i to j in the Hom-class
+    basis of its block, every arrow composed in turn."""
     label = t.label()
     if t.quiver != q:
         raise ValueError(
@@ -63,7 +68,6 @@ def endomorphism_algebra_reference(
                 block_elems[(i, j)] = (idents[i],)
             else:
                 block_elems[(i, j)] = spaces[(i, j)].elements()
-    dim_b = sum(len(e) for e in block_elems.values())
 
     def block_coords(i: int, j: int, cls: HomClass) -> List[Q]:
         if i == j:
@@ -100,9 +104,6 @@ def endomorphism_algebra_reference(
         for (i, j, c), a in zip(arrow_payload, arrows)
     }
 
-    pb = paths_between(gq)
-    index = path_index(gq)
-
     @cache
     def path_class(source: int, arrow_ids: Tuple[str, ...]) -> HomClass:
         """The path's value in B: its arrows composed in turn."""
@@ -117,6 +118,22 @@ def endomorphism_algebra_reference(
         cls = path_class(source, arrow_ids)
         return block_coords(source - 1, target - 1, cls)
 
+    dims = tuple(
+        tuple(len(block_elems[(i, j)]) for j in range(n)) for i in range(n)
+    )
+    return gq, dims, path_value
+
+
+def endomorphism_algebra_reference(
+    q: Quiver, t: SiltingObject
+) -> BoundQuiverAlgebra:
+    """End(T) of a silting object, every block a vector space."""
+    label = t.label()
+    gq, dims, path_value = reference_path_values(q, t)
+    n = len(gq.vertices)
+    pb = paths_between(gq)
+    index = path_index(gq)
+
     # relations: per vertex pair, the left kernel of path evaluation
     relations: List[PathVector] = []
     kernels: Dict[Tuple[int, int], List[List[Q]]] = {}
@@ -127,7 +144,7 @@ def endomorphism_algebra_reference(
             if not paths:
                 kernels[(i, j)] = []
                 continue
-            if block_elems[(i, j)]:
+            if dims[i][j]:
                 rows = [path_value(i + 1, j + 1, p.arrows) for p in paths]
                 ker = kernel_basis(RatMatrix.from_rows(rows).transpose())
             else:
@@ -137,7 +154,7 @@ def endomorphism_algebra_reference(
                 ]
             kernels[(i, j)] = row_space_rref(ker)
             quotient_dim += len(paths) - len(kernels[(i, j)])
-    if quotient_dim != dim_b:
+    if quotient_dim != sum(map(sum, dims)):
         raise RuntimeError(
             f"{label}: path algebra modulo relations does not match End(T) "
             "dimension"
@@ -186,38 +203,4 @@ def endomorphism_algebra_reference(
                     )
                 relations.append(PathVector.make(i + 1, j + 1, terms))
 
-    # canonical path-class basis per block, and the inverse of its values
-    chosen: Dict[Tuple[int, int], List[Tuple[str, ...]]] = {}
-    to_chosen: Dict[Tuple[int, int], List[List[Q]]] = {}
-    for i in range(n):
-        for j in range(n):
-            bd = len(block_elems[(i, j)])
-            kept: List[List[Q]] = []
-            paths_ij: List[Tuple[str, ...]] = []
-            values: List[List[Q]] = []
-            for p in pb[(i + 1, j + 1)] if bd else ():
-                vec = path_value(i + 1, j + 1, p.arrows)
-                if any(reduce_by_rref(vec, kept)):
-                    kept = row_space_rref(kept + [vec])
-                    paths_ij.append(p.arrows)
-                    values.append(vec)
-            if len(values) != bd:
-                raise RuntimeError(f"{label}: path-class basis has wrong size")
-            chosen[(i + 1, j + 1)] = paths_ij
-            if bd:
-                to_chosen[(i + 1, j + 1)] = (
-                    RatMatrix.from_rows(values).inverse().to_rows()
-                )
-
-    def basis_coords(
-        source: int, target: int, arrow_ids: Tuple[str, ...]
-    ) -> List[Q]:
-        """Coordinates of a path's value over the chosen basis paths."""
-        vec = path_value(source, target, arrow_ids)
-        coords = [Q(0)] * len(vec)
-        for c, inv_row in zip(vec, to_chosen.get((source, target), ())):
-            if c != 0:
-                coords = [a + c * b for a, b in zip(coords, inv_row)]
-        return coords
-
-    return bound_quiver_algebra(gq, relations, chosen, basis_coords)
+    return BoundQuiverAlgebra(gq, tuple(relations), dims)

@@ -8,7 +8,7 @@ import itertools
 from typing import Sequence, Tuple
 
 from silt.classify import ext_matrix, projective_dimension_of_simples
-from silt.modules import BoundQuiverAlgebra
+from silt.modules import BoundQuiverAlgebra, projectives
 
 
 def least_key_reference(
@@ -53,7 +53,7 @@ def fingerprint_reference(b: BoundQuiverAlgebra) -> Tuple:
         ]
         for i in range(n)
     ]
-    cart = [p.dims for p in b.projectives]
+    cart = [p.dims for p in projectives(b)[1]]
     e1 = ext_matrix(b, 1)
     e2 = ext_matrix(b, 2)
     pds = [pd for _, pd in projective_dimension_of_simples(b)]

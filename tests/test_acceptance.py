@@ -32,8 +32,8 @@ from silt.silting import (
     tilting_modules_alg1,
     tilting_modules_bruteforce,
 )
-from silt.endo import endomorphism_algebra, matches_presentation
-from silt.classify import classify, dedupe, ext_matrix
+from silt.endo import endomorphism_algebra
+from silt.classify import classify, dedupe, ext_matrix, matches_presentation
 from silt.cli import (
     EXPECTED_CLASSES,
     EXPECTED_FAMILY_SPLITS,

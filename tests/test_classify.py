@@ -1,6 +1,8 @@
 """Oracle tests for homological classification of silted algebras."""
 
+import itertools
 import json
+import random
 from collections import Counter
 from importlib.resources import files
 
@@ -11,13 +13,14 @@ from silt.quivers import dynkin_type, opposite, parse_quiver
 from silt.modules import IndId, projective_dim_vectors
 from silt.silting import SiltingObject, silting_alg2
 from silt.endo import cartan_data, endomorphism_algebra
-from silt.cli import FIXTURE_NAMES
+from silt.cli import FIXTURE_NAMES, STRICTLY_SHOD_PRESENTATIONS
 from silt.classify import (
     ClassificationRecord,
     classify,
     dedupe,
     ext_matrix,
     global_dimension,
+    matches_presentation,
     projective_dimension_of_simples,
     records_to_json,
     summary_csv,
@@ -31,6 +34,12 @@ A2 = parse_quiver("vertices 1 2\narrow a:1->2\n")
 A3 = parse_quiver("vertices 1 2 3\narrow a:1->2\narrow b:2->3\n")
 A3_ALT = parse_quiver("vertices 1 2 3\narrow a:1->3\narrow b:2->3\n")
 D4 = parse_quiver("vertices 1 2 3 4\narrow a:1->3\narrow b:2->3\narrow c:3->4\n")
+
+
+def _fixture(name):
+    return parse_quiver(
+        files("silt").joinpath("fixtures", f"{name}.quiver").read_text()
+    )
 
 
 def _regular_object(q):
@@ -257,9 +266,7 @@ def test_opposite_class_counts_agree():
     # Hom_A(-, A) maps 2-term silting over A to 2-term silting over A^op
     # with End(T*) = End(T)^op, and tilted type and shod are self-dual
     for name in FIXTURE_NAMES:
-        q = parse_quiver(
-            files("silt").joinpath("fixtures", f"{name}.quiver").read_text()
-        )
+        q = _fixture(name)
         assert _class_summary(q) == _class_summary(opposite(q)), name
 
 
@@ -282,3 +289,47 @@ def test_summary_outputs():
     assert len(lines) == 1 + len(groups)
     txt = summary_text(groups)
     assert "A2" in txt and "A1⊔A1" in txt
+
+
+# --- presentations up to vertex relabelling ---
+
+def _matches_by_permutation(b, arrows, relations):
+    """The n! loop: try every vertex relabelling of b's presentation."""
+    if any(len(r.terms) != 1 for r in b.relations):
+        return False
+    shapes = [(r.source, r.target, len(r.terms[0][0])) for r in b.relations]
+    verts = b.gabriel.vertices
+    for perm in itertools.permutations(range(1, len(verts) + 1)):
+        sigma = dict(zip(verts, perm))
+        got_arrows = sorted(
+            (sigma[a.source], sigma[a.target]) for a in b.gabriel.arrows
+        )
+        got_rels = sorted((sigma[s], sigma[t], l) for s, t, l in shapes)
+        if (got_arrows, got_rels) == (sorted(arrows), sorted(relations)):
+            return True
+    return False
+
+
+def test_matches_presentation_agrees_with_the_permutation_loop():
+    # against s1-s5 and against b's own presentation, randomly relabelled,
+    # on every fixture End(T); a mixed relation never matches
+    rng = random.Random(0)
+    shod = [(arrows, rels) for _, _, arrows, rels in STRICTLY_SHOD_PRESENTATIONS]
+    shod_hits = 0
+    for q in map(_fixture, FIXTURE_NAMES):
+        for t in silting_alg2(q):
+            b = endomorphism_algebra(q, t)
+            for arrows, rels in shod:
+                got = matches_presentation(b, arrows, rels)
+                assert got == _matches_by_permutation(b, arrows, rels), t.label()
+                shod_hits += got
+            n = len(b.gabriel.vertices)
+            perm = dict(zip(b.gabriel.vertices, rng.sample(range(1, n + 1), n)))
+            arrows = [(perm[a.source], perm[a.target]) for a in b.gabriel.arrows]
+            rels = [
+                (perm[r.source], perm[r.target], len(r.terms[0][0]))
+                for r in b.relations
+            ]
+            monomial = all(len(r.terms) == 1 for r in b.relations)
+            assert matches_presentation(b, arrows, rels) == monomial, t.label()
+    assert shod_hits > 0

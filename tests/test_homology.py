@@ -13,6 +13,7 @@ from importlib.resources import files
 import pytest
 
 import silt.classify as classify_mod
+import silt.modules as modules_mod
 from silt.classify import (
     _simple_resolutions,
     check_homology,
@@ -23,6 +24,7 @@ from silt.classify import (
 )
 from silt.cli import FIXTURE_NAMES, main
 from silt.endo import endomorphism_algebra
+from silt.modules import path_algebra, projectives
 from silt.quivers import parse_quiver
 from silt.silting import silting_alg2
 
@@ -38,10 +40,15 @@ def _fixture(name):
 
 
 def _check_against_resolutions(q, objs):
-    """Assert the formula equals the resolution route on every End(T);
-    return how many algebras were compared."""
+    """Assert the formula equals the resolution route on every End(T),
+    and that the oracle check_homology passes; return how many algebras
+    were compared.  The resolutions run over the P(v) derived from the
+    printed relations alone, which must have End(T)'s Cartan rows."""
     for t in objs:
         b = endomorphism_algebra(q, t)
+        _, reps = projectives(b)
+        assert tuple(p.dims for p in reps) == b.cartan, t.label()
+        check_homology(b)
         h = homology(b)
         assert global_dimension(b) <= 3, t.label()
         assert h.ext1 == ext_matrix(b, 1), t.label()
@@ -119,13 +126,26 @@ D5_RELABELLED = (
 )
 
 
-def test_cold_classify_resolves_no_simple(tmp_path, capsys):
+def test_cold_classify_resolves_no_simple(tmp_path, capsys, monkeypatch):
+    # nor does it build the projectives of an End(T): it reads only their
+    # arrows, relations and Cartan rows.  The enumeration still resolves
+    # modules over KQ, through KQ's P(v).
+    calls = []
+    real = modules_mod.projectives
+
+    def counting(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(modules_mod, "projectives", counting)
     path = tmp_path / "d5_relabelled.quiver"
     path.write_text(D5_RELABELLED)
     _simple_resolutions.cache_clear()
     assert main(["classify", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 182
     assert _simple_resolutions.cache_info().misses == 0
+    assert set(calls) <= {path_algebra(parse_quiver(D5_RELABELLED))}
     # the resolution route stays reachable, as the oracle
     assert main(["classify", str(path), "--oracle", "--format", "csv"]) == 0
     assert _simple_resolutions.cache_info().misses > 0
+    assert len(set(calls)) > 1

@@ -29,6 +29,7 @@ from silt.modules import (
     minimal_resolution,
     path_algebra,
     projective_dim_vectors,
+    projectives,
 )
 from silt.quivers import (
     dynkin_type,
@@ -107,7 +108,8 @@ def test_classify_stages_on_the_path_algebra(quivers):
         assert global_dimension(b) == (1 if q.arrows else 0)
         assert ext_matrix(b, 1) == _arrow_counts(q)
         assert ext_matrix(b, 2) == ((0,) * n,) * n
-        assert tuple(p.dims for p in b.projectives) == projective_dim_vectors(q)
+        _, reps = projectives(b)
+        assert tuple(p.dims for p in reps) == projective_dim_vectors(q)
         assert tilted_type(cartan_data(b)) == dynkin_type(q)
         _assert_homology_matches_resolutions(b)
 
@@ -118,7 +120,8 @@ def test_classify_stages_on_the_path_algebra(quivers):
 def test_path_algebra_is_end_of_the_regular_object(kind, n):
     for _, q in orientations(kind, n):
         end = endomorphism_algebra(q, _regular_object(q))
-        assert fingerprint(path_algebra(q)) == fingerprint(end)
+        kq = path_algebra(q)
+        assert fingerprint(kq, homology(kq)) == fingerprint(end, homology(end))
 
 
 @pytest.mark.parametrize(
@@ -130,10 +133,11 @@ def test_resolutions_over_a_path_algebra_beyond_dynkin(q):
     assert global_dimension(b) == 1
     assert ext_matrix(b, 1) == _arrow_counts(q)
     assert ext_matrix(b, 2) == ((0,) * n,) * n
-    assert tuple(p.dims for p in b.projectives) == projective_dim_vectors(q)
+    _, reps = projectives(b)
+    assert tuple(p.dims for p in reps) == projective_dim_vectors(q)
     _assert_homology_matches_resolutions(b)
     # each projective is its own minimal resolution
-    for v, p in zip(q.vertices, b.projectives):
+    for v, p in zip(q.vertices, reps):
         steps = [copies for copies, _ in minimal_resolution(b, p)]
         assert steps == [[(v, 0)]]
 
@@ -146,7 +150,11 @@ def test_path_algebra_projectives_append_the_arrow(q):
     # P(v): an arrow a sends the basis path p to the unit vector at p a
     b = path_algebra(q)
     pb, index = paths_between(q), path_index(q)
-    for v, p_v in zip(q.vertices, b.projectives):
+    basis, reps = projectives(b)
+    for v, p_v, paths_from_v in zip(q.vertices, reps, basis):
+        assert paths_from_v == tuple(
+            tuple(p.arrows for p in pb[(v, u)]) for u in q.vertices
+        )
         for a in q.arrows:
             width = len(pb[(v, a.target)])
             expected = [

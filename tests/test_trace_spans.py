@@ -4,14 +4,23 @@ perfbench/trace_child.py replaces functions by name and reads the
 cache_info of others; a name that no longer resolves is only reported on
 stderr and its metrics read 0.  This test loads the script by path and
 checks every endo and classify entry, so that a refactor cannot drop a
-span without a failing test.
+span without a failing test.  It also runs the script's own wrappers
+over a cold classify, so that every attribute they read off a silt
+object (End(T)'s dimension, the fingerprint's algebra, the RatMatrix
+that rref and kernel_basis receive) must still exist.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
+
+import silt.cli  # noqa: F401  (imports every silt module)
+from silt.classify import classify
+from silt.quivers import parse_quiver
+from silt.silting import silting_alg2
 
 SCRIPT = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
 MODULES = ("silt.endo", "silt.classify")
@@ -48,3 +57,38 @@ def test_every_traced_entry_resolves(name, modname, attr):
 def test_every_cached_entry_has_cache_info(modname, attr):
     fn = getattr(importlib.import_module(modname), attr, None)
     assert callable(getattr(fn, "cache_info", None)), f"{modname}.{attr}"
+
+
+# A3 relabelled, so that no End(T), record or Hom space of it is cached
+A3_COLD = parse_quiver("vertices 31 32 33\narrows a:31->32 b:32->33\n")
+READERS = (
+    "endo.endomorphism_algebra",
+    "classify.fingerprint",
+    "linalg.rref",
+    "linalg.kernel_basis",
+)
+
+
+def test_the_wrappers_read_live_attributes(monkeypatch):
+    tracer = TRACE_CHILD.Tracer()
+    tracer.open("cli")
+    silt_modules = [
+        m for n, m in sys.modules.items() if n.startswith("silt.") and m
+    ]
+    for name, modname, attr in TRACE_CHILD.TRACED:
+        if name not in READERS:
+            continue
+        orig = getattr(importlib.import_module(modname), attr)
+        wrapped = TRACE_CHILD._wrap(tracer, name, orig)
+        for m in silt_modules:
+            for key, val in list(vars(m).items()):
+                if val is orig:
+                    monkeypatch.setattr(m, key, wrapped)
+    records = [classify(A3_COLD, t) for t in silting_alg2(A3_COLD)]
+    assert sorted(tracer.dims.values()) == sorted(
+        r.algebra.dimension for r in records
+    )
+    assert all(isinstance(d, int) for d in tracer.dims.values())
+    assert tracer.perms == 6 * len(records)
+    assert tracer.shapes["linalg.rref"] and tracer.entries > 0
+    assert tracer.shapes["linalg.kernel_basis"]
