@@ -12,8 +12,9 @@ with d^{-1}(h) = (d_Y h, h d_X) and d^0(f_0, f) = f_0 d_X - d_Y f, so that
 Hom(X, Y) = ker d^0 / im d^{-1} and Hom(X, Y[1]) = coker d^0.  Hom(X, Y)
 gets a canonical basis, because End(T) assembly composes two basis
 classes and reads the composite as one scalar per triple of summands;
-Hom(X, Y[1]) only decides rigidity, so it is only ever a dimension,
-taken by ranks.
+Hom(X, Y[1]) only decides rigidity, so it is only ever a dimension:
+every Hom dimension is a rank, taken on integer rows read off the cached
+blocks, each scaled by the lcm of its denominators.
 
 A map between direct sums of projectives is a coordinate vector in
 _layout order: block (j, i) is Hom(P(u_i), P(v_j)), with one coordinate
@@ -30,13 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .linalg import (
     RatMatrix,
+    _echelon,
     coords_in_rows,
     kernel_basis,
-    rank,
     reduce_by_rref,
     row_space_rref,
 )
@@ -166,56 +168,80 @@ def _before_diff(y: TwoTermComplex, u: int) -> Tuple[Tuple[Tuple, ...], ...]:
     )
 
 
-def _after_rows(
+Sparse = List[List[Tuple[int, Q]]]
+
+
+def _after_sparse(
     x: TwoTermComplex, tgts: Tuple[int, ...]
-) -> Tuple[List[List[Q]], int]:
+) -> Tuple[Sparse, int]:
     """h -> h d_X from Hom(X^0, +P(tgts)) to Hom(X^{-1}, +P(tgts)): the
-    image of each source coordinate, both sides in _layout order, and the
-    target dimension.  The map is block-diagonal over the summands tgts."""
+    image of each source coordinate as (column, value) pairs, both sides
+    in _layout order, and the target dimension.  The map is
+    block-diagonal over the summands tgts."""
     blocks, n = _layout(x.quiver, x.deg_minus1, tgts)
     off = {(k, i): o for k, i, _, o in blocks}
-    rows: List[List[Q]] = []
-    for k, v in enumerate(tgts):
-        for sparse in _after_diff(x, v):
-            row = [Q(0)] * n
-            for i, t, c in sparse:
-                row[off[(k, i)] + t] = c
-            rows.append(row)
+    rows = [
+        [(off[(k, i)] + t, c) for i, t, c in sparse]
+        for k, v in enumerate(tgts)
+        for sparse in _after_diff(x, v)
+    ]
     return rows, n
 
 
-def _before_rows(
-    y: TwoTermComplex, srcs: Tuple[int, ...], neg: bool = False
-) -> List[List[Q]]:
-    """h -> d_Y h (or -d_Y h) from Hom(+P(srcs), Y^{-1}) to
-    Hom(+P(srcs), Y^0): the image of each source coordinate, both sides
-    in _layout order.  The map is block-diagonal over the summands srcs."""
+def _before_sparse(
+    y: TwoTermComplex, srcs: Tuple[int, ...]
+) -> Tuple[Sparse, int]:
+    """h -> d_Y h from Hom(+P(srcs), Y^{-1}) to Hom(+P(srcs), Y^0): the
+    image of each source coordinate as (column, value) pairs, both sides
+    in _layout order, and the target dimension.  The map is
+    block-diagonal over the summands srcs."""
     blocks, n = _layout(y.quiver, srcs, y.deg0)
     off = {(k, i): o for k, i, _, o in blocks}
     before = [_before_diff(y, u) for u in srcs]
-    rows: List[List[Q]] = []
-    for j in range(len(y.deg_minus1)):
-        for i, b in enumerate(before):
-            for sparse in b[j]:
-                row = [Q(0)] * n
-                for k, t, c in sparse:
-                    row[off[(k, i)] + t] = -c if neg else c
-                rows.append(row)
-    return rows
+    rows = [
+        [(off[(k, i)] + t, c) for k, t, c in sparse]
+        for j in range(len(y.deg_minus1))
+        for i, b in enumerate(before)
+        for sparse in b[j]
+    ]
+    return rows, n
+
+
+def _dense(rows: Sparse, n: int, neg: bool = False) -> List[List[Q]]:
+    """Sparse rows as rows of n Fractions, negated when neg is set."""
+    out: List[List[Q]] = []
+    for sparse in rows:
+        row = [Q(0)] * n
+        for t, c in sparse:
+            row[t] = -c if neg else c
+        out.append(row)
+    return out
+
+
+def _int_row(sparse: List[Tuple[int, Q]], n: int) -> List[int]:
+    """A sparse row as n ints, scaled by the lcm of its denominators,
+    which a rank does not see."""
+    den = lcm(*(c.denominator for _, c in sparse))
+    row = [0] * n
+    for t, c in sparse:
+        row[t] = c.numerator * (den // c.denominator)
+    return row
 
 
 def _d0(x: TwoTermComplex, y: TwoTermComplex) -> Tuple[List[List[Q]], int]:
     """d^0(f_0, f) = f_0 d_X - d_Y f, one row per coordinate of
     Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}), and dim Hom(X^{-1}, Y^0)."""
-    rows, nw = _after_rows(x, y.deg0)
-    return rows + _before_rows(y, x.deg_minus1, neg=True), nw
+    after, nw = _after_sparse(x, y.deg0)
+    before, _ = _before_sparse(y, x.deg_minus1)
+    return _dense(after, nw) + _dense(before, nw, neg=True), nw
 
 
 def _d_minus1(x: TwoTermComplex, y: TwoTermComplex) -> List[List[Q]]:
     """d^{-1}(h) = (d_Y h, h d_X), one row per coordinate of
     Hom(X^0, Y^{-1})."""
-    after, _ = _after_rows(x, y.deg_minus1)
-    return [f0 + f for f0, f in zip(_before_rows(y, x.deg0), after)]
+    d_y, n0 = _before_sparse(y, x.deg0)
+    d_x, n1 = _after_sparse(x, y.deg_minus1)
+    return [f0 + f for f0, f in zip(_dense(d_y, n0), _dense(d_x, n1))]
 
 
 # --- homotopy classes ---
@@ -309,7 +335,8 @@ def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
     dim Hom(X, Y) = dim (Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}))
     - rank d^0 - rank d^{-1}.  Shifts with |k| >= 2 vanish for two-term
     complexes.  k = -1 is rejected: those spaces need not vanish and are
-    outside this engine's scope.
+    outside this engine's scope.  Each rank is taken on integer rows
+    read straight off the cached _after_diff and _before_diff blocks.
     """
     if x.quiver != y.quiver:
         raise ValueError("complexes live over different quivers")
@@ -317,13 +344,21 @@ def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
         raise ValueError("shift -1 is not supported")
     if k not in (0, 1):
         return 0
-    # rank does not see row signs, so d^0 is stacked unsigned here
-    rows, nw = _after_rows(x, y.deg0)
-    rows += _before_rows(y, x.deg_minus1)
-    r0 = rank(RatMatrix.from_rows(rows))
+    # d^0 is stacked unsigned here, since rank does not see row signs
+    after, nw = _after_sparse(x, y.deg0)
+    before, _ = _before_sparse(y, x.deg_minus1)
+    d0 = [_int_row(r, nw) for r in after + before]
+    source_dim = len(d0)
+    r0 = len(_echelon(d0, nw)[1])
     if k == 1:
         return nw - r0
-    return len(rows) - r0 - rank(RatMatrix.from_rows(_d_minus1(x, y)))
+    d_y, n0 = _before_sparse(y, x.deg0)
+    d_x, n1 = _after_sparse(x, y.deg_minus1)
+    d_minus1 = [
+        _int_row(f0 + [(n0 + t, c) for t, c in f], n0 + n1)
+        for f0, f in zip(d_y, d_x)
+    ]
+    return source_dim - r0 - len(_echelon(d_minus1, n0 + n1)[1])
 
 
 def compose(f: HomClass, g: HomClass) -> HomClass:

@@ -6,16 +6,17 @@ outputs, bit for bit.  Row-reduction always picks the first usable pivot row,
 so reduced echelon forms (and everything derived from them: kernels and
 canonical subspace bases) are canonical.  Coordinates over an RREF basis
 are read off its pivot columns.  One elimination serves ``rank``, ``rref``
-and ``integer_solve``: each row is cleared of denominators and reduced by
-fraction-free (Bareiss) elimination on plain ``int`` rows, and no pivot
-falls back to ``Fraction``.  ``integer_solve`` takes integer rows and
-returns integer rows, so it makes no ``Fraction`` at all.
+and ``integer_solve``: each row is cleared of denominators and reduced on
+plain ``int`` rows, where a pivot rewrites only the rows with a non-zero
+entry in its column and keeps each of them primitive, and no pivot falls
+back to ``Fraction``.  ``integer_solve`` takes integer rows and returns
+integer rows, so it makes no ``Fraction`` at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
@@ -108,27 +109,6 @@ class RatMatrix:
             self.rows, self.cols, tuple(c * e for e in self.entries)
         )
 
-    def inverse(self) -> "RatMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        aug = RatMatrix(
-            n,
-            2 * n,
-            tuple(
-                self.at(i, j) if j < n else Q(1 if j - n == i else 0)
-                for i in range(n)
-                for j in range(2 * n)
-            ),
-        )
-        red, pivots = rref(aug)
-        if [p for p in pivots if p < n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        ent = tuple(
-            red.at(i, n + j) for i in range(n) for j in range(n)
-        )
-        return RatMatrix(n, n, ent)
-
 
 def identity(n: int) -> RatMatrix:
     return RatMatrix(
@@ -182,14 +162,16 @@ def _echelon(
 ) -> Tuple[List[List[int]], List[int]]:
     """Integer row echelon form of integer rows and its pivot columns.
 
-    Fraction-free (Bareiss) elimination: after k pivots every remaining
-    entry is a (k+1)-minor of the input, so the division by the previous
-    pivot is exact.  Zero rows never pivot and sink below the pivot rows.
-    Only the non-zero rows are returned, one per pivot.  The list `rows`
-    is reduced in place.
+    A pivot p clears its column only from the rows below it that have a
+    non-zero entry f there: row <- p row - f top, divided by the gcd of
+    its entries to keep it primitive.  Each row stays a non-zero multiple
+    of the Gaussian elimination row over the rationals, so zero patterns,
+    pivots and rank are those of Gaussian elimination.  Zero rows never
+    pivot and sink below the pivot rows.  Only the non-zero rows are
+    returned, one per pivot.  The list `rows` is reduced in place.
     """
     pivots: List[int] = []
-    r, prev = 0, 1
+    r = 0
     for c in range(cols):
         if r == len(rows):
             break
@@ -201,8 +183,10 @@ def _echelon(
         p = top[c]
         for i in range(r + 1, len(rows)):
             f = rows[i][c]
-            rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
-        prev = p
+            if f:
+                row = [p * a - f * b for a, b in zip(rows[i], top)]
+                g = gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
     return rows[:r], pivots

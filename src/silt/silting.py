@@ -7,8 +7,9 @@ the inverse AR translate.  The brute-force route checks the defining
 rigidity condition, Hom(X, Y[1]) = 0, over all summand subsets and
 serves as an oracle.  Both brute forces read one table of
 dim Hom(X, Y[1]): over a hereditary algebra Ext^1(M, N) = Hom(P_M, P_N[1])
-for the minimal projective resolutions P_M, P_N, so the tilting modules
-are the silting objects with no shifted summand.
+for the minimal projective resolutions P_M, P_N, so the tilting brute
+force picks the rigid subsets of the modules from that shared table, and
+the tilting modules are the silting objects with no shifted summand.
 """
 
 from __future__ import annotations
@@ -99,9 +100,22 @@ def restrict(q: Quiver, drop: Iterable[int]) -> Quiver:
     return full_subquiver(q, tuple(v for v in q.vertices if v not in dropped))
 
 
-def _extend_dims(q: Quiver, sub: Quiver, d: DimVector) -> DimVector:
-    by_vertex = dict(zip(sub.vertices, d))
-    return tuple(by_vertex.get(v, 0) for v in q.vertices)
+def _lift_positions(q: Quiver, sub: Quiver) -> List[int]:
+    """For each vertex of q, its position in the full subquiver sub, or
+    len(sub.vertices) where sub drops it: the slot of the 0 that _lifted
+    appends."""
+    at = {v: i for i, v in enumerate(sub.vertices)}
+    return [at.get(v, len(at)) for v in q.vertices]
+
+
+def _lifted(picks: List[int], dims: Iterable[DimVector]) -> List[DimVector]:
+    """Dimension vectors over sub extended by zero to q, through the
+    _lift_positions of (q, sub)."""
+    out = []
+    for d in dims:
+        padded = d + (0,)
+        out.append(tuple([padded[i] for i in picks]))
+    return out
 
 
 @cache
@@ -125,9 +139,10 @@ def tilting_modules_alg1(q: Quiver) -> Tuple[TiltingModule, ...]:
             v for i, v in enumerate(q.vertices) if mask >> i & 1
         )
         sub = restrict(q, keep_out)
+        picks = _lift_positions(q, sub)
         p_part = tuple(projs[q.index(v)] for v in keep_out)
         for nt in tilting_modules_alg1(sub):
-            lifted = tuple(_extend_dims(q, sub, d) for d in nt.summands)
+            lifted = _lifted(picks, nt.summands)
             if any(d in injs for d in lifted):
                 continue
             stage = p_part + tuple(tau_inverse(q, d) for d in lifted)
@@ -204,12 +219,13 @@ def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
             v for i, v in enumerate(q.vertices) if mask >> i & 1
         )
         sub = restrict(q, shift_set)
+        picks = _lift_positions(q, sub)
         shifted = tuple(
             IndId.shifted(v, projs[q.index(v)]) for v in shift_set
         )
         for nt in tilting_modules_alg1(sub):
             mods = tuple(
-                IndId.module(_extend_dims(q, sub, d)) for d in nt.summands
+                IndId.module(d) for d in _lifted(picks, nt.summands)
             )
             out.add(
                 tuple(
@@ -269,10 +285,12 @@ def silting_bruteforce(q: Quiver) -> Tuple[SiltingObject, ...]:
 @cache
 def tilting_modules_bruteforce(q: Quiver) -> Tuple[TiltingModule, ...]:
     """All n-subsets of indecomposables with pairwise vanishing Ext^1:
-    the brute-force silting objects with no shifted summand."""
+    the rigid subsets of the modules in the table silting_bruteforce
+    reads."""
+    objs, table = _hom_shift1_table(q)
+    mods = [o for o in objs if o.kind == "mod"]
     out = [
-        tuple(sorted(t.module_dims))
-        for t in silting_bruteforce(q)
-        if not t.shifted_vertices
+        tuple(sorted(mods[i].dim for i in chosen))
+        for chosen in _rigid_subsets(len(q.vertices), mods, table)
     ]
     return tuple(TiltingModule(q, s) for s in sorted(out))

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from importlib.resources import files
 from math import comb
 
 import pytest
@@ -9,10 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynkin_orientations import TYPES_UP_TO_D5, orientations
-from silt.quivers import parse_quiver
-from silt.modules import IndId, ext1_dim, build_representation
+from silt.cli import FIXTURE_NAMES
+from silt.quivers import euler_form, parse_quiver
+from silt.modules import (
+    IndId,
+    build_representation,
+    ext1_dim,
+    indecomposables,
+    projective_dim_vectors,
+)
 from silt.silting import (
     SiltingObject,
+    _hom_shift1_table,
     _rigid_subsets,
     TiltingModule,
     is_presilting,
@@ -30,6 +39,15 @@ A3 = parse_quiver("vertices 1 2 3\narrow a:1->2\narrow b:2->3\n")
 A3_ALT = parse_quiver("vertices 1 2 3\narrow a:1->3\narrow b:2->3\n")
 A4 = parse_quiver("vertices 1 2 3 4\narrow a:1->2\narrow b:2->3\narrow c:3->4\n")
 D4 = parse_quiver("vertices 1 2 3 4\narrow a:1->3\narrow b:2->3\narrow c:3->4\n")
+E6 = parse_quiver(
+    "vertices 1 2 3 4 5 6\narrows a:1->2 b:2->3 c:3->4 d:4->5 e:6->3\n"
+)
+
+
+def _fixture(name):
+    return parse_quiver(
+        files("silt").joinpath("fixtures", f"{name}.quiver").read_text()
+    )
 
 
 # --- restrict ---
@@ -192,6 +210,41 @@ def test_rigid_subsets_match_combinations_filter(case):
         if all(table[(items[i], items[j])] == 0 for i in c for j in c)
     ]
     assert _rigid_subsets(n, items, table) == want
+
+
+def _euler_form_table(q):
+    """dim Hom(X, Y[1]) for the two-term indecomposables, from K_0 alone.
+
+    Over a representation-directed hereditary algebra one of Hom(M, N)
+    and Ext^1(M, N) vanishes for indecomposables M, N, so Ext^1(M, N) =
+    max(0, -<M, N>).  Hom(P_u[1], N[1]) = Hom(P_u, N) is N at u, and a
+    map into P_v[2] vanishes between two-term complexes.
+    """
+    projs = projective_dim_vectors(q)
+    mods = [IndId.module(d) for d in indecomposables(q)]
+    shifts = [IndId.shifted(v, projs[q.index(v)]) for v in q.vertices]
+    table = {}
+    for a in mods + shifts:
+        for b in mods + shifts:
+            if b.kind == "shift":
+                table[(a, b)] = 0
+            elif a.kind == "shift":
+                table[(a, b)] = b.dim[q.index(a.vertex)]
+            else:
+                table[(a, b)] = max(0, -euler_form(q, a.dim, b.dim))
+    return table
+
+
+@pytest.mark.parametrize(
+    "q",
+    [pytest.param(_fixture(name), id=name) for name in FIXTURE_NAMES]
+    + [pytest.param(E6, id="e6")],
+)
+def test_hom_shift1_table_is_the_euler_form_table(q):
+    # the Hom complex route and the integer K_0 route share no code
+    objs, table = _hom_shift1_table(q)
+    assert len(table) == len(objs) ** 2
+    assert table == _euler_form_table(q)
 
 
 def test_opposite_duality_of_counts():
