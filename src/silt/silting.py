@@ -5,18 +5,19 @@ route recurses over vertex subsets: restrict the quiver, lift tilting
 modules of the smaller algebra, and (for tilting modules) sweep with
 the inverse AR translate.  The brute-force route checks the defining
 rigidity condition, Hom(X, Y[1]) = 0, over all summand subsets and
-serves as an oracle.  Both brute forces read one table of
-dim Hom(X, Y[1]): over a hereditary algebra Ext^1(M, N) = Hom(P_M, P_N[1])
-for the minimal projective resolutions P_M, P_N, so the tilting brute
-force picks the rigid subsets of the modules from that shared table, and
-the tilting modules are the silting objects with no shifted summand.
+serves as an oracle.  Both routes name summands by their positions in
+two_term_objects, the indecomposable modules and shifted projectives in
+IndId.key order.  The brute forces rank through the hom_class_dim cache
+for exactly the pairs they visit: over a hereditary algebra Ext^1(M, N)
+= Hom(P_M, P_N[1]) for the minimal projective resolutions P_M, P_N, so
+the tilting brute force ranks module pairs only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .complexes import (
     TwoTermComplex,
@@ -158,22 +159,18 @@ def tilting_modules_alg1(q: Quiver) -> Tuple[TiltingModule, ...]:
     return tuple(TiltingModule(q, s) for s in sorted(found))
 
 
-def _rigid_subsets(n: int, items: Sequence, table: Dict) -> List[Tuple[int, ...]]:
-    """Index sets of the n-subsets of items with table[(a, b)] == 0 for
+def _rigid_subsets(
+    n: int, m: int, vanishes: Callable[[int, int], bool]
+) -> List[Tuple[int, ...]]:
+    """Index sets of the n-subsets of range(m) with vanishes(a, b) for
     every ordered pair of members, a == b included.
 
     Each index set is increasing, and they come in lexicographic order.
     """
-    m = len(items)
-    # compat[i]: bit j set iff the table vanishes on (i, j) and (j, i);
-    # candidates start as the rigid items, so only those are ever chosen
+    # compat[i]: bit j set iff vanishes on (i, j) and (j, i); candidates
+    # start as the rigid items, so only those are ever chosen
     compat = [
-        sum(
-            1 << j
-            for j in range(m)
-            if table[(items[i], items[j])] == 0
-            and table[(items[j], items[i])] == 0
-        )
+        sum(1 << j for j in range(m) if vanishes(i, j) and vanishes(j, i))
         for i in range(m)
     ]
     out: List[Tuple[int, ...]] = []
@@ -192,7 +189,7 @@ def _rigid_subsets(n: int, items: Sequence, table: Dict) -> List[Tuple[int, ...]
             walk(cand & compat[i])
             chosen.pop()
 
-    walk(sum(1 << i for i, a in enumerate(items) if table[(a, a)] == 0))
+    walk(sum(1 << i for i in range(m) if vanishes(i, i)))
     return out
 
 
@@ -203,16 +200,30 @@ def summand_complex(q: Quiver, s: IndId) -> TwoTermComplex:
     return shifted_projective(q, s.vertex)
 
 
+def two_term_objects(q: Quiver) -> Tuple[IndId, ...]:
+    """The indecomposable two-term objects in IndId.key order: the
+    modules in indecomposables order, then the shifted projectives
+    sorted by dim P(v)."""
+    shifts = sorted(zip(projective_dim_vectors(q), q.vertices))
+    return tuple(IndId.module(d) for d in indecomposables(q)) + tuple(
+        IndId.shifted(v, d) for d, v in shifts
+    )
+
+
 @cache
 def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
     """All basic two-term silting objects by subset recursion.
 
     For every vertex subset I (empty and full included), combine the
     shifted projectives P(i)[1], i in I, with each tilting module of
-    the restricted quiver, lifted by zero to the big vertex set.
+    the restricted quiver, lifted by zero to the big vertex set.  Each
+    object is built as the increasing positions of its summands in
+    two_term_objects, so sorting the positions sorts by IndId.key.
     """
     n = len(q.vertices)
-    projs = projective_dim_vectors(q)
+    objs = two_term_objects(q)
+    at_dim = {o.dim: i for i, o in enumerate(objs) if o.kind == "mod"}
+    at_shift = {o.vertex: i for i, o in enumerate(objs) if o.kind == "shift"}
     out = set()
     for mask in range(1 << n):
         shift_set = tuple(
@@ -220,40 +231,13 @@ def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
         )
         sub = restrict(q, shift_set)
         picks = _lift_positions(q, sub)
-        shifted = tuple(
-            IndId.shifted(v, projs[q.index(v)]) for v in shift_set
-        )
+        shifted = [at_shift[v] for v in shift_set]
         for nt in tilting_modules_alg1(sub):
-            mods = tuple(
-                IndId.module(d) for d in _lifted(picks, nt.summands)
-            )
-            out.add(
-                tuple(
-                    sorted(shifted + mods, key=lambda s: s.key())
-                )
-            )
+            mods = [at_dim[d] for d in _lifted(picks, nt.summands)]
+            out.add(tuple(sorted(shifted + mods)))
     return tuple(
-        SiltingObject(q, s)
-        for s in sorted(out, key=lambda t: [x.key() for x in t])
+        SiltingObject(q, tuple(objs[i] for i in s)) for s in sorted(out)
     )
-
-
-@cache
-def _hom_shift1_table(q: Quiver):
-    """dim Hom(X, Y[1]) for all ordered pairs of two-term objects.
-
-    The objects are the indecomposable modules and the shifted
-    projectives, listed without the AR quiver.
-    """
-    projs = projective_dim_vectors(q)
-    objs = tuple(IndId.module(d) for d in indecomposables(q)) + tuple(
-        IndId.shifted(v, projs[q.index(v)]) for v in q.vertices
-    )
-    cx = {o: summand_complex(q, o) for o in objs}
-    table = {
-        (a, b): hom_class_dim(cx[a], cx[b], 1) for a in objs for b in objs
-    }
-    return objs, table
 
 
 def is_presilting(q: Quiver, summands: Sequence[IndId]) -> bool:
@@ -269,28 +253,34 @@ def silting_bruteforce(q: Quiver) -> Tuple[SiltingObject, ...]:
     """All n-subsets of mod-or-shifted summands that are presilting.
 
     For two-term complexes a presilting set of full size n is silting,
-    so no separate generation check is needed.
+    so no separate generation check is needed.  The rigid index sets
+    are increasing and lexicographic over two_term_objects, which is in
+    IndId.key order, so the objects come out sorted.
     """
-    objs, table = _hom_shift1_table(q)
-    out = [
-        tuple(sorted((objs[i] for i in chosen), key=lambda s: s.key()))
-        for chosen in _rigid_subsets(len(q.vertices), objs, table)
-    ]
+    objs = two_term_objects(q)
+    cx = [summand_complex(q, o) for o in objs]
     return tuple(
-        SiltingObject(q, s)
-        for s in sorted(out, key=lambda t: [x.key() for x in t])
+        SiltingObject(q, tuple(objs[i] for i in chosen))
+        for chosen in _rigid_subsets(
+            len(q.vertices),
+            len(objs),
+            lambda i, j: hom_class_dim(cx[i], cx[j], 1) == 0,
+        )
     )
 
 
 @cache
 def tilting_modules_bruteforce(q: Quiver) -> Tuple[TiltingModule, ...]:
-    """All n-subsets of indecomposables with pairwise vanishing Ext^1:
-    the rigid subsets of the modules in the table silting_bruteforce
-    reads."""
-    objs, table = _hom_shift1_table(q)
-    mods = [o for o in objs if o.kind == "mod"]
+    """All n-subsets of indecomposables with pairwise vanishing
+    Ext^1(M, N) = Hom(P_M, P_N[1]), ranked on module pairs only."""
+    mods = indecomposables(q)
+    cx = [resolve_dim(q, d) for d in mods]
     out = [
-        tuple(sorted(mods[i].dim for i in chosen))
-        for chosen in _rigid_subsets(len(q.vertices), mods, table)
+        tuple(sorted(mods[i] for i in chosen))
+        for chosen in _rigid_subsets(
+            len(q.vertices),
+            len(mods),
+            lambda i, j: hom_class_dim(cx[i], cx[j], 1) == 0,
+        )
     ]
     return tuple(TiltingModule(q, s) for s in sorted(out))

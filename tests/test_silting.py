@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from dynkin_orientations import TYPES_UP_TO_D5, orientations
 from silt.cli import FIXTURE_NAMES
+from silt import silting
+from silt.complexes import hom_class_dim
 from silt.quivers import euler_form, parse_quiver
 from silt.modules import (
     IndId,
@@ -21,7 +23,6 @@ from silt.modules import (
 )
 from silt.silting import (
     SiltingObject,
-    _hom_shift1_table,
     _rigid_subsets,
     TiltingModule,
     is_presilting,
@@ -31,6 +32,7 @@ from silt.silting import (
     summand_complex,
     tilting_modules_alg1,
     tilting_modules_bruteforce,
+    two_term_objects,
 )
 
 A1 = parse_quiver("vertices 1\n")
@@ -209,7 +211,8 @@ def test_rigid_subsets_match_combinations_filter(case):
         for c in itertools.combinations(range(len(items)), n)
         if all(table[(items[i], items[j])] == 0 for i in c for j in c)
     ]
-    assert _rigid_subsets(n, items, table) == want
+    vanishes = lambda i, j: table[(items[i], items[j])] == 0
+    assert _rigid_subsets(n, len(items), vanishes) == want
 
 
 def _euler_form_table(q):
@@ -242,9 +245,49 @@ def _euler_form_table(q):
 )
 def test_hom_shift1_table_is_the_euler_form_table(q):
     # the Hom complex route and the integer K_0 route share no code
-    objs, table = _hom_shift1_table(q)
+    objs = two_term_objects(q)
+    cx = {o: summand_complex(q, o) for o in objs}
+    table = {
+        (a, b): hom_class_dim(cx[a], cx[b], 1) for a in objs for b in objs
+    }
     assert len(table) == len(objs) ** 2
     assert table == _euler_form_table(q)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [pytest.param(_fixture(name), id=name) for name in FIXTURE_NAMES]
+    + [pytest.param(E6, id="e6")],
+)
+def test_two_term_objects_are_key_ordered_and_oracles_agree_in_order(q):
+    objs = two_term_objects(q)
+    keys = [o.key() for o in objs]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert len(objs) == len(indecomposables(q)) + len(q.vertices)
+    kinds = [o.kind for o in objs]
+    assert kinds == ["mod"] * len(indecomposables(q)) + ["shift"] * len(
+        q.vertices
+    )
+    # the same tuple, in the same order, not only the same set
+    assert silting_bruteforce(q) == silting_alg2(q)
+
+
+# A3 relabelled, so that no enumeration of it is cached
+A3_COLD = parse_quiver("vertices 41 42 43\narrows a:41->42 b:42->43\n")
+
+
+def test_tilting_bruteforce_ranks_module_pairs_only(monkeypatch):
+    seen = []
+
+    def spy(x, y, k):
+        seen.append((x, y, k))
+        return hom_class_dim(x, y, k)
+
+    monkeypatch.setattr(silting, "hom_class_dim", spy)
+    assert len(tilting_modules_bruteforce(A3_COLD)) == 5
+    assert seen
+    # a shifted projective P(v)[1] is the complex with nothing in degree 0
+    assert all(x.deg0 and y.deg0 and k == 1 for x, y, k in seen)
 
 
 def test_opposite_duality_of_counts():
