@@ -9,12 +9,15 @@ Hom complex, built from blocks cached per (complex, vertex):
   Hom(X^0, Y^{-1}) -> Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}) -> Hom(X^{-1}, Y^0)
 
 with d^{-1}(h) = (d_Y h, h d_X) and d^0(f_0, f) = f_0 d_X - d_Y f, so that
-Hom(X, Y) = ker d^0 / im d^{-1} and Hom(X, Y[1]) = coker d^0.  Hom(X, Y)
-gets a canonical basis, because End(T) assembly composes two basis
-classes and reads the composite as one scalar per triple of summands;
-Hom(X, Y[1]) only decides rigidity, so it is only ever a dimension:
-every Hom dimension is a rank, taken on integer rows read off the cached
-blocks, each scaled by the lcm of its denominators.
+Hom(X, Y) = ker d^0 / im d^{-1} and Hom(X, Y[1]) = coker d^0.  One pair of
+builders (_d0, _d_minus1) gives both differentials as sparse (column,
+value) rows, and both readers take them from there.  Hom(X, Y) gets a
+canonical basis (hom_class_basis: the kernel of d^0 modulo the RREF row
+space of d^{-1}), because End(T) assembly composes two basis classes and
+reads the composite as one scalar per triple of summands.  Hom(X, Y[1])
+only decides rigidity, so it is only ever a dimension (hom_class_dim):
+every Hom dimension is a rank, taken on the same rows as integer rows,
+each scaled by the lcm of its denominators.
 
 A map between direct sums of projectives is a coordinate vector in
 _layout order: block (j, i) is Hom(P(u_i), P(v_j)), with one coordinate
@@ -207,20 +210,9 @@ def _before_sparse(
     return rows, n
 
 
-def _dense(rows: Sparse, n: int, neg: bool = False) -> List[List[Q]]:
-    """Sparse rows as rows of n Fractions, negated when neg is set."""
-    out: List[List[Q]] = []
-    for sparse in rows:
-        row = [Q(0)] * n
-        for t, c in sparse:
-            row[t] = -c if neg else c
-        out.append(row)
-    return out
-
-
 def _int_row(sparse: List[Tuple[int, Q]], n: int) -> List[int]:
     """A sparse row as n ints, scaled by the lcm of its denominators,
-    which a rank does not see."""
+    which neither a rank nor a row space sees."""
     den = lcm(*(c.denominator for _, c in sparse))
     row = [0] * n
     for t, c in sparse:
@@ -228,20 +220,23 @@ def _int_row(sparse: List[Tuple[int, Q]], n: int) -> List[int]:
     return row
 
 
-def _d0(x: TwoTermComplex, y: TwoTermComplex) -> Tuple[List[List[Q]], int]:
-    """d^0(f_0, f) = f_0 d_X - d_Y f, one row per coordinate of
-    Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}), and dim Hom(X^{-1}, Y^0)."""
+def _d0(x: TwoTermComplex, y: TwoTermComplex) -> Tuple[Sparse, int, int]:
+    """d^0(f_0, f) = f_0 d_X - d_Y f into Hom(X^{-1}, Y^0): the sparse rows
+    of f_0 d_X, then those of d_Y f, unsigned, since a rank does not see
+    row signs; the number of f_0 rows; and dim Hom(X^{-1}, Y^0)."""
     after, nw = _after_sparse(x, y.deg0)
     before, _ = _before_sparse(y, x.deg_minus1)
-    return _dense(after, nw) + _dense(before, nw, neg=True), nw
+    return after + before, len(after), nw
 
 
-def _d_minus1(x: TwoTermComplex, y: TwoTermComplex) -> List[List[Q]]:
-    """d^{-1}(h) = (d_Y h, h d_X), one row per coordinate of
-    Hom(X^0, Y^{-1})."""
+def _d_minus1(x: TwoTermComplex, y: TwoTermComplex) -> Tuple[Sparse, int]:
+    """d^{-1}(h) = (d_Y h, h d_X) as sparse rows, one per coordinate of
+    Hom(X^0, Y^{-1}), into Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}), and the
+    dimension of that sum."""
     d_y, n0 = _before_sparse(y, x.deg0)
     d_x, n1 = _after_sparse(x, y.deg_minus1)
-    return [f0 + f for f0, f in zip(_dense(d_y, n0), _dense(d_x, n1))]
+    rows = [f0 + [(n0 + t, c) for t, c in f] for f0, f in zip(d_y, d_x)]
+    return rows, n0 + n1
 
 
 # --- homotopy classes ---
@@ -310,14 +305,15 @@ def hom_class_basis(x: TwoTermComplex, y: TwoTermComplex, k: int) -> HomSpace:
         raise ValueError("complexes live over different quivers")
     if k != 0:
         raise ValueError(f"no basis of Hom(X, Y[{k}]); only k = 0 has one")
-    d0, nw = _d0(x, y)
-    total = len(d0)
-    # ker d^0 is the chain maps; d0 holds the images of unit vectors
-    constraint = RatMatrix(
-        nw, total, tuple(d0[t][r] for r in range(nw) for t in range(total))
-    )
-    z_rows = kernel_basis(constraint)
-    b_rref = row_space_rref(_d_minus1(x, y))
+    d0, n_f0, nw = _d0(x, y)
+    # ker d^0 is the chain maps; constraint column t is d^0 of unit t
+    constraint = [Q(0)] * (nw * len(d0))
+    for t, row in enumerate(d0):
+        for r, c in row:
+            constraint[r * len(d0) + t] = c if t < n_f0 else -c
+    z_rows = kernel_basis(RatMatrix(nw, len(d0), tuple(constraint)))
+    d_minus1, width = _d_minus1(x, y)
+    b_rref = row_space_rref(_int_row(r, width) for r in d_minus1)
     cands = [reduce_by_rref(z, b_rref) for z in z_rows]
     class_basis = row_space_rref(cands)
     if len(class_basis) != len(z_rows) - len(b_rref):
@@ -335,8 +331,8 @@ def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
     dim Hom(X, Y) = dim (Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}))
     - rank d^0 - rank d^{-1}.  Shifts with |k| >= 2 vanish for two-term
     complexes.  k = -1 is rejected: those spaces need not vanish and are
-    outside this engine's scope.  Each rank is taken on integer rows
-    read straight off the cached _after_diff and _before_diff blocks.
+    outside this engine's scope.  Each rank is taken on the rows of _d0
+    and _d_minus1, as integer rows.
     """
     if x.quiver != y.quiver:
         raise ValueError("complexes live over different quivers")
@@ -344,21 +340,14 @@ def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
         raise ValueError("shift -1 is not supported")
     if k not in (0, 1):
         return 0
-    # d^0 is stacked unsigned here, since rank does not see row signs
-    after, nw = _after_sparse(x, y.deg0)
-    before, _ = _before_sparse(y, x.deg_minus1)
-    d0 = [_int_row(r, nw) for r in after + before]
-    source_dim = len(d0)
+    rows, _, nw = _d0(x, y)
+    d0 = [_int_row(r, nw) for r in rows]
     r0 = len(_echelon(d0, nw)[1])
     if k == 1:
         return nw - r0
-    d_y, n0 = _before_sparse(y, x.deg0)
-    d_x, n1 = _after_sparse(x, y.deg_minus1)
-    d_minus1 = [
-        _int_row(f0 + [(n0 + t, c) for t, c in f], n0 + n1)
-        for f0, f in zip(d_y, d_x)
-    ]
-    return source_dim - r0 - len(_echelon(d_minus1, n0 + n1)[1])
+    d_minus1, width = _d_minus1(x, y)
+    rows = [_int_row(r, width) for r in d_minus1]
+    return len(d0) - r0 - len(_echelon(rows, width)[1])
 
 
 def compose(f: HomClass, g: HomClass) -> HomClass:

@@ -14,8 +14,10 @@ contains them.  From these scalars alone we read off the Gabriel quiver
 (arrows i -> j are the non-zero blocks no product through a third
 summand reaches), the value of every Gabriel path (the product of the
 scalars along it), a minimal generating set of relations (kernel of the
-induced map from the path algebra of the Gabriel quiver).  The algebra
-is these arrows and relations with the block dimensions as its integer
+induced map from the path algebra of the Gabriel quiver).  The Gabriel
+quiver's path tables come from the uncached quivers.path_tables and are
+dropped on return, since no later call reads them.  The algebra is
+these arrows and relations with the block dimensions as its integer
 Cartan rows; its projectives, which only the resolutions of simples
 read, are derived from the relations by modules.projectives.  Also here:
 the blocks, as the vertex sets of the Gabriel quiver's components, and
@@ -43,8 +45,7 @@ from .quivers import (
     Quiver,
     _components,
     coxeter_matrix,
-    path_index,
-    paths_between,
+    path_tables,
 )
 from .silting import SiltingObject, is_presilting, summand_complex
 
@@ -116,8 +117,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
     ]
     ends = {a.id: (a.source - 1, a.target - 1) for a in arrows}
     gq = Quiver(tuple(range(1, n + 1)), tuple(arrows))
-    pb = paths_between(gq)
-    index = path_index(gq)
+    pb, index = path_tables(gq)
 
     @cache
     def value(source: int, arrow_ids: Tuple[str, ...]) -> Q:

@@ -50,7 +50,7 @@ from .quivers import (
     Quiver,
     coxeter_matrix,
     dynkin_type,
-    path_index,
+    path_tables,
     paths_between,
     tits_form,
 )
@@ -388,10 +388,10 @@ def projectives(
 
     e_v I e_u is the row space of the products p r p' over the relations
     r: s -> t and the paths p from v to s and p' from t to u, in the
-    coordinates of the paths from v to u (`path_index`).  The basis paths
-    from v to u are the free columns of its RREF, and a path's
-    coordinates are its reduction modulo e_v I e_u at those columns.  In
-    P(v) an arrow a sends the basis path p to the coordinates of p a.
+    coordinates of the paths from v to u (`path_tables`, uncached).  The
+    basis paths from v to u are the free columns of its RREF, and a
+    path's coordinates are its reduction modulo e_v I e_u at those
+    columns.  In P(v) an arrow a sends the basis path p to p a.
 
     Returns (basis, reps), indexed like b.cartan: basis[k][l] lists the
     basis paths from the k-th vertex v to the l-th as arrow-id tuples,
@@ -399,7 +399,7 @@ def projectives(
     Cartan row k.
     """
     q = b.gabriel
-    pb, index = paths_between(q), path_index(q)
+    pb, index = path_tables(q)
     basis, reps = [], []
     for v, cartan_row in zip(q.vertices, b.cartan):
         paths_from_v, coords = [], []
@@ -708,7 +708,6 @@ def _translates(q: Quiver) -> Tuple[Dict[DimVector, DimVector], ...]:
     return forward, backward
 
 
-@cache
 def tau(q: Quiver, d: DimVector) -> Optional[DimVector]:
     """Dimension vector of tau M, or None when M is projective."""
     if d not in set(indecomposables(q)):

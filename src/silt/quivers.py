@@ -307,7 +307,6 @@ def dynkin_type(q: Quiver) -> DynkinType:
     )
 
 
-@cache
 def path_basis(q: Quiver) -> Tuple[Path, ...]:
     """All paths, ordered by source vertex, then length, then arrow ids."""
     out: List[Path] = []
@@ -326,29 +325,38 @@ def path_basis(q: Quiver) -> Tuple[Path, ...]:
     return tuple(out)
 
 
-@cache
-def paths_between(q: Quiver) -> Dict[Tuple[int, int], Tuple[Path, ...]]:
-    """Canonical per-(source, target) path lists; basis of e_u A e_v."""
+PathTable = Dict[Tuple[int, int], Tuple[Path, ...]]
+PathIndex = Dict[Tuple[int, Tuple[str, ...]], int]
+
+
+def path_tables(q: Quiver) -> Tuple[PathTable, PathIndex]:
+    """The canonical per-(source, target) path lists, each the basis of
+    e_u A e_v, and the index (source, arrow ids) -> the path's position
+    in its list, the one lookup through which paths are concatenated.
+    Uncached, for the quivers whose tables no later call reads."""
     table: Dict[Tuple[int, int], List[Path]] = {
         (u, v): [] for u in q.vertices for v in q.vertices
     }
+    index: PathIndex = {}
     for p in path_basis(q):
-        table[(p.source, p.target)].append(p)
-    return {k: tuple(v) for k, v in table.items()}
+        paths = table[(p.source, p.target)]
+        index[(p.source, p.arrows)] = len(paths)
+        paths.append(p)
+    return {k: tuple(v) for k, v in table.items()}, index
 
 
 @cache
-def path_index(q: Quiver) -> Dict[Tuple[int, Tuple[str, ...]], int]:
-    """(source, arrow ids) -> the path's position in its paths_between
-    list; the one lookup through which paths are concatenated."""
-    return {
-        (p.source, p.arrows): t
-        for ps in paths_between(q).values()
-        for t, p in enumerate(ps)
-    }
+def paths_between(q: Quiver) -> PathTable:
+    """path_tables' lists, cached for the input quiver and its subquivers."""
+    return path_tables(q)[0]
 
 
 @cache
+def path_index(q: Quiver) -> PathIndex:
+    """path_tables' index, cached like paths_between."""
+    return path_tables(q)[1]
+
+
 def coxeter_matrix(cartan: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], ...]:
     """Phi = -C^{-1} C^T as integer rows, for integer Cartan rows C.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .complexes import (
@@ -166,13 +167,15 @@ def _rigid_subsets(
     every ordered pair of members, a == b included.
 
     Each index set is increasing, and they come in lexicographic order.
+    vanishes is evaluated at most once per ordered pair.
     """
-    # compat[i]: bit j set iff vanishes on (i, j) and (j, i); candidates
+    # compat[i]: bit j set iff vanishes on (i, j) and (j, i), for j > i
+    # only, since a choice only ever grows by larger indices; candidates
     # start as the rigid items, so only those are ever chosen
-    compat = [
-        sum(1 << j for j in range(m) if vanishes(i, j) and vanishes(j, i))
-        for i in range(m)
-    ]
+    compat = [0] * m
+    for i, j in combinations(range(m), 2):
+        if vanishes(i, j) and vanishes(j, i):
+            compat[i] |= 1 << j
     out: List[Tuple[int, ...]] = []
     chosen: List[int] = []
 

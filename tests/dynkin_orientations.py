@@ -36,3 +36,8 @@ def orientations(kind, n):
 
 TYPES_UP_TO_D5 = [("A", n) for n in range(1, 6)] + [("D", 4), ("D", 5)]
 TYPES_WITH_E6 = TYPES_UP_TO_D5 + [("E", 6)]
+
+# E6 with its branch at vertex 3, the orientation the tests share
+E6 = parse_quiver(
+    "vertices 1 2 3 4 5 6\narrows a:1->2 b:2->3 c:3->4 d:4->5 e:6->3\n"
+)

@@ -11,6 +11,7 @@ from importlib.resources import files
 import pytest
 
 from block_reference import block_algebras
+from dynkin_orientations import E6
 from silt.classify import classify, global_dimension, tilted_type
 from silt.cli import FIXTURE_NAMES
 from silt.endo import cartan_data
@@ -18,9 +19,6 @@ from silt.quivers import parse_quiver
 from silt.silting import silting_alg2
 
 DISCONNECTED = parse_quiver("vertices 1 2 3\narrow a:1->2\n")
-E6 = parse_quiver(
-    "vertices 1 2 3 4 5 6\narrows a:1->2 b:2->3 c:3->4 d:4->5 e:6->3\n"
-)
 
 
 def _fixture(name):

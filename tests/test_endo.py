@@ -8,6 +8,7 @@ from importlib.resources import files
 import pytest
 
 import silt.endo as endo_mod
+from dynkin_orientations import E6
 from endo_reference import (
     endomorphism_algebra_reference,
     reference_path_values,
@@ -16,7 +17,13 @@ from linalg_reference import inverse
 from quiver_isomorphism import quivers_isomorphic
 from silt.cli import FIXTURE_NAMES
 from silt.linalg import RatMatrix, charpoly
-from silt.quivers import euler_form, parse_quiver, path_basis
+from silt.quivers import (
+    euler_form,
+    parse_quiver,
+    path_basis,
+    path_index,
+    paths_between,
+)
 from silt.modules import (
     IndId,
     act_path,
@@ -41,9 +48,6 @@ A3_ALT = parse_quiver("vertices 1 2 3\narrow a:1->3\narrow b:2->3\n")
 D4 = parse_quiver("vertices 1 2 3 4\narrow a:1->3\narrow b:2->3\narrow c:3->4\n")
 A4_SECOND = parse_quiver("vertices 1 2 3 4\narrow a:1->2\narrow b:3->2\narrow c:3->4\n")
 A2_A1 = parse_quiver("vertices 1 2 3\narrow a:1->2\n")
-E6 = parse_quiver(
-    "vertices 1 2 3 4 5 6\narrows a:1->2 b:2->3 c:3->4 d:4->5 e:6->3\n"
-)
 
 
 def _fixture(name):
@@ -375,3 +379,21 @@ def test_rejects_non_silting_input():
     )
     with pytest.raises(ValueError, match=re.escape(bad.label())):
         endomorphism_algebra(A2, bad)
+
+
+# D4 relabelled, so that none of its End(T)s is cached yet
+D4_COLD = parse_quiver(
+    "vertices 51 52 53 54\narrows a:51->53 b:52->53 c:53->54\n"
+)
+
+
+def test_no_path_table_is_cached_for_a_gabriel_quiver():
+    # End(T) assembly and the projectives of End(T) build their path
+    # tables uncached, so only the input quiver's tables are kept
+    objs = silting_alg2(D4_COLD)
+    paths_between.cache_clear()
+    path_index.cache_clear()
+    for t in objs:
+        projectives(endomorphism_algebra(D4_COLD, t))
+    assert paths_between.cache_info().currsize <= 1
+    assert path_index.cache_info().currsize <= 1

@@ -7,15 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fingerprint_reference import fingerprint_reference, least_key_reference
+from dynkin_orientations import E6
 from silt.classify import classify, fingerprint, homology, least_relabelling
 from silt.cli import FIXTURE_NAMES
 from silt.endo import endomorphism_algebra
 from silt.quivers import parse_quiver
 from silt.silting import silting_alg2
-
-E6 = parse_quiver(
-    "vertices 1 2 3 4 5 6\narrows a:1->2 b:2->3 c:3->4 d:4->5 e:6->3\n"
-)
 
 
 def test_fingerprint_matches_reference_on_every_fixture_algebra():

@@ -14,6 +14,7 @@ import pytest
 
 import silt.classify as classify_mod
 import silt.modules as modules_mod
+from dynkin_orientations import E6
 from silt.classify import (
     _simple_resolutions,
     check_homology,
@@ -27,10 +28,6 @@ from silt.endo import endomorphism_algebra
 from silt.modules import path_algebra, projectives
 from silt.quivers import parse_quiver
 from silt.silting import silting_alg2
-
-E6 = parse_quiver(
-    "vertices 1 2 3 4 5 6\narrows a:1->2 b:2->3 c:3->4 d:4->5 e:6->3\n"
-)
 
 
 def _fixture(name):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynkin_orientations import TYPES_UP_TO_D5, orientations
+from dynkin_orientations import E6, TYPES_UP_TO_D5, orientations
 from silt.cli import FIXTURE_NAMES
 from silt import silting
 from silt.complexes import hom_class_dim
@@ -41,9 +41,6 @@ A3 = parse_quiver("vertices 1 2 3\narrow a:1->2\narrow b:2->3\n")
 A3_ALT = parse_quiver("vertices 1 2 3\narrow a:1->3\narrow b:2->3\n")
 A4 = parse_quiver("vertices 1 2 3 4\narrow a:1->2\narrow b:2->3\narrow c:3->4\n")
 D4 = parse_quiver("vertices 1 2 3 4\narrow a:1->3\narrow b:2->3\narrow c:3->4\n")
-E6 = parse_quiver(
-    "vertices 1 2 3 4 5 6\narrows a:1->2 b:2->3 c:3->4 d:4->5 e:6->3\n"
-)
 
 
 def _fixture(name):
@@ -172,6 +169,24 @@ def cluster_number(kind, n):
     return (3 * n - 2) * comb(2 * n - 2, n - 1) // n
 
 
+def positive_cluster_number(kind, n):
+    """Number of tilting modules: the positive clusters, prod over the
+    exponents e of (e + h - 1) / (e + 1), with h the Coxeter number
+    (Fomin-Zelevinsky 2003)."""
+    if kind == "A":
+        exponents = range(1, n + 1)
+    elif kind == "D":
+        exponents = [*range(1, 2 * n - 2, 2), n - 1]
+    else:
+        exponents = {6: (1, 4, 5, 7, 8, 11)}[n]
+    h = max(exponents) + 1
+    num, den = 1, 1
+    for e in exponents:
+        num, den = num * (e + h - 1), den * (e + 1)
+    assert num % den == 0
+    return num // den
+
+
 @pytest.mark.parametrize(
     "kind, n", TYPES_UP_TO_D5, ids=[f"{k}{n}" for k, n in TYPES_UP_TO_D5]
 )
@@ -181,7 +196,13 @@ def test_oracles_agree_on_every_orientation(kind, n):
         assert len(alg2) == cluster_number(kind, n), text
         assert alg2 == {o.summands for o in silting_bruteforce(q)}, text
         alg1 = {t.summands for t in tilting_modules_alg1(q)}
+        assert len(alg1) == positive_cluster_number(kind, n), text
         assert alg1 == {t.summands for t in tilting_modules_bruteforce(q)}, text
+
+
+def test_e6_counts_are_the_cluster_numbers():
+    assert len(silting_alg2(E6)) == 833
+    assert len(tilting_modules_alg1(E6)) == positive_cluster_number("E", 6) == 418
 
 
 @st.composite
@@ -213,6 +234,20 @@ def test_rigid_subsets_match_combinations_filter(case):
     ]
     vanishes = lambda i, j: table[(items[i], items[j])] == 0
     assert _rigid_subsets(n, len(items), vanishes) == want
+
+
+@given(rigidity_tables())
+@settings(max_examples=300, deadline=None)
+def test_rigid_subsets_evaluate_each_ordered_pair_once(case):
+    n, items, table = case
+    seen = []
+
+    def vanishes(i, j):
+        seen.append((i, j))
+        return table[(items[i], items[j])] == 0
+
+    _rigid_subsets(n, len(items), vanishes)
+    assert len(seen) == len(set(seen))
 
 
 def _euler_form_table(q):
