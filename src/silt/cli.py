@@ -43,7 +43,6 @@ from .classify import (
     text_table,
 )
 from .complexes import hom_class_dim
-from .endo import endomorphism_algebra
 from .modules import (
     IndId,
     ar_quiver_mod,
@@ -596,8 +595,8 @@ def _suite_rows() -> List[SuiteRow]:
             add(5, f"tau agreement {name}", 0, bad_tau)
             bad_dim = 0
             bad_ext = 0
-            for t in silting_alg2(q):
-                b = endomorphism_algebra(q, t)
+            for t, r in zip(silting_alg2(q), records_by_name[name]):
+                b = r.algebra
                 cx = [summand_complex(q, s) for s in t.summands]
                 total = sum(
                     hom_class_dim(x, y, 0) for x in cx for y in cx

@@ -10,34 +10,30 @@ one-dimensional, and e_i B e_i is the field; endomorphism_algebra checks
 this premise and raises otherwise.  hom_class_basis gives each Hom space
 a canonical basis class, so composing two of them gives one scalar
 (_product) per triple of summand complexes, cached across every T that
-contains them.  From these scalars alone we read off the Gabriel quiver
-(arrows i -> j are the non-zero blocks no product through a third
-summand reaches), the value of every Gabriel path (the product of the
-scalars along it), a minimal generating set of relations (kernel of the
-induced map from the path algebra of the Gabriel quiver).  The Gabriel
-quiver's path tables come from the uncached quivers.path_tables and are
-dropped on return, since no later call reads them.  The algebra is
-these arrows and relations with the block dimensions as its integer
-Cartan rows; its projectives, which only the resolutions of simples
-read, are derived from the relations by modules.projectives.  Also here:
-the blocks, as the vertex sets of the Gabriel quiver's components, and
-the integer Cartan rows.
+contains them, and checked to be 0 or ±1.  From these integers alone we
+read off the Gabriel quiver (arrows i -> j are the non-zero blocks no
+product through a third summand reaches), the value of every Gabriel
+path (the product of the scalars along it) and a minimal generating set
+of relations: per vertex pair, the rows of the closed-form RREF of the
+kernel of path evaluation whose pivots the ideal generated by the
+neighbouring pairs' kernels misses.  The Gabriel quiver's path tables
+come from the uncached quivers.path_tables and are dropped on return.
+The algebra is these arrows and relations with the block dimensions as
+its integer Cartan rows; its projectives, which only the resolutions of
+simples read, are derived from the relations by modules.projectives.
+Also here: the blocks, as the vertex sets of the Gabriel quiver's
+components, and the integer Cartan rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import cache
+from operator import mul
 from typing import Dict, List, Tuple
 
 from .complexes import compose, hom_class_basis
-from .linalg import (
-    RatMatrix,
-    charpoly,
-    kernel_basis,
-    reduce_by_rref,
-    row_space_rref,
-)
+from .linalg import _echelon, charpoly, pivot_columns
 from .modules import BoundQuiverAlgebra, TwoTermComplex
 from .quivers import (
     Arrow,
@@ -92,11 +88,16 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                     f"has dimension {dims[i][j]}, expected "
                     + " or ".join(map(str, expected))
                 )
-    dim_b = sum(map(sum, dims))
 
-    def scalar(i: int, k: int, j: int) -> Q:
+    def scalar(i: int, k: int, j: int) -> int:
         """e_ik . e_kj over e_ij, the composite T_j -> T_k -> T_i."""
-        return _product(cx[j], cx[k], cx[i])
+        c = _product(cx[j], cx[k], cx[i])
+        if c not in (0, 1, -1):
+            raise failed(
+                f"composition scalar {c} through {t.summands[k].label()} "
+                "is not 0 or ±1"
+            )
+        return int(c)
 
     # Gabriel arrows: the non-zero blocks no product through a third
     # summand reaches
@@ -120,72 +121,70 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
     pb, index = path_tables(gq)
 
     @cache
-    def value(source: int, arrow_ids: Tuple[str, ...]) -> Q:
+    def value(source: int, arrow_ids: Tuple[str, ...]) -> int:
         """The path's value over its block's basis class: an arrow is the
         basis class, and each further arrow multiplies by a scalar.  The
         Gabriel quiver is acyclic, so only the lazy path ends at its
         source, with the identity as value."""
         if len(arrow_ids) < 2:
-            return Q(1)
+            return 1
         head = value(source, arrow_ids[:-1])
         i, (k, j) = source - 1, ends[arrow_ids[-1]]
-        if head == 0 or not dims[i][j]:
-            return Q(0)
-        return head * scalar(i, k, j)
+        return head * scalar(i, k, j) if head and dims[i][j] else 0
 
-    # relations: per vertex pair, the kernel of path evaluation
-    relations: List[PathVector] = []
-    kernels: Dict[Tuple[int, int], List[List[Q]]] = {}
-    quotient_dim = 0
+    # relations: per vertex pair, the kernel of path evaluation v, whose
+    # RREF rows are e_r - v_r v_L e_L for r != L, the last column where
+    # v is non-zero (the e_r when v = 0)
+    kernels: Dict[Tuple[int, int], List[List[int]]] = {}
     for i in range(n):
         for j in range(n):
-            paths = pb[(i + 1, j + 1)]
-            if not paths:
-                kernels[(i, j)] = []
-                continue
-            row = [value(i + 1, p.arrows) for p in paths]
-            kernels[(i, j)] = row_space_rref(
-                kernel_basis(RatMatrix.from_rows([row]))
-            )
-            quotient_dim += len(paths) - len(kernels[(i, j)])
-    if quotient_dim != dim_b:
-        raise failed(
-            "path algebra modulo relations does not match End(T) dimension"
-        )
+            v = [value(i + 1, p.arrows) for p in pb[(i + 1, j + 1)]]
+            last = max((s for s, c in enumerate(v) if c), default=-1)
+            if (last >= 0) != (dims[i][j] == 1):
+                raise failed(
+                    "path algebra modulo relations does not match End(T) "
+                    "dimension"
+                )
+            cols = range(len(v))
+            kernels[(i, j)] = [
+                [(s == r) - (s == last) * v[r] * v[last] for s in cols]
+                for r in cols
+                if r != last
+            ]
 
-    # minimal generators: kernel modulo (arrow ideal . kernel + kernel . arrow ideal)
+    # minimal generators: the kernel rows whose pivot the ideal
+    # S = arrow ideal . kernel + kernel . arrow ideal misses
+    relations: List[PathVector] = []
     for i in range(n):
         for j in range(n):
             ker = kernels[(i, j)]
             if not ker:
                 continue
             paths = pb[(i + 1, j + 1)]
-            span: List[List[Q]] = []
+            span: List[List[int]] = []
             for a in gq.arrows:
-                if a.source == i + 1:
-                    inner = kernels[(a.target - 1, j)]
-                    inner_paths = pb[(a.target, j + 1)]
-                    for u in inner:
-                        vec = [Q(0)] * len(paths)
-                        for t, p in enumerate(inner_paths):
-                            vec[index[(i + 1, (a.id,) + p.arrows)]] = u[t]
+                # a before a kernel row of (a.target, j), or after one of
+                # (i, a.source)
+                for ok, x, y, pre, post in (
+                    (a.source == i + 1, a.target, j + 1, (a.id,), ()),
+                    (a.target == j + 1, i + 1, a.source, (), (a.id,)),
+                ):
+                    for u in kernels[(x - 1, y - 1)] if ok else ():
+                        vec = [0] * len(paths)
+                        for r, p in enumerate(pb[(x, y)]):
+                            vec[index[(i + 1, pre + p.arrows + post)]] = u[r]
                         span.append(vec)
-                if a.target == j + 1:
-                    inner = kernels[(i, a.source - 1)]
-                    inner_paths = pb[(i + 1, a.source)]
-                    for u in inner:
-                        vec = [Q(0)] * len(paths)
-                        for t, p in enumerate(inner_paths):
-                            vec[index[(i + 1, p.arrows + (a.id,))]] = u[t]
-                        span.append(vec)
-            s_rref = row_space_rref(span)
-            reduced = [reduce_by_rref(u, s_rref) for u in ker]
-            gens = row_space_rref(reduced)
-            if len(gens) != len(ker) - len(s_rref):
+            # S lies in the kernel, so the kernel rows off S's pivots are
+            # the RREF of the kernel modulo S
+            v = [value(i + 1, p.arrows) for p in paths]
+            if any(sum(map(mul, v, s)) for s in span):
                 raise failed("relation generators are not independent")
-            for g in gens:
+            reached = set(_echelon(span, len(paths))[1])
+            for g, pivot in zip(ker, pivot_columns(ker)):
+                if pivot in reached:
+                    continue
                 terms = {
-                    paths[t].arrows: c for t, c in enumerate(g) if c != 0
+                    paths[r].arrows: c for r, c in enumerate(g) if c != 0
                 }
                 if any(len(arrs) < 2 for arrs in terms):
                     raise failed(

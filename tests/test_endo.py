@@ -8,6 +8,7 @@ from importlib.resources import files
 import pytest
 
 import silt.endo as endo_mod
+import silt.linalg as linalg_mod
 from dynkin_orientations import E6
 from endo_reference import (
     endomorphism_algebra_reference,
@@ -285,6 +286,11 @@ def test_assembly_matches_vector_space_reference(q, step, monkeypatch):
         assert b.gabriel == ref.gabriel, t.label()
         assert b.relations == ref.relations, t.label()
         assert b.cartan == ref.cartan, t.label()
+        # every minimal relation is a zero or a commutativity relation
+        # with coefficients ±1
+        for rel in b.relations:
+            assert len(rel.terms) in (1, 2), t.label()
+            assert all(c in (1, -1) for _, c in rel.terms), t.label()
 
 
 def _k0_class(s):
@@ -397,3 +403,40 @@ def test_no_path_table_is_cached_for_a_gabriel_quiver():
         projectives(endomorphism_algebra(D4_COLD, t))
     assert paths_between.cache_info().currsize <= 1
     assert path_index.cache_info().currsize <= 1
+
+
+# A3 relabelled, so that none of its End(T)s is cached yet
+A3_COLD = parse_quiver("vertices 41 42 43\narrows a:41->42 b:42->43\n")
+
+
+def test_a_composition_scalar_of_2_is_an_assembly_error(monkeypatch):
+    # End of the regular object is the path algebra, whose path of length
+    # two has the composite of its two arrows as value
+    t = _regular_object(A3_COLD)
+    monkeypatch.setattr(endo_mod, "_product", lambda x, y, z: Q(2))
+    with pytest.raises(RuntimeError) as err:
+        endomorphism_algebra(A3_COLD, t)
+    assert str(err.value).startswith(f"{t.label()}: ")
+    assert "assembly:" in str(err.value)
+
+
+def test_assembly_runs_no_rational_elimination(monkeypatch):
+    # with the Hom spaces cached, End(T) is integer work: rref, which
+    # kernel_basis and row_space_rref reach, is never called
+    objs = silting_alg2(D4_COLD)
+    for t in objs:
+        endomorphism_algebra(D4_COLD, t)
+    endo_mod.endomorphism_algebra.cache_clear()
+    calls = 0
+    rref = linalg_mod.rref
+
+    def counting_rref(m):
+        nonlocal calls
+        calls += 1
+        return rref(m)
+
+    monkeypatch.setattr(linalg_mod, "rref", counting_rref)
+    relations = sum(
+        len(endomorphism_algebra(D4_COLD, t).relations) for t in objs
+    )
+    assert relations and calls == 0
