@@ -26,9 +26,11 @@ lexicographically least (arrow counts, Cartan, Ext^1, Ext^2, pds) over all
 simultaneous vertex permutations.  A refinement search finds it by
 visiting only the permutations that minimise the arrow counts, one per
 automorphism of the Gabriel quiver; a quiver with no arrows is the worst
-case, with all n! of them.  The same canonical form matches an algebra
-against a presentation given up to vertex relabelling
-(`matches_presentation`).
+case, with all n! of them.  Only the least tuple is kept and returned,
+not the permutations that reach it.  The same canonical form matches an
+algebra against a presentation given up to vertex relabelling
+(`matches_presentation`), which answers whether a relabelling exists,
+not which one.
 """
 from __future__ import annotations
 
@@ -240,12 +242,12 @@ def least_relabelling(
     adj: Sequence[Sequence[int]],
     mats: Sequence[Sequence[Sequence[int]]],
     vec: Sequence[int],
-) -> Tuple[Tuple, Tuple[Tuple[int, ...], ...]]:
+) -> Tuple:
     """The least (adj, *mats, vec) under one simultaneous relabelling.
 
     A permutation p sends each n x n matrix M to (M[p[i]][p[j]]) and vec
-    to (vec[p[i]]); tuples compare row-major, adj first.  Returns the
-    least such tuple and, sorted, every p that reaches it.
+    to (vec[p[i]]); tuples compare row-major, adj first.  Returns that
+    least tuple alone.
 
     Only the permutations that minimise adj can win, and they are found
     by individualisation-refinement (McKay & Piperno, Practical graph
@@ -256,8 +258,8 @@ def least_relabelling(
     adj[p_i][.]; that sort splits the cells.  Level by level only the
     choices giving the least row survive, so the leaves are exactly the
     adj-minimal permutations, a coset of the automorphisms of adj, and
-    the full tuple is compared on those alone.  The worst case, adj = 0,
-    keeps all n! of them.
+    the full tuple is compared on those alone, one leaf at a time.  The
+    worst case, adj = 0, visits all n! of them.
     """
     n = len(adj)
     level = [((), (tuple(range(n)),))]
@@ -285,9 +287,7 @@ def least_relabelling(
             tuple(tuple(m[i][j] for j in p) for i in p) for m in (adj, *mats)
         ) + (tuple(vec[i] for i in p),)
 
-    keyed = sorted((key(p), p) for p, _ in level)
-    least = keyed[0][0]
-    return least, tuple(p for k, p in keyed if k == least)
+    return min(key(p) for p, _ in level)
 
 
 def fingerprint(b: BoundQuiverAlgebra, h: Homology) -> Tuple:
@@ -298,9 +298,10 @@ def fingerprint(b: BoundQuiverAlgebra, h: Homology) -> Tuple:
     arrow counts, the Cartan rows, Ext^1 and Ext^2 between simples and
     the projective dimensions of the simples, with h = homology(b).  Its
     search visits only the permutations that minimise the arrow counts,
-    at most n! when the Gabriel quiver has no arrows.
+    at most n! when the Gabriel quiver has no arrows, and keeps none of
+    them.
     """
-    least, _ = least_relabelling(
+    least = least_relabelling(
         h.ext1,
         (cartan_data(b), h.ext1, h.ext2),
         [pd for _, pd in h.pds],
@@ -319,9 +320,9 @@ def matches_presentation(
     and ``relations`` a multiset of (source, target, path length)
     triples for monomial zero-relations.  A relation generator of B that
     mixes several paths never matches, nor does a vertex outside 1..n.
-    Both sides are compared by one canonical form: the least_relabelling
-    of the arrow counts, with the sorted relation lengths per (source,
-    target).
+    Both sides are compared by one canonical form: the least tuple
+    least_relabelling gives for the arrow counts, with the sorted
+    relation lengths per (source, target).  No relabelling is returned.
     """
     n = len(b.gabriel.vertices)
     arrows, relations = list(arrows), list(relations)
@@ -339,7 +340,7 @@ def matches_presentation(
         for s, t, l in relations:
             lengths[s - 1][t - 1].append(l)
         rels = [[tuple(sorted(ls)) for ls in row] for row in lengths]
-        return least_relabelling(adj, (rels,), [0] * n)[0]
+        return least_relabelling(adj, (rels,), [0] * n)
 
     ix = {v: i for i, v in enumerate(b.gabriel.vertices, 1)}
     own = form(
@@ -350,12 +351,14 @@ def matches_presentation(
 
 
 @contextmanager
-def _stage(prefix: str):
-    """Prefix a RuntimeError raised inside with `prefix`: the silting
-    object and the stage in classify, the stage alone in the commands."""
+def _stage(stage: str, t: Optional[SiltingObject] = None):
+    """Prefix a RuntimeError raised inside with the stage, led by the
+    silting object's label when t is given.  The label is built only on
+    that error path."""
     try:
         yield
     except RuntimeError as e:
+        prefix = stage if t is None else f"{t.label()}: {stage}"
         raise RuntimeError(f"{prefix}: {e}") from e
 
 
@@ -369,7 +372,7 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
     rows are those of End(T) restricted to its vertices.
     """
     b = endomorphism_algebra(q, t)
-    with _stage(f"{t.label()}: ext"):
+    with _stage("ext", t):
         h = homology(b)
     pds = dict(h.pds)
     cart = cartan_data(b)
@@ -383,7 +386,7 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
             rows = tuple(
                 tuple(cart[ix[v]][ix[u]] for u in verts) for v in verts
             )
-            with _stage(f"{t.label()}: tilted type"):
+            with _stage("tilted type", t):
                 dt = tilted_type(rows)
             verdicts.append(BlockVerdict(verts, g, "tilted", dt))
             comps.extend(dt.components)
@@ -393,7 +396,7 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
     label = (
         DynkinType.of(comps).label() if all_tilted else "strictly shod"
     )
-    with _stage(f"{t.label()}: fingerprint"):
+    with _stage("fingerprint", t):
         fp = fingerprint(b, h)
     return ClassificationRecord(
         silting=t,
@@ -450,14 +453,8 @@ def record_to_json(r: ClassificationRecord) -> dict:
             for bv in r.block_verdicts
         ],
         "classification": r.label,
-        "fingerprint": _fingerprint_json(r.fingerprint),
+        "fingerprint": r.fingerprint,
     }
-
-
-def _fingerprint_json(fp):
-    if isinstance(fp, tuple):
-        return [_fingerprint_json(x) for x in fp]
-    return fp
 
 
 def records_to_json(records: Sequence[ClassificationRecord]) -> list:

@@ -460,7 +460,7 @@ def cmd_classify(args) -> str:
     records = [classify(q, t) for t in objs]
     if args.oracle:
         for r in records:
-            with _stage(f"{r.silting.label()}: oracle"):
+            with _stage("oracle", r.silting):
                 check_homology(r.algebra)
     groups = dedupe(records)
     return _render_classification(q, records, groups, args.format)

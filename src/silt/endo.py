@@ -61,16 +61,15 @@ def _product(x: TwoTermComplex, y: TwoTermComplex, z: TwoTermComplex) -> Q:
 @cache
 def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
     """End(T) of a silting object as a bound quiver algebra."""
-    label = t.label()
     if t.quiver != q:
         raise ValueError(
-            f"{label}: silting object lives over a different quiver"
+            f"{t.label()}: silting object lives over a different quiver"
         )
     if not is_presilting(q, t.summands):
-        raise ValueError(f"{label}: the given object is not silting")
+        raise ValueError(f"{t.label()}: the given object is not silting")
 
     def failed(check: str) -> RuntimeError:
-        return RuntimeError(f"{label}: assembly: {check}")
+        return RuntimeError(f"{t.label()}: assembly: {check}")
 
     n = len(t.summands)
     cx = [summand_complex(q, s) for s in t.summands]

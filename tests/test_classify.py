@@ -280,6 +280,23 @@ def test_records_serialize_to_json():
     assert "modules" in text
 
 
+# A3 relabelled, so that none of its End(T)s or records is cached yet
+A3_UNSEEN = parse_quiver("vertices 71 72 73\narrows a:71->72 b:72->73\n")
+
+
+def test_classify_builds_no_silting_label_when_nothing_fails(monkeypatch):
+    # the labels name an object only in error messages
+    objs = silting_alg2(A3_UNSEEN)
+    calls = []
+    real = SiltingObject.label
+    monkeypatch.setattr(
+        SiltingObject, "label", lambda t: calls.append(t) or real(t)
+    )
+    records = [classify(A3_UNSEEN, t) for t in objs]
+    assert len(records) == 14
+    assert calls == []
+
+
 def test_summary_outputs():
     records = [classify(A2, t) for t in silting_alg2(A2)]
     groups = dedupe(records)
