@@ -86,7 +86,7 @@ def projective_dimension_of_simples(
 
 
 def global_dimension(b: BoundQuiverAlgebra) -> int:
-    return max(pd for _, pd in projective_dimension_of_simples(b))
+    return max((pd for _, pd in projective_dimension_of_simples(b)), default=0)
 
 
 def ext_matrix(b: BoundQuiverAlgebra, k: int) -> Tuple[Tuple[int, ...], ...]:
@@ -256,14 +256,15 @@ def least_relabelling(
     vertices.  Row i of the permuted adj is then fixed as the placed
     columns, the diagonal, and each later cell sorted ascending by
     adj[p_i][.]; that sort splits the cells.  Level by level only the
-    choices giving the least row survive, so the leaves are exactly the
-    adj-minimal permutations, a coset of the automorphisms of adj, and
-    the full tuple is compared on those alone, one leaf at a time.  The
-    worst case, adj = 0, visits all n! of them.
+    choices giving the least row survive, for n - 1 levels; the last
+    vertex is then forced.  key compares adj's last row before the other
+    matrices, so the least key over these completions, taken one at a
+    time, is the least over the adj-minimal permutations, a coset of the
+    automorphisms of adj.  The worst case, adj = 0, reaches all n!.
     """
     n = len(adj)
     level = [((), (tuple(range(n)),))]
-    for _ in range(n):
+    for _ in range(n - 1):
         best_row, survivors = None, []
         for placed, (first, *rest) in level:
             for v in first:
@@ -287,7 +288,7 @@ def least_relabelling(
             tuple(tuple(m[i][j] for j in p) for i in p) for m in (adj, *mats)
         ) + (tuple(vec[i] for i in p),)
 
-    return min(key(p) for p, _ in level)
+    return min(key(p + sum(cells, ())) for p, cells in level)
 
 
 def fingerprint(b: BoundQuiverAlgebra, h: Homology) -> Tuple:

@@ -5,10 +5,12 @@ assembled from the homotopy Hom spaces: e_i B e_j = Hom(T_j, T_i), with
 product x.y = x after y, so that End of the regular object recovers the
 path algebra with its original arrow directions.
 
-Every block e_i B e_j of a silted algebra of Dynkin type is at most
-one-dimensional, and e_i B e_i is the field; endomorphism_algebra checks
-this premise and raises otherwise.  hom_class_basis gives each Hom space
-a canonical basis class, so composing two of them gives one scalar
+The premise and the block dimensions are integers off the Euler form
+table silting.euler_table: T is presilting iff <[T_i], [T_j]> >= 0
+whenever T_j is a module, and dim e_i B e_j = max(0, <[T_j], [T_i]>),
+checked to be at most 1, and 1 for i = j.  Only the non-zero blocks
+reach the Hom layer: hom_class_basis gives each a canonical basis class,
+checked to be one-dimensional, so composing two of them gives one scalar
 (_product) per triple of summand complexes, cached across every T that
 contains them, and checked to be 0 or ±1.  From these integers alone we
 read off the Gabriel quiver (arrows i -> j are the non-zero blocks no
@@ -43,7 +45,7 @@ from .quivers import (
     coxeter_matrix,
     path_tables,
 )
-from .silting import SiltingObject, is_presilting, summand_complex
+from .silting import SiltingObject, euler_table, summand_complex
 
 
 @cache
@@ -65,7 +67,16 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
         raise ValueError(
             f"{t.label()}: silting object lives over a different quiver"
         )
-    if not is_presilting(q, t.summands):
+    at, chi = euler_table(q)
+    pos = [at.get(s) for s in t.summands]
+    if None in pos:
+        s = t.summands[pos.index(None)]
+        raise ValueError(
+            f"{t.label()}: {s.label()} is not a two-term indecomposable"
+        )
+    # Hom(T_i, T_j[1]) = 0 always when T_j is shifted
+    mods = [b for b, s in zip(pos, t.summands) if s.kind == "mod"]
+    if any(chi[a][b] < 0 for a in pos for b in mods):
         raise ValueError(f"{t.label()}: the given object is not silting")
 
     def failed(check: str) -> RuntimeError:
@@ -73,18 +84,18 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
 
     n = len(t.summands)
     cx = [summand_complex(q, s) for s in t.summands]
-    # dims[i][j] = dim e_i B e_j = dim Hom(T_j, T_i), checked to be 0 or 1
-    dims = [
-        [hom_class_basis(cx[j], cx[i], 0).dim() for j in range(n)]
-        for i in range(n)
-    ]
+    # dims[i][j] = dim e_i B e_j = dim Hom(T_j, T_i), checked to be 0 or
+    # 1, and 1 also in the Hom basis that _product composes
+    dims = [[max(0, chi[b][a]) for b in pos] for a in pos]
     for i in range(n):
         for j in range(n):
-            expected = (1,) if i == j else (0, 1)
-            if dims[i][j] not in expected:
+            d, expected = dims[i][j], (1,) if i == j else (0, 1)
+            if d == 1:
+                d, expected = hom_class_basis(cx[j], cx[i], 0).dim(), (1,)
+            if d not in expected:
                 raise failed(
                     f"Hom({t.summands[j].label()}, {t.summands[i].label()}) "
-                    f"has dimension {dims[i][j]}, expected "
+                    f"has dimension {d}, expected "
                     + " or ".join(map(str, expected))
                 )
 

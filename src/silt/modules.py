@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
 from itertools import accumulate, islice
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -45,6 +46,7 @@ from .linalg import (
     row_space_rref,
 )
 from .quivers import (
+    Arrow,
     NotDynkinError,
     PathVector,
     Quiver,
@@ -52,6 +54,7 @@ from .quivers import (
     dynkin_type,
     path_tables,
     paths_between,
+    quiver_to_json,
     tits_form,
 )
 
@@ -95,10 +98,9 @@ def make_rep(q: Quiver, dims: Sequence[int], mats: Dict[str, RatMatrix]) -> Quiv
 def simple_rep(q: Quiver, v: int) -> QuiverRep:
     dims = [1 if u == v else 0 for u in q.vertices]
     idx = {u: i for i, u in enumerate(q.vertices)}
+    # a quiver has no loops, so every arrow meets a zero space
     mats = {
-        a.id: RatMatrix(dims[idx[a.source]], dims[idx[a.target]], tuple())
-        if dims[idx[a.source]] * dims[idx[a.target]] == 0
-        else RatMatrix(1, 1, (Q(0),))
+        a.id: RatMatrix(dims[idx[a.source]], dims[idx[a.target]], ())
         for a in q.arrows
     }
     return make_rep(q, dims, mats)
@@ -150,8 +152,6 @@ def indecomposables(q: Quiver) -> Tuple[DimVector, ...]:
 # --- reflection-functor construction of indecomposables ---
 
 def _reverse_at(q: Quiver, v: int) -> Quiver:
-    from .quivers import Arrow
-
     return Quiver(
         q.vertices,
         tuple(
@@ -292,14 +292,8 @@ def act_path(rep: QuiverRep, source: int, arrows: Sequence[str]) -> RatMatrix:
 
 
 def act_path_vector(rep: QuiverRep, pv: PathVector) -> RatMatrix:
-    out = RatMatrix(
-        rep.dim_at(pv.source),
-        rep.dim_at(pv.target),
-        tuple(
-            Q(0)
-            for _ in range(rep.dim_at(pv.source) * rep.dim_at(pv.target))
-        ),
-    )
+    rows, cols = rep.dim_at(pv.source), rep.dim_at(pv.target)
+    out = RatMatrix(rows, cols, (Q(0),) * (rows * cols))
     for arrows, c in pv.terms:
         out = out.add(act_path(rep, pv.source, arrows).scale(c))
     return out
@@ -308,12 +302,7 @@ def act_path_vector(rep: QuiverRep, pv: PathVector) -> RatMatrix:
 @cache
 def hom_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
     """dim Hom(M, N): solution space of the arrow intertwining system."""
-    nv = len(q.vertices)
-    offs = []
-    total = 0
-    for i in range(nv):
-        offs.append(total)
-        total += m.dims[i] * n.dims[i]
+    *offs, total = accumulate(map(mul, m.dims, n.dims), initial=0)
     idx = {v: i for i, v in enumerate(q.vertices)}
     rows: List[List[Q]] = []
     for a in q.arrows:
@@ -357,11 +346,7 @@ class BoundQuiverAlgebra:
             return int(c) if c.denominator == 1 else str(c)
 
         return {
-            "vertices": list(self.gabriel.vertices),
-            "arrows": [
-                {"id": a.id, "source": a.source, "target": a.target}
-                for a in self.gabriel.arrows
-            ],
+            **quiver_to_json(self.gabriel),
             "relations": [
                 [[coeff_json(c), list(arrows)] for arrows, c in rel.terms]
                 for rel in self.relations
@@ -491,11 +476,7 @@ def _direct_sum(q: Quiver, reps: Sequence[QuiverRep]) -> QuiverRep:
     for a in q.arrows:
         si, ti = idx[a.source], idx[a.target]
         rows: List[List[Q]] = []
-        col_off = 0
-        col_offsets = []
-        for r in reps:
-            col_offsets.append(col_off)
-            col_off += r.dims[ti]
+        col_offsets = accumulate((r.dims[ti] for r in reps), initial=0)
         for r, off in zip(reps, col_offsets):
             m = r.mat(a.id)
             for ri in range(m.rows):
@@ -674,11 +655,8 @@ def tau_nakayama(q: Quiver, d: DimVector) -> DimVector:
                     # dual map I(a)_u -> I(b)_u is the transpose
                     for ci, cval in enumerate(coords):
                         mat_rows[roffs[i] + ci][coffs[j] + rj] += cval
-        if nrows == 0:
-            dims.append(0)
-        else:
-            mat = RatMatrix.from_rows(mat_rows) if ncols else RatMatrix(nrows, 0, ())
-            dims.append(nrows - rank(mat))
+        # a map into zero columns has rank 0
+        dims.append(nrows - (ncols and rank(RatMatrix.from_rows(mat_rows))))
     return tuple(dims)
 
 

@@ -10,7 +10,11 @@ two_term_objects, the indecomposable modules and shifted projectives in
 IndId.key order.  The brute forces rank through the hom_class_dim cache
 for exactly the pairs they visit: over a hereditary algebra Ext^1(M, N)
 = Hom(P_M, P_N[1]) for the minimal projective resolutions P_M, P_N, so
-the tilting brute force ranks module pairs only.
+the tilting brute force ranks module pairs only.  euler_table gives the
+same dimensions as integers: mod KQ is representation-directed, so at
+most one of Hom(X, Y) and Hom(X, Y[1]) is non-zero, and <[X], [Y]> is
+the first minus the second.  End(T) assembly reads its premise and its
+block dimensions off that table.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from .complexes import (
     TwoTermComplex,
@@ -34,7 +38,7 @@ from .modules import (
     projective_dim_vectors,
     tau_inverse,
 )
-from .quivers import Quiver, full_subquiver
+from .quivers import Quiver, euler_form, full_subquiver
 
 DimVector = Tuple[int, ...]
 
@@ -214,6 +218,20 @@ def two_term_objects(q: Quiver) -> Tuple[IndId, ...]:
 
 
 @cache
+def euler_table(
+    q: Quiver,
+) -> Tuple[Dict[IndId, int], Tuple[Tuple[int, ...], ...]]:
+    """Each object's position in two_term_objects(q), and the Euler forms
+    chi[a][b] = <[X_a], [X_b]> with [M] = dim M and [P_v[1]] = -dim P_v:
+    dim Hom(X_a, X_b) = max(0, chi[a][b]), and dim Hom(X_a, X_b[1]) is
+    max(0, -chi[a][b]) when X_b is a module and 0 when it is shifted."""
+    objs = two_term_objects(q)
+    k0 = [o.dim if o.kind == "mod" else tuple(-c for c in o.dim) for o in objs]
+    chi = tuple(tuple(euler_form(q, d, e) for e in k0) for d in k0)
+    return {o: a for a, o in enumerate(objs)}, chi
+
+
+@cache
 def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
     """All basic two-term silting objects by subset recursion.
 
@@ -240,14 +258,6 @@ def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
             out.add(tuple(sorted(shifted + mods)))
     return tuple(
         SiltingObject(q, tuple(objs[i] for i in s)) for s in sorted(out)
-    )
-
-
-def is_presilting(q: Quiver, summands: Sequence[IndId]) -> bool:
-    """True iff Hom(X, Y[1]) vanishes for every ordered summand pair."""
-    cx = [summand_complex(q, s) for s in summands]
-    return all(
-        hom_class_dim(a, b, 1) == 0 for a in cx for b in cx
     )
 
 

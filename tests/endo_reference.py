@@ -14,7 +14,7 @@ from functools import cache
 from typing import Callable, Dict, List, Tuple
 
 from path_vector_maps import identity_reference
-from silt.complexes import HomClass, compose, hom_class_basis
+from silt.complexes import HomClass, compose, hom_class_basis, hom_class_dim
 from silt.linalg import (
     RatMatrix,
     kernel_basis,
@@ -24,7 +24,14 @@ from silt.linalg import (
 )
 from silt.modules import BoundQuiverAlgebra
 from silt.quivers import Arrow, PathVector, Quiver, path_index, paths_between
-from silt.silting import SiltingObject, is_presilting, summand_complex
+from silt.silting import SiltingObject, summand_complex
+
+
+def is_presilting(q: Quiver, summands) -> bool:
+    """True iff Hom(X, Y[1]) vanishes for every ordered summand pair,
+    each ranked in the Hom complex."""
+    cx = [summand_complex(q, s) for s in summands]
+    return all(hom_class_dim(a, b, 1) == 0 for a in cx for b in cx)
 
 
 PathValue = Callable[[int, int, Tuple[str, ...]], List[Q]]

@@ -17,7 +17,8 @@ import pytest
 
 import silt.cli as cli
 from silt.cli import main
-from silt.quivers import parse_quiver
+from dynkin_orientations import E6
+from silt.quivers import opposite, parse_quiver, quiver_to_json
 from silt.modules import ar_quiver_mod
 from silt.silting import silting_alg2
 import silt.classify as classify_mod
@@ -445,6 +446,50 @@ def test_ascii_on_empty_quiver_exits_0(tmp_path, capsys):
         rc, out, err = run_cli(capsys, "silting", str(path), *flags)
         assert rc == 0, err
         assert out.endswith("\n(empty quiver)\n")
+
+
+def test_classify_oracle_on_empty_quiver_matches_plain_classify(
+    tmp_path, capsys
+):
+    # the zero algebra has global dimension 0
+    path = tmp_path / "empty.quiver"
+    path.write_text("vertices\n")
+    rc, plain, err = run_cli(capsys, "classify", str(path))
+    assert rc == 0, err
+    rc, out, err = run_cli(capsys, "classify", str(path), "--oracle")
+    assert (rc, out) == (0, plain), err
+
+
+# E6 frozen after `classify --oracle` passed on it (outside tier-1, about
+# 6 s) and after its object count matched the cluster number 833;
+# opposite(E6) gives the same counts
+E6_FROZEN = {
+    "objects": "833",
+    "classes": "300",
+    "strictly shod": "38",
+    "csv sha256": (
+        "3942e7dc9a3d7c657c71fe847790a9925e8a5d17a018286ef5a446ea663ca5de"
+    ),
+}
+
+
+@pytest.mark.parametrize("q", [E6, opposite(E6)], ids=["e6", "e6_opposite"])
+def test_e6_classify_matches_frozen_table(q, tmp_path, capsys):
+    path = tmp_path / "e6.quiver"
+    path.write_text(json.dumps(quiver_to_json(q)))
+    rc, out, err = run_cli(capsys, "classify", str(path))
+    assert rc == 0, err
+    counts = dict(
+        line.split(": ")
+        for line in out.splitlines()
+        if line.startswith(("objects:", "classes:", "strictly shod:"))
+    )
+    assert counts == {k: v for k, v in E6_FROZEN.items() if k != "csv sha256"}
+    if q == E6:
+        rc, out, err = run_cli(capsys, "classify", str(path), "--format", "csv")
+        assert rc == 0, err
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == E6_FROZEN["csv sha256"]
 
 
 # --- paper-suite command ---

@@ -7,8 +7,10 @@ from importlib.resources import files
 
 import pytest
 
+import silt.complexes as complexes_mod
 import silt.endo as endo_mod
 import silt.linalg as linalg_mod
+import silt.silting as silting_mod
 from dynkin_orientations import E6
 from endo_reference import (
     endomorphism_algebra_reference,
@@ -19,7 +21,6 @@ from quiver_isomorphism import quivers_isomorphic
 from silt.cli import FIXTURE_NAMES
 from silt.linalg import RatMatrix, charpoly
 from silt.quivers import (
-    euler_form,
     parse_quiver,
     path_basis,
     path_index,
@@ -32,7 +33,14 @@ from silt.modules import (
     projective_dim_vectors,
     projectives,
 )
-from silt.silting import SiltingObject, silting_alg2, summand_complex
+from silt.classify import classify
+from silt.silting import (
+    SiltingObject,
+    euler_table,
+    silting_alg2,
+    summand_complex,
+    two_term_objects,
+)
 from silt.complexes import compose, hom_class_basis, hom_class_dim
 from silt.endo import (
     BoundQuiverAlgebra,
@@ -293,33 +301,28 @@ def test_assembly_matches_vector_space_reference(q, step, monkeypatch):
             assert all(c in (1, -1) for _, c in rel.terms), t.label()
 
 
-def _k0_class(s):
-    """[M] = dim M and [P_v[1]] = -dim P_v."""
-    return s.dim if s.kind == "mod" else tuple(-c for c in s.dim)
-
-
-def _check_cartan_against_euler_form(q, objs):
+def _check_cartan_against_hom_bases(q, objs):
     for t in objs:
         cart = cartan_data(endomorphism_algebra(q, t))
-        k0 = [_k0_class(s) for s in t.summands]
+        cx = [summand_complex(q, s) for s in t.summands]
         for i, row in enumerate(cart):
             for j, c in enumerate(row):
-                assert c == max(0, euler_form(q, k0[j], k0[i])), t.label()
+                assert c == hom_class_basis(cx[j], cx[i], 0).dim(), t.label()
     return len(objs)
 
 
-def test_cartan_rows_are_euler_forms_on_every_fixture_object():
-    # dim e_i B e_j = dim Hom(T_j, T_i) = max(0, <[T_j], [T_i]>): a check
-    # on End(T) assembly that shares no code with it
+def test_cartan_rows_are_hom_dimensions_on_every_fixture_object():
+    # dim e_i B e_j = dim Hom(T_j, T_i): the Cartan rows come from the
+    # Euler form table, and the Hom complex checks them here
     checked = sum(
-        _check_cartan_against_euler_form(q, silting_alg2(q))
+        _check_cartan_against_hom_bases(q, silting_alg2(q))
         for q in map(_fixture, FIXTURE_NAMES)
     )
     assert checked == 443
 
 
-def test_cartan_rows_are_euler_forms_on_every_tenth_e6_object():
-    assert _check_cartan_against_euler_form(E6, silting_alg2(E6)[::10]) == 84
+def test_cartan_rows_are_hom_dimensions_on_every_tenth_e6_object():
+    assert _check_cartan_against_hom_bases(E6, silting_alg2(E6)[::10]) == 84
 
 
 # --- Cartan data ---
@@ -387,6 +390,14 @@ def test_rejects_non_silting_input():
         endomorphism_algebra(A2, bad)
 
 
+def test_rejects_a_summand_that_is_not_a_two_term_indecomposable():
+    # (1, 2) is no root of A2, so it is no summand of any silting object
+    bad = SiltingObject(A2, (IndId.module((1, 1)), IndId.module((1, 2))))
+    with pytest.raises(ValueError) as err:
+        endomorphism_algebra(A2, bad)
+    assert str(err.value) == "11+12: 12 is not a two-term indecomposable"
+
+
 # D4 relabelled, so that none of its End(T)s is cached yet
 D4_COLD = parse_quiver(
     "vertices 51 52 53 54\narrows a:51->53 b:52->53 c:53->54\n"
@@ -440,3 +451,37 @@ def test_assembly_runs_no_rational_elimination(monkeypatch):
         len(endomorphism_algebra(D4_COLD, t).relations) for t in objs
     )
     assert relations and calls == 0
+
+
+# A4 relabelled, so that neither its End(T)s nor its Hom spaces are cached
+A4_COLD = parse_quiver(
+    "vertices 61 62 63 64\narrows a:61->62 b:63->62 c:63->64\n"
+)
+
+
+def test_classify_asks_the_hom_layer_only_about_non_zero_blocks(monkeypatch):
+    # the premise and the block dimensions come from the Euler form table:
+    # no Hom(X, Y[1]) is ranked, and a Hom basis is read only on a block
+    # the table gives dimension 1
+    q = A4_COLD
+    objs = two_term_objects(q)
+    at, chi = euler_table(q)
+    pos = {summand_complex(q, o): at[o] for o in objs}
+    dim_calls, basis_reads = [], []
+
+    def counting_dim(x, y, k):
+        dim_calls.append((x, y, k))
+        return hom_class_dim(x, y, k)
+
+    def recording_basis(x, y, k):
+        basis_reads.append((pos[x], pos[y], k))
+        return hom_class_basis(x, y, k)
+
+    monkeypatch.setattr(silting_mod, "hom_class_dim", counting_dim)
+    monkeypatch.setattr(complexes_mod, "hom_class_dim", counting_dim)
+    monkeypatch.setattr(endo_mod, "hom_class_basis", recording_basis)
+    records = [classify(q, t) for t in silting_alg2(q)]
+    assert len(records) == 42
+    assert dim_calls == []
+    assert basis_reads
+    assert all(chi[a][b] == 1 and k == 0 for a, b, k in basis_reads)

@@ -10,22 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynkin_orientations import E6, TYPES_UP_TO_D5, orientations
+from endo_reference import is_presilting
 from silt.cli import FIXTURE_NAMES
 from silt import silting
 from silt.complexes import hom_class_dim
-from silt.quivers import euler_form, parse_quiver
+from silt.quivers import parse_quiver
 from silt.modules import (
     IndId,
     build_representation,
     ext1_dim,
     indecomposables,
-    projective_dim_vectors,
 )
 from silt.silting import (
     SiltingObject,
     _rigid_subsets,
     TiltingModule,
-    is_presilting,
+    euler_table,
     restrict,
     silting_alg2,
     silting_bruteforce,
@@ -250,50 +250,46 @@ def test_rigid_subsets_evaluate_each_ordered_pair_once(case):
     assert len(seen) == len(set(seen))
 
 
-def _euler_form_table(q):
-    """dim Hom(X, Y[1]) for the two-term indecomposables, from K_0 alone.
-
-    Over a representation-directed hereditary algebra one of Hom(M, N)
-    and Ext^1(M, N) vanishes for indecomposables M, N, so Ext^1(M, N) =
-    max(0, -<M, N>).  Hom(P_u[1], N[1]) = Hom(P_u, N) is N at u, and a
-    map into P_v[2] vanishes between two-term complexes.
-    """
-    projs = projective_dim_vectors(q)
-    mods = [IndId.module(d) for d in indecomposables(q)]
-    shifts = [IndId.shifted(v, projs[q.index(v)]) for v in q.vertices]
-    table = {}
-    for a in mods + shifts:
-        for b in mods + shifts:
-            if b.kind == "shift":
-                table[(a, b)] = 0
-            elif a.kind == "shift":
-                table[(a, b)] = b.dim[q.index(a.vertex)]
-            else:
-                table[(a, b)] = max(0, -euler_form(q, a.dim, b.dim))
-    return table
+TEN_FIXTURES_AND_E6 = [
+    pytest.param(_fixture(name), id=name) for name in FIXTURE_NAMES
+] + [pytest.param(E6, id="e6")]
 
 
-@pytest.mark.parametrize(
-    "q",
-    [pytest.param(_fixture(name), id=name) for name in FIXTURE_NAMES]
-    + [pytest.param(E6, id="e6")],
-)
+@pytest.mark.parametrize("q", TEN_FIXTURES_AND_E6)
 def test_hom_shift1_table_is_the_euler_form_table(q):
-    # the Hom complex route and the integer K_0 route share no code
+    # the Hom complex route and the integer K_0 route share no code: over
+    # every ordered pair, Hom(X, Y) = max(0, chi) and Hom(X, Y[1]) is
+    # max(0, -chi) into a module and 0 into a shifted projective
     objs = two_term_objects(q)
-    cx = {o: summand_complex(q, o) for o in objs}
-    table = {
-        (a, b): hom_class_dim(cx[a], cx[b], 1) for a in objs for b in objs
-    }
-    assert len(table) == len(objs) ** 2
-    assert table == _euler_form_table(q)
+    at, chi = euler_table(q)
+    assert [at[o] for o in objs] == list(range(len(objs)))
+    cx = [summand_complex(q, o) for o in objs]
+    pairs = [(a, b) for a in range(len(objs)) for b in range(len(objs))]
+    assert len(pairs) == len(chi) ** 2 == len(objs) ** 2
+    for a, b in pairs:
+        x, y = cx[a], cx[b]
+        assert hom_class_dim(x, y, 0) == max(0, chi[a][b]), (objs[a], objs[b])
+        shift1 = 0 if objs[b].kind == "shift" else max(0, -chi[a][b])
+        assert hom_class_dim(x, y, 1) == shift1, (objs[a], objs[b])
 
 
-@pytest.mark.parametrize(
-    "q",
-    [pytest.param(_fixture(name), id=name) for name in FIXTURE_NAMES]
-    + [pytest.param(E6, id="e6")],
-)
+@pytest.mark.parametrize("q", TEN_FIXTURES_AND_E6)
+def test_rigid_subsets_of_the_euler_table_are_silting_alg2(q):
+    # a third enumeration: the rigid n-sets of the K_0 rigidity table,
+    # with no Hom space computed, are the positions of silting_alg2
+    objs = two_term_objects(q)
+    _, chi = euler_table(q)
+    rigid = _rigid_subsets(
+        len(q.vertices),
+        len(objs),
+        lambda a, b: objs[b].kind == "shift" or chi[a][b] >= 0,
+    )
+    assert [tuple(objs[a] for a in s) for s in rigid] == [
+        t.summands for t in silting_alg2(q)
+    ]
+
+
+@pytest.mark.parametrize("q", TEN_FIXTURES_AND_E6)
 def test_two_term_objects_are_key_ordered_and_oracles_agree_in_order(q):
     objs = two_term_objects(q)
     keys = [o.key() for o in objs]
