@@ -180,10 +180,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(
+        p: argparse.ArgumentParser, formats=("json", "csv", "ascii")
+    ) -> None:
         p.add_argument(
             "--format",
-            choices=("json", "csv", "dot", "ascii"),
+            choices=formats,
             default="ascii",
             help="output format (default: ascii)",
         )
@@ -198,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include the shifted projectives P[1]",
     )
-    add_common(p_ar)
+    add_common(p_ar, ("json", "csv", "dot", "ascii"))
 
     p_si = sub.add_parser("silting", help="enumerate 2-term silting objects")
     p_si.add_argument("quiver", help="quiver file or bundled fixture name")
@@ -222,9 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--oracle",
         action="store_true",
         help=(
-            "cross-check the enumeration against brute force, and each "
+            "cross-check the enumeration against brute force, each "
             "End(T)'s Ext and projective dimensions against minimal "
-            "resolutions of its simples (gl.dim <= 3)"
+            "resolutions of its simples (gl.dim <= 3), and its Cartan rows "
+            "against the Hom complex"
         ),
     )
     add_common(p_cl)
@@ -274,12 +277,6 @@ def _require_dynkin(q: Quiver) -> None:
         dynkin_type(q)
     except NotDynkinError as e:
         raise CliFailure(3, f"quiver is not of Dynkin type: {e}")
-
-
-def _unsupported(fmt: str, command: str) -> CliFailure:
-    return CliFailure(
-        2, f"format {fmt!r} is not supported for command {command!r}"
-    )
 
 
 def _dump_json(payload) -> str:
@@ -359,14 +356,12 @@ def _render_silting(q: Quiver, objs, fmt: str) -> str:
             for i, t in enumerate(objs, start=1)
         ]
         return _dump_csv(("index", "shifted", "modules"), rows)
-    if fmt == "ascii":
-        parts = [f"silting objects: {len(objs)}", ""]
-        for i, t in enumerate(objs, start=1):
-            parts.append(f"#{i} {t.label()}")
-            parts.append(t.to_ascii().rstrip("\n"))
-            parts.append("")
-        return "\n".join(parts).rstrip("\n") + "\n"
-    raise _unsupported(fmt, "silting")
+    parts = [f"silting objects: {len(objs)}", ""]
+    for i, t in enumerate(objs, start=1):
+        parts.append(f"#{i} {t.label()}")
+        parts.append(t.to_ascii().rstrip("\n"))
+        parts.append("")
+    return "\n".join(parts).rstrip("\n") + "\n"
 
 
 def _render_tilting(q: Quiver, mods, fmt: str) -> str:
@@ -384,16 +379,14 @@ def _render_tilting(q: Quiver, mods, fmt: str) -> str:
     if fmt == "csv":
         rows = list(enumerate(descs, start=1))
         return _dump_csv(("index", "summands"), rows)
-    if fmt == "ascii":
-        ar = ar_quiver_mod(q)
-        parts = [f"tilting modules: {len(mods)}", ""]
-        for i, (m, desc) in enumerate(zip(mods, descs), start=1):
-            sel = {IndId.module(d) for d in m.summands}
-            parts.append(f"#{i} {desc}")
-            parts.append(ar.to_ascii(selected=sel).rstrip("\n"))
-            parts.append("")
-        return "\n".join(parts).rstrip("\n") + "\n"
-    raise _unsupported(fmt, "silting")
+    ar = ar_quiver_mod(q)
+    parts = [f"tilting modules: {len(mods)}", ""]
+    for i, (m, desc) in enumerate(zip(mods, descs), start=1):
+        sel = {IndId.module(d) for d in m.summands}
+        parts.append(f"#{i} {desc}")
+        parts.append(ar.to_ascii(selected=sel).rstrip("\n"))
+        parts.append("")
+    return "\n".join(parts).rstrip("\n") + "\n"
 
 
 def cmd_silting(args) -> str:
@@ -439,16 +432,29 @@ def _render_classification(q: Quiver, records, groups, fmt: str) -> str:
                 "records": records_to_json(records),
             }
         )
-    if fmt == "ascii":
-        lines = [summary_text(groups).rstrip("\n"), ""]
-        lines.append(f"objects: {len(records)}")
-        lines.append(f"classes: {len(groups)}")
-        lines.append(f"strictly shod: {shod}")
-        lines.append("families:")
-        for lbl, c in fams.items():
-            lines.append(f"  {lbl}: {c}")
-        return "\n".join(lines) + "\n"
-    raise _unsupported(fmt, "classify")
+    lines = [summary_text(groups).rstrip("\n"), ""]
+    lines.append(f"objects: {len(records)}")
+    lines.append(f"classes: {len(groups)}")
+    lines.append(f"strictly shod: {shod}")
+    lines.append("families:")
+    for lbl, c in fams.items():
+        lines.append(f"  {lbl}: {c}")
+    return "\n".join(lines) + "\n"
+
+
+def _check_cartan(q: Quiver, t, cartan) -> None:
+    """End(T)'s Cartan rows against ranks in the Hom complex: entry (i, j)
+    is dim e_i B e_j = dim Hom(T_j, T_i)."""
+    cx = [summand_complex(q, s) for s in t.summands]
+    for i, row in enumerate(cartan):
+        for j, c in enumerate(row):
+            d = hom_class_dim(cx[j], cx[i], 0)
+            if c != d:
+                raise RuntimeError(
+                    f"Cartan entry ({i + 1}, {j + 1}) is {c}, but "
+                    f"Hom({t.summands[j].label()}, {t.summands[i].label()}) "
+                    f"has dimension {d}"
+                )
 
 
 def cmd_classify(args) -> str:
@@ -462,6 +468,7 @@ def cmd_classify(args) -> str:
         for r in records:
             with _stage("oracle", r.silting):
                 check_homology(r.algebra)
+                _check_cartan(q, r.silting, r.algebra.cartan)
     groups = dedupe(records)
     return _render_classification(q, records, groups, args.format)
 
@@ -664,12 +671,10 @@ def _render_suite(rows: Sequence[SuiteRow], fmt: str) -> str:
                 "total": len(rows),
             }
         )
-    if fmt == "ascii":
-        text = text_table(
-            [SUITE_COLUMNS] + [[str(cell) for cell in r] for r in table]
-        )
-        return text + f"\nresult: {npass}/{len(rows)} checks pass\n"
-    raise _unsupported(fmt, "paper-suite")
+    text = text_table(
+        [SUITE_COLUMNS] + [[str(cell) for cell in r] for r in table]
+    )
+    return text + f"\nresult: {npass}/{len(rows)} checks pass\n"
 
 
 def cmd_paper_suite(args) -> Tuple[str, int]:

@@ -4,7 +4,7 @@ Every object of interest — a module via its minimal projective
 resolution, or a shifted projective P(i)[1] — is stored uniformly as a
 complex P^{-1} -> P^0 of projectives: modules.TwoTermComplex, the type
 modules.minimal_presentation returns.  Both shifts of Hom come from one
-Hom complex, built from blocks cached per (complex, vertex):
+Hom complex:
 
   Hom(X^0, Y^{-1}) -> Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}) -> Hom(X^{-1}, Y^0)
 
@@ -20,13 +20,16 @@ every Hom dimension is a rank, taken on the same rows as integer rows,
 each scaled by the lcm of its denominators.
 
 A map between direct sums of projectives is a coordinate vector in
-_layout order: block (j, i) is Hom(P(u_i), P(v_j)), with one coordinate
-per path from v_j to u_i.  Maps compose block by block, a path p of the
-outer map times a path r of the inner one giving the concatenation p r,
-found through quivers.path_index.  Hom classes are kept in a fixed
-reduced coordinate form (chain-map space intersected with a
-reduced-row-echelon complement of the null-homotopic subspace), which
-makes bases, coordinates, and composition tables reproducible.
+_layout order: block (j, i) is Hom(P(u_i), P(v_j)), which has one
+coordinate if a path runs from v_j to u_i and none otherwise.  The
+underlying graph of a Dynkin quiver is a forest, so there is at most one
+such path, and a path followed by a path is the one path between their
+ends: maps compose as matrices of scalars, and d_X is the matrix of the
+coefficients of its entries.  _layout is where this is checked.  Hom
+classes are kept in a fixed reduced coordinate form (chain-map space
+intersected with a reduced-row-echelon complement of the null-homotopic
+subspace), which makes bases, coordinates, and composition tables
+reproducible.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .modules import (
     build_representation,
     minimal_presentation,
 )
-from .quivers import Quiver, path_index, paths_between
+from .quivers import Quiver, paths_between
 
 
 def resolve(q: Quiver, m: QuiverRep) -> TwoTermComplex:
@@ -78,16 +81,23 @@ def shifted_projective(q: Quiver, v: int) -> TwoTermComplex:
 
 @cache
 def _layout(q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...]):
-    """Blocks of Hom(+P(srcs), +P(tgts)): (j, i, paths, offset) plus total."""
+    """Coordinates of Hom(+P(srcs), +P(tgts)): the position of each block
+    (j, i) with a path from tgts[j] to srcs[i], in row-major order, and
+    their number.  A Dynkin quiver is a forest, so that path is the only
+    one; a second path raises ValueError."""
     pb = paths_between(q)
-    blocks = []
-    off = 0
+    pos = {}
     for j, v in enumerate(tgts):
         for i, u in enumerate(srcs):
             paths = pb[(v, u)]
-            blocks.append((j, i, paths, off))
-            off += len(paths)
-    return tuple(blocks), off
+            if len(paths) > 1:
+                raise ValueError(
+                    f"{len(paths)} paths run from vertex {v} to vertex {u}; "
+                    "a Dynkin quiver has at most one"
+                )
+            if paths:
+                pos[(j, i)] = len(pos)
+    return pos, len(pos)
 
 
 def _mul(
@@ -99,79 +109,32 @@ def _mul(
     f: Sequence[Q],
 ) -> List[Q]:
     """Coordinates of g after f, for f: +P(srcs) -> +P(mids) and
-    g: +P(mids) -> +P(tgts): block (k, i) sums block (k, j) of g times
-    block (j, i) of f over j, skipping zero coordinates."""
-    index = path_index(q)
-    n = len(srcs)
-    f_blocks, _ = _layout(q, srcs, mids)
-    h_blocks, total = _layout(q, srcs, tgts)
+    g: +P(mids) -> +P(tgts): block (k, i) is the sum of g(k, j) f(j, i)
+    over j, since a path followed by a path is the one path between their
+    ends."""
+    f_pos = _layout(q, srcs, mids)[0]
+    h_pos, total = _layout(q, srcs, tgts)
     out = [Q(0)] * total
-    for k, j, g_paths, g_off in _layout(q, mids, tgts)[0]:
-        g_terms = [
-            (p.arrows, c)
-            for p, c in zip(g_paths, g[g_off : g_off + len(g_paths)])
-            if c
-        ]
-        if not g_terms:
-            continue
-        w = tgts[k]
-        for i in range(n):
-            _, _, f_paths, f_off = f_blocks[j * n + i]
-            h_off = h_blocks[k * n + i][3]
-            for t, r in enumerate(f_paths):
-                c = f[f_off + t]
-                if c:
-                    for p, d in g_terms:
-                        out[h_off + index[(w, p + r.arrows)]] += d * c
+    for (k, j), s in _layout(q, mids, tgts)[0].items():
+        if g[s]:
+            for i in range(len(srcs)):
+                t = f_pos.get((j, i))
+                if t is not None and f[t]:
+                    out[h_pos[(k, i)]] += g[s] * f[t]
     return out
 
 
-# --- the Hom complex, from blocks cached per (complex, vertex) ---
-
-@cache
-def _after_diff(x: TwoTermComplex, v: int) -> Tuple[Tuple, ...]:
-    """The map h -> h d_X from Hom(X^0, P(v)) to Hom(X^{-1}, P(v)).
-
-    One sparse row per path of the source basis: (i, t, c) puts c at
-    path t of Hom(P(x.deg_minus1[i]), P(v)).
-    """
-    pb = paths_between(x.quiver)
-    index = path_index(x.quiver)
-    return tuple(
-        tuple(
-            (i, index[(v, p.arrows + a)], c)
-            for i in range(len(x.deg_minus1))
-            for a, c in x.diff[j][i].terms
-        )
-        for j, w in enumerate(x.deg0)
-        for p in pb[(v, w)]
-    )
-
-
-@cache
-def _before_diff(y: TwoTermComplex, u: int) -> Tuple[Tuple[Tuple, ...], ...]:
-    """The map h -> d_Y h from Hom(P(u), Y^{-1}) to Hom(P(u), Y^0).
-
-    Rows grouped by the summand j of Y^{-1}, one sparse row per path of
-    Hom(P(u), P(y.deg_minus1[j])): (k, t, c) puts c at path t of
-    Hom(P(u), P(y.deg0[k])).
-    """
-    pb = paths_between(y.quiver)
-    index = path_index(y.quiver)
-    return tuple(
-        tuple(
-            tuple(
-                (k, index[(y.deg0[k], a + p.arrows)], c)
-                for k in range(len(y.deg0))
-                for a, c in y.diff[k][j].terms
-            )
-            for p in pb[(w, u)]
-        )
-        for j, w in enumerate(y.deg_minus1)
-    )
-
+# --- the Hom complex ---
 
 Sparse = List[List[Tuple[int, Q]]]
+
+
+def _scalars(x: TwoTermComplex) -> List[List[Q]]:
+    """d_X as a deg0 x deg_minus1 matrix of the coefficients of its
+    entries' single paths."""
+    return [
+        [pv.terms[0][1] if pv.terms else Q(0) for pv in row] for row in x.diff
+    ]
 
 
 def _after_sparse(
@@ -181,12 +144,11 @@ def _after_sparse(
     image of each source coordinate as (column, value) pairs, both sides
     in _layout order, and the target dimension.  The map is
     block-diagonal over the summands tgts."""
-    blocks, n = _layout(x.quiver, x.deg_minus1, tgts)
-    off = {(k, i): o for k, i, _, o in blocks}
+    d = _scalars(x)
+    pos, n = _layout(x.quiver, x.deg_minus1, tgts)
     rows = [
-        [(off[(k, i)] + t, c) for i, t, c in sparse]
-        for k, v in enumerate(tgts)
-        for sparse in _after_diff(x, v)
+        [(pos[(k, i)], c) for i, c in enumerate(d[j]) if c]
+        for k, j in _layout(x.quiver, x.deg0, tgts)[0]
     ]
     return rows, n
 
@@ -198,14 +160,11 @@ def _before_sparse(
     image of each source coordinate as (column, value) pairs, both sides
     in _layout order, and the target dimension.  The map is
     block-diagonal over the summands srcs."""
-    blocks, n = _layout(y.quiver, srcs, y.deg0)
-    off = {(k, i): o for k, i, _, o in blocks}
-    before = [_before_diff(y, u) for u in srcs]
+    d = _scalars(y)
+    pos, n = _layout(y.quiver, srcs, y.deg0)
     rows = [
-        [(off[(k, i)] + t, c) for k, t, c in sparse]
-        for j in range(len(y.deg_minus1))
-        for i, b in enumerate(before)
-        for sparse in b[j]
+        [(pos[(k, i)], row[j]) for k, row in enumerate(d) if row[j]]
+        for j, i in _layout(y.quiver, srcs, y.deg_minus1)[0]
     ]
     return rows, n
 

@@ -332,8 +332,9 @@ PathIndex = Dict[Tuple[int, Tuple[str, ...]], int]
 def path_tables(q: Quiver) -> Tuple[PathTable, PathIndex]:
     """The canonical per-(source, target) path lists, each the basis of
     e_u A e_v, and the index (source, arrow ids) -> the path's position
-    in its list, the one lookup through which paths are concatenated.
-    Uncached, for the quivers whose tables no later call reads."""
+    in its list, through which the paths of a quiver with several paths
+    between two vertices (End(T)'s Gabriel quiver) are concatenated.
+    Uncached; paths_between caches the lists of the input quiver."""
     table: Dict[Tuple[int, int], List[Path]] = {
         (u, v): [] for u in q.vertices for v in q.vertices
     }
@@ -349,12 +350,6 @@ def path_tables(q: Quiver) -> Tuple[PathTable, PathIndex]:
 def paths_between(q: Quiver) -> PathTable:
     """path_tables' lists, cached for the input quiver and its subquivers."""
     return path_tables(q)[0]
-
-
-@cache
-def path_index(q: Quiver) -> PathIndex:
-    """path_tables' index, cached like paths_between."""
-    return path_tables(q)[1]
 
 
 def coxeter_matrix(cartan: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], ...]:

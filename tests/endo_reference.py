@@ -23,7 +23,7 @@ from silt.linalg import (
     row_space_rref,
 )
 from silt.modules import BoundQuiverAlgebra
-from silt.quivers import Arrow, PathVector, Quiver, path_index, paths_between
+from silt.quivers import Arrow, PathVector, Quiver, path_tables, paths_between
 from silt.silting import SiltingObject, summand_complex
 
 
@@ -139,7 +139,7 @@ def endomorphism_algebra_reference(
     gq, dims, path_value = reference_path_values(q, t)
     n = len(gq.vertices)
     pb = paths_between(gq)
-    index = path_index(gq)
+    index = path_tables(gq)[1]
 
     # relations: per vertex pair, the left kernel of path evaluation
     relations: List[PathVector] = []

@@ -4,14 +4,16 @@ reference route that silt.complexes' coordinate product is tested against.
 A map +P(srcs) -> +P(tgts) is a matrix whose (j, i) entry is a
 PathVector in Hom(P(srcs[i]), P(tgts[j])), spanned by the paths from
 tgts[j] to srcs[i]; maps compose entrywise by PathVector.mul.  Vectors
-convert to matrices and back through silt.complexes._layout.
+convert to matrices and back through the positions of
+silt.complexes._layout, each standing for the single path of its block
+in quivers.paths_between.
 """
 
 from fractions import Fraction as Q
 from typing import List, Sequence, Tuple
 
 from silt.complexes import HomClass, TwoTermComplex, _layout, hom_class_basis
-from silt.quivers import PathVector, Quiver
+from silt.quivers import PathVector, Quiver, paths_between
 
 PVMatrix = Tuple[Tuple[PathVector, ...], ...]
 
@@ -38,26 +40,22 @@ def pv_scale(a: PathVector, c) -> PathVector:
 def vec_to_mat(
     q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...], vec: Sequence[Q]
 ) -> PVMatrix:
-    blocks, _ = _layout(q, srcs, tgts)
+    pb = paths_between(q)
     mat = [[pv_zero(v, u) for u in srcs] for v in tgts]
-    for j, i, paths, off in blocks:
-        terms = {
-            p.arrows: vec[off + t]
-            for t, p in enumerate(paths)
-            if vec[off + t] != 0
-        }
-        mat[j][i] = PathVector.make(tgts[j], srcs[i], terms)
+    for (j, i), t in _layout(q, srcs, tgts)[0].items():
+        (p,) = pb[(tgts[j], srcs[i])]
+        mat[j][i] = PathVector.make(tgts[j], srcs[i], {p.arrows: vec[t]})
     return tuple(tuple(r) for r in mat)
 
 
 def mat_to_vec(
     q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...], mat: PVMatrix
 ) -> List[Q]:
-    blocks, total = _layout(q, srcs, tgts)
+    pb = paths_between(q)
+    pos, total = _layout(q, srcs, tgts)
     vec = [Q(0)] * total
-    for j, i, paths, off in blocks:
-        for t, c in enumerate(mat[j][i].coords(paths)):
-            vec[off + t] = c
+    for (j, i), t in pos.items():
+        (vec[t],) = mat[j][i].coords(pb[(tgts[j], srcs[i])])
     return vec
 
 

@@ -287,6 +287,29 @@ def test_silting_dot_unsupported_exits_2(capsys):
     assert "format" in err
 
 
+def test_unsupported_format_exits_2_before_any_work(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "silting_alg2", lambda q: calls.append(q) or ())
+    rc, out, err = run_cli(capsys, "classify", fx("a2"), "--format", "dot")
+    assert rc == 2
+    assert out == "" and "format" in err
+    assert calls == []
+
+
+def test_classify_oracle_checks_cartan_rows_against_hom_complex(
+    monkeypatch, capsys
+):
+    hom_class_dim = cli.hom_class_dim
+    monkeypatch.setattr(
+        cli, "hom_class_dim", lambda x, y, k: hom_class_dim(x, y, k) + 1
+    )
+    rc, out, err = run_cli(capsys, "classify", fx("a3_linear"), "--oracle")
+    assert rc == 1
+    assert out == ""
+    first = silting_alg2(parse_quiver(Path(fx("a3_linear")).read_text()))[0]
+    assert f": {first.label()}: oracle: Cartan entry (1, 1) is 1" in err
+
+
 def test_oracle_mismatch_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "silting_bruteforce", lambda q: ())
     rc, _, err = run_cli(capsys, "silting", fx("a2"), "--oracle")

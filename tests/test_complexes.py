@@ -9,7 +9,7 @@ import pytest
 
 from silt.cli import FIXTURE_NAMES
 from silt.linalg import RatMatrix, kernel_basis, reduce_by_rref, row_space_rref
-from silt.quivers import PathVector, parse_quiver, path_index, paths_between
+from silt.quivers import PathVector, parse_quiver, paths_between
 from silt.modules import build_representation, ext1_dim, hom_dim, indecomposables
 from silt.complexes import (
     HomClass,
@@ -255,6 +255,19 @@ def test_shift_one_homotopies_match_unit_vector_route():
         assert both
 
 
+def test_two_paths_between_vertices_are_rejected():
+    # Hom(P(4), P(1)) is spanned by both paths 1 -> 4 of the commutative
+    # square; Hom(P(1), P(4)) = 0 reads no block with a path
+    square = parse_quiver(
+        "vertices 1 2 3 4\narrows a:1->2 b:2->4 c:1->3 d:3->4\n"
+    )
+    p1, p4 = shifted_projective(square, 1), shifted_projective(square, 4)
+    assert hom_class_dim(p1, p4, 0) == 0
+    with pytest.raises(ValueError) as err:
+        hom_class_dim(p4, p1, 0)
+    assert "from vertex 1 to vertex 4" in str(err.value)
+
+
 def test_shifted_homs_match_path_spaces():
     pb = paths_between(A3)
     for i in A3.vertices:
@@ -416,17 +429,17 @@ def test_compose_matches_path_vector_route(q, composable, nonzero):
 
 
 def _lazy_path_identity(x):
-    """The identity chain map of X in coordinates: a 1 at the lazy path of
-    each diagonal block, reduced to the stored basis."""
+    """The identity chain map of X in coordinates: a 1 at each diagonal
+    position, where the one path is the lazy path, reduced to the stored
+    basis."""
     q = x.quiver
-    index = path_index(q)
     vec = []
     for vs in (x.deg0, x.deg_minus1):
-        blocks, n = _layout(q, vs, vs)
+        pos, n = _layout(q, vs, vs)
         part = [Q(0)] * n
-        for j, i, _, off in blocks:
+        for (j, i), t in pos.items():
             if j == i:
-                part[off + index[(vs[j], ())]] = Q(1)
+                part[t] = Q(1)
         vec += part
     return hom_class_basis(x, x, 0).class_from_vector(vec)
 

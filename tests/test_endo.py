@@ -23,7 +23,6 @@ from silt.linalg import RatMatrix, charpoly
 from silt.quivers import (
     parse_quiver,
     path_basis,
-    path_index,
     paths_between,
 )
 from silt.modules import (
@@ -409,11 +408,9 @@ def test_no_path_table_is_cached_for_a_gabriel_quiver():
     # tables uncached, so only the input quiver's tables are kept
     objs = silting_alg2(D4_COLD)
     paths_between.cache_clear()
-    path_index.cache_clear()
     for t in objs:
         projectives(endomorphism_algebra(D4_COLD, t))
     assert paths_between.cache_info().currsize <= 1
-    assert path_index.cache_info().currsize <= 1
 
 
 # A3 relabelled, so that none of its End(T)s is cached yet

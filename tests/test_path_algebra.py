@@ -35,7 +35,7 @@ from silt.quivers import (
     dynkin_type,
     parse_quiver,
     path_basis,
-    path_index,
+    path_tables,
     paths_between,
 )
 from silt.silting import SiltingObject
@@ -149,7 +149,7 @@ def test_resolutions_over_a_path_algebra_beyond_dynkin(q):
 def test_path_algebra_projectives_append_the_arrow(q):
     # P(v): an arrow a sends the basis path p to the unit vector at p a
     b = path_algebra(q)
-    pb, index = paths_between(q), path_index(q)
+    pb, index = paths_between(q), path_tables(q)[1]
     basis, reps = projectives(b)
     for v, p_v, paths_from_v in zip(q.vertices, reps, basis):
         assert paths_from_v == tuple(

@@ -21,7 +21,7 @@ from silt.quivers import (
     opposite,
     parse_quiver,
     path_basis,
-    path_index,
+    path_tables,
     paths_between,
 )
 
@@ -185,7 +185,7 @@ def test_path_basis_linear_count():
 
 def test_path_index_points_into_paths_between():
     for q in (A2, A3_LIN, D4, D5):
-        pb, index = paths_between(q), path_index(q)
+        pb, index = paths_between(q), path_tables(q)[1]
         assert len(index) == len(path_basis(q))
         for p in path_basis(q):
             assert pb[(p.source, p.target)][index[(p.source, p.arrows)]] == p
