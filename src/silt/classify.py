@@ -19,8 +19,9 @@ sets (endo.blocks), a block's global dimension is the largest projective
 dimension of its simples, and its Cartan rows are those of End(T)
 restricted to its vertices.
 Blocks with global dimension at most 2 are tilted and get a Dynkin type
-from a Coxeter-polynomial reference table; blocks of global dimension
-exactly 3 are strictly shod.  A permutation-invariant fingerprint groups
+from their rank and det(C + C^T) of their Cartan rows C, with the order of
+their Coxeter matrix as the oracle; blocks of global dimension exactly 3
+are strictly shod.  A permutation-invariant fingerprint groups
 isomorphic algebras so enumerations can be counted up to isomorphism: the
 lexicographically least (arrow counts, Cartan, Ext^1, Ext^2, pds) over all
 simultaneous vertex permutations.  A refinement search finds it by
@@ -39,17 +40,13 @@ import io
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .endo import blocks, cartan_data, coxeter_polynomial, endomorphism_algebra
-from .linalg import integer_solve
-from .modules import (
-    BoundQuiverAlgebra,
-    minimal_resolution,
-    projective_dim_vectors,
-    simple_rep,
-)
-from .quivers import Arrow, DynkinType, Quiver
+from .endo import blocks, cartan_data, endomorphism_algebra
+from .linalg import determinant, integer_solve
+from .modules import BoundQuiverAlgebra, minimal_resolution, simple_rep
+from .quivers import DynkinType, Quiver, coxeter_matrix
 from .silting import SiltingObject
 
 RESOLUTION_CAP = 10
@@ -174,48 +171,55 @@ def check_homology(b: BoundQuiverAlgebra) -> None:
         )
 
 
-# --- tilted type via Coxeter polynomials ---
+# --- tilted type from det(C + C^T) ---
 
-def _reference_quiver(n: int, branch: int) -> Quiver:
-    """A_n for branch 0; otherwise the chain 1 -> ... -> n-1 with vertex n
-    attached at vertex `branch`, which gives D_n for 2 and E_n for 3."""
-    m = n - 1 if branch else n
-    arrows = [Arrow(f"x{i}", i, i + 1) for i in range(1, m)]
-    if branch:
-        arrows.append(Arrow(f"x{n}", n, branch))
-    return Quiver(tuple(range(1, n + 1)), tuple(arrows))
+def block_cartan(b: BoundQuiverAlgebra, verts: Sequence[int]) -> Matrix:
+    """The Cartan rows of b restricted to a block's vertices."""
+    ix = {v: i for i, v in enumerate(b.gabriel.vertices)}
+    cart = cartan_data(b)
+    return tuple(tuple(cart[ix[v]][ix[u]] for u in verts) for v in verts)
 
 
-@cache
-def _reference_polynomials(n: int) -> Dict[Tuple[int, ...], Tuple[str, int]]:
-    """Coxeter polynomials of the Dynkin path algebras of rank n."""
-    branches = {"A": 0}
-    if n >= 4:
-        branches["D"] = 2
-    if 6 <= n <= 8:
-        branches["E"] = 3
-    table: Dict[Tuple[int, ...], Tuple[str, int]] = {}
-    for family, branch in branches.items():
-        poly = coxeter_polynomial(
-            projective_dim_vectors(_reference_quiver(n, branch))
-        )
-        if poly in table:
-            raise RuntimeError("reference Coxeter polynomials collide")
-        table[poly] = (family, n)
-    return table
+def tilted_type(cartan: Matrix) -> DynkinType:
+    """Dynkin type of a tilted block, from its rank m and det(C + C^T) of
+    its integer Cartan rows C.  A tilted algebra is derived equivalent to
+    a Dynkin path algebra (Happel, 1988), so C + C^T, congruent to the
+    symmetrised Euler form C^-1 + C^-T as det C = +-1, has the determinant
+    of the root system's Cartan matrix (Bourbaki, ch. VI, plates I-VII),
+    distinct at every rank.  Any other value raises RuntimeError."""
+    m = len(cartan)
+    det = determinant([list(map(add, r, c)) for r, c in zip(cartan, zip(*cartan))])
+    for family, value, exists in (
+        ("A", m + 1, True), ("D", 4, m >= 4), ("E", 9 - m, 6 <= m <= 8)
+    ):
+        if det == value and exists:
+            return DynkinType.of([(family, m)])
+    raise RuntimeError(f"det(C + C^T) = {det} matches no Dynkin type of rank {m}")
 
 
-def tilted_type(cartan: Tuple[Tuple[int, ...], ...]) -> DynkinType:
-    """Dynkin type of a tilted block, from the Coxeter polynomial of its
-    integer Cartan rows."""
-    poly = coxeter_polynomial(cartan)
-    n = len(poly) - 1
-    table = _reference_polynomials(n)
-    if poly not in table:
-        raise RuntimeError(
-            f"no Dynkin type of rank {n} matches Coxeter polynomial {poly}"
-        )
-    return DynkinType.of([table[poly]])
+def check_tilted_types(r: ClassificationRecord) -> None:
+    """The oracle for tilted_type: derived equivalent algebras have
+    conjugate Coxeter matrices Phi = -C^-1 C^T, so a tilted block's Phi has
+    its type's Coxeter number h as its order."""
+    for bv in r.block_verdicts:
+        if bv.dynkin is None:
+            continue
+        ((family, m),) = bv.dynkin.components
+        h = {"A": m + 1, "D": 2 * m - 2, "E": {6: 12, 7: 18, 8: 30}.get(m)}[family]
+        phi = coxeter_matrix(block_cartan(r.algebra, bv.vertices))
+        unit = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+        power, order = phi, 1
+        while power != unit and order <= h:
+            power = tuple(
+                tuple(sum(map(mul, row, col)) for col in zip(*phi)) for row in power
+            )
+            order += 1
+        if order != h:
+            got = order if power == unit else f"above {h}"
+            raise RuntimeError(
+                f"block {list(bv.vertices)} has type {bv.dynkin.label()}, but "
+                f"its Coxeter matrix has order {got}, not the Coxeter number {h}"
+            )
 
 
 # --- classification records ---
@@ -376,19 +380,14 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
     with _stage("ext", t):
         h = homology(b)
     pds = dict(h.pds)
-    cart = cartan_data(b)
-    ix = {v: i for i, v in enumerate(b.gabriel.vertices)}
     verdicts: List[BlockVerdict] = []
     comps: List[Tuple[str, int]] = []
     all_tilted = True
     for verts in blocks(b):
         g = max(pds[v] for v in verts)
         if g <= 2:
-            rows = tuple(
-                tuple(cart[ix[v]][ix[u]] for u in verts) for v in verts
-            )
             with _stage("tilted type", t):
-                dt = tilted_type(rows)
+                dt = tilted_type(block_cartan(b, verts))
             verdicts.append(BlockVerdict(verts, g, "tilted", dt))
             comps.extend(dt.components)
         else:  # homology gives no pd above 3

@@ -32,6 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 from .classify import (
     _stage,
     check_homology,
+    check_tilted_types,
     classify,
     dedupe,
     ext_matrix,
@@ -226,8 +227,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "cross-check the enumeration against brute force, each "
             "End(T)'s Ext and projective dimensions against minimal "
-            "resolutions of its simples (gl.dim <= 3), and its Cartan rows "
-            "against the Hom complex"
+            "resolutions of its simples (gl.dim <= 3), its Cartan rows "
+            "against the Hom complex, and the order of each tilted block's "
+            "Coxeter matrix against its type's Coxeter number"
         ),
     )
     add_common(p_cl)
@@ -469,6 +471,7 @@ def cmd_classify(args) -> str:
             with _stage("oracle", r.silting):
                 check_homology(r.algebra)
                 _check_cartan(q, r.silting, r.algebra.cartan)
+                check_tilted_types(r)
     groups = dedupe(records)
     return _render_classification(q, records, groups, args.format)
 

@@ -82,9 +82,10 @@ def shifted_projective(q: Quiver, v: int) -> TwoTermComplex:
 @cache
 def _layout(q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...]):
     """Coordinates of Hom(+P(srcs), +P(tgts)): the position of each block
-    (j, i) with a path from tgts[j] to srcs[i], in row-major order, and
-    their number.  A Dynkin quiver is a forest, so that path is the only
-    one; a second path raises ValueError."""
+    (j, i) with a path from tgts[j] to srcs[i], in row-major order, keyed
+    by the int j * len(srcs) + i, and their number.  A Dynkin quiver is a
+    forest, so that path is the only one; a second path raises
+    ValueError."""
     pb = paths_between(q)
     pos = {}
     for j, v in enumerate(tgts):
@@ -96,7 +97,7 @@ def _layout(q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...]):
                     "a Dynkin quiver has at most one"
                 )
             if paths:
-                pos[(j, i)] = len(pos)
+                pos[j * len(srcs) + i] = len(pos)
     return pos, len(pos)
 
 
@@ -112,15 +113,17 @@ def _mul(
     g: +P(mids) -> +P(tgts): block (k, i) is the sum of g(k, j) f(j, i)
     over j, since a path followed by a path is the one path between their
     ends."""
+    n = len(srcs)
     f_pos = _layout(q, srcs, mids)[0]
     h_pos, total = _layout(q, srcs, tgts)
     out = [Q(0)] * total
-    for (k, j), s in _layout(q, mids, tgts)[0].items():
+    for kj, s in _layout(q, mids, tgts)[0].items():
         if g[s]:
-            for i in range(len(srcs)):
-                t = f_pos.get((j, i))
+            k, j = divmod(kj, len(mids))
+            for i in range(n):
+                t = f_pos.get(j * n + i)
                 if t is not None and f[t]:
-                    out[h_pos[(k, i)]] += g[s] * f[t]
+                    out[h_pos[k * n + i]] += g[s] * f[t]
     return out
 
 
@@ -144,11 +147,11 @@ def _after_sparse(
     image of each source coordinate as (column, value) pairs, both sides
     in _layout order, and the target dimension.  The map is
     block-diagonal over the summands tgts."""
-    d = _scalars(x)
+    d, m, n0 = _scalars(x), len(x.deg_minus1), len(x.deg0)
     pos, n = _layout(x.quiver, x.deg_minus1, tgts)
     rows = [
-        [(pos[(k, i)], c) for i, c in enumerate(d[j]) if c]
-        for k, j in _layout(x.quiver, x.deg0, tgts)[0]
+        [(pos[kj // n0 * m + i], c) for i, c in enumerate(d[kj % n0]) if c]
+        for kj in _layout(x.quiver, x.deg0, tgts)[0]
     ]
     return rows, n
 
@@ -160,11 +163,11 @@ def _before_sparse(
     image of each source coordinate as (column, value) pairs, both sides
     in _layout order, and the target dimension.  The map is
     block-diagonal over the summands srcs."""
-    d = _scalars(y)
+    d, m = _scalars(y), len(srcs)
     pos, n = _layout(y.quiver, srcs, y.deg0)
     rows = [
-        [(pos[(k, i)], row[j]) for k, row in enumerate(d) if row[j]]
-        for j, i in _layout(y.quiver, srcs, y.deg_minus1)[0]
+        [(pos[k * m + ji % m], r[ji // m]) for k, r in enumerate(d) if r[ji // m]]
+        for ji in _layout(y.quiver, srcs, y.deg_minus1)[0]
     ]
     return rows, n
 

@@ -24,7 +24,7 @@ The algebra is these arrows and relations with the block dimensions as
 its integer Cartan rows; its projectives, which only the resolutions of
 simples read, are derived from the relations by modules.projectives.
 Also here: the blocks, as the vertex sets of the Gabriel quiver's
-components, and the integer Cartan rows.
+components, and the integer Cartan rows that classify types them by.
 """
 
 from __future__ import annotations
@@ -35,14 +35,13 @@ from operator import mul
 from typing import Dict, List, Tuple
 
 from .complexes import compose, hom_class_basis
-from .linalg import _echelon, charpoly, pivot_columns
+from .linalg import _echelon, pivot_columns
 from .modules import BoundQuiverAlgebra, TwoTermComplex
 from .quivers import (
     Arrow,
     PathVector,
     Quiver,
     _components,
-    coxeter_matrix,
     path_tables,
 )
 from .silting import SiltingObject, euler_table, summand_complex
@@ -220,9 +219,3 @@ def cartan_data(b: BoundQuiverAlgebra) -> Tuple[Tuple[int, ...], ...]:
     """Integer Cartan rows of the algebra: row v is dim P(v)."""
     return b.cartan
 
-
-@cache
-def coxeter_polynomial(cartan: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
-    """Coefficients of det(t - Phi), leading first, for integer Cartan rows
-    C and Phi = -C^{-1} C^T."""
-    return charpoly(coxeter_matrix(cartan))

@@ -10,7 +10,8 @@ and ``integer_solve``: each row is cleared of denominators and reduced on
 plain ``int`` rows, where a pivot rewrites only the rows with a non-zero
 entry in its column and keeps each of them primitive, and no pivot falls
 back to ``Fraction``.  ``integer_solve`` takes integer rows and returns
-integer rows, so it makes no ``Fraction`` at all.
+integer rows, so it makes no ``Fraction`` at all.  ``determinant`` is the
+one other elimination: fraction-free Bareiss, for tilted_type's integer.
 """
 
 from __future__ import annotations
@@ -116,34 +117,6 @@ def identity(n: int) -> RatMatrix:
     )
 
 
-def charpoly(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """det(tI - M) of an integer matrix M, leading coefficient first.
-
-    Faddeev-LeVerrier: M_1 = M, c_k = -tr(M_k) / k, M_{k+1} = M (M_k + c_k I).
-    Each c_k is a coefficient of an integer polynomial, so the division is
-    exact; a remainder raises RuntimeError.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("charpoly of non-square matrix")
-    coeffs = [1]
-    m_k = [list(r) for r in rows]
-    for k in range(1, n + 1):
-        c, rem = divmod(-sum(m_k[i][i] for i in range(n)), k)
-        if rem:
-            raise RuntimeError(f"Faddeev-LeVerrier division by {k} is inexact")
-        coeffs.append(c)
-        if k < n:
-            for i in range(n):
-                m_k[i][i] += c
-            cols = list(zip(*m_k))
-            m_k = [
-                [sum(a * b for a, b in zip(r, col)) for col in cols]
-                for r in rows
-            ]
-    return tuple(coeffs)
-
-
 def _integer_rows(m: RatMatrix) -> List[List[int]]:
     """The non-zero rows of m, each scaled by the lcm of its denominators,
     which keeps the row space."""
@@ -246,6 +219,30 @@ def integer_solve(
             raise RuntimeError(f"{what} is not integral")
         x.append(tuple(e // p for e in row[n:]))
     return tuple(x)
+
+
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """det of a square integer matrix, by fraction-free Bareiss elimination:
+    each entry below a pivot's row becomes a minor of the input, so its
+    division by the previous pivot is exact, and the last pivot is det.  A
+    zero pivot swaps in the first lower row with a non-zero entry in its
+    column, flipping the sign; with none, det = 0."""
+    m, sign, prev = [list(r) for r in rows], 1, 1
+    if any(len(r) != len(m) for r in m):
+        raise ValueError("determinant of non-square matrix")
+    for k in range(len(m)):
+        i = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            m[k], m[i], sign = m[i], m[k], -sign
+        top, p = m[k], m[k][k]
+        for row in m[k + 1 :]:
+            row[k:] = [
+                (p * a - row[k] * b) // prev for a, b in zip(row[k:], top[k:])
+            ]
+        prev = p
+    return sign * prev
 
 
 def rank(m: RatMatrix) -> int:

@@ -183,19 +183,23 @@ def parse_quiver(text: str) -> Quiver:
 
 
 def _parse_json(text: str) -> Quiver:
+    """The JSON form: lists `vertices` and `arrows`, every label a JSON
+    integer; no bool, float or string is converted."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise QuiverSyntaxError(f"bad JSON: {exc}") from exc
     try:
-        vertices = tuple(int(v) for v in payload["vertices"])
-        arrows = tuple(
-            Arrow(str(a["id"]), int(a["source"]), int(a["target"]))
-            for a in payload.get("arrows", [])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        vertices, arrows = payload["vertices"], payload.get("arrows", [])
+        if type(vertices) is not list or type(arrows) is not list:
+            raise QuiverSyntaxError("vertices and arrows must be lists")
+        arrows = [Arrow(str(a["id"]), a["source"], a["target"]) for a in arrows]
+    except (KeyError, TypeError) as exc:
         raise QuiverSyntaxError(f"bad quiver JSON structure: {exc}") from exc
-    return Quiver(vertices, arrows)
+    for v in vertices + [v for a in arrows for v in (a.source, a.target)]:
+        if type(v) is not int:
+            raise QuiverSyntaxError(f"vertex label {json.dumps(v)} is not an integer")
+    return Quiver(tuple(vertices), tuple(arrows))
 
 
 def quiver_to_json(q: Quiver) -> dict:

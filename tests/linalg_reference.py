@@ -1,6 +1,7 @@
-"""Matrix inverse by row reduction of [M | I]: a reference the tests use
-to build Coxeter matrices and to check silt's integer routines
-(coxeter_matrix, euler_form, integer_solve) independently."""
+"""Matrix inverse by row reduction of [M | I], and the determinant by
+Gaussian elimination over Fractions: references the tests use to build
+Coxeter matrices and to check silt's integer routines (coxeter_matrix,
+euler_form, integer_solve, determinant) independently."""
 
 from fractions import Fraction as Q
 
@@ -28,3 +29,22 @@ def inverse(m: RatMatrix) -> RatMatrix:
     return RatMatrix(
         n, n, tuple(red.at(i, n + j) for i in range(n) for j in range(n))
     )
+
+
+def determinant_reference(rows) -> Q:
+    """det by Gaussian elimination in Fractions: the product of the
+    pivots, negated once per row swap; 0 when a column has no pivot."""
+    m = [[Q(e) for e in r] for r in rows]
+    n, det = len(m), Q(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return Q(0)
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det

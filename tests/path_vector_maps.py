@@ -5,8 +5,8 @@ A map +P(srcs) -> +P(tgts) is a matrix whose (j, i) entry is a
 PathVector in Hom(P(srcs[i]), P(tgts[j])), spanned by the paths from
 tgts[j] to srcs[i]; maps compose entrywise by PathVector.mul.  Vectors
 convert to matrices and back through the positions of
-silt.complexes._layout, each standing for the single path of its block
-in quivers.paths_between.
+silt.complexes._layout, keyed by j * len(srcs) + i, each standing for
+the single path of its block in quivers.paths_between.
 """
 
 from fractions import Fraction as Q
@@ -42,7 +42,8 @@ def vec_to_mat(
 ) -> PVMatrix:
     pb = paths_between(q)
     mat = [[pv_zero(v, u) for u in srcs] for v in tgts]
-    for (j, i), t in _layout(q, srcs, tgts)[0].items():
+    for ji, t in _layout(q, srcs, tgts)[0].items():
+        j, i = divmod(ji, len(srcs))
         (p,) = pb[(tgts[j], srcs[i])]
         mat[j][i] = PathVector.make(tgts[j], srcs[i], {p.arrows: vec[t]})
     return tuple(tuple(r) for r in mat)
@@ -54,7 +55,8 @@ def mat_to_vec(
     pb = paths_between(q)
     pos, total = _layout(q, srcs, tgts)
     vec = [Q(0)] * total
-    for (j, i), t in pos.items():
+    for ji, t in pos.items():
+        j, i = divmod(ji, len(srcs))
         (vec[t],) = mat[j][i].coords(pb[(tgts[j], srcs[i])])
     return vec
 

@@ -8,6 +8,9 @@ from importlib.resources import files
 
 import pytest
 
+import silt.classify as classify_mod
+from coxeter_reference import coxeter_type, reference_polynomials
+from dynkin_orientations import E6
 from quiver_isomorphism import quivers_isomorphic
 from silt.quivers import dynkin_type, opposite, parse_quiver
 from silt.modules import IndId, projective_dim_vectors
@@ -16,6 +19,7 @@ from silt.endo import cartan_data, endomorphism_algebra
 from silt.cli import FIXTURE_NAMES, STRICTLY_SHOD_PRESENTATIONS
 from silt.classify import (
     ClassificationRecord,
+    block_cartan,
     classify,
     dedupe,
     ext_matrix,
@@ -26,7 +30,6 @@ from silt.classify import (
     summary_csv,
     summary_text,
     tilted_type,
-    _reference_polynomials,
 )
 
 A1 = parse_quiver("vertices 1\n")
@@ -112,16 +115,22 @@ def test_tilted_type_of_hereditary_blocks():
     assert tilted_type(cartan_data(bd)).label() == "D4"
 
 
-RANK_SIX = {
+# A9 and D10 lie beyond every E type; the determinant rule covers them
+# with no reference quiver
+ABOVE_RANK_FIVE = {
     "A6": "vertices 1 2 3 4 5 6\narrows a:1->2 b:3->2 c:3->4 d:4->5 e:6->5\n",
     "D6": "vertices 1 2 3 4 5 6\narrows a:1->3 b:2->3 c:3->4 d:4->5 e:5->6\n",
     "E6": "vertices 1 2 3 4 5 6\narrows a:1->2 b:2->3 c:4->3 d:5->4 e:6->3\n",
+    "A9": "vertices 1 2 3 4 5 6 7 8 9\n"
+    "arrows a:1->2 b:3->2 c:3->4 d:5->4 e:5->6 f:7->6 g:7->8 h:9->8\n",
+    "D10": "vertices 1 2 3 4 5 6 7 8 9 10\n"
+    "arrows a:1->3 b:2->3 c:4->3 d:4->5 e:6->5 f:6->7 g:8->7 h:8->9 i:10->9\n",
 }
 
 
-@pytest.mark.parametrize("label", sorted(RANK_SIX))
+@pytest.mark.parametrize("label", sorted(ABOVE_RANK_FIVE))
 def test_tilted_type_above_rank_five(label):
-    q = parse_quiver(RANK_SIX[label])
+    q = parse_quiver(ABOVE_RANK_FIVE[label])
     b = endomorphism_algebra(q, _regular_object(q))
     assert tilted_type(cartan_data(b)).label() == label
 
@@ -151,7 +160,38 @@ def test_reference_polynomials_cover_every_type_up_to_rank_eight():
             closed[("D", n)] = _poly((n, 1), (n - 1, 1), (1, 1), (0, 1))
     for n in range(1, 9):
         want = {poly: t for t, poly in closed.items() if t[1] == n}
-        assert _reference_polynomials(n) == want, n
+        assert reference_polynomials(n) == want, n
+
+
+def test_tilted_type_outside_the_determinant_rule_names_the_object(
+    monkeypatch,
+):
+    # a relabelled A2, so that no classify result is cached for it
+    q = parse_quiver("vertices 71 72\narrow z:71->72\n")
+    t = silting_alg2(q)[0]
+    monkeypatch.setattr(classify_mod, "determinant", lambda rows: 0)
+    with pytest.raises(RuntimeError) as err:
+        classify(q, t)
+    assert f"{t.label()}: tilted type: det(C + C^T) = 0" in str(err.value)
+
+
+def _tilted_blocks(q):
+    for t in silting_alg2(q):
+        r = classify(q, t)
+        for bv in r.block_verdicts:
+            if bv.verdict == "tilted":
+                yield block_cartan(r.algebra, bv.vertices), bv.dynkin
+
+
+def test_coxeter_polynomials_agree_with_the_determinant_rule():
+    # the Coxeter route of coxeter_reference, on every tilted block of the
+    # fixtures and E6
+    checked = 0
+    for q in [_fixture(name) for name in FIXTURE_NAMES] + [E6]:
+        for rows, dt in _tilted_blocks(q):
+            assert coxeter_type(rows) == dt == tilted_type(rows), rows
+            checked += 1
+    assert checked == 1494
 
 
 # --- classify ---

@@ -104,6 +104,18 @@ def test_bad_syntax_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_json_quiver_with_float_labels_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "vertices": [1.5, 2.7],
+        "arrows": [{"id": "a", "source": 1.2, "target": 2.9}],
+    }))
+    rc, out, err = run_cli(capsys, "classify", str(bad))
+    assert rc == 2
+    assert out == ""
+    assert "vertex label 1.5 is not an integer" in err
+
+
 def test_oriented_cycle_exits_3(tmp_path, capsys):
     cyc = tmp_path / "cyc.quiver"
     cyc.write_text("vertices 1 2\narrow a:1->2\narrow b:2->1\n")
@@ -308,6 +320,25 @@ def test_classify_oracle_checks_cartan_rows_against_hom_complex(
     assert out == ""
     first = silting_alg2(parse_quiver(Path(fx("a3_linear")).read_text()))[0]
     assert f": {first.label()}: oracle: Cartan entry (1, 1) is 1" in err
+
+
+def test_classify_oracle_checks_the_coxeter_order_of_tilted_blocks(
+    monkeypatch, capsys
+):
+    # an identity Coxeter matrix has order 1, below every Coxeter number
+    monkeypatch.setattr(
+        classify_mod,
+        "coxeter_matrix",
+        lambda c: tuple(
+            tuple(int(i == j) for j in range(len(c))) for i in range(len(c))
+        ),
+    )
+    rc, out, err = run_cli(capsys, "classify", fx("a3_linear"), "--oracle")
+    assert rc == 1
+    assert out == ""
+    first = silting_alg2(parse_quiver(Path(fx("a3_linear")).read_text()))[0]
+    assert f": {first.label()}: oracle: block [" in err
+    assert "Coxeter matrix has order 1, not the Coxeter number" in err
 
 
 def test_oracle_mismatch_exits_1(monkeypatch, capsys):

@@ -437,7 +437,8 @@ def _lazy_path_identity(x):
     for vs in (x.deg0, x.deg_minus1):
         pos, n = _layout(q, vs, vs)
         part = [Q(0)] * n
-        for (j, i), t in pos.items():
+        for ji, t in pos.items():
+            j, i = divmod(ji, len(vs))
             if j == i:
                 part[t] = Q(1)
         vec += part

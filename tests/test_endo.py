@@ -11,6 +11,7 @@ import silt.complexes as complexes_mod
 import silt.endo as endo_mod
 import silt.linalg as linalg_mod
 import silt.silting as silting_mod
+from coxeter_reference import charpoly, coxeter_polynomial
 from dynkin_orientations import E6
 from endo_reference import (
     endomorphism_algebra_reference,
@@ -19,7 +20,7 @@ from endo_reference import (
 from linalg_reference import inverse
 from quiver_isomorphism import quivers_isomorphic
 from silt.cli import FIXTURE_NAMES
-from silt.linalg import RatMatrix, charpoly
+from silt.linalg import RatMatrix
 from silt.quivers import (
     parse_quiver,
     path_basis,
@@ -45,7 +46,6 @@ from silt.endo import (
     BoundQuiverAlgebra,
     blocks,
     cartan_data,
-    coxeter_polynomial,
     endomorphism_algebra,
 )
 

@@ -1,4 +1,5 @@
-"""Oracle tests for exact rational matrices: rank, kernel, coordinates, charpoly."""
+"""Oracle tests for exact rational matrices: rank, kernel, coordinates,
+determinant, and the reference module's charpoly."""
 
 from fractions import Fraction as Q
 
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linalg_reference import inverse
+from coxeter_reference import charpoly
+from linalg_reference import determinant_reference, inverse
 from silt.linalg import (
     RatMatrix,
     _echelon,
-    charpoly,
     coords_in_rows,
+    determinant,
     identity,
     integer_solve,
     kernel_basis,
@@ -153,6 +155,49 @@ def test_charpoly_matches_fraction_reference(rows):
     assert list(got) == _charpoly_reference(RatMatrix(
         len(rows), len(rows), tuple(e for r in rows for e in r)
     ))
+
+
+# --- determinant ---
+
+def test_determinant_swaps_rows_at_a_zero_pivot():
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[0, 2, 1], [0, 1, 3], [4, 0, 0]]) == 20
+    assert determinant([[1, 1, 0], [1, 1, 1], [0, 1, 1]]) == -1
+
+
+def test_determinant_of_singular_empty_and_non_square_matrices():
+    assert determinant([]) == 1
+    assert determinant([[1, 2], [2, 4]]) == 0
+    assert determinant([[0, 0], [0, 1]]) == 0
+    with pytest.raises(ValueError, match="non-square"):
+        determinant([[1, 2]])
+
+
+@st.composite
+def determinant_inputs(draw):
+    """Integer square matrices, some with a zero first pivot and some made
+    singular by a last row that combines the first two."""
+    rows = draw(int_square_matrices())
+    kind = draw(st.sampled_from(("any", "zero first pivot", "singular")))
+    if kind == "zero first pivot" and rows:
+        rows[0][0] = 0
+    if kind == "singular" and len(rows) > 2:
+        c = draw(st.integers(-3, 3))
+        rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    return kind, rows
+
+
+@given(determinant_inputs())
+@example(("zero first pivot", [[0, 1, 2], [0, 3, 4], [5, 6, 7]]))
+@example(("singular", [[1, 2, 3], [4, 5, 6], [9, 12, 15]]))
+@settings(max_examples=200, deadline=None)
+def test_determinant_matches_fraction_reference(case):
+    kind, rows = case
+    got = determinant(rows)
+    assert type(got) is int
+    assert got == determinant_reference(rows)
+    if kind == "singular" and len(rows) > 2:
+        assert got == 0
 
 
 # --- properties ---

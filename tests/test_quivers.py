@@ -94,6 +94,34 @@ def test_parse_json_equivalent():
     assert parse_quiver(json.dumps(payload)) == D5
 
 
+# labels must be JSON integers and both fields lists; nothing is converted
+BAD_JSON = {
+    "float vertex": {"vertices": [1.5, 2.7]},
+    "float source": {
+        "vertices": [1, 2], "arrows": [{"id": "a", "source": 1.2, "target": 2}]
+    },
+    "bool vertex": {"vertices": [True, 2]},
+    "bool target": {
+        "vertices": [1, 2], "arrows": [{"id": "a", "source": 1, "target": False}]
+    },
+    "string vertex": {"vertices": ["1", "2"]},
+    "string source": {
+        "vertices": [1, 2], "arrows": [{"id": "a", "source": "1", "target": 2}]
+    },
+    "string vertices": {"vertices": "12"},
+    "object vertices": {"vertices": {"1": 1}},
+    "object arrows": {"vertices": [1, 2], "arrows": {"id": "a"}},
+    "null arrows": {"vertices": [1, 2], "arrows": None},
+    "no vertices": {"arrows": []},
+}
+
+
+@pytest.mark.parametrize("payload", BAD_JSON.values(), ids=BAD_JSON.keys())
+def test_parse_json_rejects_labels_that_are_not_integers(payload):
+    with pytest.raises(QuiverSyntaxError):
+        parse_quiver(json.dumps(payload))
+
+
 # --- dynkin_type ---
 
 def test_dynkin_a3():
