@@ -457,10 +457,6 @@ def record_to_json(r: ClassificationRecord) -> dict:
     }
 
 
-def records_to_json(records: Sequence[ClassificationRecord]) -> list:
-    return [record_to_json(r) for r in records]
-
-
 def _summary_rows(
     groups: Sequence[Sequence[ClassificationRecord]],
 ) -> List[List[str]]:

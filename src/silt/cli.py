@@ -14,8 +14,13 @@ paper-suite  recompute every frozen count and structure over the bundled
 
 Exit codes: 0 success, 1 oracle or suite failure, 2 input error, 3 quiver
 not of Dynkin type.  All output is deterministic: byte-identical across
-runs.  The environment variable SILT_SEED is reserved and unused; nothing
-here is randomised.
+runs.  Every check runs before the first byte is written, so a failed
+check prints nothing to stdout and creates no --out file.  JSON reports
+are streamed by one writer, ``_write_json``: the large arrays are converted
+and written one element at a time, with exactly the bytes of
+``json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)`` plus
+a newline.  The environment variable SILT_SEED
+is reserved and unused; nothing here is randomised.
 """
 
 from __future__ import annotations
@@ -23,11 +28,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from importlib.resources import files
+from json.encoder import encode_basestring
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .classify import (
     _stage,
@@ -38,7 +44,7 @@ from .classify import (
     ext_matrix,
     homology,
     matches_presentation,
-    records_to_json,
+    record_to_json,
     summary_csv,
     summary_text,
     text_table,
@@ -68,6 +74,7 @@ from .quivers import (
     quiver_to_json,
 )
 from .silting import (
+    SiltingObject,
     silting_alg2,
     silting_bruteforce,
     summand_complex,
@@ -281,8 +288,63 @@ def _require_dynkin(q: Quiver) -> None:
         raise CliFailure(3, f"quiver is not of Dynkin type: {e}")
 
 
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+# A report is either finished text (csv, ascii, dot) or a JSON payload,
+# which main streams through _write_json.
+Report = Union[str, dict]
+
+
+def _write_json(payload, write: Callable[[str], object]) -> None:
+    """Write json.dumps(payload, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\n", exactly, through write.
+
+    Only the types silt's reports hold: dicts with str keys, arrays (lists,
+    tuples, maps), str, int, bool and None; anything else raises TypeError.
+    The text so far is written after each element of a map, so an array
+    given as map(convert, items) is converted one element at a time and
+    neither it nor the document is ever whole in memory."""
+    parts: List[str] = []
+
+    def enc(o, nl: str) -> None:
+        # nl is a newline and the indent of the line o starts on
+        t = type(o)
+        if t is str:
+            parts.append(encode_basestring(o))
+        elif t is int:
+            parts.append(int.__repr__(o))
+        elif o is None:
+            parts.append("null")
+        elif t is bool:
+            parts.append("true" if o else "false")
+        elif t is dict:
+            # encode_basestring raises TypeError on a key that is not a str
+            inner = nl + "  "
+            lead = "{" + inner
+            for k in sorted(o):
+                parts.append(f"{lead}{encode_basestring(k)}: ")
+                enc(o[k], inner)
+                lead = "," + inner
+            parts.append("{}" if lead[0] == "{" else nl + "}")
+        elif t is list or t is tuple or t is map:
+            inner = nl + "  "
+            if t is not map and o and all(type(x) is int for x in o):
+                body = ("," + inner).join(map(int.__repr__, o))
+                parts.append("[" + inner + body + nl + "]")
+                return
+            lead = "[" + inner
+            for x in o:
+                parts.append(lead)
+                enc(x, inner)
+                lead = "," + inner
+                if t is map:
+                    write("".join(parts))
+                    parts.clear()
+            parts.append("[]" if lead[0] == "[" else nl + "]")
+        else:
+            raise TypeError(f"{t.__name__} is not a JSON report type")
+
+    enc(payload, "\n")
+    parts.append("\n")
+    write("".join(parts))
 
 
 def _dump_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -314,7 +376,7 @@ def _enumerate(q: Quiver, algorithmic, brute_force, what: str, oracle: bool):
 
 # --- ar ---
 
-def cmd_ar(args) -> str:
+def cmd_ar(args) -> Report:
     q = _load_quiver(args.quiver)
     _require_dynkin(q)
     ar = ar_quiver_two_term(q) if args.two_term else ar_quiver_mod(q)
@@ -323,15 +385,14 @@ def cmd_ar(args) -> str:
     if args.format == "dot":
         return ar.to_dot()
     if args.format == "json":
-        payload = {
+        return {
             "quiver": quiver_to_json(q),
             "two_term": bool(args.two_term),
             "vertices": [v.label() for v in ar.vertices],
             "arrows": [[s.label(), t.label()] for s, t in ar.arrows],
             "tau": [[m.label(), t.label()] for m, t in ar.tau_pairs],
-            "layout": {v.label(): list(pos) for v, pos in ar.layout},
+            "layout": {v.label(): pos for v, pos in ar.layout},
         }
-        return _dump_json(payload)
     rows = [("arrow", s.label(), t.label()) for s, t in ar.arrows]
     rows += [("tau", m.label(), t.label()) for m, t in ar.tau_pairs]
     return _dump_csv(("kind", "source", "target"), rows)
@@ -339,15 +400,13 @@ def cmd_ar(args) -> str:
 
 # --- silting ---
 
-def _render_silting(q: Quiver, objs, fmt: str) -> str:
+def _render_silting(q: Quiver, objs, fmt: str) -> Report:
     if fmt == "json":
-        return _dump_json(
-            {
-                "quiver": quiver_to_json(q),
-                "count": len(objs),
-                "objects": [t.to_json_dict() for t in objs],
-            }
-        )
+        return {
+            "quiver": quiver_to_json(q),
+            "count": len(objs),
+            "objects": map(SiltingObject.to_json_dict, objs),
+        }
     if fmt == "csv":
         rows = [
             (
@@ -366,18 +425,16 @@ def _render_silting(q: Quiver, objs, fmt: str) -> str:
     return "\n".join(parts).rstrip("\n") + "\n"
 
 
-def _render_tilting(q: Quiver, mods, fmt: str) -> str:
+def _render_tilting(q: Quiver, mods, fmt: str) -> Report:
+    if fmt == "json":
+        return {
+            "quiver": quiver_to_json(q),
+            "count": len(mods),
+            "modules": map(attrgetter("summands"), mods),
+        }
     descs = [
         "+".join(IndId.module(d).label() for d in m.summands) for m in mods
     ]
-    if fmt == "json":
-        return _dump_json(
-            {
-                "quiver": quiver_to_json(q),
-                "count": len(mods),
-                "modules": [[list(d) for d in m.summands] for m in mods],
-            }
-        )
     if fmt == "csv":
         rows = list(enumerate(descs, start=1))
         return _dump_csv(("index", "summands"), rows)
@@ -391,7 +448,7 @@ def _render_tilting(q: Quiver, mods, fmt: str) -> str:
     return "\n".join(parts).rstrip("\n") + "\n"
 
 
-def cmd_silting(args) -> str:
+def cmd_silting(args) -> Report:
     q = _load_quiver(args.quiver)
     _require_dynkin(q)
     if args.tilting_only:
@@ -418,22 +475,20 @@ def _family_counts(groups) -> Dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def _render_classification(q: Quiver, records, groups, fmt: str) -> str:
+def _render_classification(q: Quiver, records, groups, fmt: str) -> Report:
     fams = _family_counts(groups)
     shod = sum(1 for g in groups if not g[0].is_tilted)
     if fmt == "csv":
         return summary_csv(groups)
     if fmt == "json":
-        return _dump_json(
-            {
-                "quiver": quiver_to_json(q),
-                "count": len(records),
-                "class_count": len(groups),
-                "strictly_shod": shod,
-                "families": fams,
-                "records": records_to_json(records),
-            }
-        )
+        return {
+            "quiver": quiver_to_json(q),
+            "count": len(records),
+            "class_count": len(groups),
+            "strictly_shod": shod,
+            "families": fams,
+            "records": map(record_to_json, records),
+        }
     lines = [summary_text(groups).rstrip("\n"), ""]
     lines.append(f"objects: {len(records)}")
     lines.append(f"classes: {len(groups)}")
@@ -459,7 +514,7 @@ def _check_cartan(q: Quiver, t, cartan) -> None:
                 )
 
 
-def cmd_classify(args) -> str:
+def cmd_classify(args) -> Report:
     q = _load_quiver(args.quiver)
     _require_dynkin(q)
     objs = _enumerate(
@@ -658,7 +713,7 @@ def _suite_rows() -> List[SuiteRow]:
 SUITE_COLUMNS = ("criterion", "check", "expected", "computed", "status")
 
 
-def _render_suite(rows: Sequence[SuiteRow], fmt: str) -> str:
+def _render_suite(rows: Sequence[SuiteRow], fmt: str) -> Report:
     npass = sum(1 for r in rows if r[4])
     table = [
         (c, check, exp, got, "pass" if ok else "FAIL")
@@ -667,28 +722,26 @@ def _render_suite(rows: Sequence[SuiteRow], fmt: str) -> str:
     if fmt == "csv":
         return _dump_csv(SUITE_COLUMNS, table)
     if fmt == "json":
-        return _dump_json(
-            {
-                "checks": [dict(zip(SUITE_COLUMNS, r)) for r in table],
-                "passed": npass,
-                "total": len(rows),
-            }
-        )
+        return {
+            "checks": [dict(zip(SUITE_COLUMNS, r)) for r in table],
+            "passed": npass,
+            "total": len(rows),
+        }
     text = text_table(
         [SUITE_COLUMNS] + [[str(cell) for cell in r] for r in table]
     )
     return text + f"\nresult: {npass}/{len(rows)} checks pass\n"
 
 
-def cmd_paper_suite(args) -> Tuple[str, int]:
+def cmd_paper_suite(args) -> Tuple[Report, int]:
     rows = _suite_rows()
-    text = _render_suite(rows, args.format)
-    return text, 0 if all(r[4] for r in rows) else 1
+    report = _render_suite(rows, args.format)
+    return report, 0 if all(r[4] for r in rows) else 1
 
 
 # --- entry point ---
 
-def _dispatch(args) -> Tuple[str, int]:
+def _dispatch(args) -> Tuple[Report, int]:
     if args.command == "ar":
         return cmd_ar(args), 0
     if args.command == "silting":
@@ -706,7 +759,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if not e.code else int(e.code)
     try:
-        text, code = _dispatch(args)
+        report, code = _dispatch(args)
     except CliFailure as f:
         print(f"silt: error: {f.message}", file=sys.stderr)
         return f.code
@@ -716,14 +769,22 @@ def main(argv=None) -> int:
             where += f" {args.quiver}"
         print(f"silt: error: {where}: internal check failed: {e}", file=sys.stderr)
         return 1
+
+    def emit(write) -> None:
+        if isinstance(report, str):
+            write(report)
+        else:
+            _write_json(report, write)
+
     if args.out:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as f:
+                emit(f.write)
         except OSError as e:
             print(f"silt: error: cannot write {args.out}: {e}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        emit(sys.stdout.write)
     return code
 
 

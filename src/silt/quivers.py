@@ -135,7 +135,8 @@ class DynkinType:
         return "⊔".join(f"{f}{r}" for f, r in self.components)
 
 
-_ARROW_RE = re.compile(r"^(\w+):(-?\d+)->(-?\d+)$")
+_ARROW_ID = r"\w+"
+_ARROW_RE = re.compile(rf"^({_ARROW_ID}):(-?\d+)->(-?\d+)$")
 
 
 def parse_quiver(text: str) -> Quiver:
@@ -182,9 +183,18 @@ def parse_quiver(text: str) -> Quiver:
     return Quiver(tuple(vertices), tuple(arrows))
 
 
+def _json_arrow_id(x) -> str:
+    if type(x) is not str or not re.fullmatch(_ARROW_ID, x):
+        raise QuiverSyntaxError(
+            f"arrow id {json.dumps(x)} is not a string of word characters"
+        )
+    return x
+
+
 def _parse_json(text: str) -> Quiver:
     """The JSON form: lists `vertices` and `arrows`, every label a JSON
-    integer; no bool, float or string is converted."""
+    integer and every arrow id a string matching the text format's ids;
+    nothing is converted."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -193,7 +203,10 @@ def _parse_json(text: str) -> Quiver:
         vertices, arrows = payload["vertices"], payload.get("arrows", [])
         if type(vertices) is not list or type(arrows) is not list:
             raise QuiverSyntaxError("vertices and arrows must be lists")
-        arrows = [Arrow(str(a["id"]), a["source"], a["target"]) for a in arrows]
+        arrows = [
+            Arrow(_json_arrow_id(a["id"]), a["source"], a["target"])
+            for a in arrows
+        ]
     except (KeyError, TypeError) as exc:
         raise QuiverSyntaxError(f"bad quiver JSON structure: {exc}") from exc
     for v in vertices + [v for a in arrows for v in (a.source, a.target)]:

@@ -26,7 +26,7 @@ from silt.classify import (
     global_dimension,
     matches_presentation,
     projective_dimension_of_simples,
-    records_to_json,
+    record_to_json,
     summary_csv,
     summary_text,
     tilted_type,
@@ -314,7 +314,7 @@ def test_opposite_class_counts_agree():
 
 def test_records_serialize_to_json():
     records = [classify(A2, t) for t in silting_alg2(A2)]
-    payload = records_to_json(records)
+    payload = [record_to_json(r) for r in records]
     assert len(payload) == 5
     text = json.dumps(payload)
     assert "modules" in text

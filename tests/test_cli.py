@@ -12,8 +12,11 @@ import subprocess
 import sys
 from importlib.resources import files
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import silt.cli as cli
 from silt.cli import main
@@ -114,6 +117,18 @@ def test_json_quiver_with_float_labels_exits_2(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert "vertex label 1.5 is not an integer" in err
+
+
+def test_json_quiver_with_a_null_arrow_id_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "vertices": [1, 2],
+        "arrows": [{"id": None, "source": 1, "target": 2}],
+    }))
+    rc, out, err = run_cli(capsys, "classify", str(bad))
+    assert rc == 2
+    assert out == ""
+    assert "arrow id null is not a string of word characters" in err
 
 
 def test_oriented_cycle_exits_3(tmp_path, capsys):
@@ -421,6 +436,7 @@ FROZEN_DIGESTS = {
     ("d4_second", "classify", "--format", "json"): "23626d88b911195d355d4f99375a125dea87402316d0ec2c8522c1a64534a136",
     # an empty quiver name: the command takes no quiver argument
     ("", "paper-suite", "--format", "csv"): "d53ff6630d6fdcb595705756bd40004780143d806e17fd851e85c39a1aca5129",
+    ("", "paper-suite", "--format", "json"): "4aa738891a6e4417c3c8f0ef8031fb84864bf6edcb0b066a7143f4cecc703bd2",
 }
 
 
@@ -489,6 +505,148 @@ def test_out_to_missing_directory_exits_2(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"silt: error: cannot write {target}: ")
     assert "Traceback" not in err
+
+
+def test_json_out_to_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    rc, out, err = run_cli(
+        capsys, "classify", fx("a2"), "--format", "json", "--out", str(target)
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"silt: error: cannot write {target}: ")
+
+
+def test_a_failed_check_writes_nothing(monkeypatch, tmp_path, capsys):
+    # every check runs before the first byte of the report is written
+    def boom(q, t):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "classify", boom)
+    target = tmp_path / "report.json"
+    for out_flags in ((), ("--out", str(target))):
+        rc, out, err = run_cli(
+            capsys, "classify", "d5", "--format", "json", *out_flags
+        )
+        assert rc == 1
+        assert out == ""
+        assert "classify d5: internal check failed: boom" in err
+    assert not target.exists()
+
+
+# --- the JSON writer ---
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+class Arr(NamedTuple):
+    """A JSON array, to be given to the writer as a list, tuple or map."""
+
+    kind: str
+    items: list
+
+
+def plain(node):
+    """The node as json.dumps takes it: every array a list or tuple."""
+    if isinstance(node, Arr):
+        items = [plain(x) for x in node.items]
+        return tuple(items) if node.kind == "tuple" else items
+    if isinstance(node, dict):
+        return {k: plain(v) for k, v in node.items()}
+    return node
+
+
+def lazy(node):
+    """The node as the writer takes it: a map array converts its elements
+    only when the writer reaches them."""
+    if isinstance(node, Arr):
+        if node.kind == "map":
+            return map(lazy, node.items)
+        items = [lazy(x) for x in node.items]
+        return tuple(items) if node.kind == "tuple" else items
+    if isinstance(node, dict):
+        return {k: lazy(v) for k, v in node.items()}
+    return node
+
+
+ARRAY_KINDS = st.sampled_from(("list", "tuple", "map"))
+# quotes, backslashes, control characters, separators and non-ASCII text
+TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é⊔𝔸 a') | st.characters(),
+    max_size=6,
+)
+INTS = st.integers(-(2**70), 2**70)
+SCALARS = st.none() | st.booleans() | INTS | TEXT
+# arrays of ints, some with a bool among them
+INT_ARRAYS = st.builds(Arr, ARRAY_KINDS, st.lists(INTS | st.booleans(), max_size=5))
+NODES = st.recursive(
+    SCALARS | INT_ARRAYS,
+    lambda children: st.builds(Arr, ARRAY_KINDS, st.lists(children, max_size=4))
+    | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.dictionaries(TEXT, NODES, max_size=5) | NODES)
+def test_write_json_is_json_dumps(node):
+    writes = []
+    cli._write_json(lazy(node), writes.append)
+    assert "".join(writes) == _dumps(plain(node))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [1.5, {"a": [1, 0.5]}, {1, 2}, {"a": frozenset()}, {1: "a"}, {"a": {True: 1}}],
+    ids=["float", "nested float", "set", "nested set", "int key", "bool key"],
+)
+def test_write_json_rejects_types_outside_reports(payload):
+    with pytest.raises(TypeError):
+        cli._write_json(payload, lambda s: None)
+
+
+def test_classify_json_streams_records_as_they_are_converted(monkeypatch):
+    real = cli.record_to_json
+    converted = []
+
+    def counting(r):
+        converted.append(r)
+        return real(r)
+
+    class Sink:
+        def __init__(self):
+            self.writes = []  # (text, records converted so far)
+
+        def write(self, s):
+            self.writes.append((s, len(converted)))
+
+    sink = Sink()
+    monkeypatch.setattr(cli, "record_to_json", counting)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["classify", "d5", "--format", "json"]) == 0
+    # one write per record, each right after its record is converted, and
+    # the rest of the document in the last write
+    assert [n for _, n in sink.writes] == list(range(1, 183)) + [182]
+    for (text, _), r in zip(sink.writes[1:-1], converted[1:]):
+        assert text == ",\n    " + _dumps(real(r))[:-1].replace("\n", "\n    ")
+
+
+def test_benchmark_invocations_match_their_frozen_digests(monkeypatch, capsys):
+    # the benchmark's correctness gate, replayed in-process; the file is
+    # only read
+    root = Path(__file__).resolve().parents[1]
+    expected = json.loads(
+        (root / "perfbench" / "expected.json").read_text(encoding="utf-8")
+    )["invocations"]
+    monkeypatch.chdir(root)
+    for invocation, exp in expected.items():
+        rc, out, err = run_cli(capsys, *invocation.split())
+        assert rc == 0, (invocation, err)
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == exp["sha256"], invocation
+        payload = json.loads(out)
+        assert {k: payload[k] for k in exp["counts"]} == exp["counts"]
 
 
 def test_ascii_on_empty_quiver_exits_0(tmp_path, capsys):

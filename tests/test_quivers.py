@@ -115,6 +115,21 @@ BAD_JSON = {
     "no vertices": {"arrows": []},
 }
 
+# arrow ids must be JSON strings of word characters, as in the text format
+BAD_ARROW_IDS = {"null id": None, "list id": [1], "integer id": 1, "spaced id": "a b"}
+
+
+@pytest.mark.parametrize(
+    "arrow_id", BAD_ARROW_IDS.values(), ids=BAD_ARROW_IDS.keys()
+)
+def test_parse_json_rejects_arrow_ids_that_are_not_words(arrow_id):
+    payload = {
+        "vertices": [1, 2],
+        "arrows": [{"id": arrow_id, "source": 1, "target": 2}],
+    }
+    with pytest.raises(QuiverSyntaxError, match="arrow id"):
+        parse_quiver(json.dumps(payload))
+
 
 @pytest.mark.parametrize("payload", BAD_JSON.values(), ids=BAD_JSON.keys())
 def test_parse_json_rejects_labels_that_are_not_integers(payload):
