@@ -24,8 +24,8 @@ _layout order: block (j, i) is Hom(P(u_i), P(v_j)), which has one
 coordinate if a path runs from v_j to u_i and none otherwise.  The
 underlying graph of a Dynkin quiver is a forest, so there is at most one
 such path, and a path followed by a path is the one path between their
-ends: maps compose as matrices of scalars, and d_X is the matrix of the
-coefficients of its entries.  _layout is where this is checked.  Hom
+ends: maps compose as matrices of scalars, and d_X is stored as one
+(TwoTermComplex.diff).  quivers.single_path is where this is checked.  Hom
 classes are kept in a fixed reduced coordinate form (chain-map space
 intersected with a reduced-row-echelon complement of the null-homotopic
 subspace), which makes bases, coordinates, and composition tables
@@ -48,26 +48,15 @@ from .linalg import (
     reduce_by_rref,
     row_space_rref,
 )
-from .modules import (
-    QuiverRep,
-    TwoTermComplex,
-    build_representation,
-    minimal_presentation,
-)
-from .quivers import Quiver, paths_between
-
-
-def resolve(q: Quiver, m: QuiverRep) -> TwoTermComplex:
-    """Minimal projective resolution of a module, as a two-term complex."""
-    if m.quiver != q:
-        raise ValueError("module is over a different quiver")
-    return minimal_presentation(q, m)
+from .modules import TwoTermComplex, build_representation, minimal_presentation
+from .quivers import Quiver, single_path
 
 
 @cache
 def resolve_dim(q: Quiver, d: Tuple[int, ...]) -> TwoTermComplex:
-    """Resolution of the indecomposable with dimension vector d."""
-    return resolve(q, build_representation(q, d))
+    """Minimal projective resolution of the indecomposable with dimension
+    vector d, as a two-term complex."""
+    return minimal_presentation(q, build_representation(q, d))
 
 
 def shifted_projective(q: Quiver, v: int) -> TwoTermComplex:
@@ -83,20 +72,12 @@ def shifted_projective(q: Quiver, v: int) -> TwoTermComplex:
 def _layout(q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...]):
     """Coordinates of Hom(+P(srcs), +P(tgts)): the position of each block
     (j, i) with a path from tgts[j] to srcs[i], in row-major order, keyed
-    by the int j * len(srcs) + i, and their number.  A Dynkin quiver is a
-    forest, so that path is the only one; a second path raises
-    ValueError."""
-    pb = paths_between(q)
+    by the int j * len(srcs) + i, and their number.  That path is the only
+    one (single_path raises ValueError on a second)."""
     pos = {}
     for j, v in enumerate(tgts):
         for i, u in enumerate(srcs):
-            paths = pb[(v, u)]
-            if len(paths) > 1:
-                raise ValueError(
-                    f"{len(paths)} paths run from vertex {v} to vertex {u}; "
-                    "a Dynkin quiver has at most one"
-                )
-            if paths:
+            if single_path(q, v, u) is not None:
                 pos[j * len(srcs) + i] = len(pos)
     return pos, len(pos)
 
@@ -132,14 +113,6 @@ def _mul(
 Sparse = List[List[Tuple[int, Q]]]
 
 
-def _scalars(x: TwoTermComplex) -> List[List[Q]]:
-    """d_X as a deg0 x deg_minus1 matrix of the coefficients of its
-    entries' single paths."""
-    return [
-        [pv.terms[0][1] if pv.terms else Q(0) for pv in row] for row in x.diff
-    ]
-
-
 def _after_sparse(
     x: TwoTermComplex, tgts: Tuple[int, ...]
 ) -> Tuple[Sparse, int]:
@@ -147,7 +120,7 @@ def _after_sparse(
     image of each source coordinate as (column, value) pairs, both sides
     in _layout order, and the target dimension.  The map is
     block-diagonal over the summands tgts."""
-    d, m, n0 = _scalars(x), len(x.deg_minus1), len(x.deg0)
+    d, m, n0 = x.diff, len(x.deg_minus1), len(x.deg0)
     pos, n = _layout(x.quiver, x.deg_minus1, tgts)
     rows = [
         [(pos[kj // n0 * m + i], c) for i, c in enumerate(d[kj % n0]) if c]
@@ -163,7 +136,7 @@ def _before_sparse(
     image of each source coordinate as (column, value) pairs, both sides
     in _layout order, and the target dimension.  The map is
     block-diagonal over the summands srcs."""
-    d, m = _scalars(y), len(srcs)
+    d, m = y.diff, len(srcs)
     pos, n = _layout(y.quiver, srcs, y.deg0)
     rows = [
         [(pos[k * m + ji % m], r[ji // m]) for k, r in enumerate(d) if r[ji // m]]

@@ -98,18 +98,6 @@ class RatMatrix:
                 ent.append(s)
         return RatMatrix(self.rows, other.cols, tuple(ent))
 
-    def add(self, other: "RatMatrix") -> "RatMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        ent = tuple(a + b for a, b in zip(self.entries, other.entries))
-        return RatMatrix(self.rows, self.cols, ent)
-
-    def scale(self, c) -> "RatMatrix":
-        c = Q(c)
-        return RatMatrix(
-            self.rows, self.cols, tuple(c * e for e in self.entries)
-        )
-
 
 def identity(n: int) -> RatMatrix:
     return RatMatrix(

@@ -23,7 +23,10 @@ projectives P(v) = e_v KQ/I are derived from the relations alone, by
 `minimal_resolution`, alternates `minimal_cover` and `kernel_subrep`
 over such an algebra.  It gives the minimal projective presentations
 over KQ, as `TwoTermComplex`es, and the resolutions of simples over
-End(T) that check classify's homology.
+End(T) that check classify's homology.  A Dynkin quiver is a forest, so
+Hom(P(a), P(b)) is spanned by at most one path (`quivers.single_path`):
+a `TwoTermComplex`'s differential is a matrix of scalars, and Ext^1 and
+`tau_nakayama` read it as one.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .linalg import (
 )
 from .quivers import (
     Arrow,
-    NotDynkinError,
     PathVector,
     Quiver,
     coxeter_matrix,
@@ -55,6 +57,7 @@ from .quivers import (
     path_tables,
     paths_between,
     quiver_to_json,
+    single_path,
     tits_form,
 )
 
@@ -291,14 +294,6 @@ def act_path(rep: QuiverRep, source: int, arrows: Sequence[str]) -> RatMatrix:
     return m
 
 
-def act_path_vector(rep: QuiverRep, pv: PathVector) -> RatMatrix:
-    rows, cols = rep.dim_at(pv.source), rep.dim_at(pv.target)
-    out = RatMatrix(rows, cols, (Q(0),) * (rows * cols))
-    for arrows, c in pv.terms:
-        out = out.add(act_path(rep, pv.source, arrows).scale(c))
-    return out
-
-
 @cache
 def hom_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
     """dim Hom(M, N): solution space of the arrow intertwining system."""
@@ -533,14 +528,15 @@ def minimal_resolution(b: BoundQuiverAlgebra, m: QuiverRep):
 class TwoTermComplex:
     """Complex of projectives over KQ concentrated in degrees -1 and 0.
 
-    diff[j][i] is the component P(deg_minus1[i]) -> P(deg0[j]), a path
-    vector with source deg0[j] and target deg_minus1[i].
+    diff[j][i] is the component P(deg_minus1[i]) -> P(deg0[j]): the
+    coefficient of the one path from deg0[j] to deg_minus1[i]
+    (quivers.single_path), and 0 where no path runs.
     """
 
     quiver: Quiver
     deg_minus1: Tuple[int, ...]
     deg0: Tuple[int, ...]
-    diff: Tuple[Tuple[PathVector, ...], ...]
+    diff: Tuple[Tuple[Q, ...], ...]
 
     def __post_init__(self):
         known = set(self.quiver.vertices)
@@ -549,13 +545,14 @@ class TwoTermComplex:
                 raise ValueError(f"unknown projective vertex {v}")
         if len(self.diff) != len(self.deg0):
             raise ValueError("differential has wrong number of rows")
-        for j, row in enumerate(self.diff):
+        for b, row in zip(self.deg0, self.diff):
             if len(row) != len(self.deg_minus1):
                 raise ValueError("differential has wrong number of columns")
-            for i, pv in enumerate(row):
-                if pv.source != self.deg0[j] or pv.target != self.deg_minus1[i]:
+            for a, c in zip(self.deg_minus1, row):
+                if c and single_path(self.quiver, b, a) is None:
                     raise ValueError(
-                        "differential entry endpoints do not match summands"
+                        f"differential entry from P({a}) to P({b}) is "
+                        f"non-zero, but no path runs from {b} to {a}"
                     )
 
     def __hash__(self) -> int:
@@ -576,28 +573,23 @@ def minimal_presentation(q: Quiver, m: QuiverRep) -> TwoTermComplex:
     """Minimal projective presentation P1 -> P0 -> M -> 0 over KQ, as the
     complex P1 -> P0: the resolution of M over path_algebra(q), which has
     at most two terms because KQ is hereditary."""
+    if m.quiver != q:
+        raise ValueError("module is over a different quiver")
     steps = list(islice(minimal_resolution(path_algebra(q), m), 3))
     if len(steps) == 3:
         raise RuntimeError("first syzygy is not projective (not hereditary?)")
     # a projective M has a one-term resolution: P1 is then empty
     (copies0, krows), (copies1, _) = (steps + [((), ())] * 2)[:2]
-    pb = paths_between(q)
-    rows: List[List[PathVector]] = [[] for _ in copies0]
+    rows: List[List[Q]] = [[] for _ in copies0]
     for a, col in copies1:
-        # the copy's generator, in p0's coordinates at vertex a
-        amb_row = krows[q.index(a)][col]
-        off = 0
-        for j, (b, _) in enumerate(copies0):
-            paths = pb[(b, a)]
-            chunk = amb_row[off : off + len(paths)]
-            off += len(paths)
-            terms = {
-                p.arrows: c for p, c in zip(paths, chunk) if c != 0
-            }
-            pv = PathVector.make(b, a, terms)
-            if b == a and any(len(t) == 0 for t, _ in pv.terms):
+        # the copy's generator, in p0's coordinates at vertex a: one
+        # coordinate per copy of P(b) with a path from b to a
+        coords = iter(krows[q.index(a)][col])
+        for row, (b, _) in zip(rows, copies0):
+            c = Q(0) if single_path(q, b, a) is None else next(coords)
+            if c and b == a:
                 raise RuntimeError("presentation not minimal")
-            rows[j].append(pv)
+            row.append(c)
     return TwoTermComplex(
         q,
         deg_minus1=tuple(v for v, _ in copies1),
@@ -616,13 +608,14 @@ def ext1_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
         return cod
     rows: List[List[Q]] = [[Q(0)] * cod for _ in range(dom)]
     roff = 0
-    for j, b in enumerate(pres.deg0):
+    for b, diff_row in zip(pres.deg0, pres.diff):
         coff = 0
-        for i, a in enumerate(pres.deg_minus1):
-            block = act_path_vector(n, pres.diff[j][i])
-            for r in range(block.rows):
-                for c in range(block.cols):
-                    rows[roff + r][coff + c] += block.at(r, c)
+        for a, c in zip(pres.deg_minus1, diff_row):
+            if c:
+                block = act_path(n, b, single_path(q, b, a).arrows)
+                for r in range(block.rows):
+                    for t in range(block.cols):
+                        rows[roff + r][coff + t] = c * block.at(r, t)
             coff += n.dim_at(a)
         roff += n.dim_at(b)
     return cod - rank(RatMatrix.from_rows(rows))
@@ -635,28 +628,21 @@ def tau_nakayama(q: Quiver, d: DimVector) -> DimVector:
     """tau M as the kernel of nu(P1) -> nu(P0); dimension vector only.
 
     The independent reference for `tau`: at vertex u, nu(P(a)) = I(a) has
-    the basis dual to the canonical paths u to a.
+    the basis dual to the paths from u to a, at most one.  Right
+    multiplication by diff[j][i] sends the path u to b_j to that
+    multiple of the path u to a_i, so the dual map I(a_i)_u -> I(b_j)_u is
+    the matrix diff[j][i] over the i and j with such paths.
     """
     pres = minimal_presentation(q, build_representation(q, d))
-    pb = paths_between(q)
     dims = []
     for u in q.vertices:
-        roffs = [0, *accumulate(len(pb[(u, a)]) for a in pres.deg_minus1)]
-        coffs = [0, *accumulate(len(pb[(u, b)]) for b in pres.deg0)]
-        nrows, ncols = roffs[-1], coffs[-1]
-        mat_rows = [[Q(0)] * ncols for _ in range(nrows)]
-        for i, a in enumerate(pres.deg_minus1):
-            pa = pb[(u, a)]
-            for j, b in enumerate(pres.deg0):
-                v = pres.diff[j][i]  # in e_b A e_a
-                # right multiplication by v: paths u~>b -> paths u~>a
-                for rj, x in enumerate(pb[(u, b)]):
-                    coords = PathVector.from_path(x).mul(v).coords(pa)
-                    # dual map I(a)_u -> I(b)_u is the transpose
-                    for ci, cval in enumerate(coords):
-                        mat_rows[roffs[i] + ci][coffs[j] + rj] += cval
+        rows, cols = (
+            [k for k, v in enumerate(vs) if single_path(q, u, v) is not None]
+            for vs in (pres.deg_minus1, pres.deg0)
+        )
+        mat = [[pres.diff[j][i] for j in cols] for i in rows]
         # a map into zero columns has rank 0
-        dims.append(nrows - (ncols and rank(RatMatrix.from_rows(mat_rows))))
+        dims.append(len(rows) - (rank(RatMatrix.from_rows(mat)) if cols else 0))
     return tuple(dims)
 
 

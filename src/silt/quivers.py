@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import integer_solve
 
@@ -369,6 +369,23 @@ def paths_between(q: Quiver) -> PathTable:
     return path_tables(q)[0]
 
 
+def single_path(q: Quiver, u: int, v: int) -> Optional[Path]:
+    """The path from u to v, or None when there is none.
+
+    The underlying graph of a Dynkin quiver is a forest, so there is at
+    most one; a second path raises ValueError.  Every map between
+    projectives in silt is a matrix of scalars because of this, and this
+    is the one place it is checked.
+    """
+    paths = paths_between(q)[(u, v)]
+    if len(paths) > 1:
+        raise ValueError(
+            f"{len(paths)} paths run from vertex {u} to vertex {v}; "
+            "a Dynkin quiver has at most one"
+        )
+    return paths[0] if paths else None
+
+
 def coxeter_matrix(cartan: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[int, ...], ...]:
     """Phi = -C^{-1} C^T as integer rows, for integer Cartan rows C.
 
@@ -397,7 +414,9 @@ def tits_form(q: Quiver, d: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class PathVector:
-    """Rational linear combination of paths sharing one (source, target).
+    """Rational linear combination of paths sharing one (source, target):
+    a relation of a BoundQuiverAlgebra (maps between projectives over a
+    Dynkin quiver are scalars, see single_path).
 
     Terms are stored sorted by (length, arrow-id sequence) with nonzero
     coefficients only, so equal vectors compare and hash equal.
@@ -421,23 +440,3 @@ class PathVector:
             if c != 0
         )
         return PathVector(source, target, cleaned)
-
-    @staticmethod
-    def from_path(p: Path, coeff=Q(1)) -> "PathVector":
-        return PathVector.make(p.source, p.target, {p.arrows: Q(coeff)})
-
-    def mul(self, other: "PathVector") -> "PathVector":
-        """Concatenation product; requires self.target == other.source."""
-        if self.target != other.source:
-            raise ValueError("paths do not compose")
-        acc: Dict[Tuple[str, ...], Q] = {}
-        for a1, c1 in self.terms:
-            for a2, c2 in other.terms:
-                key = a1 + a2
-                acc[key] = acc.get(key, Q(0)) + c1 * c2
-        return PathVector.make(self.source, other.target, acc)
-
-    def coords(self, paths: Sequence[Path]) -> List[Q]:
-        """Coordinates over a canonical path list for (source, target)."""
-        lut = dict(self.terms)
-        return [lut.get(p.arrows, Q(0)) for p in paths]

@@ -1,11 +1,24 @@
-"""Matrix inverse by row reduction of [M | I], and the determinant by
-Gaussian elimination over Fractions: references the tests use to build
-Coxeter matrices and to check silt's integer routines (coxeter_matrix,
-euler_form, integer_solve, determinant) independently."""
+"""Matrix inverse by row reduction of [M | I], the determinant by
+Gaussian elimination over Fractions, and the sum and scalar multiple of
+matrices: references the tests use to build Coxeter matrices and to
+check silt's integer routines (coxeter_matrix, euler_form, integer_solve,
+determinant) independently."""
 
 from fractions import Fraction as Q
 
 from silt.linalg import RatMatrix, rref
+
+
+def add(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch in matrix sum")
+    return RatMatrix(
+        a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries))
+    )
+
+
+def scale(m: RatMatrix, c) -> RatMatrix:
+    return RatMatrix(m.rows, m.cols, tuple(Q(c) * e for e in m.entries))
 
 
 def inverse(m: RatMatrix) -> RatMatrix:

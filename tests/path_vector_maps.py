@@ -3,10 +3,11 @@ reference route that silt.complexes' coordinate product is tested against.
 
 A map +P(srcs) -> +P(tgts) is a matrix whose (j, i) entry is a
 PathVector in Hom(P(srcs[i]), P(tgts[j])), spanned by the paths from
-tgts[j] to srcs[i]; maps compose entrywise by PathVector.mul.  Vectors
-convert to matrices and back through the positions of
-silt.complexes._layout, keyed by j * len(srcs) + i, each standing for
-the single path of its block in quivers.paths_between.
+tgts[j] to srcs[i]; maps compose entrywise by pv_mul, the concatenation
+product of paths.  Vectors convert to matrices and back through the
+positions of silt.complexes._layout, keyed by j * len(srcs) + i, each
+standing for the single path of its block in quivers.paths_between; a
+complex's differential, stored as scalars, converts by diff_mat.
 """
 
 from fractions import Fraction as Q
@@ -37,6 +38,33 @@ def pv_scale(a: PathVector, c) -> PathVector:
     )
 
 
+def pv_mul(a: PathVector, b: PathVector) -> PathVector:
+    """Concatenation product; requires a.target == b.source."""
+    if a.target != b.source:
+        raise ValueError("paths do not compose")
+    acc = {}
+    for a1, c1 in a.terms:
+        for a2, c2 in b.terms:
+            acc[a1 + a2] = acc.get(a1 + a2, Q(0)) + c1 * c2
+    return PathVector.make(a.source, b.target, acc)
+
+
+def diff_mat(x: TwoTermComplex) -> PVMatrix:
+    """d_X as path vectors: each scalar times the one path of its block."""
+    pb = paths_between(x.quiver)
+
+    def entry(b: int, a: int, c: Q) -> PathVector:
+        if not c:
+            return pv_zero(b, a)
+        (p,) = pb[(b, a)]
+        return PathVector.make(b, a, {p.arrows: c})
+
+    return tuple(
+        tuple(entry(b, a, c) for a, c in zip(x.deg_minus1, row))
+        for b, row in zip(x.deg0, x.diff)
+    )
+
+
 def vec_to_mat(
     q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...], vec: Sequence[Q]
 ) -> PVMatrix:
@@ -57,7 +85,8 @@ def mat_to_vec(
     vec = [Q(0)] * total
     for ji, t in pos.items():
         j, i = divmod(ji, len(srcs))
-        (vec[t],) = mat[j][i].coords(pb[(tgts[j], srcs[i])])
+        (p,) = pb[(tgts[j], srcs[i])]
+        vec[t] = dict(mat[j][i].terms).get(p.arrows, Q(0))
     return vec
 
 
@@ -75,7 +104,7 @@ def compose_mats(
         for i, u in enumerate(srcs):
             acc = pv_zero(w, u)
             for j in range(len(mids)):
-                acc = pv_add(acc, g[k][j].mul(f[j][i]))
+                acc = pv_add(acc, pv_mul(g[k][j], f[j][i]))
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)

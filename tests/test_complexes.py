@@ -10,7 +10,13 @@ import pytest
 from silt.cli import FIXTURE_NAMES
 from silt.linalg import RatMatrix, kernel_basis, reduce_by_rref, row_space_rref
 from silt.quivers import PathVector, parse_quiver, paths_between
-from silt.modules import build_representation, ext1_dim, hom_dim, indecomposables
+from silt.modules import (
+    build_representation,
+    ext1_dim,
+    hom_dim,
+    indecomposables,
+    minimal_presentation,
+)
 from silt.complexes import (
     HomClass,
     TwoTermComplex,
@@ -18,18 +24,20 @@ from silt.complexes import (
     compose,
     hom_class_basis,
     hom_class_dim,
-    resolve,
     resolve_dim,
     shifted_projective,
 )
 
+from dynkin_orientations import E6, orientations
 from path_vector_maps import (
     compose_mats,
     compose_reference,
+    diff_mat,
     identity_reference,
     mat_to_vec,
     mats,
     pv_add,
+    pv_mul,
     pv_scale,
     pv_zero,
     vec_to_mat,
@@ -54,7 +62,7 @@ def zero_class(sp):
 # --- resolve ---
 
 def test_resolve_projective_is_stalk():
-    x = resolve(A2, build_representation(A2, (1, 1)))
+    x = minimal_presentation(A2, build_representation(A2, (1, 1)))
     assert x.deg0 == (1,)
     assert x.deg_minus1 == ()
     assert x.diff == ((),)
@@ -64,28 +72,30 @@ def test_resolve_simple_top_a2():
     x = resolve_dim(A2, (1, 0))
     assert x.deg0 == (1,)
     assert x.deg_minus1 == (2,)
-    pv = x.diff[0][0]
-    assert pv.source == 1 and pv.target == 2
-    assert pv.terms == ((("a",), Q(1)),)
+    # the coefficient of the one path 1 -> 2, the arrow a
+    assert x.diff == ((Q(1),),)
+    assert diff_mat(x)[0][0] == PathVector.make(1, 2, {("a",): 1})
 
 
 def test_resolve_dim_matches_resolve():
     for d in indecomposables(A3):
-        assert resolve_dim(A3, d) == resolve(A3, build_representation(A3, d))
+        m = build_representation(A3, d)
+        assert resolve_dim(A3, d) == minimal_presentation(A3, m)
 
 
 def test_resolve_differential_entries_are_radical():
     for d in indecomposables(D4):
         x = resolve_dim(D4, d)
-        for row in x.diff:
+        for row in diff_mat(x):
             for pv in row:
                 assert all(len(arrows) >= 1 for arrows, _ in pv.terms)
 
 
 def test_complex_validates_entry_endpoints():
-    bad = PathVector.make(2, 1, {(): 1})
-    with pytest.raises(ValueError):
-        TwoTermComplex(A2, (2,), (1,), ((bad,),))
+    # P(1) -> P(2) is zero in A2: no path runs from 2 to 1
+    assert TwoTermComplex(A2, (1,), (2,), ((Q(0),),)).diff == ((Q(0),),)
+    with pytest.raises(ValueError, match="no path runs from 2 to 1"):
+        TwoTermComplex(A2, (1,), (2,), ((Q(1),),))
 
 
 # --- shifted projectives ---
@@ -131,17 +141,21 @@ def test_large_shifts_vanish_and_minus_one_rejected():
 
 def test_hom_dims_match_module_homs_exhaustively():
     # the shift-1 dimensions are the table both brute-force oracles read,
-    # so this cross-checks it against the module-side Ext^1 on every fixture
-    for name in FIXTURE_NAMES:
-        q = parse_quiver(
+    # so this cross-checks it against the module-side Ext^1 on every
+    # fixture, every orientation of D5 and the shared E6
+    fixtures = [
+        parse_quiver(
             files("silt").joinpath("fixtures", f"{name}.quiver").read_text()
         )
+        for name in FIXTURE_NAMES
+    ]
+    for q in fixtures + [q for _, q in orientations("D", 5)] + [E6]:
         for dm in indecomposables(q):
             m = build_representation(q, dm)
-            x = resolve(q, m)
+            x = minimal_presentation(q, m)
             for dn in indecomposables(q):
                 n = build_representation(q, dn)
-                y = resolve(q, n)
+                y = minimal_presentation(q, n)
                 assert hom_class_dim(x, y, 0) == hom_dim(q, m, n)
                 assert hom_class_dim(x, y, 1) == ext1_dim(q, m, n)
 
@@ -171,9 +185,9 @@ def _homotopy_rref_by_unit_vectors(x, y):
     rows = []
     for srcs, tgts, image in (
         (x.deg0, y.deg0, lambda h: compose_mats(
-            x.deg_minus1, x.deg0, y.deg0, h, x.diff)),
+            x.deg_minus1, x.deg0, y.deg0, h, diff_mat(x))),
         (x.deg_minus1, y.deg_minus1, lambda h: compose_mats(
-            x.deg_minus1, y.deg_minus1, y.deg0, y.diff, h)),
+            x.deg_minus1, y.deg_minus1, y.deg0, diff_mat(y), h)),
     ):
         _, n = _layout(q, srcs, tgts)
         for t in range(n):
@@ -200,8 +214,8 @@ def _hom0_by_unit_vectors(x, y):
     for vec in units(n0 + nm):
         f0 = vec_to_mat(q, x.deg0, y.deg0, vec[:n0])
         fm = vec_to_mat(q, x.deg_minus1, y.deg_minus1, vec[n0:])
-        lhs = compose_mats(x.deg_minus1, x.deg0, y.deg0, f0, x.diff)
-        rhs = compose_mats(x.deg_minus1, y.deg_minus1, y.deg0, y.diff, fm)
+        lhs = compose_mats(x.deg_minus1, x.deg0, y.deg0, f0, diff_mat(x))
+        rhs = compose_mats(x.deg_minus1, y.deg_minus1, y.deg0, diff_mat(y), fm)
         defect = tuple(
             tuple(pv_add(a, pv_scale(b, Q(-1))) for a, b in zip(ra, rb))
             for ra, rb in zip(lhs, rhs)
@@ -214,8 +228,8 @@ def _hom0_by_unit_vectors(x, y):
     h_rows = []
     for unit in units(nh):
         h = vec_to_mat(q, x.deg0, y.deg_minus1, unit)
-        f0 = compose_mats(x.deg0, y.deg_minus1, y.deg0, y.diff, h)
-        fm = compose_mats(x.deg_minus1, x.deg0, y.deg_minus1, h, x.diff)
+        f0 = compose_mats(x.deg0, y.deg_minus1, y.deg0, diff_mat(y), h)
+        fm = compose_mats(x.deg_minus1, x.deg0, y.deg_minus1, h, diff_mat(x))
         h_rows.append(
             mat_to_vec(q, x.deg0, y.deg0, f0)
             + mat_to_vec(q, x.deg_minus1, y.deg_minus1, fm)
@@ -282,7 +296,7 @@ def test_module_to_shifted_is_ext1_to_projective():
     pb = paths_between(A3)
     for d in indecomposables(A3):
         m = build_representation(A3, d)
-        x = resolve(A3, m)
+        x = minimal_presentation(A3, m)
         for i in A3.vertices:
             proj = build_representation(
                 A3, tuple(len(pb[(i, u)]) for u in A3.vertices)
@@ -304,15 +318,16 @@ def test_shifted_to_module_shift_one_is_fiber_dimension():
 
 def _check_square(x, y, cls):
     f0, fm1 = mats(cls)
+    d_x, d_y = diff_mat(x), diff_mat(y)
     # f0 after d_X equals d_Y after fm1, entrywise as path vectors
     for j in range(len(y.deg0)):
         for i in range(len(x.deg_minus1)):
             lhs = pv_zero(y.deg0[j], x.deg_minus1[i])
             for t in range(len(x.deg0)):
-                lhs = pv_add(lhs, f0[j][t].mul(x.diff[t][i]))
+                lhs = pv_add(lhs, pv_mul(f0[j][t], d_x[t][i]))
             rhs = pv_zero(y.deg0[j], x.deg_minus1[i])
             for t in range(len(y.deg_minus1)):
-                rhs = pv_add(rhs, y.diff[j][t].mul(fm1[t][i]))
+                rhs = pv_add(rhs, pv_mul(d_y[j][t], fm1[t][i]))
             assert lhs == rhs
 
 
@@ -472,8 +487,8 @@ def test_vector_of_sums_the_basis_rows():
 
 
 def test_complex_hash_is_stored_field_hash():
-    # resolve returns the cached presentation, so build an equal copy
-    x = resolve(D4, build_representation(D4, (1, 1, 2, 1)))
+    # minimal_presentation returns the cached one, so build an equal copy
+    x = minimal_presentation(D4, build_representation(D4, (1, 1, 2, 1)))
     y = TwoTermComplex(x.quiver, x.deg_minus1, x.deg0, x.diff)
     assert x == y and x is not y
     assert hash(x) == hash(y)

@@ -241,9 +241,13 @@ def test_presentation_a2_simple():
     pres = minimal_presentation(A2, build_representation(A2, (1, 0)))
     assert pres.deg0 == (1,)
     assert pres.deg_minus1 == (2,)
-    entry = pres.diff[0][0]
-    assert (entry.source, entry.target) == (1, 2)
-    assert entry.terms == ((("a",), 1),)
+    # the coefficient of the one path from 1 to 2, the arrow a
+    assert pres.diff == ((1,),)
+
+
+def test_presentation_rejects_a_module_over_another_quiver():
+    with pytest.raises(ValueError, match="module is over a different quiver"):
+        minimal_presentation(A2, build_representation(A3, (1, 1, 0)))
 
 
 # --- AR quivers ---

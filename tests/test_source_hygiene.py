@@ -1,0 +1,80 @@
+"""Static checks on silt's own source, read with ast: no unused import, no
+definition that nothing names, and no memo keyed by the builtin id()."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import silt
+
+SOURCES = sorted(Path(silt.__file__).parent.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+
+
+def _names_used(tree):
+    """How often each name is loaded or read as an attribute in a tree; an
+    import binds names but does not count as a use."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+    return used
+
+
+def _definitions(tree):
+    """Each top-level function and class, and each non-dunder method of a
+    top-level class, as its def node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item
+
+
+def test_sources_are_found():
+    assert {"cli.py", "complexes.py", "modules.py", "quivers.py"} <= set(TREES)
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in TREES.items():
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}:{node.lineno} {bound}")
+    assert unused == []
+
+
+def test_every_definition_is_referenced():
+    # a use inside the definition itself (recursion) does not count
+    used = sum(map(_names_used, TREES.values()), Counter())
+    dead = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in TREES.items()
+        for node in _definitions(tree)
+        if used[node.name] <= _names_used(node)[node.name]
+    ]
+    assert dead == []
+
+
+def test_no_call_to_builtin_id():
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "id"
+    ]
+    assert calls == []
