@@ -259,6 +259,8 @@ def _fixture_quiver(name: str) -> Quiver:
 
 
 def _load_quiver(spec: str) -> Quiver:
+    """The quiver a file or fixture name gives, checked to be Dynkin.  A
+    cycle or a non-Dynkin graph exits 3, every other input error 2."""
     path = Path(spec)
     if path.is_file():
         try:
@@ -274,18 +276,15 @@ def _load_quiver(spec: str) -> Quiver:
                 2, f"no such quiver file or bundled fixture: {spec}"
             )
     try:
-        return parse_quiver(text)
+        q = parse_quiver(text)
+        dynkin_type(q)
     except QuiverCycleError as e:
         raise CliFailure(3, f"{spec}: {e}")
+    except NotDynkinError as e:
+        raise CliFailure(3, f"{spec}: quiver is not of Dynkin type: {e}")
     except QuiverError as e:
         raise CliFailure(2, f"{spec}: {e}")
-
-
-def _require_dynkin(q: Quiver) -> None:
-    try:
-        dynkin_type(q)
-    except NotDynkinError as e:
-        raise CliFailure(3, f"quiver is not of Dynkin type: {e}")
+    return q
 
 
 # A report is either finished text (csv, ascii, dot) or a JSON payload,
@@ -378,7 +377,6 @@ def _enumerate(q: Quiver, algorithmic, brute_force, what: str, oracle: bool):
 
 def cmd_ar(args) -> Report:
     q = _load_quiver(args.quiver)
-    _require_dynkin(q)
     ar = ar_quiver_two_term(q) if args.two_term else ar_quiver_mod(q)
     if args.format == "ascii":
         return ar.to_ascii()
@@ -450,7 +448,6 @@ def _render_tilting(q: Quiver, mods, fmt: str) -> Report:
 
 def cmd_silting(args) -> Report:
     q = _load_quiver(args.quiver)
-    _require_dynkin(q)
     if args.tilting_only:
         mods = _enumerate(
             q,
@@ -516,7 +513,6 @@ def _check_cartan(q: Quiver, t, cartan) -> None:
 
 def cmd_classify(args) -> Report:
     q = _load_quiver(args.quiver)
-    _require_dynkin(q)
     objs = _enumerate(
         q, silting_alg2, silting_bruteforce, "silting", args.oracle
     )

@@ -16,8 +16,8 @@ canonical basis (hom_class_basis: the kernel of d^0 modulo the RREF row
 space of d^{-1}), because End(T) assembly composes two basis classes and
 reads the composite as one scalar per triple of summands.  Hom(X, Y[1])
 only decides rigidity, so it is only ever a dimension (hom_class_dim):
-every Hom dimension is a rank, taken on the same rows as integer rows,
-each scaled by the lcm of its denominators.
+every Hom dimension is a rank, taken on the same rows as dense integer
+rows.
 
 A map between direct sums of projectives is a coordinate vector in
 _layout order: block (j, i) is Hom(P(u_i), P(v_j)), which has one
@@ -35,13 +35,11 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import cache
-from math import lcm
 from typing import List, Sequence, Tuple
 
 from .linalg import (
-    RatMatrix,
+    Matrix,
     _echelon,
     coords_in_rows,
     kernel_basis,
@@ -87,9 +85,9 @@ def _mul(
     srcs: Tuple[int, ...],
     mids: Tuple[int, ...],
     tgts: Tuple[int, ...],
-    g: Sequence[Q],
-    f: Sequence[Q],
-) -> List[Q]:
+    g: Sequence[int],
+    f: Sequence[int],
+) -> List[int]:
     """Coordinates of g after f, for f: +P(srcs) -> +P(mids) and
     g: +P(mids) -> +P(tgts): block (k, i) is the sum of g(k, j) f(j, i)
     over j, since a path followed by a path is the one path between their
@@ -97,7 +95,7 @@ def _mul(
     n = len(srcs)
     f_pos = _layout(q, srcs, mids)[0]
     h_pos, total = _layout(q, srcs, tgts)
-    out = [Q(0)] * total
+    out = [0] * total
     for kj, s in _layout(q, mids, tgts)[0].items():
         if g[s]:
             k, j = divmod(kj, len(mids))
@@ -110,7 +108,7 @@ def _mul(
 
 # --- the Hom complex ---
 
-Sparse = List[List[Tuple[int, Q]]]
+Sparse = List[List[Tuple[int, int]]]
 
 
 def _after_sparse(
@@ -145,13 +143,11 @@ def _before_sparse(
     return rows, n
 
 
-def _int_row(sparse: List[Tuple[int, Q]], n: int) -> List[int]:
-    """A sparse row as n ints, scaled by the lcm of its denominators,
-    which neither a rank nor a row space sees."""
-    den = lcm(*(c.denominator for _, c in sparse))
+def _int_row(sparse: List[Tuple[int, int]], n: int) -> List[int]:
+    """A sparse row as a list of n ints."""
     row = [0] * n
     for t, c in sparse:
-        row[t] = c.numerator * (den // c.denominator)
+        row[t] = c
     return row
 
 
@@ -182,8 +178,8 @@ class HomSpace:
 
     x: TwoTermComplex
     y: TwoTermComplex
-    class_basis: Tuple[Tuple[Q, ...], ...]
-    homotopy_rref: Tuple[Tuple[Q, ...], ...]
+    class_basis: Tuple[Tuple[int, ...], ...]
+    homotopy_rref: Tuple[Tuple[int, ...], ...]
 
     def dim(self) -> int:
         return len(self.class_basis)
@@ -191,20 +187,17 @@ class HomSpace:
     def elements(self) -> Tuple["HomClass", ...]:
         n = self.dim()
         return tuple(
-            HomClass(
-                self,
-                tuple(Q(1) if j == i else Q(0) for j in range(n)),
-            )
+            HomClass(self, tuple(int(j == i) for j in range(n)))
             for i in range(n)
         )
 
-    def vector_of(self, cls: "HomClass") -> List[Q]:
+    def vector_of(self, cls: "HomClass") -> List[int]:
         q, x, y = self.x.quiver, self.x, self.y
         total = (
             _layout(q, x.deg0, y.deg0)[1]
             + _layout(q, x.deg_minus1, y.deg_minus1)[1]
         )
-        vec = [Q(0)] * total
+        vec = [0] * total
         for c, row in zip(cls.coords, self.class_basis):
             if c:
                 for t, b in enumerate(row):
@@ -212,7 +205,7 @@ class HomSpace:
                         vec[t] += c * b
         return vec
 
-    def class_from_vector(self, vec: Sequence[Q]) -> "HomClass":
+    def class_from_vector(self, vec: Sequence[int]) -> "HomClass":
         red = reduce_by_rref(vec, self.homotopy_rref)
         coords = coords_in_rows(red, self.class_basis)
         if coords is None:
@@ -225,7 +218,7 @@ class HomClass:
     """A homotopy class, as coordinates over its space's fixed basis."""
 
     space: HomSpace
-    coords: Tuple[Q, ...]
+    coords: Tuple[int, ...]
 
 
 @cache
@@ -242,11 +235,11 @@ def hom_class_basis(x: TwoTermComplex, y: TwoTermComplex, k: int) -> HomSpace:
         raise ValueError(f"no basis of Hom(X, Y[{k}]); only k = 0 has one")
     d0, n_f0, nw = _d0(x, y)
     # ker d^0 is the chain maps; constraint column t is d^0 of unit t
-    constraint = [Q(0)] * (nw * len(d0))
+    constraint = [0] * (nw * len(d0))
     for t, row in enumerate(d0):
         for r, c in row:
             constraint[r * len(d0) + t] = c if t < n_f0 else -c
-    z_rows = kernel_basis(RatMatrix(nw, len(d0), tuple(constraint)))
+    z_rows = kernel_basis(Matrix(nw, len(d0), tuple(constraint)))
     d_minus1, width = _d_minus1(x, y)
     b_rref = row_space_rref(_int_row(r, width) for r in d_minus1)
     cands = [reduce_by_rref(z, b_rref) for z in z_rows]

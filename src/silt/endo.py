@@ -29,7 +29,6 @@ components, and the integer Cartan rows that classify types them by.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from functools import cache
 from operator import mul
 from typing import Dict, List, Tuple
@@ -48,7 +47,7 @@ from .silting import SiltingObject, euler_table, summand_complex
 
 
 @cache
-def _product(x: TwoTermComplex, y: TwoTermComplex, z: TwoTermComplex) -> Q:
+def _product(x: TwoTermComplex, y: TwoTermComplex, z: TwoTermComplex) -> int:
     """The scalar c with (basis class of Hom(Y, Z)) after (basis class of
     Hom(X, Y)) = c * (basis class of Hom(X, Z)), for three one-dimensional
     Hom spaces.  The bases are canonical, so c depends on the triple alone
@@ -106,7 +105,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                 f"composition scalar {c} through {t.summands[k].label()} "
                 "is not 0 or ±1"
             )
-        return int(c)
+        return c
 
     # Gabriel arrows: the non-zero blocks no product through a third
     # summand reaches

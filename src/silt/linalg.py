@@ -1,72 +1,74 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers.
 
-Every matrix entry is a ``fractions.Fraction``; there is no floating point
-anywhere.  All routines are deterministic: identical inputs give identical
-outputs, bit for bit.  Row-reduction always picks the first usable pivot row,
-so reduced echelon forms (and everything derived from them: kernels and
+Every matrix entry is an ``int``; there is no floating point anywhere.
+Over a Dynkin quiver every indecomposable has a basis in which its
+matrices are 0/1 (Ringel, "Exceptional modules are tree modules"), and
+every reduced echelon form silt takes has been integral on every
+orientation tests/orientation_sweep.py covers; ``rref`` raises where one
+is not.  All
+routines are deterministic: identical inputs give identical outputs, bit
+for bit.  Row-reduction always picks the first usable pivot row, so
+reduced echelon forms (and everything derived from them: kernels and
 canonical subspace bases) are canonical.  Coordinates over an RREF basis
 are read off its pivot columns.  One elimination serves ``rank``, ``rref``
-and ``integer_solve``: each row is cleared of denominators and reduced on
-plain ``int`` rows, where a pivot rewrites only the rows with a non-zero
-entry in its column and keeps each of them primitive, and no pivot falls
-back to ``Fraction``.  ``integer_solve`` takes integer rows and returns
-integer rows, so it makes no ``Fraction`` at all.  ``determinant`` is the
-one other elimination: fraction-free Bareiss, for tilted_type's integer.
+and ``integer_solve``: it runs on plain ``int`` rows, where a pivot
+rewrites only the rows with a non-zero entry in its column and keeps each
+of them primitive.  ``rref`` and ``integer_solve`` then divide each row by
+its pivot in one place, ``_divide``, which raises RuntimeError when that
+division is not exact.  ``determinant`` is the one other elimination:
+fraction-free Bareiss, for tilted_type's integer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
-class RatMatrix:
-    """Immutable rational matrix stored row-major."""
+class Matrix:
+    """Immutable integer matrix stored row-major."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: Tuple[Q, ...]):
+    def __init__(self, rows: int, cols: int, entries: Tuple[int, ...]):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries, got {len(entries)}"
             )
+        if not set(map(type, entries)) <= {int}:
+            raise TypeError("matrix entries must be ints")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(e if type(e) is Q else Q(e) for e in entries),
-        )
+        object.__setattr__(self, "entries", tuple(entries))
 
     def __setattr__(self, name, value):
-        raise AttributeError("RatMatrix is immutable")
+        raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Matrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
-        flat: List[Q] = []
+        flat: List[int] = []
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
             flat.extend(row)
         return cls(r, c, tuple(flat))
 
-    def at(self, i: int, j: int) -> Q:
+    def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> Tuple[Q, ...]:
+    def row(self, i: int) -> Tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self) -> List[List[Q]]:
+    def to_rows(self) -> List[List[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, RatMatrix)
+            isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
             and self.entries == other.entries
@@ -76,46 +78,31 @@ class RatMatrix:
         return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self) -> str:
-        return f"RatMatrix({self.rows}x{self.cols}, {self.to_rows()})"
+        return f"Matrix({self.rows}x{self.cols}, {self.to_rows()})"
 
-    def transpose(self) -> "RatMatrix":
+    def transpose(self) -> "Matrix":
         ent = tuple(
             self.at(i, j) for j in range(self.cols) for i in range(self.rows)
         )
-        return RatMatrix(self.cols, self.rows, ent)
+        return Matrix(self.cols, self.rows, ent)
 
-    def mul(self, other: "RatMatrix") -> "RatMatrix":
+    def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        ent: List[Q] = []
+        ent: List[int] = []
         for i in range(self.rows):
             ri = self.row(i)
             for j in range(other.cols):
-                s = Q(0)
+                s = 0
                 for k in range(self.cols):
                     if ri[k]:
                         s += ri[k] * other.at(k, j)
                 ent.append(s)
-        return RatMatrix(self.rows, other.cols, tuple(ent))
+        return Matrix(self.rows, other.cols, tuple(ent))
 
 
-def identity(n: int) -> RatMatrix:
-    return RatMatrix(
-        n, n, tuple(Q(1 if i == j else 0) for i in range(n) for j in range(n))
-    )
-
-
-def _integer_rows(m: RatMatrix) -> List[List[int]]:
-    """The non-zero rows of m, each scaled by the lcm of its denominators,
-    which keeps the row space."""
-    rows: List[List[int]] = []
-    for i in range(m.rows):
-        row = m.row(i)
-        den = lcm(*(e.denominator for e in row))
-        ints = [e.numerator * (den // e.denominator) for e in row]
-        if any(ints):
-            rows.append(ints)
-    return rows
+def identity(n: int) -> Matrix:
+    return Matrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
 
 def _echelon(
@@ -172,16 +159,31 @@ def _reduced(
     return rows, pivots
 
 
-def rref(m: RatMatrix) -> Tuple[RatMatrix, List[int]]:
+def _divide(
+    rows: List[List[int]], pivots: List[int], what: str
+) -> List[List[int]]:
+    """Each row divided by its entry at its pivot column; raises
+    RuntimeError, naming the result as `what`, when a division is not
+    exact."""
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        if any(e % p for e in row):
+            raise RuntimeError(f"{what} is not integral")
+        out.append([e // p for e in row])
+    return out
+
+
+def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
     Integer elimination throughout; each row is divided by its pivot once,
-    at the end.
+    at the end, and RuntimeError is raised when the RREF is not integral.
     """
-    rows, pivots = _reduced(_integer_rows(m), m.cols)
-    ent = [Q(a, row[c]) for row, c in zip(rows, pivots) for a in row]
-    ent.extend([Q(0)] * ((m.rows - len(rows)) * m.cols))
-    return RatMatrix(m.rows, m.cols, tuple(ent)), pivots
+    rows, pivots = _reduced(m.to_rows(), m.cols)
+    ent = [e for row in _divide(rows, pivots, "row echelon form") for e in row]
+    ent.extend([0] * ((m.rows - len(rows)) * m.cols))
+    return Matrix(m.rows, m.cols, tuple(ent)), pivots
 
 
 def integer_solve(
@@ -191,22 +193,16 @@ def integer_solve(
 ) -> Tuple[Tuple[int, ...], ...]:
     """The integer rows of X with A X = B, for a square integer A.
 
-    X is the right block of the rref of [A | B], which rref's integer
-    elimination gives with no Fraction.  Raises ValueError when A is
-    singular and RuntimeError, naming X as `what`, when X is not integral.
+    X is the right block of the rref of [A | B].  Raises ValueError when
+    A is singular and RuntimeError, naming X as `what`, when X is not
+    integral.
     """
     n = len(a)
     width = len(b[0]) if n else 0
     rows, pivots = _reduced([[*ra, *rb] for ra, rb in zip(a, b)], n + width)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    x = []
-    for i, row in enumerate(rows):
-        p = row[i]
-        if any(e % p for e in row[n:]):
-            raise RuntimeError(f"{what} is not integral")
-        x.append(tuple(e // p for e in row[n:]))
-    return tuple(x)
+    return tuple(tuple(row[n:]) for row in _divide(rows, pivots, what))
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -233,12 +229,12 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * prev
 
 
-def rank(m: RatMatrix) -> int:
+def rank(m: Matrix) -> int:
     """Rank: the number of pivots of the integer echelon form."""
-    return len(_echelon(_integer_rows(m), m.cols)[1])
+    return len(_echelon(m.to_rows(), m.cols)[1])
 
 
-def kernel_basis(m: RatMatrix) -> List[List[Q]]:
+def kernel_basis(m: Matrix) -> List[List[int]]:
     """Canonical basis of the right null space, as row lists.
 
     One basis vector per free column of the RREF: entry 1 at the free
@@ -246,33 +242,35 @@ def kernel_basis(m: RatMatrix) -> List[List[Q]]:
     """
     red, pivots = rref(m)
     pivot_set = set(pivots)
-    basis: List[List[Q]] = []
+    basis: List[List[int]] = []
     for fc in range(m.cols):
         if fc in pivot_set:
             continue
-        v = [Q(0)] * m.cols
-        v[fc] = Q(1)
+        v = [0] * m.cols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red.at(r, fc)
         basis.append(v)
     return basis
 
 
-def row_space_rref(rows: Iterable[Sequence[Q]]) -> List[List[Q]]:
+def row_space_rref(rows: Iterable[Sequence[int]]) -> List[List[int]]:
     """Canonical (RREF) basis of the span of the given row vectors."""
     rows = [list(r) for r in rows]
     if not rows:
         return []
-    red, pivots = rref(RatMatrix.from_rows(rows))
+    red, pivots = rref(Matrix.from_rows(rows))
     return [list(red.row(i)) for i in range(len(pivots))]
 
 
-def pivot_columns(rows: Sequence[Sequence[Q]]) -> List[int]:
+def pivot_columns(rows: Sequence[Sequence[int]]) -> List[int]:
     """Column of the leading non-zero entry of each row of an echelon basis."""
     return [next(i for i, e in enumerate(r) if e != 0) for r in rows]
 
 
-def reduce_by_rref(v: Sequence[Q], basis: Sequence[Sequence[Q]]) -> List[Q]:
+def reduce_by_rref(
+    v: Sequence[int], basis: Sequence[Sequence[int]]
+) -> List[int]:
     """Reduce v modulo the span of an RREF row basis."""
     v = list(v)
     for row, pc in zip(basis, pivot_columns(basis)):
@@ -283,8 +281,8 @@ def reduce_by_rref(v: Sequence[Q], basis: Sequence[Sequence[Q]]) -> List[Q]:
 
 
 def coords_in_rows(
-    v: Sequence[Q], rows: Sequence[Sequence[Q]]
-) -> Optional[List[Q]]:
+    v: Sequence[int], rows: Sequence[Sequence[int]]
+) -> Optional[List[int]]:
     """Coefficients x with sum_i x_i rows[i] = v, or None if v not in span.
 
     The rows must be an RREF basis, so x_i is v at the pivot of row i.

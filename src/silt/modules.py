@@ -32,14 +32,13 @@ a `TwoTermComplex`'s differential is a matrix of scalars, and Ext^1 and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import cache
 from itertools import accumulate, islice
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
-    RatMatrix,
+    Matrix,
     coords_in_rows,
     identity,
     kernel_basis,
@@ -70,7 +69,7 @@ class QuiverRep:
 
     quiver: Quiver
     dims: DimVector
-    mats: Tuple[Tuple[str, RatMatrix], ...]
+    mats: Tuple[Tuple[str, Matrix], ...]
 
     def __post_init__(self):
         idx = {v: i for i, v in enumerate(self.quiver.vertices)}
@@ -83,7 +82,7 @@ class QuiverRep:
             ):
                 raise ValueError(f"matrix shape mismatch at arrow {a.id}")
 
-    def mat(self, arrow_id: str) -> RatMatrix:
+    def mat(self, arrow_id: str) -> Matrix:
         for aid, m in self.mats:
             if aid == arrow_id:
                 return m
@@ -93,7 +92,7 @@ class QuiverRep:
         return self.dims[self.quiver.index(v)]
 
 
-def make_rep(q: Quiver, dims: Sequence[int], mats: Dict[str, RatMatrix]) -> QuiverRep:
+def make_rep(q: Quiver, dims: Sequence[int], mats: Dict[str, Matrix]) -> QuiverRep:
     ordered = tuple(sorted(mats.items()))
     return QuiverRep(q, tuple(int(d) for d in dims), ordered)
 
@@ -103,7 +102,7 @@ def simple_rep(q: Quiver, v: int) -> QuiverRep:
     idx = {u: i for i, u in enumerate(q.vertices)}
     # a quiver has no loops, so every arrow meets a zero space
     mats = {
-        a.id: RatMatrix(dims[idx[a.source]], dims[idx[a.target]], ())
+        a.id: Matrix(dims[idx[a.source]], dims[idx[a.target]], ())
         for a in q.arrows
     }
     return make_rep(q, dims, mats)
@@ -193,14 +192,14 @@ def _reflect_dim(qq: Quiver, k: int, d: DimVector) -> DimVector:
 
 
 def _quotient(
-    rref: Sequence[Sequence[Q]], width: int
-) -> Tuple[List[int], Callable[[Sequence[Q]], List[Q]]]:
+    rref: Sequence[Sequence[int]], width: int
+) -> Tuple[List[int], Callable[[Sequence[int]], List[int]]]:
     """Canonical coordinates modulo the span of an RREF row basis: the
     free columns, and the map reading a row's reduction at them."""
     pivots = pivot_columns(rref)
     free = [c for c in range(width) if c not in pivots]
 
-    def quotient(row: Sequence[Q]) -> List[Q]:
+    def quotient(row: Sequence[int]) -> List[int]:
         red = reduce_by_rref(row, rref)
         return [red[c] for c in free]
 
@@ -237,18 +236,18 @@ def _reflect_rep_at_source(rep: QuiverRep, k: int, qtarget: Quiver) -> QuiverRep
     for a, w in zip(out, widths):
         offsets[a.id] = off
         off += w
-    mats: Dict[str, RatMatrix] = {}
+    mats: Dict[str, Matrix] = {}
     for a in qtarget.arrows:
         if a.target == k:
             # reversed arrow j -> k: embed X_j into the sum, then project
             dj = rep.dims[idx[a.source]]
             rows = []
             for r in range(dj):
-                row = [Q(0)] * total
-                row[offsets[a.id] + r] = Q(1)
+                row = [0] * total
+                row[offsets[a.id] + r] = 1
                 rows.append(quotient(row))
             ent = tuple(e for row in rows for e in row)
-            mats[a.id] = RatMatrix(dj, len(free), ent)
+            mats[a.id] = Matrix(dj, len(free), ent)
         else:
             mats[a.id] = rep.mat(a.id)
     return make_rep(qtarget, new_dims, mats)
@@ -286,7 +285,7 @@ def build_representation(q: Quiver, d: DimVector) -> QuiverRep:
 
 # --- path action and Hom/Ext ---
 
-def act_path(rep: QuiverRep, source: int, arrows: Sequence[str]) -> RatMatrix:
+def act_path(rep: QuiverRep, source: int, arrows: Sequence[str]) -> Matrix:
     """Matrix of the right action along a path, from source's space."""
     m = identity(rep.dim_at(source))
     for aid in arrows:
@@ -299,13 +298,13 @@ def hom_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
     """dim Hom(M, N): solution space of the arrow intertwining system."""
     *offs, total = accumulate(map(mul, m.dims, n.dims), initial=0)
     idx = {v: i for i, v in enumerate(q.vertices)}
-    rows: List[List[Q]] = []
+    rows: List[List[int]] = []
     for a in q.arrows:
         j, k = idx[a.source], idx[a.target]
         ma, na = m.mat(a.id), n.mat(a.id)
         for r in range(m.dims[j]):
             for c in range(n.dims[k]):
-                row = [Q(0)] * total
+                row = [0] * total
                 # (M_a phi_k)[r,c] - (phi_j N_a)[r,c] = 0
                 for s in range(m.dims[k]):
                     row[offs[k] + s * n.dims[k] + c] += ma.at(r, s)
@@ -314,7 +313,7 @@ def hom_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
                 rows.append(row)
     if not rows:
         return total
-    return total - rank(RatMatrix.from_rows(rows))
+    return total - rank(Matrix.from_rows(rows))
 
 
 # --- bound quiver algebras, projective covers, minimal resolutions ---
@@ -337,13 +336,10 @@ class BoundQuiverAlgebra:
         return sum(map(sum, self.cartan))
 
     def to_json_dict(self) -> dict:
-        def coeff_json(c: Q):
-            return int(c) if c.denominator == 1 else str(c)
-
         return {
             **quiver_to_json(self.gabriel),
             "relations": [
-                [[coeff_json(c), list(arrows)] for arrows, c in rel.terms]
+                [[c, list(arrows)] for arrows, c in rel.terms]
                 for rel in self.relations
             ],
             "dimension": self.dimension,
@@ -389,7 +385,7 @@ def projectives(
             for r in b.relations:
                 for p in pb[(v, r.source)]:
                     for p2 in pb[(r.target, u)]:
-                        row = [Q(0)] * len(paths)
+                        row = [0] * len(paths)
                         for arrows, c in r.terms:
                             row[index[(v, p.arrows + arrows + p2.arrows)]] = c
                         ideal.append(row)
@@ -402,26 +398,26 @@ def projectives(
                 f"P({v}) has dimension vector {dims} modulo the relations, "
                 f"but the Cartan row is {cartan_row}"
             )
-        mats: Dict[str, RatMatrix] = {}
+        mats: Dict[str, Matrix] = {}
         for a in q.arrows:
             s, t = q.index(a.source), q.index(a.target)
-            ent: List[Q] = []
+            ent: List[int] = []
             for p in paths_from_v[s]:
-                unit = [Q(0)] * len(pb[(v, a.target)])
-                unit[index[(v, p + (a.id,))]] = Q(1)
+                unit = [0] * len(pb[(v, a.target)])
+                unit[index[(v, p + (a.id,))]] = 1
                 ent.extend(coords[t](unit))
-            mats[a.id] = RatMatrix(dims[s], dims[t], tuple(ent))
+            mats[a.id] = Matrix(dims[s], dims[t], tuple(ent))
         basis.append(tuple(paths_from_v))
         reps.append(make_rep(q, dims, mats))
     return tuple(basis), tuple(reps)
 
 
-def radical_rows(rep: QuiverRep) -> List[List[List[Q]]]:
+def radical_rows(rep: QuiverRep) -> List[List[List[int]]]:
     """Per-vertex RREF bases of rad M = sum of arrow images."""
     q = rep.quiver
     out = []
     for v in q.vertices:
-        rows: List[List[Q]] = []
+        rows: List[List[int]] = []
         for a in q.arrows:
             if a.target == v:
                 rows.extend(rep.mat(a.id).to_rows())
@@ -449,14 +445,14 @@ def minimal_cover(b: BoundQuiverAlgebra, rep: QuiverRep):
         )
     basis, reps = projectives(b)
     p0 = _direct_sum(q, [reps[q.index(v)] for v, _ in copies])
-    pi: List[RatMatrix] = []
+    pi: List[Matrix] = []
     for l, u in enumerate(q.vertices):
-        rows: List[List[Q]] = []
+        rows: List[List[int]] = []
         for v, c in copies:
             for arrows in basis[q.index(v)][l]:
                 rows.append(list(act_path(rep, v, arrows).row(c)))
         du = rep.dim_at(u)
-        mat = RatMatrix.from_rows(rows) if rows else RatMatrix(0, du, ())
+        mat = Matrix.from_rows(rows) if rows else Matrix(0, du, ())
         pi.append(mat)
         if rank(mat) != du:
             raise RuntimeError("cover map not surjective")
@@ -467,24 +463,24 @@ def _direct_sum(q: Quiver, reps: Sequence[QuiverRep]) -> QuiverRep:
     n = len(q.vertices)
     dims = [sum(r.dims[i] for r in reps) for i in range(n)]
     idx = {v: i for i, v in enumerate(q.vertices)}
-    mats: Dict[str, RatMatrix] = {}
+    mats: Dict[str, Matrix] = {}
     for a in q.arrows:
         si, ti = idx[a.source], idx[a.target]
-        rows: List[List[Q]] = []
+        rows: List[List[int]] = []
         col_offsets = accumulate((r.dims[ti] for r in reps), initial=0)
         for r, off in zip(reps, col_offsets):
             m = r.mat(a.id)
             for ri in range(m.rows):
-                row = [Q(0)] * dims[ti]
+                row = [0] * dims[ti]
                 for ci in range(m.cols):
                     row[off + ci] = m.at(ri, ci)
                 rows.append(row)
         ent = tuple(e for row in rows for e in row)
-        mats[a.id] = RatMatrix(dims[si], dims[ti], ent)
+        mats[a.id] = Matrix(dims[si], dims[ti], ent)
     return make_rep(q, dims, mats)
 
 
-def kernel_subrep(p0: QuiverRep, pi: Sequence[RatMatrix]):
+def kernel_subrep(p0: QuiverRep, pi: Sequence[Matrix]):
     """Kernel of the cover map as a subrepresentation of p0.
 
     Returns (rows, krep): per-vertex RREF row bases inside p0's
@@ -494,19 +490,19 @@ def kernel_subrep(p0: QuiverRep, pi: Sequence[RatMatrix]):
     rows_per_vertex = [row_space_rref(kernel_basis(m.transpose())) for m in pi]
     idx = {v: i for i, v in enumerate(q.vertices)}
     dims = [len(rows_per_vertex[i]) for i in range(len(q.vertices))]
-    mats: Dict[str, RatMatrix] = {}
+    mats: Dict[str, Matrix] = {}
     for a in q.arrows:
         si, ti = idx[a.source], idx[a.target]
         src_rows = rows_per_vertex[si]
         tgt_rows = rows_per_vertex[ti]
-        ent: List[Q] = []
+        ent: List[int] = []
         for rrow in src_rows:
-            img = RatMatrix(1, len(rrow), tuple(rrow)).mul(p0.mat(a.id))
+            img = Matrix(1, len(rrow), tuple(rrow)).mul(p0.mat(a.id))
             coords = coords_in_rows(list(img.entries), tgt_rows)
             if coords is None:
                 raise RuntimeError("kernel is not a subrepresentation")
             ent.extend(coords)
-        mats[a.id] = RatMatrix(dims[si], dims[ti], tuple(ent))
+        mats[a.id] = Matrix(dims[si], dims[ti], tuple(ent))
     return rows_per_vertex, make_rep(q, dims, mats)
 
 
@@ -536,7 +532,7 @@ class TwoTermComplex:
     quiver: Quiver
     deg_minus1: Tuple[int, ...]
     deg0: Tuple[int, ...]
-    diff: Tuple[Tuple[Q, ...], ...]
+    diff: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
         known = set(self.quiver.vertices)
@@ -580,13 +576,13 @@ def minimal_presentation(q: Quiver, m: QuiverRep) -> TwoTermComplex:
         raise RuntimeError("first syzygy is not projective (not hereditary?)")
     # a projective M has a one-term resolution: P1 is then empty
     (copies0, krows), (copies1, _) = (steps + [((), ())] * 2)[:2]
-    rows: List[List[Q]] = [[] for _ in copies0]
+    rows: List[List[int]] = [[] for _ in copies0]
     for a, col in copies1:
         # the copy's generator, in p0's coordinates at vertex a: one
         # coordinate per copy of P(b) with a path from b to a
         coords = iter(krows[q.index(a)][col])
         for row, (b, _) in zip(rows, copies0):
-            c = Q(0) if single_path(q, b, a) is None else next(coords)
+            c = 0 if single_path(q, b, a) is None else next(coords)
             if c and b == a:
                 raise RuntimeError("presentation not minimal")
             row.append(c)
@@ -606,7 +602,7 @@ def ext1_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
     cod = sum(n.dim_at(a) for a in pres.deg_minus1)
     if dom == 0 or cod == 0:
         return cod
-    rows: List[List[Q]] = [[Q(0)] * cod for _ in range(dom)]
+    rows: List[List[int]] = [[0] * cod for _ in range(dom)]
     roff = 0
     for b, diff_row in zip(pres.deg0, pres.diff):
         coff = 0
@@ -618,7 +614,7 @@ def ext1_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
                         rows[roff + r][coff + t] = c * block.at(r, t)
             coff += n.dim_at(a)
         roff += n.dim_at(b)
-    return cod - rank(RatMatrix.from_rows(rows))
+    return cod - rank(Matrix.from_rows(rows))
 
 
 # --- AR translate ---
@@ -642,7 +638,7 @@ def tau_nakayama(q: Quiver, d: DimVector) -> DimVector:
         )
         mat = [[pres.diff[j][i] for j in cols] for i in rows]
         # a map into zero columns has rank 0
-        dims.append(len(rows) - (rank(RatMatrix.from_rows(mat)) if cols else 0))
+        dims.append(len(rows) - (rank(Matrix.from_rows(mat)) if cols else 0))
     return tuple(dims)
 
 

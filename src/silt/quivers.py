@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -414,7 +413,7 @@ def tits_form(q: Quiver, d: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class PathVector:
-    """Rational linear combination of paths sharing one (source, target):
+    """Integer linear combination of paths sharing one (source, target):
     a relation of a BoundQuiverAlgebra (maps between projectives over a
     Dynkin quiver are scalars, see single_path).
 
@@ -424,16 +423,16 @@ class PathVector:
 
     source: int
     target: int
-    terms: Tuple[Tuple[Tuple[str, ...], Q], ...]
+    terms: Tuple[Tuple[Tuple[str, ...], int], ...]
 
     @staticmethod
     def make(
         source: int,
         target: int,
-        terms: Dict[Tuple[str, ...], Q],
+        terms: Dict[Tuple[str, ...], int],
     ) -> "PathVector":
         cleaned = tuple(
-            (arrows, Q(c))
+            (arrows, c)
             for arrows, c in sorted(
                 terms.items(), key=lambda t: (len(t[0]), t[0])
             )

@@ -1,8 +1,10 @@
-"""Every orientation of the Dynkin diagrams of rank <= 5, and of E6.
+"""Every orientation of the Dynkin diagrams of rank <= 5, and of E6, E7
+and E8.
 
-A diagram is a chain 1 - 2 - ... - m, plus for D_n and E6 one branch
-vertex n joined to the chain.  Each orientation gets the arrows
-``a1, a2, ...`` in edge order, so its quiver text is reproducible.
+A diagram is a chain 1 - 2 - ... - m, plus for D_n and E_n one branch
+vertex n joined to the chain: to n - 2 for D_n and to 3 for E_n.  Each
+orientation gets the arrows ``a1, a2, ...`` in edge order, so its quiver
+text is reproducible.
 """
 
 from itertools import product
@@ -15,8 +17,8 @@ def diagram_edges(kind, n):
         return [(i, i + 1) for i in range(1, n)]
     if kind == "D":
         return [(i, i + 1) for i in range(1, n - 1)] + [(n - 2, n)]
-    if (kind, n) == ("E", 6):
-        return [(i, i + 1) for i in range(1, 5)] + [(3, 6)]
+    if kind == "E" and n in (6, 7, 8):
+        return [(i, i + 1) for i in range(1, n - 1)] + [(3, n)]
     raise ValueError(f"no diagram {kind}{n}")
 
 

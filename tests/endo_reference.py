@@ -9,14 +9,13 @@ classes in turn (`reference_path_values`), and the relations are the
 kernels of that evaluation.
 """
 
-from fractions import Fraction as Q
 from functools import cache
 from typing import Callable, Dict, List, Tuple
 
 from path_vector_maps import identity_reference
 from silt.complexes import HomClass, compose, hom_class_basis, hom_class_dim
 from silt.linalg import (
-    RatMatrix,
+    Matrix,
     kernel_basis,
     pivot_columns,
     reduce_by_rref,
@@ -34,7 +33,7 @@ def is_presilting(q: Quiver, summands) -> bool:
     return all(hom_class_dim(a, b, 1) == 0 for a in cx for b in cx)
 
 
-PathValue = Callable[[int, int, Tuple[str, ...]], List[Q]]
+PathValue = Callable[[int, int, Tuple[str, ...]], List[int]]
 
 
 def reference_path_values(
@@ -76,9 +75,13 @@ def reference_path_values(
             else:
                 block_elems[(i, j)] = spaces[(i, j)].elements()
 
-    def block_coords(i: int, j: int, cls: HomClass) -> List[Q]:
+    def block_coords(i: int, j: int, cls: HomClass) -> List[int]:
         if i == j:
-            return [cls.coords[0] / idents[i].coords[0]]
+            # the identity's coordinate, so an exact quotient
+            c, rem = divmod(cls.coords[0], idents[i].coords[0])
+            if rem:
+                raise RuntimeError(f"{label}: {cls} is no multiple of 1")
+            return [c]
         return list(cls.coords)
 
     # Gabriel arrows: complements of rad^2 inside each off-diagonal block
@@ -91,7 +94,7 @@ def reference_path_values(
             bd = len(block_elems[(i, j)])
             if bd == 0:
                 continue
-            sq: List[List[Q]] = []
+            sq: List[List[int]] = []
             for k in range(n):
                 if k == i or k == j:
                     continue
@@ -121,7 +124,7 @@ def reference_path_values(
 
     def path_value(
         source: int, target: int, arrow_ids: Tuple[str, ...]
-    ) -> List[Q]:
+    ) -> List[int]:
         cls = path_class(source, arrow_ids)
         return block_coords(source - 1, target - 1, cls)
 
@@ -143,7 +146,7 @@ def endomorphism_algebra_reference(
 
     # relations: per vertex pair, the left kernel of path evaluation
     relations: List[PathVector] = []
-    kernels: Dict[Tuple[int, int], List[List[Q]]] = {}
+    kernels: Dict[Tuple[int, int], List[List[int]]] = {}
     quotient_dim = 0
     for i in range(n):
         for j in range(n):
@@ -153,10 +156,10 @@ def endomorphism_algebra_reference(
                 continue
             if dims[i][j]:
                 rows = [path_value(i + 1, j + 1, p.arrows) for p in paths]
-                ker = kernel_basis(RatMatrix.from_rows(rows).transpose())
+                ker = kernel_basis(Matrix.from_rows(rows).transpose())
             else:
                 ker = [
-                    [Q(1) if r == s else Q(0) for r in range(len(paths))]
+                    [int(r == s) for r in range(len(paths))]
                     for s in range(len(paths))
                 ]
             kernels[(i, j)] = row_space_rref(ker)
@@ -174,13 +177,13 @@ def endomorphism_algebra_reference(
             if not ker:
                 continue
             paths = pb[(i + 1, j + 1)]
-            span: List[List[Q]] = []
+            span: List[List[int]] = []
             for a in gq.arrows:
                 if a.source == i + 1:
                     inner = kernels[(a.target - 1, j)]
                     inner_paths = pb[(a.target, j + 1)]
                     for u in inner:
-                        vec = [Q(0)] * len(paths)
+                        vec = [0] * len(paths)
                         for t, p in enumerate(inner_paths):
                             vec[index[(i + 1, (a.id,) + p.arrows)]] = u[t]
                         span.append(vec)
@@ -188,7 +191,7 @@ def endomorphism_algebra_reference(
                     inner = kernels[(i, a.source - 1)]
                     inner_paths = pb[(i + 1, a.source)]
                     for u in inner:
-                        vec = [Q(0)] * len(paths)
+                        vec = [0] * len(paths)
                         for t, p in enumerate(inner_paths):
                             vec[index[(i + 1, p.arrows + (a.id,))]] = u[t]
                         span.append(vec)

@@ -1,47 +1,71 @@
-"""Matrix inverse by row reduction of [M | I], the determinant by
-Gaussian elimination over Fractions, and the sum and scalar multiple of
-matrices: references the tests use to build Coxeter matrices and to
-check silt's integer routines (coxeter_matrix, euler_form, integer_solve,
-determinant) independently."""
+"""Exact references in Fractions, on plain row lists: Gauss-Jordan RREF,
+the matrix inverse as the right half of the RREF of [M | I], the
+determinant by Gaussian elimination, and the product, sum and scalar
+multiple of matrices.  The tests use them to build Coxeter matrices and
+to check silt's integer routines (rref, kernel_basis, integer_solve,
+coxeter_matrix, euler_form, determinant) independently; none of them
+calls silt."""
 
 from fractions import Fraction as Q
 
-from silt.linalg import RatMatrix, rref
+
+def gauss_jordan_rref(rows, cols):
+    """Reference RREF of a cols-wide matrix: Gauss-Jordan elimination in
+    Fractions, first usable pivot row, each pivot row divided through
+    before it clears its column.  Returns (rows, pivot columns)."""
+    rows = [[Q(e) for e in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(rows):
+            break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Q(1) / rows[r][c]
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
 
 
-def add(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch in matrix sum")
-    return RatMatrix(
-        a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries))
-    )
+def is_integral(rows):
+    return all(e.denominator == 1 for r in rows for e in r)
 
 
-def scale(m: RatMatrix, c) -> RatMatrix:
-    return RatMatrix(m.rows, m.cols, tuple(Q(c) * e for e in m.entries))
-
-
-def inverse(m: RatMatrix) -> RatMatrix:
+def inverse(rows):
     """M^{-1} as the right half of the rref of [M | I]; raises ValueError
     when M is singular or not square."""
-    if m.rows != m.cols:
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    aug = RatMatrix(
-        n,
-        2 * n,
-        tuple(
-            m.at(i, j) if j < n else Q(1 if j - n == i else 0)
-            for i in range(n)
-            for j in range(2 * n)
-        ),
-    )
-    red, pivots = rref(aug)
-    if [p for p in pivots if p < n] != list(range(n)):
+    aug = [[*r, *(int(i == j) for j in range(n))] for i, r in enumerate(rows)]
+    red, pivots = gauss_jordan_rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return RatMatrix(
-        n, n, tuple(red.at(i, n + j) for i in range(n) for j in range(n))
-    )
+    return [r[n:] for r in red]
+
+
+def transpose(rows):
+    return [list(c) for c in zip(*rows)]
+
+
+def mul(a, b):
+    """The product of an n x k and a k x m matrix, k >= 1."""
+    return [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+
+
+def add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def scale(rows, c):
+    return [[Q(c) * e for e in r] for r in rows]
 
 
 def determinant_reference(rows) -> Q:

@@ -10,7 +10,6 @@ standing for the single path of its block in quivers.paths_between; a
 complex's differential, stored as scalars, converts by diff_mat.
 """
 
-from fractions import Fraction as Q
 from typing import List, Sequence, Tuple
 
 from silt.complexes import HomClass, TwoTermComplex, _layout, hom_class_basis
@@ -28,13 +27,13 @@ def pv_add(a: PathVector, b: PathVector) -> PathVector:
         raise ValueError("path vector endpoint mismatch")
     acc = dict(a.terms)
     for arrows, c in b.terms:
-        acc[arrows] = acc.get(arrows, Q(0)) + c
+        acc[arrows] = acc.get(arrows, 0) + c
     return PathVector.make(a.source, a.target, acc)
 
 
 def pv_scale(a: PathVector, c) -> PathVector:
     return PathVector.make(
-        a.source, a.target, {arrows: co * Q(c) for arrows, co in a.terms}
+        a.source, a.target, {arrows: co * c for arrows, co in a.terms}
     )
 
 
@@ -45,7 +44,7 @@ def pv_mul(a: PathVector, b: PathVector) -> PathVector:
     acc = {}
     for a1, c1 in a.terms:
         for a2, c2 in b.terms:
-            acc[a1 + a2] = acc.get(a1 + a2, Q(0)) + c1 * c2
+            acc[a1 + a2] = acc.get(a1 + a2, 0) + c1 * c2
     return PathVector.make(a.source, b.target, acc)
 
 
@@ -53,7 +52,7 @@ def diff_mat(x: TwoTermComplex) -> PVMatrix:
     """d_X as path vectors: each scalar times the one path of its block."""
     pb = paths_between(x.quiver)
 
-    def entry(b: int, a: int, c: Q) -> PathVector:
+    def entry(b: int, a: int, c: int) -> PathVector:
         if not c:
             return pv_zero(b, a)
         (p,) = pb[(b, a)]
@@ -66,7 +65,7 @@ def diff_mat(x: TwoTermComplex) -> PVMatrix:
 
 
 def vec_to_mat(
-    q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...], vec: Sequence[Q]
+    q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...], vec: Sequence[int]
 ) -> PVMatrix:
     pb = paths_between(q)
     mat = [[pv_zero(v, u) for u in srcs] for v in tgts]
@@ -79,14 +78,14 @@ def vec_to_mat(
 
 def mat_to_vec(
     q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...], mat: PVMatrix
-) -> List[Q]:
+) -> List[int]:
     pb = paths_between(q)
     pos, total = _layout(q, srcs, tgts)
-    vec = [Q(0)] * total
+    vec = [0] * total
     for ji, t in pos.items():
         j, i = divmod(ji, len(srcs))
         (p,) = pb[(tgts[j], srcs[i])]
-        vec[t] = dict(mat[j][i].terms).get(p.arrows, Q(0))
+        vec[t] = dict(mat[j][i].terms).get(p.arrows, 0)
     return vec
 
 
@@ -139,7 +138,7 @@ def identity_reference(x: TwoTermComplex) -> HomClass:
     """The identity chain map of X as a matrix of lazy paths, reduced to
     the stored basis."""
     q = x.quiver
-    vec: List[Q] = []
+    vec: List[int] = []
     for vs in (x.deg0, x.deg_minus1):
         ident = tuple(
             tuple(

@@ -145,6 +145,8 @@ def test_non_dynkin_underlying_graph_exits_3(tmp_path, capsys):
     )
     rc, _, err = run_cli(capsys, "classify", str(square))
     assert rc == 3
+    # like every other input error, it names the file
+    assert f"{square}: quiver is not of Dynkin type" in err
 
 
 def test_jobs_flag_is_rejected_exits_2(capsys):

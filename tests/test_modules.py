@@ -8,6 +8,7 @@ from silt.quivers import NotDynkinError, dynkin_type, euler_form, parse_quiver
 from silt.modules import (
     ArQuiver,
     IndId,
+    TwoTermComplex,
     ar_quiver_mod,
     ar_quiver_two_term,
     build_representation,
@@ -95,10 +96,10 @@ def test_build_d4_exceptional_root():
     rep = build_representation(D4, (1, 1, 2, 1))
     assert rep.dims == (1, 1, 2, 1)
     # the two arm maps land in distinct lines of the 2-dim space at vertex 3
-    from silt.linalg import RatMatrix
+    from silt.linalg import Matrix
 
     a, b = rep.mat("a"), rep.mat("b")
-    stacked = RatMatrix.from_rows(a.to_rows() + b.to_rows())
+    stacked = Matrix.from_rows(a.to_rows() + b.to_rows())
     from silt.linalg import rank
 
     assert rank(stacked) == 2
@@ -133,6 +134,18 @@ def test_ext_a2_simples():
     s2 = build_representation(A2, (0, 1))
     assert ext1_dim(A2, s1, s2) == 1
     assert ext1_dim(A2, s2, s1) == 0
+
+
+def test_ext1_reads_the_differential_coefficients(monkeypatch):
+    # no Dynkin minimal presentation needs a coefficient other than a
+    # sign, so a presentation P(2)^2 -> P(1)^2 with the coefficients
+    # ((1, 1), (1, -1)) stands in for one: Hom(-, P(1)) turns it into
+    # that matrix of rank 2, so Ext^1 is 0, while dropping the
+    # coefficients would leave ((1, 1), (1, 1)) of rank 1
+    pres = TwoTermComplex(A2, (2, 2), (1, 1), ((1, 1), (1, -1)))
+    monkeypatch.setattr(modules, "minimal_presentation", lambda q, m: pres)
+    p1 = build_representation(A2, (1, 1))
+    assert ext1_dim.__wrapped__(A2, p1, p1) == 0
 
 
 def test_euler_identity_exhaustive_a3_d4():

@@ -7,7 +7,6 @@ i -> j, Ext^2 vanishes, and the tilted type is the Dynkin type of Q.  KQ
 is also End of the regular object, so both give one fingerprint.
 """
 
-from fractions import Fraction as Q
 
 import pytest
 
@@ -158,7 +157,7 @@ def test_path_algebra_projectives_append_the_arrow(q):
         for a in q.arrows:
             width = len(pb[(v, a.target)])
             expected = [
-                [Q(int(t == index[(v, p.arrows + (a.id,))])) for t in range(width)]
+                [int(t == index[(v, p.arrows + (a.id,))]) for t in range(width)]
                 for p in pb[(v, a.source)]
             ]
             assert p_v.mat(a.id).to_rows() == expected

@@ -1,7 +1,9 @@
 """Static checks on silt's own source, read with ast: no unused import, no
-definition that nothing names, and no memo keyed by the builtin id()."""
+definition that nothing names, and no memo keyed by the builtin id(); and,
+read as text, no mention of fractions."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -78,3 +80,15 @@ def test_no_call_to_builtin_id():
         and node.func.id == "id"
     ]
     assert calls == []
+
+
+def test_no_fractions_in_src():
+    # silt computes over the integers: no source imports fractions or
+    # names Fraction or the rational matrix type it replaced
+    found = [
+        f"{path.name}:{n} {m.group()}"
+        for path in SOURCES
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        for m in re.finditer(r"\b(fractions|Fraction|RatMatrix)\b", line)
+    ]
+    assert found == []
