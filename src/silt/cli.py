@@ -361,9 +361,10 @@ def _enumerate(q: Quiver, algorithmic, brute_force, what: str, oracle: bool):
         objs = algorithmic(q)
     if oracle:
         with _stage("oracle"):
-            brute = set(brute_force(q))
-        found = set(objs)
-        if found != brute:
+            brute = brute_force(q)
+        # both come sorted alike, so only tuples that differ need sets
+        if brute != objs and set(objs) != set(brute):
+            found, brute = set(objs), set(brute)
             raise CliFailure(
                 1,
                 f"{what} oracle mismatch: {len(found - brute)} objects only "

@@ -5,14 +5,16 @@ space per vertex and one matrix per arrow of shape (dim at source) x
 (dim at target), acting on the right of row vectors.  Indecomposables
 are identified by their dimension vectors (the positive roots), and
 explicit representations are built deterministically with reflection
-functors, normalizing every kernel and cokernel with reduced row
-echelon bases.
+functors on int rows: each cokernel is read off the RREF of its
+reflection map, and one validated representation is built at the end.
 
-Also here: Hom and Ext^1 by exact linear algebra; tau and tau^{-1}, read
-off one table per quiver built from the integer Coxeter matrix, with no
-per-call cross-check (the Nakayama construction `tau_nakayama` is the
-reference the tests and paper-suite compare them with); and the AR
-quivers of mod A and of the two-term homotopy category.
+Also here: Hom and Ext^1 by exact linear algebra; tau and tau^{-1} on
+the roots of any Cartan rows (`_translates`: the integer Coxeter matrix
+and Ringel's bijection, checked once per table), for tau on a quiver and
+for every full subquiver that silting's recursion visits (the Nakayama
+construction `tau_nakayama` is the reference the tests and paper-suite
+compare tau with); and the AR quivers of mod A and of the two-term
+homotopy category.
 
 One algebra type serves every module computation over an algebra:
 `BoundQuiverAlgebra`, a quiver with relations and its integer Cartan
@@ -48,7 +50,6 @@ from .linalg import (
     row_space_rref,
 )
 from .quivers import (
-    Arrow,
     PathVector,
     Quiver,
     coxeter_matrix,
@@ -57,7 +58,9 @@ from .quivers import (
     paths_between,
     quiver_to_json,
     single_path,
+    stored_hash,
     tits_form,
+    unhashed_state,
 )
 
 DimVector = Tuple[int, ...]
@@ -153,134 +156,96 @@ def indecomposables(q: Quiver) -> Tuple[DimVector, ...]:
 
 # --- reflection-functor construction of indecomposables ---
 
-def _reverse_at(q: Quiver, v: int) -> Quiver:
-    return Quiver(
-        q.vertices,
-        tuple(
-            Arrow(a.id, a.target, a.source)
-            if v in (a.source, a.target)
-            else a
-            for a in q.arrows
-        ),
-    )
-
-
 @cache
-def _admissible_cycle(q: Quiver) -> Tuple[int, ...]:
-    """Vertex order in which each vertex is a sink when its turn comes."""
-    order: List[int] = []
-    qq = q
-    while len(order) < len(q.vertices):
-        for v in q.vertices:
-            if v in order:
-                continue
-            if not any(a.source == v for a in qq.arrows):
-                order.append(v)
-                qq = _reverse_at(qq, v)
+def _admissible_cycle(q: Quiver) -> Tuple[Tuple[int, Tuple[Tuple[str, int], ...]], ...]:
+    """The steps of one admissible cycle: each vertex, by index, in an
+    order in which it is a sink when its turn comes, with the arrows at
+    it as (id, index of the other end), sorted by id.
+
+    Reflecting at a sink reverses exactly the arrows at it, so after the
+    whole cycle every arrow has its first orientation again, and the
+    cycle repeats.
+    """
+    n = len(q.vertices)
+    ends = {a.id: [q.index(a.source), q.index(a.target)] for a in q.arrows}
+    steps: List[Tuple[int, Tuple[Tuple[str, int], ...]]] = []
+    while len(steps) < n:
+        done = {k for k, _ in steps}
+        for k in range(n):
+            if k not in done and all(s != k for s, _ in ends.values()):
+                at_k = tuple(sorted((a, e[0]) for a, e in ends.items() if e[1] == k))
+                steps.append((k, at_k))
+                for a, _ in at_k:
+                    ends[a].reverse()
                 break
         else:
             raise RuntimeError("no admissible sink found (cycle?)")
-    return tuple(order)
-
-
-def _reflect_dim(qq: Quiver, k: int, d: DimVector) -> DimVector:
-    idx = {v: i for i, v in enumerate(qq.vertices)}
-    s = sum(d[idx[a.source]] for a in qq.arrows if a.target == k)
-    return tuple(
-        s - c if v == k else c for v, c in zip(qq.vertices, d)
-    )
-
-
-def _quotient(
-    rref: Sequence[Sequence[int]], width: int
-) -> Tuple[List[int], Callable[[Sequence[int]], List[int]]]:
-    """Canonical coordinates modulo the span of an RREF row basis: the
-    free columns, and the map reading a row's reduction at them."""
-    pivots = pivot_columns(rref)
-    free = [c for c in range(width) if c not in pivots]
-
-    def quotient(row: Sequence[int]) -> List[int]:
-        red = reduce_by_rref(row, rref)
-        return [red[c] for c in free]
-
-    return free, quotient
-
-
-def _reflect_rep_at_source(rep: QuiverRep, k: int, qtarget: Quiver) -> QuiverRep:
-    """Inverse reflection functor at a source k; returns a rep of qtarget.
-
-    The cokernel of X_k -> (sum of X_j over arrows k -> j) is taken in
-    the canonical RREF complement coordinates, which makes the whole
-    construction deterministic.
-    """
-    qq = rep.quiver
-    idx = {v: i for i, v in enumerate(qq.vertices)}
-    out = sorted(
-        (a for a in qq.arrows if a.source == k), key=lambda a: a.id
-    )
-    blocks = [rep.mat(a.id) for a in out]
-    widths = [b.cols for b in blocks]
-    total = sum(widths)
-    dk = rep.dims[idx[k]]
-    g_rows = [
-        [e for b in blocks for e in b.row(r)] for r in range(dk)
-    ]
-    g_rref = row_space_rref(g_rows)
-    if len(g_rref) != dk:
-        raise RuntimeError("reflection map not injective")
-    free, quotient = _quotient(g_rref, total)
-    new_dims = list(rep.dims)
-    new_dims[idx[k]] = len(free)
-    offsets = {}
-    off = 0
-    for a, w in zip(out, widths):
-        offsets[a.id] = off
-        off += w
-    mats: Dict[str, Matrix] = {}
-    for a in qtarget.arrows:
-        if a.target == k:
-            # reversed arrow j -> k: embed X_j into the sum, then project
-            dj = rep.dims[idx[a.source]]
-            rows = []
-            for r in range(dj):
-                row = [0] * total
-                row[offsets[a.id] + r] = 1
-                rows.append(quotient(row))
-            ent = tuple(e for row in rows for e in row)
-            mats[a.id] = Matrix(dj, len(free), ent)
-        else:
-            mats[a.id] = rep.mat(a.id)
-    return make_rep(qtarget, new_dims, mats)
+    return tuple(steps)
 
 
 @cache
 def build_representation(q: Quiver, d: DimVector) -> QuiverRep:
-    """Deterministic indecomposable representation with dimension vector d."""
+    """Deterministic indecomposable representation with dimension vector d.
+
+    d is reflected down to a simple root along the admissible cycle; the
+    inverse reflection functor at each source k then climbs back.  X_k
+    becomes the cokernel of X_k -> (sum of X_j over the arrows at k, by
+    id), in the coordinates of the free columns of that map's RREF,
+    which is read off the RREF: the unit vector at a free column maps to
+    a unit vector, and the one at the pivot column of row r to minus row
+    r at the free columns.  Matrices are int rows until the end.
+    """
     if d not in set(indecomposables(q)):
         raise ValueError(f"{d} is not a positive root of this quiver")
     n = len(q.vertices)
     cycle = _admissible_cycle(q)
-    applied: List[Tuple[Quiver, int]] = []
-    cur_q, cur_d = q, d
-    pos = 0
-    while sum(cur_d) > 1:
-        k = cycle[pos % n]
-        pos += 1
-        nd = _reflect_dim(cur_q, k, cur_d)
-        if any(c < 0 for c in nd):
+    dims = list(d)
+    applied = []
+    while sum(dims) > 1:
+        k, at_k = cycle[len(applied) % n]
+        dims[k] = sum(dims[j] for _, j in at_k) - dims[k]
+        if dims[k] < 0:
             raise RuntimeError("reflection left the positive cone")
-        applied.append((cur_q, k))
-        cur_q = _reverse_at(cur_q, k)
-        cur_d = nd
-        if pos > 100 * n:
+        applied.append((k, at_k))
+        if len(applied) > 100 * n:
             raise RuntimeError("reflection sequence did not terminate")
-    vertex = cur_q.vertices[cur_d.index(1)]
-    rep = simple_rep(cur_q, vertex)
-    for qq_before, k in reversed(applied):
-        rep = _reflect_rep_at_source(rep, k, qq_before)
-    if rep.dims != d:
+    # the simple's matrices all meet a zero space, so an arrow not yet
+    # reached by a step has dims[k] empty rows at its end k
+    mats: Dict[str, List[List[int]]] = {}
+    for k, at_k in reversed(applied):
+        blocks = [mats.get(a, [[]] * dims[k]) for a, _ in at_k]
+        g_rref = row_space_rref([sum(rows, []) for rows in zip(*blocks)])
+        if len(g_rref) != dims[k]:
+            raise RuntimeError("reflection map not injective")
+        pivot_row = dict(zip(pivot_columns(g_rref), g_rref))
+        total = sum(dims[j] for _, j in at_k)
+        free = [c for c in range(total) if c not in pivot_row]
+        image = []
+        for c in range(total):
+            row = pivot_row.get(c)
+            if row is None:
+                image.append([int(f == c) for f in free])
+            else:
+                image.append([-row[f] for f in free])
+        off = 0
+        for a, j in at_k:
+            mats[a] = image[off : off + dims[j]]
+            off += dims[j]
+        dims[k] = len(free)
+    if tuple(dims) != d:
         raise RuntimeError("reflection construction produced wrong dims")
-    return rep
+    return make_rep(
+        q,
+        dims,
+        {
+            a.id: Matrix(
+                dims[q.index(a.source)],
+                dims[q.index(a.target)],
+                tuple(e for row in mats.get(a.id, ()) for e in row),
+            )
+            for a in q.arrows
+        },
+    )
 
 
 # --- path action and Hom/Ext ---
@@ -353,6 +318,21 @@ def path_algebra(q: Quiver) -> BoundQuiverAlgebra:
 
 
 Paths = Tuple[Tuple[str, ...], ...]  # paths as arrow-id tuples
+
+
+def _quotient(
+    rref: Sequence[Sequence[int]], width: int
+) -> Tuple[List[int], Callable[[Sequence[int]], List[int]]]:
+    """Canonical coordinates modulo the span of an RREF row basis: the
+    free columns, and the map reading a row's reduction at them."""
+    pivots = pivot_columns(rref)
+    free = [c for c in range(width) if c not in pivots]
+
+    def quotient(row: Sequence[int]) -> List[int]:
+        red = reduce_by_rref(row, rref)
+        return [red[c] for c in free]
+
+    return free, quotient
 
 
 @cache
@@ -551,17 +531,8 @@ class TwoTermComplex:
                         f"non-zero, but no path runs from {b} to {a}"
                     )
 
-    def __hash__(self) -> int:
-        # the generated hash, stored on first use: complexes key many caches
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.quiver, self.deg_minus1, self.deg0, self.diff))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        # str hashes differ between processes, so a pickle leaves it out
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    __hash__ = stored_hash
+    __getstate__ = unhashed_state
 
 
 @cache
@@ -642,24 +613,26 @@ def tau_nakayama(q: Quiver, d: DimVector) -> DimVector:
     return tuple(dims)
 
 
-@cache
-def _translates(q: Quiver) -> Tuple[Dict[DimVector, DimVector], ...]:
-    """tau and tau^{-1} on dimension vectors, as two lookup tables.
+def _translates(
+    cartan: Tuple[DimVector, ...], roots: Sequence[DimVector]
+) -> Tuple[Dict[int, Optional[int]], Dict[Optional[int], int]]:
+    """tau and tau^{-1} on the roots of the Dynkin quiver with Cartan rows
+    cartan, as maps between positions in roots.
 
-    tau sends each non-projective indecomposable d to d * Phi.  Checked
-    once per quiver: the images are distinct and are exactly the
-    non-injective indecomposables (so each is an indecomposable), which is
-    Ringel's bijection over a Dynkin quiver.
+    tau sends each non-projective root d to d * Phi.  Checked on every
+    call: the images are distinct and are exactly the non-injective roots
+    (so each is a root), which is Ringel's bijection over a Dynkin quiver.
     """
-    projs = projective_dim_vectors(q)
-    cols = tuple(zip(*coxeter_matrix(projs)))
+    at = {d: i for i, d in enumerate(roots)}
+    cols = tuple(zip(*coxeter_matrix(cartan)))
+    projs = set(cartan)
     forward = {
-        d: tuple(sum(a * b for a, b in zip(d, col)) for col in cols)
-        for d in indecomposables(q)
+        i: at.get(tuple(sum(a * b for a, b in zip(d, col)) for col in cols))
+        for i, d in enumerate(roots)
         if d not in projs
     }
-    backward = {t: d for d, t in forward.items()}
-    non_injective = set(indecomposables(q)) - set(injective_dim_vectors(q))
+    backward = {t: i for i, t in forward.items()}
+    non_injective = set(at.values()) - {at.get(c) for c in zip(*cartan)}
     if len(backward) != len(forward) or set(backward) != non_injective:
         raise RuntimeError(
             "Coxeter translate is not a bijection onto the non-injective "
@@ -668,19 +641,23 @@ def _translates(q: Quiver) -> Tuple[Dict[DimVector, DimVector], ...]:
     return forward, backward
 
 
+@cache
+def _tau_table(q: Quiver) -> Dict[DimVector, Optional[DimVector]]:
+    """tau on the indecomposables of q, None at the projectives."""
+    roots = indecomposables(q)
+    forward = _translates(projective_dim_vectors(q), roots)[0]
+    return {
+        d: None if i not in forward else roots[forward[i]]
+        for i, d in enumerate(roots)
+    }
+
+
 def tau(q: Quiver, d: DimVector) -> Optional[DimVector]:
     """Dimension vector of tau M, or None when M is projective."""
-    if d not in set(indecomposables(q)):
+    table = _tau_table(q)
+    if d not in table:
         raise ValueError(f"{d} is not an indecomposable dimension vector")
-    return _translates(q)[0].get(d)
-
-
-@cache
-def tau_inverse(q: Quiver, d: DimVector) -> Optional[DimVector]:
-    """Dimension vector of tau^{-1} M, or None when M is injective."""
-    if d not in set(indecomposables(q)):
-        raise ValueError(f"{d} is not an indecomposable dimension vector")
-    return _translates(q)[1].get(d)
+    return table[d]
 
 
 # --- AR quivers ---

@@ -41,6 +41,23 @@ class NotDynkinError(QuiverError):
     """Underlying graph is not a disjoint union of A/D/E diagrams."""
 
 
+def stored_hash(obj) -> int:
+    """The generated hash of a frozen dataclass, the hash of its fields in
+    order, stored on first use: quivers, complexes and silting objects key
+    many caches."""
+    h = obj.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(obj.__dict__.values()))
+        object.__setattr__(obj, "_hash", h)
+    return h
+
+
+def unhashed_state(obj) -> dict:
+    """The pickle state without the stored hash: str hashes differ
+    between processes."""
+    return {k: v for k, v in obj.__dict__.items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class Arrow:
     id: str
@@ -67,17 +84,8 @@ class Quiver:
                 )
         _check_acyclic(self)
 
-    def __hash__(self) -> int:
-        # the generated hash, stored on first use: quivers key many caches
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.vertices, self.arrows))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        # str hashes differ between processes, so a pickle leaves it out
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    __hash__ = stored_hash
+    __getstate__ = unhashed_state
 
     def index(self, v: int) -> int:
         return self.vertices.index(v)
@@ -231,18 +239,6 @@ def opposite(q: Quiver) -> Quiver:
     )
 
 
-def full_subquiver(q: Quiver, keep: Sequence[int]) -> Quiver:
-    keep_set = set(keep)
-    return Quiver(
-        tuple(v for v in q.vertices if v in keep_set),
-        tuple(
-            a
-            for a in q.arrows
-            if a.source in keep_set and a.target in keep_set
-        ),
-    )
-
-
 def _components(q: Quiver) -> List[List[int]]:
     adj: Dict[int, set] = {v: set() for v in q.vertices}
     for a in q.arrows:
@@ -364,7 +360,7 @@ def path_tables(q: Quiver) -> Tuple[PathTable, PathIndex]:
 
 @cache
 def paths_between(q: Quiver) -> PathTable:
-    """path_tables' lists, cached for the input quiver and its subquivers."""
+    """path_tables' lists, cached for the input quiver."""
     return path_tables(q)[0]
 
 

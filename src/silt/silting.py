@@ -1,20 +1,26 @@
 """Enumeration of tilting modules and two-term silting objects.
 
 Two independent routes are provided for each enumeration.  The fast
-route recurses over vertex subsets: restrict the quiver, lift tilting
-modules of the smaller algebra, and (for tilting modules) sweep with
-the inverse AR translate.  The brute-force route checks the defining
-rigidity condition, Hom(X, Y[1]) = 0, over all summand subsets and
-serves as an oracle.  Both routes name summands by their positions in
+route is the subset recursion of Algorithms 1 and 2, run on one table
+per quiver: a positive root is its position in indecomposables(q), and
+a tilting module of the full subquiver on a vertex subset S is a bitmask
+of roots of q.  Over a Dynkin forest the roots of that subquiver are the
+roots of q supported in S, so lifting by zero is the identity.  Each S
+gets tau^{-1}, its projectives and its injectives, read off q's Cartan
+rows restricted to the paths inside S (modules._translates).  The
+brute-force route checks the defining rigidity condition,
+Hom(X, Y[1]) = 0, over all summand subsets and serves as an oracle.
+Both routes build each object once, from its increasing positions: in
 two_term_objects, the indecomposable modules and shifted projectives in
-IndId.key order.  The brute forces rank through the hom_class_dim cache
-for exactly the pairs they visit: over a hereditary algebra Ext^1(M, N)
-= Hom(P_M, P_N[1]) for the minimal projective resolutions P_M, P_N, so
-the tilting brute force ranks module pairs only.  euler_table gives the
-same dimensions as integers: mod KQ is representation-directed, so at
-most one of Hom(X, Y) and Hom(X, Y[1]) is non-zero, and <[X], [Y]> is
-the first minus the second.  End(T) assembly reads its premise and its
-block dimensions off that table.
+IndId.key order, or for a tilting module in indecomposables(q).  The
+brute forces rank through the hom_class_dim cache for exactly the pairs
+they visit: over a hereditary algebra Ext^1(M, N) = Hom(P_M, P_N[1]) for
+the minimal projective resolutions P_M, P_N, so the tilting brute force
+ranks module pairs only.  euler_table gives the same dimensions as
+integers: mod KQ is representation-directed, so at most one of
+Hom(X, Y) and Hom(X, Y[1]) is non-zero, and <[X], [Y]> is the first
+minus the second.  End(T) assembly reads its premise and its block
+dimensions off that table.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Callable, Dict, Iterable, List, Tuple
+from operator import attrgetter, lt
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .complexes import (
     TwoTermComplex,
@@ -32,15 +39,35 @@ from .complexes import (
 )
 from .modules import (
     IndId,
+    _translates,
     ar_quiver_two_term,
     indecomposables,
-    injective_dim_vectors,
     projective_dim_vectors,
-    tau_inverse,
 )
-from .quivers import Quiver, euler_form, full_subquiver
+from .quivers import (
+    Quiver,
+    euler_form,
+    single_path,
+    stored_hash,
+    unhashed_state,
+)
 
 DimVector = Tuple[int, ...]
+
+
+def _at(cls, q: Quiver, positions: Sequence[int], summands: tuple):
+    """cls(q, summands) without running __post_init__: the summands are
+    those at n strictly increasing positions in a list of distinct
+    objects, in the order __post_init__ checks, so its check holds
+    exactly when this one does."""
+    if len(positions) != len(q.vertices) or not all(
+        map(lt, positions, positions[1:])
+    ):
+        raise ValueError("an object needs n strictly increasing positions")
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "quiver", q)
+    object.__setattr__(obj, "summands", summands)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -60,6 +87,15 @@ class TiltingModule:
             if len(d) != n:
                 raise ValueError("summand dimension vector has wrong length")
 
+    __hash__ = stored_hash
+    __getstate__ = unhashed_state
+
+    @classmethod
+    def at(cls, q: Quiver, positions: Sequence[int]) -> "TiltingModule":
+        """The module of the roots at these positions in indecomposables(q)."""
+        roots = map(indecomposables(q).__getitem__, positions)
+        return _at(cls, q, positions, tuple(sorted(roots)))
+
 
 @dataclass(frozen=True)
 class SiltingObject:
@@ -75,6 +111,15 @@ class SiltingObject:
         keys = [s.key() for s in self.summands]
         if keys != sorted(set(keys)):
             raise ValueError("summands must be sorted and distinct")
+
+    __hash__ = stored_hash
+    __getstate__ = unhashed_state
+
+    @classmethod
+    def at(cls, q: Quiver, positions: Sequence[int]) -> "SiltingObject":
+        """The object at these positions in two_term_objects(q)."""
+        objs = map(two_term_objects(q).__getitem__, positions)
+        return _at(cls, q, positions, tuple(objs))
 
     @property
     def shifted_vertices(self) -> Tuple[int, ...]:
@@ -100,68 +145,91 @@ class SiltingObject:
         return ar.to_ascii(selected=set(self.summands))
 
 
-def restrict(q: Quiver, drop: Iterable[int]) -> Quiver:
-    """Full subquiver on the complement of the given vertex set."""
-    dropped = set(drop)
-    return full_subquiver(q, tuple(v for v in q.vertices if v not in dropped))
-
-
-def _lift_positions(q: Quiver, sub: Quiver) -> List[int]:
-    """For each vertex of q, its position in the full subquiver sub, or
-    len(sub.vertices) where sub drops it: the slot of the 0 that _lifted
-    appends."""
-    at = {v: i for i, v in enumerate(sub.vertices)}
-    return [at.get(v, len(at)) for v in q.vertices]
-
-
-def _lifted(picks: List[int], dims: Iterable[DimVector]) -> List[DimVector]:
-    """Dimension vectors over sub extended by zero to q, through the
-    _lift_positions of (q, sub)."""
+def _bits(mask: int) -> Tuple[int, ...]:
+    """The positions of the set bits of mask, increasing."""
     out = []
-    for d in dims:
-        padded = d + (0,)
-        out.append(tuple([padded[i] for i in picks]))
-    return out
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _subset_table(q: Quiver, on_path: Dict, supports: List[int], s: int):
+    """tau^{-1}, the projectives and the injectives of the full subquiver
+    on the vertex bitmask s: its roots are those of q supported in s, and
+    its Cartan rows are q's restricted to the paths inside s.  Returns
+    tau^{-1} from each non-injective root's position to its image's bit,
+    each vertex's projective's bit, and the mask of the injectives."""
+    vs, all_roots = _bits(s), indecomposables(q)
+    inside = {uv for uv, m in on_path.items() if m | s == s}
+    cartan = tuple(tuple(int((u, v) in inside) for v in vs) for u in vs)
+    members = [r for r, m in enumerate(supports) if m | s == s]
+    roots = [tuple(all_roots[r][v] for v in vs) for r in members]
+    bit = {d: 1 << r for d, r in zip(roots, members)}
+    backward = _translates(cartan, roots)[1]
+    tau_inv = {members[t]: 1 << members[r] for t, r in backward.items()}
+    projs = {v: bit[row] for v, row in zip(vs, cartan)}
+    return tau_inv, projs, sum(bit[col] for col in zip(*cartan))
+
+
+@cache
+def _tilting_masks(q: Quiver) -> Tuple[Tuple[int, ...], ...]:
+    """Algorithm 1 on every vertex subset s, smallest first: entry s
+    holds the tilting modules of the full subquiver on s, as root masks.
+
+    For each non-empty i inside s: take the projectives P(i) and each
+    tilting module N of the subquiver on s minus i (done already) with no
+    summand injective over s, and form M = P(i) + tau^{-1}N; then emit M,
+    tau^{-1}M, tau^{-2}M, ... up to and including the first stage with
+    an injective summand.  The projectives are distinct roots, and so
+    are the images of distinct roots under tau^{-1}, so each sum of bits
+    is a union; a P(i) that is also in tau^{-1}N merges with it, and
+    the count check rejects the module.
+    """
+    target = {a.id: q.index(a.target) for a in q.arrows}
+    on_path = {  # (u, v) -> the vertex mask of the path from u to v
+        (i, j): sum(1 << target[a] for a in p.arrows) | 1 << i
+        for i, u in enumerate(q.vertices)
+        for j, v in enumerate(q.vertices)
+        if (p := single_path(q, u, v))
+    }
+    supports = [
+        sum(1 << i for i, c in enumerate(d) if c) for d in indecomposables(q)
+    ]
+    masks: List[Tuple[int, ...]] = [(0,)]
+    for s in range(1, 1 << len(q.vertices)):
+        tau_inv, projs, injs = _subset_table(q, on_path, supports, s)
+        found = set()
+        i = s
+        while i:
+            p_part = sum(map(projs.__getitem__, _bits(i)))
+            for nt in masks[s ^ i]:
+                if nt & injs:
+                    continue
+                stage = p_part | sum(map(tau_inv.__getitem__, _bits(nt)))
+                guard = 0
+                while True:
+                    found.add(stage)
+                    if stage & injs:
+                        break
+                    stage = sum(map(tau_inv.__getitem__, _bits(stage)))
+                    guard += 1
+                    if guard > 1000:
+                        raise RuntimeError("tau-inverse sweep did not terminate")
+            i = (i - 1) & s
+        if any(m.bit_count() != s.bit_count() for m in found):
+            raise ValueError("a tilting module needs one summand per vertex")
+        masks.append(tuple(found))
+    return tuple(masks)
 
 
 @cache
 def tilting_modules_alg1(q: Quiver) -> Tuple[TiltingModule, ...]:
-    """All basic tilting modules by subset recursion and tau-inverse sweeps.
-
-    For each non-empty vertex subset I: take the projectives P(i), i in
-    I, lift each tilting module N of the restricted quiver whose
-    summands are not injective over the big algebra, and form
-    M = P(I) + tau^{-1}N; then emit M, tau^{-1}M, tau^{-2}M, ... up to
-    and including the first stage containing an injective summand.
-    """
-    n = len(q.vertices)
-    if n == 0:
-        return (TiltingModule(q, ()),)
-    projs = projective_dim_vectors(q)
-    injs = set(injective_dim_vectors(q))
-    found = set()
-    for mask in range(1, 1 << n):
-        keep_out = tuple(
-            v for i, v in enumerate(q.vertices) if mask >> i & 1
-        )
-        sub = restrict(q, keep_out)
-        picks = _lift_positions(q, sub)
-        p_part = tuple(projs[q.index(v)] for v in keep_out)
-        for nt in tilting_modules_alg1(sub):
-            lifted = _lifted(picks, nt.summands)
-            if any(d in injs for d in lifted):
-                continue
-            stage = p_part + tuple(tau_inverse(q, d) for d in lifted)
-            guard = 0
-            while True:
-                found.add(tuple(sorted(stage)))
-                if any(d in injs for d in stage):
-                    break
-                stage = tuple(tau_inverse(q, d) for d in stage)
-                guard += 1
-                if guard > 1000:
-                    raise RuntimeError("tau-inverse sweep did not terminate")
-    return tuple(TiltingModule(q, s) for s in sorted(found))
+    """All basic tilting modules by Algorithm 1 (_tilting_masks), sorted
+    by their sorted dimension vectors."""
+    mods = (TiltingModule.at(q, _bits(m)) for m in _tilting_masks(q)[-1])
+    return tuple(sorted(mods, key=attrgetter("summands")))
 
 
 def _rigid_subsets(
@@ -207,6 +275,7 @@ def summand_complex(q: Quiver, s: IndId) -> TwoTermComplex:
     return shifted_projective(q, s.vertex)
 
 
+@cache
 def two_term_objects(q: Quiver) -> Tuple[IndId, ...]:
     """The indecomposable two-term objects in IndId.key order: the
     modules in indecomposables order, then the shifted projectives
@@ -237,28 +306,21 @@ def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
 
     For every vertex subset I (empty and full included), combine the
     shifted projectives P(i)[1], i in I, with each tilting module of
-    the restricted quiver, lifted by zero to the big vertex set.  Each
-    object is built as the increasing positions of its summands in
-    two_term_objects, so sorting the positions sorts by IndId.key.
+    the full subquiver on the complement (_tilting_masks).  A module's
+    root positions are its positions in two_term_objects, and every
+    shifted projective comes after them, so sorting the positions sorts
+    by IndId.key.
     """
-    n = len(q.vertices)
     objs = two_term_objects(q)
-    at_dim = {o.dim: i for i, o in enumerate(objs) if o.kind == "mod"}
-    at_shift = {o.vertex: i for i, o in enumerate(objs) if o.kind == "shift"}
-    out = set()
-    for mask in range(1 << n):
-        shift_set = tuple(
-            v for i, v in enumerate(q.vertices) if mask >> i & 1
-        )
-        sub = restrict(q, shift_set)
-        picks = _lift_positions(q, sub)
-        shifted = [at_shift[v] for v in shift_set]
-        for nt in tilting_modules_alg1(sub):
-            mods = [at_dim[d] for d in _lifted(picks, nt.summands)]
-            out.add(tuple(sorted(shifted + mods)))
-    return tuple(
-        SiltingObject(q, tuple(objs[i] for i in s)) for s in sorted(out)
-    )
+    at_shift = {o.vertex: a for a, o in enumerate(objs) if o.kind == "shift"}
+    shift_pos = [at_shift[v] for v in q.vertices]
+    masks = _tilting_masks(q)
+    full = len(masks) - 1
+    out = []
+    for i in range(len(masks)):
+        tail = tuple(sorted(map(shift_pos.__getitem__, _bits(i))))
+        out.extend(_bits(m) + tail for m in masks[full ^ i])
+    return tuple(SiltingObject.at(q, p) for p in sorted(out))
 
 
 @cache
@@ -273,7 +335,7 @@ def silting_bruteforce(q: Quiver) -> Tuple[SiltingObject, ...]:
     objs = two_term_objects(q)
     cx = [summand_complex(q, o) for o in objs]
     return tuple(
-        SiltingObject(q, tuple(objs[i] for i in chosen))
+        SiltingObject.at(q, chosen)
         for chosen in _rigid_subsets(
             len(q.vertices),
             len(objs),
@@ -288,12 +350,10 @@ def tilting_modules_bruteforce(q: Quiver) -> Tuple[TiltingModule, ...]:
     Ext^1(M, N) = Hom(P_M, P_N[1]), ranked on module pairs only."""
     mods = indecomposables(q)
     cx = [resolve_dim(q, d) for d in mods]
-    out = [
-        tuple(sorted(mods[i] for i in chosen))
-        for chosen in _rigid_subsets(
-            len(q.vertices),
-            len(mods),
-            lambda i, j: hom_class_dim(cx[i], cx[j], 1) == 0,
-        )
-    ]
-    return tuple(TiltingModule(q, s) for s in sorted(out))
+    chosen = _rigid_subsets(
+        len(q.vertices),
+        len(mods),
+        lambda i, j: hom_class_dim(cx[i], cx[j], 1) == 0,
+    )
+    found = (TiltingModule.at(q, c) for c in chosen)
+    return tuple(sorted(found, key=attrgetter("summands")))

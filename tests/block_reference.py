@@ -7,7 +7,8 @@ classify's one-pass block verdicts are tested against.
 from typing import Tuple
 
 from silt.modules import BoundQuiverAlgebra
-from silt.quivers import _components, full_subquiver
+from silt.quivers import _components
+from silting_reference import full_subquiver
 
 
 def block_algebras(b: BoundQuiverAlgebra) -> Tuple[BoundQuiverAlgebra, ...]:

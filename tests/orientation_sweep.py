@@ -1,12 +1,15 @@
 """Run silt's own cross-checks on every orientation of the Dynkin diagrams
 up to E8, outside the tier-1 suite (pytest does not collect this file).
 
-    PYTHONPATH=src python tests/orientation_sweep.py [classify] [silting]
+    PYTHONPATH=src python tests/orientation_sweep.py [classify] [silting] [tilting]
 
 `classify` runs `silt classify --oracle --format csv` on every orientation
 of A1-A5, D4, D5, E6 and E7 (148 quivers); `silting` runs
 `silt silting --oracle --format csv` on every orientation of E8 (128
-quivers).  With no argument both run, in that order.  Each run calls
+quivers); `tilting` runs `silt silting --tilting-only --oracle --format
+csv`, which checks Algorithm 1 against its brute force, on every
+orientation of E7 and E8 (192 quivers).  With no argument all three run,
+in that order.  Each run calls
 silt.cli.main in this process, writes its output to a scratch file, and
 must exit 0: an internal check that fails, such as an RREF that is not
 integral, exits 1 and names the quiver.  Every silt cache is cleared
@@ -28,6 +31,10 @@ SWEEPS = {
         TYPES_WITH_E6 + [("E", 7)],
     ),
     "silting": (["silting", "--oracle", "--format", "csv"], [("E", 8)]),
+    "tilting": (
+        ["silting", "--tilting-only", "--oracle", "--format", "csv"],
+        [("E", 7), ("E", 8)],
+    ),
 }
 
 
@@ -39,7 +46,7 @@ def clear_caches() -> None:
                     obj.cache_clear()
 
 
-def sweep(command, types, scratch: Path) -> list:
+def sweep(name, command, types, scratch: Path) -> list:
     failed = []
     quiver, out = scratch / "q.quiver", scratch / "out.csv"
     for kind, n in types:
@@ -49,10 +56,10 @@ def sweep(command, types, scratch: Path) -> list:
             quiver.write_text(text)
             argv = [command[0], str(quiver), *command[1:], "--out", str(out)]
             if silt.cli.main(argv) != 0:
-                failed.append(f"{command[0]} {kind}{n}:\n{text}")
+                failed.append(f"{name} {kind}{n}:\n{text}")
             clear_caches()
         print(
-            f"{command[0]} {kind}{n}: {len(quivers)} orientations, "
+            f"{name} {kind}{n}: {len(quivers)} orientations, "
             f"{time.perf_counter() - t0:.1f} s",
             flush=True,
         )
@@ -64,7 +71,7 @@ def main(argv) -> int:
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
-            failed += sweep(*SWEEPS[name], Path(tmp))
+            failed += sweep(name, *SWEEPS[name], Path(tmp))
     for f in failed:
         print(f"FAILED {f}", file=sys.stderr)
     return 1 if failed else 0

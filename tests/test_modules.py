@@ -2,7 +2,9 @@
 
 import pytest
 
-from dynkin_orientations import TYPES_WITH_E6, orientations
+import reflection_reference
+from dynkin_orientations import E6, TYPES_WITH_E6, orientations
+from silting_reference import tau_inverse
 from silt import modules
 from silt.quivers import NotDynkinError, dynkin_type, euler_form, parse_quiver
 from silt.modules import (
@@ -19,7 +21,6 @@ from silt.modules import (
     minimal_presentation,
     projective_dim_vectors,
     tau,
-    tau_inverse,
     tau_nakayama,
 )
 
@@ -104,6 +105,16 @@ def test_build_d4_exceptional_root():
 
     assert rank(stacked) == 2
     assert hom_dim(D4, rep, rep) == 1
+
+
+def test_build_representation_matches_the_reflection_reference():
+    # the int-row chain and the Quiver/QuiverRep chain build equal
+    # representations of every root of every D5 orientation and of E6
+    quivers = [q for _, q in orientations("D", 5)] + [E6]
+    for q in quivers:
+        for d in indecomposables(q):
+            want = reflection_reference.build_representation(q, d)
+            assert build_representation(q, d) == want, (q, d)
 
 
 def test_every_indecomposable_has_trivial_endos():

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import silting_reference
 from dynkin_orientations import E6, TYPES_UP_TO_D5, orientations
 from endo_reference import is_presilting
+from silting_reference import restrict
 from silt.cli import FIXTURE_NAMES
 from silt import silting
 from silt.complexes import hom_class_dim
@@ -27,7 +29,6 @@ from silt.silting import (
     _rigid_subsets,
     TiltingModule,
     euler_table,
-    restrict,
     silting_alg2,
     silting_bruteforce,
     summand_complex,
@@ -68,6 +69,37 @@ def test_restrict_middle_gives_isolated_vertices():
     sub = restrict(A3, (2,))
     assert sub.vertices == (1, 3)
     assert sub.arrows == ()
+
+
+# --- the table-driven algorithms against the quiver-recursive reference ---
+
+@pytest.mark.parametrize(
+    "quivers",
+    [
+        pytest.param([q for _, q in orientations(k, n)], id=f"{k}{n}")
+        for k, n in TYPES_UP_TO_D5
+    ]
+    + [pytest.param([E6], id="E6")],
+)
+def test_algorithms_1_and_2_match_the_reference(quivers):
+    # equal tuples, in the same order, on every orientation
+    for q in quivers:
+        assert tilting_modules_alg1(q) == silting_reference.tilting_modules_alg1(q)
+        assert silting_alg2(q) == silting_reference.silting_alg2(q)
+
+
+def test_objects_from_positions_equal_the_checked_constructor():
+    for t in silting_alg2(D4):
+        built = SiltingObject(D4, t.summands)
+        assert built == t and hash(built) == hash(t)
+    for t in tilting_modules_alg1(D4):
+        assert TiltingModule(D4, t.summands) == t
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SiltingObject.at(A2, (1, 0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TiltingModule.at(A2, (0, 0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SiltingObject.at(A2, (0,))
 
 
 # --- Algorithm 1 ---

@@ -3,10 +3,10 @@
 perfbench/trace_child.py replaces functions by name and reads the
 cache_info of others; a name that no longer resolves is only reported on
 stderr and its metrics read 0.  This test loads the script by path and
-checks every endo and classify entry, so that a refactor cannot drop a
-span without a failing test.  It also runs the script's own wrappers
-over a cold classify, so that every attribute they read off a silt
-object (End(T)'s dimension, the fingerprint's algebra, the RatMatrix
+checks every silting, endo and classify entry, so that a refactor cannot
+drop a span without a failing test.  It also runs the script's own
+wrappers over a cold classify, so that every attribute they read off a
+silt object (End(T)'s dimension, the fingerprint's algebra, the Matrix
 that rref and kernel_basis receive) must still exist.
 """
 
@@ -23,7 +23,7 @@ from silt.quivers import parse_quiver
 from silt.silting import silting_alg2
 
 SCRIPT = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
-MODULES = ("silt.endo", "silt.classify")
+MODULES = ("silt.silting", "silt.endo", "silt.classify")
 
 
 def _load_trace_child():
@@ -43,6 +43,12 @@ def test_the_tables_name_endo_and_classify():
     assert {"endo.blocks", "endo.cartan_data", "classify.resolutions"} <= spans
     assert {"classify.tilted_type", "classify.fingerprint"} <= spans
     assert ("silt.classify", "_simple_resolutions") in CACHED
+    assert {
+        "silting.silting_alg2",
+        "silting.tilting_modules_alg1",
+        "silting.silting_bruteforce",
+        "silting.tilting_modules_bruteforce",
+    } <= spans
 
 
 @pytest.mark.parametrize("name, modname, attr", TRACED, ids=lambda x: x)
