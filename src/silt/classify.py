@@ -419,7 +419,7 @@ def dedupe(
     for fp in sorted(grouped):
         members = sorted(
             grouped[fp],
-            key=lambda r: [s.key() for s in r.silting.summands],
+            key=lambda r: r.silting.positions,
         )
         out.append(tuple(members))
     return tuple(out)
@@ -477,9 +477,7 @@ def _summary_rows(
 
 
 def summary_csv(groups: Sequence[Sequence[ClassificationRecord]]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(_summary_rows(groups))
-    return buf.getvalue()
+    return csv_table(_summary_rows(groups))
 
 
 def summary_text(groups: Sequence[Sequence[ClassificationRecord]]) -> str:
@@ -496,3 +494,10 @@ def text_table(rows: Sequence[Sequence[str]]) -> str:
         for r in rows
     ]
     return "\n".join(lines) + "\n"
+
+
+def csv_table(rows: Iterable[Sequence]) -> str:
+    """Rows as CSV lines, each ending in a newline: every CSV report."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()

@@ -12,26 +12,24 @@ classify     classify the endomorphism algebra of every silting object
 paper-suite  recompute every frozen count and structure over the bundled
              fixture quivers and print an expected-vs-computed table
 
-Exit codes: 0 success, 1 oracle or suite failure, 2 input error, 3 quiver
-not of Dynkin type.  All output is deterministic: byte-identical across
-runs.  Every check runs before the first byte is written, so a failed
-check prints nothing to stdout and creates no --out file.  JSON reports
-are streamed by one writer, ``_write_json``: the large arrays are converted
-and written one element at a time, with exactly the bytes of
-``json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)`` plus
-a newline.  The environment variable SILT_SEED
+Exit codes: 0 success, 1 oracle or suite failure, 2 input or output
+error, 3 quiver not of Dynkin type.  All output is deterministic:
+byte-identical across runs.  Every check runs before the first byte is
+written, so a failed check prints nothing to stdout and creates no --out
+file.  JSON reports are streamed by one writer, ``_write_json``: the
+large arrays are converted and written one element at a time, with
+exactly the bytes of ``json.dumps(payload, indent=2, sort_keys=True,
+ensure_ascii=False)`` plus a newline.  The environment variable SILT_SEED
 is reserved and unused; nothing here is randomised.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import os
 import sys
 from importlib.resources import files
 from json.encoder import encode_basestring
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
@@ -40,6 +38,7 @@ from .classify import (
     check_homology,
     check_tilted_types,
     classify,
+    csv_table,
     dedupe,
     ext_matrix,
     homology,
@@ -265,7 +264,7 @@ def _load_quiver(spec: str) -> Quiver:
     if path.is_file():
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise CliFailure(2, f"cannot read {spec}: {e}")
     else:
         name = spec.lower().removesuffix(".quiver")
@@ -346,14 +345,6 @@ def _write_json(payload, write: Callable[[str], object]) -> None:
     write("".join(parts))
 
 
-def _dump_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
 def _enumerate(q: Quiver, algorithmic, brute_force, what: str, oracle: bool):
     """algorithmic(q), checked against brute_force(q) if asked.  An
     internal-check error names the stage it came from."""
@@ -392,9 +383,10 @@ def cmd_ar(args) -> Report:
             "tau": [[m.label(), t.label()] for m, t in ar.tau_pairs],
             "layout": {v.label(): pos for v, pos in ar.layout},
         }
-    rows = [("arrow", s.label(), t.label()) for s, t in ar.arrows]
+    rows = [("kind", "source", "target")]
+    rows += [("arrow", s.label(), t.label()) for s, t in ar.arrows]
     rows += [("tau", m.label(), t.label()) for m, t in ar.tau_pairs]
-    return _dump_csv(("kind", "source", "target"), rows)
+    return csv_table(rows)
 
 
 # --- silting ---
@@ -407,7 +399,7 @@ def _render_silting(q: Quiver, objs, fmt: str) -> Report:
             "objects": map(SiltingObject.to_json_dict, objs),
         }
     if fmt == "csv":
-        rows = [
+        rows = [("index", "shifted", "modules")] + [
             (
                 i,
                 " ".join(str(v) for v in t.shifted_vertices),
@@ -415,7 +407,7 @@ def _render_silting(q: Quiver, objs, fmt: str) -> Report:
             )
             for i, t in enumerate(objs, start=1)
         ]
-        return _dump_csv(("index", "shifted", "modules"), rows)
+        return csv_table(rows)
     parts = [f"silting objects: {len(objs)}", ""]
     for i, t in enumerate(objs, start=1):
         parts.append(f"#{i} {t.label()}")
@@ -425,24 +417,21 @@ def _render_silting(q: Quiver, objs, fmt: str) -> Report:
 
 
 def _render_tilting(q: Quiver, mods, fmt: str) -> Report:
+    dims = map(lambda m: sorted(m.module_dims), mods)
     if fmt == "json":
         return {
             "quiver": quiver_to_json(q),
             "count": len(mods),
-            "modules": map(attrgetter("summands"), mods),
+            "modules": dims,
         }
-    descs = [
-        "+".join(IndId.module(d).label() for d in m.summands) for m in mods
-    ]
+    descs = ["+".join(IndId.module(d).label() for d in ds) for ds in dims]
     if fmt == "csv":
-        rows = list(enumerate(descs, start=1))
-        return _dump_csv(("index", "summands"), rows)
+        return csv_table([("index", "summands"), *enumerate(descs, start=1)])
     ar = ar_quiver_mod(q)
     parts = [f"tilting modules: {len(mods)}", ""]
     for i, (m, desc) in enumerate(zip(mods, descs), start=1):
-        sel = {IndId.module(d) for d in m.summands}
         parts.append(f"#{i} {desc}")
-        parts.append(ar.to_ascii(selected=sel).rstrip("\n"))
+        parts.append(ar.to_ascii(selected=set(m.summands)).rstrip("\n"))
         parts.append("")
     return "\n".join(parts).rstrip("\n") + "\n"
 
@@ -717,7 +706,7 @@ def _render_suite(rows: Sequence[SuiteRow], fmt: str) -> Report:
         for c, check, exp, got, ok in rows
     ]
     if fmt == "csv":
-        return _dump_csv(SUITE_COLUMNS, table)
+        return csv_table([SUITE_COLUMNS, *table])
     if fmt == "json":
         return {
             "checks": [dict(zip(SUITE_COLUMNS, r)) for r in table],
@@ -773,15 +762,20 @@ def main(argv=None) -> int:
         else:
             _write_json(report, write)
 
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as f:
                 emit(f.write)
-        except OSError as e:
-            print(f"silt: error: cannot write {args.out}: {e}", file=sys.stderr)
-            return 2
-    else:
-        emit(sys.stdout.write)
+        else:
+            emit(sys.stdout.write)
+            sys.stdout.flush()
+    except OSError as e:
+        if not args.out:
+            # a closed stdout: the interpreter's last flush goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        where = args.out or "stdout"
+        print(f"silt: error: cannot write {where}: {e}", file=sys.stderr)
+        return 2
     return code
 
 

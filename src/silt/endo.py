@@ -6,7 +6,8 @@ product x.y = x after y, so that End of the regular object recovers the
 path algebra with its original arrow directions.
 
 The premise and the block dimensions are integers off the Euler form
-table silting.euler_table: T is presilting iff <[T_i], [T_j]> >= 0
+table silting.euler_table, read at T's positions in two_term_objects
+(which is all that T stores): T is presilting iff <[T_i], [T_j]> >= 0
 whenever T_j is a module, and dim e_i B e_j = max(0, <[T_j], [T_i]>),
 checked to be at most 1, and 1 for i = j.  Only the non-zero blocks
 reach the Hom layer: hom_class_basis gives each a canonical basis class,
@@ -65,23 +66,17 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
         raise ValueError(
             f"{t.label()}: silting object lives over a different quiver"
         )
-    at, chi = euler_table(q)
-    pos = [at.get(s) for s in t.summands]
-    if None in pos:
-        s = t.summands[pos.index(None)]
-        raise ValueError(
-            f"{t.label()}: {s.label()} is not a two-term indecomposable"
-        )
+    chi, pos, summands = euler_table(q), t.positions, t.summands
     # Hom(T_i, T_j[1]) = 0 always when T_j is shifted
-    mods = [b for b, s in zip(pos, t.summands) if s.kind == "mod"]
+    mods = [b for b, s in zip(pos, summands) if s.kind == "mod"]
     if any(chi[a][b] < 0 for a in pos for b in mods):
         raise ValueError(f"{t.label()}: the given object is not silting")
 
     def failed(check: str) -> RuntimeError:
         return RuntimeError(f"{t.label()}: assembly: {check}")
 
-    n = len(t.summands)
-    cx = [summand_complex(q, s) for s in t.summands]
+    n = len(summands)
+    cx = [summand_complex(q, s) for s in summands]
     # dims[i][j] = dim e_i B e_j = dim Hom(T_j, T_i), checked to be 0 or
     # 1, and 1 also in the Hom basis that _product composes
     dims = [[max(0, chi[b][a]) for b in pos] for a in pos]
@@ -92,7 +87,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                 d, expected = hom_class_basis(cx[j], cx[i], 0).dim(), (1,)
             if d not in expected:
                 raise failed(
-                    f"Hom({t.summands[j].label()}, {t.summands[i].label()}) "
+                    f"Hom({summands[j].label()}, {summands[i].label()}) "
                     f"has dimension {d}, expected "
                     + " or ".join(map(str, expected))
                 )
@@ -102,7 +97,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
         c = _product(cx[j], cx[k], cx[i])
         if c not in (0, 1, -1):
             raise failed(
-                f"composition scalar {c} through {t.summands[k].label()} "
+                f"composition scalar {c} through {summands[k].label()} "
                 "is not 0 or ±1"
             )
         return c

@@ -10,17 +10,21 @@ gets tau^{-1}, its projectives and its injectives, read off q's Cartan
 rows restricted to the paths inside S (modules._translates).  The
 brute-force route checks the defining rigidity condition,
 Hom(X, Y[1]) = 0, over all summand subsets and serves as an oracle.
-Both routes build each object once, from its increasing positions: in
-two_term_objects, the indecomposable modules and shifted projectives in
-IndId.key order, or for a tilting module in indecomposables(q).  The
-brute forces rank through the hom_class_dim cache for exactly the pairs
-they visit: over a hereditary algebra Ext^1(M, N) = Hom(P_M, P_N[1]) for
-the minimal projective resolutions P_M, P_N, so the tilting brute force
-ranks module pairs only.  euler_table gives the same dimensions as
-integers: mod KQ is representation-directed, so at most one of
-Hom(X, Y) and Hom(X, Y[1]) is non-zero, and <[X], [Y]> is the first
-minus the second.  End(T) assembly reads its premise and its block
-dimensions off that table.
+An object is the strictly increasing positions of its summands in
+two_term_objects: the indecomposable modules in indecomposables order,
+then the shifted projectives, all in IndId.key order.  A tilting module
+is an object with no shifted summand (Adachi-Iyama-Reiten), so its
+positions are those of its roots in indecomposables(q).  Both brute
+forces pick the rigid n-subsets of the first m two-term objects (all of
+them for silting, the modules for tilting), ranked through the
+hom_class_dim cache for exactly the pairs they visit: over a hereditary
+algebra Ext^1(M, N) = Hom(P_M, P_N[1]) for the minimal projective
+resolutions P_M, P_N, so the tilting brute force ranks module pairs
+only.  euler_table gives the same dimensions as integers: mod KQ is
+representation-directed, so at most one of Hom(X, Y) and Hom(X, Y[1])
+is non-zero, and <[X], [Y]> is the first minus the second.  End(T)
+assembly reads its premise and its block dimensions off that table, at
+the object's positions.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from operator import attrgetter, lt
-from typing import Callable, Dict, List, Sequence, Tuple
+from operator import lt
+from typing import Callable, Dict, List, Tuple
 
 from .complexes import (
     TwoTermComplex,
@@ -55,71 +59,31 @@ from .quivers import (
 DimVector = Tuple[int, ...]
 
 
-def _at(cls, q: Quiver, positions: Sequence[int], summands: tuple):
-    """cls(q, summands) without running __post_init__: the summands are
-    those at n strictly increasing positions in a list of distinct
-    objects, in the order __post_init__ checks, so its check holds
-    exactly when this one does."""
-    if len(positions) != len(q.vertices) or not all(
-        map(lt, positions, positions[1:])
-    ):
-        raise ValueError("an object needs n strictly increasing positions")
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "quiver", q)
-    object.__setattr__(obj, "summands", summands)
-    return obj
-
-
-@dataclass(frozen=True)
-class TiltingModule:
-    """Basic tilting module, stored as its sorted summand dimension vectors."""
-
-    quiver: Quiver
-    summands: Tuple[DimVector, ...]
-
-    def __post_init__(self):
-        n = len(self.quiver.vertices)
-        if len(self.summands) != n:
-            raise ValueError("a tilting module needs one summand per vertex")
-        if list(self.summands) != sorted(set(self.summands)):
-            raise ValueError("summands must be sorted and distinct")
-        for d in self.summands:
-            if len(d) != n:
-                raise ValueError("summand dimension vector has wrong length")
-
-    __hash__ = stored_hash
-    __getstate__ = unhashed_state
-
-    @classmethod
-    def at(cls, q: Quiver, positions: Sequence[int]) -> "TiltingModule":
-        """The module of the roots at these positions in indecomposables(q)."""
-        roots = map(indecomposables(q).__getitem__, positions)
-        return _at(cls, q, positions, tuple(sorted(roots)))
-
-
 @dataclass(frozen=True)
 class SiltingObject:
-    """Basic two-term silting object M + P[1], stored as sorted summand ids."""
+    """Basic two-term silting object M + P[1], stored as the strictly
+    increasing positions of its summands in two_term_objects(quiver).  A
+    tilting module is one with no shifted summand."""
 
     quiver: Quiver
-    summands: Tuple[IndId, ...]
+    positions: Tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.quiver.vertices)
-        if len(self.summands) != n:
-            raise ValueError("a silting object needs one summand per vertex")
-        keys = [s.key() for s in self.summands]
-        if keys != sorted(set(keys)):
-            raise ValueError("summands must be sorted and distinct")
+        p, m = self.positions, len(two_term_objects(self.quiver))
+        if len(p) != len(self.quiver.vertices) or not all(
+            map(lt, p, p[1:])
+        ):
+            raise ValueError("an object needs n strictly increasing positions")
+        if p and not 0 <= p[0] <= p[-1] < m:
+            raise ValueError(f"positions must lie in range({m})")
 
     __hash__ = stored_hash
     __getstate__ = unhashed_state
 
-    @classmethod
-    def at(cls, q: Quiver, positions: Sequence[int]) -> "SiltingObject":
-        """The object at these positions in two_term_objects(q)."""
-        objs = map(two_term_objects(q).__getitem__, positions)
-        return _at(cls, q, positions, tuple(objs))
+    @property
+    def summands(self) -> Tuple[IndId, ...]:
+        objs = two_term_objects(self.quiver)
+        return tuple(map(objs.__getitem__, self.positions))
 
     @property
     def shifted_vertices(self) -> Tuple[int, ...]:
@@ -224,12 +188,26 @@ def _tilting_masks(q: Quiver) -> Tuple[Tuple[int, ...], ...]:
     return tuple(masks)
 
 
+def _by_module_dims(q: Quiver, mods) -> Tuple[SiltingObject, ...]:
+    """Tilting modules sorted by their sorted dimension vectors: through
+    each root's rank in lexicographic order, the key is a list of ints."""
+    roots = indecomposables(q)
+    rank = [0] * len(roots)
+    for r, a in enumerate(sorted(range(len(roots)), key=roots.__getitem__)):
+        rank[a] = r
+
+    def key(t: SiltingObject) -> List[int]:
+        return sorted(map(rank.__getitem__, t.positions))
+
+    return tuple(sorted(mods, key=key))
+
+
 @cache
-def tilting_modules_alg1(q: Quiver) -> Tuple[TiltingModule, ...]:
+def tilting_modules_alg1(q: Quiver) -> Tuple[SiltingObject, ...]:
     """All basic tilting modules by Algorithm 1 (_tilting_masks), sorted
     by their sorted dimension vectors."""
-    mods = (TiltingModule.at(q, _bits(m)) for m in _tilting_masks(q)[-1])
-    return tuple(sorted(mods, key=attrgetter("summands")))
+    masks = _tilting_masks(q)[-1]
+    return _by_module_dims(q, (SiltingObject(q, _bits(m)) for m in masks))
 
 
 def _rigid_subsets(
@@ -287,17 +265,16 @@ def two_term_objects(q: Quiver) -> Tuple[IndId, ...]:
 
 
 @cache
-def euler_table(
-    q: Quiver,
-) -> Tuple[Dict[IndId, int], Tuple[Tuple[int, ...], ...]]:
-    """Each object's position in two_term_objects(q), and the Euler forms
-    chi[a][b] = <[X_a], [X_b]> with [M] = dim M and [P_v[1]] = -dim P_v:
-    dim Hom(X_a, X_b) = max(0, chi[a][b]), and dim Hom(X_a, X_b[1]) is
-    max(0, -chi[a][b]) when X_b is a module and 0 when it is shifted."""
-    objs = two_term_objects(q)
-    k0 = [o.dim if o.kind == "mod" else tuple(-c for c in o.dim) for o in objs]
-    chi = tuple(tuple(euler_form(q, d, e) for e in k0) for d in k0)
-    return {o: a for a, o in enumerate(objs)}, chi
+def euler_table(q: Quiver) -> Tuple[Tuple[int, ...], ...]:
+    """The Euler forms chi[a][b] = <[X_a], [X_b]> over two_term_objects(q),
+    with [M] = dim M and [P_v[1]] = -dim P_v: dim Hom(X_a, X_b) =
+    max(0, chi[a][b]), and dim Hom(X_a, X_b[1]) is max(0, -chi[a][b])
+    when X_b is a module and 0 when it is shifted."""
+    k0 = [
+        o.dim if o.kind == "mod" else tuple(-c for c in o.dim)
+        for o in two_term_objects(q)
+    ]
+    return tuple(tuple(euler_form(q, d, e) for e in k0) for d in k0)
 
 
 @cache
@@ -320,40 +297,31 @@ def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
     for i in range(len(masks)):
         tail = tuple(sorted(map(shift_pos.__getitem__, _bits(i))))
         out.extend(_bits(m) + tail for m in masks[full ^ i])
-    return tuple(SiltingObject.at(q, p) for p in sorted(out))
+    return tuple(SiltingObject(q, p) for p in sorted(out))
+
+
+def _rigid_objects(q: Quiver, m: int) -> Tuple[SiltingObject, ...]:
+    """The objects on the n-subsets of the first m two-term objects with
+    Hom(X, Y[1]) = 0 for every ordered pair of summands, in position
+    order.  For two-term complexes a presilting set of full size n is
+    silting, so no separate generation check is needed."""
+    cx = [summand_complex(q, o) for o in two_term_objects(q)[:m]]
+    chosen = _rigid_subsets(
+        len(q.vertices), m, lambda i, j: hom_class_dim(cx[i], cx[j], 1) == 0
+    )
+    return tuple(SiltingObject(q, c) for c in chosen)
 
 
 @cache
 def silting_bruteforce(q: Quiver) -> Tuple[SiltingObject, ...]:
-    """All n-subsets of mod-or-shifted summands that are presilting.
-
-    For two-term complexes a presilting set of full size n is silting,
-    so no separate generation check is needed.  The rigid index sets
-    are increasing and lexicographic over two_term_objects, which is in
-    IndId.key order, so the objects come out sorted.
-    """
-    objs = two_term_objects(q)
-    cx = [summand_complex(q, o) for o in objs]
-    return tuple(
-        SiltingObject.at(q, chosen)
-        for chosen in _rigid_subsets(
-            len(q.vertices),
-            len(objs),
-            lambda i, j: hom_class_dim(cx[i], cx[j], 1) == 0,
-        )
-    )
+    """All rigid n-subsets of the two-term objects.  two_term_objects is
+    in IndId.key order, so the objects come out sorted."""
+    return _rigid_objects(q, len(two_term_objects(q)))
 
 
 @cache
-def tilting_modules_bruteforce(q: Quiver) -> Tuple[TiltingModule, ...]:
-    """All n-subsets of indecomposables with pairwise vanishing
-    Ext^1(M, N) = Hom(P_M, P_N[1]), ranked on module pairs only."""
-    mods = indecomposables(q)
-    cx = [resolve_dim(q, d) for d in mods]
-    chosen = _rigid_subsets(
-        len(q.vertices),
-        len(mods),
-        lambda i, j: hom_class_dim(cx[i], cx[j], 1) == 0,
-    )
-    found = (TiltingModule.at(q, c) for c in chosen)
-    return tuple(sorted(found, key=attrgetter("summands")))
+def tilting_modules_bruteforce(q: Quiver) -> Tuple[SiltingObject, ...]:
+    """All rigid n-subsets of the modules, which come first in
+    two_term_objects: Ext^1(M, N) = Hom(P_M, P_N[1]), ranked on module
+    pairs only."""
+    return _by_module_dims(q, _rigid_objects(q, len(indecomposables(q))))

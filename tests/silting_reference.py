@@ -13,15 +13,23 @@ from functools import cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from silt.modules import (
+    IndId,
     _translates,
     indecomposables,
     injective_dim_vectors,
     projective_dim_vectors,
 )
 from silt.quivers import Quiver
-from silt.silting import SiltingObject, TiltingModule, two_term_objects
+from silt.silting import SiltingObject, two_term_objects
 
 DimVector = Tuple[int, ...]
+
+
+def from_summands(q: Quiver, summands: Iterable[IndId]) -> SiltingObject:
+    """The object with these summands, in any order: their positions in
+    two_term_objects(q), sorted."""
+    positions = map(two_term_objects(q).index, summands)
+    return SiltingObject(q, tuple(sorted(positions)))
 
 
 def full_subquiver(q: Quiver, keep: Sequence[int]) -> Quiver:
@@ -76,7 +84,7 @@ def _lifted(picks: List[int], dims: Iterable[DimVector]) -> List[DimVector]:
 
 
 @cache
-def tilting_modules_alg1(q: Quiver) -> Tuple[TiltingModule, ...]:
+def tilting_modules_alg1(q: Quiver) -> Tuple[SiltingObject, ...]:
     """All basic tilting modules by subset recursion and tau-inverse sweeps.
 
     For each non-empty vertex subset I: take the projectives P(i), i in
@@ -84,10 +92,11 @@ def tilting_modules_alg1(q: Quiver) -> Tuple[TiltingModule, ...]:
     summands are not injective over the big algebra, and form
     M = P(I) + tau^{-1}N; then emit M, tau^{-1}M, tau^{-2}M, ... up to
     and including the first stage containing an injective summand.
+    The modules come sorted by their sorted dimension vectors.
     """
     n = len(q.vertices)
     if n == 0:
-        return (TiltingModule(q, ()),)
+        return (SiltingObject(q, ()),)
     projs = projective_dim_vectors(q)
     injs = set(injective_dim_vectors(q))
     found = set()
@@ -99,7 +108,7 @@ def tilting_modules_alg1(q: Quiver) -> Tuple[TiltingModule, ...]:
         picks = _lift_positions(q, sub)
         p_part = tuple(projs[q.index(v)] for v in keep_out)
         for nt in tilting_modules_alg1(sub):
-            lifted = _lifted(picks, nt.summands)
+            lifted = _lifted(picks, nt.module_dims)
             if any(d in injs for d in lifted):
                 continue
             stage = p_part + tuple(tau_inverse(q, d) for d in lifted)
@@ -112,7 +121,9 @@ def tilting_modules_alg1(q: Quiver) -> Tuple[TiltingModule, ...]:
                 guard += 1
                 if guard > 1000:
                     raise RuntimeError("tau-inverse sweep did not terminate")
-    return tuple(TiltingModule(q, s) for s in sorted(found))
+    return tuple(
+        from_summands(q, map(IndId.module, s)) for s in sorted(found)
+    )
 
 
 @cache
@@ -138,8 +149,6 @@ def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
         picks = _lift_positions(q, sub)
         shifted = [at_shift[v] for v in shift_set]
         for nt in tilting_modules_alg1(sub):
-            mods = [at_dim[d] for d in _lifted(picks, nt.summands)]
+            mods = [at_dim[d] for d in _lifted(picks, nt.module_dims)]
             out.add(tuple(sorted(shifted + mods)))
-    return tuple(
-        SiltingObject(q, tuple(objs[i] for i in s)) for s in sorted(out)
-    )
+    return tuple(SiltingObject(q, s) for s in sorted(out))

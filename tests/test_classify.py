@@ -12,6 +12,7 @@ import silt.classify as classify_mod
 from coxeter_reference import coxeter_type, reference_polynomials
 from dynkin_orientations import E6
 from quiver_isomorphism import quivers_isomorphic
+from silting_reference import from_summands
 from silt.quivers import dynkin_type, opposite, parse_quiver
 from silt.modules import IndId, projective_dim_vectors
 from silt.silting import SiltingObject, silting_alg2
@@ -46,26 +47,13 @@ def _fixture(name):
 
 
 def _regular_object(q):
-    summands = tuple(
-        sorted(
-            (IndId.module(d) for d in projective_dim_vectors(q)),
-            key=lambda s: s.key(),
-        )
-    )
-    return SiltingObject(q, summands)
+    projs = projective_dim_vectors(q)
+    return from_summands(q, [IndId.module(d) for d in projs])
 
 
 def _shift_object(q):
-    summands = tuple(
-        sorted(
-            (
-                IndId.shifted(v, d)
-                for v, d in zip(q.vertices, projective_dim_vectors(q))
-            ),
-            key=lambda s: s.key(),
-        )
-    )
-    return SiltingObject(q, summands)
+    shifts = zip(q.vertices, projective_dim_vectors(q))
+    return from_summands(q, (IndId.shifted(v, d) for v, d in shifts))
 
 
 # --- projective dimensions and global dimension ---
@@ -86,14 +74,8 @@ def test_semisimple_case_has_global_dimension_zero():
 
 
 def test_disconnected_points_have_global_dimension_zero():
-    obj = SiltingObject(
-        A2,
-        tuple(
-            sorted(
-                [IndId.module((0, 1)), IndId.shifted(1, (1, 1))],
-                key=lambda s: s.key(),
-            )
-        ),
+    obj = from_summands(
+        A2, [IndId.module((0, 1)), IndId.shifted(1, (1, 1))]
     )
     b = endomorphism_algebra(A2, obj)
     assert global_dimension(b) == 0
@@ -207,18 +189,13 @@ def test_classify_regular_and_shifted_agree_with_quiver_type():
 
 
 def test_classify_a3_mixed_object_is_tilted_a2_and_a1():
-    obj = SiltingObject(
+    obj = from_summands(
         A3,
-        tuple(
-            sorted(
-                [
-                    IndId.shifted(1, (1, 1, 1)),
-                    IndId.module((0, 1, 0)),
-                    IndId.module((0, 1, 1)),
-                ],
-                key=lambda s: s.key(),
-            )
-        ),
+        [
+            IndId.shifted(1, (1, 1, 1)),
+            IndId.module((0, 1, 0)),
+            IndId.module((0, 1, 1)),
+        ],
     )
     assert obj in silting_alg2(A3)
     rec = classify(A3, obj)

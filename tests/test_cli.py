@@ -99,6 +99,16 @@ def test_missing_file_exits_2(capsys):
     assert "error" in err
 
 
+def test_a_quiver_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "q.quiver"
+    path.write_bytes(b"vertices 1 2\xff\n")
+    rc, out, err = run_cli(capsys, "classify", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"silt: error: cannot read {path}: ")
+    assert "Traceback" not in err
+
+
 def test_bad_syntax_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.quiver"
     bad.write_text("vertices x y\n")
@@ -436,6 +446,9 @@ FROZEN_DIGESTS = {
     ("a3_linear", "classify", "--format", "json"): "691ff053257ce3cb777096ba1b45a073c0f23a980361892d060f668d8b93832c",
     ("a4_linear", "classify", "--format", "json"): "54d12be8a6249d9264b6daad5ff5a94e4965f8fb52b560e8a6c05df70c132cad",
     ("d4_second", "classify", "--format", "json"): "23626d88b911195d355d4f99375a125dea87402316d0ec2c8522c1a64534a136",
+    ("d5", "silting", "--tilting-only", "--format", "csv"): "b896b050e179eacba293efb073a7dd88e30c4aea2a0fe83d2c24edcb3d98fde6",
+    ("d4_second", "silting", "--tilting-only", "--format", "ascii"): "29d05faa1605364e8e0de137ee9e4bcba5c3549c11fee8d36aac3c1ab71d7249",
+    ("d5", "silting", "--format", "csv"): "dbbe15c0b01fa4d7c76838f9bc5fe70c0ad7517bbc5a59ad2293eb3ef04acfd2",
     # an empty quiver name: the command takes no quiver argument
     ("", "paper-suite", "--format", "csv"): "d53ff6630d6fdcb595705756bd40004780143d806e17fd851e85c39a1aca5129",
     ("", "paper-suite", "--format", "json"): "4aa738891a6e4417c3c8f0ef8031fb84864bf6edcb0b066a7143f4cecc703bd2",
@@ -623,6 +636,9 @@ def test_classify_json_streams_records_as_they_are_converted(monkeypatch):
         def write(self, s):
             self.writes.append((s, len(converted)))
 
+        def flush(self):
+            pass
+
     sink = Sink()
     monkeypatch.setattr(cli, "record_to_json", counting)
     monkeypatch.setattr(sys, "stdout", sink)
@@ -779,6 +795,25 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 5
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    # the reader goes away after the first bytes of a 680 kB report, far
+    # more than a pipe holds, so a later write finds the pipe closed
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "silt.cli", "classify", "d5", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode("utf-8")
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err.startswith("silt: error: cannot write stdout: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_subprocess_missing_file_exits_2():

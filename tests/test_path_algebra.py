@@ -11,6 +11,7 @@ is also End of the regular object, so both give one fingerprint.
 import pytest
 
 from dynkin_orientations import TYPES_UP_TO_D5, TYPES_WITH_E6, orientations
+from silting_reference import from_summands
 from silt import complexes, endo, modules
 from silt.classify import (
     ext_matrix,
@@ -37,7 +38,6 @@ from silt.quivers import (
     path_tables,
     paths_between,
 )
-from silt.silting import SiltingObject
 
 E7 = parse_quiver(
     "vertices 1 2 3 4 5 6 7\n"
@@ -80,13 +80,8 @@ def _assert_homology_matches_resolutions(b):
 
 
 def _regular_object(q):
-    summands = tuple(
-        sorted(
-            (IndId.module(d) for d in projective_dim_vectors(q)),
-            key=lambda s: s.key(),
-        )
-    )
-    return SiltingObject(q, summands)
+    projs = projective_dim_vectors(q)
+    return from_summands(q, [IndId.module(d) for d in projs])
 
 
 def test_cases_cover_every_orientation_plus_e7_and_e8():

@@ -27,7 +27,6 @@ from silt.modules import (
 from silt.silting import (
     SiltingObject,
     _rigid_subsets,
-    TiltingModule,
     euler_table,
     silting_alg2,
     silting_bruteforce,
@@ -88,29 +87,29 @@ def test_algorithms_1_and_2_match_the_reference(quivers):
         assert silting_alg2(q) == silting_reference.silting_alg2(q)
 
 
-def test_objects_from_positions_equal_the_checked_constructor():
+def test_constructor_checks_count_order_and_range():
+    # A2 has five two-term objects: three modules, two shifted projectives
     for t in silting_alg2(D4):
-        built = SiltingObject(D4, t.summands)
+        built = SiltingObject(D4, t.positions)
         assert built == t and hash(built) == hash(t)
-    for t in tilting_modules_alg1(D4):
-        assert TiltingModule(D4, t.summands) == t
-    with pytest.raises(ValueError, match="strictly increasing"):
-        SiltingObject.at(A2, (1, 0))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        TiltingModule.at(A2, (0, 0))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        SiltingObject.at(A2, (0,))
+    assert len(two_term_objects(A2)) == 5
+    for bad in ((0,), (0, 1, 2), (1, 0), (0, 0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SiltingObject(A2, bad)
+    for bad in ((-1, 0), (0, 5), (4, 5)):
+        with pytest.raises(ValueError, match=r"range\(5\)"):
+            SiltingObject(A2, bad)
 
 
 # --- Algorithm 1 ---
 
 def test_alg1_a1():
     (t,) = tilting_modules_alg1(A1)
-    assert t.summands == ((1,),)
+    assert t.module_dims == ((1,),) and t.shifted_vertices == ()
 
 
 def test_alg1_a2_exact():
-    got = {t.summands for t in tilting_modules_alg1(A2)}
+    got = {t.module_dims for t in tilting_modules_alg1(A2)}
     assert got == {((0, 1), (1, 1)), ((1, 0), (1, 1))}
 
 
@@ -122,7 +121,7 @@ def test_alg1_counts():
 
 def test_alg1_summands_are_ext_rigid():
     for t in tilting_modules_alg1(A3_ALT):
-        reps = [build_representation(A3_ALT, d) for d in t.summands]
+        reps = [build_representation(A3_ALT, d) for d in t.module_dims]
         for x in reps:
             for y in reps:
                 assert ext1_dim(A3_ALT, x, y) == 0
@@ -137,11 +136,11 @@ def test_tilting_oracle_equivalence():
 
 def test_tilting_lists_are_sorted_and_basic():
     for q in (A3, D4):
-        ts = tilting_modules_alg1(q)
-        assert [t.summands for t in ts] == sorted(t.summands for t in ts)
-        for t in ts:
-            assert len(t.summands) == len(q.vertices)
-            assert len(set(t.summands)) == len(t.summands)
+        dims = [sorted(t.module_dims) for t in tilting_modules_alg1(q)]
+        assert dims == sorted(dims)
+        for d in dims:
+            assert len(d) == len(q.vertices)
+            assert len(set(d)) == len(d)
 
 
 # --- Algorithm 2 ---
@@ -313,8 +312,7 @@ def test_hom_shift1_table_is_the_euler_form_table(q):
     # every ordered pair, Hom(X, Y) = max(0, chi) and Hom(X, Y[1]) is
     # max(0, -chi) into a module and 0 into a shifted projective
     objs = two_term_objects(q)
-    at, chi = euler_table(q)
-    assert [at[o] for o in objs] == list(range(len(objs)))
+    chi = euler_table(q)
     cx = [summand_complex(q, o) for o in objs]
     pairs = [(a, b) for a in range(len(objs)) for b in range(len(objs))]
     assert len(pairs) == len(chi) ** 2 == len(objs) ** 2
@@ -330,15 +328,13 @@ def test_rigid_subsets_of_the_euler_table_are_silting_alg2(q):
     # a third enumeration: the rigid n-sets of the K_0 rigidity table,
     # with no Hom space computed, are the positions of silting_alg2
     objs = two_term_objects(q)
-    _, chi = euler_table(q)
+    chi = euler_table(q)
     rigid = _rigid_subsets(
         len(q.vertices),
         len(objs),
         lambda a, b: objs[b].kind == "shift" or chi[a][b] >= 0,
     )
-    assert [tuple(objs[a] for a in s) for s in rigid] == [
-        t.summands for t in silting_alg2(q)
-    ]
+    assert rigid == [t.positions for t in silting_alg2(q)]
 
 
 @pytest.mark.parametrize("q", TEN_FIXTURES_AND_E6)
@@ -387,11 +383,12 @@ def test_counts_depend_only_on_type():
 
 
 def test_tilting_modules_are_the_unshifted_silting_objects():
-    for q in (A3, D4):
-        unshifted = {
-            o.module_dims for o in silting_alg2(q) if not o.shifted_vertices
-        }
-        assert unshifted == {t.summands for t in tilting_modules_alg1(q)}
+    quivers = [
+        q for kind, n in TYPES_UP_TO_D5 for _, q in orientations(kind, n)
+    ] + [E6]
+    for q in quivers:
+        unshifted = {o for o in silting_alg2(q) if not o.shifted_vertices}
+        assert set(tilting_modules_alg1(q)) == unshifted
 
 
 def test_module_part_is_supported_off_shifted_set():
@@ -457,9 +454,4 @@ def test_summand_complex_kinds():
 
 def test_silting_object_validates_summand_count():
     with pytest.raises(ValueError):
-        SiltingObject(A2, (IndId.module((1, 1)),))
-
-
-def test_tilting_module_validates_summand_count():
-    with pytest.raises(ValueError):
-        TiltingModule(A2, ((1, 1),))
+        SiltingObject(A2, (2,))

@@ -1,6 +1,6 @@
 """Static checks on silt's own source, read with ast: no unused import, no
-definition that nothing names, and no memo keyed by the builtin id(); and,
-read as text, no mention of fractions."""
+definition that nothing names, no memo keyed by the builtin id(), and no
+call to object.__new__; and, read as text, no mention of fractions."""
 
 import ast
 import re
@@ -92,3 +92,19 @@ def test_no_fractions_in_src():
         for m in re.finditer(r"\b(fractions|Fraction|RatMatrix)\b", line)
     ]
     assert found == []
+
+
+def test_no_constructor_bypass():
+    # every object is built by its class's one checked constructor: no
+    # call to object.__new__ skips __post_init__
+    calls = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    ]
+    assert calls == []
