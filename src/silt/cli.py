@@ -402,10 +402,14 @@ def _render_silting(q: Quiver, objs, fmt: str) -> Report:
         rows = [("index", "shifted", "modules")] + [
             (
                 i,
-                " ".join(str(v) for v in t.shifted_vertices),
-                "+".join(IndId.module(d).label() for d in t.module_dims),
+                " ".join(
+                    str(v)
+                    for v in sorted(s.vertex for s in ss if s.kind == "shift")
+                ),
+                "+".join(s.label() for s in ss if s.kind == "mod"),
             )
             for i, t in enumerate(objs, start=1)
+            for ss in (t.summands,)
         ]
         return csv_table(rows)
     parts = [f"silting objects: {len(objs)}", ""]

@@ -127,7 +127,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
     def value(source: int, arrow_ids: Tuple[str, ...]) -> int:
         """The path's value over its block's basis class: an arrow is the
         basis class, and each further arrow multiplies by a scalar.  The
-        Gabriel quiver is acyclic, so only the lazy path ends at its
+        Gabriel quiver is acyclic, so only the lazy path () ends at its
         source, with the identity as value."""
         if len(arrow_ids) < 2:
             return 1
@@ -141,7 +141,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
     kernels: Dict[Tuple[int, int], List[List[int]]] = {}
     for i in range(n):
         for j in range(n):
-            v = [value(i + 1, p.arrows) for p in pb[(i + 1, j + 1)]]
+            v = [value(i + 1, p) for p in pb[(i + 1, j + 1)]]
             last = max((s for s, c in enumerate(v) if c), default=-1)
             if (last >= 0) != (dims[i][j] == 1):
                 raise failed(
@@ -175,11 +175,11 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                     for u in kernels[(x - 1, y - 1)] if ok else ():
                         vec = [0] * len(paths)
                         for r, p in enumerate(pb[(x, y)]):
-                            vec[index[(i + 1, pre + p.arrows + post)]] = u[r]
+                            vec[index[(i + 1, pre + p + post)]] = u[r]
                         span.append(vec)
             # S lies in the kernel, so the kernel rows off S's pivots are
             # the RREF of the kernel modulo S
-            v = [value(i + 1, p.arrows) for p in paths]
+            v = [value(i + 1, p) for p in paths]
             if any(sum(map(mul, v, s)) for s in span):
                 raise failed("relation generators are not independent")
             reached = set(_echelon(span, len(paths))[1])
@@ -187,7 +187,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                 if pivot in reached:
                     continue
                 terms = {
-                    paths[r].arrows: c for r, c in enumerate(g) if c != 0
+                    paths[r]: c for r, c in enumerate(g) if c != 0
                 }
                 if any(len(arrs) < 2 for arrs in terms):
                     raise failed(

@@ -343,11 +343,12 @@ def projectives(
     from the quiver and the relations alone.
 
     e_v I e_u is the row space of the products p r p' over the relations
-    r: s -> t and the paths p from v to s and p' from t to u, in the
-    coordinates of the paths from v to u (`path_tables`, uncached).  The
-    basis paths from v to u are the free columns of its RREF, and a
-    path's coordinates are its reduction modulo e_v I e_u at those
-    columns.  In P(v) an arrow a sends the basis path p to p a.
+    r: s -> t and the paths p from v to s and p' from t to u (arrow-id
+    tuples, so p r p' concatenates them), in the coordinates of the
+    paths from v to u (`path_tables`, uncached).  The basis paths from v
+    to u are the free columns of its RREF, and a path's coordinates are
+    its reduction modulo e_v I e_u at those columns.  In P(v) an arrow a
+    sends the basis path p to p a.
 
     Returns (basis, reps), indexed like b.cartan: basis[k][l] lists the
     basis paths from the k-th vertex v to the l-th as arrow-id tuples,
@@ -367,10 +368,10 @@ def projectives(
                     for p2 in pb[(r.target, u)]:
                         row = [0] * len(paths)
                         for arrows, c in r.terms:
-                            row[index[(v, p.arrows + arrows + p2.arrows)]] = c
+                            row[index[(v, p + arrows + p2)]] = c
                         ideal.append(row)
             free, quotient = _quotient(row_space_rref(ideal), len(paths))
-            paths_from_v.append(tuple(paths[c].arrows for c in free))
+            paths_from_v.append(tuple(paths[c] for c in free))
             coords.append(quotient)
         dims = tuple(map(len, paths_from_v))
         if dims != cartan_row:
@@ -579,7 +580,7 @@ def ext1_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
         coff = 0
         for a, c in zip(pres.deg_minus1, diff_row):
             if c:
-                block = act_path(n, b, single_path(q, b, a).arrows)
+                block = act_path(n, b, single_path(q, b, a))
                 for r in range(block.rows):
                     for t in range(block.cols):
                         rows[roff + r][coff + t] = c * block.at(r, t)

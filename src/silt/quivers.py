@@ -4,8 +4,10 @@ Conventions fixed here and used everywhere else:
 
 - Vertices are integer labels; the order given at parse time is the
   coordinate order for dimension vectors and matrices.
-- Paths compose left to right: a path p from i to j satisfies
-  p = e(i) * p * e(j), and longer paths are built by appending arrows.
+- A path is the tuple of its arrow ids, () the lazy path, and its ends
+  are its table key (source, target).  Paths compose left to right: a
+  path p from i to j satisfies p = e(i) * p * e(j), and longer paths are
+  built by appending arrows.
 - The Cartan matrix C has C[i][j] = number of paths i to j, so row i is
   the dimension vector of the projective at i (right modules); its
   integer rows are modules.projective_dim_vectors.
@@ -90,11 +92,6 @@ class Quiver:
     def index(self, v: int) -> int:
         return self.vertices.index(v)
 
-    def arrows_from(self, v: int) -> Tuple[Arrow, ...]:
-        return tuple(
-            a for a in sorted(self.arrows, key=lambda a: a.id) if a.source == v
-        )
-
 
 def _check_acyclic(q: Quiver) -> None:
     indeg = {v: 0 for v in q.vertices}
@@ -114,15 +111,6 @@ def _check_acyclic(q: Quiver) -> None:
                     queue.append(a.target)
     if seen != len(q.vertices):
         raise QuiverCycleError("oriented cycle detected")
-
-
-@dataclass(frozen=True)
-class Path:
-    """A path in a quiver; empty arrow sequence means the lazy path e(i)."""
-
-    source: int
-    target: int
-    arrows: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -319,42 +307,29 @@ def dynkin_type(q: Quiver) -> DynkinType:
     )
 
 
-def path_basis(q: Quiver) -> Tuple[Path, ...]:
-    """All paths, ordered by source vertex, then length, then arrow ids."""
-    out: List[Path] = []
-    for v in q.vertices:
-        frontier = [Path(v, v, ())]
-        collected = [Path(v, v, ())]
-        while frontier:
-            nxt: List[Path] = []
-            for p in frontier:
-                for a in q.arrows_from(p.target):
-                    nxt.append(Path(v, a.target, p.arrows + (a.id,)))
-            nxt.sort(key=lambda p: p.arrows)
-            collected.extend(nxt)
-            frontier = nxt
-        out.extend(collected)
-    return tuple(out)
-
-
-PathTable = Dict[Tuple[int, int], Tuple[Path, ...]]
+PathTable = Dict[Tuple[int, int], Tuple[Tuple[str, ...], ...]]
 PathIndex = Dict[Tuple[int, Tuple[str, ...]], int]
 
 
 def path_tables(q: Quiver) -> Tuple[PathTable, PathIndex]:
-    """The canonical per-(source, target) path lists, each the basis of
-    e_u A e_v, and the index (source, arrow ids) -> the path's position
-    in its list, through which the paths of a quiver with several paths
-    between two vertices (End(T)'s Gabriel quiver) are concatenated.
-    Uncached; paths_between caches the lists of the input quiver."""
-    table: Dict[Tuple[int, int], List[Path]] = {
-        (u, v): [] for u in q.vertices for v in q.vertices
-    }
+    """Per (source, target), the canonical basis of e_u A e_v: its paths
+    by length, then arrow ids, from one breadth-first walk per source with
+    each level sorted; and the index (source, arrow ids) -> a path's
+    position in its list, through which the paths of End(T)'s Gabriel
+    quiver concatenate.  Uncached; paths_between caches the input's."""
+    out: Dict[int, List[Tuple[str, int]]] = {v: [] for v in q.vertices}
+    for a in q.arrows:
+        out[a.source].append((a.id, a.target))
+    table = {(u, v): [] for u in q.vertices for v in q.vertices}
     index: PathIndex = {}
-    for p in path_basis(q):
-        paths = table[(p.source, p.target)]
-        index[(p.source, p.arrows)] = len(paths)
-        paths.append(p)
+    for u in q.vertices:
+        level = [((), u)]
+        while level:
+            for p, v in level:
+                paths = table[(u, v)]
+                index[(u, p)] = len(paths)
+                paths.append(p)
+            level = sorted((p + (a,), w) for p, v in level for a, w in out[v])
     return {k: tuple(v) for k, v in table.items()}, index
 
 
@@ -364,8 +339,9 @@ def paths_between(q: Quiver) -> PathTable:
     return path_tables(q)[0]
 
 
-def single_path(q: Quiver, u: int, v: int) -> Optional[Path]:
-    """The path from u to v, or None when there is none.
+def single_path(q: Quiver, u: int, v: int) -> Optional[Tuple[str, ...]]:
+    """The path from u to v as its arrow ids, () at u == v, or None when
+    there is none; () is falsy, so callers test `is None`.
 
     The underlying graph of a Dynkin quiver is a forest, so there is at
     most one; a second path raises ValueError.  Every map between

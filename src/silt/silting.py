@@ -99,9 +99,10 @@ class SiltingObject:
         return "+".join(s.label() for s in self.summands)
 
     def to_json_dict(self) -> dict:
+        ss = self.summands
         return {
-            "I": list(self.shifted_vertices),
-            "modules": [list(d) for d in self.module_dims],
+            "I": sorted(s.vertex for s in ss if s.kind == "shift"),
+            "modules": [list(s.dim) for s in ss if s.kind == "mod"],
         }
 
     def to_ascii(self) -> str:
@@ -153,10 +154,10 @@ def _tilting_masks(q: Quiver) -> Tuple[Tuple[int, ...], ...]:
     """
     target = {a.id: q.index(a.target) for a in q.arrows}
     on_path = {  # (u, v) -> the vertex mask of the path from u to v
-        (i, j): sum(1 << target[a] for a in p.arrows) | 1 << i
+        (i, j): sum(1 << target[a] for a in p) | 1 << i
         for i, u in enumerate(q.vertices)
         for j, v in enumerate(q.vertices)
-        if (p := single_path(q, u, v))
+        if (p := single_path(q, u, v)) is not None
     }
     supports = [
         sum(1 << i for i, c in enumerate(d) if c) for d in indecomposables(q)

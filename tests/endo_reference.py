@@ -155,7 +155,7 @@ def endomorphism_algebra_reference(
                 kernels[(i, j)] = []
                 continue
             if dims[i][j]:
-                rows = [path_value(i + 1, j + 1, p.arrows) for p in paths]
+                rows = [path_value(i + 1, j + 1, p) for p in paths]
                 ker = kernel_basis(Matrix.from_rows(rows).transpose())
             else:
                 ker = [
@@ -185,7 +185,7 @@ def endomorphism_algebra_reference(
                     for u in inner:
                         vec = [0] * len(paths)
                         for t, p in enumerate(inner_paths):
-                            vec[index[(i + 1, (a.id,) + p.arrows)]] = u[t]
+                            vec[index[(i + 1, (a.id,) + p)]] = u[t]
                         span.append(vec)
                 if a.target == j + 1:
                     inner = kernels[(i, a.source - 1)]
@@ -193,7 +193,7 @@ def endomorphism_algebra_reference(
                     for u in inner:
                         vec = [0] * len(paths)
                         for t, p in enumerate(inner_paths):
-                            vec[index[(i + 1, p.arrows + (a.id,))]] = u[t]
+                            vec[index[(i + 1, p + (a.id,))]] = u[t]
                         span.append(vec)
             s_rref = row_space_rref(span)
             reduced = [reduce_by_rref(u, s_rref) for u in ker]
@@ -204,7 +204,7 @@ def endomorphism_algebra_reference(
                 )
             for g in gens:
                 terms = {
-                    paths[t].arrows: c for t, c in enumerate(g) if c != 0
+                    paths[t]: c for t, c in enumerate(g) if c != 0
                 }
                 if any(len(arrs) < 2 for arrs in terms):
                     raise RuntimeError(

@@ -56,7 +56,7 @@ def diff_mat(x: TwoTermComplex) -> PVMatrix:
         if not c:
             return pv_zero(b, a)
         (p,) = pb[(b, a)]
-        return PathVector.make(b, a, {p.arrows: c})
+        return PathVector.make(b, a, {p: c})
 
     return tuple(
         tuple(entry(b, a, c) for a, c in zip(x.deg_minus1, row))
@@ -72,7 +72,7 @@ def vec_to_mat(
     for ji, t in _layout(q, srcs, tgts)[0].items():
         j, i = divmod(ji, len(srcs))
         (p,) = pb[(tgts[j], srcs[i])]
-        mat[j][i] = PathVector.make(tgts[j], srcs[i], {p.arrows: vec[t]})
+        mat[j][i] = PathVector.make(tgts[j], srcs[i], {p: vec[t]})
     return tuple(tuple(r) for r in mat)
 
 
@@ -85,7 +85,7 @@ def mat_to_vec(
     for ji, t in pos.items():
         j, i = divmod(ji, len(srcs))
         (p,) = pb[(tgts[j], srcs[i])]
-        vec[t] = dict(mat[j][i].terms).get(p.arrows, 0)
+        vec[t] = dict(mat[j][i].terms).get(p, 0)
     return vec
 
 

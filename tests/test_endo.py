@@ -23,7 +23,7 @@ from silting_reference import from_summands
 from silt.cli import FIXTURE_NAMES
 from silt.quivers import (
     parse_quiver,
-    path_basis,
+    path_tables,
     paths_between,
 )
 from silt.modules import (
@@ -73,7 +73,7 @@ def _regular_object(q):
 def test_end_of_regular_is_path_algebra():
     for q in (A2, A3, D4):
         b = endomorphism_algebra(q, _regular_object(q))
-        assert b.dimension == len(path_basis(q))
+        assert b.dimension == len(path_tables(q)[1])
         assert quivers_isomorphic(b.gabriel, q)
         assert b.relations == ()
 

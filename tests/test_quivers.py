@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from linalg_reference import inverse
 from silt.modules import projective_dim_vectors
 from silt.quivers import (
+    Arrow,
     DynkinType,
     NotDynkinError,
+    Quiver,
     QuiverCycleError,
     QuiverSyntaxError,
     coxeter_matrix,
@@ -19,9 +21,9 @@ from silt.quivers import (
     euler_form,
     opposite,
     parse_quiver,
-    path_basis,
     path_tables,
     paths_between,
+    single_path,
 )
 
 A2 = parse_quiver("vertices 1 2\narrow a:1->2\n")
@@ -193,28 +195,61 @@ def test_opposite_preserves_type():
         assert dynkin_type(opposite(q)) == dynkin_type(q)
 
 
-# --- path_basis ---
+# --- path_tables ---
+
+def _path_count(q):
+    return sum(map(len, path_tables(q)[0].values()))
+
+
+def _reference_paths(q):
+    """Every path of q by a plain depth-first search over its arrows,
+    each (u, v) list sorted by length, then arrow ids."""
+    table = {(u, v): [] for u in q.vertices for v in q.vertices}
+
+    def walk(u, v, p):
+        table[(u, v)].append(p)
+        for a in q.arrows:
+            if a.source == v:
+                walk(u, a.target, p + (a.id,))
+
+    for u in q.vertices:
+        walk(u, u, ())
+    return {k: sorted(ps, key=lambda p: (len(p), p)) for k, ps in table.items()}
+
+
+def _assert_tables_match_reference(q):
+    table, index = path_tables(q)
+    expected = _reference_paths(q)
+    assert table.keys() == expected.keys()
+    for (u, v), paths in table.items():
+        # every path from u to v exactly once, in (length, arrow ids) order
+        assert list(paths) == expected[(u, v)]
+        assert len(set(paths)) == len(paths)
+        if u == v:
+            assert paths[0] == ()
+        for k, p in enumerate(paths):
+            assert index[(u, p)] == k
+    assert len(index) == sum(map(len, expected.values()))
+
 
 def test_path_basis_a2():
-    paths = path_basis(A2)
-    assert len(paths) == 3
-    assert [(p.source, p.target, p.arrows) for p in paths] == [
-        (1, 1, ()),
-        (1, 2, ("a",)),
-        (2, 2, ()),
-    ]
+    table, index = path_tables(A2)
+    assert table == {(1, 1): ((),), (1, 2): (("a",),), (2, 1): (), (2, 2): ((),)}
+    assert index == {(1, ()): 0, (1, ("a",)): 0, (2, ()): 0}
 
 
 def test_path_basis_a3():
-    paths = path_basis(A3_LIN)
-    assert len(paths) == 6
-    assert [p.arrows for p in paths] == [(), ("a",), ("a", "b"), (), ("b",), ()]
+    table = path_tables(A3_LIN)[0]
+    assert _path_count(A3_LIN) == 6
+    pairs = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
+    assert [table[k] for k in pairs] == [
+        ((),), (("a",),), (("a", "b"),), ((),), (("b",),), ((),)
+    ]
 
 
 def test_path_basis_single_vertex():
     q = parse_quiver("vertices 7\n")
-    paths = path_basis(q)
-    assert len(paths) == 1 and paths[0].arrows == ()
+    assert path_tables(q) == ({(7, 7): ((),)}, {(7, ()): 0})
 
 
 def test_path_basis_linear_count():
@@ -222,15 +257,36 @@ def test_path_basis_linear_count():
     q = parse_quiver(
         "vertices 1 2 3 4 5; arrows a:1->2 b:2->3 c:3->4 d:4->5"
     )
-    assert len(path_basis(q)) == 15
+    assert _path_count(q) == 15
 
 
 def test_path_index_points_into_paths_between():
     for q in (A2, A3_LIN, D4, D5):
         pb, index = paths_between(q), path_tables(q)[1]
-        assert len(index) == len(path_basis(q))
-        for p in path_basis(q):
-            assert pb[(p.source, p.target)][index[(p.source, p.arrows)]] == p
+        assert len(index) == _path_count(q)
+        for (u, v), paths in pb.items():
+            for k, p in enumerate(paths):
+                assert index[(u, p)] == k
+
+
+def test_path_tables_order_by_arrow_ids_not_input_order():
+    # two arrows and three paths 1 -> 3; ids listed out of order
+    q = parse_quiver("vertices 1 2 3\narrows d:1->3 b:1->2 a:1->2 c:2->3\n")
+    assert path_tables(q)[0][(1, 3)] == (("d",), ("a", "c"), ("b", "c"))
+    _assert_tables_match_reference(q)
+
+
+def test_single_path_is_a_tuple_or_none():
+    assert single_path(A3_LIN, 1, 3) == ("a", "b")
+    assert single_path(D4, 2, 4) == ("b", "c")
+    for q in (A2, A3_LIN, D4, D5):
+        for v in q.vertices:
+            assert single_path(q, v, v) == ()
+    assert single_path(A3_LIN, 3, 1) is None
+    assert single_path(D4, 1, 2) is None
+    square = parse_quiver("vertices 1 2 3 4\narrows a:1->2 b:2->4 c:1->3 d:3->4\n")
+    with pytest.raises(ValueError, match="2 paths run from vertex 1 to vertex 4"):
+        single_path(square, 1, 4)
 
 
 def test_quiver_hash_is_stored_field_hash():
@@ -324,7 +380,20 @@ def test_opposite_involution_property(q):
 @settings(max_examples=80, deadline=None)
 def test_path_count_equals_cartan_sum(q):
     total = sum(sum(row) for row in projective_dim_vectors(q))
-    assert len(path_basis(q)) == total
+    assert _path_count(q) == total
+
+
+@given(acyclic_quivers(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_path_tables_match_a_depth_first_enumeration(q, data):
+    # acyclic_quivers names arrows in source order; shuffle the ids so
+    # that a level's arrow-id order differs from the walk's
+    ids = data.draw(st.permutations([a.id for a in q.arrows]))
+    q = Quiver(
+        q.vertices,
+        tuple(Arrow(i, a.source, a.target) for i, a in zip(ids, q.arrows)),
+    )
+    _assert_tables_match_reference(q)
 
 
 @given(acyclic_quivers(), st.data())

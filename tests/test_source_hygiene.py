@@ -1,6 +1,7 @@
 """Static checks on silt's own source, read with ast: no unused import, no
-definition that nothing names, no memo keyed by the builtin id(), and no
-call to object.__new__; and, read as text, no mention of fractions."""
+definition that nothing names, no memo keyed by the builtin id(), no
+call to object.__new__, and no single_path result read as a truth value;
+and, read as text, no mention of fractions."""
 
 import ast
 import re
@@ -108,3 +109,87 @@ def test_no_constructor_bypass():
         and node.func.value.id == "object"
     ]
     assert calls == []
+
+
+def _truth_tests(tree):
+    """Each expression read as a truth value: the test of an if, while,
+    conditional expression, assert or comprehension filter, an operand of
+    and/or/not, and the argument of bool()."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            yield node.test
+        elif isinstance(node, ast.comprehension):
+            yield from node.ifs
+        elif isinstance(node, ast.BoolOp):
+            yield from node.values
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            yield node.operand
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bool":
+            yield from node.args
+
+
+def _is_single_path_call(node):
+    return isinstance(node, ast.Call) and "single_path" in (
+        getattr(node.func, "id", None),
+        getattr(node.func, "attr", None),
+    )
+
+
+def _single_path_truth_tests(tree):
+    """Lines where a single_path call, a := of one, or a name bound to
+    one in the same function is read as a truth value."""
+    found = set()
+    scopes = [tree] + [
+        n for n in ast.walk(tree)
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    ]
+    for scope in scopes:
+        bound = set()
+        for node in ast.walk(scope):
+            if isinstance(node, ast.NamedExpr) and _is_single_path_call(node.value):
+                bound.add(node.target.id)
+            elif isinstance(node, ast.Assign) and _is_single_path_call(node.value):
+                bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        for test in _truth_tests(scope):
+            if isinstance(test, ast.NamedExpr):
+                test = test.value
+            if _is_single_path_call(test) or (
+                scope is not tree
+                and isinstance(test, ast.Name)
+                and test.id in bound
+            ):
+                found.add(test.lineno)
+    return sorted(found)
+
+
+def test_single_path_is_never_a_truth_value():
+    # single_path returns () for the lazy path, and () is falsy: its
+    # result is compared with `is None` / `is not None`, never tested
+    found = [
+        f"{name}:{n}"
+        for name, tree in TREES.items()
+        for n in _single_path_truth_tests(tree)
+    ]
+    assert found == []
+
+
+def test_single_path_truth_check_sees_each_form():
+    bad = [
+        "on = {u: p for u in vs if (p := single_path(q, u, u))}",
+        "if single_path(q, u, v):\n    pass",
+        "x = ok and single_path(q, u, v)",
+        "x = not single_path(q, u, v)",
+        "x = bool(quivers.single_path(q, u, v))",
+        "def f(q, u, v):\n    p = single_path(q, u, v)\n    while p:\n        pass",
+        "def f(q, u, v):\n    return 1 if (p := single_path(q, u, v)) else 0",
+    ]
+    good = [
+        "on = {u: p for u in vs if (p := single_path(q, u, u)) is not None}",
+        "if single_path(q, u, v) is None:\n    pass",
+        "x = act_path(n, b, single_path(q, b, a))",
+        "def f(q, u, v):\n    p = single_path(q, u, v)\n    return p is None or len(p)",
+    ]
+    for text in bad:
+        assert _single_path_truth_tests(ast.parse(text)), text
+    for text in good:
+        assert _single_path_truth_tests(ast.parse(text)) == [], text
