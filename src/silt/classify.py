@@ -40,11 +40,11 @@ import io
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
-from operator import add, mul
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .endo import blocks, cartan_data, endomorphism_algebra
-from .linalg import determinant, integer_solve
+from .linalg import Rows, determinant, integer_solve, matmul
 from .modules import BoundQuiverAlgebra, minimal_resolution, simple_rep
 from .quivers import DynkinType, Quiver, coxeter_matrix
 from .silting import SiltingObject
@@ -100,17 +100,14 @@ def ext_matrix(b: BoundQuiverAlgebra, k: int) -> Tuple[Tuple[int, ...], ...]:
 
 # --- Ext and projective dimensions off the presentation ---
 
-Matrix = Tuple[Tuple[int, ...], ...]
-
-
 @dataclass(frozen=True)
 class Homology:
     """dim Ext^k(S_i, S_j) for k = 1, 2, 3 and (v, pd S_v), in the order
     of the Gabriel quiver's vertices."""
 
-    ext1: Matrix
-    ext2: Matrix
-    ext3: Matrix
+    ext1: Rows
+    ext2: Rows
+    ext3: Rows
     pds: Tuple[Tuple[int, int], ...]
 
 
@@ -173,14 +170,14 @@ def check_homology(b: BoundQuiverAlgebra) -> None:
 
 # --- tilted type from det(C + C^T) ---
 
-def block_cartan(b: BoundQuiverAlgebra, verts: Sequence[int]) -> Matrix:
+def block_cartan(b: BoundQuiverAlgebra, verts: Sequence[int]) -> Rows:
     """The Cartan rows of b restricted to a block's vertices."""
     ix = {v: i for i, v in enumerate(b.gabriel.vertices)}
     cart = cartan_data(b)
     return tuple(tuple(cart[ix[v]][ix[u]] for u in verts) for v in verts)
 
 
-def tilted_type(cartan: Matrix) -> DynkinType:
+def tilted_type(cartan: Rows) -> DynkinType:
     """Dynkin type of a tilted block, from its rank m and det(C + C^T) of
     its integer Cartan rows C.  A tilted algebra is derived equivalent to
     a Dynkin path algebra (Happel, 1988), so C + C^T, congruent to the
@@ -210,10 +207,7 @@ def check_tilted_types(r: ClassificationRecord) -> None:
         unit = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
         power, order = phi, 1
         while power != unit and order <= h:
-            power = tuple(
-                tuple(sum(map(mul, row, col)) for col in zip(*phi)) for row in power
-            )
-            order += 1
+            power, order = matmul(power, phi, m), order + 1
         if order != h:
             got = order if power == unit else f"above {h}"
             raise RuntimeError(

@@ -17,8 +17,8 @@ error, 3 quiver not of Dynkin type.  All output is deterministic:
 byte-identical across runs.  Every check runs before the first byte is
 written, so a failed check prints nothing to stdout and creates no --out
 file.  JSON reports are streamed by one writer, ``_write_json``: the
-large arrays are converted and written one element at a time, with
-exactly the bytes of ``json.dumps(payload, indent=2, sort_keys=True,
+large arrays are converted one element at a time and written in blocks,
+with exactly the bytes of ``json.dumps(payload, indent=2, sort_keys=True,
 ensure_ascii=False)`` plus a newline.  The environment variable SILT_SEED
 is reserved and unused; nothing here is randomised.
 """
@@ -26,6 +26,7 @@ is reserved and unused; nothing here is randomised.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from importlib.resources import files
@@ -176,6 +177,19 @@ def _utf8_stdio() -> None:
                 pass
 
 
+def _buffered(stream):
+    """stream, or, when its binary layer is unbuffered (python -u,
+    PYTHONUNBUFFERED), a buffered UTF-8 writer on its file descriptor.
+    Unbuffered, the text layer hands each text to the OS once and drops
+    what a pipe whose reader has gone did not take, so a closed stdout
+    would go unreported; buffered, the rest is retried and raises."""
+    raw = getattr(stream, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        return stream
+    fd = io.FileIO(raw.fileno(), "w", closefd=False)
+    return io.TextIOWrapper(io.BufferedWriter(fd), encoding="utf-8")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="silt",
@@ -291,16 +305,23 @@ def _load_quiver(spec: str) -> Quiver:
 Report = Union[str, dict]
 
 
+# map elements per write: about 200 KB of E7's silting report
+_BLOCK = 256
+
+
 def _write_json(payload, write: Callable[[str], object]) -> None:
     """Write json.dumps(payload, indent=2, sort_keys=True,
     ensure_ascii=False) + "\n", exactly, through write.
 
     Only the types silt's reports hold: dicts with str keys, arrays (lists,
     tuples, maps), str, int, bool and None; anything else raises TypeError.
-    The text so far is written after each element of a map, so an array
-    given as map(convert, items) is converted one element at a time and
-    neither it nor the document is ever whole in memory."""
+    The text so far is written after every _BLOCK elements of a map, so an
+    array given as map(convert, items) is converted a block at a time and
+    neither it nor the document is ever whole in memory.  The text of each
+    array of ints is kept, keyed by its values and its indent, so that a
+    repeated one (a dimension vector, a Cartan row) is encoded once."""
     parts: List[str] = []
+    int_arrays: Dict[Tuple[Tuple[int, ...], str], str] = {}
 
     def enc(o, nl: str) -> None:
         # nl is a newline and the indent of the line o starts on
@@ -325,15 +346,20 @@ def _write_json(payload, write: Callable[[str], object]) -> None:
         elif t is list or t is tuple or t is map:
             inner = nl + "  "
             if t is not map and o and all(type(x) is int for x in o):
-                body = ("," + inner).join(map(int.__repr__, o))
-                parts.append("[" + inner + body + nl + "]")
+                # the types are checked first: True == 1 as a key
+                key = (tuple(o), nl)
+                text = int_arrays.get(key)
+                if text is None:
+                    body = ("," + inner).join(map(int.__repr__, o))
+                    text = int_arrays[key] = "[" + inner + body + nl + "]"
+                parts.append(text)
                 return
             lead = "[" + inner
-            for x in o:
+            for i, x in enumerate(o, 1):
                 parts.append(lead)
                 enc(x, inner)
                 lead = "," + inner
-                if t is map:
+                if t is map and i % _BLOCK == 0:
                     write("".join(parts))
                     parts.clear()
             parts.append("[]" if lead[0] == "[" else nl + "]")
@@ -771,8 +797,9 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as f:
                 emit(f.write)
         else:
-            emit(sys.stdout.write)
-            sys.stdout.flush()
+            out = _buffered(sys.stdout)
+            emit(out.write)
+            out.flush()
     except OSError as e:
         if not args.out:
             # a closed stdout: the interpreter's last flush goes nowhere

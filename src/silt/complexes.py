@@ -10,14 +10,13 @@ Hom complex:
 
 with d^{-1}(h) = (d_Y h, h d_X) and d^0(f_0, f) = f_0 d_X - d_Y f, so that
 Hom(X, Y) = ker d^0 / im d^{-1} and Hom(X, Y[1]) = coker d^0.  One pair of
-builders (_d0, _d_minus1) gives both differentials as sparse (column,
-value) rows, and both readers take them from there.  Hom(X, Y) gets a
+builders (_d0, _d_minus1) writes both differentials as dense int rows
+straight from d_X and d_Y, and both readers take them from there.  Hom(X, Y) gets a
 canonical basis (hom_class_basis: the kernel of d^0 modulo the RREF row
 space of d^{-1}), because End(T) assembly composes two basis classes and
 reads the composite as one scalar per triple of summands.  Hom(X, Y[1])
 only decides rigidity, so it is only ever a dimension (hom_class_dim):
-every Hom dimension is a rank, taken on the same rows as dense integer
-rows.
+every Hom dimension is a rank of the same rows.
 
 A map between direct sums of projectives is a coordinate vector in
 _layout order: block (j, i) is Hom(P(u_i), P(v_j)), which has one
@@ -36,13 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from typing import List, Sequence, Tuple
 
 from .linalg import (
     Matrix,
-    _echelon,
     coords_in_rows,
     kernel_basis,
+    rank,
     reduce_by_rref,
     row_space_rref,
 )
@@ -108,66 +108,57 @@ def _mul(
 
 # --- the Hom complex ---
 
-Sparse = List[List[Tuple[int, int]]]
-
-
-def _after_sparse(
-    x: TwoTermComplex, tgts: Tuple[int, ...]
-) -> Tuple[Sparse, int]:
+def _after(x: TwoTermComplex, tgts: Tuple[int, ...]) -> Tuple[List[List[int]], int]:
     """h -> h d_X from Hom(X^0, +P(tgts)) to Hom(X^{-1}, +P(tgts)): the
-    image of each source coordinate as (column, value) pairs, both sides
-    in _layout order, and the target dimension.  The map is
-    block-diagonal over the summands tgts."""
+    image of each source coordinate as an int row, both sides in _layout
+    order, and the target dimension.  The map is block-diagonal over the
+    summands tgts."""
     d, m, n0 = x.diff, len(x.deg_minus1), len(x.deg0)
     pos, n = _layout(x.quiver, x.deg_minus1, tgts)
-    rows = [
-        [(pos[kj // n0 * m + i], c) for i, c in enumerate(d[kj % n0]) if c]
-        for kj in _layout(x.quiver, x.deg0, tgts)[0]
-    ]
+    rows = []
+    for kj in _layout(x.quiver, x.deg0, tgts)[0]:
+        row, base = [0] * n, kj // n0 * m
+        for i, c in enumerate(d[kj % n0]):
+            if c:
+                row[pos[base + i]] = c
+        rows.append(row)
     return rows, n
 
 
-def _before_sparse(
-    y: TwoTermComplex, srcs: Tuple[int, ...]
-) -> Tuple[Sparse, int]:
+def _before(y: TwoTermComplex, srcs: Tuple[int, ...]) -> Tuple[List[List[int]], int]:
     """h -> d_Y h from Hom(+P(srcs), Y^{-1}) to Hom(+P(srcs), Y^0): the
-    image of each source coordinate as (column, value) pairs, both sides
-    in _layout order, and the target dimension.  The map is
-    block-diagonal over the summands srcs."""
+    image of each source coordinate as an int row, both sides in _layout
+    order, and the target dimension.  The map is block-diagonal over the
+    summands srcs."""
     d, m = y.diff, len(srcs)
     pos, n = _layout(y.quiver, srcs, y.deg0)
-    rows = [
-        [(pos[k * m + ji % m], r[ji // m]) for k, r in enumerate(d) if r[ji // m]]
-        for ji in _layout(y.quiver, srcs, y.deg_minus1)[0]
-    ]
+    rows = []
+    for ji in _layout(y.quiver, srcs, y.deg_minus1)[0]:
+        row, (j, i) = [0] * n, divmod(ji, m)
+        for k, r in enumerate(d):
+            if r[j]:
+                row[pos[k * m + i]] = r[j]
+        rows.append(row)
     return rows, n
 
 
-def _int_row(sparse: List[Tuple[int, int]], n: int) -> List[int]:
-    """A sparse row as a list of n ints."""
-    row = [0] * n
-    for t, c in sparse:
-        row[t] = c
-    return row
+def _d0(
+    x: TwoTermComplex, y: TwoTermComplex
+) -> Tuple[List[List[int]], int, int]:
+    """d^0(f_0, f) = f_0 d_X - d_Y f into Hom(X^{-1}, Y^0): the rows of
+    f_0 d_X, then those of d_Y f, unsigned, since a rank does not see row
+    signs; the number of f_0 rows; and dim Hom(X^{-1}, Y^0)."""
+    after, nw = _after(x, y.deg0)
+    return after + _before(y, x.deg_minus1)[0], len(after), nw
 
 
-def _d0(x: TwoTermComplex, y: TwoTermComplex) -> Tuple[Sparse, int, int]:
-    """d^0(f_0, f) = f_0 d_X - d_Y f into Hom(X^{-1}, Y^0): the sparse rows
-    of f_0 d_X, then those of d_Y f, unsigned, since a rank does not see
-    row signs; the number of f_0 rows; and dim Hom(X^{-1}, Y^0)."""
-    after, nw = _after_sparse(x, y.deg0)
-    before, _ = _before_sparse(y, x.deg_minus1)
-    return after + before, len(after), nw
-
-
-def _d_minus1(x: TwoTermComplex, y: TwoTermComplex) -> Tuple[Sparse, int]:
-    """d^{-1}(h) = (d_Y h, h d_X) as sparse rows, one per coordinate of
+def _d_minus1(x: TwoTermComplex, y: TwoTermComplex) -> Tuple[List[List[int]], int]:
+    """d^{-1}(h) = (d_Y h, h d_X) as int rows, one per coordinate of
     Hom(X^0, Y^{-1}), into Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}), and the
     dimension of that sum."""
-    d_y, n0 = _before_sparse(y, x.deg0)
-    d_x, n1 = _after_sparse(x, y.deg_minus1)
-    rows = [f0 + [(n0 + t, c) for t, c in f] for f0, f in zip(d_y, d_x)]
-    return rows, n0 + n1
+    d_y, n0 = _before(y, x.deg0)
+    d_x, n1 = _after(x, y.deg_minus1)
+    return [f0 + f for f0, f in zip(d_y, d_x)], n0 + n1
 
 
 # --- homotopy classes ---
@@ -235,13 +226,9 @@ def hom_class_basis(x: TwoTermComplex, y: TwoTermComplex, k: int) -> HomSpace:
         raise ValueError(f"no basis of Hom(X, Y[{k}]); only k = 0 has one")
     d0, n_f0, nw = _d0(x, y)
     # ker d^0 is the chain maps; constraint column t is d^0 of unit t
-    constraint = [0] * (nw * len(d0))
-    for t, row in enumerate(d0):
-        for r, c in row:
-            constraint[r * len(d0) + t] = c if t < n_f0 else -c
-    z_rows = kernel_basis(Matrix(nw, len(d0), tuple(constraint)))
-    d_minus1, width = _d_minus1(x, y)
-    b_rref = row_space_rref(_int_row(r, width) for r in d_minus1)
+    signed = d0[:n_f0] + [[-c for c in row] for row in d0[n_f0:]]
+    z_rows = kernel_basis(Matrix(nw, len(d0), tuple(chain(*zip(*signed)))))
+    b_rref = row_space_rref(_d_minus1(x, y)[0])
     cands = [reduce_by_rref(z, b_rref) for z in z_rows]
     class_basis = row_space_rref(cands)
     if len(class_basis) != len(z_rows) - len(b_rref):
@@ -268,14 +255,11 @@ def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
         raise ValueError("shift -1 is not supported")
     if k not in (0, 1):
         return 0
-    rows, _, nw = _d0(x, y)
-    d0 = [_int_row(r, nw) for r in rows]
-    r0 = len(_echelon(d0, nw)[1])
+    d0, _, nw = _d0(x, y)
+    r0 = rank(d0, nw)
     if k == 1:
         return nw - r0
-    d_minus1, width = _d_minus1(x, y)
-    rows = [_int_row(r, width) for r in d_minus1]
-    return len(d0) - r0 - len(_echelon(rows, width)[1])
+    return len(d0) - r0 - rank(*_d_minus1(x, y))
 
 
 def compose(f: HomClass, g: HomClass) -> HomClass:

@@ -1,6 +1,8 @@
 """Exact linear algebra over the integers.
 
-Every matrix entry is an ``int``; there is no floating point anywhere.
+A matrix is its ``int`` rows (``Rows``), and ``matmul`` is the one
+product; ``Matrix``, a checked row-major record, is only the input of
+``rref`` and ``kernel_basis``.  There is no floating point anywhere.
 Over a Dynkin quiver every indecomposable has a basis in which its
 matrices are 0/1 (Ringel, "Exceptional modules are tree modules"), and
 every reduced echelon form silt takes has been integral on every
@@ -22,11 +24,16 @@ fraction-free Bareiss, for tilted_type's integer.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
+Rows = Tuple[Tuple[int, ...], ...]  # a matrix: its int rows
+
+
 class Matrix:
-    """Immutable integer matrix stored row-major."""
+    """The input record of ``rref`` and ``kernel_basis``: an immutable
+    integer matrix stored row-major.  Every other routine takes int rows."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -57,52 +64,16 @@ class Matrix:
             flat.extend(row)
         return cls(r, c, tuple(flat))
 
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> Tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> List[List[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols}, {self.to_rows()})"
-
-    def transpose(self) -> "Matrix":
-        ent = tuple(
-            self.at(i, j) for j in range(self.cols) for i in range(self.rows)
-        )
-        return Matrix(self.cols, self.rows, ent)
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        ent: List[int] = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                s = 0
-                for k in range(self.cols):
-                    if ri[k]:
-                        s += ri[k] * other.at(k, j)
-                ent.append(s)
-        return Matrix(self.rows, other.cols, tuple(ent))
-
-
-def identity(n: int) -> Matrix:
-    return Matrix(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+def matmul(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], cols: int
+) -> Rows:
+    """The product of int rows a and b, where b is cols wide: cols is given
+    because b may have no rows."""
+    b_cols = tuple(zip(*b)) if b else ((),) * cols
+    if len(b_cols) != cols or any(len(row) != len(b) for row in a):
+        raise ValueError("shape mismatch in matrix product")
+    return tuple(tuple(sum(map(mul, row, col)) for col in b_cols) for row in a)
 
 
 def _echelon(
@@ -174,16 +145,18 @@ def _divide(
     return out
 
 
-def rref(m: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form and the list of pivot columns.
+def rref(m: Matrix) -> Tuple[List[List[int]], List[int]]:
+    """Reduced row echelon form, as m.rows int rows with the zero rows
+    last, and the list of pivot columns.
 
     Integer elimination throughout; each row is divided by its pivot once,
     at the end, and RuntimeError is raised when the RREF is not integral.
     """
-    rows, pivots = _reduced(m.to_rows(), m.cols)
-    ent = [e for row in _divide(rows, pivots, "row echelon form") for e in row]
-    ent.extend([0] * ((m.rows - len(rows)) * m.cols))
-    return Matrix(m.rows, m.cols, tuple(ent)), pivots
+    c = m.cols
+    rows = [list(m.entries[i * c : (i + 1) * c]) for i in range(m.rows)]
+    rows, pivots = _reduced(rows, c)
+    red = _divide(rows, pivots, "row echelon form")
+    return red + [[0] * c for _ in range(m.rows - len(red))], pivots
 
 
 def integer_solve(
@@ -229,9 +202,10 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * prev
 
 
-def rank(m: Matrix) -> int:
-    """Rank: the number of pivots of the integer echelon form."""
-    return len(_echelon(m.to_rows(), m.cols)[1])
+def rank(rows: Sequence[Sequence[int]], cols: int) -> int:
+    """Rank of cols-wide int rows: the number of pivots of the integer
+    echelon form."""
+    return len(_echelon(list(rows), cols)[1])
 
 
 def kernel_basis(m: Matrix) -> List[List[int]]:
@@ -249,7 +223,7 @@ def kernel_basis(m: Matrix) -> List[List[int]]:
         v = [0] * m.cols
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -red.at(r, fc)
+            v[pc] = -red[r][fc]
         basis.append(v)
     return basis
 
@@ -260,7 +234,7 @@ def row_space_rref(rows: Iterable[Sequence[int]]) -> List[List[int]]:
     if not rows:
         return []
     red, pivots = rref(Matrix.from_rows(rows))
-    return [list(red.row(i)) for i in range(len(pivots))]
+    return red[: len(pivots)]
 
 
 def pivot_columns(rows: Sequence[Sequence[int]]) -> List[int]:

@@ -1,8 +1,9 @@
 """Indecomposable modules over a Dynkin path algebra, and bound quiver algebras.
 
 Modules are right modules, presented as quiver representations: one
-space per vertex and one matrix per arrow of shape (dim at source) x
-(dim at target), acting on the right of row vectors.  Indecomposables
+space per vertex and one matrix per arrow, as int rows of shape (dim at
+source) x (dim at target), acting on the right of row vectors; a path
+acts by their product (`act_path`, `linalg.matmul`).  Indecomposables
 are identified by their dimension vectors (the positive roots), and
 explicit representations are built deterministically with reflection
 functors on int rows: each cokernel is read off the RREF of its
@@ -35,15 +36,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
     Matrix,
+    Rows,
     coords_in_rows,
-    identity,
     kernel_basis,
+    matmul,
     pivot_columns,
     rank,
     reduce_by_rref,
@@ -68,24 +70,25 @@ DimVector = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class QuiverRep:
-    """Representation of a quiver: dims per vertex, one matrix per arrow."""
+    """Representation of a quiver: dims per vertex, and per arrow, by id,
+    its matrix as int rows, one row per basis vector at the source, each
+    as wide as the dimension at the target.  A matrix with no rows is (),
+    and one into a zero space is a tuple of () rows."""
 
     quiver: Quiver
     dims: DimVector
-    mats: Tuple[Tuple[str, Matrix], ...]
+    mats: Tuple[Tuple[str, Rows], ...]
 
     def __post_init__(self):
-        idx = {v: i for i, v in enumerate(self.quiver.vertices)}
         lut = dict(self.mats)
         for a in self.quiver.arrows:
-            m = lut[a.id]
-            if (m.rows, m.cols) != (
-                self.dims[idx[a.source]],
-                self.dims[idx[a.target]],
-            ):
+            m, width = lut[a.id], self.dim_at(a.target)
+            if len(m) != self.dim_at(a.source) or any(len(r) != width for r in m):
                 raise ValueError(f"matrix shape mismatch at arrow {a.id}")
+            if not set(map(type, chain.from_iterable(m))) <= {int}:
+                raise TypeError("matrix entries must be ints")
 
-    def mat(self, arrow_id: str) -> Matrix:
+    def mat(self, arrow_id: str) -> Rows:
         for aid, m in self.mats:
             if aid == arrow_id:
                 return m
@@ -95,20 +98,18 @@ class QuiverRep:
         return self.dims[self.quiver.index(v)]
 
 
-def make_rep(q: Quiver, dims: Sequence[int], mats: Dict[str, Matrix]) -> QuiverRep:
-    ordered = tuple(sorted(mats.items()))
+def make_rep(
+    q: Quiver, dims: Sequence[int], mats: Dict[str, Sequence[Sequence[int]]]
+) -> QuiverRep:
+    ordered = tuple(sorted((a, tuple(map(tuple, m))) for a, m in mats.items()))
     return QuiverRep(q, tuple(int(d) for d in dims), ordered)
 
 
 def simple_rep(q: Quiver, v: int) -> QuiverRep:
-    dims = [1 if u == v else 0 for u in q.vertices]
-    idx = {u: i for i, u in enumerate(q.vertices)}
-    # a quiver has no loops, so every arrow meets a zero space
-    mats = {
-        a.id: Matrix(dims[idx[a.source]], dims[idx[a.target]], ())
-        for a in q.arrows
-    }
-    return make_rep(q, dims, mats)
+    # a quiver has no loops, so every arrow meets a zero space: one empty
+    # row at v for each arrow out of v, and no row elsewhere
+    mats = {a.id: [()] * (a.source == v) for a in q.arrows}
+    return make_rep(q, [int(u == v) for u in q.vertices], mats)
 
 
 @cache
@@ -193,7 +194,7 @@ def build_representation(q: Quiver, d: DimVector) -> QuiverRep:
     id), in the coordinates of the free columns of that map's RREF,
     which is read off the RREF: the unit vector at a free column maps to
     a unit vector, and the one at the pivot column of row r to minus row
-    r at the free columns.  Matrices are int rows until the end.
+    r at the free columns.
     """
     if d not in set(indecomposables(q)):
         raise ValueError(f"{d} is not a positive root of this quiver")
@@ -234,27 +235,22 @@ def build_representation(q: Quiver, d: DimVector) -> QuiverRep:
         dims[k] = len(free)
     if tuple(dims) != d:
         raise RuntimeError("reflection construction produced wrong dims")
-    return make_rep(
-        q,
-        dims,
-        {
-            a.id: Matrix(
-                dims[q.index(a.source)],
-                dims[q.index(a.target)],
-                tuple(e for row in mats.get(a.id, ()) for e in row),
-            )
-            for a in q.arrows
-        },
-    )
+    # an arrow that no step reaches still has its simple's dims at its ends
+    for a in q.arrows:
+        mats.setdefault(a.id, [[]] * dims[q.index(a.source)])
+    return make_rep(q, dims, mats)
 
 
 # --- path action and Hom/Ext ---
 
-def act_path(rep: QuiverRep, source: int, arrows: Sequence[str]) -> Matrix:
-    """Matrix of the right action along a path, from source's space."""
-    m = identity(rep.dim_at(source))
+def act_path(rep: QuiverRep, source: int, arrows: Sequence[str]) -> Rows:
+    """Matrix of the right action along a path, from source's space: the
+    identity along the lazy path, else the product of the arrows' matrices."""
+    n = rep.dim_at(source)
+    m: Rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    target = {a.id: a.target for a in rep.quiver.arrows}
     for aid in arrows:
-        m = m.mul(rep.mat(aid))
+        m = matmul(m, rep.mat(aid), rep.dim_at(target[aid]))
     return m
 
 
@@ -272,13 +268,11 @@ def hom_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
                 row = [0] * total
                 # (M_a phi_k)[r,c] - (phi_j N_a)[r,c] = 0
                 for s in range(m.dims[k]):
-                    row[offs[k] + s * n.dims[k] + c] += ma.at(r, s)
+                    row[offs[k] + s * n.dims[k] + c] += ma[r][s]
                 for t in range(n.dims[j]):
-                    row[offs[j] + r * n.dims[j] + t] -= na.at(t, c)
+                    row[offs[j] + r * n.dims[j] + t] -= na[t][c]
                 rows.append(row)
-    if not rows:
-        return total
-    return total - rank(Matrix.from_rows(rows))
+    return total - rank(rows, total)
 
 
 # --- bound quiver algebras, projective covers, minimal resolutions ---
@@ -379,15 +373,14 @@ def projectives(
                 f"P({v}) has dimension vector {dims} modulo the relations, "
                 f"but the Cartan row is {cartan_row}"
             )
-        mats: Dict[str, Matrix] = {}
+        mats: Dict[str, List[List[int]]] = {}
         for a in q.arrows:
             s, t = q.index(a.source), q.index(a.target)
-            ent: List[int] = []
+            mats[a.id] = rows = []
             for p in paths_from_v[s]:
                 unit = [0] * len(pb[(v, a.target)])
                 unit[index[(v, p + (a.id,))]] = 1
-                ent.extend(coords[t](unit))
-            mats[a.id] = Matrix(dims[s], dims[t], tuple(ent))
+                rows.append(coords[t](unit))
         basis.append(tuple(paths_from_v))
         reps.append(make_rep(q, dims, mats))
     return tuple(basis), tuple(reps)
@@ -401,7 +394,7 @@ def radical_rows(rep: QuiverRep) -> List[List[List[int]]]:
         rows: List[List[int]] = []
         for a in q.arrows:
             if a.target == v:
-                rows.extend(rep.mat(a.id).to_rows())
+                rows.extend(rep.mat(a.id))
         out.append(row_space_rref(rows))
     return out
 
@@ -426,16 +419,15 @@ def minimal_cover(b: BoundQuiverAlgebra, rep: QuiverRep):
         )
     basis, reps = projectives(b)
     p0 = _direct_sum(q, [reps[q.index(v)] for v, _ in copies])
-    pi: List[Matrix] = []
-    for l, u in enumerate(q.vertices):
-        rows: List[List[int]] = []
-        for v, c in copies:
-            for arrows in basis[q.index(v)][l]:
-                rows.append(list(act_path(rep, v, arrows).row(c)))
-        du = rep.dim_at(u)
-        mat = Matrix.from_rows(rows) if rows else Matrix(0, du, ())
-        pi.append(mat)
-        if rank(mat) != du:
+    pi: List[List[Tuple[int, ...]]] = []
+    for l, du in enumerate(rep.dims):
+        rows = [
+            act_path(rep, v, arrows)[c]
+            for v, c in copies
+            for arrows in basis[q.index(v)][l]
+        ]
+        pi.append(rows)
+        if rank(rows, du) != du:
             raise RuntimeError("cover map not surjective")
     return copies, p0, pi
 
@@ -444,46 +436,47 @@ def _direct_sum(q: Quiver, reps: Sequence[QuiverRep]) -> QuiverRep:
     n = len(q.vertices)
     dims = [sum(r.dims[i] for r in reps) for i in range(n)]
     idx = {v: i for i, v in enumerate(q.vertices)}
-    mats: Dict[str, Matrix] = {}
+    mats: Dict[str, List[Tuple[int, ...]]] = {}
     for a in q.arrows:
-        si, ti = idx[a.source], idx[a.target]
-        rows: List[List[int]] = []
+        ti = idx[a.target]
+        mats[a.id] = rows = []
         col_offsets = accumulate((r.dims[ti] for r in reps), initial=0)
         for r, off in zip(reps, col_offsets):
-            m = r.mat(a.id)
-            for ri in range(m.rows):
-                row = [0] * dims[ti]
-                for ci in range(m.cols):
-                    row[off + ci] = m.at(ri, ci)
-                rows.append(row)
-        ent = tuple(e for row in rows for e in row)
-        mats[a.id] = Matrix(dims[si], dims[ti], ent)
+            left, right = (0,) * off, (0,) * (dims[ti] - off - r.dims[ti])
+            rows.extend((*left, *row, *right) for row in r.mat(a.id))
     return make_rep(q, dims, mats)
 
 
-def kernel_subrep(p0: QuiverRep, pi: Sequence[Matrix]):
+def kernel_subrep(p0: QuiverRep, pi: Sequence[Sequence[Sequence[int]]]):
     """Kernel of the cover map as a subrepresentation of p0.
 
-    Returns (rows, krep): per-vertex RREF row bases inside p0's
-    coordinates and the induced representation on those bases.
+    pi holds the cover map's int rows at each vertex, one per basis
+    vector of p0 there.  Returns (rows, krep): per-vertex RREF row bases
+    inside p0's coordinates and the induced representation on those bases.
     """
     q = p0.quiver
-    rows_per_vertex = [row_space_rref(kernel_basis(m.transpose())) for m in pi]
+    # the kernel is the left null space of each cover matrix, the null
+    # space of its transpose: rows of width 0 transpose to 0 x len(m), and
+    # with no rows the target is 0 too, since the cover is onto
+    rows_per_vertex = [
+        row_space_rref(
+            kernel_basis(
+                Matrix(len(m[0]) if m else 0, len(m), tuple(chain(*zip(*m))))
+            )
+        )
+        for m in pi
+    ]
     idx = {v: i for i, v in enumerate(q.vertices)}
-    dims = [len(rows_per_vertex[i]) for i in range(len(q.vertices))]
-    mats: Dict[str, Matrix] = {}
+    dims = [len(rows) for rows in rows_per_vertex]
+    mats: Dict[str, List[List[int]]] = {}
     for a in q.arrows:
         si, ti = idx[a.source], idx[a.target]
-        src_rows = rows_per_vertex[si]
-        tgt_rows = rows_per_vertex[ti]
-        ent: List[int] = []
-        for rrow in src_rows:
-            img = Matrix(1, len(rrow), tuple(rrow)).mul(p0.mat(a.id))
-            coords = coords_in_rows(list(img.entries), tgt_rows)
+        mats[a.id] = rows = []
+        for img in matmul(rows_per_vertex[si], p0.mat(a.id), p0.dims[ti]):
+            coords = coords_in_rows(img, rows_per_vertex[ti])
             if coords is None:
                 raise RuntimeError("kernel is not a subrepresentation")
-            ent.extend(coords)
-        mats[a.id] = Matrix(dims[si], dims[ti], tuple(ent))
+            rows.append(coords)
     return rows_per_vertex, make_rep(q, dims, mats)
 
 
@@ -581,12 +574,11 @@ def ext1_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
         for a, c in zip(pres.deg_minus1, diff_row):
             if c:
                 block = act_path(n, b, single_path(q, b, a))
-                for r in range(block.rows):
-                    for t in range(block.cols):
-                        rows[roff + r][coff + t] = c * block.at(r, t)
+                for r, brow in enumerate(block, roff):
+                    rows[r][coff : coff + len(brow)] = [c * e for e in brow]
             coff += n.dim_at(a)
         roff += n.dim_at(b)
-    return cod - rank(Matrix.from_rows(rows))
+    return cod - rank(rows, cod)
 
 
 # --- AR translate ---
@@ -609,8 +601,7 @@ def tau_nakayama(q: Quiver, d: DimVector) -> DimVector:
             for vs in (pres.deg_minus1, pres.deg0)
         )
         mat = [[pres.diff[j][i] for j in cols] for i in rows]
-        # a map into zero columns has rank 0
-        dims.append(len(rows) - (rank(Matrix.from_rows(mat)) if cols else 0))
+        dims.append(len(rows) - rank(mat, len(cols)))
     return tuple(dims)
 
 
@@ -625,13 +616,12 @@ def _translates(
     (so each is a root), which is Ringel's bijection over a Dynkin quiver.
     """
     at = {d: i for i, d in enumerate(roots)}
-    cols = tuple(zip(*coxeter_matrix(cartan)))
     projs = set(cartan)
-    forward = {
-        i: at.get(tuple(sum(a * b for a, b in zip(d, col)) for col in cols))
-        for i, d in enumerate(roots)
-        if d not in projs
-    }
+    moved = [i for i, d in enumerate(roots) if d not in projs]
+    images = matmul(
+        [roots[i] for i in moved], coxeter_matrix(cartan), len(cartan)
+    )
+    forward = {i: at.get(d) for i, d in zip(moved, images)}
     backward = {t: i for i, t in forward.items()}
     non_injective = set(at.values()) - {at.get(c) for c in zip(*cartan)}
     if len(backward) != len(forward) or set(backward) != non_injective:

@@ -102,7 +102,7 @@ class SiltingObject:
         ss = self.summands
         return {
             "I": sorted(s.vertex for s in ss if s.kind == "shift"),
-            "modules": [list(s.dim) for s in ss if s.kind == "mod"],
+            "modules": [s.dim for s in ss if s.kind == "mod"],
         }
 
     def to_ascii(self) -> str:

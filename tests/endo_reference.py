@@ -156,7 +156,8 @@ def endomorphism_algebra_reference(
                 continue
             if dims[i][j]:
                 rows = [path_value(i + 1, j + 1, p) for p in paths]
-                ker = kernel_basis(Matrix.from_rows(rows).transpose())
+                # the left kernel: rows is non-empty and dims[i][j] wide
+                ker = kernel_basis(Matrix.from_rows(list(zip(*rows))))
             else:
                 ker = [
                     [int(r == s) for r in range(len(paths))]

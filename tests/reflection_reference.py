@@ -10,7 +10,7 @@ is read through reduce_by_rref (silt.modules._quotient).
 from functools import cache
 from typing import Dict, List, Tuple
 
-from silt.linalg import Matrix, row_space_rref
+from silt.linalg import row_space_rref
 from silt.modules import QuiverRep, _quotient, indecomposables, make_rep, simple_rep
 from silt.quivers import Arrow, Quiver
 
@@ -68,11 +68,11 @@ def _reflect_rep_at_source(rep: QuiverRep, k: int, qtarget: Quiver) -> QuiverRep
         (a for a in qq.arrows if a.source == k), key=lambda a: a.id
     )
     blocks = [rep.mat(a.id) for a in out]
-    widths = [b.cols for b in blocks]
+    widths = [rep.dims[idx[a.target]] for a in out]
     total = sum(widths)
     dk = rep.dims[idx[k]]
     g_rows = [
-        [e for b in blocks for e in b.row(r)] for r in range(dk)
+        [e for b in blocks for e in b[r]] for r in range(dk)
     ]
     g_rref = row_space_rref(g_rows)
     if len(g_rref) != dk:
@@ -85,7 +85,7 @@ def _reflect_rep_at_source(rep: QuiverRep, k: int, qtarget: Quiver) -> QuiverRep
     for a, w in zip(out, widths):
         offsets[a.id] = off
         off += w
-    mats: Dict[str, Matrix] = {}
+    mats: Dict[str, List[List[int]]] = {}
     for a in qtarget.arrows:
         if a.target == k:
             # reversed arrow j -> k: embed X_j into the sum, then project
@@ -95,8 +95,7 @@ def _reflect_rep_at_source(rep: QuiverRep, k: int, qtarget: Quiver) -> QuiverRep
                 row = [0] * total
                 row[offsets[a.id] + r] = 1
                 rows.append(quotient(row))
-            ent = tuple(e for row in rows for e in row)
-            mats[a.id] = Matrix(dj, len(free), ent)
+            mats[a.id] = rows
         else:
             mats[a.id] = rep.mat(a.id)
     return make_rep(qtarget, new_dims, mats)

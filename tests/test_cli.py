@@ -641,13 +641,38 @@ def test_classify_json_streams_records_as_they_are_converted(monkeypatch):
 
     sink = Sink()
     monkeypatch.setattr(cli, "record_to_json", counting)
+    monkeypatch.setattr(cli, "_BLOCK", 16)
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(["classify", "d5", "--format", "json"]) == 0
-    # one write per record, each right after its record is converted, and
-    # the rest of the document in the last write
-    assert [n for _, n in sink.writes] == list(range(1, 183)) + [182]
-    for (text, _), r in zip(sink.writes[1:-1], converted[1:]):
-        assert text == ",\n    " + _dumps(real(r))[:-1].replace("\n", "\n    ")
+    # one write per block of records, each right after the block's last
+    # record is converted, and the rest of the document in the last write
+    assert [n for _, n in sink.writes] == list(range(16, 182, 16)) + [182]
+    for text, n in sink.writes[1:-1]:
+        assert text == "".join(
+            ",\n    " + _dumps(real(r))[:-1].replace("\n", "\n    ")
+            for r in converted[n - 16 : n]
+        )
+
+
+def test_json_map_arrays_are_written_in_blocks_of_256():
+    writes = []
+    payload = {"a": map(lambda i: {"i": i}, range(600)), "b": [1]}
+    cli._write_json(payload, writes.append)
+    assert "".join(writes) == _dumps({"a": [{"i": i} for i in range(600)], "b": [1]})
+    # after elements 256 and 512, then the rest
+    assert len(writes) == 3
+    assert writes[1].count('"i"') == 256
+
+
+def test_write_json_keys_repeated_int_arrays_by_type_and_indent():
+    # equal tuples with a bool or at another depth must not share text
+    payload = {
+        "a": [(1, 2), (True, 2), [1, 2], (1, 2), [[1, 2]]],
+        "b": {"c": (1, 2), "d": (1, True)},
+    }
+    writes = []
+    cli._write_json(payload, writes.append)
+    assert "".join(writes) == _dumps(payload)
 
 
 def test_benchmark_invocations_match_their_frozen_digests(monkeypatch, capsys):
@@ -813,6 +838,25 @@ def test_a_closed_stdout_exits_2_without_a_traceback():
     assert proc.wait() == 2
     assert err.startswith("silt: error: cannot write stdout: ")
     assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_an_unbuffered_closed_stdout_exits_2_on_a_text_report():
+    # unbuffered, a 238 kB CSV report is one write that a closed pipe takes
+    # only part of; the rest must still fail, not vanish with exit 0
+    e7 = Path(__file__).resolve().parents[1] / "perfbench" / "e7.quiver"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "silt.cli", "silting", str(e7), "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**_child_env(), "PYTHONUNBUFFERED": "1"},
+    )
+    assert proc.stdout.read(1)
+    proc.stdout.close()
+    err = proc.stderr.read().decode("utf-8")
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err.startswith("silt: error: cannot write stdout: ")
     assert "Traceback" not in err
 
 

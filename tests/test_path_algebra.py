@@ -150,11 +150,11 @@ def test_path_algebra_projectives_append_the_arrow(q):
         )
         for a in q.arrows:
             width = len(pb[(v, a.target)])
-            expected = [
-                [int(t == index[(v, p + (a.id,))]) for t in range(width)]
+            expected = tuple(
+                tuple(int(t == index[(v, p + (a.id,))]) for t in range(width))
                 for p in pb[(v, a.source)]
-            ]
-            assert p_v.mat(a.id).to_rows() == expected
+            )
+            assert p_v.mat(a.id) == expected
 
 
 def test_one_algebra_type_and_one_complex_type():

@@ -1,7 +1,8 @@
 """Static checks on silt's own source, read with ast: no unused import, no
 definition that nothing names, no memo keyed by the builtin id(), no
-call to object.__new__, and no single_path result read as a truth value;
-and, read as text, no mention of fractions."""
+call to object.__new__, no single_path result read as a truth value, and
+one matrix format (int rows, with linalg.Matrix only as the input of the
+two traced eliminations); and, read as text, no mention of fractions."""
 
 import ast
 import re
@@ -193,3 +194,73 @@ def test_single_path_truth_check_sees_each_form():
         assert _single_path_truth_tests(ast.parse(text)), text
     for text in good:
         assert _single_path_truth_tests(ast.parse(text)) == [], text
+
+
+def _is_matrix_build(node):
+    """A call of Matrix(...) or Matrix.from_rows(...)."""
+    f = node.func if isinstance(node, ast.Call) else None
+    if isinstance(f, ast.Attribute) and f.attr == "from_rows":
+        f = f.value
+    return isinstance(f, ast.Name) and f.id == "Matrix"
+
+
+def _matrix_outside_eliminations(tree):
+    """Lines that build a Matrix other than as the first argument of an
+    rref(...) or kernel_basis(...) call, or that bind the name Matrix
+    other than by importing it."""
+    inputs = {
+        node.args[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and node.args
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        in ("rref", "kernel_basis")
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if _is_matrix_build(node) and node not in inputs:
+            found.add(node.lineno)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "Matrix":
+            found.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "Matrix" and isinstance(node.ctx, ast.Store):
+            found.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            a.asname == "Matrix" and a.name != "Matrix" for a in node.names
+        ):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_one_matrix_format():
+    # a matrix is its int rows; linalg.Matrix is only the record that the
+    # traced rref and kernel_basis take, and only linalg defines it
+    found = [
+        f"{name}:{n}"
+        for name, tree in TREES.items()
+        if name != "linalg.py"
+        for n in _matrix_outside_eliminations(tree)
+    ]
+    assert found == []
+
+
+def test_one_matrix_format_check_sees_each_form():
+    bad = [
+        "m = Matrix(2, 2, (1, 0, 0, 1))",
+        "r = rank(Matrix.from_rows(rows))",
+        "red = rref(x, Matrix(1, 1, (1,)))",
+        "Matrix = Tuple[Tuple[int, ...], ...]",
+        "class Matrix:\n    pass",
+        "from .classify import Rows as Matrix",
+        "for Matrix in ():\n    pass",
+    ]
+    good = [
+        "from .linalg import Matrix, rref",
+        "ker = kernel_basis(Matrix(0, 3, ()))",
+        "red, pivots = rref(Matrix.from_rows(rows))",
+        "ker = linalg.kernel_basis(Matrix(n, m, tuple(e)))",
+        "m = matmul(a, b, 3)",
+    ]
+    for text in bad:
+        assert _matrix_outside_eliminations(ast.parse(text)), text
+    for text in good:
+        assert _matrix_outside_eliminations(ast.parse(text)) == [], text
