@@ -38,7 +38,6 @@ from __future__ import annotations
 import csv
 import io
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -46,7 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .endo import blocks, cartan_data, endomorphism_algebra
 from .linalg import Rows, determinant, integer_solve, matmul
 from .modules import BoundQuiverAlgebra, minimal_resolution, simple_rep
-from .quivers import DynkinType, Quiver, coxeter_matrix
+from .quivers import DynkinType, Quiver, Record, coxeter_matrix
 from .silting import SiltingObject
 
 RESOLUTION_CAP = 10
@@ -100,8 +99,7 @@ def ext_matrix(b: BoundQuiverAlgebra, k: int) -> Tuple[Tuple[int, ...], ...]:
 
 # --- Ext and projective dimensions off the presentation ---
 
-@dataclass(frozen=True)
-class Homology:
+class Homology(Record):
     """dim Ext^k(S_i, S_j) for k = 1, 2, 3 and (v, pd S_v), in the order
     of the Gabriel quiver's vertices."""
 
@@ -109,6 +107,12 @@ class Homology:
     ext2: Rows
     ext3: Rows
     pds: Tuple[Tuple[int, int], ...]
+
+    def __init__(
+        self, ext1: Rows, ext2: Rows, ext3: Rows, pds: Tuple[Tuple[int, int], ...]
+    ):
+        d = self.__dict__
+        d["ext1"], d["ext2"], d["ext3"], d["pds"] = ext1, ext2, ext3, pds
 
 
 def homology(b: BoundQuiverAlgebra) -> Homology:
@@ -218,22 +222,47 @@ def check_tilted_types(r: ClassificationRecord) -> None:
 
 # --- classification records ---
 
-@dataclass(frozen=True)
-class BlockVerdict:
+class BlockVerdict(Record):
     vertices: Tuple[int, ...]
     gl_dim: int
     verdict: str  # "tilted" | "strictly_shod"
     dynkin: Optional[DynkinType]
 
+    def __init__(
+        self,
+        vertices: Tuple[int, ...],
+        gl_dim: int,
+        verdict: str,
+        dynkin: Optional[DynkinType],
+    ):
+        d = self.__dict__
+        d["vertices"], d["gl_dim"], d["verdict"], d["dynkin"] = (
+            vertices, gl_dim, verdict, dynkin
+        )
 
-@dataclass(frozen=True)
-class ClassificationRecord:
+
+class ClassificationRecord(Record):
     silting: SiltingObject
     algebra: BoundQuiverAlgebra
     block_verdicts: Tuple[BlockVerdict, ...]
     is_tilted: bool
     label: str
     fingerprint: Tuple
+
+    def __init__(
+        self,
+        silting: SiltingObject,
+        algebra: BoundQuiverAlgebra,
+        block_verdicts: Tuple[BlockVerdict, ...],
+        is_tilted: bool,
+        label: str,
+        fingerprint: Tuple,
+    ):
+        d = self.__dict__
+        d["silting"], d["algebra"], d["block_verdicts"] = (
+            silting, algebra, block_verdicts
+        )
+        d["is_tilted"], d["label"], d["fingerprint"] = is_tilted, label, fingerprint
 
 
 def least_relabelling(

@@ -75,6 +75,7 @@ from .quivers import (
 )
 from .silting import (
     SiltingObject,
+    position_table,
     silting_alg2,
     silting_bruteforce,
     summand_complex,
@@ -318,10 +319,12 @@ def _write_json(payload, write: Callable[[str], object]) -> None:
     The text so far is written after every _BLOCK elements of a map, so an
     array given as map(convert, items) is converted a block at a time and
     neither it nor the document is ever whole in memory.  The text of each
-    array of ints is kept, keyed by its values and its indent, so that a
-    repeated one (a dimension vector, a Cartan row) is encoded once."""
+    array of ints is kept, keyed by its values and its indent, with the
+    array it was made from, so that a repeated one (a dimension vector, a
+    Cartan row) is encoded once, and the same tuple again is not even
+    type-checked."""
     parts: List[str] = []
-    int_arrays: Dict[Tuple[Tuple[int, ...], str], str] = {}
+    int_arrays: Dict[Tuple[Tuple[int, ...], str], Tuple[Sequence, str]] = {}
 
     def enc(o, nl: str) -> None:
         # nl is a newline and the indent of the line o starts on
@@ -345,14 +348,24 @@ def _write_json(payload, write: Callable[[str], object]) -> None:
             parts.append("{}" if lead[0] == "{" else nl + "}")
         elif t is list or t is tuple or t is map:
             inner = nl + "  "
+            if t is tuple:
+                # the very tuple kept needs no type check: a report repeats
+                # the same dimension-vector tuples
+                try:
+                    kept = int_arrays.get((o, nl))
+                except TypeError:  # an element that cannot be hashed
+                    kept = None
+                if kept is not None and kept[0] is o:
+                    parts.append(kept[1])
+                    return
             if t is not map and o and all(type(x) is int for x in o):
                 # the types are checked first: True == 1 as a key
                 key = (tuple(o), nl)
-                text = int_arrays.get(key)
-                if text is None:
+                kept = int_arrays.get(key)
+                if kept is None:
                     body = ("," + inner).join(map(int.__repr__, o))
-                    text = int_arrays[key] = "[" + inner + body + nl + "]"
-                parts.append(text)
+                    kept = int_arrays[key] = (o, "[" + inner + body + nl + "]")
+                parts.append(kept[1])
                 return
             lead = "[" + inner
             for i, x in enumerate(o, 1):
@@ -447,7 +460,9 @@ def _render_silting(q: Quiver, objs, fmt: str) -> Report:
 
 
 def _render_tilting(q: Quiver, mods, fmt: str) -> Report:
-    dims = map(lambda m: sorted(m.module_dims), mods)
+    # a tilting module has no shifted summand: every position is a module
+    table = position_table(q)
+    dims = map(lambda m: sorted(table[p][2] for p in m.positions), mods)
     if fmt == "json":
         return {
             "quiver": quiver_to_json(q),

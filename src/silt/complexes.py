@@ -11,12 +11,15 @@ Hom complex:
 with d^{-1}(h) = (d_Y h, h d_X) and d^0(f_0, f) = f_0 d_X - d_Y f, so that
 Hom(X, Y) = ker d^0 / im d^{-1} and Hom(X, Y[1]) = coker d^0.  One pair of
 builders (_d0, _d_minus1) writes both differentials as dense int rows
-straight from d_X and d_Y, and both readers take them from there.  Hom(X, Y) gets a
-canonical basis (hom_class_basis: the kernel of d^0 modulo the RREF row
-space of d^{-1}), because End(T) assembly composes two basis classes and
-reads the composite as one scalar per triple of summands.  Hom(X, Y[1])
-only decides rigidity, so it is only ever a dimension (hom_class_dim):
-every Hom dimension is a rank of the same rows.
+straight from d_X and d_Y.  Hom(X, Y) gets a canonical basis
+(hom_class_basis: the kernel of d^0 modulo the RREF row space of d^{-1}),
+because End(T) assembly composes two basis classes and reads the
+composite as one scalar per triple of summands; its dimension alone is a
+rank of the same rows.  Hom(X, Y[1]) only decides rigidity, so it is
+only ever a dimension (hom_class_dim), taken in two quotients: first by
+the d_Y part, which leaves one cokernel N_w per vertex w, tabled once
+per complex Y (_cokernels), then by the f_0 d_X part, a small rank per
+pair.
 
 A map between direct sums of projectives is a coordinate vector in
 _layout order: block (j, i) is Hom(P(u_i), P(v_j)), which has one
@@ -33,13 +36,13 @@ reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .linalg import (
     Matrix,
+    cokernel_coords,
     coords_in_rows,
     kernel_basis,
     rank,
@@ -47,7 +50,7 @@ from .linalg import (
     row_space_rref,
 )
 from .modules import TwoTermComplex, build_representation, minimal_presentation
-from .quivers import Quiver, single_path
+from .quivers import Quiver, Record, single_path
 
 
 @cache
@@ -163,14 +166,24 @@ def _d_minus1(x: TwoTermComplex, y: TwoTermComplex) -> Tuple[List[List[int]], in
 
 # --- homotopy classes ---
 
-@dataclass(frozen=True)
-class HomSpace:
+class HomSpace(Record):
     """Basis of Hom(X, Y) modulo homotopy, in fixed coordinates."""
 
     x: TwoTermComplex
     y: TwoTermComplex
     class_basis: Tuple[Tuple[int, ...], ...]
     homotopy_rref: Tuple[Tuple[int, ...], ...]
+
+    def __init__(
+        self,
+        x: TwoTermComplex,
+        y: TwoTermComplex,
+        class_basis: Tuple[Tuple[int, ...], ...],
+        homotopy_rref: Tuple[Tuple[int, ...], ...],
+    ):
+        d = self.__dict__
+        d["x"], d["y"] = x, y
+        d["class_basis"], d["homotopy_rref"] = class_basis, homotopy_rref
 
     def dim(self) -> int:
         return len(self.class_basis)
@@ -204,12 +217,15 @@ class HomSpace:
         return HomClass(self, tuple(coords))
 
 
-@dataclass(frozen=True)
-class HomClass:
+class HomClass(Record):
     """A homotopy class, as coordinates over its space's fixed basis."""
 
     space: HomSpace
     coords: Tuple[int, ...]
+
+    def __init__(self, space: HomSpace, coords: Tuple[int, ...]):
+        d = self.__dict__
+        d["space"], d["coords"] = space, coords
 
 
 @cache
@@ -239,27 +255,77 @@ def hom_class_basis(x: TwoTermComplex, y: TwoTermComplex, k: int) -> HomSpace:
 
 
 @cache
-def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
-    """dim Hom(X, Y[k]) by ranks in the Hom complex, with no basis built.
+def _cokernels(
+    y: TwoTermComplex,
+) -> Dict[int, Tuple[List[int], Dict[int, List[int]]]]:
+    """Per vertex w, N_w = coker(Hom(P(w), Y^{-1}) -> Hom(P(w), Y^0)),
+    which is H^0(Y) at w: the indices j of the Y^0 summands at the free
+    columns of the RREF of _before(y, (w,)), and the coordinates in N_w
+    of each Y^0 summand j with a path to w, keyed by j (the read-off of
+    linalg.cokernel_coords).  For a module's presentation N_w is the
+    module's space at w, and for P(v)[1] it is zero."""
+    q, table = y.quiver, {}
+    for w in q.vertices:
+        pos, n = _layout(q, (w,), y.deg0)
+        free, image = cokernel_coords(row_space_rref(_before(y, (w,))[0]), n)
+        summand = {c: j for j, c in pos.items()}
+        table[w] = [summand[c] for c in free], {j: image[c] for j, c in pos.items()}
+    return table
 
-    dim Hom(X, Y[1]) = dim Hom(X^{-1}, Y^0) - rank d^0, and
+
+@cache
+def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
+    """dim Hom(X, Y[k]) by ranks, with no basis built.
+
     dim Hom(X, Y) = dim (Hom(X^0, Y^0) + Hom(X^{-1}, Y^{-1}))
-    - rank d^0 - rank d^{-1}.  Shifts with |k| >= 2 vanish for two-term
-    complexes.  k = -1 is rejected: those spaces need not vanish and are
-    outside this engine's scope.  Each rank is taken on the rows of _d0
-    and _d_minus1, as integer rows.
+    - rank d^0 - rank d^{-1}, on the rows of _d0 and _d_minus1.
+
+    Hom(X, Y[1]) = coker d^0 is taken in two quotients.  Hom(P(w), -) is
+    exact, so dividing Hom(X^{-1}, Y^0) by the image of d_Y first leaves
+    the sum of N_u over the summands P(u) of X^{-1} (_cokernels(y)).  The
+    f_0 d_X part of d^0 then reaches it from the free coordinates of N_v
+    alone, one row per summand P(v) of X^0 and free Y^0 summand j at v,
+    since a map through the image of d_Y stays there after d_X: the row
+    is the sum over the summands P(u) of X^{-1} of d_X's entry from P(u)
+    to P(v) times the coordinates of j in N_u.  dim Hom(X, Y[1]) is the
+    sum of the dim N_u less the rank of those rows; it is 0 when every
+    N_u is zero (Y = P(v)[1], say) and the whole sum when there is no
+    row (X = P(v)[1]).
+
+    Shifts with |k| >= 2 vanish for two-term complexes.  k = -1 is
+    rejected: those spaces need not vanish and are outside this engine's
+    scope.
     """
     if x.quiver != y.quiver:
         raise ValueError("complexes live over different quivers")
     if k == -1:
         raise ValueError("shift -1 is not supported")
-    if k not in (0, 1):
+    if k == 0:
+        d0, _, nw = _d0(x, y)
+        return len(d0) - rank(d0, nw) - rank(*_d_minus1(x, y))
+    if k != 1:
         return 0
-    d0, _, nw = _d0(x, y)
-    r0 = rank(d0, nw)
-    if k == 1:
-        return nw - r0
-    return len(d0) - r0 - rank(*_d_minus1(x, y))
+    coker = _cokernels(y)
+    blocks = [
+        (a, coords, [0] * len(free))
+        for a, (free, coords) in enumerate(map(coker.get, x.deg_minus1))
+        if free
+    ]
+    width = sum(len(zeros) for _, _, zeros in blocks)
+    if width == 0:
+        return 0
+    rows = []
+    for v, d_row in zip(x.deg0, x.diff):
+        for j in coker[v][0]:
+            row: List[int] = []
+            for a, coords, zeros in blocks:
+                c = d_row[a]
+                if c == 1:
+                    row += coords[j]
+                else:
+                    row += [c * e for e in coords[j]] if c else zeros
+            rows.append(row)
+    return width - rank(rows, width)
 
 
 def compose(f: HomClass, g: HomClass) -> HomClass:

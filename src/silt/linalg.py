@@ -12,7 +12,8 @@ routines are deterministic: identical inputs give identical outputs, bit
 for bit.  Row-reduction always picks the first usable pivot row, so
 reduced echelon forms (and everything derived from them: kernels and
 canonical subspace bases) are canonical.  Coordinates over an RREF basis
-are read off its pivot columns.  One elimination serves ``rank``, ``rref``
+are read off its pivot columns, and those modulo its span off its free
+columns (``cokernel_coords``).  One elimination serves ``rank``, ``rref``
 and ``integer_solve``: it runs on plain ``int`` rows, where a pivot
 rewrites only the rows with a non-zero entry in its column and keeps each
 of them primitive.  ``rref`` and ``integer_solve`` then divide each row by
@@ -90,17 +91,19 @@ def _echelon(
     returned, one per pivot.  The list `rows` is reduced in place.
     """
     pivots: List[int] = []
-    r = 0
+    r, n = 0, len(rows)
     for c in range(cols):
-        if r == len(rows):
+        if r == n:
             break
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rows[r], rows[i] = rows[i], rows[r]
         top = rows[r]
         p = top[c]
-        for i in range(r + 1, len(rows)):
+        for i in range(r + 1, n):
             f = rows[i][c]
             if f:
                 row = [p * a - f * b for a, b in zip(rows[i], top)]
@@ -240,6 +243,26 @@ def row_space_rref(rows: Iterable[Sequence[int]]) -> List[List[int]]:
 def pivot_columns(rows: Sequence[Sequence[int]]) -> List[int]:
     """Column of the leading non-zero entry of each row of an echelon basis."""
     return [next(i for i, e in enumerate(r) if e != 0) for r in rows]
+
+
+def cokernel_coords(
+    basis: Sequence[Sequence[int]], cols: int
+) -> Tuple[List[int], List[List[int]]]:
+    """The quotient of cols-wide rows by the span of an RREF row basis, in
+    the coordinates of the basis's free columns: those columns, and per
+    column c the image of the unit vector at c.  A free column maps to
+    a unit vector, and the pivot column of row r to minus row r at the
+    free columns."""
+    pivot_row = dict(zip(pivot_columns(basis), basis))
+    free = [c for c in range(cols) if c not in pivot_row]
+    image = []
+    for c in range(cols):
+        row = pivot_row.get(c)
+        if row is None:
+            image.append([int(f == c) for f in free])
+        else:
+            image.append([-row[f] for f in free])
+    return free, image
 
 
 def reduce_by_rref(

@@ -22,54 +22,52 @@ One algebra type serves every module computation over an algebra:
 rows.  The path algebra KQ is the case with no relations
 (`path_algebra`); End(T) comes from `endo.endomorphism_algebra`.  The
 projectives P(v) = e_v KQ/I are derived from the relations alone, by
-`projectives`, and only where a resolution runs.  One loop,
-`minimal_resolution`, alternates `minimal_cover` and `kernel_subrep`
-over such an algebra.  It gives the minimal projective presentations
-over KQ, as `TwoTermComplex`es, and the resolutions of simples over
-End(T) that check classify's homology.  A Dynkin quiver is a forest, so
-Hom(P(a), P(b)) is spanned by at most one path (`quivers.single_path`):
-a `TwoTermComplex`'s differential is a matrix of scalars, and Ext^1 and
-`tau_nakayama` read it as one.
+`projectives`, and only where a resolution runs.  A resolution
+alternates `minimal_cover` and `kernel_subrep` over such an algebra:
+`minimal_resolution` runs that loop for the resolutions of simples over
+End(T) that check classify's homology, and `minimal_presentation` takes
+the first two terms over KQ, as a `TwoTermComplex`, and checks from
+dimension vectors that the second is the last.  A Dynkin quiver is a
+forest, so Hom(P(a), P(b)) is spanned by at most one path
+(`quivers.single_path`): a `TwoTermComplex`'s differential is a matrix
+of scalars, and Ext^1 and `tau_nakayama` read it as one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
     Matrix,
     Rows,
+    cokernel_coords,
     coords_in_rows,
     kernel_basis,
     matmul,
     pivot_columns,
     rank,
-    reduce_by_rref,
     row_space_rref,
 )
 from .quivers import (
     PathVector,
     Quiver,
+    Record,
     coxeter_matrix,
     dynkin_type,
     path_tables,
     paths_between,
     quiver_to_json,
     single_path,
-    stored_hash,
     tits_form,
-    unhashed_state,
 )
 
 DimVector = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class QuiverRep:
+class QuiverRep(Record):
     """Representation of a quiver: dims per vertex, and per arrow, by id,
     its matrix as int rows, one row per basis vector at the source, each
     as wide as the dimension at the target.  A matrix with no rows is (),
@@ -79,7 +77,11 @@ class QuiverRep:
     dims: DimVector
     mats: Tuple[Tuple[str, Rows], ...]
 
-    def __post_init__(self):
+    def __init__(
+        self, quiver: Quiver, dims: DimVector, mats: Tuple[Tuple[str, Rows], ...]
+    ):
+        d = self.__dict__
+        d["quiver"], d["dims"], d["mats"] = quiver, dims, mats
         lut = dict(self.mats)
         for a in self.quiver.arrows:
             m, width = lut[a.id], self.dim_at(a.target)
@@ -191,10 +193,8 @@ def build_representation(q: Quiver, d: DimVector) -> QuiverRep:
     d is reflected down to a simple root along the admissible cycle; the
     inverse reflection functor at each source k then climbs back.  X_k
     becomes the cokernel of X_k -> (sum of X_j over the arrows at k, by
-    id), in the coordinates of the free columns of that map's RREF,
-    which is read off the RREF: the unit vector at a free column maps to
-    a unit vector, and the one at the pivot column of row r to minus row
-    r at the free columns.
+    id), in the coordinates of the free columns of that map's RREF, read
+    off the RREF by linalg.cokernel_coords.
     """
     if d not in set(indecomposables(q)):
         raise ValueError(f"{d} is not a positive root of this quiver")
@@ -218,16 +218,7 @@ def build_representation(q: Quiver, d: DimVector) -> QuiverRep:
         g_rref = row_space_rref([sum(rows, []) for rows in zip(*blocks)])
         if len(g_rref) != dims[k]:
             raise RuntimeError("reflection map not injective")
-        pivot_row = dict(zip(pivot_columns(g_rref), g_rref))
-        total = sum(dims[j] for _, j in at_k)
-        free = [c for c in range(total) if c not in pivot_row]
-        image = []
-        for c in range(total):
-            row = pivot_row.get(c)
-            if row is None:
-                image.append([int(f == c) for f in free])
-            else:
-                image.append([-row[f] for f in free])
+        free, image = cokernel_coords(g_rref, sum(dims[j] for _, j in at_k))
         off = 0
         for a, j in at_k:
             mats[a] = image[off : off + dims[j]]
@@ -277,8 +268,7 @@ def hom_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
 
 # --- bound quiver algebras, projective covers, minimal resolutions ---
 
-@dataclass(frozen=True)
-class BoundQuiverAlgebra:
+class BoundQuiverAlgebra(Record):
     """Basic algebra KQ/I given by its quiver (the Gabriel quiver of the
     algebra), the relations generating I, and its integer Cartan rows:
     cartan[k] is dim P(v) = dim e_v B for the k-th vertex v.  The path
@@ -289,6 +279,15 @@ class BoundQuiverAlgebra:
     gabriel: Quiver
     relations: Tuple[PathVector, ...]
     cartan: Tuple[DimVector, ...]
+
+    def __init__(
+        self,
+        gabriel: Quiver,
+        relations: Tuple[PathVector, ...],
+        cartan: Tuple[DimVector, ...],
+    ):
+        d = self.__dict__
+        d["gabriel"], d["relations"], d["cartan"] = gabriel, relations, cartan
 
     @property
     def dimension(self) -> int:
@@ -314,21 +313,6 @@ def path_algebra(q: Quiver) -> BoundQuiverAlgebra:
 Paths = Tuple[Tuple[str, ...], ...]  # paths as arrow-id tuples
 
 
-def _quotient(
-    rref: Sequence[Sequence[int]], width: int
-) -> Tuple[List[int], Callable[[Sequence[int]], List[int]]]:
-    """Canonical coordinates modulo the span of an RREF row basis: the
-    free columns, and the map reading a row's reduction at them."""
-    pivots = pivot_columns(rref)
-    free = [c for c in range(width) if c not in pivots]
-
-    def quotient(row: Sequence[int]) -> List[int]:
-        red = reduce_by_rref(row, rref)
-        return [red[c] for c in free]
-
-    return free, quotient
-
-
 @cache
 def projectives(
     b: BoundQuiverAlgebra,
@@ -341,8 +325,8 @@ def projectives(
     tuples, so p r p' concatenates them), in the coordinates of the
     paths from v to u (`path_tables`, uncached).  The basis paths from v
     to u are the free columns of its RREF, and a path's coordinates are
-    its reduction modulo e_v I e_u at those columns.  In P(v) an arrow a
-    sends the basis path p to p a.
+    its image modulo e_v I e_u at those columns (linalg.cokernel_coords).
+    In P(v) an arrow a sends the basis path p to p a.
 
     Returns (basis, reps), indexed like b.cartan: basis[k][l] lists the
     basis paths from the k-th vertex v to the l-th as arrow-id tuples,
@@ -364,9 +348,9 @@ def projectives(
                         for arrows, c in r.terms:
                             row[index[(v, p + arrows + p2)]] = c
                         ideal.append(row)
-            free, quotient = _quotient(row_space_rref(ideal), len(paths))
+            free, image = cokernel_coords(row_space_rref(ideal), len(paths))
             paths_from_v.append(tuple(paths[c] for c in free))
-            coords.append(quotient)
+            coords.append(image)
         dims = tuple(map(len, paths_from_v))
         if dims != cartan_row:
             raise RuntimeError(
@@ -378,9 +362,7 @@ def projectives(
             s, t = q.index(a.source), q.index(a.target)
             mats[a.id] = rows = []
             for p in paths_from_v[s]:
-                unit = [0] * len(pb[(v, a.target)])
-                unit[index[(v, p + (a.id,))]] = 1
-                rows.append(coords[t](unit))
+                rows.append(coords[t][index[(v, p + (a.id,))]])
         basis.append(tuple(paths_from_v))
         reps.append(make_rep(q, dims, mats))
     return tuple(basis), tuple(reps)
@@ -402,12 +384,13 @@ def radical_rows(rep: QuiverRep) -> List[List[List[int]]]:
 def minimal_cover(b: BoundQuiverAlgebra, rep: QuiverRep):
     """Projective cover of rep over the algebra b.
 
-    Returns (copies, p0rep, pi).  copies holds one (vertex, column) pair
-    per summand P(vertex) of the cover, for each free column of the RREF
+    Returns (copies, pi).  copies holds one (vertex, column) pair per
+    summand P(vertex) of the cover, for each free column of the RREF
     radical at that vertex; the summand's generator maps to the unit
-    vector at that column of rep's space.  p0rep is the direct sum of
-    projectives in copy order, and pi the per-vertex matrices of the
-    cover map.
+    vector at that column of rep's space.  pi holds the per-vertex
+    matrices of the cover map from the direct sum of those projectives in
+    copy order, one row per basis vector of that sum, so their row counts
+    are the cover's dimension vector.
     """
     q = b.gabriel
     rad = radical_rows(rep)
@@ -417,19 +400,31 @@ def minimal_cover(b: BoundQuiverAlgebra, rep: QuiverRep):
         copies.extend(
             (v, c) for c in range(rep.dims[vi]) if c not in pivots
         )
-    basis, reps = projectives(b)
-    p0 = _direct_sum(q, [reps[q.index(v)] for v, _ in copies])
-    pi: List[List[Tuple[int, ...]]] = []
+    basis = projectives(b)[0]
+    mats, target = dict(rep.mats), {a.id: q.index(a.target) for a in q.arrows}
+
+    def walk(row: List[int], arrows: Sequence[str]) -> List[int]:
+        # the row times the matrices along the path, one arrow at a time
+        for aid in arrows:
+            out = [0] * rep.dims[target[aid]]
+            for c, m_row in zip(row, mats[aid]):
+                if c:
+                    out = [e + c * f for e, f in zip(out, m_row)]
+            row = out
+        return row
+
+    units = [[int(i == c) for i in range(rep.dim_at(v))] for v, c in copies]
+    pi: List[List[List[int]]] = []
     for l, du in enumerate(rep.dims):
         rows = [
-            act_path(rep, v, arrows)[c]
-            for v, c in copies
+            walk(unit, arrows)
+            for (v, _), unit in zip(copies, units)
             for arrows in basis[q.index(v)][l]
         ]
         pi.append(rows)
         if rank(rows, du) != du:
             raise RuntimeError("cover map not surjective")
-    return copies, p0, pi
+    return copies, pi
 
 
 def _direct_sum(q: Quiver, reps: Sequence[QuiverRep]) -> QuiverRep:
@@ -447,14 +442,20 @@ def _direct_sum(q: Quiver, reps: Sequence[QuiverRep]) -> QuiverRep:
     return make_rep(q, dims, mats)
 
 
-def kernel_subrep(p0: QuiverRep, pi: Sequence[Sequence[Sequence[int]]]):
-    """Kernel of the cover map as a subrepresentation of p0.
+def kernel_subrep(
+    b: BoundQuiverAlgebra,
+    copies: Sequence[Tuple[int, int]],
+    pi: Sequence[Sequence[Sequence[int]]],
+):
+    """Kernel of minimal_cover's map as a subrepresentation of its domain
+    p0, the direct sum of b's projectives P(v) over the copies (v, _).
 
     pi holds the cover map's int rows at each vertex, one per basis
     vector of p0 there.  Returns (rows, krep): per-vertex RREF row bases
     inside p0's coordinates and the induced representation on those bases.
     """
-    q = p0.quiver
+    q, reps = b.gabriel, projectives(b)[1]
+    p0 = _direct_sum(q, [reps[q.index(v)] for v, _ in copies])
     # the kernel is the left null space of each cover matrix, the null
     # space of its transpose: rows of width 0 transpose to 0 x len(m), and
     # with no rows the target is 0 too, since the cover is onto
@@ -489,13 +490,12 @@ def minimal_resolution(b: BoundQuiverAlgebra, m: QuiverRep):
     coordinates; the columns of term k + 1 index those rows.
     """
     while any(m.dims):
-        copies, p0, pi = minimal_cover(b, m)
-        rows, m = kernel_subrep(p0, pi)
+        copies, pi = minimal_cover(b, m)
+        rows, m = kernel_subrep(b, copies, pi)
         yield copies, rows
 
 
-@dataclass(frozen=True)
-class TwoTermComplex:
+class TwoTermComplex(Record):
     """Complex of projectives over KQ concentrated in degrees -1 and 0.
 
     diff[j][i] is the component P(deg_minus1[i]) -> P(deg0[j]): the
@@ -508,7 +508,17 @@ class TwoTermComplex:
     deg0: Tuple[int, ...]
     diff: Tuple[Tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        quiver: Quiver,
+        deg_minus1: Tuple[int, ...],
+        deg0: Tuple[int, ...],
+        diff: Tuple[Tuple[int, ...], ...],
+    ):
+        d = self.__dict__
+        d["quiver"], d["deg_minus1"], d["deg0"], d["diff"] = (
+            quiver, deg_minus1, deg0, diff
+        )
         known = set(self.quiver.vertices)
         for v in self.deg_minus1 + self.deg0:
             if v not in known:
@@ -525,22 +535,29 @@ class TwoTermComplex:
                         f"non-zero, but no path runs from {b} to {a}"
                     )
 
-    __hash__ = stored_hash
-    __getstate__ = unhashed_state
-
 
 @cache
 def minimal_presentation(q: Quiver, m: QuiverRep) -> TwoTermComplex:
     """Minimal projective presentation P1 -> P0 -> M -> 0 over KQ, as the
-    complex P1 -> P0: the resolution of M over path_algebra(q), which has
-    at most two terms because KQ is hereditary."""
+    complex P1 -> P0: the first two terms of the resolution of M over
+    path_algebra(q), which are all of it because KQ is hereditary.  The
+    cover of the first syzygy K is onto, so it is injective, and K is
+    projective, exactly when its dimension vector (the row counts of its
+    map) is K's; RuntimeError otherwise."""
     if m.quiver != q:
         raise ValueError("module is over a different quiver")
-    steps = list(islice(minimal_resolution(path_algebra(q), m), 3))
-    if len(steps) == 3:
-        raise RuntimeError("first syzygy is not projective (not hereditary?)")
-    # a projective M has a one-term resolution: P1 is then empty
-    (copies0, krows), (copies1, _) = (steps + [((), ())] * 2)[:2]
+    kq = path_algebra(q)
+    copies0, krows, copies1 = (), (), ()
+    if any(m.dims):
+        copies0, pi = minimal_cover(kq, m)
+        krows, k = kernel_subrep(kq, copies0, pi)
+        # a projective M has a one-term resolution: P1 is then empty
+        if any(k.dims):
+            copies1, pi1 = minimal_cover(kq, k)
+            if tuple(map(len, pi1)) != k.dims:
+                raise RuntimeError(
+                    "first syzygy is not projective (not hereditary?)"
+                )
     rows: List[List[int]] = [[] for _ in copies0]
     for a, col in copies1:
         # the copy's generator, in p0's coordinates at vertex a: one
@@ -653,13 +670,16 @@ def tau(q: Quiver, d: DimVector) -> Optional[DimVector]:
 
 # --- AR quivers ---
 
-@dataclass(frozen=True)
-class IndId:
+class IndId(Record):
     """Identifier of an object: a module or a shifted projective P(v)[1]."""
 
     kind: str  # "mod" or "shift"
     dim: DimVector
-    vertex: Optional[int] = None
+    vertex: Optional[int]
+
+    def __init__(self, kind: str, dim: DimVector, vertex: Optional[int] = None):
+        d = self.__dict__
+        d["kind"], d["dim"], d["vertex"] = kind, dim, vertex
 
     @staticmethod
     def module(d: Sequence[int]) -> "IndId":
@@ -679,8 +699,7 @@ class IndId:
         return (1, 0, self.dim, self.vertex)
 
 
-@dataclass(frozen=True)
-class ArQuiver:
+class ArQuiver(Record):
     """AR quiver with irreducible-map arrows, tau pairs, and a grid layout."""
 
     quiver: Quiver
@@ -688,6 +707,18 @@ class ArQuiver:
     arrows: Tuple[Tuple[IndId, IndId], ...]
     tau_pairs: Tuple[Tuple[IndId, IndId], ...]  # (M, tau M)
     layout: Tuple[Tuple[IndId, Tuple[int, int]], ...]  # id -> (col, row)
+
+    def __init__(
+        self,
+        quiver: Quiver,
+        vertices: Tuple[IndId, ...],
+        arrows: Tuple[Tuple[IndId, IndId], ...],
+        tau_pairs: Tuple[Tuple[IndId, IndId], ...],
+        layout: Tuple[Tuple[IndId, Tuple[int, int]], ...],
+    ):
+        d = self.__dict__
+        d["quiver"], d["vertices"], d["arrows"] = quiver, vertices, arrows
+        d["tau_pairs"], d["layout"] = tau_pairs, layout
 
     def to_dot(self) -> str:
         lines = ["digraph ar {", "  rankdir=LR;"]

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cache
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import integer_solve
@@ -43,36 +43,71 @@ class NotDynkinError(QuiverError):
     """Underlying graph is not a disjoint union of A/D/E diagrams."""
 
 
-def stored_hash(obj) -> int:
-    """The generated hash of a frozen dataclass, the hash of its fields in
-    order, stored on first use: quivers, complexes and silting objects key
-    many caches."""
-    h = obj.__dict__.get("_hash")
-    if h is None:
-        h = hash(tuple(obj.__dict__.values()))
-        object.__setattr__(obj, "_hash", h)
-    return h
+class Record:
+    """An immutable record whose fields are its class's annotations, in
+    order.  A subclass's __init__ writes each field into self.__dict__ and
+    runs its checks; assigning or deleting an attribute raises
+    AttributeError.
+
+    Two records are equal when they have the same type and equal fields.
+    The hash is hash(tuple(fields)), stored on first use: quivers,
+    complexes and silting objects key many caches.  The stored hash stays
+    out of the pickle state, since str hashes differ between processes.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        # the fields for ==, read in C: a bare value for one field
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return self is other or key(self) == key(other)
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self._values())
+        return h
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
-def unhashed_state(obj) -> dict:
-    """The pickle state without the stored hash: str hashes differ
-    between processes."""
-    return {k: v for k, v in obj.__dict__.items() if k != "_hash"}
-
-
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Record):
     id: str
     source: int
     target: int
 
+    def __init__(self, id: str, source: int, target: int):
+        d = self.__dict__
+        d["id"], d["source"], d["target"] = id, source, target
 
-@dataclass(frozen=True)
-class Quiver:
+
+class Quiver(Record):
     vertices: Tuple[int, ...]
     arrows: Tuple[Arrow, ...]
 
-    def __post_init__(self):
+    def __init__(self, vertices: Tuple[int, ...], arrows: Tuple[Arrow, ...]):
+        d = self.__dict__
+        d["vertices"], d["arrows"] = vertices, arrows
         if len(set(self.vertices)) != len(self.vertices):
             raise QuiverSyntaxError("duplicate vertex labels")
         ids = [a.id for a in self.arrows]
@@ -85,9 +120,6 @@ class Quiver:
                     f"arrow {a.id} uses unknown vertex"
                 )
         _check_acyclic(self)
-
-    __hash__ = stored_hash
-    __getstate__ = unhashed_state
 
     def index(self, v: int) -> int:
         return self.vertices.index(v)
@@ -113,11 +145,13 @@ def _check_acyclic(q: Quiver) -> None:
         raise QuiverCycleError("oriented cycle detected")
 
 
-@dataclass(frozen=True)
-class DynkinType:
+class DynkinType(Record):
     """Multiset of (family, rank) components, canonically sorted."""
 
     components: Tuple[Tuple[str, int], ...]
+
+    def __init__(self, components: Tuple[Tuple[str, int], ...]):
+        self.__dict__["components"] = components
 
     @staticmethod
     def of(components: Sequence[Tuple[str, int]]) -> "DynkinType":
@@ -383,8 +417,7 @@ def tits_form(q: Quiver, d: Sequence[int]) -> int:
     return euler_form(q, d, d)
 
 
-@dataclass(frozen=True)
-class PathVector:
+class PathVector(Record):
     """Integer linear combination of paths sharing one (source, target):
     a relation of a BoundQuiverAlgebra (maps between projectives over a
     Dynkin quiver are scalars, see single_path).
@@ -396,6 +429,15 @@ class PathVector:
     source: int
     target: int
     terms: Tuple[Tuple[Tuple[str, ...], int], ...]
+
+    def __init__(
+        self,
+        source: int,
+        target: int,
+        terms: Tuple[Tuple[Tuple[str, ...], int], ...],
+    ):
+        d = self.__dict__
+        d["source"], d["target"], d["terms"] = source, target, terms
 
     @staticmethod
     def make(

@@ -16,11 +16,12 @@ then the shifted projectives, all in IndId.key order.  A tilting module
 is an object with no shifted summand (Adachi-Iyama-Reiten), so its
 positions are those of its roots in indecomposables(q).  Both brute
 forces pick the rigid n-subsets of the first m two-term objects (all of
-them for silting, the modules for tilting), ranked through the
-hom_class_dim cache for exactly the pairs they visit: over a hereditary
-algebra Ext^1(M, N) = Hom(P_M, P_N[1]) for the minimal projective
-resolutions P_M, P_N, so the tilting brute force ranks module pairs
-only.  euler_table gives the same dimensions as integers: mod KQ is
+them for silting, the modules for tilting), with dim Hom(X, Y[1]) from
+complexes.hom_class_dim for exactly the pairs they visit: one small rank
+per pair over the cokernel table of Y, which is built once per object.
+Over a hereditary algebra Ext^1(M, N) = Hom(P_M, P_N[1]) for the minimal
+projective resolutions P_M, P_N, so the tilting brute force ranks module
+pairs only.  euler_table gives the same dimensions as integers: mod KQ is
 representation-directed, so at most one of Hom(X, Y) and Hom(X, Y[1])
 is non-zero, and <[X], [Y]> is the first minus the second.  End(T)
 assembly reads its premise and its block dimensions off that table, at
@@ -29,11 +30,10 @@ the object's positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from operator import lt
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .complexes import (
     TwoTermComplex,
@@ -48,19 +48,12 @@ from .modules import (
     indecomposables,
     projective_dim_vectors,
 )
-from .quivers import (
-    Quiver,
-    euler_form,
-    single_path,
-    stored_hash,
-    unhashed_state,
-)
+from .quivers import Quiver, Record, euler_form, single_path
 
 DimVector = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SiltingObject:
+class SiltingObject(Record):
     """Basic two-term silting object M + P[1], stored as the strictly
     increasing positions of its summands in two_term_objects(quiver).  A
     tilting module is one with no shifted summand."""
@@ -68,17 +61,14 @@ class SiltingObject:
     quiver: Quiver
     positions: Tuple[int, ...]
 
-    def __post_init__(self):
-        p, m = self.positions, len(two_term_objects(self.quiver))
-        if len(p) != len(self.quiver.vertices) or not all(
-            map(lt, p, p[1:])
-        ):
+    def __init__(self, quiver: Quiver, positions: Tuple[int, ...]):
+        d = self.__dict__
+        d["quiver"], d["positions"] = quiver, positions
+        p, m = positions, len(two_term_objects(quiver))
+        if len(p) != len(quiver.vertices) or not all(map(lt, p, p[1:])):
             raise ValueError("an object needs n strictly increasing positions")
         if p and not 0 <= p[0] <= p[-1] < m:
             raise ValueError(f"positions must lie in range({m})")
-
-    __hash__ = stored_hash
-    __getstate__ = unhashed_state
 
     @property
     def summands(self) -> Tuple[IndId, ...]:
@@ -93,17 +83,25 @@ class SiltingObject:
 
     @property
     def module_dims(self) -> Tuple[DimVector, ...]:
-        return tuple(s.dim for s in self.summands if s.kind == "mod")
+        table = position_table(self.quiver)
+        return tuple(
+            d for kind, _, d in map(table.__getitem__, self.positions)
+            if kind == "mod"
+        )
 
     def label(self) -> str:
         return "+".join(s.label() for s in self.summands)
 
     def to_json_dict(self) -> dict:
-        ss = self.summands
-        return {
-            "I": sorted(s.vertex for s in ss if s.kind == "shift"),
-            "modules": [s.dim for s in ss if s.kind == "mod"],
-        }
+        shifted, modules, table = [], [], position_table(self.quiver)
+        for p in self.positions:
+            kind, v, d = table[p]
+            if kind == "mod":
+                modules.append(d)
+            else:
+                shifted.append(v)
+        shifted.sort()
+        return {"I": shifted, "modules": modules}
 
     def to_ascii(self) -> str:
         ar = ar_quiver_two_term(self.quiver)
@@ -263,6 +261,14 @@ def two_term_objects(q: Quiver) -> Tuple[IndId, ...]:
     return tuple(IndId.module(d) for d in indecomposables(q)) + tuple(
         IndId.shifted(v, d) for d, v in shifts
     )
+
+
+@cache
+def position_table(q: Quiver) -> Tuple[Tuple[str, Optional[int], DimVector], ...]:
+    """The kind, vertex and dimension vector of each of two_term_objects(q),
+    by position: what reports read off an object without building its
+    summands."""
+    return tuple((o.kind, o.vertex, o.dim) for o in two_term_objects(q))
 
 
 @cache

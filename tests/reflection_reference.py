@@ -4,17 +4,33 @@ which walks the same reflection sequence on int rows, is tested against.
 
 Every step reverses the arrows at one vertex into a new Quiver and
 builds a new validated QuiverRep, whose cokernel at the reflected vertex
-is read through reduce_by_rref (silt.modules._quotient).
+is read through reduce_by_rref (_quotient), not through the RREF
+read-off (linalg.cokernel_coords) that silt.modules uses.
 """
 
 from functools import cache
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from silt.linalg import row_space_rref
-from silt.modules import QuiverRep, _quotient, indecomposables, make_rep, simple_rep
+from silt.linalg import pivot_columns, reduce_by_rref, row_space_rref
+from silt.modules import QuiverRep, indecomposables, make_rep, simple_rep
 from silt.quivers import Arrow, Quiver
 
 DimVector = Tuple[int, ...]
+
+
+def _quotient(
+    rref: Sequence[Sequence[int]], width: int
+) -> Tuple[List[int], Callable[[Sequence[int]], List[int]]]:
+    """Canonical coordinates modulo the span of an RREF row basis: the
+    free columns, and the map reading a row's reduction at them."""
+    pivots = pivot_columns(rref)
+    free = [c for c in range(width) if c not in pivots]
+
+    def quotient(row: Sequence[int]) -> List[int]:
+        red = reduce_by_rref(row, rref)
+        return [red[c] for c in free]
+
+    return free, quotient
 
 
 def _reverse_at(q: Quiver, v: int) -> Quiver:

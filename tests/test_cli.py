@@ -675,6 +675,19 @@ def test_write_json_keys_repeated_int_arrays_by_type_and_indent():
     assert "".join(writes) == _dumps(payload)
 
 
+def test_write_json_reuses_a_kept_tuple_only_for_that_tuple():
+    # the very tuple kept skips the type check; an equal tuple of another
+    # object, a tuple with a bool and one that cannot be hashed do not
+    dims = (1, 2)
+    payload = {
+        "a": [dims, dims, tuple([True, 2]), [dims], tuple([1, 2]), (1, [2])],
+        "b": [(True, 2), dims],
+    }
+    writes = []
+    cli._write_json(payload, writes.append)
+    assert "".join(writes) == _dumps(payload)
+
+
 def test_benchmark_invocations_match_their_frozen_digests(monkeypatch, capsys):
     # the benchmark's correctness gate, replayed in-process; the file is
     # only read

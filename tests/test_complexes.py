@@ -1,8 +1,10 @@
 """Oracle tests for two-term complexes of projectives and homotopy Hom spaces."""
 
 import pickle
+import random
 
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from silt.modules import (
 from silt.complexes import (
     HomClass,
     TwoTermComplex,
+    _cokernels,
     _layout,
     compose,
     hom_class_basis,
@@ -27,7 +30,8 @@ from silt.complexes import (
     shifted_projective,
 )
 
-from dynkin_orientations import E6, orientations
+from complexes_reference import hom_shift_dim
+from dynkin_orientations import E6, TYPES_WITH_E6, orientations
 from path_vector_maps import (
     compose_mats,
     compose_reference,
@@ -142,13 +146,7 @@ def test_hom_dims_match_module_homs_exhaustively():
     # the shift-1 dimensions are the table both brute-force oracles read,
     # so this cross-checks it against the module-side Ext^1 on every
     # fixture, every orientation of D5 and the shared E6
-    fixtures = [
-        parse_quiver(
-            files("silt").joinpath("fixtures", f"{name}.quiver").read_text()
-        )
-        for name in FIXTURE_NAMES
-    ]
-    for q in fixtures + [q for _, q in orientations("D", 5)] + [E6]:
+    for q in _fixtures() + [q for _, q in orientations("D", 5)] + [E6]:
         for dm in indecomposables(q):
             m = build_representation(q, dm)
             x = minimal_presentation(q, m)
@@ -157,6 +155,97 @@ def test_hom_dims_match_module_homs_exhaustively():
                 y = minimal_presentation(q, n)
                 assert hom_class_dim(x, y, 0) == hom_dim(q, m, n)
                 assert hom_class_dim(x, y, 1) == ext1_dim(q, m, n)
+
+
+def _fixtures():
+    return [
+        parse_quiver(
+            files("silt").joinpath("fixtures", f"{name}.quiver").read_text()
+        )
+        for name in FIXTURE_NAMES
+    ]
+
+
+# the benchmark's E7 quiver; the file is only read
+E7_BENCH = parse_quiver(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "e7.quiver").read_text()
+)
+
+
+def _assert_shift_one_matches_the_whole_differential(q):
+    objs = two_term_objects(q)
+    for x in objs:
+        for y in objs:
+            assert hom_class_dim(x, y, 1) == hom_shift_dim(x, y), (x, y)
+
+
+@pytest.mark.parametrize(
+    "kind, n", [pytest.param(k, n, id=f"{k}{n}") for k, n in TYPES_WITH_E6]
+)
+def test_shift_one_matches_the_whole_differential_on_every_orientation(kind, n):
+    # the two-quotient route against the rank of all of d^0, for every
+    # ordered pair of two-term objects
+    for _, q in orientations(kind, n):
+        _assert_shift_one_matches_the_whole_differential(q)
+
+
+def test_shift_one_matches_the_whole_differential_on_fixtures_and_e7():
+    for q in _fixtures() + [E7_BENCH]:
+        _assert_shift_one_matches_the_whole_differential(q)
+
+
+def _random_complexes(q, rng, count):
+    """Complexes with up to three summands a side, repeats allowed, and
+    coefficients in -1..1 wherever a path runs, whose cokernel table has
+    an integral RREF (silt's elimination raises otherwise)."""
+    out = []
+    while len(out) < count:
+        minus1, zero = (
+            tuple(rng.choice(q.vertices) for _ in range(rng.randint(0, 3)))
+            for _ in range(2)
+        )
+        diff = tuple(
+            tuple(
+                rng.randint(-1, 1) if paths_between(q)[(b, a)] else 0
+                for a in minus1
+            )
+            for b in zero
+        )
+        y = TwoTermComplex(q, minus1, zero, diff)
+        try:
+            _cokernels(y)
+        except RuntimeError:
+            continue
+        out.append(y)
+    return out
+
+
+def test_shift_one_matches_the_whole_differential_on_any_signs():
+    # a presentation's differential has its entries on a tree, where a
+    # sign can be moved into a basis vector; with repeated summands the
+    # signs of these complexes matter
+    rng = random.Random(39)
+    for q in (A3, D4, A4_SECOND):
+        objs = _random_complexes(q, rng, 40)
+        for x in objs:
+            for y in objs:
+                assert hom_class_dim(x, y, 1) == hom_shift_dim(x, y), (x, y)
+
+
+def test_cokernel_table_is_the_module_at_each_vertex():
+    # N_w is H^0 at w: the module's space for its presentation, zero for
+    # P(v)[1]; a free summand's coordinates are a unit vector
+    for q in _fixtures() + [E6]:
+        for d in indecomposables(q):
+            table = _cokernels(resolve_dim(q, d))
+            assert tuple(len(table[w][0]) for w in q.vertices) == d
+            for w in q.vertices:
+                free, coords = table[w]
+                for k, j in enumerate(free):
+                    assert coords[j] == [int(i == k) for i in range(len(free))]
+        for v in q.vertices:
+            table = _cokernels(shifted_projective(q, v))
+            assert all(table[w][0] == [] for w in q.vertices)
 
 
 # k = 0 only: Hom(X, Y[1]) has no basis to compare its dimension with

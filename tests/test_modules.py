@@ -1,6 +1,7 @@
 """Oracle tests for KQ-modules: roots, representations, Hom/Ext, tau, AR quivers."""
 
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -8,6 +9,8 @@ import reflection_reference
 from dynkin_orientations import E6, TYPES_WITH_E6, orientations
 from silting_reference import tau_inverse
 from silt import modules
+from silt.classify import classify
+from silt.silting import silting_alg2
 from silt.quivers import NotDynkinError, dynkin_type, euler_form, parse_quiver
 from silt.modules import (
     ArQuiver,
@@ -295,6 +298,68 @@ def test_presentation_a2_simple():
 def test_presentation_rejects_a_module_over_another_quiver():
     with pytest.raises(ValueError, match="module is over a different quiver"):
         minimal_presentation(A2, build_representation(A3, (1, 1, 0)))
+
+
+def test_presentation_terms_are_the_whole_resolution():
+    # two covers and one kernel give the presentation; the full loop,
+    # run until its kernel is zero, has exactly those terms
+    quivers = [q for kind, n in TYPES_WITH_E6 for _, q in orientations(kind, n)]
+    for q in quivers:
+        kq = modules.path_algebra(q)
+        for d in indecomposables(q):
+            m = build_representation(q, d)
+            pres = minimal_presentation(q, m)
+            steps = [copies for copies, _ in modules.minimal_resolution(kq, m)]
+            terms = [pres.deg0] + [pres.deg_minus1] * bool(pres.deg_minus1)
+            assert [tuple(v for v, _ in c) for c in steps] == terms
+
+
+def test_presentation_rejects_a_first_syzygy_that_is_not_projective(monkeypatch):
+    # a cover of the syzygy that is larger than the syzygy has a kernel
+    real, calls = modules.minimal_cover, []
+
+    def cover(b, rep):
+        copies, pi = real(b, rep)
+        calls.append(rep)
+        if len(calls) == 2:
+            pi = [rows * 2 for rows in pi]
+        return copies, pi
+
+    monkeypatch.setattr(modules, "minimal_cover", cover)
+    with pytest.raises(RuntimeError, match="first syzygy is not projective"):
+        minimal_presentation.__wrapped__(A2, build_representation(A2, (1, 0)))
+    assert len(calls) == 2
+
+
+def test_cover_rows_are_the_path_actions():
+    # minimal_cover walks each generator's unit row along each basis
+    # path; the full matrix of the path action has the same row, over KQ
+    # and over an algebra with relations
+    algebras = [modules.path_algebra(q) for q in (A3, D4, D5, E6)]
+    algebras += [
+        b
+        for b in (classify(D4, t).algebra for t in silting_alg2(D4))
+        if b.relations
+    ][:5]
+    for b in algebras:
+        q = b.gabriel
+        basis, reps = modules.projectives(b)
+        mods = list(reps) + [modules.simple_rep(q, v) for v in q.vertices]
+        if not b.relations:
+            mods += [build_representation(q, d) for d in indecomposables(q)]
+        for rep in mods:
+            copies, pi = modules.minimal_cover(b, rep)
+            # one row per basis vector of the cover: its dimension vector
+            cover_dims = [0] * len(q.vertices)
+            for v, _ in copies:
+                cover_dims = list(map(add, cover_dims, b.cartan[q.index(v)]))
+            assert list(map(len, pi)) == cover_dims
+            for l, rows in enumerate(pi):
+                assert rows == [
+                    list(modules.act_path(rep, v, arrows)[c])
+                    for v, c in copies
+                    for arrows in basis[q.index(v)][l]
+                ]
 
 
 # --- AR quivers ---

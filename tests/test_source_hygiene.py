@@ -1,8 +1,9 @@
 """Static checks on silt's own source, read with ast: no unused import, no
 definition that nothing names, no memo keyed by the builtin id(), no
-call to object.__new__, no single_path result read as a truth value, and
-one matrix format (int rows, with linalg.Matrix only as the input of the
-two traced eliminations); and, read as text, no mention of fractions."""
+import of dataclasses, no call to object.__new__, no single_path result
+read as a truth value, and one matrix format (int rows, with linalg.Matrix
+only as the input of the two traced eliminations); and, read as text, no
+mention of fractions."""
 
 import ast
 import re
@@ -94,6 +95,38 @@ def test_no_fractions_in_src():
         for m in re.finditer(r"\b(fractions|Fraction|RatMatrix)\b", line)
     ]
     assert found == []
+
+
+def _imported_modules(tree):
+    """The top-level name of every module an import statement names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_no_dataclasses_import():
+    # records are quivers.Record subclasses: importing dataclasses (and
+    # inspect with it) costs every cold process about 20 ms
+    found = [
+        name
+        for name, tree in TREES.items()
+        if "dataclasses" in set(_imported_modules(tree))
+    ]
+    assert found == []
+
+
+def test_dataclasses_import_check_sees_each_form():
+    for text in (
+        "import dataclasses",
+        "from dataclasses import dataclass",
+        "import dataclasses as dc",
+        "def f():\n    from dataclasses import fields",
+    ):
+        assert "dataclasses" in set(_imported_modules(ast.parse(text))), text
+    for text in ("from .dataclasses import x", "import json", "x = 'dataclasses'"):
+        assert "dataclasses" not in set(_imported_modules(ast.parse(text))), text
 
 
 def test_no_constructor_bypass():
