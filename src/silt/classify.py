@@ -108,12 +108,6 @@ class Homology(Record):
     ext3: Rows
     pds: Tuple[Tuple[int, int], ...]
 
-    def __init__(
-        self, ext1: Rows, ext2: Rows, ext3: Rows, pds: Tuple[Tuple[int, int], ...]
-    ):
-        d = self.__dict__
-        d["ext1"], d["ext2"], d["ext3"], d["pds"] = ext1, ext2, ext3, pds
-
 
 def homology(b: BoundQuiverAlgebra) -> Homology:
     """Ext between the simples of a silted algebra and their pds, read off
@@ -228,18 +222,6 @@ class BlockVerdict(Record):
     verdict: str  # "tilted" | "strictly_shod"
     dynkin: Optional[DynkinType]
 
-    def __init__(
-        self,
-        vertices: Tuple[int, ...],
-        gl_dim: int,
-        verdict: str,
-        dynkin: Optional[DynkinType],
-    ):
-        d = self.__dict__
-        d["vertices"], d["gl_dim"], d["verdict"], d["dynkin"] = (
-            vertices, gl_dim, verdict, dynkin
-        )
-
 
 class ClassificationRecord(Record):
     silting: SiltingObject
@@ -248,21 +230,6 @@ class ClassificationRecord(Record):
     is_tilted: bool
     label: str
     fingerprint: Tuple
-
-    def __init__(
-        self,
-        silting: SiltingObject,
-        algebra: BoundQuiverAlgebra,
-        block_verdicts: Tuple[BlockVerdict, ...],
-        is_tilted: bool,
-        label: str,
-        fingerprint: Tuple,
-    ):
-        d = self.__dict__
-        d["silting"], d["algebra"], d["block_verdicts"] = (
-            silting, algebra, block_verdicts
-        )
-        d["is_tilted"], d["label"], d["fingerprint"] = is_tilted, label, fingerprint
 
 
 def least_relabelling(

@@ -75,12 +75,12 @@ from .quivers import (
 )
 from .silting import (
     SiltingObject,
-    position_table,
     silting_alg2,
     silting_bruteforce,
     summand_complex,
     tilting_modules_alg1,
     tilting_modules_bruteforce,
+    two_term_objects,
 )
 
 FIXTURE_NAMES = (
@@ -461,8 +461,8 @@ def _render_silting(q: Quiver, objs, fmt: str) -> Report:
 
 def _render_tilting(q: Quiver, mods, fmt: str) -> Report:
     # a tilting module has no shifted summand: every position is a module
-    table = position_table(q)
-    dims = map(lambda m: sorted(table[p][2] for p in m.positions), mods)
+    objs = two_term_objects(q)
+    dims = map(lambda m: sorted(objs[p].dim for p in m.positions), mods)
     if fmt == "json":
         return {
             "quiver": quiver_to_json(q),

@@ -174,17 +174,6 @@ class HomSpace(Record):
     class_basis: Tuple[Tuple[int, ...], ...]
     homotopy_rref: Tuple[Tuple[int, ...], ...]
 
-    def __init__(
-        self,
-        x: TwoTermComplex,
-        y: TwoTermComplex,
-        class_basis: Tuple[Tuple[int, ...], ...],
-        homotopy_rref: Tuple[Tuple[int, ...], ...],
-    ):
-        d = self.__dict__
-        d["x"], d["y"] = x, y
-        d["class_basis"], d["homotopy_rref"] = class_basis, homotopy_rref
-
     def dim(self) -> int:
         return len(self.class_basis)
 
@@ -222,10 +211,6 @@ class HomClass(Record):
 
     space: HomSpace
     coords: Tuple[int, ...]
-
-    def __init__(self, space: HomSpace, coords: Tuple[int, ...]):
-        d = self.__dict__
-        d["space"], d["coords"] = space, coords
 
 
 @cache

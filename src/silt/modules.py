@@ -35,7 +35,7 @@ of scalars, and Ext^1 and `tau_nakayama` read it as one.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, chain
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -77,11 +77,7 @@ class QuiverRep(Record):
     dims: DimVector
     mats: Tuple[Tuple[str, Rows], ...]
 
-    def __init__(
-        self, quiver: Quiver, dims: DimVector, mats: Tuple[Tuple[str, Rows], ...]
-    ):
-        d = self.__dict__
-        d["quiver"], d["dims"], d["mats"] = quiver, dims, mats
+    def __post_init__(self):
         lut = dict(self.mats)
         for a in self.quiver.arrows:
             m, width = lut[a.id], self.dim_at(a.target)
@@ -236,11 +232,14 @@ def build_representation(q: Quiver, d: DimVector) -> QuiverRep:
 
 def act_path(rep: QuiverRep, source: int, arrows: Sequence[str]) -> Rows:
     """Matrix of the right action along a path, from source's space: the
-    identity along the lazy path, else the product of the arrows' matrices."""
-    n = rep.dim_at(source)
-    m: Rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    identity along the lazy path, else the product of the arrows' matrices.
+    Its row c is the image of the c-th basis vector at source."""
+    if len(arrows) == 0:
+        n = rep.dim_at(source)
+        return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     target = {a.id: a.target for a in rep.quiver.arrows}
-    for aid in arrows:
+    m = rep.mat(arrows[0])
+    for aid in arrows[1:]:
         m = matmul(m, rep.mat(aid), rep.dim_at(target[aid]))
     return m
 
@@ -279,15 +278,6 @@ class BoundQuiverAlgebra(Record):
     gabriel: Quiver
     relations: Tuple[PathVector, ...]
     cartan: Tuple[DimVector, ...]
-
-    def __init__(
-        self,
-        gabriel: Quiver,
-        relations: Tuple[PathVector, ...],
-        cartan: Tuple[DimVector, ...],
-    ):
-        d = self.__dict__
-        d["gabriel"], d["relations"], d["cartan"] = gabriel, relations, cartan
 
     @property
     def dimension(self) -> int:
@@ -401,24 +391,13 @@ def minimal_cover(b: BoundQuiverAlgebra, rep: QuiverRep):
             (v, c) for c in range(rep.dims[vi]) if c not in pivots
         )
     basis = projectives(b)[0]
-    mats, target = dict(rep.mats), {a.id: q.index(a.target) for a in q.arrows}
-
-    def walk(row: List[int], arrows: Sequence[str]) -> List[int]:
-        # the row times the matrices along the path, one arrow at a time
-        for aid in arrows:
-            out = [0] * rep.dims[target[aid]]
-            for c, m_row in zip(row, mats[aid]):
-                if c:
-                    out = [e + c * f for e, f in zip(out, m_row)]
-            row = out
-        return row
-
-    units = [[int(i == c) for i in range(rep.dim_at(v))] for v, c in copies]
+    # a path sends the generator at column c to row c of its action
+    act = cache(partial(act_path, rep))
     pi: List[List[List[int]]] = []
     for l, du in enumerate(rep.dims):
         rows = [
-            walk(unit, arrows)
-            for (v, _), unit in zip(copies, units)
+            list(act(v, arrows)[c])
+            for v, c in copies
             for arrows in basis[q.index(v)][l]
         ]
         pi.append(rows)
@@ -508,17 +487,7 @@ class TwoTermComplex(Record):
     deg0: Tuple[int, ...]
     diff: Tuple[Tuple[int, ...], ...]
 
-    def __init__(
-        self,
-        quiver: Quiver,
-        deg_minus1: Tuple[int, ...],
-        deg0: Tuple[int, ...],
-        diff: Tuple[Tuple[int, ...], ...],
-    ):
-        d = self.__dict__
-        d["quiver"], d["deg_minus1"], d["deg0"], d["diff"] = (
-            quiver, deg_minus1, deg0, diff
-        )
+    def __post_init__(self):
         known = set(self.quiver.vertices)
         for v in self.deg_minus1 + self.deg0:
             if v not in known:
@@ -675,11 +644,7 @@ class IndId(Record):
 
     kind: str  # "mod" or "shift"
     dim: DimVector
-    vertex: Optional[int]
-
-    def __init__(self, kind: str, dim: DimVector, vertex: Optional[int] = None):
-        d = self.__dict__
-        d["kind"], d["dim"], d["vertex"] = kind, dim, vertex
+    vertex: Optional[int] = None
 
     @staticmethod
     def module(d: Sequence[int]) -> "IndId":
@@ -707,18 +672,6 @@ class ArQuiver(Record):
     arrows: Tuple[Tuple[IndId, IndId], ...]
     tau_pairs: Tuple[Tuple[IndId, IndId], ...]  # (M, tau M)
     layout: Tuple[Tuple[IndId, Tuple[int, int]], ...]  # id -> (col, row)
-
-    def __init__(
-        self,
-        quiver: Quiver,
-        vertices: Tuple[IndId, ...],
-        arrows: Tuple[Tuple[IndId, IndId], ...],
-        tau_pairs: Tuple[Tuple[IndId, IndId], ...],
-        layout: Tuple[Tuple[IndId, Tuple[int, int]], ...],
-    ):
-        d = self.__dict__
-        d["quiver"], d["vertices"], d["arrows"] = quiver, vertices, arrows
-        d["tau_pairs"], d["layout"] = tau_pairs, layout
 
     def to_dot(self) -> str:
         lines = ["digraph ar {", "  rankdir=LR;"]

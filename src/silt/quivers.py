@@ -43,33 +43,61 @@ class NotDynkinError(QuiverError):
     """Underlying graph is not a disjoint union of A/D/E diagrams."""
 
 
-class Record:
+class _RecordType(type):
+    """Builds each Record subclass from its annotations alone: they become
+    its __slots__, in order, and its __init__ and _values are written
+    once, here, the way namedtuple writes its __new__.  A class-level
+    value of a field is that parameter's default.  The __init__ sets each
+    field, and the stored hash to None, through its slot's own setter (a
+    record's __setattr__ raises), then runs the class's own checks, its
+    __post_init__, if it defines one; _values is the tuple of the fields."""
+
+    def __new__(mcs, name, bases, ns):
+        if not bases:  # Record itself
+            return super().__new__(mcs, name, bases, ns)
+        fields = tuple(ns.get("__annotations__", ()))
+        defaults = {f: ns.pop(f) for f in fields if f in ns}
+        ns["__slots__"] = ns["_fields"] = fields
+        # the fields for ==, read in C: a bare value for one field
+        ns["_key"] = attrgetter(*fields)
+        cls = super().__new__(mcs, name, bases, ns)
+        scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields + ("_hash",)}
+        scope["_d"] = defaults
+        params = ", ".join(f"{f}=_d[{f!r}]" if f in defaults else f for f in fields)
+        lines = [f"def __init__(self, {params}):"]
+        lines += [f"    _set_{f}(self, {f})" for f in fields]
+        lines.append("    _set__hash(self, None)")
+        if "__post_init__" in ns:
+            lines.append("    self.__post_init__()")
+        lines += ["def _values(self):", f"    return ({''.join(f'self.{f}, ' for f in fields)})"]
+        exec("\n".join(lines), scope)
+        cls.__init__, cls._values = scope["__init__"], scope["_values"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        return cls
+
+
+class Record(metaclass=_RecordType):
     """An immutable record whose fields are its class's annotations, in
-    order.  A subclass's __init__ writes each field into self.__dict__ and
-    runs its checks; assigning or deleting an attribute raises
-    AttributeError.
+    order, each declared once: _RecordType makes them the class's
+    __slots__ and writes its __init__, so an instance carries no dict of
+    its own.  A subclass puts its checks in __post_init__.  Assigning or
+    deleting an attribute raises AttributeError.
 
     Two records are equal when they have the same type and equal fields.
-    The hash is hash(tuple(fields)), stored on first use: quivers,
-    complexes and silting objects key many caches.  The stored hash stays
-    out of the pickle state, since str hashes differ between processes.
+    The hash is hash(tuple(fields)), stored on first use in the one slot
+    the base holds: quivers, complexes and silting objects key many
+    caches.  A record pickles as its type and fields, so unpickling runs
+    the checks again and never carries the stored hash, since str hashes
+    differ between processes.
     """
 
-    _fields: Tuple[str, ...] = ()
-
-    def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        # the fields for ==, read in C: a bare value for one field
-        cls._key = attrgetter(*cls._fields)
+    __slots__ = ("_hash",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -78,17 +106,18 @@ class Record:
         return self is other or key(self) == key(other)
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
-            h = self.__dict__["_hash"] = hash(self._values())
+            h = hash(self._values())
+            object.__setattr__(self, "_hash", h)
         return h
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class Arrow(Record):
@@ -96,18 +125,12 @@ class Arrow(Record):
     source: int
     target: int
 
-    def __init__(self, id: str, source: int, target: int):
-        d = self.__dict__
-        d["id"], d["source"], d["target"] = id, source, target
-
 
 class Quiver(Record):
     vertices: Tuple[int, ...]
     arrows: Tuple[Arrow, ...]
 
-    def __init__(self, vertices: Tuple[int, ...], arrows: Tuple[Arrow, ...]):
-        d = self.__dict__
-        d["vertices"], d["arrows"] = vertices, arrows
+    def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
             raise QuiverSyntaxError("duplicate vertex labels")
         ids = [a.id for a in self.arrows]
@@ -149,9 +172,6 @@ class DynkinType(Record):
     """Multiset of (family, rank) components, canonically sorted."""
 
     components: Tuple[Tuple[str, int], ...]
-
-    def __init__(self, components: Tuple[Tuple[str, int], ...]):
-        self.__dict__["components"] = components
 
     @staticmethod
     def of(components: Sequence[Tuple[str, int]]) -> "DynkinType":
@@ -429,15 +449,6 @@ class PathVector(Record):
     source: int
     target: int
     terms: Tuple[Tuple[Tuple[str, ...], int], ...]
-
-    def __init__(
-        self,
-        source: int,
-        target: int,
-        terms: Tuple[Tuple[Tuple[str, ...], int], ...],
-    ):
-        d = self.__dict__
-        d["source"], d["target"], d["terms"] = source, target, terms
 
     @staticmethod
     def make(

@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 from operator import lt
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .complexes import (
     TwoTermComplex,
@@ -61,11 +61,9 @@ class SiltingObject(Record):
     quiver: Quiver
     positions: Tuple[int, ...]
 
-    def __init__(self, quiver: Quiver, positions: Tuple[int, ...]):
-        d = self.__dict__
-        d["quiver"], d["positions"] = quiver, positions
-        p, m = positions, len(two_term_objects(quiver))
-        if len(p) != len(quiver.vertices) or not all(map(lt, p, p[1:])):
+    def __post_init__(self):
+        p, m = self.positions, len(two_term_objects(self.quiver))
+        if len(p) != len(self.quiver.vertices) or not all(map(lt, p, p[1:])):
             raise ValueError("an object needs n strictly increasing positions")
         if p and not 0 <= p[0] <= p[-1] < m:
             raise ValueError(f"positions must lie in range({m})")
@@ -83,23 +81,19 @@ class SiltingObject(Record):
 
     @property
     def module_dims(self) -> Tuple[DimVector, ...]:
-        table = position_table(self.quiver)
-        return tuple(
-            d for kind, _, d in map(table.__getitem__, self.positions)
-            if kind == "mod"
-        )
+        return tuple(s.dim for s in self.summands if s.kind == "mod")
 
     def label(self) -> str:
         return "+".join(s.label() for s in self.summands)
 
     def to_json_dict(self) -> dict:
-        shifted, modules, table = [], [], position_table(self.quiver)
+        shifted, modules, objs = [], [], two_term_objects(self.quiver)
         for p in self.positions:
-            kind, v, d = table[p]
-            if kind == "mod":
-                modules.append(d)
+            s = objs[p]
+            if s.kind == "mod":
+                modules.append(s.dim)
             else:
-                shifted.append(v)
+                shifted.append(s.vertex)
         shifted.sort()
         return {"I": shifted, "modules": modules}
 
@@ -261,14 +255,6 @@ def two_term_objects(q: Quiver) -> Tuple[IndId, ...]:
     return tuple(IndId.module(d) for d in indecomposables(q)) + tuple(
         IndId.shifted(v, d) for d, v in shifts
     )
-
-
-@cache
-def position_table(q: Quiver) -> Tuple[Tuple[str, Optional[int], DimVector], ...]:
-    """The kind, vertex and dimension vector of each of two_term_objects(q),
-    by position: what reports read off an object without building its
-    summands."""
-    return tuple((o.kind, o.vertex, o.dim) for o in two_term_objects(q))
 
 
 @cache

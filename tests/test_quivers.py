@@ -295,9 +295,10 @@ def test_quiver_hash_is_stored_field_hash():
     assert q == r and q is not r
     assert hash(q) == hash(r)
     assert hash(q) == hash((q.vertices, q.arrows))
+    assert q._hash == hash(q)  # stored
     # the stored value stays out of pickles: str hashes are per process
-    assert "_hash" not in vars(pickle.loads(pickle.dumps(q)))
-    assert pickle.loads(pickle.dumps(q)) == q
+    back = pickle.loads(pickle.dumps(q))
+    assert back == q and back._hash is None
 
 
 # --- euler_form ---

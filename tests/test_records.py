@@ -1,7 +1,10 @@
 """Every immutable record in silt, one sample each: fields that cannot be
-assigned or deleted, equality only within one type, the hash of the field
-tuple (stored on first use) and a pickle without that stored hash."""
+assigned or deleted, slots and no per-instance dict, no hand-written
+__init__, equality only within one type, the hash of the field tuple
+(stored on first use) and a pickle without that stored hash."""
 
+import ast
+import inspect
 import pickle
 from importlib.resources import files
 
@@ -55,11 +58,13 @@ def _fields(s):
     return tuple(getattr(s, f) for f in type(s)._fields)
 
 
+MODULES = (silt.quivers, silt.modules, silt.complexes, silt.silting, silt.classify)
+
+
 def test_every_record_class_has_a_sample():
-    modules = (silt.quivers, silt.modules, silt.complexes, silt.silting, silt.classify)
     defined = {
         c
-        for m in modules
+        for m in MODULES
         for c in vars(m).values()
         if isinstance(c, type) and issubclass(c, Record) and c is not Record
     }
@@ -80,15 +85,34 @@ def test_a_record_is_frozen(cls):
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_a_record_has_slots_and_no_dict(cls):
+    s = SAMPLES[cls]
+    assert not hasattr(s, "__dict__")
+    assert cls.__slots__ == cls._fields and Record.__slots__ == ("_hash",)
+
+
+def test_no_record_class_writes_its_own_init():
+    # each record's __init__ is the one the Record metaclass writes
+    found = [
+        f"{m.__name__}.{node.name}"
+        for m in MODULES
+        for node in ast.walk(ast.parse(inspect.getsource(m)))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(b, "id", None) == "Record" for b in node.bases)
+        and any(getattr(f, "name", None) == "__init__" for f in node.body)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
 def test_a_record_equals_only_its_own_type(cls):
     s = SAMPLES[cls]
     copy = cls(*_fields(s))
     assert copy == s and copy is not s and not copy != s
     # the same field values under another type, or as a bare tuple, differ
     other = type("Other", (Record,), {"__annotations__": dict.fromkeys(cls._fields)})
-    twin = object.__new__(other)
-    twin.__dict__.update(zip(cls._fields, _fields(s)))
-    assert twin != s and s != twin
+    twin = other(*_fields(s))
+    assert twin._fields == cls._fields and twin != s and s != twin
     assert s != _fields(s)
 
 
@@ -96,9 +120,9 @@ def test_a_record_equals_only_its_own_type(cls):
 def test_a_record_hash_is_its_field_tuple_hash(cls):
     s = SAMPLES[cls]
     copy = cls(*_fields(s))
-    assert "_hash" not in vars(copy)
+    assert copy._hash is None
     assert hash(copy) == hash(s) == hash(_fields(s))
-    assert vars(copy)["_hash"] == hash(_fields(s))  # stored on first use
+    assert copy._hash == hash(_fields(s))  # stored on first use
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
@@ -106,7 +130,7 @@ def test_a_record_pickles_without_its_stored_hash(cls):
     s = SAMPLES[cls]
     hash(s)
     back = pickle.loads(pickle.dumps(s))
-    assert "_hash" not in vars(back)
+    assert s._hash is not None and back._hash is None
     assert back == s and type(back) is cls
     assert hash(back) == hash(s)
 
@@ -116,3 +140,11 @@ def test_a_record_takes_its_fields_by_keyword_and_reprs_them():
     assert repr(A3.arrows[0]) == "Arrow(id='a', source=1, target=2)"
     assert silt.modules.IndId("mod", (1, 0, 0)).vertex is None
     assert PathVector.make(1, 2, {("a",): 0}).terms == ()
+
+
+def test_a_class_level_value_is_a_default():
+    pair = type("Pair", (Record,), {"__annotations__": {"a": int, "b": int}, "b": 5})
+    assert pair(1) == pair(a=1, b=5) and pair(1, 2).b == 2
+    assert pair.__slots__ == ("a", "b") and not hasattr(pair(1), "__dict__")
+    with pytest.raises(TypeError):
+        pair()

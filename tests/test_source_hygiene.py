@@ -1,9 +1,9 @@
 """Static checks on silt's own source, read with ast: no unused import, no
 definition that nothing names, no memo keyed by the builtin id(), no
-import of dataclasses, no call to object.__new__, no single_path result
-read as a truth value, and one matrix format (int rows, with linalg.Matrix
-only as the input of the two traced eliminations); and, read as text, no
-mention of fractions."""
+import of dataclasses, no call to object.__new__, no read of an object's
+__dict__, no single_path result read as a truth value, and one matrix
+format (int rows, with linalg.Matrix only as the input of the two traced
+eliminations); and, read as text, no mention of fractions."""
 
 import ast
 import re
@@ -143,6 +143,54 @@ def test_no_constructor_bypass():
         and node.func.value.id == "object"
     ]
     assert calls == []
+
+
+def _dict_reads(tree):
+    """Lines that name __dict__: as an attribute, a bare name or a string
+    (getattr(x, "__dict__")), or through vars(x)."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+        or (isinstance(node, ast.Name) and node.id == "__dict__")
+        or (isinstance(node, ast.Constant) and node.value == "__dict__")
+        or (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "vars"
+            and node.args
+        )
+    })
+
+
+def test_no_instance_dict():
+    # a record keeps its fields in slots, and only quivers.Record knows
+    # how: a dict per instance cost E8's classify about 20 MB of peak RSS
+    found = [
+        f"{name}:{n}" for name, tree in TREES.items() for n in _dict_reads(tree)
+    ]
+    assert found == []
+
+
+def test_instance_dict_check_sees_each_form():
+    bad = [
+        "d = self.__dict__",
+        'self.__dict__["x"] = 1',
+        "h = cls.__dict__.get('__annotations__', ())",
+        'd = getattr(self, "__dict__")',
+        "d = vars(self)",
+        "__slots__ = ('x', '__dict__')",
+    ]
+    good = [
+        "object.__setattr__(self, 'x', 1)",
+        "fields = tuple(ns.get('__annotations__', ()))",
+        "d = vars()",
+        "x = self.dict",
+        '"""a docstring that mentions __dict__"""',
+    ]
+    for text in bad:
+        assert _dict_reads(ast.parse(text)), text
+    for text in good:
+        assert _dict_reads(ast.parse(text)) == [], text
 
 
 def _truth_tests(tree):
