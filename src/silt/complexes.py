@@ -14,12 +14,12 @@ builders (_d0, _d_minus1) writes both differentials as dense int rows
 straight from d_X and d_Y.  Hom(X, Y) gets a canonical basis
 (hom_class_basis: the kernel of d^0 modulo the RREF row space of d^{-1}),
 because End(T) assembly composes two basis classes and reads the
-composite as one scalar per triple of summands; its dimension alone is a
-rank of the same rows.  Hom(X, Y[1]) only decides rigidity, so it is
-only ever a dimension (hom_class_dim), taken in two quotients: first by
-the d_Y part, which leaves one cokernel N_w per vertex w, tabled once
-per complex Y (_cokernels), then by the f_0 d_X part, a small rank per
-pair.
+composite as one scalar per triple of summands (HomSpace.coords); its
+dimension alone is a rank of the same rows.  Hom(X, Y[1]) only decides
+rigidity, so it is only ever a dimension (hom_class_dim), taken in two
+quotients: first by the d_Y part, which leaves one cokernel N_w per
+vertex w, tabled once per complex Y (_cokernels), then by the f_0 d_X
+part, a small rank per pair.
 
 A map between direct sums of projectives is a coordinate vector in
 _layout order: block (j, i) is Hom(P(u_i), P(v_j)), which has one
@@ -27,11 +27,13 @@ coordinate if a path runs from v_j to u_i and none otherwise.  The
 underlying graph of a Dynkin quiver is a forest, so there is at most one
 such path, and a path followed by a path is the one path between their
 ends: maps compose as matrices of scalars, and d_X is stored as one
-(TwoTermComplex.diff).  quivers.single_path is where this is checked.  Hom
-classes are kept in a fixed reduced coordinate form (chain-map space
-intersected with a reduced-row-echelon complement of the null-homotopic
-subspace), which makes bases, coordinates, and composition tables
-reproducible.
+(TwoTermComplex.diff).  quivers.single_path is where this is checked.  A
+chain map X -> Y is one row over both degrees, Hom(X^0, Y^0) then
+Hom(X^{-1}, Y^{-1}), and compose multiplies two of them degree by degree
+with linalg.matmul.  A homotopy class is its chain-map row reduced
+modulo the RREF of the null-homotopic maps; the reduced rows of the
+canonical basis span a fixed complement of them, which makes bases,
+coordinates and composites reproducible.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .linalg import (
     cokernel_coords,
     coords_in_rows,
     kernel_basis,
+    matmul,
     rank,
     reduce_by_rref,
     row_space_rref,
@@ -81,32 +84,6 @@ def _layout(q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...]):
             if single_path(q, v, u) is not None:
                 pos[j * len(srcs) + i] = len(pos)
     return pos, len(pos)
-
-
-def _mul(
-    q: Quiver,
-    srcs: Tuple[int, ...],
-    mids: Tuple[int, ...],
-    tgts: Tuple[int, ...],
-    g: Sequence[int],
-    f: Sequence[int],
-) -> List[int]:
-    """Coordinates of g after f, for f: +P(srcs) -> +P(mids) and
-    g: +P(mids) -> +P(tgts): block (k, i) is the sum of g(k, j) f(j, i)
-    over j, since a path followed by a path is the one path between their
-    ends."""
-    n = len(srcs)
-    f_pos = _layout(q, srcs, mids)[0]
-    h_pos, total = _layout(q, srcs, tgts)
-    out = [0] * total
-    for kj, s in _layout(q, mids, tgts)[0].items():
-        if g[s]:
-            k, j = divmod(kj, len(mids))
-            for i in range(n):
-                t = f_pos.get(j * n + i)
-                if t is not None and f[t]:
-                    out[h_pos[k * n + i]] += g[s] * f[t]
-    return out
 
 
 # --- the Hom complex ---
@@ -167,50 +144,23 @@ def _d_minus1(x: TwoTermComplex, y: TwoTermComplex) -> Tuple[List[List[int]], in
 # --- homotopy classes ---
 
 class HomSpace(Record):
-    """Basis of Hom(X, Y) modulo homotopy, in fixed coordinates."""
+    """Basis of Hom(X, Y) modulo homotopy, in fixed coordinates: each
+    class is its chain-map row reduced by homotopy_rref."""
 
-    x: TwoTermComplex
-    y: TwoTermComplex
     class_basis: Tuple[Tuple[int, ...], ...]
     homotopy_rref: Tuple[Tuple[int, ...], ...]
 
     def dim(self) -> int:
         return len(self.class_basis)
 
-    def elements(self) -> Tuple["HomClass", ...]:
-        n = self.dim()
-        return tuple(
-            HomClass(self, tuple(int(j == i) for j in range(n)))
-            for i in range(n)
+    def coords(self, vec: Sequence[int]) -> Tuple[int, ...]:
+        """The coordinates over class_basis of the class of chain map vec."""
+        coords = coords_in_rows(
+            reduce_by_rref(vec, self.homotopy_rref), self.class_basis
         )
-
-    def vector_of(self, cls: "HomClass") -> List[int]:
-        q, x, y = self.x.quiver, self.x, self.y
-        total = (
-            _layout(q, x.deg0, y.deg0)[1]
-            + _layout(q, x.deg_minus1, y.deg_minus1)[1]
-        )
-        vec = [0] * total
-        for c, row in zip(cls.coords, self.class_basis):
-            if c:
-                for t, b in enumerate(row):
-                    if b:
-                        vec[t] += c * b
-        return vec
-
-    def class_from_vector(self, vec: Sequence[int]) -> "HomClass":
-        red = reduce_by_rref(vec, self.homotopy_rref)
-        coords = coords_in_rows(red, self.class_basis)
         if coords is None:
             raise ValueError("vector is not a chain map modulo homotopy")
-        return HomClass(self, tuple(coords))
-
-
-class HomClass(Record):
-    """A homotopy class, as coordinates over its space's fixed basis."""
-
-    space: HomSpace
-    coords: Tuple[int, ...]
+        return tuple(coords)
 
 
 @cache
@@ -234,9 +184,7 @@ def hom_class_basis(x: TwoTermComplex, y: TwoTermComplex, k: int) -> HomSpace:
     class_basis = row_space_rref(cands)
     if len(class_basis) != len(z_rows) - len(b_rref):
         raise RuntimeError("null-homotopic maps escaped the chain space")
-    return HomSpace(
-        x, y, tuple(map(tuple, class_basis)), tuple(map(tuple, b_rref))
-    )
+    return HomSpace(tuple(map(tuple, class_basis)), tuple(map(tuple, b_rref)))
 
 
 @cache
@@ -313,16 +261,54 @@ def hom_class_dim(x: TwoTermComplex, y: TwoTermComplex, k: int) -> int:
     return width - rank(rows, width)
 
 
-def compose(f: HomClass, g: HomClass) -> HomClass:
-    """Class of g after f, for f: X -> Y and g: Y -> Z."""
-    if f.space.y != g.space.x:
-        raise ValueError("codomain of f is not the domain of g")
-    x, y, z = f.space.x, f.space.y, g.space.y
-    q = x.quiver
-    fv, gv = f.space.vector_of(f), g.space.vector_of(g)
-    nf = _layout(q, x.deg0, y.deg0)[1]
-    ng = _layout(q, y.deg0, z.deg0)[1]
-    vec = _mul(q, x.deg0, y.deg0, z.deg0, gv[:ng], fv[:nf]) + _mul(
-        q, x.deg_minus1, y.deg_minus1, z.deg_minus1, gv[ng:], fv[nf:]
+def _matrix(
+    q: Quiver, srcs: Tuple[int, ...], tgts: Tuple[int, ...], vec: Sequence[int]
+) -> List[List[int]]:
+    """vec, a map +P(srcs) -> +P(tgts) in _layout order, as a matrix of
+    scalars in the format of TwoTermComplex.diff: entry (j, i) is block
+    (j, i)."""
+    n = len(srcs)
+    mat = [[0] * n for _ in tgts]
+    for ji, t in _layout(q, srcs, tgts)[0].items():
+        mat[ji // n][ji % n] = vec[t]
+    return mat
+
+
+def _degrees(
+    a: TwoTermComplex, b: TwoTermComplex, row: Sequence[int]
+) -> Tuple[List[List[int]], List[List[int]]]:
+    """A chain-map row of Hom(A, B) as its degree-0 and degree -1
+    matrices of scalars."""
+    q = a.quiver
+    n0 = _layout(q, a.deg0, b.deg0)[1]
+    n = n0 + _layout(q, a.deg_minus1, b.deg_minus1)[1]
+    if len(row) != n:
+        raise ValueError(f"expected a chain-map row of length {n}, got {len(row)}")
+    return (
+        _matrix(q, a.deg0, b.deg0, row[:n0]),
+        _matrix(q, a.deg_minus1, b.deg_minus1, row[n0:]),
     )
-    return hom_class_basis(x, z, 0).class_from_vector(vec)
+
+
+def compose(
+    x: TwoTermComplex,
+    y: TwoTermComplex,
+    z: TwoTermComplex,
+    f: Sequence[int],
+    g: Sequence[int],
+) -> List[int]:
+    """The chain-map row of g after f, for chain-map rows f: X -> Y and
+    g: Y -> Z in hom_class_basis's coordinates.  In each degree the two
+    maps multiply as matrices of scalars by linalg.matmul, since a path
+    followed by a path is the one path between their ends."""
+    q, out = x.quiver, []
+    for srcs, tgts, fm, gm in zip(
+        (x.deg0, x.deg_minus1),
+        (z.deg0, z.deg_minus1),
+        _degrees(x, y, f),
+        _degrees(y, z, g),
+    ):
+        n = len(srcs)
+        h = matmul(gm, fm, n)
+        out += [h[ji // n][ji % n] for ji in _layout(q, srcs, tgts)[0]]
+    return out

@@ -11,9 +11,11 @@ table silting.euler_table, read at T's positions in two_term_objects
 whenever T_j is a module, and dim e_i B e_j = max(0, <[T_j], [T_i]>),
 checked to be at most 1, and 1 for i = j.  Only the non-zero blocks
 reach the Hom layer: hom_class_basis gives each a canonical basis class,
-checked to be one-dimensional, so composing two of them gives one scalar
-(_product) per triple of summand complexes, cached across every T that
-contains them, and checked to be 0 or ±1.  From these integers alone we
+a chain-map row, checked to be one-dimensional, so composing two of them
+(complexes.compose) and reading the composite's coordinate in the third
+block's basis gives one scalar (_product) per triple of summand
+complexes, cached across every T that contains them, and checked to be
+0 or ±1.  From these integers alone we
 read off the Gabriel quiver (arrows i -> j are the non-zero blocks no
 product through a third summand reaches), the value of every Gabriel
 path (the product of the scalars along it) and a minimal generating set
@@ -53,9 +55,9 @@ def _product(x: TwoTermComplex, y: TwoTermComplex, z: TwoTermComplex) -> int:
     Hom(X, Y)) = c * (basis class of Hom(X, Z)), for three one-dimensional
     Hom spaces.  The bases are canonical, so c depends on the triple alone
     and serves every End(T) that has X, Y and Z among its summands."""
-    (f,) = hom_class_basis(x, y, 0).elements()
-    (g,) = hom_class_basis(y, z, 0).elements()
-    (c,) = compose(f, g).coords
+    (f,) = hom_class_basis(x, y, 0).class_basis
+    (g,) = hom_class_basis(y, z, 0).class_basis
+    (c,) = hom_class_basis(x, z, 0).coords(compose(x, y, z, f, g))
     return c
 
 

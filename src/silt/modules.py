@@ -569,7 +569,6 @@ def ext1_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
 
 # --- AR translate ---
 
-@cache
 def tau_nakayama(q: Quiver, d: DimVector) -> DimVector:
     """tau M as the kernel of nu(P1) -> nu(P0); dimension vector only.
 

@@ -305,14 +305,12 @@ def _rigid_objects(q: Quiver, m: int) -> Tuple[SiltingObject, ...]:
     return tuple(SiltingObject(q, c) for c in chosen)
 
 
-@cache
 def silting_bruteforce(q: Quiver) -> Tuple[SiltingObject, ...]:
     """All rigid n-subsets of the two-term objects.  two_term_objects is
     in IndId.key order, so the objects come out sorted."""
     return _rigid_objects(q, len(two_term_objects(q)))
 
 
-@cache
 def tilting_modules_bruteforce(q: Quiver) -> Tuple[SiltingObject, ...]:
     """All rigid n-subsets of the modules, which come first in
     two_term_objects: Ext^1(M, N) = Hom(P_M, P_N[1]), ranked on module

@@ -2,7 +2,9 @@
 reference that silt.endo's one-scalar-per-triple assembly is tested
 against.
 
-Each block keeps its Hom-class basis.  The Gabriel arrows are the
+Each block keeps its Hom-class basis, as chain-map rows, and two rows
+compose through path-vector matrices (path_vector_maps.compose_reference),
+not through silt.complexes.compose.  The Gabriel arrows are the
 complement of the span of products through a third summand, found by
 row reduction; every Gabriel path is evaluated by composing its arrows'
 classes in turn (`reference_path_values`), and the relations are the
@@ -10,10 +12,10 @@ kernels of that evaluation.
 """
 
 from functools import cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from path_vector_maps import identity_reference
-from silt.complexes import HomClass, compose, hom_class_basis, hom_class_dim
+from path_vector_maps import compose_reference, identity_reference
+from silt.complexes import hom_class_basis, hom_class_dim
 from silt.linalg import (
     Matrix,
     kernel_basis,
@@ -56,33 +58,40 @@ def reference_path_values(
         for i in range(n)
         for j in range(n)
     }
-    idents = [identity_reference(c) for c in cx]
     for i in range(n):
         if spaces[(i, i)].dim() != 1:
             raise RuntimeError(
                 f"{label}: summand {t.summands[i].label()} has endomorphism "
                 f"ring of dimension {spaces[(i, i)].dim()}, expected 1"
             )
-        if not any(idents[i].coords):
-            raise RuntimeError(f"{label}: identity collapsed to zero")
+    idents = [identity_reference(c) for c in cx]
+    ident_coords = [spaces[(i, i)].coords(e) for i, e in enumerate(idents)]
+    if not all(map(any, ident_coords)):
+        raise RuntimeError(f"{label}: identity collapsed to zero")
 
-    # homotopy-class basis of B, diagonal blocks holding the identities
-    block_elems: Dict[Tuple[int, int], Tuple[HomClass, ...]] = {}
+    # chain-map rows of a basis of B, diagonal blocks holding the
+    # identities; block (i, j) is Hom(T_j, T_i)
+    block_elems: Dict[Tuple[int, int], Tuple[Sequence[int], ...]] = {}
     for i in range(n):
         for j in range(n):
             if i == j:
                 block_elems[(i, j)] = (idents[i],)
             else:
-                block_elems[(i, j)] = spaces[(i, j)].elements()
+                block_elems[(i, j)] = spaces[(i, j)].class_basis
 
-    def block_coords(i: int, j: int, cls: HomClass) -> List[int]:
+    def product(i: int, k: int, j: int, f, g) -> List[int]:
+        """f after g, for g in block (k, j) and f in block (i, k)."""
+        return compose_reference(cx[j], cx[k], cx[i], g, f)
+
+    def block_coords(i: int, j: int, row: Sequence[int]) -> List[int]:
+        coords = spaces[(i, j)].coords(row)
         if i == j:
             # the identity's coordinate, so an exact quotient
-            c, rem = divmod(cls.coords[0], idents[i].coords[0])
+            c, rem = divmod(coords[0], ident_coords[i][0])
             if rem:
-                raise RuntimeError(f"{label}: {cls} is no multiple of 1")
+                raise RuntimeError(f"{label}: {row} is no multiple of 1")
             return [c]
-        return list(cls.coords)
+        return list(coords)
 
     # Gabriel arrows: complements of rad^2 inside each off-diagonal block
     arrow_payload: List[Tuple[int, int, int]] = []  # (i, j, coord in block)
@@ -100,8 +109,7 @@ def reference_path_values(
                     continue
                 for f in block_elems[(i, k)]:
                     for g in block_elems[(k, j)]:
-                        prod = compose(g, f)
-                        sq.append(block_coords(i, j, prod))
+                        sq.append(block_coords(i, j, product(i, k, j, f, g)))
             pivots = pivot_columns(row_space_rref(sq))
             for c in range(bd):
                 if c not in pivots:
@@ -114,19 +122,23 @@ def reference_path_values(
         for (i, j, c), a in zip(arrow_payload, arrows)
     }
 
+    ends = {a.id: (a.source - 1, a.target - 1) for a in arrows}
+
     @cache
-    def path_class(source: int, arrow_ids: Tuple[str, ...]) -> HomClass:
-        """The path's value in B: its arrows composed in turn."""
+    def path_class(source: int, arrow_ids: Tuple[str, ...]) -> List[int]:
+        """The path's value in B, as a chain-map row: its arrows composed
+        in turn."""
         if not arrow_ids:
             return idents[source - 1]
         head = path_class(source, arrow_ids[:-1])
-        return compose(arrow_class[arrow_ids[-1]], head)
+        k, j = ends[arrow_ids[-1]]
+        return product(source - 1, k, j, head, arrow_class[arrow_ids[-1]])
 
     def path_value(
         source: int, target: int, arrow_ids: Tuple[str, ...]
     ) -> List[int]:
-        cls = path_class(source, arrow_ids)
-        return block_coords(source - 1, target - 1, cls)
+        row = path_class(source, arrow_ids)
+        return block_coords(source - 1, target - 1, row)
 
     dims = tuple(
         tuple(len(block_elems[(i, j)]) for j in range(n)) for i in range(n)

@@ -1,5 +1,5 @@
 """Maps between sums of projectives as matrices of path vectors: the
-reference route that silt.complexes' coordinate product is tested against.
+reference route that silt.complexes.compose is tested against.
 
 A map +P(srcs) -> +P(tgts) is a matrix whose (j, i) entry is a
 PathVector in Hom(P(srcs[i]), P(tgts[j])), spanned by the paths from
@@ -12,7 +12,7 @@ complex's differential, stored as scalars, converts by diff_mat.
 
 from typing import List, Sequence, Tuple
 
-from silt.complexes import HomClass, TwoTermComplex, _layout, hom_class_basis
+from silt.complexes import TwoTermComplex, _layout
 from silt.quivers import PathVector, Quiver, paths_between
 
 PVMatrix = Tuple[Tuple[PathVector, ...], ...]
@@ -109,34 +109,39 @@ def compose_mats(
     return tuple(out)
 
 
-def mats(cls: HomClass) -> Tuple[PVMatrix, PVMatrix]:
-    """Representative chain map as path-vector matrices: (degree-0
+def mats(
+    x: TwoTermComplex, y: TwoTermComplex, row: Sequence[int]
+) -> Tuple[PVMatrix, PVMatrix]:
+    """A chain-map row of Hom(X, Y) as path-vector matrices: (degree-0
     component, degree-(-1) component)."""
-    x, y, q = cls.space.x, cls.space.y, cls.space.x.quiver
-    vec = cls.space.vector_of(cls)
+    q = x.quiver
     _, n0 = _layout(q, x.deg0, y.deg0)
-    mat0 = vec_to_mat(q, x.deg0, y.deg0, vec[:n0])
-    matm = vec_to_mat(q, x.deg_minus1, y.deg_minus1, vec[n0:])
+    mat0 = vec_to_mat(q, x.deg0, y.deg0, row[:n0])
+    matm = vec_to_mat(q, x.deg_minus1, y.deg_minus1, row[n0:])
     return mat0, matm
 
 
-def compose_reference(f: HomClass, g: HomClass) -> HomClass:
-    """Class of g after f, through path-vector matrices."""
-    x, y, z = f.space.x, f.space.y, g.space.y
+def compose_reference(
+    x: TwoTermComplex,
+    y: TwoTermComplex,
+    z: TwoTermComplex,
+    f: Sequence[int],
+    g: Sequence[int],
+) -> List[int]:
+    """The chain-map row of g after f, through path-vector matrices."""
     q = x.quiver
-    f0, fm = mats(f)
-    g0, gm = mats(g)
+    f0, fm = mats(x, y, f)
+    g0, gm = mats(y, z, g)
     c0 = compose_mats(x.deg0, y.deg0, z.deg0, g0, f0)
     cm = compose_mats(x.deg_minus1, y.deg_minus1, z.deg_minus1, gm, fm)
-    vec = mat_to_vec(q, x.deg0, z.deg0, c0) + mat_to_vec(
+    return mat_to_vec(q, x.deg0, z.deg0, c0) + mat_to_vec(
         q, x.deg_minus1, z.deg_minus1, cm
     )
-    return hom_class_basis(x, z, 0).class_from_vector(vec)
 
 
-def identity_reference(x: TwoTermComplex) -> HomClass:
-    """The identity chain map of X as a matrix of lazy paths, reduced to
-    the stored basis."""
+def identity_reference(x: TwoTermComplex) -> List[int]:
+    """The identity chain map of X as a matrix of lazy paths, as a
+    chain-map row."""
     q = x.quiver
     vec: List[int] = []
     for vs in (x.deg0, x.deg_minus1):
@@ -148,4 +153,4 @@ def identity_reference(x: TwoTermComplex) -> HomClass:
             for j, v in enumerate(vs)
         )
         vec += mat_to_vec(q, vs, vs, ident)
-    return hom_class_basis(x, x, 0).class_from_vector(vec)
+    return vec

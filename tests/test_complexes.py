@@ -19,7 +19,6 @@ from silt.modules import (
     minimal_presentation,
 )
 from silt.complexes import (
-    HomClass,
     TwoTermComplex,
     _cokernels,
     _layout,
@@ -57,9 +56,13 @@ def two_term_objects(q):
     return objs + [shifted_projective(q, v) for v in q.vertices]
 
 
-def zero_class(sp):
-    """The zero class of a Hom space: all coordinates zero."""
-    return HomClass(sp, (0,) * sp.dim())
+def zero_row(x, y):
+    """The zero chain map X -> Y, as a row of Hom-complex coordinates."""
+    q = x.quiver
+    return [0] * (
+        _layout(q, x.deg0, y.deg0)[1]
+        + _layout(q, x.deg_minus1, y.deg_minus1)[1]
+    )
 
 
 # --- resolve ---
@@ -404,8 +407,8 @@ def test_shifted_to_module_shift_one_is_fiber_dimension():
 
 # --- chain-map identity of basis elements ---
 
-def _check_square(x, y, cls):
-    f0, fm1 = mats(cls)
+def _check_square(x, y, row):
+    f0, fm1 = mats(x, y, row)
     d_x, d_y = diff_mat(x), diff_mat(y)
     # f0 after d_X equals d_Y after fm1, entrywise as path vectors
     for j in range(len(y.deg0)):
@@ -424,41 +427,46 @@ def test_basis_elements_satisfy_chain_square():
         x = resolve_dim(A3, dm)
         for dn in indecomposables(A3):
             y = resolve_dim(A3, dn)
-            for cls in hom_class_basis(x, y, 0).elements():
-                _check_square(x, y, cls)
+            for row in hom_class_basis(x, y, 0).class_basis:
+                _check_square(x, y, row)
 
 
 # --- composition ---
 
 def test_identity_is_a_unit():
+    # the identity is the identity matrix in each degree, so composing
+    # with it returns the very row, and its class is the basis class
     for q, d in ((A2, (1, 1)), (D4, (1, 1, 2, 1))):
         x = resolve_dim(q, d)
         ident = identity_reference(x)
-        for cls in hom_class_basis(x, x, 0).elements():
-            assert compose(cls, ident) == cls
-            assert compose(ident, cls) == cls
+        sp = hom_class_basis(x, x, 0)
+        assert sp.coords(ident) == (1,)
+        for row in sp.class_basis:
+            assert compose(x, x, x, row, ident) == list(row)
+            assert compose(x, x, x, ident, row) == list(row)
 
 
 def test_composite_through_zero_hom_space_is_zero():
     x = resolve_dim(A2, (0, 1))
     y = resolve_dim(A2, (1, 1))
     z = resolve_dim(A2, (1, 0))
-    (f,) = hom_class_basis(x, y, 0).elements()
-    (g,) = hom_class_basis(y, z, 0).elements()
+    (f,) = hom_class_basis(x, y, 0).class_basis
+    (g,) = hom_class_basis(y, z, 0).class_basis
     target = hom_class_basis(x, z, 0)
     assert target.dim() == 0
-    assert compose(f, g) == zero_class(target)
+    # the composite is a chain map, and null-homotopic
+    assert target.coords(compose(x, y, z, f, g)) == ()
 
 
 def test_composition_recovers_arrow_path():
     # T = P(1) + P(2) in A2: Hom(P(2), P(1)) is spanned by the arrow path
     x = resolve_dim(A2, (0, 1))
     y = resolve_dim(A2, (1, 1))
-    (f,) = hom_class_basis(x, y, 0).elements()
-    f0, _ = mats(f)
+    (f,) = hom_class_basis(x, y, 0).class_basis
+    f0, _ = mats(x, y, f)
     assert f0[0][0] == PathVector.make(1, 2, {("a",): 1})
-    assert compose(f, identity_reference(y)) == f
-    assert compose(identity_reference(x), f) == f
+    assert compose(x, y, y, f, identity_reference(y)) == list(f)
+    assert compose(x, x, y, identity_reference(x), f) == list(f)
 
 
 def test_composition_associative_along_a3_chain():
@@ -466,29 +474,45 @@ def test_composition_associative_along_a3_chain():
     x = resolve_dim(A3, (0, 1, 1))
     y = resolve_dim(A3, (1, 1, 1))
     z = resolve_dim(A3, (1, 1, 0))
-    (f,) = hom_class_basis(w, x, 0).elements()
-    (g,) = hom_class_basis(x, y, 0).elements()
-    (h,) = hom_class_basis(y, z, 0).elements()
-    assert compose(compose(f, g), h) == compose(f, compose(g, h))
+    (f,) = hom_class_basis(w, x, 0).class_basis
+    (g,) = hom_class_basis(x, y, 0).class_basis
+    (h,) = hom_class_basis(y, z, 0).class_basis
+    left = compose(w, y, z, compose(w, x, y, f, g), h)
+    assert left == compose(w, x, z, f, compose(x, y, z, g, h))
 
 
 def test_compose_rejects_mismatched_objects():
-    x = resolve_dim(A2, (0, 1))
-    y = resolve_dim(A2, (1, 1))
-    z = resolve_dim(A2, (1, 0))
-    (f,) = hom_class_basis(x, y, 0).elements()
-    (g,) = hom_class_basis(y, z, 0).elements()
+    # rows of Hom(X, Y) and Hom(Y, Z) of lengths 1 and 2, passed swapped
+    x = resolve_dim(A3, (1, 1, 1))
+    y = resolve_dim(A3, (1, 1, 0))
+    z = resolve_dim(A3, (1, 0, 0))
+    (f,) = hom_class_basis(x, y, 0).class_basis
+    (g,) = hom_class_basis(y, z, 0).class_basis
+    assert (len(f), len(g)) == (1, 2)
+    assert hom_class_basis(x, z, 0).coords(compose(x, y, z, f, g)) == (1,)
     with pytest.raises(ValueError):
-        compose(g, f)
+        compose(x, y, z, g, f)
+
+
+def test_compose_rejects_rows_of_the_wrong_length():
+    x = resolve_dim(A3, (0, 1, 1))
+    y = resolve_dim(A3, (1, 1, 1))
+    z = resolve_dim(A3, (1, 1, 0))
+    (f,) = hom_class_basis(x, y, 0).class_basis
+    (g,) = hom_class_basis(y, z, 0).class_basis
+    for bad_f, bad_g in ((f + (0,), g), (f, g + (0,)), (f[:-1], g), (f, g[:-1])):
+        with pytest.raises(ValueError, match="expected a chain-map row"):
+            compose(x, y, z, bad_f, bad_g)
 
 
 def test_zero_class_composes_to_zero():
     x = resolve_dim(A3, (0, 0, 1))
     y = resolve_dim(A3, (0, 1, 1))
     z = resolve_dim(A3, (1, 1, 1))
-    zero_xy = zero_class(hom_class_basis(x, y, 0))
-    (g,) = hom_class_basis(y, z, 0).elements()
-    assert compose(zero_xy, g) == zero_class(hom_class_basis(x, z, 0))
+    (g,) = hom_class_basis(y, z, 0).class_basis
+    got = compose(x, y, z, zero_row(x, y), g)
+    assert got == zero_row(x, z)
+    assert hom_class_basis(x, z, 0).coords(got) == (0,)
 
 
 def test_zero_dimensional_space_keeps_chain_map_length():
@@ -497,10 +521,11 @@ def test_zero_dimensional_space_keeps_chain_map_length():
     p2, s1 = (resolve_dim(A2, d) for d in ((0, 1), (1, 0)))
     zero = hom_class_basis(p2, s1, 0)
     assert zero.dim() == 0
-    assert zero.vector_of(zero_class(zero)) == [0]
-    mat0, matm = mats(zero_class(zero))
+    assert zero_row(p2, s1) == [0]
+    assert zero.coords([0]) == ()
+    mat0, matm = mats(p2, s1, [0])
     assert mat0 == ((pv_zero(1, 2),),) and matm == ((),)
-    assert compose(zero_class(zero), identity_reference(s1)) == zero_class(zero)
+    assert compose(p2, s1, s1, [0], identity_reference(s1)) == [0]
 
 
 # --- the coordinate product against the path-vector route ---
@@ -515,26 +540,26 @@ def test_zero_dimensional_space_keeps_chain_map_length():
 def test_compose_matches_path_vector_route(q, composable, nonzero):
     # every composable pair of basis classes, X -> Y -> Z over all objects
     objs = two_term_objects(q)
-    elems = {
-        (x, y): hom_class_basis(x, y, 0).elements() for x in objs for y in objs
+    basis = {
+        (x, y): hom_class_basis(x, y, 0).class_basis for x in objs for y in objs
     }
     pairs = products = 0
     for x in objs:
         for y in objs:
             for z in objs:
-                for f in elems[(x, y)]:
-                    for g in elems[(y, z)]:
-                        got = compose(f, g)
-                        assert got == compose_reference(f, g)
+                target = hom_class_basis(x, z, 0)
+                for f in basis[(x, y)]:
+                    for g in basis[(y, z)]:
+                        got = compose(x, y, z, f, g)
+                        assert got == compose_reference(x, y, z, f, g)
                         pairs += 1
-                        products += any(got.coords)
+                        products += any(target.coords(got))
     assert (pairs, products) == (composable, nonzero)
 
 
 def _lazy_path_identity(x):
     """The identity chain map of X in coordinates: a 1 at each diagonal
-    position, where the one path is the lazy path, reduced to the stored
-    basis."""
+    position, where the one path is the lazy path."""
     q = x.quiver
     vec = []
     for vs in (x.deg0, x.deg_minus1):
@@ -545,17 +570,21 @@ def _lazy_path_identity(x):
             if j == i:
                 part[t] = 1
         vec += part
-    return hom_class_basis(x, x, 0).class_from_vector(vec)
+    return vec
 
 
 @pytest.mark.parametrize("q", [D4, A4_SECOND], ids=["d4", "a4_second"])
 def test_identity_matches_path_vector_route(q):
     for x in two_term_objects(q):
         assert _lazy_path_identity(x) == identity_reference(x)
+        assert hom_class_basis(x, x, 0).coords(identity_reference(x)) == (1,)
 
 
 def test_vector_of_sums_the_basis_rows():
-    # classes with several non-zero coordinates, so rows must accumulate
+    # the vector of a class is its coordinates times the basis rows, and
+    # coords reads them back: classes with several non-zero coordinates,
+    # so rows must accumulate; adding a null-homotopic row leaves the
+    # coordinates as they are
     objs = two_term_objects(D4)
     wide = [
         sp
@@ -565,13 +594,28 @@ def test_vector_of_sums_the_basis_rows():
     assert len(wide) == 3
     for sp in wide:
         coords = tuple(k + 2 for k in range(sp.dim()))
-        cls = HomClass(sp, coords)
-        expected = [
-            sum(c * row[t] for c, row in zip(coords, sp.class_basis))
+        row = [
+            sum(c * b[t] for c, b in zip(coords, sp.class_basis))
             for t in range(len(sp.class_basis[0]))
         ]
-        assert sp.vector_of(cls) == expected
-        assert sp.class_from_vector(expected) == cls
+        assert sp.coords(row) == coords
+        for h in sp.homotopy_rref:
+            assert sp.coords([a - 3 * b for a, b in zip(row, h)]) == coords
+
+
+def test_coords_rejects_a_row_off_the_chain_maps():
+    # a unit row of End(X) that is no chain map, for some X on D4
+    for x in two_term_objects(D4):
+        sp = hom_class_basis(x, x, 0)
+        n = len(sp.class_basis[0])
+        for t in range(n):
+            unit = [int(s == t) for s in range(n)]
+            try:
+                sp.coords(unit)
+            except ValueError as err:
+                assert str(err) == "vector is not a chain map modulo homotopy"
+                return
+    raise AssertionError("every unit row of End(X) on D4 is a chain map")
 
 
 def test_complex_hash_is_stored_field_hash():
@@ -591,7 +635,7 @@ def test_class_coords_and_dim_accessors():
     x = resolve_dim(A3, (1, 1, 1))
     sp = hom_class_basis(x, x, 0)
     assert sp.dim() == 1
-    (ident,) = sp.elements()
-    assert len(ident.coords) == 1
+    (ident,) = sp.class_basis
+    assert sp.coords(ident) == (1,)
     # the basis of End(X) is the identity
-    assert identity_reference(x).coords == ident.coords
+    assert sp.coords(identity_reference(x)) == (1,)

@@ -30,7 +30,6 @@ def _samples():
     records = [classify(A3, t) for t in silting_alg2(A3)]
     r = next(r for r in records if r.algebra.relations)
     x = resolve_dim(A3, (1, 1, 1))
-    space = hom_class_basis(x, x, 0)
     out = [
         A3.arrows[0],
         A3,
@@ -41,8 +40,7 @@ def _samples():
         x,
         silt.silting.two_term_objects(A3)[0],
         ar_quiver_mod(A3),
-        space,
-        space.elements()[0],
+        hom_class_basis(x, x, 0),
         r.silting,
         homology(r.algebra),
         r.block_verdicts[0],
@@ -68,7 +66,7 @@ def test_every_record_class_has_a_sample():
         for c in vars(m).values()
         if isinstance(c, type) and issubclass(c, Record) and c is not Record
     }
-    assert len(defined) == 15
+    assert len(defined) == 14
     assert set(SAMPLES) == defined
 
 

@@ -7,7 +7,9 @@ checks every silting, endo and classify entry, so that a refactor cannot
 drop a span without a failing test.  It also runs the script's own
 wrappers over a cold classify, so that every attribute they read off a
 silt object (End(T)'s dimension, the fingerprint's algebra, the Matrix
-that rref and kernel_basis receive) must still exist.
+that rref and kernel_basis receive, hom_class_basis's shift k as its
+third argument) must still exist, and the compose span must still see
+the calls End(T) assembly makes.
 """
 
 import importlib
@@ -68,6 +70,8 @@ def test_every_cached_entry_has_cache_info(modname, attr):
 # A3 relabelled, so that no End(T), record or Hom space of it is cached
 A3_COLD = parse_quiver("vertices 31 32 33\narrows a:31->32 b:32->33\n")
 READERS = (
+    "complexes.hom",
+    "complexes.compose",
     "endo.endomorphism_algebra",
     "classify.fingerprint",
     "linalg.rref",
@@ -98,3 +102,6 @@ def test_the_wrappers_read_live_attributes(monkeypatch):
     assert tracer.perms == 6 * len(records)
     assert tracer.shapes["linalg.rref"] and tracer.entries > 0
     assert tracer.shapes["linalg.kernel_basis"]
+    # hom_class_basis reports by its shift k, and End(T) composes classes
+    assert tracer.agg["complexes.hom0"][0] > 0
+    assert tracer.agg["complexes.compose"][0] > 0
