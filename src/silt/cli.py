@@ -19,8 +19,7 @@ written, so a failed check prints nothing to stdout and creates no --out
 file.  JSON reports are streamed by one writer, ``_write_json``: the
 large arrays are converted one element at a time and written in blocks,
 with exactly the bytes of ``json.dumps(payload, indent=2, sort_keys=True,
-ensure_ascii=False)`` plus a newline.  The environment variable SILT_SEED
-is reserved and unused; nothing here is randomised.
+ensure_ascii=False)`` plus a newline.  Nothing here is randomised.
 """
 
 from __future__ import annotations
@@ -51,13 +50,13 @@ from .classify import (
 )
 from .complexes import hom_class_dim
 from .modules import (
-    IndId,
     ar_quiver_mod,
     ar_quiver_two_term,
     build_representation,
     ext1_dim,
     hom_dim,
     indecomposables,
+    object_label,
     projective_dim_vectors,
     tau,
     tau_nakayama,
@@ -195,10 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="silt",
         description="Tilting modules and 2-term silting over Dynkin path algebras.",
-        epilog=(
-            "SILT_SEED is reserved and unused; all computation is "
-            "deterministic."
-        ),
+        epilog="All computation is deterministic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -417,14 +413,14 @@ def cmd_ar(args) -> Report:
         return {
             "quiver": quiver_to_json(q),
             "two_term": bool(args.two_term),
-            "vertices": [v.label() for v in ar.vertices],
-            "arrows": [[s.label(), t.label()] for s, t in ar.arrows],
-            "tau": [[m.label(), t.label()] for m, t in ar.tau_pairs],
-            "layout": {v.label(): pos for v, pos in ar.layout},
+            "vertices": list(map(object_label, ar.vertices)),
+            "arrows": [list(map(object_label, a)) for a in ar.arrows],
+            "tau": [list(map(object_label, p)) for p in ar.tau_pairs],
+            "layout": {object_label(v): pos for v, pos in ar.layout},
         }
     rows = [("kind", "source", "target")]
-    rows += [("arrow", s.label(), t.label()) for s, t in ar.arrows]
-    rows += [("tau", m.label(), t.label()) for m, t in ar.tau_pairs]
+    rows += [("arrow", *map(object_label, a)) for a in ar.arrows]
+    rows += [("tau", *map(object_label, p)) for p in ar.tau_pairs]
     return csv_table(rows)
 
 
@@ -441,14 +437,10 @@ def _render_silting(q: Quiver, objs, fmt: str) -> Report:
         rows = [("index", "shifted", "modules")] + [
             (
                 i,
-                " ".join(
-                    str(v)
-                    for v in sorted(s.vertex for s in ss if s.kind == "shift")
-                ),
-                "+".join(s.label() for s in ss if s.kind == "mod"),
+                " ".join(map(str, t.shifted_vertices)),
+                "+".join(map(object_label, t.module_dims)),
             )
             for i, t in enumerate(objs, start=1)
-            for ss in (t.summands,)
         ]
         return csv_table(rows)
     parts = [f"silting objects: {len(objs)}", ""]
@@ -462,14 +454,14 @@ def _render_silting(q: Quiver, objs, fmt: str) -> Report:
 def _render_tilting(q: Quiver, mods, fmt: str) -> Report:
     # a tilting module has no shifted summand: every position is a module
     objs = two_term_objects(q)
-    dims = map(lambda m: sorted(objs[p].dim for p in m.positions), mods)
+    dims = map(lambda m: sorted(map(objs.__getitem__, m.positions)), mods)
     if fmt == "json":
         return {
             "quiver": quiver_to_json(q),
             "count": len(mods),
             "modules": dims,
         }
-    descs = ["+".join(IndId.module(d).label() for d in ds) for ds in dims]
+    descs = ["+".join(map(object_label, ds)) for ds in dims]
     if fmt == "csv":
         return csv_table([("index", "summands"), *enumerate(descs, start=1)])
     ar = ar_quiver_mod(q)
@@ -541,7 +533,8 @@ def _check_cartan(q: Quiver, t, cartan) -> None:
             if c != d:
                 raise RuntimeError(
                     f"Cartan entry ({i + 1}, {j + 1}) is {c}, but "
-                    f"Hom({t.summands[j].label()}, {t.summands[i].label()}) "
+                    f"Hom({object_label(t.summands[j])}, "
+                    f"{object_label(t.summands[i])}) "
                     f"has dimension {d}"
                 )
 

@@ -38,7 +38,7 @@ from typing import Dict, List, Tuple
 
 from .complexes import compose, hom_class_basis
 from .linalg import _echelon, pivot_columns
-from .modules import BoundQuiverAlgebra, TwoTermComplex
+from .modules import BoundQuiverAlgebra, TwoTermComplex, is_shift, object_label
 from .quivers import (
     Arrow,
     PathVector,
@@ -70,7 +70,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
         )
     chi, pos, summands = euler_table(q), t.positions, t.summands
     # Hom(T_i, T_j[1]) = 0 always when T_j is shifted
-    mods = [b for b, s in zip(pos, summands) if s.kind == "mod"]
+    mods = [b for b, s in zip(pos, summands) if not is_shift(s)]
     if any(chi[a][b] < 0 for a in pos for b in mods):
         raise ValueError(f"{t.label()}: the given object is not silting")
 
@@ -89,7 +89,8 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
                 d, expected = hom_class_basis(cx[j], cx[i], 0).dim(), (1,)
             if d not in expected:
                 raise failed(
-                    f"Hom({summands[j].label()}, {summands[i].label()}) "
+                    f"Hom({object_label(summands[j])}, "
+                    f"{object_label(summands[i])}) "
                     f"has dimension {d}, expected "
                     + " or ".join(map(str, expected))
                 )
@@ -99,7 +100,7 @@ def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
         c = _product(cx[j], cx[k], cx[i])
         if c not in (0, 1, -1):
             raise failed(
-                f"composition scalar {c} through {summands[k].label()} "
+                f"composition scalar {c} through {object_label(summands[k])} "
                 "is not 0 or ±1"
             )
         return c

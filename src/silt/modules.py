@@ -15,7 +15,9 @@ and Ringel's bijection, checked once per table), for tau on a quiver and
 for every full subquiver that silting's recursion visits (the Nakayama
 construction `tau_nakayama` is the reference the tests and paper-suite
 compare tau with); and the AR quivers of mod A and of the two-term
-homotopy category.
+homotopy category, whose vertices are classes in K_0: dim M for a
+module M and -dim P(v) for P(v)[1], in the one order two_term_objects
+defines.
 
 One algebra type serves every module computation over an algebra:
 `BoundQuiverAlgebra`, a quiver with relations and its integer Cartan
@@ -247,6 +249,8 @@ def act_path(rep: QuiverRep, source: int, arrows: Sequence[str]) -> Rows:
 @cache
 def hom_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
     """dim Hom(M, N): solution space of the arrow intertwining system."""
+    if not m.quiver == n.quiver == q:
+        raise ValueError("module is over a different quiver")
     *offs, total = accumulate(map(mul, m.dims, n.dims), initial=0)
     idx = {v: i for i, v in enumerate(q.vertices)}
     rows: List[List[int]] = []
@@ -548,6 +552,8 @@ def minimal_presentation(q: Quiver, m: QuiverRep) -> TwoTermComplex:
 @cache
 def ext1_dim(q: Quiver, m: QuiverRep, n: QuiverRep) -> int:
     """dim Ext^1(M, N) = coker of Hom(P0, N) -> Hom(P1, N)."""
+    if not m.quiver == n.quiver == q:
+        raise ValueError("module is over a different quiver")
     pres = minimal_presentation(q, m)
     dom = sum(n.dim_at(b) for b in pres.deg0)
     cod = sum(n.dim_at(a) for a in pres.deg_minus1)
@@ -637,52 +643,60 @@ def tau(q: Quiver, d: DimVector) -> Optional[DimVector]:
 
 
 # --- AR quivers ---
+#
+# A two-term indecomposable is its class in K_0: dim M for a module M (a
+# positive root), and -dim P(v) for P(v)[1], which is negative and
+# differs from vertex to vertex.
 
-class IndId(Record):
-    """Identifier of an object: a module or a shifted projective P(v)[1]."""
+def is_shift(c: DimVector) -> bool:
+    """Whether the class c is that of a shifted projective P(v)[1]."""
+    return min(c) < 0
 
-    kind: str  # "mod" or "shift"
-    dim: DimVector
-    vertex: Optional[int] = None
 
-    @staticmethod
-    def module(d: Sequence[int]) -> "IndId":
-        return IndId("mod", tuple(int(c) for c in d))
+def negated(d: DimVector) -> DimVector:
+    return tuple(-c for c in d)
 
-    @staticmethod
-    def shifted(v: int, pdim: Sequence[int]) -> "IndId":
-        return IndId("shift", tuple(int(c) for c in pdim), v)
 
-    def label(self) -> str:
-        digits = "".join(str(c) for c in self.dim)
-        return digits + ("[1]" if self.kind == "shift" else "")
+def object_label(c: DimVector) -> str:
+    """The digits of dim M for a module M, and those of dim P(v) followed
+    by [1] for P(v)[1]."""
+    return "".join(str(abs(e)) for e in c) + ("[1]" if is_shift(c) else "")
 
-    def key(self):
-        if self.kind == "mod":
-            return (0, sum(self.dim), self.dim, 0)
-        return (1, 0, self.dim, self.vertex)
+
+@cache
+def two_term_objects(q: Quiver) -> Tuple[DimVector, ...]:
+    """The classes of the indecomposable two-term objects, in the one
+    order that the enumerations, the AR quivers and the reports follow:
+    the modules in indecomposables order, then the shifted projectives
+    P(v)[1] by increasing dim P(v)."""
+    shifts = map(negated, sorted(projective_dim_vectors(q)))
+    return indecomposables(q) + tuple(shifts)
+
+
+@cache
+def shift_vertex(q: Quiver) -> Dict[DimVector, int]:
+    """The vertex v of each shifted class -dim P(v)."""
+    return {negated(d): v for d, v in zip(projective_dim_vectors(q), q.vertices)}
 
 
 class ArQuiver(Record):
     """AR quiver with irreducible-map arrows, tau pairs, and a grid layout."""
 
     quiver: Quiver
-    vertices: Tuple[IndId, ...]
-    arrows: Tuple[Tuple[IndId, IndId], ...]
-    tau_pairs: Tuple[Tuple[IndId, IndId], ...]  # (M, tau M)
-    layout: Tuple[Tuple[IndId, Tuple[int, int]], ...]  # id -> (col, row)
+    vertices: Tuple[DimVector, ...]  # classes, as in two_term_objects
+    arrows: Tuple[Tuple[DimVector, DimVector], ...]
+    tau_pairs: Tuple[Tuple[DimVector, DimVector], ...]  # (M, tau M)
+    layout: Tuple[Tuple[DimVector, Tuple[int, int]], ...]  # -> (col, row)
 
     def to_dot(self) -> str:
         lines = ["digraph ar {", "  rankdir=LR;"]
-        for v in self.vertices:
-            lines.append(
-                f'  "{v.label()}" [shape=plaintext, label="{v.label()}"];'
-            )
+        for v in map(object_label, self.vertices):
+            lines.append(f'  "{v}" [shape=plaintext, label="{v}"];')
         for s, t in self.arrows:
-            lines.append(f'  "{s.label()}" -> "{t.label()}";')
+            lines.append(f'  "{object_label(s)}" -> "{object_label(t)}";')
         for m, t in self.tau_pairs:
             lines.append(
-                f'  "{m.label()}" -> "{t.label()}" '
+                f'  "{object_label(m)}" -> "{object_label(t)}" '
                 "[style=dashed, dir=none, constraint=false];"
             )
         lines.append("}")
@@ -700,7 +714,7 @@ class ArQuiver(Record):
         for v in self.vertices:
             col, row = pos[v]
             marker = "•" if v in selected else "∘"
-            cells[(row, col)] = f"{marker}{v.label()}"
+            cells[(row, col)] = f"{marker}{object_label(v)}"
         width = max(len(t) for t in cells.values()) + 2
         lines = []
         for r in range(maxrow + 1):
@@ -738,67 +752,57 @@ def _potential(q: Quiver) -> Dict[int, int]:
 def _knit(q: Quiver, two_term: bool) -> ArQuiver:
     ind = indecomposables(q)
     projs = projective_dim_vectors(q)
-    injs = injective_dim_vectors(q)
     proj_vertex = {d: v for d, v in zip(projs, q.vertices)}
-    objs: List[IndId] = [IndId.module(d) for d in ind]
-    tau_of: Dict[IndId, IndId] = {}
+    position = {o: i for i, o in enumerate(two_term_objects(q))}
+    objs = two_term_objects(q) if two_term else ind
+    tau_of: Dict[DimVector, DimVector] = {}
     for d in ind:
         t = tau(q, d)
         if t is not None:
-            tau_of[IndId.module(d)] = IndId.module(t)
+            tau_of[d] = t
     if two_term:
-        for v, pdim, idim in zip(q.vertices, projs, injs):
-            s = IndId.shifted(v, pdim)
-            objs.append(s)
-            tau_of[s] = IndId.module(idim)
+        for pdim, idim in zip(projs, injective_dim_vectors(q)):
+            tau_of[negated(pdim)] = idim
 
     pot = _potential(q)
-    level: Dict[IndId, int] = {}
+    level: Dict[DimVector, int] = {}
 
-    def level_of(o: IndId) -> int:
+    def level_of(o: DimVector) -> int:
         if o in level:
             return level[o]
-        if o.kind == "mod" and o.dim in proj_vertex:
-            level[o] = pot[proj_vertex[o.dim]]
+        if o in proj_vertex:
+            level[o] = pot[proj_vertex[o]]
         else:
             level[o] = level_of(tau_of[o]) + 2
         return level[o]
 
     for o in objs:
         level_of(o)
-    order = sorted(objs, key=lambda o: (level[o], o.key()))
-    out_edges: Dict[IndId, List[IndId]] = {o: [] for o in objs}
-    arrows: List[Tuple[IndId, IndId]] = []
+    order = sorted(objs, key=lambda o: (level[o], position[o]))
+    out_edges: Dict[DimVector, List[DimVector]] = {o: [] for o in objs}
+    arrows: List[Tuple[DimVector, DimVector]] = []
     for o in order:
-        if o.kind == "mod" and o.dim in proj_vertex:
-            v = proj_vertex[o.dim]
+        if o in proj_vertex:
+            v = proj_vertex[o]
             inc = sorted(
-                (
-                    IndId.module(projs[q.index(a.target)])
-                    for a in q.arrows
-                    if a.source == v
-                ),
-                key=lambda x: x.key(),
+                (projs[q.index(a.target)] for a in q.arrows if a.source == v),
+                key=position.__getitem__,
             )
         else:
-            inc = sorted(out_edges[tau_of[o]], key=lambda x: x.key())
+            inc = sorted(out_edges[tau_of[o]], key=position.__getitem__)
         for p in inc:
             arrows.append((p, o))
             out_edges[p].append(o)
-        if o.kind == "mod" and o.dim not in proj_vertex:
-            # mesh additivity confirms all arrow multiplicities are 1
-            total = [0] * len(q.vertices)
-            for p in inc:
-                if p.kind != "mod":
-                    raise RuntimeError("module mesh with shifted summand")
-                for i, c in enumerate(p.dim):
-                    total[i] += c
-            expect = [
-                a + b for a, b in zip(o.dim, tau_of[o].dim)
-            ]
-            if total != expect:
+        if not (is_shift(o) or o in proj_vertex):
+            # mesh additivity confirms all arrow multiplicities are 1:
+            # [M] + [tau M] is the sum of the classes in the mesh
+            if any(map(is_shift, inc)):
+                raise RuntimeError("module mesh with shifted summand")
+            if not all(
+                a + b == sum(cs) for a, b, *cs in zip(o, tau_of[o], *inc)
+            ):
                 raise RuntimeError(
-                    f"mesh additivity failed at {o.label()}"
+                    f"mesh additivity failed at {object_label(o)}"
                 )
 
     proj_order = sorted(
@@ -806,11 +810,10 @@ def _knit(q: Quiver, two_term: bool) -> ArQuiver:
     )
     row_of_proj = {v: i for i, v in enumerate(proj_order)}
 
-    def anchor(o: IndId) -> int:
-        cur = o
-        while not (cur.kind == "mod" and cur.dim in proj_vertex):
-            cur = tau_of[cur]
-        return proj_vertex[cur.dim]
+    def anchor(o: DimVector) -> int:
+        while o not in proj_vertex:
+            o = tau_of[o]
+        return proj_vertex[o]
 
     layout = tuple(
         (o, (level[o], row_of_proj[anchor(o)])) for o in order
@@ -822,11 +825,12 @@ def _knit(q: Quiver, two_term: bool) -> ArQuiver:
     )
     if two_term:
         shifted_arrows = {
-            (s.vertex, t.vertex)
-            for s, t in arrows
-            if s.kind == "shift" and t.kind == "shift"
+            (s, t) for s, t in arrows if is_shift(s) and is_shift(t)
         }
-        expected = {(a.target, a.source) for a in q.arrows}
+        expected = {
+            (negated(projs[q.index(a.target)]), negated(projs[q.index(a.source)]))
+            for a in q.arrows
+        }
         if shifted_arrows != expected:
             raise RuntimeError(
                 "shifted projectives do not form a copy of the quiver"

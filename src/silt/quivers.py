@@ -46,25 +46,23 @@ class NotDynkinError(QuiverError):
 class _RecordType(type):
     """Builds each Record subclass from its annotations alone: they become
     its __slots__, in order, and its __init__ and _values are written
-    once, here, the way namedtuple writes its __new__.  A class-level
-    value of a field is that parameter's default.  The __init__ sets each
-    field, and the stored hash to None, through its slot's own setter (a
-    record's __setattr__ raises), then runs the class's own checks, its
+    once, here, the way namedtuple writes its __new__.  A field has no
+    default: a class-level value of a field conflicts with its slot, and
+    Python refuses to create the class.  The __init__ sets each field, and
+    the stored hash to None, through its slot's own setter (a record's
+    __setattr__ raises), then runs the class's own checks, its
     __post_init__, if it defines one; _values is the tuple of the fields."""
 
     def __new__(mcs, name, bases, ns):
         if not bases:  # Record itself
             return super().__new__(mcs, name, bases, ns)
         fields = tuple(ns.get("__annotations__", ()))
-        defaults = {f: ns.pop(f) for f in fields if f in ns}
         ns["__slots__"] = ns["_fields"] = fields
         # the fields for ==, read in C: a bare value for one field
         ns["_key"] = attrgetter(*fields)
         cls = super().__new__(mcs, name, bases, ns)
         scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields + ("_hash",)}
-        scope["_d"] = defaults
-        params = ", ".join(f"{f}=_d[{f!r}]" if f in defaults else f for f in fields)
-        lines = [f"def __init__(self, {params}):"]
+        lines = [f"def __init__(self, {', '.join(fields)}):"]
         lines += [f"    _set_{f}(self, {f})" for f in fields]
         lines.append("    _set__hash(self, None)")
         if "__post_init__" in ns:

@@ -11,8 +11,10 @@ rows restricted to the paths inside S (modules._translates).  The
 brute-force route checks the defining rigidity condition,
 Hom(X, Y[1]) = 0, over all summand subsets and serves as an oracle.
 An object is the strictly increasing positions of its summands in
-two_term_objects: the indecomposable modules in indecomposables order,
-then the shifted projectives, all in IndId.key order.  A tilting module
+modules.two_term_objects: the classes in K_0 of the indecomposable
+modules in indecomposables order, then those of the shifted
+projectives, the one order the AR quivers follow too.  A summand is its
+class, so a shifted projective is a negative vector.  A tilting module
 is an object with no shifted summand (Adachi-Iyama-Reiten), so its
 positions are those of its roots in indecomposables(q).  Both brute
 forces pick the rigid n-subsets of the first m two-term objects (all of
@@ -21,11 +23,11 @@ complexes.hom_class_dim for exactly the pairs they visit: one small rank
 per pair over the cokernel table of Y, which is built once per object.
 Over a hereditary algebra Ext^1(M, N) = Hom(P_M, P_N[1]) for the minimal
 projective resolutions P_M, P_N, so the tilting brute force ranks module
-pairs only.  euler_table gives the same dimensions as integers: mod KQ is
-representation-directed, so at most one of Hom(X, Y) and Hom(X, Y[1])
-is non-zero, and <[X], [Y]> is the first minus the second.  End(T)
-assembly reads its premise and its block dimensions off that table, at
-the object's positions.
+pairs only.  euler_table gives the same dimensions as integers, the
+Euler forms of the classes: mod KQ is representation-directed, so at
+most one of Hom(X, Y) and Hom(X, Y[1]) is non-zero, and <[X], [Y]> is
+the first minus the second.  End(T) assembly reads its premise and its
+block dimensions off that table, at the object's positions.
 """
 
 from __future__ import annotations
@@ -42,11 +44,15 @@ from .complexes import (
     shifted_projective,
 )
 from .modules import (
-    IndId,
     _translates,
     ar_quiver_two_term,
     indecomposables,
+    is_shift,
+    negated,
+    object_label,
     projective_dim_vectors,
+    shift_vertex,
+    two_term_objects,
 )
 from .quivers import Quiver, Record, euler_form, single_path
 
@@ -69,31 +75,32 @@ class SiltingObject(Record):
             raise ValueError(f"positions must lie in range({m})")
 
     @property
-    def summands(self) -> Tuple[IndId, ...]:
+    def summands(self) -> Tuple[DimVector, ...]:
+        """The summands' classes in K_0."""
         objs = two_term_objects(self.quiver)
         return tuple(map(objs.__getitem__, self.positions))
 
     @property
     def shifted_vertices(self) -> Tuple[int, ...]:
-        return tuple(
-            sorted(s.vertex for s in self.summands if s.kind == "shift")
-        )
+        at = shift_vertex(self.quiver)
+        return tuple(sorted(at[s] for s in self.summands if is_shift(s)))
 
     @property
     def module_dims(self) -> Tuple[DimVector, ...]:
-        return tuple(s.dim for s in self.summands if s.kind == "mod")
+        return tuple(s for s in self.summands if not is_shift(s))
 
     def label(self) -> str:
-        return "+".join(s.label() for s in self.summands)
+        return "+".join(map(object_label, self.summands))
 
     def to_json_dict(self) -> dict:
-        shifted, modules, objs = [], [], two_term_objects(self.quiver)
-        for p in self.positions:
-            s = objs[p]
-            if s.kind == "mod":
-                modules.append(s.dim)
+        q, p = self.quiver, self.positions
+        objs, shifted, modules = two_term_objects(q), [], []
+        m = len(objs) - len(p)  # the modules are the positions below m
+        for i in p:
+            if i < m:
+                modules.append(objs[i])
             else:
-                shifted.append(s.vertex)
+                shifted.append(shift_vertex(q)[objs[i]])
         shifted.sort()
         return {"I": shifted, "modules": modules}
 
@@ -239,22 +246,12 @@ def _rigid_subsets(
     return out
 
 
-def summand_complex(q: Quiver, s: IndId) -> TwoTermComplex:
-    """The two-term complex presenting a summand id (module or P[1])."""
-    if s.kind == "mod":
-        return resolve_dim(q, s.dim)
-    return shifted_projective(q, s.vertex)
-
-
-@cache
-def two_term_objects(q: Quiver) -> Tuple[IndId, ...]:
-    """The indecomposable two-term objects in IndId.key order: the
-    modules in indecomposables order, then the shifted projectives
-    sorted by dim P(v)."""
-    shifts = sorted(zip(projective_dim_vectors(q), q.vertices))
-    return tuple(IndId.module(d) for d in indecomposables(q)) + tuple(
-        IndId.shifted(v, d) for d, v in shifts
-    )
+def summand_complex(q: Quiver, c: DimVector) -> TwoTermComplex:
+    """The two-term complex presenting the summand of class c: a module's
+    minimal projective presentation, or P(v)[1]."""
+    if is_shift(c):
+        return shifted_projective(q, shift_vertex(q)[c])
+    return resolve_dim(q, c)
 
 
 @cache
@@ -263,10 +260,7 @@ def euler_table(q: Quiver) -> Tuple[Tuple[int, ...], ...]:
     with [M] = dim M and [P_v[1]] = -dim P_v: dim Hom(X_a, X_b) =
     max(0, chi[a][b]), and dim Hom(X_a, X_b[1]) is max(0, -chi[a][b])
     when X_b is a module and 0 when it is shifted."""
-    k0 = [
-        o.dim if o.kind == "mod" else tuple(-c for c in o.dim)
-        for o in two_term_objects(q)
-    ]
+    k0 = two_term_objects(q)
     return tuple(tuple(euler_form(q, d, e) for e in k0) for d in k0)
 
 
@@ -279,11 +273,10 @@ def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
     the full subquiver on the complement (_tilting_masks).  A module's
     root positions are its positions in two_term_objects, and every
     shifted projective comes after them, so sorting the positions sorts
-    by IndId.key.
+    in two_term_objects order.
     """
     objs = two_term_objects(q)
-    at_shift = {o.vertex: a for a, o in enumerate(objs) if o.kind == "shift"}
-    shift_pos = [at_shift[v] for v in q.vertices]
+    shift_pos = [objs.index(negated(d)) for d in projective_dim_vectors(q)]
     masks = _tilting_masks(q)
     full = len(masks) - 1
     out = []
@@ -306,8 +299,8 @@ def _rigid_objects(q: Quiver, m: int) -> Tuple[SiltingObject, ...]:
 
 
 def silting_bruteforce(q: Quiver) -> Tuple[SiltingObject, ...]:
-    """All rigid n-subsets of the two-term objects.  two_term_objects is
-    in IndId.key order, so the objects come out sorted."""
+    """All rigid n-subsets of the two-term objects, in position order, so
+    the objects come out sorted."""
     return _rigid_objects(q, len(two_term_objects(q)))
 
 

@@ -23,7 +23,7 @@ from silt.linalg import (
     reduce_by_rref,
     row_space_rref,
 )
-from silt.modules import BoundQuiverAlgebra
+from silt.modules import BoundQuiverAlgebra, object_label
 from silt.quivers import Arrow, PathVector, Quiver, path_tables, paths_between
 from silt.silting import SiltingObject, summand_complex
 
@@ -61,8 +61,9 @@ def reference_path_values(
     for i in range(n):
         if spaces[(i, i)].dim() != 1:
             raise RuntimeError(
-                f"{label}: summand {t.summands[i].label()} has endomorphism "
-                f"ring of dimension {spaces[(i, i)].dim()}, expected 1"
+                f"{label}: summand {object_label(t.summands[i])} has "
+                f"endomorphism ring of dimension {spaces[(i, i)].dim()}, "
+                "expected 1"
             )
     idents = [identity_reference(c) for c in cx]
     ident_coords = [spaces[(i, i)].coords(e) for i, e in enumerate(idents)]

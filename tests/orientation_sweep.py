@@ -1,14 +1,17 @@
 """Run silt's own cross-checks on every orientation of the Dynkin diagrams
 up to E8, outside the tier-1 suite (pytest does not collect this file).
 
-    PYTHONPATH=src python tests/orientation_sweep.py [classify] [silting] [tilting]
+    PYTHONPATH=src python tests/orientation_sweep.py [classify] [silting] [tilting] [ar]
 
 `classify` runs `silt classify --oracle --format csv` on every orientation
 of A1-A5, D4, D5, E6 and E7 (148 quivers); `silting` runs
 `silt silting --oracle --format csv` on every orientation of E8 (128
 quivers); `tilting` runs `silt silting --tilting-only --oracle --format
 csv`, which checks Algorithm 1 against its brute force, on every
-orientation of E7 and E8 (192 quivers).  With no argument all three run,
+orientation of E7 and E8 (192 quivers); `ar` runs `silt ar --two-term
+--format json`, which checks the knitted AR quiver's mesh additivity and
+its copy of the quiver among the shifted projectives, on every
+orientation of E7 and E8 (192 quivers).  With no argument all four run,
 in that order.  Each run calls
 silt.cli.main in this process, writes its output to a scratch file, and
 must exit 0: an internal check that fails, such as an RREF that is not
@@ -35,6 +38,7 @@ SWEEPS = {
         ["silting", "--tilting-only", "--oracle", "--format", "csv"],
         [("E", 7), ("E", 8)],
     ),
+    "ar": (["ar", "--two-term", "--format", "json"], [("E", 7), ("E", 8)]),
 }
 
 
@@ -48,7 +52,7 @@ def clear_caches() -> None:
 
 def sweep(name, command, types, scratch: Path) -> list:
     failed = []
-    quiver, out = scratch / "q.quiver", scratch / "out.csv"
+    quiver, out = scratch / "q.quiver", scratch / "out"
     for kind, n in types:
         t0 = time.perf_counter()
         quivers = orientations(kind, n)

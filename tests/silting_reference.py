@@ -13,7 +13,6 @@ from functools import cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from silt.modules import (
-    IndId,
     _translates,
     indecomposables,
     injective_dim_vectors,
@@ -25,9 +24,10 @@ from silt.silting import SiltingObject, two_term_objects
 DimVector = Tuple[int, ...]
 
 
-def from_summands(q: Quiver, summands: Iterable[IndId]) -> SiltingObject:
-    """The object with these summands, in any order: their positions in
-    two_term_objects(q), sorted."""
+def from_summands(q: Quiver, summands: Iterable[DimVector]) -> SiltingObject:
+    """The object with these summands, given by their classes in K_0 (dim M
+    for a module M, -dim P(v) for P(v)[1]) in any order: their positions
+    in two_term_objects(q), sorted."""
     positions = map(two_term_objects(q).index, summands)
     return SiltingObject(q, tuple(sorted(positions)))
 
@@ -122,7 +122,7 @@ def tilting_modules_alg1(q: Quiver) -> Tuple[SiltingObject, ...]:
                 if guard > 1000:
                     raise RuntimeError("tau-inverse sweep did not terminate")
     return tuple(
-        from_summands(q, map(IndId.module, s)) for s in sorted(found)
+        from_summands(q, s) for s in sorted(found)
     )
 
 
@@ -134,12 +134,15 @@ def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
     shifted projectives P(i)[1], i in I, with each tilting module of
     the restricted quiver, lifted by zero to the big vertex set.  Each
     object is built as the increasing positions of its summands in
-    two_term_objects, so sorting the positions sorts by IndId.key.
+    two_term_objects, so sorting the positions sorts in its order.
     """
     n = len(q.vertices)
     objs = two_term_objects(q)
-    at_dim = {o.dim: i for i, o in enumerate(objs) if o.kind == "mod"}
-    at_shift = {o.vertex: i for i, o in enumerate(objs) if o.kind == "shift"}
+    at_dim = {o: i for i, o in enumerate(objs) if min(o) >= 0}
+    at_shift = {
+        v: objs.index(tuple(-c for c in d))
+        for v, d in zip(q.vertices, projective_dim_vectors(q))
+    }
     out = set()
     for mask in range(1 << n):
         shift_set = tuple(

@@ -14,7 +14,7 @@ from dynkin_orientations import E6
 from quiver_isomorphism import quivers_isomorphic
 from silting_reference import from_summands
 from silt.quivers import dynkin_type, opposite, parse_quiver
-from silt.modules import IndId, projective_dim_vectors
+from silt.modules import negated, projective_dim_vectors
 from silt.silting import SiltingObject, silting_alg2
 from silt.endo import cartan_data, endomorphism_algebra
 from silt.cli import FIXTURE_NAMES, STRICTLY_SHOD_PRESENTATIONS
@@ -47,13 +47,11 @@ def _fixture(name):
 
 
 def _regular_object(q):
-    projs = projective_dim_vectors(q)
-    return from_summands(q, [IndId.module(d) for d in projs])
+    return from_summands(q, projective_dim_vectors(q))
 
 
 def _shift_object(q):
-    shifts = zip(q.vertices, projective_dim_vectors(q))
-    return from_summands(q, (IndId.shifted(v, d) for v, d in shifts))
+    return from_summands(q, map(negated, projective_dim_vectors(q)))
 
 
 # --- projective dimensions and global dimension ---
@@ -74,9 +72,7 @@ def test_semisimple_case_has_global_dimension_zero():
 
 
 def test_disconnected_points_have_global_dimension_zero():
-    obj = from_summands(
-        A2, [IndId.module((0, 1)), IndId.shifted(1, (1, 1))]
-    )
+    obj = from_summands(A2, [(0, 1), (-1, -1)])  # S(2) + P(1)[1]
     b = endomorphism_algebra(A2, obj)
     assert global_dimension(b) == 0
 
@@ -192,9 +188,9 @@ def test_classify_a3_mixed_object_is_tilted_a2_and_a1():
     obj = from_summands(
         A3,
         [
-            IndId.shifted(1, (1, 1, 1)),
-            IndId.module((0, 1, 0)),
-            IndId.module((0, 1, 1)),
+            (-1, -1, -1),  # P(1)[1]
+            (0, 1, 0),
+            (0, 1, 1),
         ],
     )
     assert obj in silting_alg2(A3)

@@ -485,6 +485,35 @@ def test_classify_on_a_disconnected_quiver_matches_frozen_digest(
     assert digest == DISCONNECTED_DIGESTS[fmt]
 
 
+# Every fixture is labelled 1..n in order, so a slip between a vertex and
+# its index (say, in the vertex of a shifted class) would pass on all of
+# them: D4 labelled out of order, and E7 for the knitting at rank 7.
+D4_UNORDERED = "vertices 7 2 9 4\narrows a:7->9 b:9->2 c:4->9\n"
+E7_QUIVER = Path(__file__).resolve().parents[1] / "perfbench" / "e7.quiver"
+UNORDERED_AND_RANK_7_DIGESTS = {
+    ("d4", "silting", "--format", "json"): "ead50618fec05816660cf70afd3777a17f327da2d7ad3cf38f3f67b2a1b083e7",
+    ("d4", "silting", "--format", "csv"): "7c75c5328847288ef1d0ca7a79aa292da490f61c2655fcb8ae85cc1670fea0b5",
+    ("d4", "classify", "--format", "json"): "4b5f9f70e4a427957f2742a232be4604fecd93b8a023a717937437ffdddccdb0",
+    ("d4", "ar", "--two-term", "--format", "json"): "a35c6473f49048c9ca3d0b0ebdf48281aff3d67aaa9a5464d23473cbcaf10234",
+    ("e7", "ar", "--two-term", "--format", "json"): "87a31e705029c469f5dc21248ceb4bdf8d7544b6464f1b5a306e1dd5ad4b9567",
+    ("e7", "ar", "--two-term", "--format", "dot"): "7ac8ca8d32de3fadb357cf9d04790fbf92bbde4cc8d3b0873d532c9687dacd6b",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(UNORDERED_AND_RANK_7_DIGESTS), ids=" ".join
+)
+def test_unordered_labels_and_rank_7_match_frozen_digest(key, tmp_path, capsys):
+    name, command, *flags = key
+    path = tmp_path / "d4.quiver"
+    path.write_text(D4_UNORDERED)
+    quiver = str(path if name == "d4" else E7_QUIVER)
+    rc, out, err = run_cli(capsys, command, quiver, *flags)
+    assert rc == 0, err
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == UNORDERED_AND_RANK_7_DIGESTS[key]
+
+
 def test_silting_ascii_on_a4_with_inner_source(tmp_path, capsys):
     # the ASCII report draws the AR quiver, so it needs the knit to hold
     # on an orientation whose longest paths disagree with the arrows

@@ -51,7 +51,7 @@ D4 = parse_quiver("vertices 1 2 3 4\narrow a:1->3\narrow b:2->3\narrow c:3->4\n"
 A4_SECOND = parse_quiver("vertices 1 2 3 4\narrow a:1->2\narrow b:3->2\narrow c:3->4\n")
 
 
-def two_term_objects(q):
+def two_term_complexes(q):
     objs = [resolve_dim(q, d) for d in indecomposables(q)]
     return objs + [shifted_projective(q, v) for v in q.vertices]
 
@@ -176,7 +176,7 @@ E7_BENCH = parse_quiver(
 
 
 def _assert_shift_one_matches_the_whole_differential(q):
-    objs = two_term_objects(q)
+    objs = two_term_complexes(q)
     for x in objs:
         for y in objs:
             assert hom_class_dim(x, y, 1) == hom_shift_dim(x, y), (x, y)
@@ -262,7 +262,7 @@ def test_cokernel_table_is_the_module_at_each_vertex():
 def test_shift_one_dim_is_basis_size(q, k):
     # hom_class_dim takes ranks in the Hom complex, hom_class_basis
     # builds the basis
-    objs = two_term_objects(q)
+    objs = two_term_complexes(q)
     for x in objs:
         for y in objs:
             assert hom_class_dim(x, y, k) == hom_class_basis(x, y, k).dim()
@@ -333,7 +333,7 @@ def _hom0_by_unit_vectors(x, y):
 def test_hom_complex_matches_unit_vector_route():
     # kernel_basis depends on column signs, so this also pins the minus
     # sign on d_Y f in d^0
-    objs = two_term_objects(D4)
+    objs = two_term_complexes(D4)
     mixed = 0
     for x in objs:
         for y in objs:
@@ -348,7 +348,7 @@ def test_hom_complex_matches_unit_vector_route():
 def test_shift_one_homotopies_match_unit_vector_route():
     # Hom(X, Y[1]) is all of Hom(X^{-1}, Y^0) modulo the homotopies
     for q in (D4, A4_SECOND):
-        objs = two_term_objects(q)
+        objs = two_term_complexes(q)
         both = 0
         for x in objs:
             for y in objs:
@@ -539,7 +539,7 @@ def test_zero_dimensional_space_keeps_chain_map_length():
 )
 def test_compose_matches_path_vector_route(q, composable, nonzero):
     # every composable pair of basis classes, X -> Y -> Z over all objects
-    objs = two_term_objects(q)
+    objs = two_term_complexes(q)
     basis = {
         (x, y): hom_class_basis(x, y, 0).class_basis for x in objs for y in objs
     }
@@ -575,7 +575,7 @@ def _lazy_path_identity(x):
 
 @pytest.mark.parametrize("q", [D4, A4_SECOND], ids=["d4", "a4_second"])
 def test_identity_matches_path_vector_route(q):
-    for x in two_term_objects(q):
+    for x in two_term_complexes(q):
         assert _lazy_path_identity(x) == identity_reference(x)
         assert hom_class_basis(x, x, 0).coords(identity_reference(x)) == (1,)
 
@@ -585,7 +585,7 @@ def test_vector_of_sums_the_basis_rows():
     # coords reads them back: classes with several non-zero coordinates,
     # so rows must accumulate; adding a null-homotopic row leaves the
     # coordinates as they are
-    objs = two_term_objects(D4)
+    objs = two_term_complexes(D4)
     wide = [
         sp
         for sp in (hom_class_basis(x, y, 0) for x in objs for y in objs)
@@ -605,7 +605,7 @@ def test_vector_of_sums_the_basis_rows():
 
 def test_coords_rejects_a_row_off_the_chain_maps():
     # a unit row of End(X) that is no chain map, for some X on D4
-    for x in two_term_objects(D4):
+    for x in two_term_complexes(D4):
         sp = hom_class_basis(x, x, 0)
         n = len(sp.class_basis[0])
         for t in range(n):

@@ -27,7 +27,6 @@ from silt.quivers import (
     paths_between,
 )
 from silt.modules import (
-    IndId,
     act_path,
     projective_dim_vectors,
     projectives,
@@ -64,8 +63,7 @@ def _fixture(name):
 
 def _regular_object(q):
     """The silting object A_A: all projectives, nothing shifted."""
-    projs = projective_dim_vectors(q)
-    return from_summands(q, [IndId.module(d) for d in projs])
+    return from_summands(q, projective_dim_vectors(q))
 
 
 # --- End(A_A) recovers the path algebra ---
@@ -87,9 +85,7 @@ def test_quivers_isomorphic_helper():
 # --- disconnected endomorphism algebra over A2 ---
 
 def test_a2_module_plus_shift_is_two_points():
-    obj = from_summands(
-        A2, [IndId.module((0, 1)), IndId.shifted(1, (1, 1))]
-    )
+    obj = from_summands(A2, [(0, 1), (-1, -1)])  # S(2) + P(1)[1]
     b = endomorphism_algebra(A2, obj)
     assert len(b.gabriel.vertices) == 2
     assert b.gabriel.arrows == ()
@@ -369,7 +365,7 @@ def test_bound_quiver_algebra_json():
 
 
 def test_rejects_non_silting_input():
-    bad = from_summands(A2, [IndId.module((1, 0)), IndId.module((0, 1))])
+    bad = from_summands(A2, [(1, 0), (0, 1)])
     with pytest.raises(ValueError, match=re.escape(bad.label())):
         endomorphism_algebra(A2, bad)
 

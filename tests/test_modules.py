@@ -8,13 +8,12 @@ import pytest
 import reflection_reference
 from dynkin_orientations import E6, TYPES_WITH_E6, orientations
 from silting_reference import tau_inverse
-from silt import modules
+from silt import modules, silting
 from silt.classify import classify
 from silt.silting import silting_alg2
 from silt.quivers import NotDynkinError, dynkin_type, euler_form, parse_quiver
 from silt.modules import (
     ArQuiver,
-    IndId,
     TwoTermComplex,
     ar_quiver_mod,
     ar_quiver_two_term,
@@ -23,11 +22,15 @@ from silt.modules import (
     hom_dim,
     indecomposables,
     injective_dim_vectors,
+    is_shift,
     make_rep,
     minimal_presentation,
+    object_label,
     projective_dim_vectors,
+    shift_vertex,
     tau,
     tau_nakayama,
+    two_term_objects,
 )
 
 A2 = parse_quiver("vertices 1 2\narrow a:1->2\n")
@@ -183,6 +186,31 @@ def test_ext1_reads_the_differential_coefficients(monkeypatch):
     monkeypatch.setattr(modules, "minimal_presentation", lambda q, m: pres)
     p1 = build_representation(A2, (1, 1))
     assert ext1_dim.__wrapped__(A2, p1, p1) == 0
+
+
+A2_OP = parse_quiver("vertices 1 2\narrow a:2->1\n")
+
+
+def test_hom_rejects_a_module_over_another_quiver():
+    # the same vertices and arrow id, the other way round: over A2 the
+    # answer would read 1
+    m = build_representation(A2, (1, 1))
+    n = build_representation(A2_OP, (1, 0))
+    with pytest.raises(ValueError, match="different quiver"):
+        hom_dim(A2, m, n)
+    with pytest.raises(ValueError, match="different quiver"):
+        hom_dim(A2, n, m)
+
+
+def test_ext1_rejects_a_module_over_another_quiver():
+    s2 = build_representation(A2, (0, 1))
+    n = build_representation(A2_OP, (1, 0))
+    with pytest.raises(ValueError, match="different quiver"):
+        ext1_dim(A2, s2, n)
+    # another arrow id: the check comes before any lookup by arrow id
+    other = parse_quiver("vertices 1 2\narrow b:1->2\n")
+    with pytest.raises(ValueError, match="different quiver"):
+        ext1_dim(A2, s2, build_representation(other, (1, 1)))
 
 
 def test_euler_identity_exhaustive_a3_d4():
@@ -366,11 +394,11 @@ def test_cover_rows_are_the_path_actions():
 
 def test_ar_mod_a2():
     ar = ar_quiver_mod(A2)
-    labels = {v.label() for v in ar.vertices}
+    labels = set(map(object_label, ar.vertices))
     assert labels == {"01", "11", "10"}
-    arrow_labels = {(s.label(), t.label()) for s, t in ar.arrows}
+    arrow_labels = {(object_label(s), object_label(t)) for s, t in ar.arrows}
     assert arrow_labels == {("01", "11"), ("11", "10")}
-    tau_labels = {(m.label(), t.label()) for m, t in ar.tau_pairs}
+    tau_labels = {(object_label(m), object_label(t)) for m, t in ar.tau_pairs}
     assert tau_labels == {("10", "01")}
 
 
@@ -395,9 +423,9 @@ def _assert_mesh_additive(q, ar):
     for m, tm in ar.tau_pairs:
         mids = incoming.get(m, [])
         total = tuple(
-            sum(x.dim[i] for x in mids) for i in range(len(q.vertices))
+            sum(x[i] for x in mids) for i in range(len(q.vertices))
         )
-        expected = tuple(a + b for a, b in zip(m.dim, tm.dim))
+        expected = tuple(a + b for a, b in zip(m, tm))
         assert total == expected
 
 
@@ -427,18 +455,35 @@ def test_ar_knits_on_every_orientation(kind, n):
         assert len(set(pos.values())) == roots, text
         two = ar_quiver_two_term(q)
         assert len(two.vertices) == roots + n, text
+        at = shift_vertex(q)
         shifted = {
-            (s.vertex, t.vertex)
-            for s, t in two.arrows
-            if s.kind == "shift" and t.kind == "shift"
+            (at[s], at[t]) for s, t in two.arrows if is_shift(s) and is_shift(t)
         }
         assert shifted == {(a.target, a.source) for a in q.arrows}, text
+
+
+@pytest.mark.parametrize(
+    "kind, n", TYPES_WITH_E6, ids=[f"{k}{n}" for k, n in TYPES_WITH_E6]
+)
+def test_a_two_term_object_is_its_class_in_k0(kind, n):
+    # [M] = dim M tells the modules apart (Gabriel), and [P(v)[1]] =
+    # -dim P(v) is negative and tells the shifts apart, so the classes
+    # name the two-term objects
+    assert silting.two_term_objects is two_term_objects
+    for text, q in orientations(kind, n):
+        objs, roots = two_term_objects(q), indecomposables(q)
+        assert len(set(objs)) == len(objs) == len(roots) + n, text
+        assert objs[: len(roots)] == roots, text
+        at = shift_vertex(q)
+        assert len(at) == n, text
+        for v, d in zip(q.vertices, projective_dim_vectors(q)):
+            assert at[tuple(-c for c in d)] == v, text
 
 
 def test_ar_two_term_a2_chain():
     ar = ar_quiver_two_term(A2)
     assert len(ar.vertices) == 5
-    arrow_labels = {(s.label(), t.label()) for s, t in ar.arrows}
+    arrow_labels = {(object_label(s), object_label(t)) for s, t in ar.arrows}
     assert arrow_labels == {
         ("01", "11"),
         ("11", "10"),
@@ -455,26 +500,23 @@ def test_ar_two_term_counts():
 
 def test_ar_two_term_shifted_copy_of_q():
     for q in (A3, D4, D5):
-        ar = ar_quiver_two_term(q)
+        ar, at = ar_quiver_two_term(q), shift_vertex(q)
         shifted_arrows = {
-            (s.vertex, t.vertex)
-            for s, t in ar.arrows
-            if s.kind == "shift" and t.kind == "shift"
+            (at[s], at[t]) for s, t in ar.arrows if is_shift(s) and is_shift(t)
         }
         expected = {(a.target, a.source) for a in q.arrows}
         assert shifted_arrows == expected
 
 
 def test_ind_id_labels():
-    m = IndId.module((1, 1, 2, 1))
-    assert m.label() == "1121"
-    s = IndId.shifted(3, (0, 0, 1, 0))
-    assert s.label() == "0010[1]"
+    # an indecomposable two-term object is identified by its class in K_0
+    assert object_label((1, 1, 2, 1)) == "1121"
+    assert object_label((0, 0, -1, 0)) == "0010[1]"  # P(3)[1]
 
 
 def test_ascii_render_has_markers():
     ar = ar_quiver_two_term(A2)
-    txt = ar.to_ascii(selected={IndId.module((0, 1)), IndId.module((1, 1))})
+    txt = ar.to_ascii(selected={(0, 1), (1, 1)})
     assert "•" in txt and "∘" in txt
 
 

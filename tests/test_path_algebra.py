@@ -23,7 +23,6 @@ from silt.classify import (
 )
 from silt.endo import cartan_data, endomorphism_algebra
 from silt.modules import (
-    IndId,
     build_representation,
     minimal_presentation,
     minimal_resolution,
@@ -79,8 +78,7 @@ def _assert_homology_matches_resolutions(b):
 
 
 def _regular_object(q):
-    projs = projective_dim_vectors(q)
-    return from_summands(q, [IndId.module(d) for d in projs])
+    return from_summands(q, projective_dim_vectors(q))
 
 
 def test_cases_cover_every_orientation_plus_e7_and_e8():

@@ -19,10 +19,12 @@ from silt.complexes import hom_class_dim
 from silt.linalg import determinant
 from silt.quivers import parse_quiver
 from silt.modules import (
-    IndId,
     build_representation,
     ext1_dim,
     indecomposables,
+    is_shift,
+    negated,
+    projective_dim_vectors,
 )
 from silt.silting import (
     SiltingObject,
@@ -242,11 +244,7 @@ def test_silting_classes_are_a_basis_of_the_grothendieck_group():
     objects = 0
     for q in quivers:
         for obj in silting_alg2(q):
-            classes = [
-                s.dim if s.kind == "mod" else tuple(-c for c in s.dim)
-                for s in obj.summands
-            ]
-            assert determinant(classes) in (1, -1), obj
+            assert determinant(obj.summands) in (1, -1), obj
             objects += 1
     assert (len(quivers), objects) == (56, 6661)
 
@@ -319,7 +317,7 @@ def test_hom_shift1_table_is_the_euler_form_table(q):
     for a, b in pairs:
         x, y = cx[a], cx[b]
         assert hom_class_dim(x, y, 0) == max(0, chi[a][b]), (objs[a], objs[b])
-        shift1 = 0 if objs[b].kind == "shift" else max(0, -chi[a][b])
+        shift1 = 0 if is_shift(objs[b]) else max(0, -chi[a][b])
         assert hom_class_dim(x, y, 1) == shift1, (objs[a], objs[b])
 
 
@@ -332,21 +330,22 @@ def test_rigid_subsets_of_the_euler_table_are_silting_alg2(q):
     rigid = _rigid_subsets(
         len(q.vertices),
         len(objs),
-        lambda a, b: objs[b].kind == "shift" or chi[a][b] >= 0,
+        lambda a, b: is_shift(objs[b]) or chi[a][b] >= 0,
     )
     assert rigid == [t.positions for t in silting_alg2(q)]
 
 
 @pytest.mark.parametrize("q", TEN_FIXTURES_AND_E6)
 def test_two_term_objects_are_key_ordered_and_oracles_agree_in_order(q):
-    objs = two_term_objects(q)
-    keys = [o.key() for o in objs]
+    # the modules by dimension and then lexicographically, then the
+    # shifted projectives P(v)[1] by dim P(v)
+    objs, m = two_term_objects(q), len(indecomposables(q))
+    modules, shifts = objs[:m], objs[m:]
+    keys = [(0, sum(d), d) for d in modules] + [(1, negated(c)) for c in shifts]
     assert all(a < b for a, b in zip(keys, keys[1:]))
-    assert len(objs) == len(indecomposables(q)) + len(q.vertices)
-    kinds = [o.kind for o in objs]
-    assert kinds == ["mod"] * len(indecomposables(q)) + ["shift"] * len(
-        q.vertices
-    )
+    assert len(objs) == m + len(q.vertices)
+    assert not any(map(is_shift, modules)) and all(map(is_shift, shifts))
+    assert sorted(map(negated, shifts)) == sorted(projective_dim_vectors(q))
     # the same tuple, in the same order, not only the same set
     assert silting_bruteforce(q) == silting_alg2(q)
 
@@ -402,22 +401,15 @@ def test_module_part_is_supported_off_shifted_set():
 # --- presilting predicate ---
 
 def test_projectives_are_presilting():
-    from silt.modules import projective_dim_vectors
-
-    summands = [IndId.module(d) for d in projective_dim_vectors(A3)]
-    assert is_presilting(A3, summands)
+    assert is_presilting(A3, projective_dim_vectors(A3))
 
 
 def test_ext_pair_is_not_presilting():
-    assert not is_presilting(
-        A2, [IndId.module((1, 0)), IndId.module((0, 1))]
-    )
+    assert not is_presilting(A2, [(1, 0), (0, 1)])
 
 
 def test_module_plus_shifted_projective_presilting():
-    assert is_presilting(
-        A2, [IndId.module((0, 1)), IndId.shifted(1, (1, 1))]
-    )
+    assert is_presilting(A2, [(0, 1), (-1, -1)])  # S(2) + P(1)[1]
 
 
 def test_every_enumerated_object_is_presilting():
@@ -429,7 +421,7 @@ def test_every_enumerated_object_is_presilting():
 
 def test_silting_json_shape():
     obj = sorted(
-        silting_alg2(A2), key=lambda o: (len(o.shifted_vertices), o.summands[0].key())
+        silting_alg2(A2), key=lambda o: (len(o.shifted_vertices), o.positions)
     )[-1]
     d = obj.to_json_dict()
     assert set(d) == {"I", "modules"}
@@ -446,9 +438,9 @@ def test_silting_ascii_marks_exactly_the_summands():
 
 
 def test_summand_complex_kinds():
-    x = summand_complex(A2, IndId.module((1, 0)))
+    x = summand_complex(A2, (1, 0))
     assert x.deg_minus1 == (2,) and x.deg0 == (1,)
-    y = summand_complex(A2, IndId.shifted(2, (0, 1)))
+    y = summand_complex(A2, (0, -1))  # P(2)[1]
     assert y.deg_minus1 == (2,) and y.deg0 == ()
 
 
