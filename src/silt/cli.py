@@ -6,7 +6,8 @@ ar           render the Auslander-Reiten quiver of a Dynkin quiver; with
              --two-term the shifted projectives are included
 silting      enumerate basic 2-term silting objects (with --tilting-only,
              basic tilting modules), optionally cross-checked against the
-             brute-force enumeration (--oracle)
+             closed-form count of the Dynkin type and the brute-force
+             enumeration (--oracle)
 classify     classify the endomorphism algebra of every silting object
              and summarise the isomorphism classes
 paper-suite  recompute every frozen count and structure over the bundled
@@ -20,6 +21,11 @@ file.  JSON reports are streamed by one writer, ``_write_json``: the
 large arrays are converted one element at a time and written in blocks,
 with exactly the bytes of ``json.dumps(payload, indent=2, sort_keys=True,
 ensure_ascii=False)`` plus a newline.  Nothing here is randomised.
+
+``python -m silt.cli`` and the ``silt`` script both run ``entry_point``:
+the process ends right after the report and stderr are flushed, without
+the interpreter's teardown of the caches, and with the exit codes above.
+``main`` itself returns its exit code, for callers in the same process.
 """
 
 from __future__ import annotations
@@ -71,6 +77,8 @@ from .quivers import (
     opposite,
     parse_quiver,
     quiver_to_json,
+    silting_count,
+    tilting_count,
 )
 from .silting import (
     SiltingObject,
@@ -230,7 +238,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_si.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check against the brute-force enumeration",
+        help=(
+            "cross-check against the closed-form count and the brute-force "
+            "enumeration"
+        ),
     )
     add_common(p_si)
 
@@ -242,7 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--oracle",
         action="store_true",
         help=(
-            "cross-check the enumeration against brute force, each "
+            "cross-check the enumeration against its closed-form count "
+            "and brute force, each "
             "End(T)'s Ext and projective dimensions against minimal "
             "resolutions of its simples (gl.dim <= 3), its Cartan rows "
             "against the Hom complex, and the order of each tilted block's "
@@ -380,11 +392,19 @@ def _write_json(payload, write: Callable[[str], object]) -> None:
     write("".join(parts))
 
 
-def _enumerate(q: Quiver, algorithmic, brute_force, what: str, oracle: bool):
-    """algorithmic(q), checked against brute_force(q) if asked.  An
-    internal-check error names the stage it came from."""
+def _enumerate(
+    q: Quiver, algorithmic, brute_force, count, what: str, oracle: bool
+):
+    """algorithmic(q), checked if asked against the closed-form count(q)
+    and against brute_force(q).  An internal-check error names the stage
+    it came from."""
     with _stage("enumeration"):
         objs = algorithmic(q)
+        if oracle and len(objs) != count(q):
+            raise RuntimeError(
+                f"{what} count {len(objs)}, but the product formula "
+                f"for {dynkin_type(q).label()} gives {count(q)}"
+            )
     if oracle:
         with _stage("oracle"):
             brute = brute_force(q)
@@ -480,12 +500,13 @@ def cmd_silting(args) -> Report:
             q,
             tilting_modules_alg1,
             tilting_modules_bruteforce,
+            tilting_count,
             "tilting",
             args.oracle,
         )
         return _render_tilting(q, mods, args.format)
     objs = _enumerate(
-        q, silting_alg2, silting_bruteforce, "silting", args.oracle
+        q, silting_alg2, silting_bruteforce, silting_count, "silting", args.oracle
     )
     return _render_silting(q, objs, args.format)
 
@@ -542,7 +563,7 @@ def _check_cartan(q: Quiver, t, cartan) -> None:
 def cmd_classify(args) -> Report:
     q = _load_quiver(args.quiver)
     objs = _enumerate(
-        q, silting_alg2, silting_bruteforce, "silting", args.oracle
+        q, silting_alg2, silting_bruteforce, silting_count, "silting", args.oracle
     )
     records = [classify(q, t) for t in objs]
     if args.oracle:
@@ -818,5 +839,20 @@ def main(argv=None) -> int:
     return code
 
 
+def entry_point() -> None:
+    """The process entry of ``python -m silt.cli`` and the ``silt`` script:
+    main, then stdout and stderr are flushed and the process ends at once,
+    with main's exit code and without tearing the interpreter down.  A
+    flush that raises falls back to sys.exit, so Python reports it as it
+    does at exit; an exception out of main is not caught here."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

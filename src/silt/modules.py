@@ -8,6 +8,8 @@ are identified by their dimension vectors (the positive roots), and
 explicit representations are built deterministically with reflection
 functors on int rows: each cokernel is read off the RREF of its
 reflection map, and one validated representation is built at the end.
+A root that one whole admissible cycle takes to another non-simple root
+(its Coxeter image) climbs back from that root's cached representation.
 
 Also here: Hom and Ext^1 by exact linear algebra; tau and tau^{-1} on
 the roots of any Cartan rows (`_translates`: the integer Coxeter matrix
@@ -193,6 +195,14 @@ def build_representation(q: Quiver, d: DimVector) -> QuiverRep:
     becomes the cokernel of X_k -> (sum of X_j over the arrows at k, by
     id), in the coordinates of the free columns of that map's RREF, read
     off the RREF by linalg.cokernel_coords.
+
+    A whole cycle gives the quiver its own orientation back, so when the
+    descent passes one with more than a simple left, it is at a positive
+    root c(d), the Coxeter image of d, whose climb is the rest of d's.
+    The climb then starts from the cached representation of c(d) and
+    takes only the first cycle's steps back.  The Coxeter images are
+    built deepest first, so each one finds the next cached, and no call
+    nests more than one level.
     """
     if d not in set(indecomposables(q)):
         raise ValueError(f"{d} is not a positive root of this quiver")
@@ -200,7 +210,10 @@ def build_representation(q: Quiver, d: DimVector) -> QuiverRep:
     cycle = _admissible_cycle(q)
     dims = list(d)
     applied = []
+    images = []  # c(d), c^2(d), ...: dims after each whole cycle
     while sum(dims) > 1:
+        if applied and len(applied) % n == 0:
+            images.append(tuple(dims))
         k, at_k = cycle[len(applied) % n]
         dims[k] = sum(dims[j] for _, j in at_k) - dims[k]
         if dims[k] < 0:
@@ -209,11 +222,18 @@ def build_representation(q: Quiver, d: DimVector) -> QuiverRep:
         if len(applied) > 100 * n:
             raise RuntimeError("reflection sequence did not terminate")
     # the simple's matrices all meet a zero space, so an arrow not yet
-    # reached by a step has dims[k] empty rows at its end k
-    mats: Dict[str, List[List[int]]] = {}
+    # reached by a step has dims[k] empty rows at its end k, as it has in
+    # the representation of a Coxeter image
+    mats: Dict[str, Sequence[Sequence[int]]] = {}
+    if images:
+        for c in reversed(images):
+            base = build_representation(q, c)
+        dims, mats, applied = list(base.dims), dict(base.mats), applied[:n]
     for k, at_k in reversed(applied):
-        blocks = [mats.get(a, [[]] * dims[k]) for a, _ in at_k]
-        g_rref = row_space_rref([sum(rows, []) for rows in zip(*blocks)])
+        blocks = [mats.get(a, [()] * dims[k]) for a, _ in at_k]
+        g_rref = row_space_rref(
+            [list(chain.from_iterable(rows)) for rows in zip(*blocks)]
+        )
         if len(g_rref) != dims[k]:
             raise RuntimeError("reflection map not injective")
         free, image = cokernel_coords(g_rref, sum(dims[j] for _, j in at_k))
@@ -226,7 +246,7 @@ def build_representation(q: Quiver, d: DimVector) -> QuiverRep:
         raise RuntimeError("reflection construction produced wrong dims")
     # an arrow that no step reaches still has its simple's dims at its ends
     for a in q.arrows:
-        mats.setdefault(a.id, [[]] * dims[q.index(a.source)])
+        mats.setdefault(a.id, [()] * dims[q.index(a.source)])
     return make_rep(q, dims, mats)
 
 

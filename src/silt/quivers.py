@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from functools import cache
+from math import prod
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -357,6 +358,45 @@ def dynkin_type(q: Quiver) -> DynkinType:
     return DynkinType.of(
         [_classify_component(q, comp) for comp in _components(q)]
     )
+
+
+_E_EXPONENTS = {
+    6: (1, 4, 5, 7, 8, 11),
+    7: (1, 5, 7, 9, 11, 13, 17),
+    8: (1, 7, 11, 13, 17, 19, 23, 29),
+}
+
+
+def _exponents(family: str, rank: int) -> Tuple[int, ...]:
+    """The exponents of a Dynkin diagram; the largest is h - 1, for the
+    Coxeter number h."""
+    if family == "A":
+        return tuple(range(1, rank + 1))
+    if family == "D":
+        return (*range(1, 2 * rank - 2, 2), rank - 1)
+    return _E_EXPONENTS[rank]
+
+
+def _catalan(q: Quiver, shift: int) -> int:
+    """Product over the components of prod (e + h + shift) / (e + 1)."""
+    count = 1
+    for family, rank in dynkin_type(q).components:
+        es = _exponents(family, rank)
+        h = max(es) + 1
+        count *= prod(e + h + shift for e in es) // prod(e + 1 for e in es)
+    return count
+
+
+def silting_count(q: Quiver) -> int:
+    """The number of basic 2-term silting objects: the Catalan number of
+    the Dynkin type (Fomin-Zelevinsky 2003), known from the type alone."""
+    return _catalan(q, 1)
+
+
+def tilting_count(q: Quiver) -> int:
+    """The number of basic tilting modules: the positive Catalan number of
+    the Dynkin type (Ringel 2016), which no orientation changes."""
+    return _catalan(q, -1)
 
 
 PathTable = Dict[Tuple[int, int], Tuple[Tuple[str, ...], ...]]

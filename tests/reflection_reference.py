@@ -1,6 +1,8 @@
 """The reflection-functor construction of indecomposables on quivers and
 representations: the reference that silt.modules.build_representation,
 which walks the same reflection sequence on int rows, is tested against.
+silt climbs each root's last cycle from the cached representation of its
+Coxeter image; this reference climbs every step from the simple.
 
 Every step reverses the arrows at one vertex into a new Quiver and
 builds a new validated QuiverRep, whose cokernel at the reflected vertex

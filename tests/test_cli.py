@@ -212,6 +212,35 @@ def test_enumeration_and_oracle_errors_name_the_stage(
     assert f"{command} {fx('a2')}: internal check failed: {stage}: boom" in err
 
 
+@pytest.mark.parametrize(
+    "argv, attr, what",
+    [
+        (("silting", "--oracle"), "silting_count", "silting count 5"),
+        (
+            ("silting", "--tilting-only", "--oracle"),
+            "tilting_count",
+            "tilting count 2",
+        ),
+        (("classify", "--oracle"), "silting_count", "silting count 5"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else x,
+)
+def test_a_count_off_the_product_formula_is_an_enumeration_error(
+    argv, attr, what, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, attr, lambda q: 0)
+    command, *flags = argv
+    rc, out, err = run_cli(capsys, command, fx("a2"), *flags)
+    assert rc == 1
+    assert out == ""
+    assert (
+        f"{command} {fx('a2')}: internal check failed: enumeration: {what}, "
+        "but the product formula for A2 gives 0" in err
+    )
+    # without --oracle the count is not compared
+    assert run_cli(capsys, command, fx("a2"), *flags[:-1])[0] == 0
+
+
 def test_resolution_cap_error_names_the_silting_object(
     monkeypatch, capsys, tmp_path
 ):
@@ -918,3 +947,78 @@ def test_subprocess_missing_file_exits_2():
         env=_child_env(),
     )
     assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("silt: error: ")
+    assert proc.stderr.count("\n") == 1
+
+
+class _HardExit(Exception):
+    pass
+
+
+def test_entry_point_flushes_then_exits_with_mains_code(monkeypatch):
+    flushed = []
+
+    class Stream:
+        def __init__(self, name, fails):
+            self.name, self.fails = name, fails
+
+        def flush(self):
+            flushed.append(self.name)
+            if self.fails:
+                raise BrokenPipeError(32, "Broken pipe")
+
+    def hard_exit(code):
+        raise _HardExit(code)
+
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(cli.os, "_exit", hard_exit)
+    monkeypatch.setattr(cli.sys, "stdout", Stream("stdout", False))
+    monkeypatch.setattr(cli.sys, "stderr", Stream("stderr", False))
+    with pytest.raises(_HardExit) as e:
+        cli.entry_point()
+    assert (e.value.args, flushed) == ((3,), ["stdout", "stderr"])
+    # a flush that raises: sys.exit, so that the interpreter's own last
+    # flush at exit reports it as it would without entry_point
+    flushed.clear()
+    monkeypatch.setattr(cli.sys, "stdout", Stream("stdout", True))
+    with pytest.raises(SystemExit) as e:
+        cli.entry_point()
+    assert (e.value.code, flushed) == (3, ["stdout"])
+
+
+def _silt_subprocess(*argv) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "silt.cli", *argv],
+        capture_output=True,
+        env=_child_env(),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("silting", "a2", "--format", "json"), ("classify", "d4", "--format", "csv")],
+    ids=" ".join,
+)
+def test_the_process_writes_what_main_writes(argv, capsys, tmp_path):
+    # the process ends right after its last flush: stdout, an --out file
+    # and the exit code are those of main in this process
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, err) == (0, "")
+    proc = _silt_subprocess(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+    path = tmp_path / "report"
+    proc = _silt_subprocess(*argv, "--out", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert path.read_bytes() == out.encode()
+
+
+def test_the_process_exits_3_on_a_quiver_that_is_not_dynkin(tmp_path):
+    path = tmp_path / "square.quiver"
+    path.write_text("vertices 1 2 3 4\narrows a:1->2 b:1->3 c:2->4 d:3->4\n")
+    proc = _silt_subprocess("silting", str(path))
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    err = proc.stderr.decode("utf-8")
+    assert err.startswith(f"silt: error: {path}: quiver is not of Dynkin type")
+    assert err.count("\n") == 1

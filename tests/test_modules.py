@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from operator import add
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,12 @@ A3 = parse_quiver("vertices 1 2 3\narrow a:1->2\narrow b:2->3\n")
 D4 = parse_quiver("vertices 1 2 3 4\narrow a:1->3\narrow b:2->3\narrow c:3->4\n")
 D5 = parse_quiver(
     "vertices 1 2 3 4 5\narrow a:1->3\narrow b:2->3\narrow c:3->4\narrow d:4->5\n"
+)
+E7 = parse_quiver(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "e7.quiver").read_text()
+)
+E8 = parse_quiver(
+    "vertices 1 2 3 4 5 6 7 8\narrows a:1->2 b:2->3 c:3->4 d:4->5 e:5->6 f:6->7 g:8->3\n"
 )
 
 
@@ -115,12 +122,59 @@ def test_build_d4_exceptional_root():
 
 def test_build_representation_matches_the_reflection_reference():
     # the int-row chain and the Quiver/QuiverRep chain build equal
-    # representations of every root of every D5 orientation and of E6
-    quivers = [q for _, q in orientations("D", 5)] + [E6]
+    # representations of every root of every D5 orientation, of E6, E7
+    # and E8; from E6 on, roots climb from their cached Coxeter images
+    quivers = [q for _, q in orientations("D", 5)] + [E6, E7, E8]
     for q in quivers:
         for d in indecomposables(q):
             want = reflection_reference.build_representation(q, d)
             assert build_representation(q, d) == want, (q, d)
+
+
+@pytest.fixture
+def cold_representations():
+    build_representation.cache_clear()
+    yield
+    build_representation.cache_clear()
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["small first", "large first"])
+def test_each_root_is_built_once(cold_representations, order):
+    # a root climbs from its Coxeter image, which is a root and cached:
+    # nothing that is not a root is built, and no root twice
+    roots = indecomposables(E7)
+    for d in roots[::order]:
+        build_representation(E7, d)
+    info = build_representation.cache_info()
+    assert (len(roots), info.misses, info.currsize) == (63, 63, 63)
+
+
+def test_reflection_checks_still_fire(cold_representations, monkeypatch):
+    # (2, 1) is no root: the second step leaves the positive cone
+    monkeypatch.setattr(modules, "indecomposables", lambda q: ((2, 1),))
+    with pytest.raises(RuntimeError, match="positive cone"):
+        build_representation(A2, (2, 1))
+    # the null root of an affine A3 quiver is fixed by every whole cycle
+    square = parse_quiver("vertices 1 2 3 4\narrows a:1->2 b:1->3 c:2->4 d:3->4\n")
+    monkeypatch.setattr(modules, "indecomposables", lambda q: ((1, 1, 1, 1),))
+    with pytest.raises(RuntimeError, match="did not terminate"):
+        build_representation(square, (1, 1, 1, 1))
+    monkeypatch.undo()
+    rref = modules.row_space_rref
+    monkeypatch.setattr(modules, "row_space_rref", lambda rows: rref(rows)[1:])
+    with pytest.raises(RuntimeError, match="not injective"):
+        build_representation(D4, (1, 1, 2, 1))
+    monkeypatch.undo()
+    coker = modules.cokernel_coords
+
+    def one_more_free_column(basis, cols):
+        free, image = coker(basis, cols)
+        return free + [cols], image
+
+    # one climb step, so the extra column reaches the final check
+    monkeypatch.setattr(modules, "cokernel_coords", one_more_free_column)
+    with pytest.raises(RuntimeError, match="wrong dims"):
+        build_representation(A2, (1, 1))
 
 
 def test_quiver_rep_entries_must_be_ints():

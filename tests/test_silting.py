@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import silting_reference
-from dynkin_orientations import E6, TYPES_UP_TO_D5, orientations
+from dynkin_orientations import E6, TYPES_UP_TO_D5, TYPES_WITH_E6, orientations
 from endo_reference import is_presilting
 from silting_reference import restrict
 from silt.cli import FIXTURE_NAMES
 from silt import silting
 from silt.complexes import hom_class_dim
 from silt.linalg import determinant
-from silt.quivers import parse_quiver
+from silt.quivers import parse_quiver, silting_count, tilting_count
 from silt.modules import (
     build_representation,
     ext1_dim,
@@ -197,28 +197,23 @@ def test_bruteforce_needs_no_ar_quiver(q, count):
 
 
 def cluster_number(kind, n):
-    """Number of 2-term silting objects (Fomin-Zelevinsky 2003)."""
+    """Number of 2-term silting objects, the clusters of the type
+    (Fomin-Zelevinsky 2003): binomials for A and D, the E values frozen."""
     if kind == "A":
         return comb(2 * n + 2, n + 1) // (n + 2)
-    return (3 * n - 2) * comb(2 * n - 2, n - 1) // n
+    if kind == "D":
+        return (3 * n - 2) * comb(2 * n - 2, n - 1) // n
+    return {6: 833, 7: 4160, 8: 25080}[n]
 
 
 def positive_cluster_number(kind, n):
-    """Number of tilting modules: the positive clusters, prod over the
-    exponents e of (e + h - 1) / (e + 1), with h the Coxeter number
-    (Fomin-Zelevinsky 2003)."""
+    """Number of tilting modules, the positive clusters (Fomin-Zelevinsky
+    2003; Ringel 2016): binomials for A and D, the E values frozen."""
     if kind == "A":
-        exponents = range(1, n + 1)
-    elif kind == "D":
-        exponents = [*range(1, 2 * n - 2, 2), n - 1]
-    else:
-        exponents = {6: (1, 4, 5, 7, 8, 11)}[n]
-    h = max(exponents) + 1
-    num, den = 1, 1
-    for e in exponents:
-        num, den = num * (e + h - 1), den * (e + 1)
-    assert num % den == 0
-    return num // den
+        return comb(2 * n, n) // (n + 1)
+    if kind == "D":
+        return (3 * n - 4) * comb(2 * n - 3, n - 1) // n
+    return {6: 418, 7: 2431, 8: 17342}[n]
 
 
 @pytest.mark.parametrize(
@@ -232,6 +227,40 @@ def test_oracles_agree_on_every_orientation(kind, n):
         alg1 = {t.summands for t in tilting_modules_alg1(q)}
         assert len(alg1) == positive_cluster_number(kind, n), text
         assert alg1 == {t.summands for t in tilting_modules_bruteforce(q)}, text
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    TYPES_WITH_E6 + [("E", 7), ("E", 8)],
+    ids=[f"{k}{n}" for k, n in TYPES_WITH_E6 + [("E", 7), ("E", 8)]],
+)
+def test_closed_form_counts_are_the_cluster_numbers(kind, n):
+    # the product formulas of silt.quivers against the binomials above
+    _, q = orientations(kind, n)[0]
+    assert silting_count(q) == cluster_number(kind, n)
+    assert tilting_count(q) == positive_cluster_number(kind, n)
+
+
+def test_closed_form_counts_match_both_algorithms():
+    # every fixture and every orientation up to E6, the quivers --oracle
+    # checks the counts on
+    quivers = [_fixture(name) for name in FIXTURE_NAMES] + [
+        q for kind, n in TYPES_WITH_E6 for _, q in orientations(kind, n)
+    ]
+    for q in quivers:
+        assert silting_count(q) == len(silting_alg2(q)), q
+        assert tilting_count(q) == len(tilting_modules_alg1(q)), q
+    assert len(quivers) == 97
+
+
+def test_closed_form_counts_multiply_over_components():
+    # A2 + A1 + D4: silting 5 * 2 * 50, tilting 2 * 1 * 20
+    q = parse_quiver(
+        "vertices 1 2 3 4 5 6 7\narrows a:1->2 b:4->6 c:5->6 d:6->7\n"
+    )
+    assert (silting_count(q), tilting_count(q)) == (500, 40)
+    assert len(silting_alg2(q)) == 500
+    assert len(tilting_modules_alg1(q)) == 40
 
 
 def test_silting_classes_are_a_basis_of_the_grothendieck_group():

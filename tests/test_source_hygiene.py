@@ -345,3 +345,37 @@ def test_one_matrix_format_check_sees_each_form():
         assert _matrix_outside_eliminations(ast.parse(text)), text
     for text in good:
         assert _matrix_outside_eliminations(ast.parse(text)) == [], text
+
+
+def _exit_calls(tree):
+    """The enclosing top-level definition (None at module level) of each
+    call to os._exit, in either spelling."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Attribute) and node.func.attr == "_exit")
+                or (isinstance(node.func, ast.Name) and node.func.id == "_exit")
+            ):
+                found.append(getattr(top, "name", None))
+    return found
+
+
+def test_one_hard_exit_in_the_entry_function():
+    # the process ends without the interpreter's teardown in one place:
+    # cli.entry_point, after main has returned and the streams are
+    # flushed; main itself returns, and both entry points run entry_point
+    found = [
+        (name, where) for name, tree in TREES.items() for where in _exit_calls(tree)
+    ]
+    assert found == [("cli.py", "entry_point")]
+    guard = TREES["cli.py"].body[-1]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    entry_point()"
+    pyproject = Path(silt.__file__).resolve().parents[2] / "pyproject.toml"
+    if pyproject.exists():
+        assert 'silt = "silt.cli:entry_point"' in pyproject.read_text()
+
+
+def test_hard_exit_check_sees_each_form():
+    text = "import os\nfrom os import _exit\nos._exit(0)\ndef main():\n    _exit(1)\n"
+    assert _exit_calls(ast.parse(text)) == [None, "main"]
