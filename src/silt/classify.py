@@ -9,11 +9,12 @@ and sum_k (-1)^k dim Ext^k(S_i, S_j) is the entry (i, j) of the inverse
 Cartan matrix, which leaves Ext^3.  A simple's projective dimension is
 the largest k with Ext^k(S_i, -) non-zero.
 Minimal projective resolutions of the simples, computed by
-modules.minimal_resolution (projective cover, then kernel, repeated),
-the same loop that gives the minimal presentations over KQ, are the
-oracle for this: `check_homology` compares the two and checks the
-premise gl.dim <= 3 (classify --oracle).  Both take a BoundQuiverAlgebra,
-so they run unchanged on KQ itself (modules.path_algebra).
+modules.minimal_resolution (projective cover, then kernel, repeated,
+each term given by the copies of the P(v) it is made of), the same loop
+that gives the minimal presentations over KQ, are the oracle for this:
+`check_homology` compares the two and checks the premise gl.dim <= 3
+(classify --oracle and paper-suite).  Both take a BoundQuiverAlgebra, so
+they run unchanged on KQ itself (modules.path_algebra).
 classify reads every block off End(T) in one pass: the blocks are vertex
 sets (endo.blocks), a block's global dimension is the largest projective
 dimension of its simples, and its Cartan rows are those of End(T)
@@ -58,7 +59,7 @@ def _simple_resolutions(b: BoundQuiverAlgebra) -> Tuple[Tuple[Tuple[int, ...], .
     out = []
     for v in verts:
         terms: List[Tuple[int, ...]] = []
-        for copies, _ in minimal_resolution(b, simple_rep(b.gabriel, v)):
+        for copies in minimal_resolution(b, simple_rep(b.gabriel, v)):
             if len(terms) > RESOLUTION_CAP:
                 raise RuntimeError(
                     f"resolution of the simple at {v} exceeded "

@@ -489,13 +489,12 @@ def minimal_resolution(b: BoundQuiverAlgebra, m: QuiverRep):
 
     Covers m, then the kernel of that cover, and so on until the kernel
     is zero.  Yields, per term P_k, minimal_cover's (vertex, column)
-    pairs and kernel_subrep's per-vertex row bases of the kernel in P_k's
-    coordinates; the columns of term k + 1 index those rows.
+    pairs: the copies of P(vertex) that P_k is made of.
     """
     while any(m.dims):
         copies, pi = minimal_cover(b, m)
-        rows, m = kernel_subrep(b, copies, pi)
-        yield copies, rows
+        _, m = kernel_subrep(b, copies, pi)
+        yield copies
 
 
 class TwoTermComplex(Record):

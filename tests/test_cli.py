@@ -481,6 +481,7 @@ FROZEN_DIGESTS = {
     # an empty quiver name: the command takes no quiver argument
     ("", "paper-suite", "--format", "csv"): "d53ff6630d6fdcb595705756bd40004780143d806e17fd851e85c39a1aca5129",
     ("", "paper-suite", "--format", "json"): "4aa738891a6e4417c3c8f0ef8031fb84864bf6edcb0b066a7143f4cecc703bd2",
+    ("", "paper-suite", "--format", "ascii"): "ee86bdfa441d7d0ee228037885291e8a3e1539bb5cc0a4ac5b0afb3c15933c8c",
 }
 
 
@@ -835,7 +836,7 @@ def test_e6_classify_matches_frozen_table(q, tmp_path, capsys):
         ("dedupe", 2),
         ("matches_presentation", 3),
         ("silting_bruteforce", 4),
-        ("ext_matrix", 5),
+        ("tau", 5),
         ("opposite", 6),
         ("dynkin_type", 7),
     ],
@@ -876,6 +877,22 @@ def test_paper_suite_detects_mismatch(monkeypatch, capsys):
     rc, out, _ = run_cli(capsys, "paper-suite")
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_paper_suite_counts_each_failed_homology_check(monkeypatch, capsys):
+    # a RuntimeError from classify --oracle's homology check is a failed
+    # row, not an internal error: one count per silting object
+    def boom(b):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check_homology", boom)
+    rc, out, _ = run_cli(capsys, "paper-suite", "--format", "csv")
+    assert rc == 1
+    failed = [line for line in out.splitlines() if line.endswith(",FAIL")]
+    assert failed == [
+        f"5,ext matrices {name},0,{count},FAIL"
+        for name, count in cli.EXPECTED_SILTING.items()
+    ]
 
 
 # --- subprocess smoke tests ---

@@ -18,10 +18,7 @@ from dynkin_orientations import E6
 from silt.classify import (
     _simple_resolutions,
     check_homology,
-    ext_matrix,
-    global_dimension,
     homology,
-    projective_dimension_of_simples,
 )
 from silt.cli import FIXTURE_NAMES, main
 from silt.endo import endomorphism_algebra
@@ -37,21 +34,16 @@ def _fixture(name):
 
 
 def _check_against_resolutions(q, objs):
-    """Assert the formula equals the resolution route on every End(T),
-    and that the oracle check_homology passes; return how many algebras
-    were compared.  The resolutions run over the P(v) derived from the
-    printed relations alone, which must have End(T)'s Cartan rows."""
+    """Assert that the oracle check_homology passes on every End(T): the
+    formula equals the resolution route, with gl.dim <= 3; return how many
+    algebras were compared.  The resolutions run over the P(v) derived
+    from the printed relations alone, which must have End(T)'s Cartan
+    rows."""
     for t in objs:
         b = endomorphism_algebra(q, t)
         _, reps = projectives(b)
         assert tuple(p.dims for p in reps) == b.cartan, t.label()
         check_homology(b)
-        h = homology(b)
-        assert global_dimension(b) <= 3, t.label()
-        assert h.ext1 == ext_matrix(b, 1), t.label()
-        assert h.ext2 == ext_matrix(b, 2), t.label()
-        assert h.ext3 == ext_matrix(b, 3), t.label()
-        assert h.pds == projective_dimension_of_simples(b), t.label()
     return len(objs)
 
 

@@ -391,7 +391,7 @@ def test_presentation_terms_are_the_whole_resolution():
         for d in indecomposables(q):
             m = build_representation(q, d)
             pres = minimal_presentation(q, m)
-            steps = [copies for copies, _ in modules.minimal_resolution(kq, m)]
+            steps = modules.minimal_resolution(kq, m)
             terms = [pres.deg0] + [pres.deg_minus1] * bool(pres.deg_minus1)
             assert [tuple(v for v, _ in c) for c in steps] == terms
 

@@ -129,8 +129,7 @@ def test_resolutions_over_a_path_algebra_beyond_dynkin(q):
     _assert_homology_matches_resolutions(b)
     # each projective is its own minimal resolution
     for v, p in zip(q.vertices, reps):
-        steps = [copies for copies, _ in minimal_resolution(b, p)]
-        assert steps == [[(v, 0)]]
+        assert list(minimal_resolution(b, p)) == [[(v, 0)]]
 
 
 @pytest.mark.parametrize(

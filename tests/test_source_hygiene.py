@@ -3,7 +3,9 @@ definition that nothing names, no memo keyed by the builtin id(), no
 import of dataclasses, no call to object.__new__, no read of an object's
 __dict__, no single_path result read as a truth value, and one matrix
 format (int rows, with linalg.Matrix only as the input of the two traced
-eliminations); and, read as text, no mention of fractions."""
+eliminations); each frozen expected table assigned once, at module level
+in silt.cli, and in no test module; and, read as text, no mention of
+fractions."""
 
 import ast
 import re
@@ -379,3 +381,48 @@ def test_one_hard_exit_in_the_entry_function():
 def test_hard_exit_check_sees_each_form():
     text = "import os\nfrom os import _exit\nos._exit(0)\ndef main():\n    _exit(1)\n"
     assert _exit_calls(ast.parse(text)) == [None, "main"]
+
+
+def _frozen_tables(tree):
+    """(name, whether a module-level assignment binds it) for each name
+    bound in tree that starts EXPECTED_ or STRICTLY_SHOD_PRESENTATIONS,
+    the prefixes of the frozen tables of the paper's examples."""
+    for stmt in tree.body:
+        top = isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                if node.id.startswith(("EXPECTED_", "STRICTLY_SHOD_PRESENTATIONS")):
+                    yield node.id, top
+
+
+def test_each_frozen_table_is_assigned_once_in_cli():
+    # paper-suite checks the six tables and the acceptance tests read its
+    # rows: each is assigned once, at module level in silt.cli, and no
+    # test module keeps a table of its own
+    found = [
+        (name, table, top)
+        for name, tree in TREES.items()
+        for table, top in _frozen_tables(tree)
+    ]
+    in_cli = {table for name, table, top in found if name == "cli.py" and top}
+    assert len(in_cli) == len(found) == 6
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert [
+        (path.name, table)
+        for path in tests
+        for table, _ in _frozen_tables(ast.parse(path.read_text()))
+    ] == []
+
+
+def test_frozen_table_check_sees_each_form():
+    text = (
+        "EXPECTED_A = 1\nEXPECTED_B: int = 1\nx, EXPECTED_C = 1, 2\n"
+        "from m import EXPECTED_D\nx = EXPECTED_A\nexpected_e = FROZEN = 1\n"
+        "def f():\n    STRICTLY_SHOD_PRESENTATIONS_F = 1\n"
+    )
+    assert list(_frozen_tables(ast.parse(text))) == [
+        ("EXPECTED_A", True),
+        ("EXPECTED_B", True),
+        ("EXPECTED_C", True),
+        ("STRICTLY_SHOD_PRESENTATIONS_F", False),
+    ]
