@@ -15,10 +15,12 @@ that gives the minimal presentations over KQ, are the oracle for this:
 `check_homology` compares the two and checks the premise gl.dim <= 3
 (classify --oracle and paper-suite).  Both take a BoundQuiverAlgebra, so
 they run unchanged on KQ itself (modules.path_algebra).
-classify reads every block off End(T) in one pass: the blocks are vertex
-sets (endo.blocks), a block's global dimension is the largest projective
+classify(q, t) takes the silting object T as its positions t and reads
+every block off End(T) in one pass: the blocks are vertex sets
+(endo.blocks), a block's global dimension is the largest projective
 dimension of its simples, and its Cartan rows are those of End(T)
-restricted to its vertices.
+restricted to its vertices.  A record keeps t, and a report also takes
+q, to label T.
 Blocks with global dimension at most 2 are tilted and get a Dynkin type
 from their rank and det(C + C^T) of their Cartan rows C, with the order of
 their Coxeter matrix as the oracle; blocks of global dimension exactly 3
@@ -47,7 +49,7 @@ from .endo import blocks, cartan_data, endomorphism_algebra
 from .linalg import Rows, determinant, integer_solve, matmul
 from .modules import BoundQuiverAlgebra, minimal_resolution, simple_rep
 from .quivers import DynkinType, Quiver, Record, coxeter_matrix
-from .silting import SiltingObject
+from .silting import Positions, silting_json, silting_label
 
 RESOLUTION_CAP = 10
 
@@ -225,7 +227,7 @@ class BlockVerdict(Record):
 
 
 class ClassificationRecord(Record):
-    silting: SiltingObject
+    silting: Positions
     algebra: BoundQuiverAlgebra
     block_verdicts: Tuple[BlockVerdict, ...]
     is_tilted: bool
@@ -347,20 +349,21 @@ def matches_presentation(
 
 
 @contextmanager
-def _stage(stage: str, t: Optional[SiltingObject] = None):
+def _stage(stage: str, q: Optional[Quiver] = None, t: Positions = ()):
     """Prefix a RuntimeError raised inside with the stage, led by the
-    silting object's label when t is given.  The label is built only on
-    that error path."""
+    label of the silting object at the positions t over q when q is
+    given.  The label is built only on that error path."""
     try:
         yield
     except RuntimeError as e:
-        prefix = stage if t is None else f"{t.label()}: {stage}"
+        prefix = stage if q is None else f"{silting_label(q, t)}: {stage}"
         raise RuntimeError(f"{prefix}: {e}") from e
 
 
 @cache
-def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
-    """Tilted-or-strictly-shod verdict for End(T), block by block.
+def classify(q: Quiver, t: Positions) -> ClassificationRecord:
+    """Tilted-or-strictly-shod verdict for End(T), block by block, for
+    the silting object at the positions t.
 
     The pds of the simples are read once off End(T)'s presentation and
     its Cartan matrix (`homology`); no simple is resolved.  A block's
@@ -368,7 +371,7 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
     rows are those of End(T) restricted to its vertices.
     """
     b = endomorphism_algebra(q, t)
-    with _stage("ext", t):
+    with _stage("ext", q, t):
         h = homology(b)
     pds = dict(h.pds)
     verdicts: List[BlockVerdict] = []
@@ -377,7 +380,7 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
     for verts in blocks(b):
         g = max(pds[v] for v in verts)
         if g <= 2:
-            with _stage("tilted type", t):
+            with _stage("tilted type", q, t):
                 dt = tilted_type(block_cartan(b, verts))
             verdicts.append(BlockVerdict(verts, g, "tilted", dt))
             comps.extend(dt.components)
@@ -387,7 +390,7 @@ def classify(q: Quiver, t: SiltingObject) -> ClassificationRecord:
     label = (
         DynkinType.of(comps).label() if all_tilted else "strictly shod"
     )
-    with _stage("fingerprint", t):
+    with _stage("fingerprint", q, t):
         fp = fingerprint(b, h)
     return ClassificationRecord(
         silting=t,
@@ -408,15 +411,14 @@ def dedupe(
         grouped.setdefault(r.fingerprint, []).append(r)
     out = []
     for fp in sorted(grouped):
-        members = sorted(
-            grouped[fp],
-            key=lambda r: r.silting.positions,
-        )
-        out.append(tuple(members))
+        out.append(tuple(sorted(grouped[fp], key=lambda r: r.silting)))
     return tuple(out)
 
 
 # --- reports ---
+
+Groups = Sequence[Sequence[ClassificationRecord]]
+
 
 def _quiver_sketch(b: BoundQuiverAlgebra) -> str:
     if not b.gabriel.arrows:
@@ -430,9 +432,9 @@ def _quiver_sketch(b: BoundQuiverAlgebra) -> str:
     return arrows
 
 
-def record_to_json(r: ClassificationRecord) -> dict:
+def record_to_json(q: Quiver, r: ClassificationRecord) -> dict:
     return {
-        "silting": r.silting.to_json_dict(),
+        "silting": silting_json(q, r.silting),
         "algebra": r.algebra.to_json_dict(),
         "blocks": [
             {
@@ -448,9 +450,7 @@ def record_to_json(r: ClassificationRecord) -> dict:
     }
 
 
-def _summary_rows(
-    groups: Sequence[Sequence[ClassificationRecord]],
-) -> List[List[str]]:
+def _summary_rows(q: Quiver, groups: Groups) -> List[List[str]]:
     """Header plus one row per isomorphism class, led by its first member."""
     rows = [["class", "count", "silting", "quiver", "classification"]]
     for i, g in enumerate(groups, start=1):
@@ -459,7 +459,7 @@ def _summary_rows(
             [
                 str(i),
                 str(len(g)),
-                rep.silting.label(),
+                silting_label(q, rep.silting),
                 _quiver_sketch(rep.algebra),
                 rep.label,
             ]
@@ -467,12 +467,12 @@ def _summary_rows(
     return rows
 
 
-def summary_csv(groups: Sequence[Sequence[ClassificationRecord]]) -> str:
-    return csv_table(_summary_rows(groups))
+def summary_csv(q: Quiver, groups: Groups) -> str:
+    return csv_table(_summary_rows(q, groups))
 
 
-def summary_text(groups: Sequence[Sequence[ClassificationRecord]]) -> str:
-    return text_table(_summary_rows(groups))
+def summary_text(q: Quiver, groups: Groups) -> str:
+    return text_table(_summary_rows(q, groups))
 
 
 def text_table(rows: Sequence[Sequence[str]]) -> str:

@@ -14,13 +14,15 @@ paper-suite  recompute every frozen count and structure over the bundled
              fixture quivers and print an expected-vs-computed table
 
 Exit codes: 0 success, 1 oracle or suite failure, 2 input or output
-error, 3 quiver not of Dynkin type.  All output is deterministic:
-byte-identical across runs.  Every check runs before the first byte is
-written, so a failed check prints nothing to stdout and creates no --out
-file.  JSON reports are streamed by one writer, ``_write_json``: the
-large arrays are converted one element at a time and written in blocks,
-with exactly the bytes of ``json.dumps(payload, indent=2, sort_keys=True,
-ensure_ascii=False)`` plus a newline.  Nothing here is randomised.
+error or a quiver over the size limit (silting and classify refuse more
+than SIZE_LIMIT two-term silting objects), 3 quiver not of Dynkin type.
+All output is deterministic: byte-identical across runs.  Every check
+runs before the first byte is written, so a failed check prints nothing
+to stdout and creates no --out file.  JSON reports are streamed by one
+writer, ``_write_json``: the large arrays are converted one element at
+a time and written in blocks, with exactly the bytes of
+``json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)``
+plus a newline.  Nothing here is randomised.
 
 ``python -m silt.cli`` and the ``silt`` script both run ``entry_point``:
 the process ends right after the report and stderr are flushed, without
@@ -34,6 +36,7 @@ import argparse
 import io
 import os
 import sys
+from functools import partial
 from importlib.resources import files
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -60,6 +63,7 @@ from .modules import (
     ext1_dim,
     hom_dim,
     indecomposables,
+    is_shift,
     object_label,
     projective_dim_vectors,
     tau,
@@ -79,13 +83,14 @@ from .quivers import (
     tilting_count,
 )
 from .silting import (
-    SiltingObject,
     silting_alg2,
     silting_bruteforce,
+    silting_json,
+    silting_label,
+    summand_classes,
     summand_complex,
     tilting_modules_alg1,
     tilting_modules_bruteforce,
-    two_term_objects,
 )
 
 FIXTURE_NAMES = (
@@ -307,6 +312,19 @@ def _load_quiver(spec: str) -> Quiver:
     return q
 
 
+SIZE_LIMIT = 1_000_000  # A12 has 742,900 silting objects, A13 2,674,440
+
+
+def _check_size(spec: str, q: Quiver) -> None:
+    """Refuse, before any enumeration, a quiver with more than SIZE_LIMIT
+    two-term silting objects.  --tilting-only is refused alike: its
+    _tilting_masks hold one mask per silting object."""
+    count = silting_count(q)
+    if count > SIZE_LIMIT:
+        what = f"{count:,} two-term silting objects"
+        raise CliFailure(2, f"{spec}: {what}, above the limit of {SIZE_LIMIT:,}")
+
+
 # A report is either finished text (csv, ascii, dot) or a JSON payload,
 # which main streams through _write_json.
 Report = Union[str, dict]
@@ -444,35 +462,36 @@ def cmd_ar(args) -> Report:
 
 # --- silting ---
 
+def _ascii_list(title: str, ar, q: Quiver, objs, labels) -> str:
+    """The objects numbered, each with its label and ar with its summands
+    marked."""
+    parts = [f"{title}: {len(objs)}", ""]
+    for i, (t, label) in enumerate(zip(objs, labels), start=1):
+        art = ar.to_ascii(selected=set(summand_classes(q, t))).rstrip("\n")
+        parts += [f"#{i} {label}", art, ""]
+    return "\n".join(parts).rstrip("\n") + "\n"
+
+
 def _render_silting(q: Quiver, objs, fmt: str) -> Report:
     if fmt == "json":
         return {
             "quiver": quiver_to_json(q),
             "count": len(objs),
-            "objects": map(SiltingObject.to_json_dict, objs),
+            "objects": map(partial(silting_json, q), objs),
         }
     if fmt == "csv":
-        rows = [("index", "shifted", "modules")] + [
-            (
-                i,
-                " ".join(map(str, t.shifted_vertices)),
-                "+".join(map(object_label, t.module_dims)),
-            )
-            for i, t in enumerate(objs, start=1)
-        ]
+        rows = [("index", "shifted", "modules")]
+        for i, d in enumerate(map(partial(silting_json, q), objs), start=1):
+            shifted = " ".join(map(str, d["I"]))
+            rows.append((i, shifted, "+".join(map(object_label, d["modules"]))))
         return csv_table(rows)
-    parts = [f"silting objects: {len(objs)}", ""]
-    for i, t in enumerate(objs, start=1):
-        parts.append(f"#{i} {t.label()}")
-        parts.append(t.to_ascii().rstrip("\n"))
-        parts.append("")
-    return "\n".join(parts).rstrip("\n") + "\n"
+    labels = map(partial(silting_label, q), objs)
+    return _ascii_list("silting objects", ar_quiver_two_term(q), q, objs, labels)
 
 
 def _render_tilting(q: Quiver, mods, fmt: str) -> Report:
     # a tilting module has no shifted summand: every position is a module
-    objs = two_term_objects(q)
-    dims = map(lambda m: sorted(map(objs.__getitem__, m.positions)), mods)
+    dims = map(lambda m: sorted(summand_classes(q, m)), mods)
     if fmt == "json":
         return {
             "quiver": quiver_to_json(q),
@@ -482,17 +501,12 @@ def _render_tilting(q: Quiver, mods, fmt: str) -> Report:
     descs = ["+".join(map(object_label, ds)) for ds in dims]
     if fmt == "csv":
         return csv_table([("index", "summands"), *enumerate(descs, start=1)])
-    ar = ar_quiver_mod(q)
-    parts = [f"tilting modules: {len(mods)}", ""]
-    for i, (m, desc) in enumerate(zip(mods, descs), start=1):
-        parts.append(f"#{i} {desc}")
-        parts.append(ar.to_ascii(selected=set(m.summands)).rstrip("\n"))
-        parts.append("")
-    return "\n".join(parts).rstrip("\n") + "\n"
+    return _ascii_list("tilting modules", ar_quiver_mod(q), q, mods, descs)
 
 
 def cmd_silting(args) -> Report:
     q = _load_quiver(args.quiver)
+    _check_size(args.quiver, q)
     if args.tilting_only:
         mods = _enumerate(
             q,
@@ -522,7 +536,7 @@ def _render_classification(q: Quiver, records, groups, fmt: str) -> Report:
     fams = _family_counts(groups)
     shod = sum(1 for g in groups if not g[0].is_tilted)
     if fmt == "csv":
-        return summary_csv(groups)
+        return summary_csv(q, groups)
     if fmt == "json":
         return {
             "quiver": quiver_to_json(q),
@@ -530,9 +544,9 @@ def _render_classification(q: Quiver, records, groups, fmt: str) -> Report:
             "class_count": len(groups),
             "strictly_shod": shod,
             "families": fams,
-            "records": map(record_to_json, records),
+            "records": map(partial(record_to_json, q), records),
         }
-    lines = [summary_text(groups).rstrip("\n"), ""]
+    lines = [summary_text(q, groups).rstrip("\n"), ""]
     lines.append(f"objects: {len(records)}")
     lines.append(f"classes: {len(groups)}")
     lines.append(f"strictly shod: {shod}")
@@ -544,29 +558,31 @@ def _render_classification(q: Quiver, records, groups, fmt: str) -> Report:
 
 def _check_cartan(q: Quiver, t, cartan) -> None:
     """End(T)'s Cartan rows against ranks in the Hom complex: entry (i, j)
-    is dim e_i B e_j = dim Hom(T_j, T_i)."""
-    cx = [summand_complex(q, s) for s in t.summands]
+    is dim e_i B e_j = dim Hom(T_j, T_i), for T at the positions t."""
+    summands = summand_classes(q, t)
+    cx = [summand_complex(q, s) for s in summands]
     for i, row in enumerate(cartan):
         for j, c in enumerate(row):
             d = hom_class_dim(cx[j], cx[i], 0)
             if c != d:
                 raise RuntimeError(
                     f"Cartan entry ({i + 1}, {j + 1}) is {c}, but "
-                    f"Hom({object_label(t.summands[j])}, "
-                    f"{object_label(t.summands[i])}) "
+                    f"Hom({object_label(summands[j])}, "
+                    f"{object_label(summands[i])}) "
                     f"has dimension {d}"
                 )
 
 
 def cmd_classify(args) -> Report:
     q = _load_quiver(args.quiver)
+    _check_size(args.quiver, q)
     objs = _enumerate(
         q, silting_alg2, silting_bruteforce, silting_count, "silting", args.oracle
     )
     records = [classify(q, t) for t in objs]
     if args.oracle:
         for r in records:
-            with _stage("oracle", r.silting):
+            with _stage("oracle", q, r.silting):
                 check_homology(r.algebra)
                 _check_cartan(q, r.silting, r.algebra.cartan)
                 check_tilted_types(r)
@@ -696,8 +712,9 @@ def _suite_rows() -> List[SuiteRow]:
             projs = set(projective_dim_vectors(q))
             bad = 0
             for r in records_by_name[name]:
-                t = r.silting
-                applies = not t.shifted_vertices or projs.isdisjoint(t.module_dims)
+                # a projective is a positive class, never a shifted one
+                cs = summand_classes(q, r.silting)
+                applies = not any(map(is_shift, cs)) or projs.isdisjoint(cs)
                 bad += applies and not (r.is_tilted and r.label == label_q)
             add(7, f"unshifted or projective-free {name}", 0, bad)
 

@@ -7,7 +7,7 @@ path algebra with its original arrow directions.
 
 The premise and the block dimensions are integers off the Euler form
 table silting.euler_table, read at T's positions in two_term_objects
-(which is all that T stores): T is presilting iff <[T_i], [T_j]> >= 0
+(which is all that T is): T is presilting iff <[T_i], [T_j]> >= 0
 whenever T_j is a module, and dim e_i B e_j = max(0, <[T_j], [T_i]>),
 checked to be at most 1, and 1 for i = j.  Only the non-zero blocks
 reach the Hom layer: hom_class_basis gives each a canonical basis class,
@@ -46,7 +46,7 @@ from .quivers import (
     _components,
     path_tables,
 )
-from .silting import SiltingObject, euler_table, summand_complex
+from .silting import euler_table, silting_label, summand_classes, summand_complex
 
 
 @cache
@@ -62,26 +62,25 @@ def _product(x: TwoTermComplex, y: TwoTermComplex, z: TwoTermComplex) -> int:
 
 
 @cache
-def endomorphism_algebra(q: Quiver, t: SiltingObject) -> BoundQuiverAlgebra:
-    """End(T) of a silting object as a bound quiver algebra."""
-    if t.quiver != q:
-        raise ValueError(
-            f"{t.label()}: silting object lives over a different quiver"
-        )
-    chi, pos, summands = euler_table(q), t.positions, t.summands
+def endomorphism_algebra(q: Quiver, t: Tuple[int, ...]) -> BoundQuiverAlgebra:
+    """End(T) of the silting object at the positions t as a bound quiver
+    algebra."""
+    chi, summands = euler_table(q), summand_classes(q, t)
     # Hom(T_i, T_j[1]) = 0 always when T_j is shifted
-    mods = [b for b, s in zip(pos, summands) if not is_shift(s)]
-    if any(chi[a][b] < 0 for a in pos for b in mods):
-        raise ValueError(f"{t.label()}: the given object is not silting")
+    mods = [b for b, s in zip(t, summands) if not is_shift(s)]
+    if any(chi[a][b] < 0 for a in t for b in mods):
+        raise ValueError(
+            f"{silting_label(q, t)}: the given object is not silting"
+        )
 
     def failed(check: str) -> RuntimeError:
-        return RuntimeError(f"{t.label()}: assembly: {check}")
+        return RuntimeError(f"{silting_label(q, t)}: assembly: {check}")
 
     n = len(summands)
     cx = [summand_complex(q, s) for s in summands]
     # dims[i][j] = dim e_i B e_j = dim Hom(T_j, T_i), checked to be 0 or
     # 1, and 1 also in the Hom basis that _product composes
-    dims = [[max(0, chi[b][a]) for b in pos] for a in pos]
+    dims = [[max(0, chi[b][a]) for b in t] for a in t]
     for i in range(n):
         for j in range(n):
             d, expected = dims[i][j], (1,) if i == j else (0, 1)

@@ -10,17 +10,20 @@ gets tau^{-1}, its projectives and its injectives, read off q's Cartan
 rows restricted to the paths inside S (modules._translates).  The
 brute-force route checks the defining rigidity condition,
 Hom(X, Y[1]) = 0, over all summand subsets and serves as an oracle.
-An object is the strictly increasing positions of its summands in
-modules.two_term_objects: the classes in K_0 of the indecomposable
-modules in indecomposables order, then those of the shifted
-projectives, the one order the AR quivers follow too.  A summand is its
-class, so a shifted projective is a negative vector.  A tilting module
-is an object with no shifted summand (Adachi-Iyama-Reiten), so its
-positions are those of its roots in indecomposables(q).  Both brute
-forces pick the rigid n-subsets of the first m two-term objects (all of
-them for silting, the modules for tilting), with dim Hom(X, Y[1]) from
-complexes.hom_class_dim for exactly the pairs they visit: one small rank
-per pair over the cokernel table of Y, which is built once per object.
+An object, silting or tilting, is the int tuple of the strictly
+increasing positions of its summands in modules.two_term_objects, read
+with its quiver: the classes in K_0 of the indecomposable modules in
+indecomposables order, then those of the shifted projectives, the one
+order the AR quivers follow too.  A summand is its class
+(summand_classes), so a shifted projective is a negative vector; an
+object's label, as in 1+2[1], and its JSON form are silting_label and
+silting_json.  A tilting module is an object with no shifted summand
+(Adachi-Iyama-Reiten), so its positions are those of its roots in
+indecomposables(q).  Both brute forces pick the rigid n-subsets of the
+first m two-term objects (all of them for silting, the modules for
+tilting), with dim Hom(X, Y[1]) from complexes.hom_class_dim for exactly
+the pairs they visit: one small rank per pair over the cokernel table of
+Y, which is built once per object.
 Over a hereditary algebra Ext^1(M, N) = Hom(P_M, P_N[1]) for the minimal
 projective resolutions P_M, P_N, so the tilting brute force ranks module
 pairs only.  euler_table gives the same dimensions as integers, the
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from operator import lt
 from typing import Callable, Dict, List, Tuple
 
 from .complexes import (
@@ -45,7 +47,6 @@ from .complexes import (
 )
 from .modules import (
     _translates,
-    ar_quiver_two_term,
     indecomposables,
     is_shift,
     negated,
@@ -54,59 +55,31 @@ from .modules import (
     shift_vertex,
     two_term_objects,
 )
-from .quivers import Quiver, Record, euler_form, single_path
+from .quivers import Quiver, euler_form, single_path
 
 DimVector = Tuple[int, ...]
+Positions = Tuple[int, ...]
 
 
-class SiltingObject(Record):
-    """Basic two-term silting object M + P[1], stored as the strictly
-    increasing positions of its summands in two_term_objects(quiver).  A
-    tilting module is one with no shifted summand."""
+def summand_classes(q: Quiver, t: Positions) -> Tuple[DimVector, ...]:
+    """The classes in K_0 of the summands at the positions t."""
+    return tuple(map(two_term_objects(q).__getitem__, t))
 
-    quiver: Quiver
-    positions: Tuple[int, ...]
 
-    def __post_init__(self):
-        p, m = self.positions, len(two_term_objects(self.quiver))
-        if len(p) != len(self.quiver.vertices) or not all(map(lt, p, p[1:])):
-            raise ValueError("an object needs n strictly increasing positions")
-        if p and not 0 <= p[0] <= p[-1] < m:
-            raise ValueError(f"positions must lie in range({m})")
+def silting_label(q: Quiver, t: Positions) -> str:
+    """The object's summands joined by "+", as in 1+2[1]."""
+    return "+".join(map(object_label, summand_classes(q, t)))
 
-    @property
-    def summands(self) -> Tuple[DimVector, ...]:
-        """The summands' classes in K_0."""
-        objs = two_term_objects(self.quiver)
-        return tuple(map(objs.__getitem__, self.positions))
 
-    @property
-    def shifted_vertices(self) -> Tuple[int, ...]:
-        at = shift_vertex(self.quiver)
-        return tuple(sorted(at[s] for s in self.summands if is_shift(s)))
-
-    @property
-    def module_dims(self) -> Tuple[DimVector, ...]:
-        return tuple(s for s in self.summands if not is_shift(s))
-
-    def label(self) -> str:
-        return "+".join(map(object_label, self.summands))
-
-    def to_json_dict(self) -> dict:
-        q, p = self.quiver, self.positions
-        objs, shifted, modules = two_term_objects(q), [], []
-        m = len(objs) - len(p)  # the modules are the positions below m
-        for i in p:
-            if i < m:
-                modules.append(objs[i])
-            else:
-                shifted.append(shift_vertex(q)[objs[i]])
-        shifted.sort()
-        return {"I": shifted, "modules": modules}
-
-    def to_ascii(self) -> str:
-        ar = ar_quiver_two_term(self.quiver)
-        return ar.to_ascii(selected=set(self.summands))
+def silting_json(q: Quiver, t: Positions) -> dict:
+    """The object as JSON: the sorted vertices v of its summands P(v)[1]
+    under "I", and its module summands' dimension vectors under "modules"."""
+    objs, at = two_term_objects(q), shift_vertex(q)
+    m = len(objs) - len(q.vertices)  # the modules are the positions below m
+    return {
+        "I": sorted(at[objs[i]] for i in t if i >= m),
+        "modules": [objs[i] for i in t if i < m],
+    }
 
 
 def _bits(mask: int) -> Tuple[int, ...]:
@@ -188,26 +161,22 @@ def _tilting_masks(q: Quiver) -> Tuple[Tuple[int, ...], ...]:
     return tuple(masks)
 
 
-def _by_module_dims(q: Quiver, mods) -> Tuple[SiltingObject, ...]:
+def _by_module_dims(q: Quiver, mods) -> Tuple[Positions, ...]:
     """Tilting modules sorted by their sorted dimension vectors: through
     each root's rank in lexicographic order, the key is a list of ints."""
     roots = indecomposables(q)
     rank = [0] * len(roots)
     for r, a in enumerate(sorted(range(len(roots)), key=roots.__getitem__)):
         rank[a] = r
-
-    def key(t: SiltingObject) -> List[int]:
-        return sorted(map(rank.__getitem__, t.positions))
-
-    return tuple(sorted(mods, key=key))
+    return tuple(sorted(mods, key=lambda t: sorted(map(rank.__getitem__, t))))
 
 
 @cache
-def tilting_modules_alg1(q: Quiver) -> Tuple[SiltingObject, ...]:
+def tilting_modules_alg1(q: Quiver) -> Tuple[Positions, ...]:
     """All basic tilting modules by Algorithm 1 (_tilting_masks), sorted
     by their sorted dimension vectors."""
     masks = _tilting_masks(q)[-1]
-    return _by_module_dims(q, (SiltingObject(q, _bits(m)) for m in masks))
+    return _by_module_dims(q, map(_bits, masks))
 
 
 def _rigid_subsets(
@@ -265,7 +234,7 @@ def euler_table(q: Quiver) -> Tuple[Tuple[int, ...], ...]:
 
 
 @cache
-def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
+def silting_alg2(q: Quiver) -> Tuple[Positions, ...]:
     """All basic two-term silting objects by subset recursion.
 
     For every vertex subset I (empty and full included), combine the
@@ -283,10 +252,10 @@ def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
     for i in range(len(masks)):
         tail = tuple(sorted(map(shift_pos.__getitem__, _bits(i))))
         out.extend(_bits(m) + tail for m in masks[full ^ i])
-    return tuple(SiltingObject(q, p) for p in sorted(out))
+    return tuple(sorted(out))
 
 
-def _rigid_objects(q: Quiver, m: int) -> Tuple[SiltingObject, ...]:
+def _rigid_objects(q: Quiver, m: int) -> Tuple[Positions, ...]:
     """The objects on the n-subsets of the first m two-term objects with
     Hom(X, Y[1]) = 0 for every ordered pair of summands, in position
     order.  For two-term complexes a presilting set of full size n is
@@ -295,16 +264,16 @@ def _rigid_objects(q: Quiver, m: int) -> Tuple[SiltingObject, ...]:
     chosen = _rigid_subsets(
         len(q.vertices), m, lambda i, j: hom_class_dim(cx[i], cx[j], 1) == 0
     )
-    return tuple(SiltingObject(q, c) for c in chosen)
+    return tuple(chosen)
 
 
-def silting_bruteforce(q: Quiver) -> Tuple[SiltingObject, ...]:
+def silting_bruteforce(q: Quiver) -> Tuple[Positions, ...]:
     """All rigid n-subsets of the two-term objects, in position order, so
     the objects come out sorted."""
     return _rigid_objects(q, len(two_term_objects(q)))
 
 
-def tilting_modules_bruteforce(q: Quiver) -> Tuple[SiltingObject, ...]:
+def tilting_modules_bruteforce(q: Quiver) -> Tuple[Positions, ...]:
     """All rigid n-subsets of the modules, which come first in
     two_term_objects: Ext^1(M, N) = Hom(P_M, P_N[1]), ranked on module
     pairs only."""

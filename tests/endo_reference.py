@@ -25,7 +25,12 @@ from silt.linalg import (
 )
 from silt.modules import BoundQuiverAlgebra, object_label
 from silt.quivers import Arrow, PathVector, Quiver, path_tables, paths_between
-from silt.silting import SiltingObject, summand_complex
+from silt.silting import (
+    Positions,
+    silting_label,
+    summand_classes,
+    summand_complex,
+)
 
 
 def is_presilting(q: Quiver, summands) -> bool:
@@ -39,20 +44,16 @@ PathValue = Callable[[int, int, Tuple[str, ...]], List[int]]
 
 
 def reference_path_values(
-    q: Quiver, t: SiltingObject
+    q: Quiver, t: Positions
 ) -> Tuple[Quiver, Tuple[Tuple[int, ...], ...], PathValue]:
     """The Gabriel quiver of End(T), its block dimensions dim e_i B e_j,
     and the value of each Gabriel path from i to j in the Hom-class
     basis of its block, every arrow composed in turn."""
-    label = t.label()
-    if t.quiver != q:
-        raise ValueError(
-            f"{label}: silting object lives over a different quiver"
-        )
-    if not is_presilting(q, t.summands):
+    label, summands = silting_label(q, t), summand_classes(q, t)
+    if not is_presilting(q, summands):
         raise ValueError(f"{label}: the given object is not silting")
-    n = len(t.summands)
-    cx = [summand_complex(q, s) for s in t.summands]
+    n = len(summands)
+    cx = [summand_complex(q, s) for s in summands]
     spaces = {
         (i, j): hom_class_basis(cx[j], cx[i], 0)
         for i in range(n)
@@ -61,7 +62,7 @@ def reference_path_values(
     for i in range(n):
         if spaces[(i, i)].dim() != 1:
             raise RuntimeError(
-                f"{label}: summand {object_label(t.summands[i])} has "
+                f"{label}: summand {object_label(summands[i])} has "
                 f"endomorphism ring of dimension {spaces[(i, i)].dim()}, "
                 "expected 1"
             )
@@ -148,10 +149,10 @@ def reference_path_values(
 
 
 def endomorphism_algebra_reference(
-    q: Quiver, t: SiltingObject
+    q: Quiver, t: Positions
 ) -> BoundQuiverAlgebra:
     """End(T) of a silting object, every block a vector space."""
-    label = t.label()
+    label = silting_label(q, t)
     gq, dims, path_value = reference_path_values(q, t)
     n = len(gq.vertices)
     pb = paths_between(gq)

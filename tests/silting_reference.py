@@ -19,17 +19,16 @@ from silt.modules import (
     projective_dim_vectors,
 )
 from silt.quivers import Quiver
-from silt.silting import SiltingObject, two_term_objects
+from silt.silting import Positions, summand_classes, two_term_objects
 
 DimVector = Tuple[int, ...]
 
 
-def from_summands(q: Quiver, summands: Iterable[DimVector]) -> SiltingObject:
+def from_summands(q: Quiver, summands: Iterable[DimVector]) -> Positions:
     """The object with these summands, given by their classes in K_0 (dim M
     for a module M, -dim P(v) for P(v)[1]) in any order: their positions
     in two_term_objects(q), sorted."""
-    positions = map(two_term_objects(q).index, summands)
-    return SiltingObject(q, tuple(sorted(positions)))
+    return tuple(sorted(map(two_term_objects(q).index, summands)))
 
 
 def full_subquiver(q: Quiver, keep: Sequence[int]) -> Quiver:
@@ -84,7 +83,7 @@ def _lifted(picks: List[int], dims: Iterable[DimVector]) -> List[DimVector]:
 
 
 @cache
-def tilting_modules_alg1(q: Quiver) -> Tuple[SiltingObject, ...]:
+def tilting_modules_alg1(q: Quiver) -> Tuple[Positions, ...]:
     """All basic tilting modules by subset recursion and tau-inverse sweeps.
 
     For each non-empty vertex subset I: take the projectives P(i), i in
@@ -96,7 +95,7 @@ def tilting_modules_alg1(q: Quiver) -> Tuple[SiltingObject, ...]:
     """
     n = len(q.vertices)
     if n == 0:
-        return (SiltingObject(q, ()),)
+        return ((),)
     projs = projective_dim_vectors(q)
     injs = set(injective_dim_vectors(q))
     found = set()
@@ -108,7 +107,7 @@ def tilting_modules_alg1(q: Quiver) -> Tuple[SiltingObject, ...]:
         picks = _lift_positions(q, sub)
         p_part = tuple(projs[q.index(v)] for v in keep_out)
         for nt in tilting_modules_alg1(sub):
-            lifted = _lifted(picks, nt.module_dims)
+            lifted = _lifted(picks, summand_classes(sub, nt))
             if any(d in injs for d in lifted):
                 continue
             stage = p_part + tuple(tau_inverse(q, d) for d in lifted)
@@ -127,7 +126,7 @@ def tilting_modules_alg1(q: Quiver) -> Tuple[SiltingObject, ...]:
 
 
 @cache
-def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
+def silting_alg2(q: Quiver) -> Tuple[Positions, ...]:
     """All basic two-term silting objects by subset recursion.
 
     For every vertex subset I (empty and full included), combine the
@@ -152,6 +151,7 @@ def silting_alg2(q: Quiver) -> Tuple[SiltingObject, ...]:
         picks = _lift_positions(q, sub)
         shifted = [at_shift[v] for v in shift_set]
         for nt in tilting_modules_alg1(sub):
-            mods = [at_dim[d] for d in _lifted(picks, nt.module_dims)]
+            lifted = _lifted(picks, summand_classes(sub, nt))
+            mods = [at_dim[d] for d in lifted]
             out.add(tuple(sorted(shifted + mods)))
-    return tuple(SiltingObject(q, s) for s in sorted(out))
+    return tuple(sorted(out))

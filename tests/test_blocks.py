@@ -16,7 +16,7 @@ from silt.classify import classify, global_dimension, tilted_type
 from silt.cli import FIXTURE_NAMES
 from silt.endo import cartan_data
 from silt.quivers import parse_quiver
-from silt.silting import silting_alg2
+from silt.silting import silting_alg2, silting_label
 
 DISCONNECTED = parse_quiver("vertices 1 2 3\narrow a:1->2\n")
 
@@ -32,20 +32,20 @@ def _check_against_reference(q, objs):
     more than one block."""
     disconnected = 0
     for t in objs:
-        rec = classify(q, t)
+        rec, label = classify(q, t), silting_label(q, t)
         ref = block_algebras(rec.algebra)
-        assert len(rec.block_verdicts) == len(ref), t.label()
+        assert len(rec.block_verdicts) == len(ref), label
         disconnected += len(ref) > 1
         for bv, blk in zip(rec.block_verdicts, ref):
             g = global_dimension(blk)
-            assert bv.vertices == blk.gabriel.vertices, t.label()
-            assert bv.gl_dim == g, t.label()
+            assert bv.vertices == blk.gabriel.vertices, label
+            assert bv.gl_dim == g, label
             if g <= 2:
-                assert bv.verdict == "tilted", t.label()
-                assert bv.dynkin == tilted_type(cartan_data(blk)), t.label()
+                assert bv.verdict == "tilted", label
+                assert bv.dynkin == tilted_type(cartan_data(blk)), label
             else:
-                assert bv.verdict == "strictly_shod", t.label()
-                assert bv.dynkin is None, t.label()
+                assert bv.verdict == "strictly_shod", label
+                assert bv.dynkin is None, label
     return disconnected
 
 

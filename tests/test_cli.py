@@ -23,7 +23,7 @@ from silt.cli import main
 from dynkin_orientations import E6
 from silt.quivers import opposite, parse_quiver, quiver_to_json
 from silt.modules import ar_quiver_mod
-from silt.silting import silting_alg2
+from silt.silting import silting_alg2, silting_label
 import silt.classify as classify_mod
 import silt.endo as endo_mod
 from silt.classify import (
@@ -260,7 +260,8 @@ def test_resolution_cap_error_names_the_silting_object(
     rc, out, err = run_cli(capsys, "classify", str(path), "--oracle")
     assert rc == 1
     assert out == ""
-    assert f": {first.label()}: oracle: resolution of the simple" in err
+    want = f": {silting_label(q, first)}: oracle: resolution of the simple"
+    assert want in err
 
 
 def test_negative_ext3_error_names_the_silting_object_and_stage(
@@ -269,7 +270,8 @@ def test_negative_ext3_error_names_the_silting_object_and_stage(
     # a third relabelled A2, so that no classify result is cached for it
     path = tmp_path / "a2_relabelled.quiver"
     path.write_text("vertices 41 42\narrow v:41->42\n")
-    first = silting_alg2(parse_quiver(path.read_text()))[0]
+    q = parse_quiver(path.read_text())
+    first = silting_alg2(q)[0]
     # C^-1 = ((2, -1), (-1, 1)) leaves Ext^3(S_1, S_1) = 1 - 2 = -1
     monkeypatch.setattr(
         classify_mod, "cartan_data", lambda b: ((1, 1), (1, 2))
@@ -278,7 +280,8 @@ def test_negative_ext3_error_names_the_silting_object_and_stage(
     assert rc == 1
     assert out == ""
     assert (
-        f"classify {path}: internal check failed: {first.label()}: ext: "
+        f"classify {path}: internal check failed: "
+        f"{silting_label(q, first)}: ext: "
         "Ext^3(S_1, S_1) = -1 is negative" in err
     )
 
@@ -289,7 +292,8 @@ def test_assembly_error_names_the_silting_object_and_stage(
     # another relabelled A2, so that no End(T) is cached for it
     path = tmp_path / "a2_relabelled.quiver"
     path.write_text("vertices 31 32\narrow w:31->32\n")
-    first = silting_alg2(parse_quiver(path.read_text()))[0]
+    q = parse_quiver(path.read_text())
+    first = silting_alg2(q)[0]
 
     class TwoDimensional:
         def dim(self):
@@ -302,7 +306,7 @@ def test_assembly_error_names_the_silting_object_and_stage(
     assert rc == 1
     assert out == ""
     assert (
-        f"classify {path}: internal check failed: {first.label()}: "
+        f"classify {path}: internal check failed: {silting_label(q, first)}: "
         "assembly: Hom(" in err
     )
 
@@ -374,8 +378,10 @@ def test_classify_oracle_checks_cartan_rows_against_hom_complex(
     rc, out, err = run_cli(capsys, "classify", fx("a3_linear"), "--oracle")
     assert rc == 1
     assert out == ""
-    first = silting_alg2(parse_quiver(Path(fx("a3_linear")).read_text()))[0]
-    assert f": {first.label()}: oracle: Cartan entry (1, 1) is 1" in err
+    q = parse_quiver(Path(fx("a3_linear")).read_text())
+    first = silting_alg2(q)[0]
+    want = f": {silting_label(q, first)}: oracle: Cartan entry (1, 1) is 1"
+    assert want in err
 
 
 def test_classify_oracle_checks_the_coxeter_order_of_tilted_blocks(
@@ -392,9 +398,36 @@ def test_classify_oracle_checks_the_coxeter_order_of_tilted_blocks(
     rc, out, err = run_cli(capsys, "classify", fx("a3_linear"), "--oracle")
     assert rc == 1
     assert out == ""
-    first = silting_alg2(parse_quiver(Path(fx("a3_linear")).read_text()))[0]
-    assert f": {first.label()}: oracle: block [" in err
+    q = parse_quiver(Path(fx("a3_linear")).read_text())
+    first = silting_alg2(q)[0]
+    assert f": {silting_label(q, first)}: oracle: block [" in err
     assert "Coxeter matrix has order 1, not the Coxeter number" in err
+
+
+def _a_linear(n: int) -> str:
+    vertices = " ".join(map(str, range(1, n + 1)))
+    arrows = " ".join(f"a{i}:{i}->{i + 1}" for i in range(1, n))
+    return f"vertices {vertices}\narrows {arrows}\n"
+
+
+def test_size_limit_refuses_a13_before_enumerating(
+    monkeypatch, capsys, tmp_path
+):
+    # A13 has 2,674,440 two-term silting objects, A12 742,900
+    calls = []
+    for attr in ("silting_alg2", "tilting_modules_alg1"):
+        monkeypatch.setattr(cli, attr, lambda q, attr=attr: calls.append(attr))
+    path = tmp_path / "a13.quiver"
+    path.write_text(_a_linear(13))
+    for argv in (["silting"], ["silting", "--tilting-only"], ["classify"]):
+        rc, out, err = run_cli(capsys, *argv, str(path))
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"silt: error: {path}: 2,674,440 two-term silting objects, "
+            "above the limit of 1,000,000\n"
+        )
+    assert calls == []
+    assert cli._check_size("a12", parse_quiver(_a_linear(12))) is None
 
 
 def test_oracle_mismatch_exits_1(monkeypatch, capsys):
@@ -417,7 +450,7 @@ def test_classify_csv_matches_library(capsys):
     assert rc == 0
     q = parse_quiver("vertices 1 2 3\narrow a:1->2\narrow b:2->3\n")
     groups = dedupe([classify(q, t) for t in silting_alg2(q)])
-    assert out == summary_csv(groups)
+    assert out == summary_csv(q, groups)
     assert len(out.strip().splitlines()) == 1 + 5
 
 
@@ -684,9 +717,9 @@ def test_classify_json_streams_records_as_they_are_converted(monkeypatch):
     real = cli.record_to_json
     converted = []
 
-    def counting(r):
-        converted.append(r)
-        return real(r)
+    def counting(q, r):
+        converted.append((q, r))
+        return real(q, r)
 
     class Sink:
         def __init__(self):
@@ -708,8 +741,8 @@ def test_classify_json_streams_records_as_they_are_converted(monkeypatch):
     assert [n for _, n in sink.writes] == list(range(16, 182, 16)) + [182]
     for text, n in sink.writes[1:-1]:
         assert text == "".join(
-            ",\n    " + _dumps(real(r))[:-1].replace("\n", "\n    ")
-            for r in converted[n - 16 : n]
+            ",\n    " + _dumps(real(*c))[:-1].replace("\n", "\n    ")
+            for c in converted[n - 16 : n]
         )
 
 
@@ -855,21 +888,6 @@ def test_paper_suite_errors_name_the_criterion(
         f"silt: error: paper-suite: internal check failed: "
         f"criterion {criterion}: boom" in err
     )
-
-
-def test_paper_suite_all_rows_pass(capsys):
-    rc, out, _ = run_cli(capsys, "paper-suite")
-    assert rc == 0
-    assert "result:" in out
-    assert "FAIL" not in out
-
-
-def test_paper_suite_csv(capsys):
-    rc, out, _ = run_cli(capsys, "paper-suite", "--format", "csv")
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "criterion,check,expected,computed,status"
-    assert all(line.endswith(",pass") for line in lines[1:])
 
 
 def test_paper_suite_detects_mismatch(monkeypatch, capsys):

@@ -12,7 +12,7 @@ from silt.classify import classify, fingerprint, homology, least_relabelling
 from silt.cli import FIXTURE_NAMES
 from silt.endo import endomorphism_algebra
 from silt.quivers import parse_quiver
-from silt.silting import silting_alg2
+from silt.silting import silting_alg2, silting_label
 
 
 def test_fingerprint_matches_reference_on_every_fixture_algebra():
@@ -24,7 +24,7 @@ def test_fingerprint_matches_reference_on_every_fixture_algebra():
             rec = classify(q, t)
             assert rec.fingerprint == fingerprint_reference(rec.algebra), (
                 name,
-                t.label(),
+                silting_label(q, t),
             )
 
 
@@ -33,7 +33,8 @@ def test_fingerprint_matches_reference_on_every_twentieth_e6_object():
     assert len(objs) == 833
     for t in objs[::20]:
         b = endomorphism_algebra(E6, t)
-        assert fingerprint(b, homology(b)) == fingerprint_reference(b), t.label()
+        got = fingerprint(b, homology(b))
+        assert got == fingerprint_reference(b), silting_label(E6, t)
 
 
 def _relabel(m, sigma):

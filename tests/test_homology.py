@@ -24,7 +24,7 @@ from silt.cli import FIXTURE_NAMES, main
 from silt.endo import endomorphism_algebra
 from silt.modules import path_algebra, projectives
 from silt.quivers import parse_quiver
-from silt.silting import silting_alg2
+from silt.silting import silting_alg2, silting_label
 
 
 def _fixture(name):
@@ -42,7 +42,7 @@ def _check_against_resolutions(q, objs):
     for t in objs:
         b = endomorphism_algebra(q, t)
         _, reps = projectives(b)
-        assert tuple(p.dims for p in reps) == b.cartan, t.label()
+        assert tuple(p.dims for p in reps) == b.cartan, silting_label(q, t)
         check_homology(b)
     return len(objs)
 

@@ -40,7 +40,6 @@ def _samples():
         x,
         ar_quiver_mod(A3),
         hom_class_basis(x, x, 0),
-        r.silting,
         homology(r.algebra),
         r.block_verdicts[0],
         r,
@@ -65,7 +64,7 @@ def test_every_record_class_has_a_sample():
         for c in vars(m).values()
         if isinstance(c, type) and issubclass(c, Record) and c is not Record
     }
-    assert len(defined) == 13
+    assert len(defined) == 12
     assert set(SAMPLES) == defined
 
 

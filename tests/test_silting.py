@@ -19,6 +19,7 @@ from silt.complexes import hom_class_dim
 from silt.linalg import determinant
 from silt.quivers import parse_quiver, silting_count, tilting_count
 from silt.modules import (
+    ar_quiver_two_term,
     build_representation,
     ext1_dim,
     indecomposables,
@@ -27,11 +28,12 @@ from silt.modules import (
     projective_dim_vectors,
 )
 from silt.silting import (
-    SiltingObject,
     _rigid_subsets,
     euler_table,
     silting_alg2,
     silting_bruteforce,
+    silting_json,
+    summand_classes,
     summand_complex,
     tilting_modules_alg1,
     tilting_modules_bruteforce,
@@ -89,29 +91,15 @@ def test_algorithms_1_and_2_match_the_reference(quivers):
         assert silting_alg2(q) == silting_reference.silting_alg2(q)
 
 
-def test_constructor_checks_count_order_and_range():
-    # A2 has five two-term objects: three modules, two shifted projectives
-    for t in silting_alg2(D4):
-        built = SiltingObject(D4, t.positions)
-        assert built == t and hash(built) == hash(t)
-    assert len(two_term_objects(A2)) == 5
-    for bad in ((0,), (0, 1, 2), (1, 0), (0, 0)):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            SiltingObject(A2, bad)
-    for bad in ((-1, 0), (0, 5), (4, 5)):
-        with pytest.raises(ValueError, match=r"range\(5\)"):
-            SiltingObject(A2, bad)
-
-
 # --- Algorithm 1 ---
 
 def test_alg1_a1():
     (t,) = tilting_modules_alg1(A1)
-    assert t.module_dims == ((1,),) and t.shifted_vertices == ()
+    assert summand_classes(A1, t) == ((1,),)
 
 
 def test_alg1_a2_exact():
-    got = {t.module_dims for t in tilting_modules_alg1(A2)}
+    got = {summand_classes(A2, t) for t in tilting_modules_alg1(A2)}
     assert got == {((0, 1), (1, 1)), ((1, 0), (1, 1))}
 
 
@@ -123,7 +111,9 @@ def test_alg1_counts():
 
 def test_alg1_summands_are_ext_rigid():
     for t in tilting_modules_alg1(A3_ALT):
-        reps = [build_representation(A3_ALT, d) for d in t.module_dims]
+        reps = [
+            build_representation(A3_ALT, d) for d in summand_classes(A3_ALT, t)
+        ]
         for x in reps:
             for y in reps:
                 assert ext1_dim(A3_ALT, x, y) == 0
@@ -131,14 +121,12 @@ def test_alg1_summands_are_ext_rigid():
 
 def test_tilting_oracle_equivalence():
     for q in (A2, A3, A3_ALT, D4):
-        alg = [t.summands for t in tilting_modules_alg1(q)]
-        brute = [t.summands for t in tilting_modules_bruteforce(q)]
-        assert alg == brute
+        assert tilting_modules_alg1(q) == tilting_modules_bruteforce(q)
 
 
 def test_tilting_lists_are_sorted_and_basic():
     for q in (A3, D4):
-        dims = [sorted(t.module_dims) for t in tilting_modules_alg1(q)]
+        dims = [sorted(summand_classes(q, t)) for t in tilting_modules_alg1(q)]
         assert dims == sorted(dims)
         for d in dims:
             assert len(d) == len(q.vertices)
@@ -148,16 +136,14 @@ def test_tilting_lists_are_sorted_and_basic():
 # --- Algorithm 2 ---
 
 def test_alg2_a2_exact():
-    got = {
-        (obj.shifted_vertices, obj.module_dims) for obj in silting_alg2(A2)
-    }
-    assert got == {
-        ((), ((0, 1), (1, 1))),
-        ((), ((1, 0), (1, 1))),
-        ((1,), ((0, 1),)),
-        ((2,), ((1, 0),)),
-        ((1, 2), ()),
-    }
+    got = [silting_json(A2, obj) for obj in silting_alg2(A2)]
+    assert sorted((d["I"], d["modules"]) for d in got) == [
+        ([], [(0, 1), (1, 1)]),
+        ([], [(1, 0), (1, 1)]),
+        ([1], [(0, 1)]),
+        ([1, 2], []),
+        ([2], [(1, 0)]),
+    ]
 
 
 def test_alg2_counts():
@@ -168,9 +154,7 @@ def test_alg2_counts():
 
 def test_silting_oracle_equivalence():
     for q in (A2, A3, A3_ALT, D4):
-        alg = [o.summands for o in silting_alg2(q)]
-        brute = [o.summands for o in silting_bruteforce(q)]
-        assert alg == brute
+        assert silting_alg2(q) == silting_bruteforce(q)
 
 
 def test_a4_bruteforce_count():
@@ -191,8 +175,8 @@ D5_BRANCH_OUT = parse_quiver(
     "q, count", [(A4_SOURCE_INSIDE, 42), (D5_BRANCH_OUT, 182)]
 )
 def test_bruteforce_needs_no_ar_quiver(q, count):
-    brute = [o.summands for o in silting_bruteforce(q)]
-    assert brute == [o.summands for o in silting_alg2(q)]
+    brute = silting_bruteforce(q)
+    assert brute == silting_alg2(q)
     assert len(brute) == count
 
 
@@ -221,12 +205,24 @@ def positive_cluster_number(kind, n):
 )
 def test_oracles_agree_on_every_orientation(kind, n):
     for text, q in orientations(kind, n):
-        alg2 = {o.summands for o in silting_alg2(q)}
+        alg2 = set(silting_alg2(q))
         assert len(alg2) == cluster_number(kind, n), text
-        assert alg2 == {o.summands for o in silting_bruteforce(q)}, text
-        alg1 = {t.summands for t in tilting_modules_alg1(q)}
+        assert alg2 == set(silting_bruteforce(q)), text
+        alg1 = set(tilting_modules_alg1(q))
         assert len(alg1) == positive_cluster_number(kind, n), text
-        assert alg1 == {t.summands for t in tilting_modules_bruteforce(q)}, text
+        assert alg1 == set(tilting_modules_bruteforce(q)), text
+        # every object of the four enumerators is a tuple of n strictly
+        # increasing positions in two_term_objects(q)
+        positions = set(range(len(two_term_objects(q))))
+        for enumerate_objects in (
+            silting_alg2,
+            silting_bruteforce,
+            tilting_modules_alg1,
+            tilting_modules_bruteforce,
+        ):
+            for t in enumerate_objects(q):
+                assert type(t) is tuple and len(t) == n, text
+                assert list(t) == sorted(set(t)) and set(t) <= positions, text
 
 
 @pytest.mark.parametrize(
@@ -273,7 +269,7 @@ def test_silting_classes_are_a_basis_of_the_grothendieck_group():
     objects = 0
     for q in quivers:
         for obj in silting_alg2(q):
-            assert determinant(obj.summands) in (1, -1), obj
+            assert determinant(summand_classes(q, obj)) in (1, -1), obj
             objects += 1
     assert (len(quivers), objects) == (56, 6661)
 
@@ -361,7 +357,7 @@ def test_rigid_subsets_of_the_euler_table_are_silting_alg2(q):
         len(objs),
         lambda a, b: is_shift(objs[b]) or chi[a][b] >= 0,
     )
-    assert rigid == [t.positions for t in silting_alg2(q)]
+    assert rigid == list(silting_alg2(q))
 
 
 @pytest.mark.parametrize("q", TEN_FIXTURES_AND_E6)
@@ -415,16 +411,19 @@ def test_tilting_modules_are_the_unshifted_silting_objects():
         q for kind, n in TYPES_UP_TO_D5 for _, q in orientations(kind, n)
     ] + [E6]
     for q in quivers:
-        unshifted = {o for o in silting_alg2(q) if not o.shifted_vertices}
+        unshifted = {
+            o for o in silting_alg2(q) if not silting_json(q, o)["I"]
+        }
         assert set(tilting_modules_alg1(q)) == unshifted
 
 
 def test_module_part_is_supported_off_shifted_set():
     for q in (A3, D4):
         for obj in silting_alg2(q):
-            for v in obj.shifted_vertices:
+            d = silting_json(q, obj)
+            for v in d["I"]:
                 i = q.index(v)
-                assert all(d[i] == 0 for d in obj.module_dims)
+                assert all(m[i] == 0 for m in d["modules"])
 
 
 # --- presilting predicate ---
@@ -443,16 +442,16 @@ def test_module_plus_shifted_projective_presilting():
 
 def test_every_enumerated_object_is_presilting():
     for obj in silting_alg2(A3_ALT):
-        assert is_presilting(A3_ALT, obj.summands)
+        assert is_presilting(A3_ALT, summand_classes(A3_ALT, obj))
 
 
 # --- serialization ---
 
 def test_silting_json_shape():
     obj = sorted(
-        silting_alg2(A2), key=lambda o: (len(o.shifted_vertices), o.positions)
+        silting_alg2(A2), key=lambda o: (len(silting_json(A2, o)["I"]), o)
     )[-1]
-    d = obj.to_json_dict()
+    d = silting_json(A2, obj)
     assert set(d) == {"I", "modules"}
     assert d["I"] == [1, 2]
     assert d["modules"] == []
@@ -460,10 +459,11 @@ def test_silting_json_shape():
 
 
 def test_silting_ascii_marks_exactly_the_summands():
+    ar = ar_quiver_two_term(A2)
     for obj in silting_alg2(A2):
-        art = obj.to_ascii()
-        assert art.count("•") == len(obj.summands)
-        assert art.count("∘") == 5 - len(obj.summands)
+        art = ar.to_ascii(selected=set(summand_classes(A2, obj)))
+        assert art.count("•") == len(obj)
+        assert art.count("∘") == 5 - len(obj)
 
 
 def test_summand_complex_kinds():
@@ -471,8 +471,3 @@ def test_summand_complex_kinds():
     assert x.deg_minus1 == (2,) and x.deg0 == (1,)
     y = summand_complex(A2, (0, -1))  # P(2)[1]
     assert y.deg_minus1 == (2,) and y.deg0 == ()
-
-
-def test_silting_object_validates_summand_count():
-    with pytest.raises(ValueError):
-        SiltingObject(A2, (2,))
