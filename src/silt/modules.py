@@ -11,15 +11,17 @@ reflection map, and one validated representation is built at the end.
 A root that one whole admissible cycle takes to another non-simple root
 (its Coxeter image) climbs back from that root's cached representation.
 
-Also here: Hom and Ext^1 by exact linear algebra; tau and tau^{-1} on
-the roots of any Cartan rows (`_translates`: the integer Coxeter matrix
-and Ringel's bijection, checked once per table), for tau on a quiver and
-for every full subquiver that silting's recursion visits (the Nakayama
-construction `tau_nakayama` is the reference the tests and paper-suite
-compare tau with); and the AR quivers of mod A and of the two-term
-homotopy category, whose vertices are classes in K_0: dim M for a
-module M and -dim P(v) for P(v)[1], in the one order two_term_objects
-defines.
+Also here: Hom and Ext^1 by exact linear algebra; tau^{-1} on the roots
+of any Cartan rows (`_translates`: the integer Coxeter matrix and
+Ringel's bijection, checked once per table), for each full subquiver
+that silting's recursion visits and for the quiver, where its orbits
+make one table: each indecomposable two-term object is tau^{-k}P(v) for
+one vertex v and one k >= 0, counting P(v)[1] = tau^{-1}I(v).  tau reads
+its predecessors there (`tau_nakayama` is the independent reference the
+tests and paper-suite compare it with), and the AR quivers of mod A and
+of the two-term homotopy category place its rows in ZQ^op, with classes
+in K_0 as vertices: dim M for a module M and -dim P(v) for P(v)[1], in
+the one order two_term_objects defines.
 
 One algebra type serves every module computation over an algebra:
 `BoundQuiverAlgebra`, a quiver with relations and its integer Cartan
@@ -617,9 +619,9 @@ def tau_nakayama(q: Quiver, d: DimVector) -> DimVector:
 
 def _translates(
     cartan: Tuple[DimVector, ...], roots: Sequence[DimVector]
-) -> Tuple[Dict[int, Optional[int]], Dict[Optional[int], int]]:
-    """tau and tau^{-1} on the roots of the Dynkin quiver with Cartan rows
-    cartan, as maps between positions in roots.
+) -> Dict[int, int]:
+    """tau^{-1} on the roots of the Dynkin quiver with Cartan rows cartan,
+    as a map between positions in roots.
 
     tau sends each non-projective root d to d * Phi.  Checked on every
     call: the images are distinct and are exactly the non-injective roots
@@ -631,34 +633,42 @@ def _translates(
     images = matmul(
         [roots[i] for i in moved], coxeter_matrix(cartan), len(cartan)
     )
-    forward = {i: at.get(d) for i, d in zip(moved, images)}
-    backward = {t: i for i, t in forward.items()}
+    backward = {at.get(d): i for i, d in zip(moved, images)}
     non_injective = set(at.values()) - {at.get(c) for c in zip(*cartan)}
-    if len(backward) != len(forward) or set(backward) != non_injective:
+    if len(backward) != len(moved) or set(backward) != non_injective:
         raise RuntimeError(
             "Coxeter translate is not a bijection onto the non-injective "
             "indecomposables"
         )
-    return forward, backward
+    return backward
 
 
 @cache
-def _tau_table(q: Quiver) -> Dict[DimVector, Optional[DimVector]]:
-    """tau on the indecomposables of q, None at the projectives."""
-    roots = indecomposables(q)
-    forward = _translates(projective_dim_vectors(q), roots)[0]
-    return {
-        d: None if i not in forward else roots[forward[i]]
-        for i, d in enumerate(roots)
-    }
+def _orbits(q: Quiver) -> Tuple[Tuple[DimVector, ...], ...]:
+    """Row k is the tau^{-1}-orbit of P(v) for the k-th vertex v, as
+    classes: tau^{-j}P(v) for j = 0, 1, ... up to an injective I(w), then
+    tau^{-1}I(w) = P(w)[1].  Each indecomposable two-term object is in
+    exactly one row."""
+    roots, projs = indecomposables(q), projective_dim_vectors(q)
+    tau_inv = {roots[t]: roots[i] for t, i in _translates(projs, roots).items()}
+    rows = []
+    for p in projs:
+        orbit = [p]
+        while orbit[-1] in tau_inv:
+            orbit.append(tau_inv[orbit[-1]])
+        w = injective_dim_vectors(q).index(orbit[-1])
+        rows.append((*orbit, negated(projs[w])))
+    return tuple(rows)
 
 
 def tau(q: Quiver, d: DimVector) -> Optional[DimVector]:
-    """Dimension vector of tau M, or None when M is projective."""
-    table = _tau_table(q)
-    if d not in table:
-        raise ValueError(f"{d} is not an indecomposable dimension vector")
-    return table[d]
+    """Dimension vector of tau M, or None when M is projective: the orbit
+    predecessor of dim M."""
+    for orbit in _orbits(q):
+        if d in orbit[:-1]:
+            k = orbit.index(d)
+            return orbit[k - 1] if k else None
+    raise ValueError(f"{d} is not an indecomposable dimension vector")
 
 
 # --- AR quivers ---
@@ -701,7 +711,6 @@ def shift_vertex(q: Quiver) -> Dict[DimVector, int]:
 class ArQuiver(Record):
     """AR quiver with irreducible-map arrows, tau pairs, and a grid layout."""
 
-    quiver: Quiver
     vertices: Tuple[DimVector, ...]  # classes, as in two_term_objects
     arrows: Tuple[Tuple[DimVector, DimVector], ...]
     tau_pairs: Tuple[Tuple[DimVector, DimVector], ...]  # (M, tau M)
@@ -768,107 +777,63 @@ def _potential(q: Quiver) -> Dict[int, int]:
     return pot
 
 
-def _knit(q: Quiver, two_term: bool) -> ArQuiver:
-    ind = indecomposables(q)
-    projs = projective_dim_vectors(q)
-    proj_vertex = {d: v for d, v in zip(projs, q.vertices)}
+@cache
+def ar_quiver_two_term(q: Quiver) -> ArQuiver:
+    """AR quiver of the two-term homotopy category: mod KQ plus P(v)[1],
+    the tau^{-1}-orbits (`_orbits`) placed in ZQ^op.  tau^{-k}P(v) sits at
+    column pot(v) + 2k in v's row, and each arrow v -> t of Q gives
+    tau^{-k}P(t) -> tau^{-k}P(v) -> tau^{-k-1}P(t) wherever both ends
+    exist.  Vertices go by (column, position in two_term_objects), arrows
+    by target in that order, then by source position.  Checked: the
+    vertex count; [X] + [tau X] is the sum of the middle terms of each
+    mesh, so every arrow has multiplicity 1; a module's mesh holds no
+    shift; and the shifted projectives form a copy of Q^op."""
+    orbits, pot = _orbits(q), _potential(q)
+    rows = sorted(q.vertices, key=lambda v: (-pot[v], q.index(v)))
+    place = {
+        o: (pot[v] + 2 * k, rows.index(v))
+        for v, orbit in zip(q.vertices, orbits)
+        for k, o in enumerate(orbit)
+    }
     position = {o: i for i, o in enumerate(two_term_objects(q))}
-    objs = two_term_objects(q) if two_term else ind
-    tau_of: Dict[DimVector, DimVector] = {}
-    for d in ind:
-        t = tau(q, d)
-        if t is not None:
-            tau_of[d] = t
-    if two_term:
-        for pdim, idim in zip(projs, injective_dim_vectors(q)):
-            tau_of[negated(pdim)] = idim
-
-    pot = _potential(q)
-    level: Dict[DimVector, int] = {}
-
-    def level_of(o: DimVector) -> int:
-        if o in level:
-            return level[o]
-        if o in proj_vertex:
-            level[o] = pot[proj_vertex[o]]
-        else:
-            level[o] = level_of(tau_of[o]) + 2
-        return level[o]
-
-    for o in objs:
-        level_of(o)
-    order = sorted(objs, key=lambda o: (level[o], position[o]))
-    out_edges: Dict[DimVector, List[DimVector]] = {o: [] for o in objs}
-    arrows: List[Tuple[DimVector, DimVector]] = []
-    for o in order:
-        if o in proj_vertex:
-            v = proj_vertex[o]
-            inc = sorted(
-                (projs[q.index(a.target)] for a in q.arrows if a.source == v),
-                key=position.__getitem__,
-            )
-        else:
-            inc = sorted(out_edges[tau_of[o]], key=position.__getitem__)
-        for p in inc:
-            arrows.append((p, o))
-            out_edges[p].append(o)
-        if not (is_shift(o) or o in proj_vertex):
-            # mesh additivity confirms all arrow multiplicities are 1:
-            # [M] + [tau M] is the sum of the classes in the mesh
-            if any(map(is_shift, inc)):
-                raise RuntimeError("module mesh with shifted summand")
-            if not all(
-                a + b == sum(cs) for a, b, *cs in zip(o, tau_of[o], *inc)
-            ):
-                raise RuntimeError(
-                    f"mesh additivity failed at {object_label(o)}"
-                )
-
-    proj_order = sorted(
-        q.vertices, key=lambda v: (-pot[v], q.index(v))
-    )
-    row_of_proj = {v: i for i, v in enumerate(proj_order)}
-
-    def anchor(o: DimVector) -> int:
-        while o not in proj_vertex:
-            o = tau_of[o]
-        return proj_vertex[o]
-
-    layout = tuple(
-        (o, (level[o], row_of_proj[anchor(o)])) for o in order
-    )
-    tau_pairs = tuple(
-        (o, tau_of[o])
-        for o in order
-        if o in tau_of
-    )
-    if two_term:
-        shifted_arrows = {
-            (s, t) for s, t in arrows if is_shift(s) and is_shift(t)
-        }
-        expected = {
-            (negated(projs[q.index(a.target)]), negated(projs[q.index(a.source)]))
-            for a in q.arrows
-        }
-        if shifted_arrows != expected:
-            raise RuntimeError(
-                "shifted projectives do not form a copy of the quiver"
-            )
+    if len(place) != len(position):
+        raise RuntimeError("two-term AR quiver has wrong vertex count")
+    key = {o: (place[o][0], position[o]) for o in place}
+    tau_of = {o: t for orbit in orbits for o, t in zip(orbit[1:], orbit)}
+    arrows = []
+    for a in q.arrows:
+        s, t = orbits[q.index(a.source)], orbits[q.index(a.target)]
+        arrows += [*zip(t, s), *zip(s, t[1:])]
+    arrows.sort(key=lambda st: (key[st[1]], position[st[0]]))
+    for o, t in tau_of.items():
+        middle = [s for s, m in arrows if m == o]
+        if not is_shift(o) and any(map(is_shift, middle)):
+            raise RuntimeError("module mesh with shifted summand")
+        if not all(a + b == sum(cs) for a, b, *cs in zip(o, t, *middle)):
+            raise RuntimeError(f"mesh additivity failed at {object_label(o)}")
+    vertex = shift_vertex(q)
+    shifted = {
+        (vertex[s], vertex[t]) for s, t in arrows if is_shift(s) and is_shift(t)
+    }
+    if shifted != {(a.target, a.source) for a in q.arrows}:
+        raise RuntimeError("shifted projectives do not form a copy of the quiver")
+    vertices = sorted(place, key=key.__getitem__)
     return ArQuiver(
-        q, tuple(order), tuple(arrows), tau_pairs, layout
+        tuple(vertices),
+        tuple(arrows),
+        tuple((o, tau_of[o]) for o in vertices if o in tau_of),
+        tuple((o, place[o]) for o in vertices),
     )
 
 
 @cache
 def ar_quiver_mod(q: Quiver) -> ArQuiver:
-    """AR quiver of mod KQ: indecomposables and irreducible maps."""
-    return _knit(q, two_term=False)
-
-
-@cache
-def ar_quiver_two_term(q: Quiver) -> ArQuiver:
-    """AR quiver of the two-term homotopy category: mod KQ plus P(i)[1]."""
-    ar = _knit(q, two_term=True)
-    if len(ar.vertices) != len(indecomposables(q)) + len(q.vertices):
-        raise RuntimeError("two-term AR quiver has wrong vertex count")
-    return ar
+    """AR quiver of mod KQ: the full subquiver of the two-term one on the
+    modules."""
+    ar = ar_quiver_two_term(q)
+    return ArQuiver(
+        tuple(o for o in ar.vertices if not is_shift(o)),
+        tuple(a for a in ar.arrows if not any(map(is_shift, a))),
+        tuple(p for p in ar.tau_pairs if not any(map(is_shift, p))),
+        tuple((o, xy) for o, xy in ar.layout if not is_shift(o)),
+    )

@@ -104,7 +104,7 @@ def _subset_table(q: Quiver, on_path: Dict, supports: List[int], s: int):
     members = [r for r, m in enumerate(supports) if m | s == s]
     roots = [tuple(all_roots[r][v] for v in vs) for r in members]
     bit = {d: 1 << r for d, r in zip(roots, members)}
-    backward = _translates(cartan, roots)[1]
+    backward = _translates(cartan, roots)
     tau_inv = {members[t]: 1 << members[r] for t, r in backward.items()}
     projs = {v: bit[row] for v, row in zip(vs, cartan)}
     return tau_inv, projs, sum(bit[col] for col in zip(*cartan))

@@ -1,7 +1,7 @@
 """Run silt's own cross-checks on every orientation of the Dynkin diagrams
 up to E8, outside the tier-1 suite (pytest does not collect this file).
 
-    PYTHONPATH=src python tests/orientation_sweep.py [classify] [silting] [tilting] [ar] [reps] [census]
+    PYTHONPATH=src python tests/orientation_sweep.py [classify] [silting] [tilting] [ar] [reps] [census] [classify-e8 [INDEX ...]]
 
 `classify` runs `silt classify --oracle --format csv` on every orientation
 of A1-A5, D4, D5, E6 and E7 (148 quivers); `silting` runs
@@ -9,9 +9,10 @@ of A1-A5, D4, D5, E6 and E7 (148 quivers); `silting` runs
 quivers); `tilting` runs `silt silting --tilting-only --oracle --format
 csv`, which checks Algorithm 1 against its brute force, on every
 orientation of E7 and E8 (192 quivers); `ar` runs `silt ar --two-term
---format json`, which checks the knitted AR quiver's mesh additivity and
-its copy of the quiver among the shifted projectives, on every
-orientation of E7 and E8 (192 quivers); `reps` compares
+--format json`, which places the tau^{-1}-orbits of the projectives in
+ZQ^op and checks the vertex count, the mesh additivity and the copy of
+the quiver among the shifted projectives, on every orientation of E7
+and E8 (192 quivers); `reps` compares
 `silt.modules.build_representation`, which climbs from cached Coxeter
 images, with the step-by-step reflection reference
 (`tests/reflection_reference.py`) on every root of every orientation of
@@ -31,8 +32,21 @@ classes of silted algebras and how many of them are strictly shod.  It
 then says whether "no strictly shod class <=> the branch vertex is a
 sink or a source" and "Q and its opposite have the same counts" held on
 every orientation, and names those where not.
+
+`classify-e8` also runs only when named: it runs `silt classify --oracle
+--format csv` on the E8 orientations at the given indices into
+`dynkin_orientations.orientations("E", 8)`, on all 128 when no index is
+given (about two and a half minutes each on a 2-core VM).  Per
+orientation it prints the kind of the branch vertex 3, the numbers of
+silting objects, of isomorphism classes, of strictly shod classes and
+of tilting complexes (T = M + P[1] with Hom(M, P) = 0), the sha256 of
+the CSV and the wall time.  A run that does not exit 0 is a failure,
+as in the sweeps above, and silt's error on stderr names the object's
+label.  Indices 1, 17 and 32 are `1->2->...->7, 8->3` (branch vertex
+neither), a sink and a source.
 """
 
+import hashlib
 import sys
 import tempfile
 import time
@@ -42,8 +56,8 @@ import reflection_reference
 import silt.cli
 from dynkin_orientations import TYPES_WITH_E6, orientations
 from silt.classify import classify, dedupe
-from silt.modules import build_representation, indecomposables
-from silt.silting import silting_alg2
+from silt.modules import build_representation, indecomposables, is_shift
+from silt.silting import euler_table, silting_alg2, two_term_objects
 
 SWEEPS = {
     "classify": (
@@ -140,13 +154,69 @@ def census(types) -> None:
             print(f"  {name}")
 
 
+def _tilting_complexes(q, objs) -> int:
+    """How many of the silting objects T = M + P[1] are tilting complexes:
+    Hom(M, P) = 0, that is chi[a][b] >= 0 for every module summand a and
+    every shifted summand b."""
+    chi, k0 = euler_table(q), two_term_objects(q)
+    return sum(
+        all(
+            chi[a][b] >= 0
+            for a in t
+            if not is_shift(k0[a])
+            for b in t
+            if is_shift(k0[b])
+        )
+        for t in objs
+    )
+
+
+def classify_e8(indices, scratch: Path) -> list:
+    """`classify --oracle --format csv` on the E8 orientations at the given
+    indices into orientations("E", 8), on all 128 when none is given.
+    Prints one row per orientation: the branch vertex's kind, the object,
+    class, strictly shod and tilting-complex counts, the CSV's sha256 and
+    the wall time of the run."""
+    failed = []
+    quiver, out = scratch / "q.quiver", scratch / "out.csv"
+    quivers = orientations("E", 8)
+    for i in indices or range(len(quivers)):
+        text, q = quivers[i]
+        edges = " ".join(f"{a.source}->{a.target}" for a in q.arrows)
+        name = f"E8 #{i} {edges}"
+        quiver.write_text(text)
+        t0 = time.perf_counter()
+        argv = ["classify", str(quiver), "--oracle", "--format", "csv"]
+        if silt.cli.main([*argv, "--out", str(out)]) != 0:
+            failed.append(f"classify-e8 {name}:\n{text}")
+        else:
+            wall = time.perf_counter() - t0
+            objs = silting_alg2(q)
+            groups = dedupe([classify(q, t) for t in objs])
+            shod = sum(not g[0].is_tilted for g in groups)
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            print(
+                f"classify-e8 {name}: branch 3 {_vertex_kind(q, 3)}, "
+                f"{len(objs)} objects, {len(groups)} classes, {shod} strictly "
+                f"shod, {_tilting_complexes(q, objs)} tilting complexes, "
+                f"csv sha256 {digest}, {wall:.1f} s",
+                flush=True,
+            )
+        clear_caches()
+    return failed
+
+
 def main(argv) -> int:
-    names = argv or list(SWEEPS)
+    names = [a for a in argv if not a.isdigit()] or list(SWEEPS)
+    indices = [int(a) for a in argv if a.isdigit()]
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             if name == "census":
                 census(CENSUS_TYPES)
+                continue
+            if name == "classify-e8":
+                failed += classify_e8(indices, Path(tmp))
                 continue
             failed += sweep(name, *SWEEPS[name], Path(tmp))
     for f in failed:

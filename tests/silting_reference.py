@@ -52,7 +52,7 @@ def restrict(q: Quiver, drop: Iterable[int]) -> Quiver:
 @cache
 def _tau_inverse_table(q: Quiver) -> Dict[DimVector, DimVector]:
     roots = indecomposables(q)
-    backward = _translates(projective_dim_vectors(q), roots)[1]
+    backward = _translates(projective_dim_vectors(q), roots)
     return {roots[t]: roots[i] for t, i in backward.items()}
 
 

@@ -11,11 +11,16 @@ import pytest
 import silt.classify as classify_mod
 import silt.endo as endo_mod
 from coxeter_reference import coxeter_type, reference_polynomials
-from dynkin_orientations import E6
+from dynkin_orientations import E6, orientations
 from quiver_isomorphism import quivers_isomorphic
 from silting_reference import from_summands
 from silt.quivers import dynkin_type, opposite, parse_quiver
-from silt.modules import negated, projective_dim_vectors
+from silt.modules import (
+    ar_quiver_two_term,
+    negated,
+    projective_dim_vectors,
+    two_term_objects,
+)
 from silt.silting import silting_alg2, silting_label
 from silt.endo import cartan_data, endomorphism_algebra
 from silt.cli import FIXTURE_NAMES, STRICTLY_SHOD_PRESENTATIONS
@@ -253,6 +258,109 @@ def test_opposite_class_counts_agree():
     for name in FIXTURE_NAMES:
         q = _fixture(name)
         assert _class_summary(q) == _class_summary(opposite(q)), name
+
+
+# Per orientation of D4 and D5: the classes and the strictly shod classes,
+# each row seen first under `silt classify --oracle`.  The zero rows are
+# exactly the orientations whose branch vertex is a sink or a source.
+CENSUS = {
+    "D4 1->2 2->3 2->4": (13, 1),
+    "D4 1->2 2->3 4->2": (13, 1),
+    "D4 1->2 3->2 2->4": (13, 1),
+    "D4 1->2 3->2 4->2": (11, 0),
+    "D4 2->1 2->3 2->4": (11, 0),
+    "D4 2->1 2->3 4->2": (13, 1),
+    "D4 2->1 3->2 2->4": (13, 1),
+    "D4 2->1 3->2 4->2": (13, 1),
+    "D5 1->2 2->3 3->4 3->5": (62, 4),
+    "D5 1->2 2->3 3->4 5->3": (75, 8),
+    "D5 1->2 2->3 4->3 3->5": (75, 8),
+    "D5 1->2 2->3 4->3 5->3": (66, 0),
+    "D5 1->2 3->2 3->4 3->5": (69, 0),
+    "D5 1->2 3->2 3->4 5->3": (79, 6),
+    "D5 1->2 3->2 4->3 3->5": (79, 6),
+    "D5 1->2 3->2 4->3 5->3": (65, 2),
+    "D5 2->1 2->3 3->4 3->5": (65, 2),
+    "D5 2->1 2->3 3->4 5->3": (79, 6),
+    "D5 2->1 2->3 4->3 3->5": (79, 6),
+    "D5 2->1 2->3 4->3 5->3": (69, 0),
+    "D5 2->1 3->2 3->4 3->5": (66, 0),
+    "D5 2->1 3->2 3->4 5->3": (75, 8),
+    "D5 2->1 3->2 4->3 3->5": (75, 8),
+    "D5 2->1 3->2 4->3 5->3": (62, 4),
+}
+CENSUS_QUIVERS = {
+    f"{kind}{n} " + " ".join(f"{a.source}->{a.target}" for a in q.arrows): q
+    for kind, n in (("D", 4), ("D", 5))
+    for _, q in orientations(kind, n)
+}
+
+
+@pytest.mark.parametrize("name", list(CENSUS_QUIVERS))
+def test_census_counts_are_frozen(name):
+    summary = _class_summary(CENSUS_QUIVERS[name])
+    assert (summary["classes"], summary["strictly_shod"]) == CENSUS[name]
+
+
+# --- quiver automorphisms ---
+
+def _automorphisms(q):
+    """The vertex permutations other than the identity that map q's
+    arrows onto themselves, found by search over all permutations."""
+    arrows = sorted((a.source, a.target) for a in q.arrows)
+    found = []
+    for image in itertools.permutations(q.vertices):
+        sigma = dict(zip(q.vertices, image))
+        moved = sorted((sigma[s], sigma[t]) for s, t in arrows)
+        if image != q.vertices and moved == arrows:
+            found.append(sigma)
+    return found
+
+
+def _moved_class(q, sigma, c):
+    """sigma applied to the class c: its entry at v goes to sigma(v)."""
+    at = dict(zip(map(sigma.get, q.vertices), c))
+    return tuple(at[v] for v in q.vertices)
+
+
+@pytest.mark.parametrize(
+    "q, automorphisms, orbits",
+    [
+        (parse_quiver("vertices 1 2 3 4\narrows a:1->2 b:3->2 c:4->2\n"), 5, 21),
+        (_fixture("d4"), 1, 35),
+        (
+            parse_quiver(
+                "vertices 1 2 3 4 5 6\narrows a:1->2 b:2->3 c:4->3 d:5->4 e:6->3\n"
+            ),
+            1,
+            469,
+        ),
+    ],
+    ids=["d4_sink", "d4", "e6_symmetric"],
+)
+def test_a_quiver_automorphism_maps_silting_objects_to_isomorphic_algebras(
+    q, automorphisms, orbits
+):
+    # sigma permutes the classes in K_0, so it sends each two-term silting
+    # object T to another, sigma T, with End(sigma T) = End(T), and it maps
+    # the AR quiver onto itself
+    sigmas = _automorphisms(q)
+    assert len(sigmas) == automorphisms
+    k0, objs, ar = two_term_objects(q), silting_alg2(q), ar_quiver_two_term(q)
+    at, found = {c: i for i, c in enumerate(k0)}, set(objs)
+    least = list(objs)  # the least member of each object's orbit so far
+    for sigma in sigmas:
+        image = [at[_moved_class(q, sigma, c)] for c in k0]
+        for i, t in enumerate(objs):
+            moved = tuple(sorted(image[p] for p in t))
+            assert moved in found, silting_label(q, t)
+            fingerprints = {classify(q, u).fingerprint for u in (t, moved)}
+            assert len(fingerprints) == 1, silting_label(q, t)
+            least[i] = min(least[i], moved)
+        for pairs in (ar.arrows, ar.tau_pairs):
+            moved = {tuple(_moved_class(q, sigma, c) for c in p) for p in pairs}
+            assert moved == set(pairs)
+    assert len(set(least)) == orbits
 
 
 # --- reports ---

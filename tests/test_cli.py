@@ -313,14 +313,6 @@ def test_assembly_error_names_the_silting_object_and_stage(
 
 # --- silting command ---
 
-def test_silting_ascii_a3(capsys):
-    rc, out, _ = run_cli(capsys, "silting", fx("a3_linear"))
-    assert rc == 0
-    assert out.splitlines()[0] == "silting objects: 14"
-    assert out.count("#") == 14
-    assert out.count("•") == 14 * 3
-
-
 def test_silting_json_d5_count(capsys):
     rc, out, _ = run_cli(capsys, "silting", fx("d5"), "--format", "json")
     assert rc == 0
@@ -550,7 +542,7 @@ def test_classify_on_a_disconnected_quiver_matches_frozen_digest(
 
 # Every fixture is labelled 1..n in order, so a slip between a vertex and
 # its index (say, in the vertex of a shifted class) would pass on all of
-# them: D4 labelled out of order, and E7 for the knitting at rank 7.
+# them: D4 labelled out of order, and E7 for the AR quiver at rank 7.
 D4_UNORDERED = "vertices 7 2 9 4\narrows a:7->9 b:9->2 c:4->9\n"
 E7_QUIVER = Path(__file__).resolve().parents[1] / "perfbench" / "e7.quiver"
 UNORDERED_AND_RANK_7_DIGESTS = {
@@ -578,8 +570,8 @@ def test_unordered_labels_and_rank_7_match_frozen_digest(key, tmp_path, capsys):
 
 
 def test_silting_ascii_on_a4_with_inner_source(tmp_path, capsys):
-    # the ASCII report draws the AR quiver, so it needs the knit to hold
-    # on an orientation whose longest paths disagree with the arrows
+    # the ASCII report draws the AR quiver, so it needs the orbit placement
+    # to hold on an orientation whose longest paths disagree with the arrows
     path = tmp_path / "a4.quiver"
     path.write_text("vertices 1 2 3 4\narrow a:2->1\narrow b:2->3\narrow c:3->4\n")
     rc, out, err = run_cli(capsys, "silting", str(path))

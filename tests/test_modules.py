@@ -14,7 +14,6 @@ from silt.classify import classify
 from silt.silting import silting_alg2
 from silt.quivers import NotDynkinError, dynkin_type, euler_form, parse_quiver
 from silt.modules import (
-    ArQuiver,
     TwoTermComplex,
     ar_quiver_mod,
     ar_quiver_two_term,
@@ -496,8 +495,8 @@ def positive_roots(kind, n):
     "kind, n", TYPES_WITH_E6, ids=[f"{k}{n}" for k, n in TYPES_WITH_E6]
 )
 def test_ar_knits_on_every_orientation(kind, n):
-    # the knit holds only if the levels of the projectives agree with
-    # the arrows, which the fixtures alone do not exercise
+    # the orbits fit ZQ^op only if the columns of the projectives agree
+    # with the arrows, which the fixtures alone do not exercise
     roots = positive_roots(kind, n)
     for text, q in orientations(kind, n):
         assert dynkin_type(q).components == ((kind, n),), text
@@ -562,16 +561,36 @@ def test_ar_two_term_shifted_copy_of_q():
         assert shifted_arrows == expected
 
 
+def test_ar_two_term_checks_raise_on_a_corrupted_orbit_table(monkeypatch):
+    # every call gets a fresh A3, since the tables are cached per quiver
+    fresh = (
+        parse_quiver(f"vertices 1 2 3\narrow c{k}:1->2\narrow d{k}:2->3\n")
+        for k in range(5)
+    )
+    rows = modules._orbits(next(fresh))
+    real_shift_vertex = modules.shift_vertex
+    swapped = (rows[2][0], rows[2][2], rows[2][1], rows[2][3])  # 100 first
+    for table, message in (
+        ((rows[0], rows[1], rows[2][:-1]), "wrong vertex count"),
+        ((rows[0][::-1], rows[1], rows[2]), "module mesh with shifted summand"),
+        ((rows[0], rows[1], swapped), "mesh additivity failed at 110"),
+        (rows, "do not form a copy of the quiver"),
+    ):
+        monkeypatch.setattr(modules, "_orbits", lambda q, table=table: table)
+        if table is rows:  # the shifted classes of vertices 1 and 3 swapped
+            monkeypatch.setattr(
+                modules,
+                "shift_vertex",
+                lambda q: {c: 4 - v for c, v in real_shift_vertex(q).items()},
+            )
+        with pytest.raises(RuntimeError, match=message):
+            ar_quiver_two_term(next(fresh))
+
+
 def test_ind_id_labels():
     # an indecomposable two-term object is identified by its class in K_0
     assert object_label((1, 1, 2, 1)) == "1121"
     assert object_label((0, 0, -1, 0)) == "0010[1]"  # P(3)[1]
-
-
-def test_ascii_render_has_markers():
-    ar = ar_quiver_two_term(A2)
-    txt = ar.to_ascii(selected={(0, 1), (1, 1)})
-    assert "•" in txt and "∘" in txt
 
 
 def test_dot_render_mentions_tau_dashed():

@@ -19,7 +19,6 @@ from silt.complexes import hom_class_dim
 from silt.linalg import determinant
 from silt.quivers import parse_quiver, silting_count, tilting_count
 from silt.modules import (
-    ar_quiver_two_term,
     build_representation,
     ext1_dim,
     indecomposables,
@@ -456,14 +455,6 @@ def test_silting_json_shape():
     assert d["I"] == [1, 2]
     assert d["modules"] == []
     json.dumps(d)  # serializable
-
-
-def test_silting_ascii_marks_exactly_the_summands():
-    ar = ar_quiver_two_term(A2)
-    for obj in silting_alg2(A2):
-        art = ar.to_ascii(selected=set(summand_classes(A2, obj)))
-        assert art.count("•") == len(obj)
-        assert art.count("∘") == 5 - len(obj)
 
 
 def test_summand_complex_kinds():
