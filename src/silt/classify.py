@@ -19,8 +19,9 @@ classify(q, t) takes the silting object T as its positions t and reads
 every block off End(T) in one pass: the blocks are vertex sets
 (endo.blocks), a block's global dimension is the largest projective
 dimension of its simples, and its Cartan rows are those of End(T)
-restricted to its vertices.  A record keeps t, and a report also takes
-q, to label T.
+restricted to its vertices.  A record keeps t; the reports, which also
+take q to label T, are rendered in silt.cli, and the errors of each
+stage name T through silting._stage.
 Blocks with global dimension at most 2 are tilted and get a Dynkin type
 from their rank and det(C + C^T) of their Cartan rows C, with the order of
 their Coxeter matrix as the oracle; blocks of global dimension exactly 3
@@ -38,9 +39,6 @@ not which one.
 """
 from __future__ import annotations
 
-import csv
-import io
-from contextlib import contextmanager
 from functools import cache
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -49,7 +47,7 @@ from .endo import blocks, cartan_data, endomorphism_algebra
 from .linalg import Rows, determinant, integer_solve, matmul
 from .modules import BoundQuiverAlgebra, minimal_resolution, simple_rep
 from .quivers import DynkinType, Quiver, Record, coxeter_matrix
-from .silting import Positions, silting_json, silting_label
+from .silting import Positions, _stage
 
 RESOLUTION_CAP = 10
 
@@ -348,18 +346,6 @@ def matches_presentation(
     return own == form(arrows, relations)
 
 
-@contextmanager
-def _stage(stage: str, q: Optional[Quiver] = None, t: Positions = ()):
-    """Prefix a RuntimeError raised inside with the stage, led by the
-    label of the silting object at the positions t over q when q is
-    given.  The label is built only on that error path."""
-    try:
-        yield
-    except RuntimeError as e:
-        prefix = stage if q is None else f"{silting_label(q, t)}: {stage}"
-        raise RuntimeError(f"{prefix}: {e}") from e
-
-
 @cache
 def classify(q: Quiver, t: Positions) -> ClassificationRecord:
     """Tilted-or-strictly-shod verdict for End(T), block by block, for
@@ -413,82 +399,3 @@ def dedupe(
     for fp in sorted(grouped):
         out.append(tuple(sorted(grouped[fp], key=lambda r: r.silting)))
     return tuple(out)
-
-
-# --- reports ---
-
-Groups = Sequence[Sequence[ClassificationRecord]]
-
-
-def _quiver_sketch(b: BoundQuiverAlgebra) -> str:
-    if not b.gabriel.arrows:
-        return " ".join(str(v) for v in b.gabriel.vertices)
-    arrows = ",".join(
-        f"{a.source}>{a.target}" for a in b.gabriel.arrows
-    )
-    if b.relations:
-        rels = ",".join(f"{r.source}~{r.target}" for r in b.relations)
-        return f"{arrows};rel:{rels}"
-    return arrows
-
-
-def record_to_json(q: Quiver, r: ClassificationRecord) -> dict:
-    return {
-        "silting": silting_json(q, r.silting),
-        "algebra": r.algebra.to_json_dict(),
-        "blocks": [
-            {
-                "vertices": list(bv.vertices),
-                "gl_dim": bv.gl_dim,
-                "verdict": bv.verdict,
-                "type": bv.dynkin.label() if bv.dynkin else None,
-            }
-            for bv in r.block_verdicts
-        ],
-        "classification": r.label,
-        "fingerprint": r.fingerprint,
-    }
-
-
-def _summary_rows(q: Quiver, groups: Groups) -> List[List[str]]:
-    """Header plus one row per isomorphism class, led by its first member."""
-    rows = [["class", "count", "silting", "quiver", "classification"]]
-    for i, g in enumerate(groups, start=1):
-        rep = g[0]
-        rows.append(
-            [
-                str(i),
-                str(len(g)),
-                silting_label(q, rep.silting),
-                _quiver_sketch(rep.algebra),
-                rep.label,
-            ]
-        )
-    return rows
-
-
-def summary_csv(q: Quiver, groups: Groups) -> str:
-    return csv_table(_summary_rows(q, groups))
-
-
-def summary_text(q: Quiver, groups: Groups) -> str:
-    return text_table(_summary_rows(q, groups))
-
-
-def text_table(rows: Sequence[Sequence[str]]) -> str:
-    """Rows as left-aligned columns two spaces apart, one line each."""
-    widths = [
-        max(len(r[c]) for r in rows) for c in range(len(rows[0]))
-    ]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
-        for r in rows
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def csv_table(rows: Iterable[Sequence]) -> str:
-    """Rows as CSV lines, each ending in a newline: every CSV report."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()

@@ -1,5 +1,10 @@
 """Command-line front end for enumeration, classification, and reports.
 
+Every report is rendered here, in JSON, CSV, ASCII and dot; silt.silting,
+silt.modules and silt.classify only compute.  silt.classify, and End(T)
+assembly with it, is imported only inside cmd_classify and _suite_rows,
+so silting and ar load neither.
+
 Commands
 --------
 ar           render the Auslander-Reiten quiver of a Dynkin quiver; with
@@ -33,6 +38,7 @@ the interpreter's teardown of the caches, and with the exit codes above.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import os
 import sys
@@ -40,23 +46,12 @@ from functools import partial
 from importlib.resources import files
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
-from .classify import (
-    _stage,
-    check_homology,
-    check_tilted_types,
-    classify,
-    csv_table,
-    dedupe,
-    matches_presentation,
-    record_to_json,
-    summary_csv,
-    summary_text,
-    text_table,
-)
 from .complexes import hom_class_dim
 from .modules import (
+    ArQuiver,
+    BoundQuiverAlgebra,
     ar_quiver_mod,
     ar_quiver_two_term,
     build_representation,
@@ -66,8 +61,10 @@ from .modules import (
     is_shift,
     object_label,
     projective_dim_vectors,
+    shift_vertex,
     tau,
     tau_nakayama,
+    two_term_objects,
 )
 from .quivers import (
     NotDynkinError,
@@ -83,15 +80,19 @@ from .quivers import (
     tilting_count,
 )
 from .silting import (
+    Positions,
+    _stage,
     silting_alg2,
     silting_bruteforce,
-    silting_json,
     silting_label,
     summand_classes,
     summand_complex,
     tilting_modules_alg1,
     tilting_modules_bruteforce,
 )
+
+if TYPE_CHECKING:
+    from .classify import ClassificationRecord
 
 FIXTURE_NAMES = (
     "a1",
@@ -408,6 +409,23 @@ def _write_json(payload, write: Callable[[str], object]) -> None:
     write("".join(parts))
 
 
+def text_table(rows: Sequence[Sequence[str]]) -> str:
+    """Rows as left-aligned columns two spaces apart, one line each."""
+    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
+    lines = [
+        "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def csv_table(rows: Iterable[Sequence]) -> str:
+    """Rows as CSV lines, each ending in a newline: every CSV report."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _enumerate(
     q: Quiver, algorithmic, brute_force, count, what: str, oracle: bool
 ):
@@ -438,13 +456,52 @@ def _enumerate(
 
 # --- ar ---
 
+def ar_to_dot(ar: ArQuiver) -> str:
+    lines = ["digraph ar {", "  rankdir=LR;"]
+    for v in map(object_label, ar.vertices):
+        lines.append(f'  "{v}" [shape=plaintext, label="{v}"];')
+    for s, t in ar.arrows:
+        lines.append(f'  "{object_label(s)}" -> "{object_label(t)}";')
+    for m, t in ar.tau_pairs:
+        lines.append(
+            f'  "{object_label(m)}" -> "{object_label(t)}" '
+            "[style=dashed, dir=none, constraint=false];"
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def ar_to_ascii(ar: ArQuiver, selected=None) -> str:
+    """Grid rendering; selected summands are bullets, the rest circles."""
+    if not ar.vertices:
+        return "(empty quiver)\n"
+    selected = selected or set()
+    pos = dict(ar.layout)
+    maxcol = max(c for c, _ in pos.values())
+    maxrow = max(r for _, r in pos.values())
+    cells: Dict[Tuple[int, int], str] = {}
+    for v in ar.vertices:
+        col, row = pos[v]
+        marker = "•" if v in selected else "∘"
+        cells[(row, col)] = f"{marker}{object_label(v)}"
+    width = max(len(t) for t in cells.values()) + 2
+    lines = []
+    for r in range(maxrow + 1):
+        line = "".join(
+            cells.get((r, c), "").ljust(width)
+            for c in range(maxcol + 1)
+        )
+        lines.append(line.rstrip())
+    return "\n".join(lines) + "\n"
+
+
 def cmd_ar(args) -> Report:
     q = _load_quiver(args.quiver)
     ar = ar_quiver_two_term(q) if args.two_term else ar_quiver_mod(q)
     if args.format == "ascii":
-        return ar.to_ascii()
+        return ar_to_ascii(ar)
     if args.format == "dot":
-        return ar.to_dot()
+        return ar_to_dot(ar)
     if args.format == "json":
         return {
             "quiver": quiver_to_json(q),
@@ -462,12 +519,23 @@ def cmd_ar(args) -> Report:
 
 # --- silting ---
 
+def silting_json(q: Quiver, t: Positions) -> dict:
+    """The object as JSON: the sorted vertices v of its summands P(v)[1]
+    under "I", and its module summands' dimension vectors under "modules"."""
+    objs, at = two_term_objects(q), shift_vertex(q)
+    m = len(objs) - len(q.vertices)  # the modules are the positions below m
+    return {
+        "I": sorted(at[objs[i]] for i in t if i >= m),
+        "modules": [objs[i] for i in t if i < m],
+    }
+
+
 def _ascii_list(title: str, ar, q: Quiver, objs, labels) -> str:
     """The objects numbered, each with its label and ar with its summands
     marked."""
     parts = [f"{title}: {len(objs)}", ""]
     for i, (t, label) in enumerate(zip(objs, labels), start=1):
-        art = ar.to_ascii(selected=set(summand_classes(q, t))).rstrip("\n")
+        art = ar_to_ascii(ar, selected=set(summand_classes(q, t))).rstrip("\n")
         parts += [f"#{i} {label}", art, ""]
     return "\n".join(parts).rstrip("\n") + "\n"
 
@@ -525,6 +593,73 @@ def cmd_silting(args) -> Report:
 
 # --- classify ---
 
+Groups = Sequence[Sequence["ClassificationRecord"]]
+
+
+def _quiver_sketch(b: BoundQuiverAlgebra) -> str:
+    if not b.gabriel.arrows:
+        return " ".join(str(v) for v in b.gabriel.vertices)
+    arrows = ",".join(f"{a.source}>{a.target}" for a in b.gabriel.arrows)
+    if b.relations:
+        rels = ",".join(f"{r.source}~{r.target}" for r in b.relations)
+        return f"{arrows};rel:{rels}"
+    return arrows
+
+
+def algebra_to_json(b: BoundQuiverAlgebra) -> dict:
+    return {
+        **quiver_to_json(b.gabriel),
+        "relations": [
+            [[c, list(arrows)] for arrows, c in rel.terms]
+            for rel in b.relations
+        ],
+        "dimension": b.dimension,
+    }
+
+
+def record_to_json(q: Quiver, r: ClassificationRecord) -> dict:
+    return {
+        "silting": silting_json(q, r.silting),
+        "algebra": algebra_to_json(r.algebra),
+        "blocks": [
+            {
+                "vertices": list(bv.vertices),
+                "gl_dim": bv.gl_dim,
+                "verdict": bv.verdict,
+                "type": bv.dynkin.label() if bv.dynkin else None,
+            }
+            for bv in r.block_verdicts
+        ],
+        "classification": r.label,
+        "fingerprint": r.fingerprint,
+    }
+
+
+def _summary_rows(q: Quiver, groups: Groups) -> List[List[str]]:
+    """Header plus one row per isomorphism class, led by its first member."""
+    rows = [["class", "count", "silting", "quiver", "classification"]]
+    for i, g in enumerate(groups, start=1):
+        rep = g[0]
+        rows.append(
+            [
+                str(i),
+                str(len(g)),
+                silting_label(q, rep.silting),
+                _quiver_sketch(rep.algebra),
+                rep.label,
+            ]
+        )
+    return rows
+
+
+def summary_csv(q: Quiver, groups: Groups) -> str:
+    return csv_table(_summary_rows(q, groups))
+
+
+def summary_text(q: Quiver, groups: Groups) -> str:
+    return text_table(_summary_rows(q, groups))
+
+
 def _family_counts(groups) -> Dict[str, int]:
     counts: Dict[str, int] = {}
     for g in groups:
@@ -574,6 +709,8 @@ def _check_cartan(q: Quiver, t, cartan) -> None:
 
 
 def cmd_classify(args) -> Report:
+    from .classify import check_homology, check_tilted_types, classify, dedupe
+
     q = _load_quiver(args.quiver)
     _check_size(args.quiver, q)
     objs = _enumerate(
@@ -607,6 +744,8 @@ def _raises(check: Callable[..., None], *args) -> bool:
 def _suite_rows() -> List[SuiteRow]:
     """The rows of silt paper-suite: the seven criteria over the bundled
     fixtures, each row an expected and a computed value as strings."""
+    from .classify import check_homology, classify, dedupe, matches_presentation
+
     rows: List[SuiteRow] = []
     quivers = {name: _fixture_quiver(name) for name in FIXTURE_NAMES}
     records_by_name: Dict[str, list] = {}

@@ -36,7 +36,8 @@ the first two terms over KQ, as a `TwoTermComplex`, and checks from
 dimension vectors that the second is the last.  A Dynkin quiver is a
 forest, so Hom(P(a), P(b)) is spanned by at most one path
 (`quivers.single_path`): a `TwoTermComplex`'s differential is a matrix
-of scalars, and Ext^1 and `tau_nakayama` read it as one.
+of scalars, and Ext^1 and `tau_nakayama` read it as one.  Nothing here
+renders: silt.cli draws the AR quivers and writes an algebra as JSON.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .quivers import (
     dynkin_type,
     path_tables,
     paths_between,
-    quiver_to_json,
     single_path,
     tits_form,
 )
@@ -308,16 +308,6 @@ class BoundQuiverAlgebra(Record):
     @property
     def dimension(self) -> int:
         return sum(map(sum, self.cartan))
-
-    def to_json_dict(self) -> dict:
-        return {
-            **quiver_to_json(self.gabriel),
-            "relations": [
-                [[c, list(arrows)] for arrows, c in rel.terms]
-                for rel in self.relations
-            ],
-            "dimension": self.dimension,
-        }
 
 
 @cache
@@ -715,43 +705,6 @@ class ArQuiver(Record):
     arrows: Tuple[Tuple[DimVector, DimVector], ...]
     tau_pairs: Tuple[Tuple[DimVector, DimVector], ...]  # (M, tau M)
     layout: Tuple[Tuple[DimVector, Tuple[int, int]], ...]  # -> (col, row)
-
-    def to_dot(self) -> str:
-        lines = ["digraph ar {", "  rankdir=LR;"]
-        for v in map(object_label, self.vertices):
-            lines.append(f'  "{v}" [shape=plaintext, label="{v}"];')
-        for s, t in self.arrows:
-            lines.append(f'  "{object_label(s)}" -> "{object_label(t)}";')
-        for m, t in self.tau_pairs:
-            lines.append(
-                f'  "{object_label(m)}" -> "{object_label(t)}" '
-                "[style=dashed, dir=none, constraint=false];"
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def to_ascii(self, selected=None) -> str:
-        """Grid rendering; selected summands are bullets, the rest circles."""
-        if not self.vertices:
-            return "(empty quiver)\n"
-        selected = selected or set()
-        pos = dict(self.layout)
-        maxcol = max(c for c, _ in pos.values())
-        maxrow = max(r for _, r in pos.values())
-        cells: Dict[Tuple[int, int], str] = {}
-        for v in self.vertices:
-            col, row = pos[v]
-            marker = "•" if v in selected else "∘"
-            cells[(row, col)] = f"{marker}{object_label(v)}"
-        width = max(len(t) for t in cells.values()) + 2
-        lines = []
-        for r in range(maxrow + 1):
-            line = "".join(
-                cells.get((r, c), "").ljust(width)
-                for c in range(maxcol + 1)
-            )
-            lines.append(line.rstrip())
-        return "\n".join(lines) + "\n"
 
 
 def _potential(q: Quiver) -> Dict[int, int]:

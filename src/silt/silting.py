@@ -16,8 +16,9 @@ with its quiver: the classes in K_0 of the indecomposable modules in
 indecomposables order, then those of the shifted projectives, the one
 order the AR quivers follow too.  A summand is its class
 (summand_classes), so a shifted projective is a negative vector; an
-object's label, as in 1+2[1], and its JSON form are silting_label and
-silting_json.  A tilting module is an object with no shifted summand
+object's label, as in 1+2[1], is silting_label, which _stage puts before
+an internal check's error, and silt.cli renders every report of it.  A
+tilting module is an object with no shifted summand
 (Adachi-Iyama-Reiten), so its positions are those of its roots in
 indecomposables(q).  Both brute forces pick the rigid n-subsets of the
 first m two-term objects (all of them for silting, the modules for
@@ -35,9 +36,10 @@ block dimensions off that table, at the object's positions.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import cache
 from itertools import combinations
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .complexes import (
     TwoTermComplex,
@@ -71,15 +73,16 @@ def silting_label(q: Quiver, t: Positions) -> str:
     return "+".join(map(object_label, summand_classes(q, t)))
 
 
-def silting_json(q: Quiver, t: Positions) -> dict:
-    """The object as JSON: the sorted vertices v of its summands P(v)[1]
-    under "I", and its module summands' dimension vectors under "modules"."""
-    objs, at = two_term_objects(q), shift_vertex(q)
-    m = len(objs) - len(q.vertices)  # the modules are the positions below m
-    return {
-        "I": sorted(at[objs[i]] for i in t if i >= m),
-        "modules": [objs[i] for i in t if i < m],
-    }
+@contextmanager
+def _stage(stage: str, q: Optional[Quiver] = None, t: Positions = ()):
+    """Prefix a RuntimeError raised inside with the stage, led by the
+    label of the silting object at the positions t over q when q is
+    given.  The label is built only on that error path."""
+    try:
+        yield
+    except RuntimeError as e:
+        prefix = stage if q is None else f"{silting_label(q, t)}: {stage}"
+        raise RuntimeError(f"{prefix}: {e}") from e
 
 
 def _bits(mask: int) -> Tuple[int, ...]:

@@ -10,6 +10,7 @@ import pytest
 
 import silt.classify as classify_mod
 import silt.endo as endo_mod
+import silt.silting as silting_mod
 from coxeter_reference import coxeter_type, reference_polynomials
 from dynkin_orientations import E6, orientations
 from quiver_isomorphism import quivers_isomorphic
@@ -23,18 +24,20 @@ from silt.modules import (
 )
 from silt.silting import silting_alg2, silting_label
 from silt.endo import cartan_data, endomorphism_algebra
-from silt.cli import FIXTURE_NAMES, STRICTLY_SHOD_PRESENTATIONS
+from silt.cli import (
+    FIXTURE_NAMES,
+    STRICTLY_SHOD_PRESENTATIONS,
+    record_to_json,
+    summary_csv,
+    summary_text,
+)
 from silt.classify import (
-    ClassificationRecord,
     block_cartan,
     classify,
     dedupe,
     global_dimension,
     matches_presentation,
     projective_dimension_of_simples,
-    record_to_json,
-    summary_csv,
-    summary_text,
     tilted_type,
 )
 
@@ -386,7 +389,7 @@ def test_classify_builds_no_silting_label_when_nothing_fails(monkeypatch):
         calls.append(t)
         return silting_label(q, t)
 
-    for mod in (classify_mod, endo_mod):
+    for mod in (silting_mod, endo_mod):
         monkeypatch.setattr(mod, "silting_label", spy)
     records = [classify(A3_UNSEEN, t) for t in objs]
     assert len(records) == 14

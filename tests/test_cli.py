@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import silt.cli as cli
-from silt.cli import main
+from silt.cli import main, summary_csv
 from dynkin_orientations import E6
 from silt.quivers import opposite, parse_quiver, quiver_to_json
 from silt.modules import ar_quiver_mod
@@ -31,7 +31,6 @@ from silt.classify import (
     classify,
     dedupe,
     global_dimension,
-    summary_csv,
 )
 from silt.endo import endomorphism_algebra
 
@@ -621,7 +620,7 @@ def test_a_failed_check_writes_nothing(monkeypatch, tmp_path, capsys):
     def boom(q, t):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "classify", boom)
+    monkeypatch.setattr(classify_mod, "classify", boom)
     target = tmp_path / "report.json"
     for out_flags in ((), ("--out", str(target))):
         rc, out, err = run_cli(
@@ -872,7 +871,9 @@ def test_paper_suite_errors_name_the_criterion(
     def boom(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, attr, boom)
+    # paper-suite imports silt.classify's functions when it runs
+    owner = classify_mod if attr in ("dedupe", "matches_presentation") else cli
+    monkeypatch.setattr(owner, attr, boom)
     rc, out, err = run_cli(capsys, "paper-suite")
     assert rc == 1
     assert out == ""
@@ -895,7 +896,7 @@ def test_paper_suite_counts_each_failed_homology_check(monkeypatch, capsys):
     def boom(b):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "check_homology", boom)
+    monkeypatch.setattr(classify_mod, "check_homology", boom)
     rc, out, _ = run_cli(capsys, "paper-suite", "--format", "csv")
     assert rc == 1
     failed = [line for line in out.splitlines() if line.endswith(",FAIL")]
@@ -926,6 +927,43 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 5
+
+
+# a fresh interpreter: silting and ar run, then classify; only classify
+# (and paper-suite) imports End(T) assembly and classification
+LAYERING_CHILD = """
+import io, sys
+from contextlib import redirect_stdout
+from silt.cli import main
+
+heavy = {"silt.endo", "silt.classify"}
+
+
+def run(*argv):
+    with redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+
+assert not heavy & set(sys.modules), "import silt.cli"
+for flags in (["--format", "json"], ["--format", "csv"], [], ["--tilting-only"]):
+    run("silting", "a3_linear", *flags)
+for fmt in ("json", "csv", "dot", "ascii"):
+    run("ar", "a3_linear", "--format", fmt)
+run("ar", "a3_linear", "--two-term")
+assert not heavy & set(sys.modules), "silting and ar"
+run("classify", "a2", "--format", "csv")
+assert heavy <= set(sys.modules), "classify"
+"""
+
+
+def test_silting_and_ar_load_neither_end_t_nor_classification():
+    proc = subprocess.run(
+        [sys.executable, "-c", LAYERING_CHILD],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_closed_stdout_exits_2_without_a_traceback():

@@ -20,7 +20,7 @@ from endo_reference import (
 from linalg_reference import add, inverse, mul, scale, transpose
 from quiver_isomorphism import quivers_isomorphic
 from silting_reference import from_summands
-from silt.cli import FIXTURE_NAMES
+from silt.cli import FIXTURE_NAMES, algebra_to_json
 from silt.quivers import (
     parse_quiver,
     path_tables,
@@ -361,7 +361,7 @@ def test_coxeter_polynomial_equals_the_transposed_form_on_every_block():
 
 def test_bound_quiver_algebra_json():
     b = endomorphism_algebra(A3, _regular_object(A3))
-    d = b.to_json_dict()
+    d = algebra_to_json(b)
     assert set(d) == {"vertices", "arrows", "relations", "dimension"}
     assert d["dimension"] == 6
     json.dumps(d)

@@ -11,6 +11,7 @@ from dynkin_orientations import E6, TYPES_WITH_E6, orientations
 from silting_reference import tau_inverse
 from silt import modules, silting
 from silt.classify import classify
+from silt.cli import ar_to_dot
 from silt.silting import silting_alg2
 from silt.quivers import NotDynkinError, dynkin_type, euler_form, parse_quiver
 from silt.modules import (
@@ -595,5 +596,5 @@ def test_ind_id_labels():
 
 def test_dot_render_mentions_tau_dashed():
     ar = ar_quiver_mod(A2)
-    dot = ar.to_dot()
+    dot = ar_to_dot(ar)
     assert "digraph" in dot and "dashed" in dot

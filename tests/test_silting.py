@@ -13,7 +13,7 @@ import silting_reference
 from dynkin_orientations import E6, TYPES_UP_TO_D5, TYPES_WITH_E6, orientations
 from endo_reference import is_presilting
 from silting_reference import restrict
-from silt.cli import FIXTURE_NAMES
+from silt.cli import FIXTURE_NAMES, silting_json
 from silt import silting
 from silt.complexes import hom_class_dim
 from silt.linalg import determinant
@@ -31,7 +31,6 @@ from silt.silting import (
     euler_table,
     silting_alg2,
     silting_bruteforce,
-    silting_json,
     summand_classes,
     summand_complex,
     tilting_modules_alg1,

@@ -1,8 +1,9 @@
-"""Static checks on silt's own source, read with ast: no unused import, no
-definition that nothing names, no memo keyed by the builtin id(), no
-import of dataclasses, no call to object.__new__, no read of an object's
-__dict__, no single_path result read as a truth value, and one matrix
-format (int rows, with linalg.Matrix only as the input of the two traced
+"""Static checks on silt's own source, read with ast: no unused import
+(in the tests either), no definition that nothing names, no memo keyed
+by the builtin id(), no import of dataclasses, no import of csv outside
+silt.cli, no call to object.__new__, no read of an object's __dict__, no
+single_path result read as a truth value, and one matrix format (int
+rows, with linalg.Matrix only as the input of the two traced
 eliminations); each frozen expected table assigned once, at module level
 in silt.cli, and in no test module; and, read as text, no mention of
 fractions."""
@@ -16,6 +17,7 @@ import silt
 
 SOURCES = sorted(Path(silt.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _names_used(tree):
@@ -49,8 +51,10 @@ def test_sources_are_found():
 
 
 def test_every_import_is_used():
+    # in silt's sources and in the tests alike
+    tests = {f"tests/{path.name}": ast.parse(path.read_text()) for path in TESTS}
     unused = []
-    for name, tree in TREES.items():
+    for name, tree in {**TREES, **tests}.items():
         used = _names_used(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -129,6 +133,27 @@ def test_dataclasses_import_check_sees_each_form():
         assert "dataclasses" in set(_imported_modules(ast.parse(text))), text
     for text in ("from .dataclasses import x", "import json", "x = 'dataclasses'"):
         assert "dataclasses" not in set(_imported_modules(ast.parse(text))), text
+
+
+def test_only_cli_imports_csv():
+    # every report is rendered in silt.cli: the modules that compute
+    # write no CSV
+    found = [
+        name for name, tree in TREES.items() if "csv" in set(_imported_modules(tree))
+    ]
+    assert found == ["cli.py"]
+
+
+def test_csv_import_check_sees_each_form():
+    for text in (
+        "import csv",
+        "from csv import writer",
+        "import csv as c",
+        "def f():\n    import csv",
+    ):
+        assert "csv" in set(_imported_modules(ast.parse(text))), text
+    for text in ("from .csv import x", "from .cli import csv_table", "x = 'csv'"):
+        assert "csv" not in set(_imported_modules(ast.parse(text))), text
 
 
 def test_no_constructor_bypass():
@@ -406,10 +431,9 @@ def test_each_frozen_table_is_assigned_once_in_cli():
     ]
     in_cli = {table for name, table, top in found if name == "cli.py" and top}
     assert len(in_cli) == len(found) == 6
-    tests = sorted(Path(__file__).parent.glob("*.py"))
     assert [
         (path.name, table)
-        for path in tests
+        for path in TESTS
         for table, _ in _frozen_tables(ast.parse(path.read_text()))
     ] == []
 

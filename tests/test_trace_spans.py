@@ -19,7 +19,6 @@ from pathlib import Path
 
 import pytest
 
-import silt.cli  # noqa: F401  (imports every silt module)
 from silt.classify import classify
 from silt.quivers import parse_quiver
 from silt.silting import silting_alg2
